@@ -18,6 +18,13 @@ echo "==> cargo build --release"
 # (rcfit, rcfitd, gen_mesh, the bench drivers), not just the root bin.
 cargo build --release --workspace
 
+echo "==> benchmark smoke (ledger/run.sh --smoke)"
+# Every workload on tiny inputs with every correctness gate on: pole
+# references, daemon replies byte-identical to one-shot, and the
+# reduced-vs-full wave-error ceiling. Exits non-zero when a gate fails;
+# results land in the gitignored ledger/out/.
+bash ledger/run.sh --smoke
+
 echo "==> cargo test (tier-1)"
 cargo test -q
 

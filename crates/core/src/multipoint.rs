@@ -132,8 +132,9 @@ pub fn auto_points(cutoff: &crate::cutoff::CutoffSpec, n: usize) -> Vec<f64> {
 }
 
 /// Maps a shifted-factorization singularity to the typed expansion-point
-/// error (internal-node attribution: LU columns are in natural order, so
-/// the pivot column *is* the internal node index).
+/// error (internal-node attribution: LU errors and pivot probes report
+/// columns of the input matrix, so the column *is* the internal node
+/// index).
 fn at_pole(point_hz: f64, index: usize, pivot: f64) -> ReduceError {
     ReduceError::ExpansionPointAtPole {
         point_hz,

@@ -17,7 +17,8 @@
 //!   (Householder + implicit-shift QL), the oracle behind pole analysis
 //!   and the extractor for Lanczos' tridiagonal `T`;
 //! - [`DenseLu`] and [`SparseLu`]: LU with partial pivoting, generic over
-//!   real/complex [`Scalar`]s, powering the circuit simulator's MNA solves;
+//!   real/complex [`Scalar`]s, powering the circuit simulator's MNA solves
+//!   (the sparse LU pre-orders columns with the fill-reducing [`amd`]);
 //!   [`SymbolicLu`] / [`LuCache`] factor once symbolically and refactor
 //!   numerically across sweeps, and [`CscPencil`] re-evaluates `G + jωC`
 //!   in place so frequency sweeps never rebuild structure;
@@ -77,11 +78,13 @@ pub use eigen::{eig_tridiagonal, sym_eig, EigenError, SymEig};
 pub use factor::Factorization;
 pub use lu::{invert, DenseLu, SingularMatrixError};
 pub use ordering::{
-    etree_postorder, invert_permutation, is_permutation, nested_dissection_partition, profile,
+    amd, etree_postorder, invert_permutation, is_permutation, nested_dissection_partition, profile,
     NdPartition, Ordering,
 };
 pub use par::{split_ranges, ParCtx};
 pub use pcg::{pcg, IncompleteCholesky, PcgResult};
 pub use pencil::CscPencil;
 pub use rng::XorShiftRng;
-pub use splu::{CscMat, LuCache, RefactorError, SparseLu, SparseLuError, SymbolicLu};
+pub use splu::{
+    CscMat, LuCache, RefactorError, SparseLu, SparseLuError, SymbolicLu, DEFAULT_PIVOT_THRESHOLD,
+};

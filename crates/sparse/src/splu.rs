@@ -3,10 +3,25 @@
 //! (DC/transient) and complex ones (AC sweeps).
 //!
 //! This is the linear-solver core of the `pact-circuit` HSPICE stand-in.
-//! The algorithm factors one column at a time: a depth-first search over
-//! the partially-built `L` finds the nonzero pattern of `L⁻¹ a_j`
-//! (topologically ordered), the numeric sparse triangular solve fills it
-//! in, and a threshold partial pivot (diagonal preferred) is chosen.
+//! Like KLU it factors `P A Q = L U`:
+//!
+//! - `Q` is a fill-reducing column pre-order, the approximate minimum
+//!   degree ordering of `A + Aᵀ` ([`crate::amd`]), computed from the
+//!   pattern alone. Without it columns would be eliminated in the order
+//!   the deck first names its nodes, and a reduced deck — whose pole
+//!   nodes each couple to every port — fills in to a dense `L`/`U`;
+//! - `P` comes from threshold partial pivoting that prefers the diagonal
+//!   of each pre-ordered column (row `q[j]` for column `q[j]`), which
+//!   keeps the symmetric pre-order's sparsity whenever the diagonal is
+//!   acceptable.
+//!
+//! The algorithm factors one column of `A Q` at a time: a depth-first
+//! search over the partially-built `L` finds the nonzero pattern of
+//! `L⁻¹ a_j` (topologically ordered), the numeric sparse triangular
+//! solve fills it in, and the threshold pivot is chosen. The `L`/`U`
+//! row indices are stored relabelled through `Q` (pivot position `k`
+//! lives at slot `q[k]`), so the triangular solves leave the solution
+//! in original column order with no extra pass or buffer.
 //!
 //! ## One symbolic, many numerics
 //!
@@ -14,22 +29,25 @@
 //! timesteps) factor many matrices that share one sparsity pattern. The
 //! per-column DFS, the pattern emission and the pivot search are all
 //! pattern work that can be done **once**: [`SparseLu::factor_analyzed`]
-//! captures a [`SymbolicLu`] — the `L`/`U` patterns, the row permutation
-//! and (implicitly, in the stored `U` column order) the topological
-//! update order — and [`SymbolicLu::refactor`] replays only the numeric
+//! captures a [`SymbolicLu`] — the column pre-order, the `L`/`U`
+//! patterns, the row permutation and (implicitly, in the stored `U`
+//! column order) the topological update order — and
+//! [`SymbolicLu::refactor`] replays only the numeric
 //! pass for a new matrix with the same structure. When the cached pivot
 //! sequence is still admissible under threshold partial pivoting the
 //! replay is **bit-identical** to a fresh factorization; when values
 //! drift far enough that a cached pivot is rejected, `refactor` reports
 //! it and the caller falls back to a fresh full factorization (see
-//! [`LuCache`], which packages that policy).
+//! [`LuCache`], which packages that policy and keeps the cached column
+//! order for the fallback).
 
 use crate::complex::Scalar;
+use crate::ordering::{amd, invert_permutation};
 
 /// Error from factoring a numerically singular sparse matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparseLuError {
-    /// Column at which no acceptable pivot existed.
+    /// Column of the input matrix at which no acceptable pivot existed.
     pub column: usize,
 }
 
@@ -215,8 +233,27 @@ impl<S: Scalar> CscMat<S> {
     }
 }
 
-/// Sparse LU factors `P A = L U` produced by Gilbert–Peierls with
-/// threshold partial pivoting.
+/// Default threshold of the diagonal-preference partial pivot: a
+/// column's diagonal is kept as pivot when its modulus is at least this
+/// fraction of the column maximum. `1e-3` is SPICE's `PIVREL` and KLU's
+/// default. A larger value lets one rejected diagonal (say a gate node
+/// held only by `gmin` next to a transistor's `gm`) start a cascade:
+/// its pivot row is the diagonal of a later column in the pre-order,
+/// which then must pivot off-diagonal too, and so on down an inverter
+/// chain, each stolen diagonal adding fill.
+pub const DEFAULT_PIVOT_THRESHOLD: f64 = 1e-3;
+
+/// The fill-reducing column pre-order of a square matrix.
+fn column_order<S: Scalar>(a: &CscMat<S>) -> Vec<usize> {
+    assert_eq!(a.n_rows, a.n_cols, "sparse LU needs a square matrix");
+    amd(a.n_cols, &a.indptr, &a.indices)
+}
+
+/// Sparse LU factors `P A Q = L U` produced by Gilbert–Peierls with a
+/// fill-reducing column pre-order and threshold partial pivoting.
+///
+/// `L` and `U` are indexed by pivot position `0..n` column-wise, but
+/// their row indices are stored as slots `q[k]` (see the module docs).
 #[derive(Clone, Debug)]
 pub struct SparseLu<S> {
     n: usize,
@@ -228,17 +265,20 @@ pub struct SparseLu<S> {
     ux: Vec<S>,
     /// `pinv[original_row] = pivot position`.
     pinv: Vec<usize>,
+    /// Column pre-order: pivot position `k` eliminates column `q[k]`.
+    q: Vec<usize>,
 }
 
 impl<S: Scalar> SparseLu<S> {
     /// Factors a square sparse matrix with the default diagonal-preference
-    /// threshold (0.1), appropriate for MNA matrices.
+    /// threshold ([`DEFAULT_PIVOT_THRESHOLD`]), appropriate for MNA
+    /// matrices.
     ///
     /// # Errors
     ///
     /// [`SparseLuError`] if the matrix is singular.
     pub fn factor(a: &CscMat<S>) -> Result<Self, SparseLuError> {
-        Self::factor_with_threshold(a, 0.1)
+        Self::factor_with_threshold(a, DEFAULT_PIVOT_THRESHOLD)
     }
 
     /// Factors with an explicit pivot threshold in `(0, 1]`: the diagonal
@@ -254,8 +294,18 @@ impl<S: Scalar> SparseLu<S> {
     ///
     /// Panics if `a` is not square.
     pub fn factor_with_threshold(a: &CscMat<S>, threshold: f64) -> Result<Self, SparseLuError> {
+        Self::factor_in_order(a, threshold, column_order(a))
+    }
+
+    /// Factors `P A Q` for the given column pre-order `q`.
+    fn factor_in_order(
+        a: &CscMat<S>,
+        threshold: f64,
+        q: Vec<usize>,
+    ) -> Result<Self, SparseLuError> {
         assert_eq!(a.n_rows, a.n_cols, "sparse LU needs a square matrix");
         let n = a.n_rows;
+        debug_assert_eq!(q.len(), n, "column order length");
         let mut lp = vec![0usize; n + 1];
         let mut up = vec![0usize; n + 1];
         let mut li: Vec<usize> = Vec::with_capacity(4 * a.nnz() + n);
@@ -270,9 +320,11 @@ impl<S: Scalar> SparseLu<S> {
         let mut iter_stack: Vec<usize> = Vec::with_capacity(n);
 
         for j in 0..n {
-            // ---- symbolic: DFS reach of A(:,j) through columns of L ----
+            let col = q[j];
+            let (c0, c1) = (a.indptr[col], a.indptr[col + 1]);
+            // ---- symbolic: DFS reach of A(:,col) through columns of L ----
             let mut top = n;
-            for p in a.indptr[j]..a.indptr[j + 1] {
+            for p in c0..c1 {
                 let start = a.indices[p];
                 if mark[start] == j {
                     continue;
@@ -319,8 +371,8 @@ impl<S: Scalar> SparseLu<S> {
                 }
             }
 
-            // ---- numeric: scatter A(:,j), sparse lower triangular solve ----
-            for p in a.indptr[j]..a.indptr[j + 1] {
+            // ---- numeric: scatter A(:,col), sparse lower triangular solve ----
+            for p in c0..c1 {
                 x[a.indices[p]] = a.data[p];
             }
             for idx in top..n {
@@ -355,7 +407,7 @@ impl<S: Scalar> SparseLu<S> {
                     // threshold; report it as a typed error instead of
                     // silently skipping it (it would poison L either way).
                     if !m.is_finite() {
-                        return Err(SparseLuError { column: j });
+                        return Err(SparseLuError { column: col });
                     }
                     if m > best_sq {
                         best_sq = m;
@@ -364,11 +416,12 @@ impl<S: Scalar> SparseLu<S> {
                 }
             }
             if best == usize::MAX || best_sq == 0.0 || !best_sq.is_finite() {
-                return Err(SparseLuError { column: j });
+                return Err(SparseLuError { column: col });
             }
-            // Prefer the diagonal when acceptable (sparsity preservation).
-            if pinv[j] == usize::MAX && x[j].modulus_sq() >= threshold * threshold * best_sq {
-                best = j;
+            // Prefer the diagonal when acceptable (sparsity preservation:
+            // the pre-order was chosen for the symmetric pattern).
+            if pinv[col] == usize::MAX && x[col].modulus_sq() >= threshold * threshold * best_sq {
+                best = col;
             }
             let pivot = x[best];
             pinv[best] = j;
@@ -379,12 +432,12 @@ impl<S: Scalar> SparseLu<S> {
                 if pinv[i] != usize::MAX && i != best {
                     let k = pinv[i];
                     if k < j {
-                        ui.push(k);
+                        ui.push(q[k]);
                         ux.push(x[i]);
                     }
                 }
             }
-            ui.push(j);
+            ui.push(col);
             ux.push(pivot); // diagonal of U, stored last in the column
             up[j + 1] = ui.len();
 
@@ -402,11 +455,11 @@ impl<S: Scalar> SparseLu<S> {
             lp[j + 1] = li.len();
         }
 
-        // Map L's row indices into pivot coordinates.
+        // Map L's row indices from original rows to slots.
         for r in li.iter_mut() {
-            *r = pinv[*r];
+            *r = q[pinv[*r]];
         }
-        // U's columns must be sorted? usolve only needs the diagonal last,
+        // The solves need only the U diagonal stored last in each column,
         // which the construction guarantees.
         Ok(SparseLu {
             n,
@@ -417,6 +470,7 @@ impl<S: Scalar> SparseLu<S> {
             ui,
             ux,
             pinv,
+            q,
         })
     }
 
@@ -435,11 +489,12 @@ impl<S: Scalar> SparseLu<S> {
         self.factor_nnz() * (std::mem::size_of::<S>() + 8) + (self.lp.len() + self.up.len()) * 8
     }
 
-    /// Cheap conditioning probe over the `U` diagonal: the column with
-    /// the smallest pivot modulus, that modulus, and the largest pivot
-    /// modulus. A ratio `min / max` near zero means the factored matrix
-    /// is numerically singular — for a shifted pencil `G + sC`, that the
-    /// shift `s` sits (to working precision) on a pole of the pencil.
+    /// Cheap conditioning probe over the `U` diagonal: the column (of the
+    /// input matrix) with the smallest pivot modulus, that modulus, and
+    /// the largest pivot modulus. A ratio `min / max` near zero means the
+    /// factored matrix is numerically singular — for a shifted pencil
+    /// `G + sC`, that the shift `s` sits (to working precision) on a pole
+    /// of the pencil.
     ///
     /// # Panics
     ///
@@ -460,7 +515,7 @@ impl<S: Scalar> SparseLu<S> {
                 max = d;
             }
         }
-        (argmin, min, max)
+        (self.q[argmin], min, max)
     }
 
     /// Solves `A x = b`.
@@ -482,13 +537,14 @@ impl<S: Scalar> SparseLu<S> {
     pub fn solve_into(&self, b: &[S], x: &mut [S]) {
         assert_eq!(b.len(), self.n);
         assert_eq!(x.len(), self.n);
-        // Apply the row permutation: x[pinv[i]] = b[i].
+        // Apply the row permutation into slots: position pinv[i] of P b
+        // lives at slot q[pinv[i]].
         for (i, &bi) in b.iter().enumerate() {
-            x[self.pinv[i]] = bi;
+            x[self.q[self.pinv[i]]] = bi;
         }
         // L y = Pb (unit lower, diagonal first per column).
         for j in 0..self.n {
-            let xj = x[j];
+            let xj = x[self.q[j]];
             if xj == S::zero() {
                 continue;
             }
@@ -497,11 +553,13 @@ impl<S: Scalar> SparseLu<S> {
                 x[self.li[p]] -= sub;
             }
         }
-        // U x = y (diagonal last per column).
+        // U z = y (diagonal last per column); z[j] lands at slot q[j],
+        // which is x = Q z.
         for j in (0..self.n).rev() {
+            let s = self.q[j];
             let dpos = self.up[j + 1] - 1;
-            let xj = x[j] / self.ux[dpos];
-            x[j] = xj;
+            let xj = x[s] / self.ux[dpos];
+            x[s] = xj;
             if xj == S::zero() {
                 continue;
             }
@@ -532,22 +590,23 @@ impl<S: Scalar> SparseLu<S> {
         }
         assert_eq!(xs.len() % n, 0, "xs must hold whole n-vectors");
         let k = xs.len() / n;
-        // Row permutation per RHS, staged through scratch.
+        // Row permutation into slots per RHS, staged through scratch.
         scratch.clear();
         scratch.resize(n, S::zero());
         for c in 0..k {
             let col = &mut xs[c * n..(c + 1) * n];
             for i in 0..n {
-                scratch[self.pinv[i]] = col[i];
+                scratch[self.q[self.pinv[i]]] = col[i];
             }
             col.copy_from_slice(scratch);
         }
         // L sweep: column j of L applied to all right-hand sides.
         for j in 0..n {
+            let s = self.q[j];
             for p in self.lp[j] + 1..self.lp[j + 1] {
                 let (row, lij) = (self.li[p], self.lx[p]);
                 for c in 0..k {
-                    let xj = xs[c * n + j];
+                    let xj = xs[c * n + s];
                     if xj == S::zero() {
                         continue;
                     }
@@ -558,16 +617,17 @@ impl<S: Scalar> SparseLu<S> {
         }
         // U sweep.
         for j in (0..n).rev() {
+            let s = self.q[j];
             let dpos = self.up[j + 1] - 1;
             let d = self.ux[dpos];
             for c in 0..k {
-                let xj = xs[c * n + j] / d;
-                xs[c * n + j] = xj;
+                let xj = xs[c * n + s] / d;
+                xs[c * n + s] = xj;
             }
             for p in self.up[j]..dpos {
                 let (row, uij) = (self.ui[p], self.ux[p]);
                 for c in 0..k {
-                    let xj = xs[c * n + j];
+                    let xj = xs[c * n + s];
                     if xj == S::zero() {
                         continue;
                     }
@@ -580,13 +640,14 @@ impl<S: Scalar> SparseLu<S> {
 
     /// Factors and also captures the symbolic analysis (pattern, pivot
     /// sequence, update order) for later numeric-only refactorization
-    /// with [`SymbolicLu::refactor`]. Default pivot threshold (0.1).
+    /// with [`SymbolicLu::refactor`]. Default pivot threshold
+    /// ([`DEFAULT_PIVOT_THRESHOLD`]).
     ///
     /// # Errors
     ///
     /// [`SparseLuError`] if the matrix is singular.
     pub fn factor_analyzed(a: &CscMat<S>) -> Result<(Self, SymbolicLu), SparseLuError> {
-        Self::factor_analyzed_with_threshold(a, 0.1)
+        Self::factor_analyzed_with_threshold(a, DEFAULT_PIVOT_THRESHOLD)
     }
 
     /// [`SparseLu::factor_analyzed`] with an explicit pivot threshold.
@@ -598,7 +659,17 @@ impl<S: Scalar> SparseLu<S> {
         a: &CscMat<S>,
         threshold: f64,
     ) -> Result<(Self, SymbolicLu), SparseLuError> {
-        let lu = Self::factor_with_threshold(a, threshold)?;
+        Self::analyzed_in_order(a, threshold, column_order(a))
+    }
+
+    /// [`SparseLu::factor_analyzed_with_threshold`] for a given column
+    /// pre-order.
+    fn analyzed_in_order(
+        a: &CscMat<S>,
+        threshold: f64,
+        q: Vec<usize>,
+    ) -> Result<(Self, SymbolicLu), SparseLuError> {
+        let lu = Self::factor_in_order(a, threshold, q)?;
         let sym = SymbolicLu {
             n: lu.n,
             a_indptr: a.indptr.clone(),
@@ -608,6 +679,8 @@ impl<S: Scalar> SparseLu<S> {
             up: lu.up.clone(),
             ui: lu.ui.clone(),
             pinv: lu.pinv.clone(),
+            qinv: invert_permutation(&lu.q),
+            q: lu.q.clone(),
             threshold,
         };
         Ok((lu, sym))
@@ -630,6 +703,12 @@ impl<S: Scalar> SparseLu<S> {
     pub fn row_permutation(&self) -> &[usize] {
         &self.pinv
     }
+
+    /// The fill-reducing column pre-order: pivot position `k`
+    /// eliminated column `q[k]` of the input matrix.
+    pub fn column_permutation(&self) -> &[usize] {
+        &self.q
+    }
 }
 
 /// Why a numeric refactorization could not reuse a cached symbolic
@@ -643,12 +722,12 @@ pub enum RefactorError {
     /// column — the values drifted too far from the analyzed matrix.
     /// Fall back to a fresh full factorization.
     PivotRejected {
-        /// Column (pivot position) at which the cached pivot failed.
+        /// Column of the input matrix at which the cached pivot failed.
         column: usize,
     },
     /// The matrix is numerically singular at this column.
     Singular {
-        /// Column (pivot position) with no usable pivot.
+        /// Column of the input matrix with no usable pivot.
         column: usize,
     },
 }
@@ -671,8 +750,8 @@ impl std::fmt::Display for RefactorError {
 
 impl std::error::Error for RefactorError {}
 
-/// The reusable symbolic half of a sparse LU: column elimination
-/// structure, `L`/`U` patterns and the pivot sequence, captured once by
+/// The reusable symbolic half of a sparse LU: the fill-reducing column
+/// pre-order, `L`/`U` patterns and the pivot sequence, captured once by
 /// [`SparseLu::factor_analyzed`] and replayed by
 /// [`SymbolicLu::refactor`] for every matrix that shares the structure.
 ///
@@ -698,6 +777,10 @@ pub struct SymbolicLu {
     ui: Vec<usize>,
     /// `pinv[original_row] = pivot position`.
     pinv: Vec<usize>,
+    /// Column pre-order (pivot position → input column = slot).
+    q: Vec<usize>,
+    /// Inverse of `q` (slot → pivot position).
+    qinv: Vec<usize>,
     threshold: f64,
 }
 
@@ -715,6 +798,12 @@ impl SymbolicLu {
     /// The pivot threshold the analysis was captured with.
     pub fn threshold(&self) -> f64 {
         self.threshold
+    }
+
+    /// The fill-reducing column pre-order, see
+    /// [`SparseLu::column_permutation`].
+    pub fn column_permutation(&self) -> &[usize] {
+        &self.q
     }
 
     /// `true` when `a` has exactly the analyzed sparsity structure.
@@ -738,6 +827,7 @@ impl SymbolicLu {
             ui: self.ui.clone(),
             ux: vec![S::zero(); self.ui.len()],
             pinv: self.pinv.clone(),
+            q: self.q.clone(),
         }
     }
 
@@ -780,23 +870,25 @@ impl SymbolicLu {
         assert_eq!(out.lx.len(), self.li.len(), "L pattern mismatch");
         assert_eq!(out.ux.len(), self.ui.len(), "U pattern mismatch");
         let n = self.n;
-        // Dense workspace in pivot coordinates, cleared per column.
+        // Dense workspace in slot coordinates, cleared per column.
         let mut x = vec![S::zero(); n];
         for j in 0..n {
-            // Scatter A(:, j) (mapped through the row permutation).
-            for p in self.a_indptr[j]..self.a_indptr[j + 1] {
-                x[self.pinv[self.a_indices[p]]] = a.data[p];
+            // Scatter A(:, q[j]) (mapped through the row permutation).
+            let col = self.q[j];
+            for p in self.a_indptr[col]..self.a_indptr[col + 1] {
+                x[self.q[self.pinv[self.a_indices[p]]]] = a.data[p];
             }
             // Numeric sparse triangular solve, replayed in the captured
             // topological order = the stored U column order (sans the
             // diagonal, which is stored last).
             let dpos = self.up[j + 1] - 1;
             for t in self.up[j]..dpos {
-                let k = self.ui[t];
-                let xj = x[k]; // unit diagonal: no division
+                let s = self.ui[t];
+                let xj = x[s]; // unit diagonal: no division
                 if xj == S::zero() {
                     continue;
                 }
+                let k = self.qinv[s];
                 for p in self.lp[k] + 1..self.lp[k + 1] {
                     let sub = out.lx[p] * xj;
                     x[self.li[p]] -= sub;
@@ -813,12 +905,12 @@ impl SymbolicLu {
             // the checks is safe; by check time the workspace is already
             // clean for another attempt.
             for t in self.up[j]..dpos {
-                let k = self.ui[t];
-                out.ux[t] = x[k];
-                x[k] = S::zero();
+                let s = self.ui[t];
+                out.ux[t] = x[s];
+                x[s] = S::zero();
             }
-            let pivot = x[j];
-            x[j] = S::zero();
+            let pivot = x[col];
+            x[col] = S::zero();
             let pivot_sq = pivot.modulus_sq();
             let mut best_sq = pivot_sq;
             // `f64::max` silently drops NaN operands and `NaN < t` is
@@ -836,10 +928,10 @@ impl SymbolicLu {
                 out.lx[p] = v / pivot;
             }
             if !all_finite || best_sq == 0.0 || !best_sq.is_finite() {
-                return Err(RefactorError::Singular { column: j });
+                return Err(RefactorError::Singular { column: col });
             }
             if pivot_sq < self.threshold * self.threshold * best_sq {
-                return Err(RefactorError::PivotRejected { column: j });
+                return Err(RefactorError::PivotRejected { column: col });
             }
         }
         Ok(())
@@ -851,7 +943,9 @@ impl SymbolicLu {
 /// numeric refactor when the cached analysis applies, transparently
 /// falling back to (and re-capturing from) a fresh full factorization
 /// when the structure changed or partial pivoting rejected the cached
-/// pivots.
+/// pivots. The column pre-order depends on the structure alone, so a
+/// fallback on an unchanged structure reuses the cached order instead
+/// of recomputing it.
 ///
 /// The returned flag distinguishes the two paths so callers can feed
 /// `refactorizations` vs `factorizations` telemetry.
@@ -859,6 +953,7 @@ impl SymbolicLu {
 pub struct LuCache {
     sym: Option<SymbolicLu>,
     threshold: f64,
+    orderings: usize,
 }
 
 impl Default for LuCache {
@@ -868,12 +963,10 @@ impl Default for LuCache {
 }
 
 impl LuCache {
-    /// An empty cache with the default pivot threshold (0.1).
+    /// An empty cache with the default pivot threshold
+    /// ([`DEFAULT_PIVOT_THRESHOLD`]).
     pub fn new() -> Self {
-        LuCache {
-            sym: None,
-            threshold: 0.1,
-        }
+        LuCache::with_threshold(DEFAULT_PIVOT_THRESHOLD)
     }
 
     /// An empty cache with an explicit pivot threshold in `(0, 1]`.
@@ -881,12 +974,19 @@ impl LuCache {
         LuCache {
             sym: None,
             threshold,
+            orderings: 0,
         }
     }
 
     /// The cached symbolic analysis, when one has been captured.
     pub fn symbolic(&self) -> Option<&SymbolicLu> {
         self.sym.as_ref()
+    }
+
+    /// Column pre-orders computed so far: one per structure change, none
+    /// for refactors or pivot-rejection fallbacks.
+    pub fn orderings(&self) -> usize {
+        self.orderings
     }
 
     /// Drops the cached analysis.
@@ -906,12 +1006,20 @@ impl LuCache {
         &mut self,
         a: &CscMat<S>,
     ) -> Result<(SparseLu<S>, bool), SparseLuError> {
-        if let Some(sym) = &self.sym {
-            if let Ok(lu) = sym.refactor(a) {
-                return Ok((lu, true));
-            }
-        }
-        let (lu, sym) = SparseLu::factor_analyzed_with_threshold(a, self.threshold)?;
+        let q = match &self.sym {
+            Some(sym) => match sym.refactor(a) {
+                Ok(lu) => return Ok((lu, true)),
+                Err(RefactorError::StructureMismatch) => None,
+                // Same structure: only the pivots moved.
+                Err(_) => Some(sym.q.clone()),
+            },
+            None => None,
+        };
+        let q = q.unwrap_or_else(|| {
+            self.orderings += 1;
+            column_order(a)
+        });
+        let (lu, sym) = SparseLu::analyzed_in_order(a, self.threshold, q)?;
         self.sym = Some(sym);
         Ok((lu, false))
     }
@@ -1232,5 +1340,174 @@ mod tests {
         );
         assert!(rebuilt.structure_eq(&a));
         assert_eq!(rebuilt.values(), a.values());
+    }
+
+    fn stamp(trip: &mut Vec<(usize, usize, f64)>, a: usize, b: usize, g: f64) {
+        trip.extend([(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]);
+    }
+
+    /// MNA-style fixture: a `side × side` resistor grid whose nodes are
+    /// numbered in a scrambled order, with a small conductance to ground
+    /// at every node and a voltage source on one node. The source's
+    /// branch current is the last unknown; its row and column hold only
+    /// the ±1 incidence entries, so its diagonal is structurally zero.
+    fn mna_fixture(side: usize, seed: u64) -> CscMat<f64> {
+        let nodes = side * side;
+        let mut rng = crate::rng::XorShiftRng::seed_from_u64(seed);
+        let mut keys: Vec<(u64, usize)> = (0..nodes).map(|k| (rng.next_u64(), k)).collect();
+        keys.sort_unstable();
+        let label: Vec<usize> = keys.iter().map(|&(_, k)| k).collect();
+        let mut trip = Vec::new();
+        for y in 0..side {
+            for x in 0..side {
+                let v = label[y * side + x];
+                trip.push((v, v, 1e-3 * (1.0 + rng.gen_f64())));
+                if x + 1 < side {
+                    stamp(&mut trip, v, label[y * side + x + 1], 1.0 + rng.gen_f64());
+                }
+                if y + 1 < side {
+                    stamp(&mut trip, v, label[(y + 1) * side + x], 1.0 + rng.gen_f64());
+                }
+            }
+        }
+        trip.push((label[0], nodes, 1.0));
+        trip.push((nodes, label[0], 1.0));
+        CscMat::from_triplets(nodes + 1, nodes + 1, &trip)
+    }
+
+    #[test]
+    fn pre_order_keeps_a_hub_matrix_sparse() {
+        // Arrow matrix with the hub at column 0: natural order eliminates
+        // the hub first and fills all n² entries.
+        let n = 300;
+        let mut trip = vec![(0, 0, n as f64)];
+        for i in 1..n {
+            trip.extend([(i, i, 2.0), (0, i, -1.0), (i, 0, -1.0)]);
+        }
+        let a = CscMat::from_triplets(n, n, &trip);
+        let lu = SparseLu::factor(&a).unwrap();
+        assert!(lu.factor_nnz() <= 4 * n, "fill {} > 4n", lu.factor_nnz());
+        assert_eq!(lu.column_permutation()[n - 1], 0, "hub must go last");
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).cos()).collect();
+        assert!(residual_inf(&a, &lu.solve(&b), &b) < 1e-12);
+    }
+
+    #[test]
+    fn mna_branch_row_with_zero_diagonal_factors_accurately() {
+        let a = mna_fixture(12, 3);
+        let n = a.nrows();
+        let lu = SparseLu::factor(&a).unwrap();
+        let natural: Vec<usize> = (0..n).collect();
+        assert_ne!(lu.column_permutation(), natural.as_slice());
+        // Drive the source at 1 V, inject a little current elsewhere.
+        let b: Vec<f64> = (0..n)
+            .map(|i| {
+                if i == n - 1 {
+                    1.0
+                } else {
+                    1e-3 * (i as f64).sin()
+                }
+            })
+            .collect();
+        let x = lu.solve(&b);
+        assert!(residual_inf(&a, &x, &b) < 1e-12);
+        assert!(lu.factor_nnz() < n * n / 4, "grid LU filled in densely");
+    }
+
+    #[test]
+    fn refactor_into_replays_the_pre_order_bitwise() {
+        let a = mna_fixture(10, 11);
+        let n = a.nrows();
+        let (_, sym) = SparseLu::factor_analyzed(&a).unwrap();
+        let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+        // Real values on the same structure.
+        let mut b = a.clone();
+        for (k, v) in b.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 1e-3 * ((k as f64) * 0.37).sin();
+        }
+        let fresh = SparseLu::factor(&b).unwrap();
+        let mut out = sym.prepared();
+        sym.refactor_into(&b, &mut out).unwrap();
+        assert_eq!(out.l_values(), fresh.l_values());
+        assert_eq!(out.u_values(), fresh.u_values());
+        assert_eq!(out.row_permutation(), fresh.row_permutation());
+        assert_eq!(out.column_permutation(), fresh.column_permutation());
+        assert_eq!(out.column_permutation(), sym.column_permutation());
+        assert_eq!(out.solve(&rhs), fresh.solve(&rhs));
+        // Complex values from the same (real-captured) analysis.
+        let data: Vec<Complex64> = a
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| Complex64::new(v, 1e-2 * (k as f64 * 0.5).cos()))
+            .collect();
+        let ac = CscMat::from_parts(n, n, a.indptr().to_vec(), a.indices().to_vec(), data);
+        let fresh_c = SparseLu::factor(&ac).unwrap();
+        let mut out_c = sym.prepared();
+        sym.refactor_into(&ac, &mut out_c).unwrap();
+        assert_eq!(out_c.l_values(), fresh_c.l_values());
+        assert_eq!(out_c.u_values(), fresh_c.u_values());
+        let rhs_c: Vec<Complex64> = rhs.iter().map(|&r| Complex64::new(r, -r)).collect();
+        assert_eq!(out_c.solve(&rhs_c), fresh_c.solve(&rhs_c));
+    }
+
+    #[test]
+    fn block_solve_with_pre_order_matches_per_rhs_solves_bitwise() {
+        let a = mna_fixture(9, 17);
+        let n = a.nrows();
+        let lu = SparseLu::factor(&a).unwrap();
+        let k = 5;
+        let mut block = vec![0.0f64; n * k];
+        for c in 0..k {
+            for i in 0..n {
+                block[c * n + i] = ((i * (c + 1)) as f64 * 0.13).cos();
+            }
+        }
+        let singles: Vec<Vec<f64>> = block.chunks(n).map(|b| lu.solve(b)).collect();
+        let mut scratch = Vec::new();
+        lu.solve_block_in_place(&mut block, &mut scratch);
+        for (c, x) in singles.iter().enumerate() {
+            assert_eq!(&block[c * n..(c + 1) * n], x.as_slice());
+        }
+    }
+
+    #[test]
+    fn lu_cache_pivot_rejection_reuses_the_column_order() {
+        let a = mna_fixture(8, 5);
+        let n = a.nrows();
+        let mut cache = LuCache::new();
+        let (_, refac) = cache.factor(&a).unwrap();
+        assert!(!refac);
+        assert_eq!(cache.orderings(), 1);
+        let sym = cache.symbolic().unwrap().clone();
+        let q = sym.column_permutation().to_vec();
+        // Same structure, one diagonal pivot driven to ~0 so the cached
+        // pivot fails the threshold test.
+        let hostile = (0..n)
+            .find_map(|j| {
+                let mut h = a.clone();
+                let col = q[j];
+                let p = (h.indptr()[col]..h.indptr()[col + 1]).find(|&p| h.indices()[p] == col)?;
+                h.values_mut()[p] = 1e-30;
+                matches!(sym.refactor(&h), Err(RefactorError::PivotRejected { .. })).then_some(h)
+            })
+            .expect("some cached diagonal pivot can be rejected");
+        let (lu, refac) = cache.factor(&hostile).unwrap();
+        assert!(
+            !refac,
+            "a rejected pivot falls back to a fresh factorization"
+        );
+        assert_eq!(
+            cache.orderings(),
+            1,
+            "the fallback must reuse the cached order"
+        );
+        assert_eq!(lu.column_permutation(), q.as_slice());
+        assert_eq!(cache.symbolic().unwrap().column_permutation(), q.as_slice());
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        assert!(residual_inf(&hostile, &lu.solve(&b), &b) < 1e-9);
+        // A structure change computes a new order.
+        cache.factor(&mna_fixture(9, 5)).unwrap();
+        assert_eq!(cache.orderings(), 2);
     }
 }
