@@ -25,8 +25,10 @@ echo "==> benchmark smoke (ledger/run.sh --smoke)"
 # results land in the gitignored ledger/out/.
 bash ledger/run.sh --smoke
 
-echo "==> cargo test (tier-1)"
-cargo test -q
+echo "==> cargo test --workspace (tier-1 plus every crate's own tests)"
+# The root package's tests are tier-1; --workspace adds the member
+# crates' unit and integration tests (pact-lanczos, par_determinism, ...).
+cargo test -q --workspace
 
 echo "==> rcfit --trace / --log-json smoke test"
 tmp="$(mktemp -d)"
@@ -70,16 +72,15 @@ print(f"hier telemetry ok: {c['hier_blocks']} blocks, "
       f"{c['hier_separator_nodes']} separators, depth {c['hier_tree_depth']}")
 EOF
 
-echo "==> flat vs hier perf A/B (10k + 20k meshes -> results/hier_perf.txt)"
+echo "==> flat vs hier A/B (10k + 20k meshes -> results/hier_perf.txt)"
 # hier_scaling --smoke times reduce_network only (deck built outside the
 # timed regions, min of two runs per side) on the 10k and 20k meshes and
-# *asserts* hier strictly beats flat at 1 thread on the 20k mesh — that
-# assertion is the perf gate; a hier regression fails CI here. Run in a
-# scratch dir so a smoke run can never clobber the committed full-size
-# BENCH_hier.json.
+# asserts that flat and hier keep the same pole count on both. It records
+# but does not gate on wall clock. Run in a scratch dir so a smoke run can
+# never clobber the committed full-size BENCH_hier.json.
 root="$PWD"
 (cd "$tmp" && "$root/target/release/hier_scaling" --smoke) | tee "$tmp/hier_smoke.txt"
-grep -q "hier A/B OK" "$tmp/hier_smoke.txt"
+grep -q "hier smoke OK" "$tmp/hier_smoke.txt"
 mkdir -p results
 {
     echo "# Flat vs hierarchical reduction A/B: 10k (32x32x10) and 20k"
@@ -91,11 +92,14 @@ mkdir -p results
 } > results/hier_perf.txt
 cat results/hier_perf.txt
 
-echo "==> lanczos cap-scale cost-cliff probe (warn-only)"
-# Tracks the eigen-phase spread across a ±1% capacitor-scale sweep; the
-# cliff is chaotic in mesh size so this warns rather than gates.
+echo "==> lanczos cap-scale cost-cliff gate"
+# Fails when any cap scale of a ±1% capacitor sweep needs more than 100
+# matvecs (deterministic). Under selective orthogonalization ghost Ritz
+# values stalled this mesh at the 300-step iteration cap (282-322
+# matvecs); full reorthogonalization stops at the cutoff (43-47). The
+# eigen-time ratio is printed but not gated: the phase is a few ms.
 ./target/release/lanczos_cliff | tee "$tmp/cliff.txt"
-grep -Eq "lanczos_cliff OK|WARN lanczos_cliff" "$tmp/cliff.txt"
+grep -q "lanczos_cliff OK" "$tmp/cliff.txt"
 
 echo "==> refactor-determinism smoke (transient + AC sweep, 1 vs 4 threads -> results/sweep_perf.txt)"
 # The --smoke mode asserts bit-identical AC voltages and work counters at

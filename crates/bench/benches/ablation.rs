@@ -1,14 +1,14 @@
 //! Ablation benches for the design choices DESIGN.md §5 calls out:
-//! Lanczos orthogonalization policy, Cholesky ordering, dense vs LASO
-//! pole analysis, and the sparsification heuristic.
+//! Cholesky ordering, dense vs Lanczos pole analysis, and the
+//! sparsification heuristic.
 //!
 //! Plain `main()` harness (no external bench framework); run with
 //! `cargo bench -p pact-bench --bench ablation`.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions, Transform1};
+use pact::{CutoffSpec, EigenSelect, ReduceOptions};
 use pact_bench::{min_median, print_table, sample_secs, secs};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::{eigs_above, LanczosConfig, Reorthogonalization};
+use pact_lanczos::LanczosConfig;
 use pact_netlist::sparsify_preserving_passivity;
 use pact_sparse::{Ordering, SparseCholesky};
 
@@ -27,26 +27,6 @@ fn mesh(nx: usize, ny: usize, nz: usize, m: usize) -> pact_netlist::RcNetwork {
 fn row(label: String, samples: &[f64]) -> Vec<String> {
     let (min, med) = min_median(samples);
     vec![label, secs(min), secs(med)]
-}
-
-fn bench_reorthogonalization(rows: &mut Vec<Vec<String>>) {
-    let net = mesh(12, 12, 5, 16);
-    let parts = pact::Partitions::split(&net.stamp());
-    let t1 = Transform1::compute(&parts, Ordering::Rcm).expect("t1");
-    let lambda_c = CutoffSpec::new(1e9, 0.05).expect("spec").lambda_c();
-    let op = t1.e_prime_operator(&parts);
-    for reorth in [
-        Reorthogonalization::None,
-        Reorthogonalization::Selective,
-        Reorthogonalization::Full,
-    ] {
-        let cfg = LanczosConfig {
-            reorth,
-            ..LanczosConfig::default()
-        };
-        let s = sample_secs(SAMPLES, || eigs_above(&op, lambda_c, &cfg).expect("laso"));
-        rows.push(row(format!("reorth/{reorth:?}"), &s));
-    }
 }
 
 fn bench_ordering(rows: &mut Vec<Vec<String>>) {
@@ -69,7 +49,7 @@ fn bench_eigen_strategy(rows: &mut Vec<Vec<String>>) {
     let net = mesh(8, 8, 5, 12); // n ≈ 300: both strategies feasible
     for (label, eigen) in [
         ("dense", EigenSelect::LowRank),
-        ("laso", EigenSelect::Lanczos(LanczosConfig::default())),
+        ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
     ] {
         let opts = ReduceOptions {
             cutoff: CutoffSpec::new(1e9, 0.05).expect("spec"),
@@ -118,7 +98,6 @@ fn bench_sparsify(rows: &mut Vec<Vec<String>>) {
 
 fn main() {
     let mut rows = Vec::new();
-    bench_reorthogonalization(&mut rows);
     bench_ordering(&mut rows);
     bench_eigen_strategy(&mut rows);
     bench_sparsify(&mut rows);

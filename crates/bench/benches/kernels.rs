@@ -1,5 +1,5 @@
 //! Timing bench for the numerical kernels underlying PACT: sparse
-//! Cholesky factorization of `D`, LASO pole analysis, the first
+//! Cholesky factorization of `D`, Lanczos pole analysis, the first
 //! congruence transform, and the end-to-end reduction.
 //!
 //! Plain `main()` harness (no external bench framework): each case runs a

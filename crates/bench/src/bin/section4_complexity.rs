@@ -3,7 +3,7 @@
 //! fixed-size substrate mesh and reports measured time plus the
 //! measured/modelled memory of both approaches — the paper's claim is
 //! that the Padé block memory and orthogonalization work grow with `m`
-//! while LASO's do not.
+//! while PACT's do not.
 
 use pact::{CutoffSpec, EigenSelect, ReduceOptions};
 use pact_baselines::{block_krylov_reduce, mpvl_memory, pact_lanczos_memory};
@@ -41,7 +41,7 @@ fn main() {
             chol_kernel: pact::CholKernel::Auto,
         };
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
-        let laso = pact_red.stats.lanczos.unwrap_or_default();
+        let lanczos = pact_red.stats.lanczos.unwrap_or_default();
 
         // Same reduction with the scalar up-looking Cholesky kernel:
         // isolates the supernodal speedup on the factorization hot path.
@@ -62,7 +62,7 @@ fn main() {
             format!("{}", pact_red.model.num_poles()),
             secs(t_pact),
             secs(t_scalar),
-            format!("{}", laso.orthogonalizations),
+            format!("{}", lanczos.orthogonalizations),
             mb(pact_lanczos_memory(n, pact_red.model.num_poles())),
             secs(t_kry),
             format!("{}", krylov.orthogonalizations),
@@ -71,7 +71,7 @@ fn main() {
         ]);
     }
     print_table(
-        "PACT (LASO) vs block-Krylov Padé vs MPVL model — paper: Padé memory/ops grow as m², PACT's do not",
+        "PACT (Lanczos) vs block-Krylov Padé vs MPVL model — paper: Padé memory/ops grow as m², PACT's do not",
         &[
             "ports m",
             "internal n",

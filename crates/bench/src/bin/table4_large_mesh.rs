@@ -134,7 +134,7 @@ fn main() {
     );
     if let Some(ls) = red.stats.lanczos {
         println!(
-            "LASO: {} matvecs, {} iterations, {} restarts, peak {} length-n vectors",
+            "Lanczos: {} matvecs, {} iterations, {} restarts, peak {} length-n vectors",
             ls.matvecs, ls.iterations, ls.restarts, ls.peak_vectors
         );
     }

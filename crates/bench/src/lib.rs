@@ -138,7 +138,7 @@ pub fn reduce_deck(
     (reduced_deck, red, elapsed)
 }
 
-/// Like [`reduce_deck`] but with LASO forced (for large meshes where the
+/// Like [`reduce_deck`] but with Lanczos forced (for large meshes where the
 /// auto threshold would pick it anyway; explicit for reproducibility).
 pub fn reduce_deck_laso(
     deck: &Netlist,

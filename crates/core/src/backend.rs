@@ -2,10 +2,10 @@
 //!
 //! The paper's Section-3.2 pole analysis admits three implementations with
 //! very different cost profiles: a dense QL decomposition (`O(n³)`, exact,
-//! the oracle), Lanczos with selective orthogonalization (the paper's
-//! LASO choice for large `n`), and a rank-revealing fast path exploiting
-//! the §6 observation that extracted RC networks carry far fewer
-//! capacitors than nodes. [`EigenBackend`] names the common contract;
+//! the oracle), Lanczos (the paper's choice for large `n`; ours fully
+//! reorthogonalizes, see [`pact_lanczos`]), and a rank-revealing fast
+//! path exploiting the §6 observation that extracted RC networks carry
+//! far fewer capacitors than nodes. [`EigenBackend`] names the common contract;
 //! [`EigenSelect`] picks one per reduction — adaptively by internal-block
 //! size and capacitance rank under [`EigenSelect::Auto`] — and the choice
 //! made for every block is recorded in telemetry
@@ -57,7 +57,7 @@ pub trait EigenBackend {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseQlBackend;
 
-/// Lanczos with selective orthogonalization on the `E'` operator
+/// Lanczos with full reorthogonalization on the `E'` operator
 /// ([`pact_lanczos`]), never forming `E'` densely.
 #[derive(Clone, Debug, Default)]
 pub struct LanczosBackend {
@@ -330,7 +330,7 @@ fn low_rank_poles(
     };
     let mut lambdas = Vec::new();
     let mut vectors = Vec::new();
-    // Descending order to match the dense and LASO paths.
+    // Descending order to match the dense and Lanczos paths.
     for idx in (0..c).rev() {
         let lam = eig.values[idx];
         if lam < lambda_c {
@@ -389,7 +389,7 @@ fn dense_poles(
     let eig = sym_eig(&ep)?;
     let mut lambdas = Vec::new();
     let mut vectors = Vec::new();
-    // Descending order to match the LASO path.
+    // Descending order to match the Lanczos path.
     for idx in (0..parts.n).rev() {
         let lam = eig.values[idx];
         if lam >= lambda_c {

@@ -21,7 +21,7 @@
 //!    `A' = A − QᵀX` and `B' = B − PᵀX − XᵀR` become the exact first two
 //!    moments, `Q` vanishes, `D → I` (eq. 6–9);
 //! 3. pole analysis — eigenpairs of `E' = L⁻¹EL⁻ᵀ` above
-//!    `λ_c = 1/(2π f_c)` ([`CutoffSpec`]) are found by LASO
+//!    `λ_c = 1/(2π f_c)` ([`CutoffSpec`]) are found by Lanczos
 //!    (`pact_lanczos`) or densely, and everything else is dropped
 //!    (eq. 10–12);
 //! 4. [`ReducedModel`] — the `m + k` node reduced network, evaluable as

@@ -72,7 +72,8 @@ pub struct Counters {
     pub lanczos_matvecs: u64,
     /// Lanczos restarts.
     pub lanczos_restarts: u64,
-    /// Full reorthogonalization passes.
+    /// Vector projections subtracted by Lanczos reorthogonalization and
+    /// deflation.
     pub lanczos_reorthogonalizations: u64,
     /// Leaf blocks reduced by the hierarchical strategy.
     pub hier_blocks: u64,

@@ -1,4 +1,4 @@
-//! Validates PACT on the mesh operator class the paper targets: LASO and
+//! Validates PACT on the mesh operator class the paper targets: Lanczos and
 //! the dense eigensolver must find the same poles, the reduced model must
 //! track the exact admittance, and the mesh's pole ladder must behave as
 //! designed (wells dominate the low-frequency spectrum).

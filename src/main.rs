@@ -18,7 +18,7 @@
 //! The flow mirrors the paper's Figure 1: parse → extract RC elements and
 //! classify ports → sanitize (prune floating internal nodes, drop
 //! zero-valued caps) → stamp `G`,`C` → Cholesky congruence → pole
-//! analysis via LASO → drop poles above the cutoff → sparsify → unstamp
+//! analysis via Lanczos → drop poles above the cutoff → sparsify → unstamp
 //! → splice the reduced network back into the deck and write it out.
 //!
 //! Every failure surfaces as a typed [`PactError`] with node/element
@@ -371,7 +371,7 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
                 );
                 if let Some(ls) = s.lanczos {
                     eprintln!(
-                        "rcfit: LASO: {} matvecs, {} iterations, {} restarts",
+                        "rcfit: Lanczos: {} matvecs, {} iterations, {} restarts",
                         ls.matvecs, ls.iterations, ls.restarts
                     );
                 }
