@@ -101,6 +101,14 @@ echo "==> lanczos cap-scale cost-cliff gate"
 ./target/release/lanczos_cliff | tee "$tmp/cliff.txt"
 grep -q "lanczos_cliff OK" "$tmp/cliff.txt"
 
+echo "==> Table 4 mesh (-> results/table4_large_mesh.txt)"
+# The paper's headline case: flat, scalar-kernel and hier reductions of
+# the 469-port mesh (~10 s). Fails unless the flat row keeps 11 poles.
+./target/release/table4_large_mesh | tee "$tmp/table4.txt"
+grep -q "^| reduced, 500 MHz | 469 | 11 |" "$tmp/table4.txt"
+mkdir -p results
+cp "$tmp/table4.txt" results/table4_large_mesh.txt
+
 echo "==> refactor-determinism smoke (transient + AC sweep, 1 vs 4 threads -> results/sweep_perf.txt)"
 # The --smoke mode asserts bit-identical AC voltages and work counters at
 # 1 vs 4 threads, bitwise reuse-vs-fresh equivalence, and the linear

@@ -94,15 +94,15 @@ fn bench_transform1(rows: &mut Vec<Vec<String>>) {
     }
 }
 
-fn bench_laso(rows: &mut Vec<Vec<String>>) {
+fn bench_lanczos(rows: &mut Vec<Vec<String>>) {
     let (_, parts) = mesh_parts(14, 14, 5, 16);
     let t1 = Transform1::compute(&parts, Ordering::Rcm).expect("t1");
     let lambda_c = CutoffSpec::new(1e9, 0.05).expect("spec").lambda_c();
     let op = t1.e_prime_operator(&parts);
     let s = sample_secs(SAMPLES, || {
-        eigs_above(&op, lambda_c, &LanczosConfig::default()).expect("laso")
+        eigs_above(&op, lambda_c, &LanczosConfig::default()).expect("lanczos")
     });
-    rows.push(row("laso/mesh_1k_cutoff_1GHz", &s));
+    rows.push(row("lanczos/mesh_1k_cutoff_1GHz", &s));
 }
 
 fn bench_reduce(rows: &mut Vec<Vec<String>>) {
@@ -141,7 +141,7 @@ fn main() {
     bench_cholesky(&mut rows);
     bench_panel_update(&mut rows);
     bench_transform1(&mut rows);
-    bench_laso(&mut rows);
+    bench_lanczos(&mut rows);
     bench_reduce(&mut rows);
     print_table("Kernel timings", &["case", "min (s)", "median (s)"], &rows);
 }

@@ -1,33 +1,41 @@
 //! TurboMOR-style two-level leaf reduction.
 //!
 //! The original hierarchical path ran the *full* flat PACT pipeline per
-//! leaf — including a per-pole projection (`r2_rows`, three sparse
+//! leaf — including a per-pole projection (`r2_rows`, then three sparse
 //! solves per retained pole) that dominated leaf cost under the widened
 //! [`crate::hier::LEAF_CUTOFF_GUARD`] cutoff. This module replaces it
 //! with a two-level split in the spirit of TurboMOR's block elimination:
 //! leaf internals are eliminated through the cached Cholesky factor
 //! (the Schur complement onto the boundary is exactly the `A'`/`B'`
 //! moment computation), and the pole content is read off a *small*
-//! `c×c` Gram eigenproblem plus the moment panel — no per-pole solves.
+//! `c×c` Gram eigenproblem plus the moments' `X_S` panel — no per-pole
+//! solves.
 //!
 //! ## Residues from the moment panel
 //!
-//! With the capacitance split `E = U Uᵀ` (`c = rank bound ≪ n` for
-//! extracted RC leaves) and `X = F⁻¹U`, the nonzero spectrum of
-//! `E' = F⁻¹EF⁻ᵀ = XXᵀ` is that of the Gram matrix `XᵀX`. For a Gram
-//! eigenpair `(λ_p, z_p)` the lifted eigenvector is `u_p = Xz_p/√λ_p`,
-//! so the residue row of the second congruence transform collapses to
+//! With the capacitance split `E = Ũ Ũᵀ` (`c = rank bound ≪ n` for
+//! extracted RC leaves) and `X̃ = F⁻¹Ũ`, the nonzero spectrum of
+//! `E' = F⁻¹EF⁻ᵀ = X̃X̃ᵀ` is that of the Gram matrix `K = X̃ᵀX̃ = ŨᵀD⁻¹Ũ`.
+//! For a Gram eigenpair `(λ_p, z_p)` the lifted eigenvector is
+//! `u_p = X̃z_p/√λ_p`, so the residue row of the second congruence
+//! transform collapses to
 //!
 //! ```text
-//! R''[p, :] = u_pᵀ F⁻¹ P = (1/√λ_p) z_pᵀ Xᵀ F⁻¹ P
-//!           = (1/√λ_p) z_pᵀ Uᵀ (D⁻¹ P) = (1/√λ_p) z_pᵀ (Uᵀ S)
+//! R''[p, :] = u_pᵀ F⁻¹ P = (1/√λ_p) z_pᵀ Ũᵀ D⁻¹ P
 //! ```
 //!
-//! where `S = D⁻¹P = Y − Z` is exactly the per-port solution panel the
-//! moment fan-out already computes ([`Transform1::with_factor_panel`]).
-//! `Uᵀ` has at most two nonzeros per row, so the whole residue block
-//! costs `O(c·m + c²·m)` dense flops — the leaf projection phase
-//! disappears.
+//! and, with `X = D⁻¹Q` and `P = R − EX = R − ŨŨᵀX`,
+//!
+//! ```text
+//! Ũᵀ D⁻¹ P = X̃ᵀ(F⁻¹R) − (ŨᵀD⁻¹Ũ)(ŨᵀX) = X̃ᵀ(F⁻¹R) − K·(ŨᵀX)
+//! ```
+//!
+//! `ŨᵀX` gathers at most two rows of the `X_S` panel the moment
+//! computation keeps ([`Transform1::with_factor`]) per term, and
+//! `F⁻¹R` is one forward sweep for each port with port–internal
+//! capacitance (none when `R = 0`), so the whole residue block costs
+//! `O(c·m + c²·m)` dense flops plus those sweeps — no solve against `D`
+//! beyond the one per port, and no leaf projection phase.
 //!
 //! ## Budgeted guard-band trimming
 //!
@@ -141,10 +149,10 @@ fn factor_cached(
     Ok((chol, diag))
 }
 
-/// Reduces one prepared leaf: cached factor → moments (retaining the
-/// `S = Y − Z` panel) → two-level Gram/Schur pole analysis with
-/// budgeted trimming, falling back to the guarded low-rank/dense flat
-/// path when `E` is not a low-rank capacitance stamp.
+/// Reduces one prepared leaf: cached factor → moments → two-level
+/// Gram/Schur pole analysis with budgeted trimming, falling back to the
+/// guarded low-rank/dense flat path when `E` is not a low-rank
+/// capacitance stamp.
 ///
 /// Runs serially — the leaf fan-out above is the parallel axis — and
 /// reports telemetry with flat phase names; the merge step renames them
@@ -201,22 +209,19 @@ pub(crate) fn reduce_prepared_leaf(
     tel.counters.max_panel_cols = chol.max_panel_cols() as u64;
     tel.counters.panel_flops = chol.panel_flops();
 
-    // Commit to the two-level path *before* the moments so the moment
-    // fan-out knows whether to retain the S panel.
+    let moments_start = Instant::now();
+    let t1 = Transform1::with_factor(parts, chol, &ctx);
+    tel.record_phase("moments", moments_start.elapsed().as_secs_f64());
+
     let split = capacitance_split(&parts.e);
     let two_level = matches!(&split, Some(terms) if terms.len() < parts.n || parts.n == 0);
-
-    let moments_start = Instant::now();
-    let (t1, panel) = Transform1::with_factor_panel(parts, chol, &ctx, two_level);
-    tel.record_phase("moments", moments_start.elapsed().as_secs_f64());
 
     let port_names: Vec<String> = prep.network.node_names[..prep.network.num_ports].to_vec();
     let (model, poles_dim_hint);
     if two_level {
         let terms = split.as_deref().unwrap_or(&[]);
-        let panel = panel.expect("panel retained on the two-level path");
         let schur_start = Instant::now();
-        let schur = schur_leaf_poles(&t1, terms, &panel, user_cutoff, t1.a1.norm_max());
+        let schur = schur_leaf_poles(&t1, &parts.r, terms, user_cutoff, t1.a1.norm_max());
         tel.record_phase("schur", schur_start.elapsed().as_secs_f64());
         let schur = schur?;
         tel.counters.hier_leaf_trimmed_poles = schur.trimmed as u64;
@@ -261,8 +266,8 @@ pub(crate) fn reduce_prepared_leaf(
     let chol_memory = t1.chol.memory_bytes();
     let modelled = chol_memory
         + 2 * m * m * 8                 // A', B'
-        + poles_dim_hint * parts.n * 8  // X columns / Ritz vectors
-        + parts.n * m * 8               // retained S panel
+        + poles_dim_hint * parts.n * 8  // X̃ columns / Ritz vectors
+        + t1.x_s_bytes()                // X_S panel
         + k * m * 8                     // R''
         + 4 * parts.n * 8; // solver workspace
     Ok(finish_reduction(
@@ -313,12 +318,13 @@ fn accumulate_rank1(mm: &mut [f64], row: &[f64], m: usize) {
     }
 }
 
-/// Gram eigenanalysis of `XᵀX` plus panel residues and budgeted
-/// trimming (see the module docs for the algebra and the error bound).
+/// Gram eigenanalysis of `K = X̃ᵀX̃` plus residues from
+/// `X̃ᵀ(F⁻¹R) − K·(ŨᵀX)` and budgeted trimming (see the module docs for
+/// the algebra and the error bound).
 fn schur_leaf_poles(
     t1: &Transform1,
+    r: &CsrMat,
     terms: &[CapTerm],
-    panel: &[f64],
     user_cutoff: &CutoffSpec,
     a1_norm: f64,
 ) -> Result<SchurPoles, ReduceError> {
@@ -332,7 +338,7 @@ fn schur_leaf_poles(
             trimmed: 0,
         });
     }
-    // X = F⁻¹U in blocked multi-RHS batches (bit-identical to the
+    // X̃ = F⁻¹Ũ in blocked multi-RHS batches (bit-identical to the
     // scalar solve per the kernel's lane contract), each column
     // compressed to (index, value) pairs — a column's support is the
     // elimination-tree reach of its (at most two) nodes, usually a
@@ -371,7 +377,7 @@ fn schur_leaf_poles(
         }
         k0 += kb;
     }
-    // Gram matrix XᵀX (c×c), index-ascending merge dots.
+    // Gram matrix K = X̃ᵀX̃ (c×c), index-ascending merge dots.
     let mut gram = DMat::zeros(c, c);
     for a in 0..c {
         for b in a..c {
@@ -382,16 +388,55 @@ fn schur_leaf_poles(
     }
     let eig = sym_eig(&gram)?;
 
-    // W = Uᵀ S (c×m, row-major): at most two panel rows per term.
-    let mut wmat = vec![0.0f64; c * m];
+    // ŨᵀX (c×m, row-major): at most two X_S rows per term. Every term
+    // node carries capacitance, so it is in S.
+    let mut utx = vec![0.0f64; c * m];
     for (k, t) in terms.iter().enumerate() {
         let w = t.w.sqrt();
-        for j in 0..m {
-            let mut v = w * panel[j * n + t.i];
-            if let Some(j2) = t.j {
-                v -= w * panel[j * n + j2];
+        let out = &mut utx[k * m..(k + 1) * m];
+        let xi = t1.x_row(t.i).expect("capacitance term node lies in S");
+        for (o, v) in out.iter_mut().zip(xi) {
+            *o = w * v;
+        }
+        if let Some(j) = t.j {
+            let xj = t1.x_row(j).expect("capacitance term node lies in S");
+            for (o, v) in out.iter_mut().zip(xj) {
+                *o -= w * v;
             }
-            wmat[k * m + j] = v;
+        }
+    }
+    // W = ŨᵀD⁻¹P = X̃ᵀ(F⁻¹R) − K·(ŨᵀX) (c×m, row-major). F⁻¹r_j runs in
+    // the same blocked batches as X̃, for the ports whose R column is
+    // nonzero; each entry of X̃ᵀ(F⁻¹r_j) is an index-ascending dot.
+    let mut wmat = vec![0.0f64; c * m];
+    let rt = r.transpose();
+    let coupled: Vec<usize> = (0..m)
+        .filter(|&j| rt.row_iter(j).next().is_some())
+        .collect();
+    for ports in coupled.chunks(batch) {
+        let kb = ports.len();
+        rhs[..n * kb].iter_mut().for_each(|v| *v = 0.0);
+        for (k, &j) in ports.iter().enumerate() {
+            for (i, v) in rt.row_iter(j) {
+                rhs[k * n + i] = v;
+            }
+        }
+        t1.chol
+            .fsolve_block_into(&rhs[..n * kb], kb, &mut cols[..n * kb], &mut work);
+        for (&j, fr) in ports.iter().zip(cols.chunks_exact(n)) {
+            for (k, (idx, val)) in x.iter().enumerate() {
+                wmat[k * m + j] = idx.iter().zip(val).map(|(&i, v)| v * fr[i as usize]).sum();
+            }
+        }
+    }
+    // K is symmetric, so row k of K is its column k.
+    for (k, out) in wmat.chunks_exact_mut(m).enumerate() {
+        for (row, &kl) in utx.chunks_exact(m).zip(gram.col(k)) {
+            if kl != 0.0 {
+                for (o, v) in out.iter_mut().zip(row) {
+                    *o -= kl * v;
+                }
+            }
         }
     }
 

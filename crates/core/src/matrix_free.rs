@@ -126,8 +126,10 @@ impl ReductionSession {
         let mut tel = Telemetry::new();
         let m = parts.m;
         let n = parts.n;
-        // ---- moments, column at a time (identical algebra to Transform1,
-        //      with `solver` in place of the factorization) ----
+        // ---- moments, column at a time: the paper's algebra, three
+        //      solves per port. Transform1 reads the second and third off
+        //      an |S|×m panel of X instead; this path holds no m-wide
+        //      buffer, by design ----
         let moments_start = Instant::now();
         let mut a1 = parts.a.to_dense();
         let mut b1 = parts.b.to_dense();

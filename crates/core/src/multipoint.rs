@@ -86,7 +86,7 @@ use crate::backend;
 use crate::model::ReducedModel;
 use crate::partition::Partitions;
 use crate::reduce::{ReduceError, ReduceStrategy, Reduction};
-use crate::session::{finish_reduction, ReductionSession};
+use crate::session::{eigen_peak_vectors, finish_reduction, ReductionSession};
 use crate::telemetry::{Telemetry, Warning};
 use crate::transform::Transform1;
 
@@ -250,6 +250,7 @@ pub(crate) fn reduce_network_multipoint(
     tel.record_phase("eigen", eigen_start.elapsed().as_secs_f64());
     let (sol, backend_name) = poles?;
     tel.record_eigen_choice("multipoint:base", backend_name, n, sol.lambdas.len());
+    let eigen_vectors = eigen_peak_vectors(&sol);
 
     // Shifted expansion points: the explicit override (zero / non-finite
     // entries were filtered at the CLI and daemon edges, but the core
@@ -267,30 +268,10 @@ pub(crate) fn reduce_network_multipoint(
     let basis_start = Instant::now();
 
     // P = R − E D⁻¹ Q, one column per port (never needed transformed:
-    // both the shifted solves and the reduced rows consume it raw).
-    let qt = parts.q.transpose();
+    // both the shifted solves and the reduced rows consume it raw),
+    // read off the moments' X_S panel.
     let rt = parts.r.transpose();
-    let pcols: Vec<Vec<f64>> = ctx.map_items(
-        m,
-        || (vec![0.0f64; n], vec![0.0f64; n], Vec::new()),
-        |(rhs, ex, work), j| {
-            rhs.iter_mut().for_each(|v| *v = 0.0);
-            for (i, v) in qt.row_iter(j) {
-                rhs[i] = v;
-            }
-            let mut x = vec![0.0f64; n];
-            t1.chol.solve_into(rhs, &mut x, work);
-            parts.e.matvec_into(&x, ex);
-            let mut p = vec![0.0f64; n];
-            for (i, v) in rt.row_iter(j) {
-                p[i] = v;
-            }
-            for (pi, ei) in p.iter_mut().zip(ex.iter()) {
-                *pi -= ei;
-            }
-            p
-        },
-    );
+    let pcols: Vec<Vec<f64>> = ctx.map_items(m, || (), |_, j| t1.p_column(&parts, &rt, j));
 
     // Candidate columns: spectral block first, then per point / per port
     // (real before imaginary parts) — a fixed, thread-invariant order.
@@ -498,6 +479,8 @@ pub(crate) fn reduce_network_multipoint(
     let chol_memory = t1.chol.memory_bytes();
     let modelled = chol_memory
         + 2 * m * m * 8              // A', B'
+        + t1.x_s_bytes()             // X_S panel
+        + eigen_vectors * n * 8      // Lanczos basis / Ritz vectors
         + k * n * 8                  // orthonormal basis Y
         + k * n * 8                  // E·Y columns
         + k * k * 8                  // projected pencil Ẽ

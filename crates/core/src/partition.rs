@@ -54,6 +54,23 @@ impl Partitions {
             e: stamped.c.submatrix(&internals, &internals),
         }
     }
+
+    /// `S`: the internal nodes (ascending) on which `E` has a nonzero
+    /// entry, in its row or its column. `E` vanishes outside `S×S`, so
+    /// `XᵀEX = X_Sᵀ E_SS X_S` for any `n×m` panel `X` — the support
+    /// [`crate::Transform1`] keeps `X = D⁻¹Q` on.
+    pub fn capacitive_internals(&self) -> Vec<usize> {
+        let mut on = vec![false; self.n];
+        for i in 0..self.n {
+            for (j, v) in self.e.row_iter(i) {
+                if v != 0.0 {
+                    on[i] = true;
+                    on[j] = true;
+                }
+            }
+        }
+        (0..self.n).filter(|&i| on[i]).collect()
+    }
 }
 
 #[cfg(test)]
@@ -111,6 +128,42 @@ M1 x p2 0 0 nch
                 assert_eq!(p.e.get(i, j), st.c.get(m + i, m + j));
             }
         }
+    }
+
+    #[test]
+    fn capacitive_internals_is_the_support_of_e() {
+        // i1 has a ground cap, i2/i3 only their coupling cap, i4 only a
+        // cap to port p1 (still a diagonal entry of E), i5 none.
+        let nl = parse(
+            "\
+* coupled ladder
+V1 p1 0 1
+R1 p1 i1 100
+R2 i1 i2 100
+R3 i2 i3 100
+R4 i3 i4 100
+R5 i4 i5 100
+R6 i5 p2 100
+C1 i1 0 1p
+C2 i2 i3 1p
+C3 p1 i4 1p
+Rload p2 0 1k
+M1 x p2 0 0 nch
+.model nch nmos()
+.end
+",
+        )
+        .unwrap();
+        let ex = extract_rc(&nl, &[]).unwrap();
+        let p = Partitions::split(&ex.network.stamp());
+        let names = &ex.network.node_names[ex.network.num_ports..];
+        let mut s: Vec<&str> = p
+            .capacitive_internals()
+            .into_iter()
+            .map(|i| names[i].as_str())
+            .collect();
+        s.sort_unstable();
+        assert_eq!(s, ["i1", "i2", "i3", "i4"]);
     }
 
     #[test]

@@ -407,6 +407,7 @@ impl ReductionSession {
         tel.record_eigen_choice(scope, backend_name, parts.n, sol.lambdas.len());
 
         let r2 = tel.time("projection", || t1.r2_rows_ctx(&parts, &sol.vectors, &ctx));
+        let eigen_vectors = eigen_peak_vectors(&sol);
         let model = ReducedModel {
             a1: t1.a1.clone(),
             b1: t1.b1.clone(),
@@ -420,7 +421,8 @@ impl ReductionSession {
         let chol_memory = t1.chol.memory_bytes();
         let modelled = chol_memory
             + 2 * m * m * 8              // A', B'
-            + k * parts.n * 8            // Ritz vectors
+            + t1.x_s_bytes()             // X_S panel
+            + eigen_vectors * parts.n * 8 // Lanczos basis / Ritz vectors
             + k * m * 8                  // R''
             + 4 * parts.n * 8; // solver workspace
         Ok(finish_reduction(
@@ -476,6 +478,16 @@ impl ReductionSession {
             .insert(key, self.opts.ordering, kernel, Arc::new(sym));
         Ok((chol, diag, false))
     }
+}
+
+/// Length-`n` vectors the pole analysis held at its peak: the whole
+/// Lanczos basis when Lanczos ran (`LanczosStats::peak_vectors`, which
+/// covers the returned Ritz vectors), else just the returned vectors.
+pub(crate) fn eigen_peak_vectors(sol: &backend::EigenSolution) -> usize {
+    sol.lanczos
+        .as_ref()
+        .map_or(0, |ls| ls.peak_vectors)
+        .max(sol.vectors.len())
 }
 
 /// Packages a finished reduction: statistics plus the shared counter

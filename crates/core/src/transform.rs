@@ -5,15 +5,20 @@
 //! folding in the fill-reducing permutation) and `X = D⁻¹Q`:
 //!
 //! ```text
-//! A' = A − QᵀX                (exact 0th moment of Y at s=0)
-//! B' = B − PᵀX − XᵀR          (exact 1st moment),  P = R − EX
-//! E' = F⁻¹ E F⁻ᵀ              (never formed; applied matrix-free)
+//! A' = A − QᵀX                          (exact 0th moment of Y at s=0)
+//! B' = B − RᵀX − (RᵀX)ᵀ + X_Sᵀ E_SS X_S  (exact 1st moment)
+//! E' = F⁻¹ E F⁻ᵀ                        (never formed; applied matrix-free)
 //! ```
 //!
-//! Memory discipline follows the paper: `X` is never stored — each port
-//! column triggers sparse solves against `D`, and only `m×m` dense
-//! results are kept. The rows of `R'' = Uᵀ F⁻¹ P` needed by the second
-//! transform are likewise computed per Ritz vector from `Q`/`R` alone.
+//! `S` is the set of internal nodes carrying capacitance
+//! ([`Partitions::capacitive_internals`]); `E` vanishes outside `S×S`.
+//! Each port column costs one sparse solve against `D`, and of `X` only
+//! the `|S|×m` panel `X_S` is kept. That panel replaces the paper's
+//! second solve per port: since `D` is symmetric, `QᵀD⁻¹R = XᵀR` and
+//! `QᵀD⁻¹(EX) = XᵀEX`, so neither `D⁻¹R` nor `D⁻¹EX` is ever solved.
+//! The rows of `R'' = Uᵀ F⁻¹ P` (`P = R − EX`) needed by the second
+//! transform likewise come from one backward sweep per Ritz vector plus
+//! `X_S`.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -25,13 +30,14 @@ use pact_sparse::{
 
 use crate::partition::Partitions;
 
-/// Result of the first congruence transform: exact moment matrices plus
-/// the factorization needed to run pole analysis on `E'`.
+/// Result of the first congruence transform: exact moment matrices, the
+/// factorization needed to run pole analysis on `E'`, and the `X_S`
+/// panel the residue rows are read from.
 #[derive(Clone, Debug)]
 pub struct Transform1 {
     /// `A' = A − QᵀX` — the DC port conductance (0th moment), `m×m`.
     pub a1: DMat<f64>,
-    /// `B' = B − PᵀX − XᵀR` — the 1st moment, `m×m`.
+    /// `B' = B − RᵀX − XᵀR + XᵀEX` — the 1st moment, `m×m`.
     pub b1: DMat<f64>,
     /// Cholesky factorization of `D`.
     pub chol: SparseCholesky,
@@ -39,6 +45,10 @@ pub struct Transform1 {
     pub m: usize,
     /// Number of internal nodes.
     pub n: usize,
+    /// `S`, ascending (see [`Partitions::capacitive_internals`]).
+    s_rows: Vec<usize>,
+    /// `X_S = (D⁻¹Q)[S, :]`, row-major `|S|×m`.
+    xs: Vec<f64>,
 }
 
 impl Transform1 {
@@ -56,13 +66,13 @@ impl Transform1 {
     /// across the threads of `ctx`.
     ///
     /// Ports are grouped into blocks of up to [`LANES`] columns whose
-    /// boundaries depend only on the port count; each block runs the
-    /// blocked multi-RHS solves (`x_j = D⁻¹ q_j`, `y_j = D⁻¹ r_j`,
-    /// `z_j = D⁻¹ E x_j`) and produces its `m×w` contribution columns
-    /// independently. Every column is computed with the same instruction
-    /// sequence regardless of which worker runs it and the contributions
-    /// are written back in port order, so the result is bit-identical for
-    /// every thread count.
+    /// boundaries depend only on the port count; each block runs one
+    /// blocked multi-RHS solve `x_j = D⁻¹ q_j` and produces its `Qᵀx_j`
+    /// and `Rᵀx_j` columns and its slice of `X_S` independently. The
+    /// `X_Sᵀ E_SS X_S` Gram then gives every entry one fixed summation
+    /// order over `S`. Every value is computed with the same instruction
+    /// sequence regardless of which worker runs it, so the result is
+    /// bit-identical for every thread count.
     ///
     /// # Errors
     ///
@@ -84,56 +94,42 @@ impl Transform1 {
     /// factor and moment phases separately; given the factor, the moment
     /// work itself cannot fail.
     pub fn with_factor(p: &Partitions, chol: SparseCholesky, ctx: &ParCtx) -> Self {
-        Self::with_factor_panel(p, chol, ctx, false).0
-    }
-
-    /// Like [`Transform1::with_factor`], optionally retaining the solved
-    /// panel `S = Y − Z = D⁻¹(R − E·D⁻¹Q) = D⁻¹P` (column-major `n×m`,
-    /// one column per port) that the moment fan-out already computes.
-    ///
-    /// The hierarchical two-level leaf path uses it to read residue rows
-    /// directly: `R''[p, :] = u_pᵀF⁻¹P = (1/√λ_p)·z_pᵀ·Uᵀ·S` for Gram
-    /// eigenpairs `(λ_p, z_p)` of `XᵀX` with `X = F⁻¹U`, so no per-pole
-    /// triple solves are needed. Retention only copies buffers the
-    /// transform produced anyway — the arithmetic sequence of the moment
-    /// computation is unchanged, so `a1`/`b1` stay bit-identical to the
-    /// non-retaining call.
-    pub(crate) fn with_factor_panel(
-        p: &Partitions,
-        chol: SparseCholesky,
-        ctx: &ParCtx,
-        retain_panel: bool,
-    ) -> (Self, Option<Vec<f64>>) {
         let m = p.m;
         let n = p.n;
+        let s_rows = p.capacitive_internals();
+        let ns = s_rows.len();
         let mut a1 = p.a.to_dense();
         let mut b1 = p.b.to_dense();
-        let mut panel = if retain_panel {
-            vec![0.0f64; n * m]
-        } else {
-            Vec::new()
-        };
-        // Column-at-a-time over ports: x_j = D⁻¹ q_j, y_j = D⁻¹ r_j,
-        // z_j = D⁻¹ (E x_j). Then
+        let mut xs = vec![0.0f64; ns * m];
+        // Column-at-a-time over ports: x_j = D⁻¹ q_j. Then
         //   A'(:,j) = A(:,j) − Qᵀ x_j
-        //   B'(:,j) = B(:,j) − Rᵀ x_j − Qᵀ y_j + Qᵀ z_j
-        // (the +Qᵀz_j term is XᵀEX's column; all are m-vectors).
+        //   B'      = B − RᵀX − (RᵀX)ᵀ + X_Sᵀ E_SS X_S
+        // where column j of RᵀX is Rᵀ x_j and X_S gathers x_j on S.
         if m > 0 && n > 0 {
             let qt = p.q.transpose();
             let rt = p.r.transpose();
             let blocks = split_ranges(m, m.div_ceil(LANES));
             let contribs = ctx.map_items(blocks.len(), BlockScratch::default, |s, bi| {
-                port_block_contribution(p, &chol, &qt, &rt, blocks[bi].clone(), s, retain_panel)
+                port_block(p, &chol, (&qt, &rt), &s_rows, blocks[bi].clone(), s)
             });
-            for (block, (da, db, yz)) in blocks.iter().zip(contribs) {
+            let mut rtx = DMat::zeros(m, m);
+            for (block, (qtx, rtxb, xsb)) in blocks.iter().zip(contribs) {
                 for (r, j) in block.clone().enumerate() {
                     for i in 0..m {
-                        a1[(i, j)] -= da[r * m + i];
-                        b1[(i, j)] += db[r * m + i];
+                        a1[(i, j)] -= qtx[r * m + i];
+                        rtx[(i, j)] = rtxb[r * m + i];
+                    }
+                    for (row, &v) in xs.chunks_exact_mut(m).zip(&xsb[r * ns..(r + 1) * ns]) {
+                        row[j] = v;
                     }
                 }
-                if let Some(yz) = yz {
-                    panel[block.start * n..block.start * n + yz.len()].copy_from_slice(&yz);
+            }
+            let es = p.e.submatrix(&s_rows, &s_rows);
+            let g = gram_upper(&xs, &es, m, ctx);
+            for j in 0..m {
+                for i in 0..m {
+                    let gij = g[i.min(j) * m + i.max(j)];
+                    b1[(i, j)] += gij - rtx[(i, j)] - rtx[(j, i)];
                 }
             }
         }
@@ -141,30 +137,66 @@ impl Transform1 {
         // reduced model is exactly symmetric.
         a1.symmetrize();
         b1.symmetrize();
-        (
-            Transform1 { a1, b1, chol, m, n },
-            retain_panel.then_some(panel),
-        )
+        Transform1 {
+            a1,
+            b1,
+            chol,
+            m,
+            n,
+            s_rows,
+            xs,
+        }
+    }
+
+    /// Row `i` of `X = D⁻¹Q` (length `m`) when internal node `i` is in
+    /// `S`, the only rows the transform keeps.
+    pub(crate) fn x_row(&self, i: usize) -> Option<&[f64]> {
+        let k = self.s_rows.binary_search(&i).ok()?;
+        Some(&self.xs[k * self.m..(k + 1) * self.m])
+    }
+
+    /// Column `j` of `P = R − E·D⁻¹Q` (length `n`), from `rt = Rᵀ` and
+    /// `X_S` alone — `E·X` vanishes outside `S`. Each entry sums its `E`
+    /// row in storage order, as [`CsrMat::matvec_into`] does.
+    pub(crate) fn p_column(&self, p: &Partitions, rt: &CsrMat, j: usize) -> Vec<f64> {
+        let mut col = vec![0.0f64; self.n];
+        for (i, v) in rt.row_iter(j) {
+            col[i] = v;
+        }
+        for &i in &self.s_rows {
+            let mut ex = 0.0;
+            for (t, e) in p.e.row_iter(i) {
+                ex += e * self.x_row(t).map_or(0.0, |x| x[j]);
+            }
+            col[i] -= ex;
+        }
+        col
+    }
+
+    /// Bytes held by the `X_S` panel (`|S|·m·8`).
+    pub(crate) fn x_s_bytes(&self) -> usize {
+        self.xs.len() * std::mem::size_of::<f64>()
     }
 
     /// The row block `R''` of the transformed connection susceptance for a
     /// set of Ritz vectors `U = [u_1 … u_k]` of `E'`:
     /// `R''[i, :] = u_iᵀ F⁻¹ P` with `P = R − E D⁻¹ Q`, computed from the
-    /// sparse `Q`, `R`, `E` without ever forming `P` or `X`:
+    /// sparse `R`, `E` and the kept panel `X_S` without forming `P`:
     ///
     /// ```text
-    /// v_i = F⁻ᵀ u_i,  w_i = E v_i,  z_i = D⁻¹ w_i
-    /// R''[i, :] = Rᵀ v_i − Qᵀ z_i
+    /// v_i = F⁻ᵀ u_i
+    /// R''[i, :] = Rᵀ v_i − X_Sᵀ (E_SS v_i,S)
     /// ```
     pub fn r2_rows(&self, p: &Partitions, ritz_vectors: &[Vec<f64>]) -> DMat<f64> {
         self.r2_rows_ctx(p, ritz_vectors, &ParCtx::serial())
     }
 
-    /// Like [`Transform1::r2_rows`], fanning the per-Ritz-vector solves
-    /// out across the threads of `ctx`. Each row is computed by exactly
-    /// one worker (with per-worker scratch, so nothing allocates in the
-    /// loop) and rows are written back in Ritz order — results are
-    /// bit-identical for every thread count.
+    /// Like [`Transform1::r2_rows`], fanning blocks of up to [`LANES`]
+    /// Ritz vectors (one blocked backward sweep each, bit-identical per
+    /// lane to the single-vector sweep) out across the threads of `ctx`.
+    /// Block boundaries depend only on the vector count and rows are
+    /// written back in Ritz order — results are bit-identical for every
+    /// thread count.
     pub fn r2_rows_ctx(
         &self,
         p: &Partitions,
@@ -175,25 +207,42 @@ impl Transform1 {
         let m = self.m;
         let n = self.n;
         let mut r2 = DMat::zeros(k, m);
-        let rows = ctx.map_items(
-            k,
-            || R2Scratch::new(n, m),
-            |s, i| {
-                let u = &ritz_vectors[i];
-                self.chol.ftsolve_into(u, &mut s.v, &mut s.work);
-                p.e.matvec_into(&s.v, &mut s.w);
-                self.chol.solve_into(&s.w, &mut s.z, &mut s.work);
-                p.r.matvec_t_into(&s.v, &mut s.rv);
-                p.q.matvec_t_into(&s.z, &mut s.qz);
-                s.rv.iter()
-                    .zip(&s.qz)
-                    .map(|(rv, qz)| rv - qz)
-                    .collect::<Vec<f64>>()
-            },
-        );
-        for (i, row) in rows.into_iter().enumerate() {
-            for (j, val) in row.into_iter().enumerate() {
-                r2[(i, j)] = val;
+        if k == 0 || m == 0 {
+            return r2;
+        }
+        let blocks = split_ranges(k, k.div_ceil(LANES));
+        let rows = ctx.map_items(blocks.len(), R2Scratch::default, |s, bi| {
+            let block = blocks[bi].clone();
+            let w = block.len();
+            s.u.clear();
+            for u in &ritz_vectors[block] {
+                s.u.extend_from_slice(u);
+            }
+            s.v.resize(n * w, 0.0);
+            self.chol.ftsolve_block_into(&s.u, w, &mut s.v, &mut s.work);
+            let mut out = vec![0.0f64; w * m];
+            s.exs.resize(m, 0.0);
+            for (v, row) in s.v.chunks_exact(n).zip(out.chunks_exact_mut(m)) {
+                // X_Sᵀ (E v): (E v) vanishes outside S.
+                s.exs.fill(0.0);
+                for (&i, xi) in self.s_rows.iter().zip(self.xs.chunks_exact(m)) {
+                    let ev: f64 = p.e.row_iter(i).map(|(j, e)| e * v[j]).sum();
+                    for (o, x) in s.exs.iter_mut().zip(xi) {
+                        *o = ev.mul_add(*x, *o);
+                    }
+                }
+                p.r.matvec_t_into(v, row);
+                for (o, x) in row.iter_mut().zip(&s.exs) {
+                    *o -= x;
+                }
+            }
+            out
+        });
+        for (block, vals) in blocks.iter().zip(rows) {
+            for (i, row) in block.clone().zip(vals.chunks_exact(m)) {
+                for (j, &val) in row.iter().enumerate() {
+                    r2[(i, j)] = val;
+                }
             }
         }
         r2
@@ -252,125 +301,174 @@ impl Transform1 {
 }
 
 /// Per-worker scratch of the port-block fan-out in
-/// [`Transform1::compute_ctx`]: right-hand-side/solution panels
-/// (column-major `n×w`), the blocked-solve workspace, and one `m`-vector
-/// for the `matvec_t` results.
+/// [`Transform1::with_factor`]: right-hand-side/solution panels
+/// (column-major `n×w`) and the blocked-solve workspace.
 #[derive(Default)]
 struct BlockScratch {
     rhs: Vec<f64>,
     x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    ex: Vec<f64>,
     work: Vec<f64>,
-    mt: Vec<f64>,
 }
 
-/// Computes one port block's contribution columns: `da[r·m + i]` is
-/// subtracted from `A'(i, j)` and `db[r·m + i]` added to `B'(i, j)` for
-/// port `j = ports.start + r`. With `retain_panel` the solved
-/// `y_j − z_j` columns are returned too (column-major `n×w`).
-fn port_block_contribution(
+/// Solves one port block `x_j = D⁻¹ q_j` and returns, column-major per
+/// port `j = ports.start + r`: `Qᵀx_j` (subtracted from `A'(:, j)`),
+/// `Rᵀx_j` (column `j` of `RᵀX`), and `x_j` gathered on `S`. `qt`/`rt`
+/// are `Qᵀ`/`Rᵀ`, so each product touches only the nonzeros of `Q`/`R`.
+fn port_block(
     p: &Partitions,
     chol: &SparseCholesky,
-    qt: &CsrMat,
-    rt: &CsrMat,
+    (qt, rt): (&CsrMat, &CsrMat),
+    s_rows: &[usize],
     ports: Range<usize>,
     s: &mut BlockScratch,
-    retain_panel: bool,
-) -> (Vec<f64>, Vec<f64>, Option<Vec<f64>>) {
+) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let n = p.n;
     let m = p.m;
     let w = ports.len();
-    for buf in [&mut s.rhs, &mut s.x, &mut s.y, &mut s.z, &mut s.ex] {
+    for buf in [&mut s.rhs, &mut s.x] {
         buf.clear();
         buf.resize(n * w, 0.0);
     }
-    s.mt.resize(m, 0.0);
 
-    // X block: x_j = D⁻¹ q_j (row j of Qᵀ is column j of Q).
-    for (r, j) in ports.clone().enumerate() {
+    // Row j of Qᵀ is column j of Q.
+    for (r, j) in ports.enumerate() {
         for (i, v) in qt.row_iter(j) {
             s.rhs[r * n + i] = v;
         }
     }
     chol.solve_block_into(&s.rhs, w, &mut s.x, &mut s.work);
 
-    // Y block: y_j = D⁻¹ r_j. `R = 0` (no port–internal capacitive
-    // coupling, the common case for ground-capacitor decks) makes every
-    // y_j exactly zero: the triangular solves reproduce exact zeros from
-    // a zero right-hand side, and subtracting an exact 0.0 leaves every
-    // float unchanged. Skipping the solves and the Qᵀy subtraction below
-    // is therefore bit-identical, not just approximately equal.
-    let skip_y = rt.nnz() == 0;
-    if !skip_y {
-        s.rhs.iter_mut().for_each(|v| *v = 0.0);
-        for (r, j) in ports.clone().enumerate() {
-            for (i, v) in rt.row_iter(j) {
-                s.rhs[r * n + i] = v;
-            }
+    // Row i of Mᵀ dotted with x, ascending in the row index of M — the
+    // summation order of `M.matvec_t_into(x)`, so values are the same.
+    let dot_t = |mt: &CsrMat, i: usize, x: &[f64]| {
+        let mut acc = 0.0;
+        for (t, v) in mt.row_iter(i) {
+            acc += v * x[t];
         }
-        chol.solve_block_into(&s.rhs, w, &mut s.y, &mut s.work);
+        acc
+    };
+    let mut qtx = vec![0.0; m * w];
+    let mut rtx = vec![0.0; m * w];
+    let mut xs = Vec::with_capacity(s_rows.len() * w);
+    for (r, x) in s.x.chunks_exact(n).enumerate() {
+        for i in 0..m {
+            qtx[r * m + i] = dot_t(qt, i, x);
+            rtx[r * m + i] = dot_t(rt, i, x);
+        }
+        xs.extend(s_rows.iter().map(|&i| x[i]));
     }
-
-    // Z block: z_j = D⁻¹ (E x_j).
-    for r in 0..w {
-        p.e.matvec_into(&s.x[r * n..(r + 1) * n], &mut s.ex[r * n..(r + 1) * n]);
-    }
-    chol.solve_block_into(&s.ex, w, &mut s.z, &mut s.work);
-
-    let mut da = vec![0.0; m * w];
-    let mut db = vec![0.0; m * w];
-    for r in 0..w {
-        let x = &s.x[r * n..(r + 1) * n];
-        p.q.matvec_t_into(x, &mut s.mt);
-        da[r * m..(r + 1) * m].copy_from_slice(&s.mt);
-        p.r.matvec_t_into(x, &mut s.mt);
-        for (o, v) in db[r * m..(r + 1) * m].iter_mut().zip(&s.mt) {
-            *o -= v;
-        }
-        if !skip_y {
-            p.q.matvec_t_into(&s.y[r * n..(r + 1) * n], &mut s.mt);
-            for (o, v) in db[r * m..(r + 1) * m].iter_mut().zip(&s.mt) {
-                *o -= v;
-            }
-        }
-        p.q.matvec_t_into(&s.z[r * n..(r + 1) * n], &mut s.mt);
-        for (o, v) in db[r * m..(r + 1) * m].iter_mut().zip(&s.mt) {
-            *o += v;
-        }
-    }
-    let yz = retain_panel.then(|| {
-        s.y[..n * w]
-            .iter()
-            .zip(&s.z[..n * w])
-            .map(|(y, z)| y - z)
-            .collect::<Vec<f64>>()
-    });
-    (da, db, yz)
+    (qtx, rtx, xs)
 }
 
-/// Per-worker scratch of [`Transform1::r2_rows_ctx`].
+/// Output tile of the [`gram_panels`] kernel: `GI` rows by `GJ` columns.
+const GI: usize = 4;
+const GJ: usize = 8;
+/// Rows of `S` per cache block of [`gram_panels`] (two `GKC×m` panels
+/// stay in L2 while every tile sweeps them).
+const GKC: usize = 128;
+
+/// The upper triangle (`j ≥ i`) of `X_Sᵀ E_SS X_S`, row-major `m×m`
+/// (entries below the diagonal stay zero), for the row-major
+/// `|S|×m` panel `xs` and `es = E_SS`.
+///
+/// Every entry is one fused multiply-add chain over `S` in ascending
+/// order, `G[i, j] = Σ_s X_S[s, i]·(E_SS X_S)[s, j]`; the `GI×GJ`
+/// register tiles, the `GKC`-row cache blocks and the worker split only
+/// decide *when* each link of a chain runs, never its order. The result
+/// is therefore the same at every thread count.
+fn gram_upper(xs: &[f64], es: &CsrMat, m: usize, ctx: &ParCtx) -> Vec<f64> {
+    let mut g = vec![0.0f64; m * m];
+    if es.nrows() == 0 {
+        return g;
+    }
+    let mp = m.next_multiple_of(GJ);
+    let panels = mp / GI;
+    // Interleaved panel groups: row panels near the top of the triangle
+    // carry more tiles, so striding balances the workers.
+    let groups = ctx.threads().min(panels);
+    let parts = ctx.map_items(
+        groups,
+        || (),
+        |_, grp| {
+            let mine: Vec<usize> = (grp..panels).step_by(groups).collect();
+            let out = gram_panels(xs, es, m, &mine);
+            (mine, out)
+        },
+    );
+    for (mine, out) in parts {
+        for (k, pnl) in mine.into_iter().enumerate() {
+            for a in 0..GI {
+                let i = pnl * GI + a;
+                if i < m {
+                    let src = &out[(k * GI + a) * mp..(k * GI + a) * mp + m];
+                    g[i * m + i..(i + 1) * m].copy_from_slice(&src[i..]);
+                }
+            }
+        }
+    }
+    g
+}
+
+/// The `GI`-row panels `panels` of [`gram_upper`]'s triangle, each
+/// `GI×mp` row-major with `mp = m` rounded up to a multiple of `GJ`
+/// (the padding columns of `X_S` and `E_SS X_S` are zero, so every tile
+/// is whole). Sweeps `S` in `GKC`-row blocks, forming each block of
+/// `E_SS X_S` on the fly.
+fn gram_panels(xs: &[f64], es: &CsrMat, m: usize, panels: &[usize]) -> Vec<f64> {
+    let ns = es.nrows();
+    let mp = m.next_multiple_of(GJ);
+    let mut out = vec![0.0f64; panels.len() * GI * mp];
+    let mut xc = vec![0.0f64; GKC * mp];
+    let mut yc = vec![0.0f64; GKC * mp];
+    for c0 in (0..ns).step_by(GKC) {
+        let rows = (ns - c0).min(GKC);
+        for r in 0..rows {
+            let s = c0 + r;
+            xc[r * mp..r * mp + m].copy_from_slice(&xs[s * m..(s + 1) * m]);
+            let y = &mut yc[r * mp..r * mp + m];
+            y.fill(0.0);
+            for (t, e) in es.row_iter(s) {
+                for (o, x) in y.iter_mut().zip(&xs[t * m..(t + 1) * m]) {
+                    *o = e.mul_add(*x, *o);
+                }
+            }
+        }
+        for (k, &pnl) in panels.iter().enumerate() {
+            let i0 = pnl * GI;
+            let gp = &mut out[k * GI * mp..(k + 1) * GI * mp];
+            for j0 in (i0 / GJ * GJ..mp).step_by(GJ) {
+                let mut acc = [[0.0f64; GJ]; GI];
+                for (a, row) in acc.iter_mut().enumerate() {
+                    row.copy_from_slice(&gp[a * mp + j0..a * mp + j0 + GJ]);
+                }
+                let rows_x = xc.chunks_exact(mp).take(rows);
+                for (xr, yr) in rows_x.zip(yc.chunks_exact(mp)) {
+                    let x = &xr[i0..i0 + GI];
+                    let y = &yr[j0..j0 + GJ];
+                    for (row, &xa) in acc.iter_mut().zip(x) {
+                        for (o, &yb) in row.iter_mut().zip(y) {
+                            *o = xa.mul_add(yb, *o);
+                        }
+                    }
+                }
+                for (a, row) in acc.iter().enumerate() {
+                    gp[a * mp + j0..a * mp + j0 + GJ].copy_from_slice(row);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Per-worker scratch of [`Transform1::r2_rows_ctx`]: the Ritz block
+/// (column-major `n×w`), its backward-sweep image, the sweep workspace,
+/// and the `X_Sᵀ(E v)` accumulator.
+#[derive(Default)]
 struct R2Scratch {
+    u: Vec<f64>,
     v: Vec<f64>,
-    w: Vec<f64>,
-    z: Vec<f64>,
     work: Vec<f64>,
-    rv: Vec<f64>,
-    qz: Vec<f64>,
-}
-
-impl R2Scratch {
-    fn new(n: usize, m: usize) -> Self {
-        R2Scratch {
-            v: vec![0.0; n],
-            w: vec![0.0; n],
-            z: vec![0.0; n],
-            work: Vec::new(),
-            rv: vec![0.0; m],
-            qz: vec![0.0; m],
-        }
-    }
+    exs: Vec<f64>,
 }
 
 /// Matrix-free symmetric operator `x ↦ F⁻¹ E (F⁻ᵀ x)`.
@@ -550,6 +648,119 @@ mod tests {
                     "R'' mismatch at ({i},{j})"
                 );
             }
+        }
+    }
+
+    /// Three ports, eight internal nodes, with port–port (`p0–p2`),
+    /// port–internal (`p0–i1`, `p2–i5`) and internal–internal
+    /// (`i2–i3`, `i4–i6`) coupling capacitors, and one internal node
+    /// (`i7`) with no capacitance. `with_caps = false` keeps only the
+    /// resistors: `E`, `R` and `B` vanish and `S` is empty.
+    fn coupled(with_caps: bool) -> Partitions {
+        let (p0, p1, p2) = (0, 1, 2);
+        let i = |k: usize| 3 + k;
+        let br = |a: usize, b: Option<usize>, value: f64| pact_netlist::Branch {
+            a: Some(a),
+            b,
+            value,
+        };
+        let resistors = vec![
+            br(p0, Some(i(0)), 120.0),
+            br(i(0), Some(i(1)), 250.0),
+            br(i(1), Some(i(2)), 310.0),
+            br(i(2), Some(i(3)), 180.0),
+            br(i(3), Some(p1), 90.0),
+            br(i(3), Some(i(4)), 420.0),
+            br(i(4), Some(i(5)), 260.0),
+            br(i(5), Some(i(6)), 150.0),
+            br(i(6), Some(p2), 75.0),
+            br(i(1), Some(i(5)), 900.0),
+            br(i(2), Some(i(6)), 640.0),
+            br(i(4), Some(i(7)), 330.0),
+            br(i(7), Some(i(6)), 210.0),
+            br(i(0), None, 5e3),
+        ];
+        let capacitors = if with_caps {
+            vec![
+                br(i(0), None, 1.0e-13),
+                br(i(1), None, 2.0e-13),
+                br(i(3), None, 1.5e-13),
+                br(i(5), None, 0.8e-13),
+                br(i(6), None, 0.5e-13),
+                br(p1, None, 1.0e-13),
+                br(p0, Some(i(1)), 0.3e-13),
+                br(p2, Some(i(5)), 0.4e-13),
+                br(i(2), Some(i(3)), 0.6e-13),
+                br(i(4), Some(i(6)), 0.2e-13),
+                br(p0, Some(p2), 0.1e-13),
+            ]
+        } else {
+            Vec::new()
+        };
+        let mut node_names: Vec<String> = (0..3).map(|k| format!("p{k}")).collect();
+        node_names.extend((0..8).map(|k| format!("i{k}")));
+        let net = pact_netlist::RcNetwork {
+            node_names,
+            num_ports: 3,
+            resistors,
+            capacitors,
+        };
+        let p = Partitions::split(&net.stamp());
+        assert_eq!(p.r.nnz() > 0, with_caps, "R ≠ 0 exactly with the caps");
+        p
+    }
+
+    /// `max|got − want| ≤ 1e-12·max|want|` (exact equality when `want`
+    /// is zero). Matrix-wide because some entries of the coupled fixture
+    /// nearly cancel, which a per-entry relative bound cannot judge.
+    fn assert_close(got: &DMat<f64>, want: &DMat<f64>, what: &str) {
+        let diff = (got - want).norm_max();
+        assert!(
+            diff <= 1e-12 * want.norm_max(),
+            "{what}: max diff {diff:e} against scale {:e}",
+            want.norm_max()
+        );
+    }
+
+    #[test]
+    fn moments_match_direct_computation_with_coupling() {
+        // The ladder has R = 0 and a diagonal E; the coupled network
+        // exercises RᵀX, an off-diagonal E_SS and a node outside S, and
+        // its capacitance-free twin an empty S.
+        for (name, p) in [("coupled", coupled(true)), ("no caps", coupled(false))] {
+            let t1 = Transform1::compute(&p, Ordering::Rcm).unwrap();
+            let dinv = pact_sparse::invert(&p.d.to_dense()).unwrap();
+            let (qd, rd, ed) = (p.q.to_dense(), p.r.to_dense(), p.e.to_dense());
+            let x = dinv.matmul(&qd);
+            let a1 = &p.a.to_dense() - &qd.transpose().matmul(&x);
+            let rtx = rd.transpose().matmul(&x);
+            let b1 = &(&(&p.b.to_dense() - &rtx) - &rtx.transpose())
+                + &x.transpose().matmul(&ed.matmul(&x));
+            assert_close(&t1.a1, &a1, &format!("{name}: A'"));
+            assert_close(&t1.b1, &b1, &format!("{name}: B'"));
+        }
+    }
+
+    #[test]
+    fn r2_rows_match_direct_with_coupling() {
+        // R'' = Uᵀ F⁻¹ P with P = R − E D⁻¹ Q (dense), for every
+        // eigenvector of E' in descending order (with no capacitance,
+        // E' = 0 and these are unit vectors).
+        for (name, p) in [("coupled", coupled(true)), ("no caps", coupled(false))] {
+            let t1 = Transform1::compute(&p, Ordering::Natural).unwrap();
+            let n = p.n;
+            let eig = sym_eig(&t1.e_prime_dense(&p)).unwrap();
+            let vecs: Vec<Vec<f64>> = (0..n)
+                .rev()
+                .map(|k| (0..n).map(|i| eig.vectors[(i, k)]).collect())
+                .collect();
+            let r2 = t1.r2_rows(&p, &vecs);
+            let dinv = pact_sparse::invert(&p.d.to_dense()).unwrap();
+            let x = dinv.matmul(&p.q.to_dense());
+            let pmat = &p.r.to_dense() - &p.e.to_dense().matmul(&x);
+            // u^T F^{-1} P = (F^{-T} u)^T P
+            let expect = DMat::from_fn(n, p.m, |i, j| pmat.matvec_t(&t1.chol.ftsolve(&vecs[i]))[j]);
+            assert_close(&r2, &expect, &format!("{name}: R''"));
         }
     }
 

@@ -9,7 +9,8 @@
 //! - [`substrate_mesh`] — uniform 3-D resistor grids with surface
 //!   contacts and junction/field capacitance, sized like the paper's
 //!   Table 2 (≈1.5k nodes, 25 ports) and Table 4 (≈20k nodes, 469
-//!   ports) substrate macromodels;
+//!   ports) substrate macromodels, and [`with_neighbour_coupling`] for
+//!   lateral coupling capacitance between neighbouring surface nodes;
 //! - [`full_adder_deck`] — the 28-transistor mirror full adder with
 //!   input drivers over a substrate mesh (Tables 2–3, Figure 6);
 //! - [`multiplier_like_deck`] — inverter-chain arrays with tree RC
@@ -41,7 +42,7 @@ pub use line::{
     add_default_models, inverter, inverter_pair_deck, no_line_deck, rc_line_elements, LineSpec,
     Taper,
 };
-pub use mesh::{network_to_elements, substrate_mesh, MeshSpec};
+pub use mesh::{network_to_elements, substrate_mesh, with_neighbour_coupling, MeshSpec};
 pub use multiplier::{
     multiplier_like_deck, multiplier_like_deck_no_parasitics, MultiplierSpec, MultiplierStats,
 };

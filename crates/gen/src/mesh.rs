@@ -274,6 +274,36 @@ fn contact_sites(spec: &MeshSpec) -> Vec<(usize, usize)> {
     sites
 }
 
+/// Adds a coupling capacitor of `c_couple` farads alongside every
+/// resistor that joins two nodes which already carry capacitance — on a
+/// [`substrate_mesh`], the lateral coupling between neighbouring
+/// surface nodes. Contacts are ports, so the result has port–port,
+/// port–internal (a nonzero `R` block) and internal–internal (an
+/// off-diagonal `E`) coupling, while the nodes below the surface stay
+/// capacitance-free.
+pub fn with_neighbour_coupling(mut net: RcNetwork, c_couple: f64) -> RcNetwork {
+    let mut capacitive = vec![false; net.num_nodes()];
+    for c in &net.capacitors {
+        for v in [c.a, c.b].into_iter().flatten() {
+            capacitive[v] = true;
+        }
+    }
+    let coupling: Vec<Branch> = net
+        .resistors
+        .iter()
+        .filter_map(|r| match (r.a, r.b) {
+            (Some(a), Some(b)) if capacitive[a] && capacitive[b] => Some(Branch {
+                a: Some(a),
+                b: Some(b),
+                value: c_couple,
+            }),
+            _ => None,
+        })
+        .collect();
+    net.capacitors.extend(coupling);
+    net
+}
+
 /// Converts an [`RcNetwork`] into SPICE elements (for splicing a mesh
 /// into a transistor-level deck). Element names get `prefix`.
 pub fn network_to_elements(net: &RcNetwork, prefix: &str) -> Vec<Element> {

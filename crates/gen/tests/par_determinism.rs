@@ -6,7 +6,7 @@
 //! point across a thread boundary, so `assert_eq!` on `f64` is exact.
 
 use pact::{CutoffSpec, EigenSelect, ReduceOptions, Reduction};
-use pact_gen::{substrate_mesh, MeshSpec};
+use pact_gen::{substrate_mesh, with_neighbour_coupling, MeshSpec};
 use pact_lanczos::LanczosConfig;
 use pact_netlist::{Branch, RcNetwork};
 use pact_sparse::XorShiftRng;
@@ -19,6 +19,13 @@ fn mesh_fixture() -> RcNetwork {
         num_contacts: 16,
         ..MeshSpec::table2()
     })
+}
+
+/// The mesh with lateral surface coupling capacitors: port–internal
+/// coupling (`R ≠ 0`), off-diagonal `E`, and capacitance-free nodes
+/// below the surface, so `S` is a strict subset of the internals.
+fn coupled_fixture() -> RcNetwork {
+    with_neighbour_coupling(mesh_fixture(), 3e-15)
 }
 
 /// A multi-port RC ladder with random rungs: a different operator class
@@ -158,6 +165,11 @@ fn mesh_reduction_is_bit_identical_across_thread_counts() {
 #[test]
 fn ladder_reduction_is_bit_identical_across_thread_counts() {
     check_fixture(&ladder_fixture(), "ladder");
+}
+
+#[test]
+fn coupled_reduction_is_bit_identical_across_thread_counts() {
+    check_fixture(&coupled_fixture(), "coupled");
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,8 @@
 
 use pact::{CutoffSpec, ReduceOptions, ReduceStrategy, ReducedModel, Reduction};
 use pact_gen::{
-    inverter_pair_deck, power_grid_deck, substrate_mesh, LineSpec, MeshSpec, PowerGridSpec,
+    inverter_pair_deck, power_grid_deck, substrate_mesh, with_neighbour_coupling, LineSpec,
+    MeshSpec, PowerGridSpec,
 };
 use pact_netlist::{extract_rc, RcNetwork};
 
@@ -84,7 +85,8 @@ fn assert_models_agree(flat: &ReducedModel, hier: &ReducedModel, fmax: f64, labe
     }
 }
 
-fn check_family(net: &RcNetwork, max_block: usize, fmax: f64, label: &str) {
+/// Checks hier against flat on `net` and returns the hier reduction.
+fn check_family(net: &RcNetwork, max_block: usize, fmax: f64, label: &str) -> Reduction {
     let flat = reduce_with(net, ReduceStrategy::Flat, 1, fmax);
     let hier = reduce_with(
         net,
@@ -111,6 +113,7 @@ fn check_family(net: &RcNetwork, max_block: usize, fmax: f64, label: &str) {
     assert_models_agree(&flat.model, &hier.model, fmax, label);
     assert!(flat.model.is_passive(1e-8), "{label}: flat not passive");
     assert!(hier.model.is_passive(1e-8), "{label}: hier not passive");
+    hier
 }
 
 #[test]
@@ -126,6 +129,26 @@ fn powergrid_hier_matches_flat_and_stays_passive() {
 #[test]
 fn line_hier_matches_flat_and_stays_passive() {
     check_family(&line_fixture(), 20, 5e9, "line");
+}
+
+#[test]
+fn coupled_hier_matches_flat_and_stays_passive() {
+    // Lateral surface coupling caps cross the partition, so leaves whose
+    // boundary nodes couple to their internals have `R ≠ 0`: their
+    // two-level residues need the `X̃ᵀ(F⁻¹R)` term.
+    let net = with_neighbour_coupling(mesh_fixture(), 3e-15);
+    let hier = check_family(&net, 48, 2e9, "coupled");
+    let leaf_backends: Vec<&str> = hier
+        .telemetry
+        .eigen_choices
+        .iter()
+        .filter(|c| c.scope.starts_with("leaf"))
+        .map(|c| c.backend)
+        .collect();
+    assert!(
+        leaf_backends.contains(&"schur"),
+        "coupled leaves must take the two-level path: {leaf_backends:?}"
+    );
 }
 
 #[test]
