@@ -13,9 +13,10 @@
 //! This bench reduces a 16×16×4 substrate mesh flat at cap scales
 //! {0.99, 0.995, 1.0, 1.005, 1.01}. Matvec counts are deterministic, so
 //! it exits non-zero when any scale needs more than [`MAX_MATVECS`]
-//! (the stall needed 282–322). It also prints the max/min eigen-time
-//! ratio, which it does not gate on: the phase takes a few milliseconds,
-//! well inside host timing noise.
+//! (the stall needed 282–322). A block apply counts as its width in
+//! matvecs. It also prints the max/min eigen-time ratio, which it does
+//! not gate on: the phase takes a few milliseconds, well inside host
+//! timing noise.
 //!
 //! ```text
 //! cargo run --release -p pact-bench --bin lanczos_cliff
@@ -27,8 +28,10 @@ use pact_gen::{substrate_mesh, MeshSpec};
 use pact_lanczos::LanczosConfig;
 use pact_netlist::RcNetwork;
 
-/// Matvec budget per cap scale. The ghost-free runs need 43–47; the
-/// stall needed 282–322.
+/// Matvec budget per cap scale. The block recurrence needs 52–53 (in
+/// 12 block applies of up to 4 vectors); the single-vector one
+/// needed 43–47, and the stall under selective orthogonalization
+/// 282–322.
 const MAX_MATVECS: u64 = 100;
 
 const SCALES: [f64; 5] = [0.99, 0.995, 1.0, 1.005, 1.01];
@@ -41,7 +44,7 @@ fn cap_scaled(base: &RcNetwork, scale: f64) -> RcNetwork {
     net
 }
 
-fn eigen_seconds(net: &RcNetwork) -> (f64, u64) {
+fn eigen_seconds(net: &RcNetwork) -> (f64, u64, usize) {
     let opts = ReduceOptions {
         cutoff: CutoffSpec::new(500e6, 0.10).expect("cutoff"),
         eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
@@ -60,7 +63,8 @@ fn eigen_seconds(net: &RcNetwork) -> (f64, u64) {
         .iter()
         .find(|p| p.name == "eigen")
         .map_or(0.0, |p| p.seconds);
-    (eigen, red.telemetry.counters.lanczos_matvecs)
+    let applies = red.stats.lanczos.map_or(0, |ls| ls.block_applies);
+    (eigen, red.telemetry.counters.lanczos_matvecs, applies)
 }
 
 fn main() {
@@ -84,8 +88,8 @@ fn main() {
         let net = cap_scaled(&base, s);
         // Min of two runs per scale: the phase under test is tens of
         // milliseconds, well inside 1-core scheduler noise.
-        let (e1, mv) = eigen_seconds(&net);
-        let (e2, _) = eigen_seconds(&net);
+        let (e1, mv, applies) = eigen_seconds(&net);
+        let (e2, _, _) = eigen_seconds(&net);
         let eigen = e1.min(e2);
         times.push(eigen);
         worst_matvecs = worst_matvecs.max(mv);
@@ -93,15 +97,16 @@ fn main() {
             format!("{s:.3}"),
             format!("{:.1}", eigen * 1e3),
             format!("{mv}"),
+            format!("{applies}"),
         ]);
         println!(
-            "PERF lanczos_cliff scale={s:.3} eigen_ms={:.1} matvecs={mv}",
+            "PERF lanczos_cliff scale={s:.3} eigen_ms={:.1} matvecs={mv} block_applies={applies}",
             eigen * 1e3
         );
     }
     print_table(
         "Eigen phase vs cap scale",
-        &["cap scale", "eigen (ms)", "matvecs"],
+        &["cap scale", "eigen (ms)", "matvecs", "block applies"],
         &rows,
     );
 

@@ -134,8 +134,9 @@ fn main() {
     );
     if let Some(ls) = red.stats.lanczos {
         println!(
-            "Lanczos: {} matvecs, {} iterations, {} restarts, peak {} length-n vectors",
-            ls.matvecs, ls.iterations, ls.restarts, ls.peak_vectors
+            "Lanczos: {} block applies ({} matvecs), {} iterations, {} restarts, \
+             peak {} length-n vectors",
+            ls.block_applies, ls.matvecs, ls.iterations, ls.restarts, ls.peak_vectors
         );
     }
 

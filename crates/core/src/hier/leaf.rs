@@ -76,7 +76,7 @@ use crate::reduce::{remap_factor_index, ReduceError, ReduceOptions, Reduction};
 use crate::sanitize::sanitize_network;
 use crate::session::{finish_reduction, SymbolicCache};
 use crate::telemetry::{Telemetry, Warning};
-use crate::transform::Transform1;
+use crate::transform::{lane_scratch_bytes, Transform1};
 
 /// Guard-band trim budget, relative to the leaf's `‖A'‖_max` (its DC
 /// port-conductance scale): the worst-case in-band admittance
@@ -269,7 +269,7 @@ pub(crate) fn reduce_prepared_leaf(
         + poles_dim_hint * parts.n * 8  // X̃ columns / Ritz vectors
         + t1.x_s_bytes()                // X_S panel
         + k * m * 8                     // R''
-        + 4 * parts.n * 8; // solver workspace
+        + ctx.threads() * lane_scratch_bytes(parts.n); // lane panels per worker
     Ok(finish_reduction(
         tel,
         start,

@@ -36,7 +36,7 @@ use crate::reduce::{
     ReductionStats,
 };
 use crate::telemetry::{Telemetry, Warning};
-use crate::transform::Transform1;
+use crate::transform::{lane_scratch_bytes, Transform1};
 
 /// Cached symbolic analyses the session keeps at most (default).
 const CACHE_CAP: usize = 64;
@@ -422,9 +422,9 @@ impl ReductionSession {
         let modelled = chol_memory
             + 2 * m * m * 8              // A', B'
             + t1.x_s_bytes()             // X_S panel
-            + eigen_vectors * parts.n * 8 // Lanczos basis / Ritz vectors
+            + eigen_vectors * parts.n * 8 // Lanczos basis and buffers / Ritz vectors
             + k * m * 8                  // R''
-            + 4 * parts.n * 8; // solver workspace
+            + ctx.threads() * lane_scratch_bytes(parts.n); // lane panels per worker
         Ok(finish_reduction(
             tel,
             start,
@@ -584,6 +584,30 @@ mod tests {
         assert_eq!(warm.model.a1.as_slice(), cold.model.a1.as_slice());
         assert_eq!(warm.model.b1.as_slice(), cold.model.b1.as_slice());
         assert_eq!(warm.model.r2.as_slice(), cold.model.r2.as_slice());
+    }
+
+    #[test]
+    fn modelled_memory_covers_the_lane_panels_of_every_worker() {
+        // Each worker of the moment fan-out holds right-hand sides,
+        // solutions and the blocked-solve workspace, n×LANES each.
+        let net = ladder(40, 250.0, 1.35e-12);
+        let n = net.num_internal();
+        let mut opts = ReduceOptions::new(CutoffSpec::new(5e9, 0.05).unwrap());
+        let mut modelled = Vec::new();
+        for threads in [1, 2] {
+            opts.threads = Some(threads);
+            let red = ReductionSession::new(opts.clone())
+                .reduce_network(&net)
+                .unwrap();
+            let lanes = threads * 3 * pact_sparse::LANES * n * 8;
+            assert!(
+                red.stats.modelled_memory_bytes >= red.stats.chol_memory_bytes + lanes,
+                "{threads} worker(s): {} modelled bytes miss the {lanes} of lane panels",
+                red.stats.modelled_memory_bytes
+            );
+            modelled.push(red.stats.modelled_memory_bytes);
+        }
+        assert_eq!(modelled[1] - modelled[0], 3 * pact_sparse::LANES * n * 8);
     }
 
     #[test]

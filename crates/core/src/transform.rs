@@ -263,6 +263,7 @@ impl Transform1 {
             scratch: RefCell::new(EPrimeScratch {
                 v: vec![0.0; n],
                 w: vec![0.0; n],
+                work: Vec::new(),
             }),
             ctx,
         }
@@ -298,6 +299,15 @@ impl Transform1 {
         out.symmetrize();
         out
     }
+}
+
+/// Bytes of lane scratch one worker holds in the widest phase of a flat
+/// reduction, on `n` internal nodes. The moment phase's [`BlockScratch`]
+/// (right-hand sides, solutions, blocked-solve workspace), the
+/// projection's [`R2Scratch`] and the [`EPrimeOp`] panels are each three
+/// `n×LANES` panels, so one such set per worker covers them all.
+pub(crate) fn lane_scratch_bytes(n: usize) -> usize {
+    3 * LANES * n * std::mem::size_of::<f64>()
 }
 
 /// Per-worker scratch of the port-block fan-out in
@@ -473,11 +483,11 @@ struct R2Scratch {
 
 /// Matrix-free symmetric operator `x ↦ F⁻¹ E (F⁻ᵀ x)`.
 ///
-/// Carries two scratch vectors behind a `RefCell` (since
-/// [`SymOp::apply`] takes `&self`), so repeated applications — the inner
-/// loop of the Lanczos iteration — allocate nothing. The `RefCell` makes
-/// the operator `!Sync`; parallel callers construct one instance per
-/// worker.
+/// Carries its solve panels behind a `RefCell` (since [`SymOp::apply`]
+/// takes `&self`), so repeated applications — the inner loop of the
+/// Lanczos iteration — allocate nothing once the panels have grown to
+/// [`LANES`] columns. The `RefCell` makes the operator `!Sync`; parallel
+/// callers construct one instance per worker.
 #[derive(Clone, Debug)]
 pub struct EPrimeOp<'a> {
     chol: &'a SparseCholesky,
@@ -486,10 +496,13 @@ pub struct EPrimeOp<'a> {
     ctx: ParCtx,
 }
 
+/// `v = F⁻ᵀ x` and `w = E v` panels (column-major, at least `n` long)
+/// plus the triangular solves' workspace.
 #[derive(Clone, Debug)]
 struct EPrimeScratch {
     v: Vec<f64>,
     w: Vec<f64>,
+    work: Vec<f64>,
 }
 
 impl SymOp for EPrimeOp<'_> {
@@ -497,12 +510,39 @@ impl SymOp for EPrimeOp<'_> {
         self.e.nrows()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let n = self.e.nrows();
         let s = &mut *self.scratch.borrow_mut();
-        // v = F⁻ᵀ x (w doubles as the transpose-solve workspace), then
-        // w = E v, then y = F⁻¹ w computed in place in y.
-        self.chol.ftsolve_into(x, &mut s.v, &mut s.w);
-        self.e.matvec_into_ctx(&s.v, &mut s.w, &self.ctx);
-        self.chol.fsolve_into(&s.w, y);
+        // v = F⁻ᵀ x, then w = E v, then y = F⁻¹ w computed in place in y.
+        self.chol.ftsolve_into(x, &mut s.v[..n], &mut s.work);
+        self.e.matvec_into_ctx(&s.v[..n], &mut s.w[..n], &self.ctx);
+        self.chol.fsolve_into(&s.w[..n], y);
+    }
+    /// Groups of up to [`LANES`] columns, each through one blocked
+    /// backward sweep, `E` per column, and one blocked forward sweep, so
+    /// the factor is read once per group. The lane solves are
+    /// bit-identical per lane to the single-vector solves (up to the
+    /// sign of a zero), so every column equals [`SymOp::apply`] of it.
+    fn apply_block(&self, x: &[f64], k: usize, y: &mut [f64]) {
+        let n = self.e.nrows();
+        assert_eq!(x.len(), n * k);
+        assert_eq!(y.len(), n * k);
+        if n == 0 {
+            return;
+        }
+        let s = &mut *self.scratch.borrow_mut();
+        for (xg, yg) in x.chunks(n * LANES).zip(y.chunks_mut(n * LANES)) {
+            let g = xg.len() / n;
+            if s.v.len() < n * g {
+                s.v.resize(n * g, 0.0);
+                s.w.resize(n * g, 0.0);
+            }
+            let (v, w) = (&mut s.v[..n * g], &mut s.w[..n * g]);
+            self.chol.ftsolve_block_into(xg, g, v, &mut s.work);
+            for (vc, wc) in v.chunks_exact(n).zip(w.chunks_exact_mut(n)) {
+                self.e.matvec_into_ctx(vc, wc, &self.ctx);
+            }
+            self.chol.fsolve_block_into(w, g, yg, &mut s.work);
+        }
     }
 }
 
@@ -761,6 +801,66 @@ mod tests {
             // u^T F^{-1} P = (F^{-T} u)^T P
             let expect = DMat::from_fn(n, p.m, |i, j| pmat.matvec_t(&t1.chol.ftsolve(&vecs[i]))[j]);
             assert_close(&r2, &expect, &format!("{name}: R''"));
+        }
+    }
+
+    /// A 7×7 resistor mesh whose first two nodes are ports, with a
+    /// grounded capacitor on every third node: `n = 47`, a multiple of
+    /// no block width above one.
+    fn mesh() -> Partitions {
+        let (nx, ny) = (7, 7);
+        let br = |a: usize, b: Option<usize>, value: f64| pact_netlist::Branch {
+            a: Some(a),
+            b,
+            value,
+        };
+        let mut resistors = Vec::new();
+        for y in 0..ny {
+            for x in 0..nx {
+                let v = y * nx + x;
+                if x + 1 < nx {
+                    resistors.push(br(v, Some(v + 1), 100.0 + v as f64));
+                }
+                if y + 1 < ny {
+                    resistors.push(br(v, Some(v + nx), 150.0 + 2.0 * v as f64));
+                }
+            }
+        }
+        let capacitors = (0..nx * ny)
+            .step_by(3)
+            .map(|v| br(v, None, 1e-13 * (1.0 + (v % 5) as f64)))
+            .collect();
+        let net = pact_netlist::RcNetwork {
+            node_names: (0..nx * ny).map(|v| format!("v{v}")).collect(),
+            num_ports: 2,
+            resistors,
+            capacitors,
+        };
+        Partitions::split(&net.stamp())
+    }
+
+    #[test]
+    fn e_prime_block_apply_equals_apply_lane_by_lane() {
+        let p = mesh();
+        let n = p.n;
+        assert_eq!(n, 47);
+        let t1 = Transform1::compute(&p, Ordering::NestedDissection).unwrap();
+        let op = t1.e_prime_operator(&p);
+        // Widths past LANES take a second group.
+        for k in 1..=LANES + 2 {
+            let x: Vec<f64> = (0..n * k)
+                .map(|i| ((i * 7919) % 23) as f64 - 11.0)
+                .collect();
+            let mut y = vec![0.0; n * k];
+            op.apply_block(&x, k, &mut y);
+            for c in 0..k {
+                let mut yc = vec![0.0; n];
+                op.apply(&x[c * n..(c + 1) * n], &mut yc);
+                assert!(
+                    y[c * n..(c + 1) * n] == yc[..],
+                    "width {k}: lane {c} differs from apply"
+                );
+            }
         }
     }
 

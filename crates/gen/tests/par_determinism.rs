@@ -121,7 +121,7 @@ fn assert_bit_identical(base: &Reduction, other: &Reduction, what: &str) {
 
 fn check_fixture(net: &RcNetwork, label: &str) {
     for (ename, eigen) in [
-        ("laso", EigenSelect::Lanczos(LanczosConfig::default())),
+        ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
         ("dense", EigenSelect::LowRank),
     ] {
         let base = reduce_with_threads(net, &eigen, 1);

@@ -61,7 +61,7 @@ fn nested_dissection(a: &CsrMat) -> Vec<usize> {
     let n = a.nrows();
     let mut order = Vec::with_capacity(n);
     let all: Vec<usize> = (0..n).collect();
-    dissect(a, &all, &mut order);
+    dissect(a, &all, &mut order, &mut NdScratch::new(n));
     debug_assert_eq!(order.len(), n);
     order
 }
@@ -76,25 +76,57 @@ const ND_LEAF: usize = 64;
 /// elimination front for no fill benefit.
 const ND_BLOB_RCM: usize = 512;
 
-fn dissect(a: &CsrMat, nodes: &[usize], order: &mut Vec<usize>) {
+/// `NdScratch::mark` of a node outside the current subgraph.
+const OUTSIDE: usize = usize::MAX;
+/// `NdScratch::mark` of a subgraph node a BFS has not reached yet.
+const UNSEEN: usize = usize::MAX - 1;
+
+/// Node-indexed workspace shared by the nested-dissection helpers, sized
+/// to the whole graph once. Between helper calls every `mark` entry is
+/// [`OUTSIDE`]; a helper marks the nodes of its subgraph, uses the marks
+/// as membership, BFS depth, visit state or side, and resets exactly
+/// those nodes before it returns, so one scratch serves the whole
+/// recursion at `O(|nodes|)` per call.
+struct NdScratch {
+    mark: Vec<usize>,
+    /// Subset degree of a node (`local_rcm`); only read where written.
+    degree: Vec<usize>,
+}
+
+impl NdScratch {
+    fn new(n: usize) -> Self {
+        NdScratch {
+            mark: vec![OUTSIDE; n],
+            degree: vec![0; n],
+        }
+    }
+
+    fn set(&mut self, nodes: &[usize], value: usize) {
+        for &v in nodes {
+            self.mark[v] = value;
+        }
+    }
+}
+
+fn dissect(a: &CsrMat, nodes: &[usize], order: &mut Vec<usize>, s: &mut NdScratch) {
     if nodes.len() <= ND_LEAF {
-        order.extend(local_min_degree(a, nodes));
+        order.extend(local_min_degree(a, nodes, s));
         return;
     }
-    let Some((part_a, sep, part_b)) = level_set_bisect(a, nodes) else {
+    let Some((part_a, sep, part_b)) = level_set_bisect(a, nodes, s) else {
         // No meaningful separator (graph is a clique-ish blob or a
         // short path): fall back to a local ordering — minimum degree
         // while it is cheap, RCM once the blob is big enough that
         // min-degree's dense elimination front turns quadratic.
         if nodes.len() > ND_BLOB_RCM {
-            order.extend(local_rcm(a, nodes));
+            order.extend(local_rcm(a, nodes, s));
         } else {
-            order.extend(local_min_degree(a, nodes));
+            order.extend(local_min_degree(a, nodes, s));
         }
         return;
     };
-    dissect(a, &part_a, order);
-    dissect(a, &part_b, order);
+    dissect(a, &part_a, order, s);
+    dissect(a, &part_b, order, s);
     order.extend(sep);
 }
 
@@ -109,40 +141,47 @@ struct LevelSets {
     unreached: Vec<usize>,
 }
 
-fn bfs_level_sets(a: &CsrMat, nodes: &[usize]) -> LevelSets {
-    // Membership map for this subgraph.
-    let mut local = std::collections::BTreeMap::new();
-    for (k, &v) in nodes.iter().enumerate() {
-        local.insert(v, k);
+fn bfs_level_sets(a: &CsrMat, nodes: &[usize], s: &mut NdScratch) -> LevelSets {
+    s.set(nodes, UNSEEN);
+    // Pseudo-peripheral seed: the first vertex of the deepest level of a
+    // BFS from `nodes[0]` — one pass, good enough on meshes.
+    let probe = bfs_levels(a, nodes[0], &mut s.mark);
+    let start = probe.last().expect("the seed's level")[0];
+    for &v in probe.iter().flatten() {
+        s.mark[v] = UNSEEN;
     }
-    let start = pseudo_peripheral(a, nodes, &local);
-    let mut level = vec![usize::MAX; nodes.len()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    level[local[&start]] = 0;
-    queue.push_back(start);
-    levels.push(vec![start]);
-    while let Some(u) = queue.pop_front() {
-        let lu = level[local[&u]];
-        for (w, _) in a.row_iter(u) {
-            if let Some(&lw) = local.get(&w) {
-                if level[lw] == usize::MAX {
-                    level[lw] = lu + 1;
-                    if levels.len() <= lu + 1 {
-                        levels.push(Vec::new());
-                    }
-                    levels[lu + 1].push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
+    let levels = bfs_levels(a, start, &mut s.mark);
     let unreached: Vec<usize> = nodes
         .iter()
         .copied()
-        .filter(|v| level[local[v]] == usize::MAX)
+        .filter(|&v| s.mark[v] == UNSEEN)
         .collect();
+    s.set(nodes, OUTSIDE);
     LevelSets { levels, unreached }
+}
+
+/// Breadth-first levels from `start` over the vertices marked
+/// [`UNSEEN`], each level in visit order (the FIFO order of a queue-based
+/// BFS); every reached vertex's mark becomes its depth.
+fn bfs_levels(a: &CsrMat, start: usize, mark: &mut [usize]) -> Vec<Vec<usize>> {
+    mark[start] = 0;
+    let mut levels = vec![vec![start]];
+    loop {
+        let depth = levels.len();
+        let mut next = Vec::new();
+        for &u in levels.last().expect("nonempty") {
+            for (w, _) in a.row_iter(u) {
+                if mark[w] == UNSEEN {
+                    mark[w] = depth;
+                    next.push(w);
+                }
+            }
+        }
+        if next.is_empty() {
+            return levels;
+        }
+        levels.push(next);
+    }
 }
 
 /// Splits level sets at `sep_level`: levels below form `part_a`, the
@@ -169,11 +208,15 @@ fn split_at_level(ls: &LevelSets, sep_level: usize) -> (Vec<usize>, Vec<usize>, 
 /// useful separator exists, `Ok(ls)` hands the level sets on.
 type Bisection = (Vec<usize>, Vec<usize>, Vec<usize>);
 
-fn bisect_levels(a: &CsrMat, nodes: &[usize]) -> Result<LevelSets, Option<Bisection>> {
+fn bisect_levels(
+    a: &CsrMat,
+    nodes: &[usize],
+    s: &mut NdScratch,
+) -> Result<LevelSets, Option<Bisection>> {
     if nodes.len() < 3 {
         return Err(None);
     }
-    let ls = bfs_level_sets(a, nodes);
+    let ls = bfs_level_sets(a, nodes, s);
     if ls.levels.len() < 3 {
         if ls.unreached.is_empty() {
             return Err(None);
@@ -195,8 +238,8 @@ fn bisect_levels(a: &CsrMat, nodes: &[usize]) -> Result<LevelSets, Option<Bisect
 /// which they touch by no edge at all). Returns `None` when the
 /// subgraph has fewer than three levels or a side would be empty —
 /// i.e. there is no useful separator.
-fn level_set_bisect(a: &CsrMat, nodes: &[usize]) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    let ls = match bisect_levels(a, nodes) {
+fn level_set_bisect(a: &CsrMat, nodes: &[usize], s: &mut NdScratch) -> Option<Bisection> {
+    let ls = match bisect_levels(a, nodes, s) {
         Ok(ls) => ls,
         Err(early) => return early,
     };
@@ -245,11 +288,8 @@ fn median_mass_level(ls: &LevelSets) -> usize {
 /// neighbors can only both move toward the same side (the `part_b`
 /// check runs against post-shave `part_a`, so it sees the other mover).
 /// Same return contract as [`level_set_bisect`].
-fn level_set_bisect_thin(
-    a: &CsrMat,
-    nodes: &[usize],
-) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    let ls = match bisect_levels(a, nodes) {
+fn level_set_bisect_thin(a: &CsrMat, nodes: &[usize], s: &mut NdScratch) -> Option<Bisection> {
+    let ls = match bisect_levels(a, nodes, s) {
         Ok(ls) => ls,
         Err(early) => return early,
     };
@@ -279,22 +319,15 @@ fn level_set_bisect_thin(
         return None;
     }
 
-    // Two-phase shave. Sides are tracked on the original vertex ids so
-    // neighbor probes are O(1).
-    const SIDE_A: u8 = 0;
-    const SIDE_SEP: u8 = 1;
-    const SIDE_B: u8 = 2;
-    const OUTSIDE: u8 = 3;
-    let mut side = vec![OUTSIDE; a.nrows()];
-    for &v in &part_a {
-        side[v] = SIDE_A;
-    }
-    for &v in &sep {
-        side[v] = SIDE_SEP;
-    }
-    for &v in &part_b {
-        side[v] = SIDE_B;
-    }
+    // Two-phase shave. Sides are marked on the original vertex ids so
+    // neighbor probes are O(1); vertices outside `nodes` stay OUTSIDE.
+    const SIDE_A: usize = 0;
+    const SIDE_SEP: usize = 1;
+    const SIDE_B: usize = 2;
+    s.set(&part_a, SIDE_A);
+    s.set(&sep, SIDE_SEP);
+    s.set(&part_b, SIDE_B);
+    let side = &mut s.mark;
     // Phase 1: separator vertices with no part_b neighbor fold into
     // part_a (their edges all stay on the a-side of the cut).
     for &v in &sep {
@@ -317,6 +350,7 @@ fn level_set_bisect_thin(
             thin_sep.push(v);
         }
     }
+    s.set(nodes, OUTSIDE);
     Some((part_a, thin_sep, part_b))
 }
 
@@ -380,17 +414,18 @@ pub fn nested_dissection_partition(a: &CsrMat, max_block: usize, max_depth: usiz
         return part;
     }
     let all: Vec<usize> = (0..a.nrows()).collect();
-    partition_rec(a, all, max_block, max_depth, 0, &mut part);
+    let budget = (max_block, max_depth);
+    partition_rec(a, all, budget, 0, &mut part, &mut NdScratch::new(a.nrows()));
     part
 }
 
 fn partition_rec(
     a: &CsrMat,
     nodes: Vec<usize>,
-    max_block: usize,
-    max_depth: usize,
+    (max_block, max_depth): (usize, usize),
     depth: usize,
     out: &mut NdPartition,
+    s: &mut NdScratch,
 ) {
     out.depth = out.depth.max(depth);
     if nodes.len() <= max_block || depth >= max_depth {
@@ -399,46 +434,15 @@ fn partition_rec(
         }
         return;
     }
-    match level_set_bisect_thin(a, &nodes) {
+    match level_set_bisect_thin(a, &nodes, s) {
         Some((part_a, sep, part_b)) => {
             out.separators.push(sep);
-            partition_rec(a, part_a, max_block, max_depth, depth + 1, out);
-            partition_rec(a, part_b, max_block, max_depth, depth + 1, out);
+            let budget = (max_block, max_depth);
+            partition_rec(a, part_a, budget, depth + 1, out, s);
+            partition_rec(a, part_b, budget, depth + 1, out, s);
         }
         None => out.leaves.push(nodes),
     }
-}
-
-/// Farthest node from an arbitrary start — one BFS pass, good enough as
-/// a pseudo-peripheral seed.
-fn pseudo_peripheral(
-    a: &CsrMat,
-    nodes: &[usize],
-    local: &std::collections::BTreeMap<usize, usize>,
-) -> usize {
-    let start = nodes[0];
-    let mut dist = vec![usize::MAX; nodes.len()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[local[&start]] = 0;
-    queue.push_back(start);
-    let mut far = start;
-    let mut far_d = 0;
-    while let Some(u) = queue.pop_front() {
-        let du = dist[local[&u]];
-        if du > far_d {
-            far_d = du;
-            far = u;
-        }
-        for (w, _) in a.row_iter(u) {
-            if let Some(&lw) = local.get(&w) {
-                if dist[lw] == usize::MAX {
-                    dist[lw] = du + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    far
 }
 
 /// Reverse Cuthill–McKee restricted to a node subset: the dissection
@@ -446,90 +450,139 @@ fn pseudo_peripheral(
 /// quadratic. One BFS per component from a minimum-subset-degree seed,
 /// neighbors visited in ascending subset-degree order, result reversed
 /// — `O(nnz log nnz)` regardless of how dense the blob is.
-fn local_rcm(a: &CsrMat, nodes: &[usize]) -> Vec<usize> {
+fn local_rcm(a: &CsrMat, nodes: &[usize], s: &mut NdScratch) -> Vec<usize> {
     // Subset membership / visit marker on original ids.
-    let mut state = vec![0u8; a.nrows()]; // 0 outside, 1 member, 2 visited
+    const MEMBER: usize = 0;
+    const VISITED: usize = 1;
+    s.set(nodes, MEMBER);
+    let (state, degree) = (&mut s.mark, &mut s.degree);
     for &v in nodes {
-        state[v] = 1;
+        degree[v] = a
+            .row_iter(v)
+            .filter(|&(w, _)| w != v && state[w] != OUTSIDE)
+            .count();
     }
-    let degree = |v: usize| {
-        a.row_iter(v)
-            .filter(|&(w, _)| w != v && state[w] != 0)
-            .count()
-    };
-    let degrees: std::collections::BTreeMap<usize, usize> =
-        nodes.iter().map(|&v| (v, degree(v))).collect();
     let mut order = Vec::with_capacity(nodes.len());
     let mut queue = std::collections::VecDeque::new();
     let mut neighbors: Vec<usize> = Vec::new();
     let mut seeds: Vec<usize> = nodes.to_vec();
-    seeds.sort_unstable_by_key(|&v| (degrees[&v], v));
+    seeds.sort_unstable_by_key(|&v| (degree[v], v));
     for &seed in &seeds {
-        if state[seed] == 2 {
+        if state[seed] == VISITED {
             continue;
         }
-        state[seed] = 2;
+        state[seed] = VISITED;
         queue.push_back(seed);
         while let Some(u) = queue.pop_front() {
             order.push(u);
             neighbors.clear();
-            neighbors.extend(a.row_iter(u).map(|(w, _)| w).filter(|&w| state[w] == 1));
-            neighbors.sort_unstable_by_key(|&w| (degrees[&w], w));
+            neighbors.extend(
+                a.row_iter(u)
+                    .map(|(w, _)| w)
+                    .filter(|&w| state[w] == MEMBER),
+            );
+            neighbors.sort_unstable_by_key(|&w| (degree[w], w));
             for &w in &neighbors {
-                if state[w] == 1 {
-                    state[w] = 2;
+                if state[w] == MEMBER {
+                    state[w] = VISITED;
                     queue.push_back(w);
                 }
             }
         }
     }
+    s.set(nodes, OUTSIDE);
     order.reverse();
     order
 }
 
 /// Minimum-degree ordering restricted to a node subset (used as the
-/// nested-dissection leaf ordering).
-fn local_min_degree(a: &CsrMat, nodes: &[usize]) -> Vec<usize> {
-    use std::collections::BTreeSet;
-    let set: BTreeSet<usize> = nodes.iter().copied().collect();
-    let mut adj: std::collections::BTreeMap<usize, BTreeSet<usize>> = nodes
-        .iter()
-        .map(|&v| {
-            (
-                v,
-                a.row_iter(v)
-                    .map(|(w, _)| w)
-                    .filter(|w| *w != v && set.contains(w))
-                    .collect(),
-            )
-        })
-        .collect();
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut remaining: BTreeSet<usize> = set;
-    while !remaining.is_empty() {
-        let v = *remaining
-            .iter()
-            .min_by_key(|v| adj[v].len())
-            .expect("nonempty");
-        remaining.remove(&v);
-        out.push(v);
-        let nbrs: Vec<usize> = adj[&v]
-            .iter()
-            .copied()
-            .filter(|u| remaining.contains(u))
-            .collect();
-        for (ai, &u) in nbrs.iter().enumerate() {
-            let au = adj.get_mut(&u).expect("adjacency");
-            au.remove(&v);
-            for &w in &nbrs[ai + 1..] {
-                au.insert(w);
-            }
-            for &w in &nbrs[ai + 1..] {
-                adj.get_mut(&w).expect("adjacency").insert(u);
+/// nested-dissection leaf ordering): repeatedly eliminate the remaining
+/// vertex of fewest adjacency entries, the lowest node id among equals,
+/// and clique its remaining neighbors.
+///
+/// The subset is relabelled `0..k` in ascending node id and each
+/// adjacency set is a `k`-bit row, so ascending local index is ascending
+/// node id and every tie-break is the one an ordered-set implementation
+/// makes. Like that implementation, an entry is only dropped from a
+/// neighbor's set when the pivot lists that neighbor itself, so on an
+/// unsymmetric pattern a set may keep an eliminated vertex and count it.
+fn local_min_degree(a: &CsrMat, nodes: &[usize], s: &mut NdScratch) -> Vec<usize> {
+    let mut ids = nodes.to_vec();
+    ids.sort_unstable();
+    let k = ids.len();
+    for (li, &v) in ids.iter().enumerate() {
+        s.mark[v] = li;
+    }
+    let words = k.div_ceil(64);
+    let bit = |i: usize| (i / 64, 1u64 << (i % 64));
+    let mut adj = vec![0u64; k * words];
+    for (li, &v) in ids.iter().enumerate() {
+        let row = &mut adj[li * words..(li + 1) * words];
+        for (w, _) in a.row_iter(v) {
+            let lw = s.mark[w];
+            if w != v && lw != OUTSIDE {
+                let (q, b) = bit(lw);
+                row[q] |= b;
             }
         }
     }
+    s.set(nodes, OUTSIDE);
+    let degree = |adj: &[u64], i: usize| -> u32 {
+        adj[i * words..(i + 1) * words]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum()
+    };
+    let mut remaining = vec![0u64; words];
+    for i in 0..k {
+        let (q, b) = bit(i);
+        remaining[q] |= b;
+    }
+    let mut nbrs = vec![0u64; words];
+    let mut out = Vec::with_capacity(k);
+    for _ in 0..k {
+        // First minimum in ascending order.
+        let mut v = usize::MAX;
+        let mut best = u32::MAX;
+        for i in set_bits(&remaining) {
+            let d = degree(&adj, i);
+            if d < best {
+                (v, best) = (i, d);
+            }
+        }
+        let (vq, vb) = bit(v);
+        remaining[vq] &= !vb;
+        out.push(ids[v]);
+        // Each remaining neighbor u loses v and gains every other
+        // remaining neighbor: adj[u] = (adj[u] \ {v}) ∪ (nbrs \ {u}).
+        for ((n, r), x) in nbrs.iter_mut().zip(&remaining).zip(&adj[v * words..]) {
+            *n = r & x;
+        }
+        for u in set_bits(&nbrs) {
+            let (uq, ub) = bit(u);
+            let row = &mut adj[u * words..(u + 1) * words];
+            for (x, n) in row.iter_mut().zip(&nbrs) {
+                *x |= n;
+            }
+            row[uq] &= !ub;
+            row[vq] &= !vb;
+        }
+    }
     out
+}
+
+/// Indices of the set bits of a bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(q, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let t = w.trailing_zeros() as usize;
+                w &= w - 1;
+                q * 64 + t
+            })
+        })
+    })
 }
 
 /// Returns the inverse permutation: `inv[perm[i]] == i`.
@@ -1564,6 +1617,84 @@ mod tests {
         let part = nested_dissection_partition(&a, 10, 16);
         partition_invariants(&a, &part);
         assert!(part.max_leaf() <= 10);
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = usize>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in (w as u64).to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The graphs the fingerprints are taken on, which between them reach
+    /// every nested-dissection helper:
+    /// - a 3-D grid that recurses down to ≤`ND_LEAF`-node leaves;
+    /// - a clique larger than `ND_BLOB_RCM`: no level-set separator, so
+    ///   it is ordered by `local_rcm`;
+    /// - a disconnected graph whose first nodes are two pairs and an
+    ///   isolated node (each split off reached-vs-unreached) ahead of two
+    ///   grids (level sets with an unreached remainder).
+    fn fingerprint_graphs() -> [(&'static str, CsrMat); 3] {
+        let clique = {
+            let n = 600;
+            let mut t = TripletMat::new(n, n);
+            for i in 0..n {
+                for j in i + 1..n {
+                    t.stamp_conductance(Some(i), Some(j), 1.0);
+                }
+            }
+            t.to_csr()
+        };
+        let disconnected = {
+            let (g1, g2) = (grid3d(12, 12, 8), grid3d(10, 10, 10));
+            let (o1, o2) = (5, 5 + g1.nrows());
+            let n = o2 + g2.nrows();
+            let mut t = TripletMat::new(n, n);
+            t.stamp_conductance(Some(0), Some(1), 1.0);
+            t.stamp_conductance(Some(2), Some(3), 1.0);
+            for (g, off) in [(&g1, o1), (&g2, o2)] {
+                for i in 0..g.nrows() {
+                    for (j, v) in g.row_iter(i) {
+                        t.push(off + i, off + j, v);
+                    }
+                }
+            }
+            t.to_csr()
+        };
+        [
+            ("grid", grid3d(16, 16, 10)),
+            ("clique", clique),
+            ("disconnected", disconnected),
+        ]
+    }
+
+    #[test]
+    fn nested_dissection_output_is_pinned_bit_for_bit() {
+        // Fingerprints of the ordering and of the partition at the block
+        // size and depth the hierarchical strategy uses by default (2000,
+        // 16). Any change to a tie-break or a traversal order shows here.
+        let want = [
+            ("grid", 0xca76_a42e_1695_87a1, 0x7595_90b3_4925_eae7),
+            ("clique", 0x5ffd_b943_9fd7_ec8d, 0x6a6c_06f8_927c_b97e),
+            ("disconnected", 0x8348_6621_c650_f8e5, 0x6b5a_1480_0c16_d87c),
+        ];
+        let got = fingerprint_graphs().map(|(name, a)| {
+            let perm = Ordering::NestedDissection.permutation(&a);
+            assert!(is_permutation(&perm), "{name}: not a permutation");
+            let part = nested_dissection_partition(&a, 2000, 16);
+            partition_invariants(&a, &part);
+            let groups = part.leaves.iter().chain(&part.separators);
+            let part_words = groups
+                .flat_map(|g| std::iter::once(g.len()).chain(g.iter().copied()))
+                .chain([part.leaves.len(), part.depth]);
+            (name, fnv1a(perm), fnv1a(part_words))
+        });
+        assert_eq!(got, want, "(graph, ordering, partition) fingerprints");
     }
 
     #[test]

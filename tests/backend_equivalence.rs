@@ -277,8 +277,8 @@ fn lanczos_stops_at_the_cutoff_on_the_cliff_mesh() {
     // A ±1% capacitor rescale once sent this mesh's eigen phase to the
     // iteration cap (282–322 matvecs): ghost copies of converged poles
     // sat unconverged above the cutoff. With full reorthogonalization the
-    // run stops once the cutoff is proven (43–47 matvecs) and keeps the
-    // exact poles.
+    // run stops once the cutoff is proven (52–53 matvecs, a block apply
+    // counting as its width) and keeps the exact poles.
     for scale in [0.99, 1.0] {
         let net = cliff_mesh(scale);
         let run = |backend: EigenSelect| {

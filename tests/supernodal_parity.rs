@@ -112,7 +112,7 @@ fn kernels_agree_on_retained_poles_fresh() {
     for (label, net, fmax, max_block) in families() {
         for (sname, strategy) in strategies(max_block) {
             for (ename, eigen) in [
-                ("laso", EigenSelect::Lanczos(LanczosConfig::default())),
+                ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
                 ("dense", EigenSelect::LowRank),
             ] {
                 let mut opts = options(fmax, 1, strategy);
