@@ -197,8 +197,9 @@ grep -q "^PERF " "$tmp/session_smoke.txt"
 
 echo "==> rcfitd daemon smoke (JSONL over stdin)"
 # Two same-topology decks (the second must hit a warm session and reduce
-# byte-identically), one request with a misspelled option (typed error),
-# a stats probe, and a clean shutdown.
+# byte-identically), one request with a misspelled option and one with
+# an out-of-range sparsify threshold (typed errors), a stats probe, and a
+# clean shutdown.
 python3 - > "$tmp/serve_requests.jsonl" <<'EOF'
 import json
 deck = ("* ci ladder\nVdrv in 0 1\nR1 in n1 100\nR2 n1 n2 100\n"
@@ -207,6 +208,8 @@ deck = ("* ci ladder\nVdrv in 0 1\nR1 in n1 100\nR2 n1 n2 100\n"
 print(json.dumps({"id": "s1", "deck": deck}))
 print(json.dumps({"id": "s2", "deck": deck}))
 print(json.dumps({"id": "bad", "deck": deck, "options": {"tolerence": 0.1}}))
+# 1e999 parses to infinity, the JSON spelling of `rcfit --sparsify inf`.
+print('{"id": "inf", "deck": %s, "options": {"sparsify": 1e999}}' % json.dumps(deck))
 print(json.dumps({"id": "st", "op": "stats"}))
 print(json.dumps({"id": "end", "op": "shutdown"}))
 EOF
@@ -215,7 +218,7 @@ EOF
 python3 - "$tmp/serve_responses.jsonl" <<'EOF'
 import json, sys
 docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
-assert len(docs) == 5, sorted(docs)
+assert len(docs) == 6, sorted(docs)
 assert all(d["schema"] == "rcfitd-v1" for d in docs.values())
 assert docs["s1"]["ok"] and not docs["s1"]["session_hit"]
 assert docs["s2"]["ok"] and docs["s2"]["session_hit"], \
@@ -225,81 +228,23 @@ assert docs["s2"]["deck"] == docs["s1"]["deck"], \
 assert docs["s1"]["telemetry"]["schema"] == "rcfit-telemetry-v1"
 assert not docs["bad"]["ok"]
 assert docs["bad"]["error"]["code"] == "unknown_option", docs["bad"]["error"]
+assert not docs["inf"]["ok"]
+assert docs["inf"]["error"]["code"] == "sparsify", docs["inf"]["error"]
 # Stats is answered inline by the dispatcher, so only the submit-side
 # counters are ordered with respect to it.
 assert docs["st"]["stats"]["counters"]["requests"] >= 3
 assert docs["st"]["stats"]["workers"] == 2
 assert docs["end"]["shutdown"] is True
-print("daemon smoke ok: warm hit + typed error + stats + clean shutdown")
+print("daemon smoke ok: warm hit + typed errors + stats + clean shutdown")
 EOF
-
-echo "==> multipoint strategy parity smoke (CLI + daemon vs one-shot)"
-# One-shot CLI run with the multipoint strategy: telemetry must record
-# the expansion points and basis; then the same deck through a warm
-# rcfitd session (second request hits the cached symbolic) must return
-# the one-shot deck byte-identically.
-./target/release/gen_mesh 16 16 4 16 "$tmp/mp_mesh.sp" > /dev/null
-mp_ports=""
-for i in $(seq 0 15); do mp_ports="$mp_ports --port port$i"; done
-# shellcheck disable=SC2086
-./target/release/rcfit $mp_ports --fmax 2e9 --strategy multipoint \
-    --log-json "$tmp/mp_telemetry.json" -o "$tmp/mp_reduced.sp" \
-    "$tmp/mp_mesh.sp" > /dev/null
-test -s "$tmp/mp_reduced.sp"
-python3 - "$tmp/mp_telemetry.json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["schema"] == "rcfit-telemetry-v1", d.get("schema")
-c = d["counters"]
-assert c["multipoint_points"] == 2, c["multipoint_points"]
-assert c["multipoint_moment_poles"] > 0, "no shifted moment candidates"
-assert c["multipoint_basis_columns"] > 0, "empty projection basis"
-print(f"multipoint telemetry ok: {c['multipoint_points']} points, "
-      f"{c['multipoint_moment_poles']} moment candidates, "
-      f"{c['multipoint_basis_columns']} basis columns")
-EOF
-python3 - "$tmp/mp_mesh.sp" > "$tmp/mp_requests.jsonl" <<'EOF'
-import json, sys
-deck = open(sys.argv[1]).read()
-ports = [f"port{i}" for i in range(16)]
-opts = {"fmax": 2e9, "ports": ports, "strategy": "multipoint"}
-print(json.dumps({"id": "mp1", "deck": deck, "options": opts}))
-print(json.dumps({"id": "mp2", "deck": deck, "options": opts}))
-print(json.dumps({"id": "end", "op": "shutdown"}))
-EOF
-./target/release/rcfitd --workers 1 < "$tmp/mp_requests.jsonl" \
-    > "$tmp/mp_responses.jsonl"
-python3 - "$tmp/mp_responses.jsonl" "$tmp/mp_reduced.sp" <<'EOF'
-import json, sys
-docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
-oneshot = open(sys.argv[2]).read()
-assert docs["mp1"]["ok"] and not docs["mp1"]["session_hit"]
-assert docs["mp2"]["ok"] and docs["mp2"]["session_hit"], \
-    "second multipoint deck must hit a warm session"
-assert docs["mp1"]["deck"] == oneshot, \
-    "cold daemon multipoint deck differs from one-shot rcfit"
-assert docs["mp2"]["deck"] == oneshot, \
-    "warm daemon multipoint deck differs from one-shot rcfit"
-print("multipoint daemon parity ok: cold + warm responses byte-identical "
-      "to one-shot rcfit")
-EOF
-
-echo "==> multipoint ablation smoke (accuracy vs poles -> results/multipoint_ablation.txt)"
-# --smoke runs scaled-down Table-2/Table-4 meshes: flat vs multipoint
-# pole counts at spec plus the ranked truncation curve. Run in a
-# scratch dir so the committed full-size BENCH_multipoint.json is not
-# overwritten.
-(cd "$tmp" && "$root/target/release/multipoint_ablation" --smoke) \
-    | tee "$tmp/mp_ablation.txt"
-grep -q "smoke OK" "$tmp/mp_ablation.txt"
-mkdir -p results
-{
-    echo "# Multipoint vs flat ablation smoke: scaled-down Table-2/Table-4"
-    echo "# meshes, $(nproc) core(s). Full-size study: BENCH_multipoint.json"
-    echo "# (cargo run --release -p pact-bench --bin multipoint_ablation)."
-    grep -E "^(## |flat:|multipoint:|  mp truncated|PERF )" "$tmp/mp_ablation.txt"
-} > results/multipoint_ablation.txt
-cat results/multipoint_ablation.txt
+# The CLI holds sparsify to the same range: `inf` must fail, not
+# realize a deck whose ports lost their coupling.
+if ./target/release/rcfit --port in --port out --sparsify inf \
+    -o /dev/null "$tmp/smoke.sp" 2> "$tmp/sparsify_inf.txt"; then
+    echo "rcfit accepted --sparsify inf" >&2
+    exit 1
+fi
+grep -q "error \[sparsify\]" "$tmp/sparsify_inf.txt"
 
 echo "==> serve load smoke (daemon vs cold one-shot -> results/serve_perf.txt)"
 # --smoke byte-compares every daemon response against the cold one-shot

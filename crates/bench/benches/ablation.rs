@@ -59,8 +59,7 @@ fn bench_eigen_strategy(rows: &mut Vec<Vec<String>>) {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
-            chol_kernel: pact::CholKernel::Auto,
+            chol_kernel: pact::CholKernel::Supernodal,
         };
         let s = sample_secs(SAMPLES, || {
             pact::reduce_network(&net, &opts).expect("reduce")
@@ -79,8 +78,7 @@ fn bench_sparsify(rows: &mut Vec<Vec<String>>) {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let (g, _) = red.model.to_matrices_normalized();

@@ -28,8 +28,7 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let m = red.model.num_ports();

@@ -66,8 +66,7 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) = timed(|| pact::reduce_network(net, &opts).expect("reduce"));
     let model = &red.model;

@@ -79,8 +79,7 @@ fn opts(threads: usize, strategy: ReduceStrategy) -> ReduceOptions {
         threads: Some(threads),
         pivot_relief: None,
         strategy,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     }
 }
 

@@ -76,8 +76,7 @@ fn main() {
             threads: Some(t),
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
-            chol_kernel: pact::CholKernel::Auto,
+            chol_kernel: pact::CholKernel::Supernodal,
         };
         let (red, reduce_s) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
         let hier_opts = ReduceOptions {

@@ -39,8 +39,7 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            expansion_points: None,
-            chol_kernel: pact::CholKernel::Auto,
+            chol_kernel: pact::CholKernel::Supernodal,
         };
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
         let lanczos = pact_red.stats.lanczos.unwrap_or_default();
@@ -48,7 +47,6 @@ fn main() {
         // Same reduction with the scalar up-looking Cholesky kernel:
         // isolates the supernodal speedup on the factorization hot path.
         let scalar_opts = ReduceOptions {
-            expansion_points: None,
             chol_kernel: pact::CholKernel::Scalar,
             ..opts.clone()
         };

@@ -53,70 +53,55 @@ fn main() {
         mb(orig_ac.stats.modelled_memory_bytes),
     ]];
 
-    // Flat PACT is the paper's Table 2; the multipoint rows show the
-    // same cutoff spec served by the shifted-expansion backend
-    // (`--strategy multipoint`) for a pole-count comparison at spec.
-    let strategies = [
-        ("flat", pact::ReduceStrategy::Flat),
-        (
-            "mp",
-            pact::ReduceStrategy::Multipoint {
-                num_points: pact::multipoint::DEFAULT_NUM_POINTS,
-            },
-        ),
-    ];
     for &fmax in &[3e9, 1e9, 300e6] {
-        for (tag, strategy) in &strategies {
-            let opts = ReduceOptions {
-                cutoff: CutoffSpec::new(fmax, 0.05).expect("cutoff"),
-                eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-                ordering: Ordering::NestedDissection,
-                dense_threshold: 400,
-                threads: None,
-                pivot_relief: None,
-                strategy: *strategy,
-                expansion_points: None,
-                chol_kernel: pact::CholKernel::Auto,
-            };
-            let (red, t_red) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
-            let elements = red.model.to_netlist_elements("red", 1e-9);
-            let (rr, rc) = count_rc(&elements);
-            let red_deck = deck_of(elements);
-            let red_ckt = Circuit::from_netlist(&red_deck).expect("compile reduced");
-            let (red_ac, ac_t) = timed(|| {
-                red_ckt
-                    .ac_sweep(&freqs, &AcExcitation::CurrentInto(inject.into()))
-                    .expect("reduced AC")
-            });
-            // Figure 5's error criterion: |Z| relative to the original
-            // below fmax must stay within 5 %.
-            let red_z = red_ac.voltage(monitor).expect("monitor voltage");
-            let mut worst_below: f64 = 0.0;
-            for (k, &f) in freqs.iter().enumerate() {
-                if f > fmax {
-                    break;
-                }
-                let rel = (red_z[k].abs() - orig_z[k].abs()).abs() / orig_z[k].abs();
-                worst_below = worst_below.max(rel);
+        let opts = ReduceOptions {
+            cutoff: CutoffSpec::new(fmax, 0.05).expect("cutoff"),
+            eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
+            ordering: Ordering::NestedDissection,
+            dense_threshold: 400,
+            threads: None,
+            pivot_relief: None,
+            strategy: pact::ReduceStrategy::Flat,
+            chol_kernel: pact::CholKernel::Supernodal,
+        };
+        let (red, t_red) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
+        let elements = red.model.to_netlist_elements("red", 1e-9);
+        let (rr, rc) = count_rc(&elements);
+        let red_deck = deck_of(elements);
+        let red_ckt = Circuit::from_netlist(&red_deck).expect("compile reduced");
+        let (red_ac, ac_t) = timed(|| {
+            red_ckt
+                .ac_sweep(&freqs, &AcExcitation::CurrentInto(inject.into()))
+                .expect("reduced AC")
+        });
+        // Figure 5's error criterion: |Z| relative to the original
+        // below fmax must stay within 5 %.
+        let red_z = red_ac.voltage(monitor).expect("monitor voltage");
+        let mut worst_below: f64 = 0.0;
+        for (k, &f) in freqs.iter().enumerate() {
+            if f > fmax {
+                break;
             }
-            rows.push(vec![
-                format!("{} GHz {tag}", fmax / 1e9),
-                format!("{}", red.model.num_ports() + red.model.num_poles()),
-                format!("{rr}"),
-                format!("{rc}"),
-                format!("{}", red.model.num_poles()),
-                secs(t_red),
-                mb(red.stats.modelled_memory_bytes),
-                secs(ac_t),
-                mb(red_ac.stats.modelled_memory_bytes),
-            ]);
-            println!(
-                "fmax = {:.1} GHz [{tag}]: {} poles, worst |Z| error below fmax = {:.2} % (spec 5 %)",
-                fmax / 1e9,
-                red.model.num_poles(),
-                worst_below * 100.0
-            );
+            let rel = (red_z[k].abs() - orig_z[k].abs()).abs() / orig_z[k].abs();
+            worst_below = worst_below.max(rel);
         }
+        rows.push(vec![
+            format!("{} GHz", fmax / 1e9),
+            format!("{}", red.model.num_ports() + red.model.num_poles()),
+            format!("{rr}"),
+            format!("{rc}"),
+            format!("{}", red.model.num_poles()),
+            secs(t_red),
+            mb(red.stats.modelled_memory_bytes),
+            secs(ac_t),
+            mb(red_ac.stats.modelled_memory_bytes),
+        ]);
+        println!(
+            "fmax = {:.1} GHz: {} poles, worst |Z| error below fmax = {:.2} % (spec 5 %)",
+            fmax / 1e9,
+            red.model.num_poles(),
+            worst_below * 100.0
+        );
     }
     print_table(
         "Table 2 (paper shape: poles 6/1/0 at 3/1/0.3 GHz; reduced AC orders faster than original)",

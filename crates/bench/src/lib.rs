@@ -128,8 +128,7 @@ pub fn reduce_deck(
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) =
         timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));
@@ -155,8 +154,7 @@ pub fn reduce_deck_laso(
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) =
         timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));

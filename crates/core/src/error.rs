@@ -28,6 +28,15 @@ pub enum PactError {
     Network(NetworkError),
     /// The accuracy specification was invalid.
     Cutoff(CutoffError),
+    /// The sparsification threshold was not a finite number in `[0, 1)`.
+    /// It is a fraction of each reduced matrix's largest entry: at 1 or
+    /// above every coupling element is dropped (ports lose their DC
+    /// path to each other), and NaN or a negative value would silently
+    /// turn sparsification off.
+    Sparsify {
+        /// The rejected threshold.
+        value: f64,
+    },
     /// The internal conductance block `D` is singular: the named internal
     /// node has no DC path to any port, so the congruence transform (and
     /// the paper's stability theorem, which needs `D ≻ 0`) is undefined.
@@ -47,19 +56,6 @@ pub enum PactError {
         /// Name of the offending internal node.
         node: String,
         /// The non-finite pivot encountered.
-        pivot: f64,
-    },
-    /// A user-supplied multipoint expansion point landed on (or within
-    /// relief tolerance of) a pole of the pencil `D + sE`: the shifted
-    /// factorization is numerically singular at that point. Attributed
-    /// to the internal node owning the vanishing pivot, like the
-    /// factorization errors above.
-    ExpansionPointAtPole {
-        /// The offending expansion point in hertz, as supplied.
-        point_hz: f64,
-        /// Name of the internal node most associated with the pole.
-        node: String,
-        /// Smallest pivot modulus divided by the largest.
         pivot: f64,
     },
     /// The Lanczos eigensolver did not converge near the cutoff.
@@ -90,9 +86,9 @@ impl PactError {
             PactError::Flatten(_) => "flatten",
             PactError::Network(_) => "network",
             PactError::Cutoff(_) => "cutoff",
+            PactError::Sparsify { .. } => "sparsify",
             PactError::SingularInternalConductance { .. } => "singular_internal_conductance",
             PactError::NonFiniteInternalConductance { .. } => "non_finite_internal_conductance",
-            PactError::ExpansionPointAtPole { .. } => "expansion_point_at_pole",
             PactError::Lanczos(_) => "lanczos",
             PactError::Eigen(_) => "eigen",
             PactError::Io { .. } => "io",
@@ -133,22 +129,6 @@ impl PactError {
             ReduceError::Factor(fe) => PactError::Internal {
                 message: format!("conductance block factorization failed: {fe}"),
             },
-            ReduceError::ExpansionPointAtPole {
-                point_hz,
-                index,
-                pivot,
-            } => {
-                let node = network
-                    .node_names
-                    .get(network.num_ports + index)
-                    .cloned()
-                    .unwrap_or_else(|| format!("internal#{index}"));
-                PactError::ExpansionPointAtPole {
-                    point_hz,
-                    node,
-                    pivot,
-                }
-            }
             ReduceError::Lanczos(le) => PactError::Lanczos(le),
             ReduceError::Eigen(ee) => PactError::Eigen(ee),
             ReduceError::Network(ne) => PactError::Network(ne),
@@ -172,6 +152,11 @@ impl std::fmt::Display for PactError {
             PactError::Flatten(e) => write!(f, "flatten error: {e}"),
             PactError::Network(e) => write!(f, "extraction error: {e}"),
             PactError::Cutoff(e) => write!(f, "cutoff error: {e}"),
+            PactError::Sparsify { value } => write!(
+                f,
+                "sparsify threshold must be a finite number in [0, 1) \
+                 (0 disables sparsification), got {value}"
+            ),
             PactError::SingularInternalConductance { node, pivot } => write!(
                 f,
                 "internal node `{node}` has no DC path to any port \
@@ -182,17 +167,6 @@ impl std::fmt::Display for PactError {
                 "internal node `{node}` produced a non-finite pivot ({pivot}) \
                  in the conductance block — the deck carries a NaN or \
                  infinite value"
-            ),
-            PactError::ExpansionPointAtPole {
-                point_hz,
-                node,
-                pivot,
-            } => write!(
-                f,
-                "expansion point {point_hz:.6e} Hz lies on a pole of the pencil \
-                 near internal node `{node}` (relative pivot {pivot:.3e}); \
-                 choose a point away from the pole, e.g. a positive \
-                 (imaginary-axis) frequency"
             ),
             PactError::Lanczos(e) => write!(f, "pole analysis failed: {e}"),
             PactError::Eigen(e) => write!(f, "dense eigendecomposition failed: {e}"),

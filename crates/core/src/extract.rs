@@ -15,8 +15,7 @@
 //!    thousands-of-segments series chains that PACT would otherwise
 //!    factor at full size;
 //! 3. reduce every ported component through a [`ReductionSession`]
-//!    (flat, hierarchical, or multipoint — whatever the session's
-//!    options select);
+//!    (flat or hierarchical — whatever the session's options select);
 //! 4. re-stitch the reduced realizations back into the deck
 //!    ([`pact_netlist::splice_reduced`]), leaving every non-RC device,
 //!    model and analysis card untouched, so the simulator runs the

@@ -144,7 +144,7 @@ pub(crate) fn reduce_network_hier(
         )
         .into_iter()
         .collect::<Result<_, ReduceError>>()?;
-    let kernel = opts.chol_kernel.resolved();
+    let kernel = opts.chol_kernel;
     let mut probe = session.cache_snapshot();
     let mut seen = BTreeSet::new();
     let mut unique: Vec<usize> = Vec::new();

@@ -182,7 +182,7 @@ pub(crate) fn reduce_prepared_leaf(
         Some(rel_threshold) => PivotPolicy::Perturb { rel_threshold },
         None => PivotPolicy::Error,
     };
-    let kernel = leaf_opts.chol_kernel.resolved();
+    let kernel = leaf_opts.chol_kernel;
     let factor_start = Instant::now();
     let factored = factor_cached(
         cache,

@@ -60,9 +60,7 @@ pub mod extract;
 pub mod hier;
 pub mod json;
 pub mod lru;
-mod matrix_free;
 mod model;
-pub mod multipoint;
 mod partition;
 mod reduce;
 mod sanitize;
@@ -82,7 +80,6 @@ pub use extract::{
     ExtractOptions,
 };
 pub use lru::LruCache;
-pub use matrix_free::{reduce_matrix_free, DSolver, PcgSolver};
 pub use model::ReducedModel;
 pub use pact_sparse::CholKernel;
 pub use partition::Partitions;

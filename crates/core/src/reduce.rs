@@ -44,18 +44,6 @@ pub enum ReduceStrategy {
         /// Maximum dissection recursion depth.
         max_depth: usize,
     },
-    /// Multipoint moment expansion ([`crate::multipoint`]): moment-
-    /// matching bases computed at s = 0 plus shifted expansion points
-    /// (auto-selected from the cutoff spec unless
-    /// [`ReduceOptions::expansion_points`] overrides them), stacked and
-    /// orthonormalized, with one congruence projection of `(G, C)` so
-    /// the reduced model stays provably passive like flat PACT.
-    Multipoint {
-        /// Number of auto-selected shifted expansion points (in addition
-        /// to the always-included s = 0 moment block). Ignored when
-        /// [`ReduceOptions::expansion_points`] is set.
-        num_points: usize,
-    },
 }
 
 /// Options controlling a reduction.
@@ -87,21 +75,11 @@ pub struct ReduceOptions {
     /// divide-and-conquer over a nested-dissection partition tree.
     pub strategy: ReduceStrategy,
     /// Numeric Cholesky kernel for factoring `D`:
-    /// [`CholKernel::Auto`] (default) resolves to the supernodal blocked
-    /// kernel unless `PACT_CHOL_KERNEL=scalar` is set;
-    /// [`CholKernel::Scalar`] forces the scalar up-looking reference
-    /// kernel (the A/B escape hatch for benchmarking). Retained poles
-    /// agree between the kernels to floating-point roundoff.
+    /// [`CholKernel::Supernodal`] (default) is the blocked kernel;
+    /// [`CholKernel::Scalar`] is the up-looking reference kernel the
+    /// parity tests and the Section-4 study compare against. Retained
+    /// poles agree between the kernels to floating-point roundoff.
     pub chol_kernel: CholKernel,
-    /// Explicit expansion-point override for
-    /// [`ReduceStrategy::Multipoint`], in hertz. Positive values are
-    /// imaginary-axis points `s = j·2πf` (always regular for a passive
-    /// RC pencil); negative values are negative-real-axis shifts
-    /// `s = −2π|f|`, where the pencil's poles live — a point landing on
-    /// a pole fails with [`ReduceError::ExpansionPointAtPole`]. `None`
-    /// (the default) selects `num_points` log-spaced imaginary-axis
-    /// points from the cutoff spec. Ignored by the other strategies.
-    pub expansion_points: Option<Vec<f64>>,
 }
 
 impl ReduceOptions {
@@ -115,8 +93,7 @@ impl ReduceOptions {
             threads: None,
             pivot_relief: None,
             strategy: ReduceStrategy::Flat,
-            chol_kernel: CholKernel::Auto,
-            expansion_points: None,
+            chol_kernel: CholKernel::Supernodal,
         }
     }
 }
@@ -157,20 +134,6 @@ pub enum ReduceError {
     /// A sub-network rejected during hierarchical reduction (per-block
     /// sanitization found non-physical element values).
     Network(pact_netlist::NetworkError),
-    /// A user-supplied multipoint expansion point landed on (or within
-    /// relief tolerance of) a pole of the pencil `D + sE`, making the
-    /// shifted factorization numerically singular. `index` is the
-    /// internal-node index of the vanishing pivot's column (the node the
-    /// pole is most associated with); `pivot` is the pivot modulus
-    /// relative to the largest pivot.
-    ExpansionPointAtPole {
-        /// The offending expansion point in hertz, as supplied.
-        point_hz: f64,
-        /// Internal-node index of the near-zero pivot column.
-        index: usize,
-        /// Smallest pivot modulus divided by the largest.
-        pivot: f64,
-    },
 }
 
 impl std::fmt::Display for ReduceError {
@@ -180,16 +143,6 @@ impl std::fmt::Display for ReduceError {
             ReduceError::Lanczos(e) => write!(f, "pole analysis failed: {e}"),
             ReduceError::Eigen(e) => write!(f, "dense eigendecomposition failed: {e}"),
             ReduceError::Network(e) => write!(f, "block sanitization rejected the network: {e}"),
-            ReduceError::ExpansionPointAtPole {
-                point_hz,
-                index,
-                pivot,
-            } => write!(
-                f,
-                "expansion point {point_hz:.6e} Hz lies on a pole of the pencil \
-                 (internal node {index}, relative pivot {pivot:.3e}); move the \
-                 point off the negative real axis or away from the pole"
-            ),
         }
     }
 }
@@ -364,15 +317,6 @@ pub(crate) fn remap_factor_index(
                 pivot,
             })
         }
-        ReduceError::ExpansionPointAtPole {
-            point_hz,
-            index,
-            pivot,
-        } => ReduceError::ExpansionPointAtPole {
-            point_hz,
-            index: remap(index),
-            pivot,
-        },
         other => other,
     }
 }

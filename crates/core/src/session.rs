@@ -1,14 +1,13 @@
-//! A reusable reduction session: cached symbolic analyses plus scratch
-//! arenas shared across reductions.
+//! A reusable reduction session: cached symbolic analyses shared across
+//! reductions.
 //!
 //! Reducing many decks of the same extraction flow repeats the same
 //! sparsity patterns over and over — the expensive symbolic Cholesky
 //! analysis (ordering + elimination tree + fill pattern) of each pattern
 //! only needs to happen once. [`ReductionSession`] owns a
-//! pattern-keyed cache of [`SymbolicCholesky`] analyses and a pool of
-//! scratch buffers; every reduction path (flat, hierarchical per-leaf,
-//! matrix-free) runs through it. A one-shot [`crate::reduce`] call is
-//! just a throwaway session.
+//! pattern-keyed cache of [`SymbolicCholesky`] analyses; every reduction
+//! path (flat and hierarchical per-leaf) runs through it. A one-shot
+//! [`crate::reduce`] call is just a throwaway session.
 //!
 //! Determinism contract: a cache hit replays the cached permutation and
 //! fill pattern through [`SymbolicCholesky::refactor`], which is
@@ -23,8 +22,8 @@ use std::time::Instant;
 use pact_lanczos::LanczosStats;
 use pact_netlist::{RcNetwork, Stamped};
 use pact_sparse::{
-    CholKernel, CscMat, CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy,
-    SparseCholesky, SymbolicCholesky, SymbolicLu,
+    CholKernel, CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy,
+    SparseCholesky, SymbolicCholesky,
 };
 
 use crate::backend;
@@ -121,35 +120,8 @@ fn pattern_key(a: &CsrMat) -> u64 {
     a.pattern_key()
 }
 
-/// A bounded pool of `f64` scratch buffers reused across reductions.
-#[derive(Default)]
-pub(crate) struct ScratchPool {
-    bufs: Vec<Vec<f64>>,
-}
-
-impl ScratchPool {
-    /// A zeroed buffer of length `len`, recycled when possible.
-    pub(crate) fn take(&mut self, len: usize) -> Vec<f64> {
-        match self.bufs.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(len, 0.0);
-                v
-            }
-            None => vec![0.0; len],
-        }
-    }
-
-    /// Returns a buffer to the pool.
-    pub(crate) fn put(&mut self, v: Vec<f64>) {
-        if self.bufs.len() < 32 {
-            self.bufs.push(v);
-        }
-    }
-}
-
 /// A reusable reduction context: options plus the symbolic-analysis
-/// cache and scratch arenas shared by every reduction it runs.
+/// cache shared by every reduction it runs.
 ///
 /// ```
 /// use pact::{CutoffSpec, ReduceOptions, ReductionSession};
@@ -168,14 +140,6 @@ impl ScratchPool {
 pub struct ReductionSession {
     opts: ReduceOptions,
     cache: SymbolicCache,
-    /// Symbolic LU analyses of shifted-pencil union patterns, keyed by
-    /// [`pact_sparse::CscPencil::pattern_key`] and verified exactly via
-    /// [`SymbolicLu::matches`] before a hit is trusted — the multipoint
-    /// strategy's analogue of the Cholesky cache above. One analysis
-    /// serves every expansion point of a pencil (real at s = 0, complex
-    /// on the imaginary axis) and every warm deck of the same topology.
-    lu_cache: LruCache<u64, Arc<SymbolicLu>>,
-    pub(crate) scratch: ScratchPool,
 }
 
 // A session is owned by one serving worker at a time and moves between
@@ -191,7 +155,6 @@ const _: () = {
     assert_send::<ReductionSession>();
     assert_send_sync::<SymbolicCache>();
     assert_send_sync::<SymbolicCholesky>();
-    assert_send_sync::<SymbolicLu>();
 };
 
 impl ReductionSession {
@@ -200,8 +163,6 @@ impl ReductionSession {
         ReductionSession {
             opts,
             cache: SymbolicCache::default(),
-            lu_cache: LruCache::new(CACHE_CAP),
-            scratch: ScratchPool::default(),
         }
     }
 
@@ -216,8 +177,6 @@ impl ReductionSession {
         ReductionSession {
             opts,
             cache: SymbolicCache::with_capacity(cap),
-            lu_cache: LruCache::new(cap),
-            scratch: ScratchPool::default(),
         }
     }
 
@@ -275,9 +234,6 @@ impl ReductionSession {
                 max_block,
                 max_depth,
             } => crate::hier::reduce_network_hier(self, network, max_block, max_depth),
-            ReduceStrategy::Multipoint { num_points } => {
-                crate::multipoint::reduce_network_multipoint(self, network, num_points)
-            }
         }
     }
 
@@ -437,28 +393,6 @@ impl ReductionSession {
         ))
     }
 
-    /// Number of shifted-pencil symbolic LU analyses currently cached
-    /// (the multipoint strategy's analogue of [`Self::cached_patterns`]).
-    pub fn cached_lu_patterns(&self) -> usize {
-        self.lu_cache.len()
-    }
-
-    /// Looks up a cached symbolic LU analysis for the union pattern of a
-    /// shifted pencil, verifying the exact pattern against `a0` (the
-    /// pencil evaluated on its union structure) before trusting the
-    /// fingerprint hit — same collision discipline as the Cholesky cache.
-    pub(crate) fn lu_lookup(&mut self, key: u64, a0: &CscMat<f64>) -> Option<Arc<SymbolicLu>> {
-        self.lu_cache
-            .get_if(&key, |sym| sym.matches(a0))
-            .map(Arc::clone)
-    }
-
-    /// Caches a symbolic LU analysis under a pencil's pattern key
-    /// (same-key entries replace: newest wins).
-    pub(crate) fn lu_insert(&mut self, key: u64, sym: Arc<SymbolicLu>) {
-        self.lu_cache.insert(key, sym);
-    }
-
     /// Factors `D`, reusing a cached symbolic analysis when the sparsity
     /// pattern has been seen before (bit-identical to a fresh factor).
     pub(crate) fn factor_internal(
@@ -466,7 +400,7 @@ impl ReductionSession {
         d: &CsrMat,
         policy: PivotPolicy,
     ) -> Result<(SparseCholesky, FactorDiagnostics, bool), FactorError> {
-        let kernel = self.opts.chol_kernel.resolved();
+        let kernel = self.opts.chol_kernel;
         let key = pattern_key(d);
         if let Some(sym) = self.cache.lookup(key, self.opts.ordering, kernel, d) {
             let (chol, diag) = sym.refactor(d, policy)?;
@@ -684,7 +618,7 @@ mod tests {
         let da = Partitions::split(&net_a.stamp()).d;
         let db = Partitions::split(&net_b.stamp()).d;
         let ordering = Ordering::NestedDissection;
-        let kernel = CholKernel::Auto.resolved();
+        let kernel = CholKernel::Supernodal;
         let factor = |d: &CsrMat| {
             let (_, _, sym) = SparseCholesky::factor_analyzed_with_kernel(
                 d,
@@ -714,15 +648,5 @@ mod tests {
         assert!(cache
             .lookup(db.pattern_key(), ordering, kernel, &db)
             .is_some());
-    }
-
-    #[test]
-    fn scratch_pool_recycles_buffers() {
-        let mut pool = ScratchPool::default();
-        let mut v = pool.take(8);
-        v[3] = 7.0;
-        pool.put(v);
-        let w = pool.take(4);
-        assert_eq!(w, vec![0.0; 4], "recycled buffers are zeroed");
     }
 }

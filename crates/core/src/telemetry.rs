@@ -96,18 +96,6 @@ pub struct Counters {
     pub hier_portless_blocks_dropped: u64,
     /// Depth of the nested-dissection tree (peak; takes max).
     pub hier_tree_depth: u64,
-    /// Expansion points used by the multipoint strategy (shifted points;
-    /// the always-present s = 0 moment block is not counted).
-    pub multipoint_points: u64,
-    /// Orthonormal basis columns after stacking and deduplication — the
-    /// dimension of the projected pencil.
-    pub multipoint_basis_columns: u64,
-    /// Candidate basis columns dropped as linearly dependent during
-    /// orthonormalization.
-    pub multipoint_basis_dropped: u64,
-    /// Moment-matching (non-spectral) candidate columns generated across
-    /// all expansion points before orthonormalization.
-    pub multipoint_moment_poles: u64,
     /// Degree-2 RC chains collapsed by the series-chain pre-pass
     /// (`pact::extract::collapse_chains`).
     pub chains_collapsed: u64,
@@ -160,10 +148,6 @@ impl Counters {
         self.hier_leaf_pattern_reuses += other.hier_leaf_pattern_reuses;
         self.hier_portless_blocks_dropped += other.hier_portless_blocks_dropped;
         self.hier_tree_depth = self.hier_tree_depth.max(other.hier_tree_depth);
-        self.multipoint_points += other.multipoint_points;
-        self.multipoint_basis_columns += other.multipoint_basis_columns;
-        self.multipoint_basis_dropped += other.multipoint_basis_dropped;
-        self.multipoint_moment_poles += other.multipoint_moment_poles;
         self.chains_collapsed += other.chains_collapsed;
         self.nodes_eliminated += other.nodes_eliminated;
         self.extract_subnets += other.extract_subnets;
@@ -210,10 +194,6 @@ impl Counters {
                 self.hier_portless_blocks_dropped,
             ),
             ("hier_tree_depth", self.hier_tree_depth),
-            ("multipoint_points", self.multipoint_points),
-            ("multipoint_basis_columns", self.multipoint_basis_columns),
-            ("multipoint_basis_dropped", self.multipoint_basis_dropped),
-            ("multipoint_moment_poles", self.multipoint_moment_poles),
             ("chains_collapsed", self.chains_collapsed),
             ("nodes_eliminated", self.nodes_eliminated),
             ("extract_subnets", self.extract_subnets),
@@ -355,11 +335,10 @@ impl std::fmt::Display for Warning {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EigenChoice {
     /// Which block this record describes (`"flat"`, `"leaf3"`, `"top"`,
-    /// `"component2"`, `"pencil"`).
+    /// `"component2"`).
     pub scope: String,
-    /// Backend that ran: `"dense"`, `"lanczos"`, `"lowrank"`,
-    /// `"pencil_lanczos"` for the matrix-free path, or `"schur"` for the
-    /// hierarchical two-level leaf path (Gram eigenanalysis on the
+    /// Backend that ran: `"dense"`, `"lanczos"`, `"lowrank"`, or
+    /// `"schur"` for the hierarchical two-level leaf path (Gram eigenanalysis on the
     /// factored Schur complement, residues read off the moment panel).
     pub backend: &'static str,
     /// Dimension of the internal block the backend decomposed.

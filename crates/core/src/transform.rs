@@ -155,24 +155,6 @@ impl Transform1 {
         Some(&self.xs[k * self.m..(k + 1) * self.m])
     }
 
-    /// Column `j` of `P = R − E·D⁻¹Q` (length `n`), from `rt = Rᵀ` and
-    /// `X_S` alone — `E·X` vanishes outside `S`. Each entry sums its `E`
-    /// row in storage order, as [`CsrMat::matvec_into`] does.
-    pub(crate) fn p_column(&self, p: &Partitions, rt: &CsrMat, j: usize) -> Vec<f64> {
-        let mut col = vec![0.0f64; self.n];
-        for (i, v) in rt.row_iter(j) {
-            col[i] = v;
-        }
-        for &i in &self.s_rows {
-            let mut ex = 0.0;
-            for (t, e) in p.e.row_iter(i) {
-                ex += e * self.x_row(t).map_or(0.0, |x| x[j]);
-            }
-            col[i] -= ex;
-        }
-        col
-    }
-
     /// Bytes held by the `X_S` panel (`|S|·m·8`).
     pub(crate) fn x_s_bytes(&self) -> usize {
         self.xs.len() * std::mem::size_of::<f64>()

@@ -117,36 +117,3 @@ fn backside_contact_is_required_for_definiteness() {
     );
     assert!(ok.is_ok(), "mesh with surface contacts must be reducible");
 }
-
-#[test]
-fn matrix_free_pcg_reduction_works_on_mesh() {
-    // The fully matrix-free path (pencil Lanczos + PCG D-solves, no
-    // factorization at all) must agree with the standard reduction on the
-    // paper's mesh operator class.
-    let net = small_mesh();
-    let spec = CutoffSpec::new(2e9, 0.05).unwrap();
-    let standard = pact::reduce_network(&net, &ReduceOptions::new(spec)).unwrap();
-    let parts = Partitions::split(&net.stamp());
-    let ports = net.node_names[..net.num_ports].to_vec();
-    let solver = pact::PcgSolver::new(&parts.d).unwrap();
-    let mf = pact::reduce_matrix_free(&parts, &ports, &spec, &solver).unwrap();
-    assert_eq!(mf.model.num_poles(), standard.model.num_poles());
-    for (a, b) in mf.model.lambdas.iter().zip(&standard.model.lambdas) {
-        assert!((a - b).abs() < 1e-5 * a, "{a} vs {b}");
-    }
-    assert!(mf.model.is_passive(1e-7));
-    // Admittance agreement at the band edge.
-    let f = 2e9;
-    let ya = mf.model.y_at(f);
-    let yb = standard.model.y_at(f);
-    let m = parts.m;
-    let scale = (0..m)
-        .flat_map(|i| (0..m).map(move |j| (i, j)))
-        .map(|(i, j)| yb[(i, j)].abs())
-        .fold(1e-300, f64::max);
-    for i in 0..m {
-        for j in 0..m {
-            assert!((ya[(i, j)] - yb[(i, j)]).abs() < 1e-5 * scale);
-        }
-    }
-}

@@ -87,8 +87,7 @@ fn reduce_with_threads(net: &RcNetwork, eigen_backend: &EigenSelect, threads: us
         threads: Some(threads),
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        expansion_points: None,
-        chol_kernel: pact::CholKernel::Auto,
+        chol_kernel: pact::CholKernel::Supernodal,
     };
     pact::reduce_network(net, &opts).unwrap()
 }

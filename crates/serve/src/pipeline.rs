@@ -8,8 +8,8 @@
 //! construction: both front ends call [`prepare_deck`],
 //! [`reduce_prepared`] and [`render_reduced`] in that order, and neither
 //! owns any numeric decision of its own. Option resolution (including
-//! the historical `--dense` alias and the pivot-relief default) lives
-//! here for the same reason.
+//! the pivot-relief default and the range checks) lives here for the
+//! same reason.
 
 use pact::{
     collapse_chains, sanitize_network, ChainCollapseSpec, CholKernel, ComponentReduction,
@@ -74,52 +74,18 @@ impl EigenArg {
     }
 }
 
-/// The `--strategy` flag / `"strategy"` option: how the reduction is
-/// executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StrategyArg {
-    /// One-shot flat PACT over the whole network.
-    Flat,
-    /// Nested-dissection divide-and-conquer.
-    Hier,
-    /// Multipoint moment expansion with congruence projection.
-    Multipoint,
-}
-
-impl StrategyArg {
-    /// Parses the spelling shared by `rcfit --strategy` and the daemon's
-    /// `"strategy"` option.
-    pub fn parse(s: &str) -> Result<StrategyArg, String> {
-        match s {
-            "flat" => Ok(StrategyArg::Flat),
-            "hier" => Ok(StrategyArg::Hier),
-            "multipoint" => Ok(StrategyArg::Multipoint),
-            other => Err(format!(
-                "strategy expects flat, hier, or multipoint (got `{other}`)"
-            )),
-        }
-    }
-
-    /// The canonical spelling (inverse of [`StrategyArg::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            StrategyArg::Flat => "flat",
-            StrategyArg::Hier => "hier",
-            StrategyArg::Multipoint => "multipoint",
-        }
-    }
-}
-
 /// Everything a deck reduction depends on beyond the deck text itself:
 /// the resolved form of the `rcfit` CLI flags and of the `rcfitd`
 /// request `options` object.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeckOptions {
     /// Maximum frequency of interest (Hz).
     pub f_max: f64,
     /// Relative error tolerance at `f_max`.
     pub tolerance: f64,
-    /// Element-dropping tolerance for the realized reduced network.
+    /// Element-dropping tolerance for the realized reduced network: a
+    /// fraction in `[0, 1)` of each reduced matrix's largest entry
+    /// (0 disables sparsification).
     pub sparsify: f64,
     /// Node names forced to be ports beyond the paper's port rule.
     pub extra_ports: Vec<String>,
@@ -127,8 +93,6 @@ pub struct DeckOptions {
     pub threads: Option<usize>,
     /// Explicit eigen backend choice, if any.
     pub eigen: Option<EigenArg>,
-    /// The historical `--dense` alias for the low-rank path.
-    pub dense: bool,
     /// Reduce each connected component separately.
     pub components: bool,
     /// Fail on quasi-singular pivots instead of perturbing them.
@@ -139,15 +103,6 @@ pub struct DeckOptions {
     pub block_size: usize,
     /// `--max-depth`: dissection recursion budget.
     pub max_depth: usize,
-    /// Numeric Cholesky kernel selection.
-    pub chol_kernel: CholKernel,
-    /// Explicit execution-strategy choice, if any (`--strategy` /
-    /// `"strategy"`). `None` keeps the historical resolution: `hier`
-    /// when the `--hier` alias is set, flat otherwise.
-    pub strategy: Option<StrategyArg>,
-    /// Explicit multipoint expansion points in hertz (`--points` /
-    /// `"points"`), validated to be finite and nonzero at the edges.
-    pub points: Option<Vec<f64>>,
     /// Reduce each maximal ported RC subnetwork independently
     /// (`--extract` / `"extract"`): the embedded-parasitics flow, where
     /// every RC island with its own boundary ports gets its own reduced
@@ -172,15 +127,11 @@ impl Default for DeckOptions {
             extra_ports: Vec::new(),
             threads: None,
             eigen: None,
-            dense: false,
             components: false,
             strict_pivots: false,
             hier: false,
             block_size: DEFAULT_BLOCK_SIZE,
             max_depth: DEFAULT_MAX_DEPTH,
-            chol_kernel: CholKernel::Auto,
-            strategy: None,
-            points: None,
             extract: false,
             collapse_chains: false,
             chain_tol: DEFAULT_CHAIN_TOL,
@@ -189,28 +140,33 @@ impl Default for DeckOptions {
 }
 
 impl DeckOptions {
-    /// Resolves the eigen choice: an explicit `eigen` wins, bare `dense`
-    /// keeps its historical low-rank meaning, and the default is
-    /// shift-invert Lanczos.
+    /// Resolves the eigen choice: shift-invert Lanczos unless `eigen`
+    /// names another backend.
     pub fn eigen_select(&self) -> EigenSelect {
         match self.eigen {
             Some(EigenArg::Auto) => EigenSelect::Auto,
             Some(EigenArg::Dense) => EigenSelect::Dense,
-            Some(EigenArg::Lanczos) => EigenSelect::Lanczos(LanczosConfig::default()),
+            Some(EigenArg::Lanczos) | None => EigenSelect::Lanczos(LanczosConfig::default()),
             Some(EigenArg::LowRank) => EigenSelect::LowRank,
-            None if self.dense => EigenSelect::LowRank,
-            None => EigenSelect::Lanczos(LanczosConfig::default()),
         }
     }
 
-    /// The fully resolved reduction options.
+    /// The fully resolved reduction options. Both front ends call this
+    /// before any deck work, so range checks that must agree between
+    /// them live here.
     ///
     /// # Errors
     ///
     /// Fails (code `cutoff`) when `f_max`/`tolerance` do not define a
-    /// valid cutoff.
+    /// valid cutoff, and (code `sparsify`) when `sparsify` is not a
+    /// finite number in `[0, 1)`.
     pub fn reduce_options(&self) -> Result<ReduceOptions, PactError> {
         let cutoff = CutoffSpec::new(self.f_max, self.tolerance)?;
+        if !(0.0..1.0).contains(&self.sparsify) {
+            return Err(PactError::Sparsify {
+                value: self.sparsify,
+            });
+        }
         Ok(ReduceOptions {
             cutoff,
             eigen_backend: self.eigen_select(),
@@ -223,29 +179,20 @@ impl DeckOptions {
                 Some(PIVOT_RELIEF)
             },
             strategy: self.reduce_strategy(),
-            expansion_points: self.points.clone(),
-            chol_kernel: self.chol_kernel,
+            chol_kernel: CholKernel::Supernodal,
         })
     }
 
-    /// Resolves the execution strategy: an explicit `strategy` wins,
-    /// the bare `--hier` alias keeps its historical meaning, and the
-    /// default is flat.
+    /// Resolves the execution strategy: hierarchical when `hier` is set,
+    /// flat otherwise.
     pub fn reduce_strategy(&self) -> ReduceStrategy {
-        match self.strategy {
-            Some(StrategyArg::Multipoint) => ReduceStrategy::Multipoint {
-                num_points: pact::multipoint::DEFAULT_NUM_POINTS,
-            },
-            Some(StrategyArg::Hier) => ReduceStrategy::Hierarchical {
+        if self.hier {
+            ReduceStrategy::Hierarchical {
                 max_block: self.block_size,
                 max_depth: self.max_depth,
-            },
-            Some(StrategyArg::Flat) => ReduceStrategy::Flat,
-            None if self.hier => ReduceStrategy::Hierarchical {
-                max_block: self.block_size,
-                max_depth: self.max_depth,
-            },
-            None => ReduceStrategy::Flat,
+            }
+        } else {
+            ReduceStrategy::Flat
         }
     }
 
@@ -273,36 +220,16 @@ impl DeckOptions {
     /// which networks go through the session without changing its
     /// numeric options.
     pub fn session_key(&self) -> String {
-        let eigen = match self.eigen {
-            Some(e) => e.name(),
-            None if self.dense => "lowrank",
-            None => "lanczos",
-        };
+        let eigen = self.eigen.unwrap_or(EigenArg::Lanczos).name();
         let strategy = match self.reduce_strategy() {
             ReduceStrategy::Flat => "flat".to_owned(),
             ReduceStrategy::Hierarchical {
                 max_block,
                 max_depth,
             } => format!("hier:{max_block}:{max_depth}"),
-            ReduceStrategy::Multipoint { num_points } => {
-                let points = match &self.points {
-                    Some(p) => p
-                        .iter()
-                        .map(|f| format!("{f:e}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    None => "auto".to_owned(),
-                };
-                format!("multipoint:{num_points}:{points}")
-            }
-        };
-        let kernel = match self.chol_kernel {
-            CholKernel::Auto => "auto",
-            CholKernel::Supernodal => "supernodal",
-            CholKernel::Scalar => "scalar",
         };
         format!(
-            "fmax={};tol={};eigen={eigen};threads={:?};strict={};strategy={strategy};kernel={kernel}",
+            "fmax={};tol={};eigen={eigen};threads={:?};strict={};strategy={strategy}",
             self.f_max, self.tolerance, self.threads, self.strict_pivots
         )
     }
@@ -685,70 +612,24 @@ mod tests {
     }
 
     #[test]
-    fn strategy_arg_round_trips_and_rejects_unknowns() {
-        for s in ["flat", "hier", "multipoint"] {
-            assert_eq!(StrategyArg::parse(s).unwrap().name(), s);
+    fn accepted_sparsify_thresholds_keep_the_port_to_port_coupling() {
+        // A threshold of 1 turns this ladder's in–out coupling into two
+        // resistors to ground, which loses the DC transfer.
+        let deck = "* ladder\nR1 in n1 100\nR2 n1 n2 100\nR3 n2 out 100\n\
+                    C1 n1 0 1p\nC2 n2 0 2p\nC3 out 0 1p\n.end\n";
+        let opts = DeckOptions {
+            extra_ports: vec!["in".to_owned(), "out".to_owned()],
+            ..DeckOptions::default()
+        };
+        let prep = prepare_deck(deck, &opts).unwrap();
+        let mut session = ReductionSession::new(opts.reduce_options().unwrap());
+        let red = reduce_prepared(&prep, &mut session, &opts).unwrap();
+        for sparsify in [0.0, opts.sparsify] {
+            let couples = red.to_netlist_elements("x", sparsify).iter().any(|e| {
+                matches!(&e.kind, pact_netlist::ElementKind::Resistor { a, b, .. }
+                    if (a == "in" && b == "out") || (a == "out" && b == "in"))
+            });
+            assert!(couples, "sparsify {sparsify} dropped the in-out resistor");
         }
-        let err = StrategyArg::parse("quadtree").unwrap_err();
-        assert!(err.contains("quadtree"), "error names the bad value: {err}");
-    }
-
-    #[test]
-    fn explicit_strategy_overrides_the_hier_alias() {
-        let o = DeckOptions {
-            hier: true,
-            strategy: Some(StrategyArg::Flat),
-            ..DeckOptions::default()
-        };
-        assert!(matches!(o.reduce_strategy(), ReduceStrategy::Flat));
-        let m = DeckOptions {
-            strategy: Some(StrategyArg::Multipoint),
-            points: Some(vec![5e8, -2e9]),
-            ..DeckOptions::default()
-        };
-        assert!(matches!(
-            m.reduce_strategy(),
-            ReduceStrategy::Multipoint { .. }
-        ));
-        let opts = m.reduce_options().unwrap();
-        assert_eq!(opts.expansion_points.as_deref(), Some(&[5e8, -2e9][..]));
-    }
-
-    #[test]
-    fn session_key_tracks_strategy_and_points() {
-        let a = DeckOptions::default();
-        let m = DeckOptions {
-            strategy: Some(StrategyArg::Multipoint),
-            ..DeckOptions::default()
-        };
-        assert_ne!(a.session_key(), m.session_key());
-        let mp = DeckOptions {
-            points: Some(vec![1e9]),
-            ..m.clone()
-        };
-        assert_ne!(m.session_key(), mp.session_key());
-        let hier_alias = DeckOptions {
-            hier: true,
-            ..DeckOptions::default()
-        };
-        let hier_explicit = DeckOptions {
-            strategy: Some(StrategyArg::Hier),
-            ..DeckOptions::default()
-        };
-        assert_eq!(
-            hier_alias.session_key(),
-            hier_explicit.session_key(),
-            "alias and explicit spelling resolve to the same session"
-        );
-    }
-
-    #[test]
-    fn dense_alias_and_eigen_override_resolve_like_the_cli() {
-        let mut o = DeckOptions::default();
-        assert!(matches!(o.eigen_select(), EigenSelect::Lanczos(_)));
-        o.dense = true;
-        assert!(matches!(o.eigen_select(), EigenSelect::LowRank));
-        o.eigen = Some(EigenArg::Dense);
-        assert!(matches!(o.eigen_select(), EigenSelect::Dense));
     }
 }

@@ -9,9 +9,9 @@
 //! - `deck` — the SPICE deck text inline, or `path` — a file to read
 //!   server-side. Exactly one of the two for `reduce`.
 //! - `options` — an object mirroring the `rcfit` flags (`fmax`, `tol`,
-//!   `sparsify`, `ports`, `threads`, `eigen`, `dense`, `components`,
-//!   `strict_pivots`, `hier`, `block_size`, `max_depth`, `chol_kernel`,
-//!   `strategy`, `points`, `extract`, `collapse_chains`, `chain_tol`).
+//!   `sparsify`, `ports`, `threads`, `eigen`, `components`,
+//!   `strict_pivots`, `hier`, `block_size`, `max_depth`, `extract`,
+//!   `collapse_chains`, `chain_tol`).
 //!
 //! Unknown request fields and unknown option keys are *rejected* (code
 //! `unknown_option`) rather than ignored: a silently dropped option
@@ -26,10 +26,9 @@
 //! `unknown_option`, `deck_too_large` and `overloaded`.
 
 use pact::json::Value;
-use pact::CholKernel;
 use pact_netlist::parse_value;
 
-use crate::pipeline::{DeckOptions, EigenArg, StrategyArg};
+use crate::pipeline::{DeckOptions, EigenArg};
 
 /// The response/request schema tag.
 pub const SCHEMA: &str = "rcfitd-v1";
@@ -167,72 +166,11 @@ fn apply_option(
             opts.eigen =
                 Some(EigenArg::parse(s).map_err(|e| ProtocolError::new(id, "bad_request", e))?);
         }
-        "dense" => opts.dense = as_bool(v, "dense", id)?,
         "components" => opts.components = as_bool(v, "components", id)?,
         "strict_pivots" => opts.strict_pivots = as_bool(v, "strict_pivots", id)?,
         "hier" => opts.hier = as_bool(v, "hier", id)?,
         "block_size" => opts.block_size = as_positive_int(v, "block_size", id)?,
         "max_depth" => opts.max_depth = as_positive_int(v, "max_depth", id)?,
-        "strategy" => {
-            let s = as_str(v, "strategy", id)?;
-            opts.strategy =
-                Some(StrategyArg::parse(s).map_err(|e| ProtocolError::new(id, "bad_request", e))?);
-        }
-        // `points` accepts JSON numbers or SPICE-suffixed strings
-        // ("500meg"), like `fmax`; negative values put the expansion
-        // point on the negative real axis.
-        "points" => {
-            let arr = v.as_arr().ok_or_else(|| {
-                ProtocolError::new(
-                    id,
-                    "bad_request",
-                    "`points` needs an array of frequencies (Hz)",
-                )
-            })?;
-            let mut points = Vec::with_capacity(arr.len());
-            for p in arr {
-                let f = match p {
-                    Value::Num(f) => *f,
-                    Value::Str(s) => {
-                        let (mag, neg) = match s.strip_prefix('-') {
-                            Some(rest) => (rest, true),
-                            None => (s.as_str(), false),
-                        };
-                        let v = parse_value(mag).map_err(|e| {
-                            ProtocolError::new(id, "bad_request", format!("`points`: {e}"))
-                        })?;
-                        if neg {
-                            -v
-                        } else {
-                            v
-                        }
-                    }
-                    _ => {
-                        return Err(ProtocolError::new(
-                            id,
-                            "bad_request",
-                            "`points` entries must be numbers or SPICE-suffixed strings",
-                        ))
-                    }
-                };
-                if !f.is_finite() || f == 0.0 {
-                    return Err(ProtocolError::new(
-                        id,
-                        "bad_request",
-                        "`points` entries must be finite and nonzero (the s = 0 moment is always matched)",
-                    ));
-                }
-                points.push(f);
-            }
-            if points.is_empty() {
-                return Err(ProtocolError::new(
-                    id,
-                    "bad_request",
-                    "`points` needs at least one frequency",
-                ));
-            }
-            opts.points = Some(points);
-        }
         "extract" => opts.extract = as_bool(v, "extract", id)?,
         "collapse_chains" => opts.collapse_chains = as_bool(v, "collapse_chains", id)?,
         "chain_tol" => {
@@ -245,22 +183,6 @@ fn apply_option(
                 ));
             }
             opts.chain_tol = tol;
-        }
-        "chol_kernel" => {
-            opts.chol_kernel = match as_str(v, "chol_kernel", id)? {
-                "auto" => CholKernel::Auto,
-                "supernodal" => CholKernel::Supernodal,
-                "scalar" => CholKernel::Scalar,
-                other => {
-                    return Err(ProtocolError::new(
-                        id,
-                        "bad_request",
-                        format!(
-                            "`chol_kernel` expects auto, supernodal, or scalar (got `{other}`)"
-                        ),
-                    ))
-                }
-            };
         }
         other => {
             return Err(ProtocolError::new(
@@ -353,34 +275,12 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
             }
         }
     }
-    // Cross-field validation. The CLI resolves `--hier` + `--strategy`
-    // by letting the explicit strategy win; the protocol rejects the
-    // combination outright so a caller can never be surprised by the
-    // resolution order.
-    if options.points.is_some() && options.strategy != Some(StrategyArg::Multipoint) {
-        return Err(ProtocolError::new(
-            &id,
-            "bad_request",
-            "`points` requires `\"strategy\":\"multipoint\"`",
-        ));
-    }
     if chain_tol_given && !options.collapse_chains {
         return Err(ProtocolError::new(
             &id,
             "bad_request",
             "`chain_tol` requires `\"collapse_chains\":true`",
         ));
-    }
-    if options.hier {
-        if let Some(s) = options.strategy {
-            if s != StrategyArg::Hier {
-                return Err(ProtocolError::new(
-                    &id,
-                    "bad_request",
-                    format!("`hier` conflicts with `\"strategy\":\"{}\"`", s.name()),
-                ));
-            }
-        }
     }
 
     let source = match (doc.get("deck"), doc.get("path")) {
@@ -543,59 +443,6 @@ mod tests {
             parse_request(r#"{"op":"shutdown"}"#, 100).unwrap().op,
             Op::Shutdown
         );
-    }
-
-    #[test]
-    fn strategy_and_points_options_parse_and_validate() {
-        let line =
-            r#"{"deck":"x","options":{"strategy":"multipoint","points":[5e8,"-2g","1meg"]}}"#;
-        let r = parse_request(line, DEFAULT_MAX_DECK_BYTES).unwrap();
-        assert_eq!(r.options.strategy, Some(StrategyArg::Multipoint));
-        assert_eq!(r.options.points.as_deref(), Some(&[5e8, -2e9, 1e6][..]));
-
-        let e = parse_request(
-            r#"{"deck":"x","options":{"strategy":"quadtree"}}"#,
-            DEFAULT_MAX_DECK_BYTES,
-        )
-        .unwrap_err();
-        assert_eq!(e.code, "bad_request");
-        assert!(e.message.contains("quadtree"));
-
-        for bad in [
-            r#"{"deck":"x","options":{"strategy":"multipoint","points":[0]}}"#,
-            r#"{"deck":"x","options":{"strategy":"multipoint","points":[]}}"#,
-            r#"{"deck":"x","options":{"strategy":"multipoint","points":"1g"}}"#,
-        ] {
-            let e = parse_request(bad, DEFAULT_MAX_DECK_BYTES).unwrap_err();
-            assert_eq!(e.code, "bad_request", "{bad}");
-        }
-    }
-
-    #[test]
-    fn cross_field_conflicts_are_bad_requests() {
-        let e = parse_request(
-            r#"{"deck":"x","options":{"points":[1e9]}}"#,
-            DEFAULT_MAX_DECK_BYTES,
-        )
-        .unwrap_err();
-        assert_eq!(e.code, "bad_request");
-        assert!(e.message.contains("multipoint"));
-
-        let e = parse_request(
-            r#"{"deck":"x","options":{"hier":true,"strategy":"flat"}}"#,
-            DEFAULT_MAX_DECK_BYTES,
-        )
-        .unwrap_err();
-        assert_eq!(e.code, "bad_request");
-        assert!(e.message.contains("conflicts"));
-
-        // `hier` plus the matching explicit spelling is fine.
-        let r = parse_request(
-            r#"{"deck":"x","options":{"hier":true,"strategy":"hier"}}"#,
-            DEFAULT_MAX_DECK_BYTES,
-        )
-        .unwrap();
-        assert_eq!(r.options.strategy, Some(StrategyArg::Hier));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   elimination tree and column counts, then a numeric pass computes one
 //!   row of `L` at a time with a sparse triangular solve over the row's
 //!   elimination-tree reach. Retained as the A/B reference behind
-//!   [`CholKernel::Scalar`] / `PACT_CHOL_KERNEL=scalar`.
+//!   [`CholKernel::Scalar`].
 //!
 //! Neither kernel requires dynamic fill-in reallocation, and both share
 //! the pivot policies and typed pivot errors below.
@@ -29,29 +29,11 @@ use crate::supernodal::{build_plan, refactor_numeric, SupernodalFactor, Supernod
 /// on it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CholKernel {
-    /// Resolve at analysis time: the `PACT_CHOL_KERNEL` environment
-    /// variable (`"scalar"`, case-insensitive) selects the scalar
-    /// reference kernel, anything else the supernodal default. This is
-    /// the A/B escape hatch for benchmarking the blocked path.
+    /// Blocked supernodal panels.
     #[default]
-    Auto,
-    /// Blocked supernodal panels (the default resolution of `Auto`).
     Supernodal,
     /// Scalar up-looking reference kernel.
     Scalar,
-}
-
-impl CholKernel {
-    /// Resolves [`CholKernel::Auto`] against the environment.
-    pub fn resolved(self) -> CholKernel {
-        match self {
-            CholKernel::Auto => match std::env::var("PACT_CHOL_KERNEL") {
-                Ok(v) if v.eq_ignore_ascii_case("scalar") => CholKernel::Scalar,
-                _ => CholKernel::Supernodal,
-            },
-            k => k,
-        }
-    }
 }
 
 /// Error from attempting to factor a matrix that is not symmetric positive
@@ -277,13 +259,13 @@ pub struct SymbolicCholesky {
 impl SymbolicCholesky {
     /// Runs the symbolic analysis (ordering + elimination tree + column
     /// counts + supernode detection) for a symmetric matrix pattern,
-    /// targeting the default kernel ([`CholKernel::Auto`]).
+    /// targeting the default kernel ([`CholKernel::Supernodal`]).
     ///
     /// # Errors
     ///
     /// [`FactorError::NotSquare`] for rectangular input.
     pub fn analyze(a: &CsrMat, ordering: Ordering) -> Result<Self, FactorError> {
-        Self::analyze_with_kernel(a, ordering, CholKernel::Auto)
+        Self::analyze_with_kernel(a, ordering, CholKernel::Supernodal)
     }
 
     /// Runs the symbolic analysis targeting an explicit numeric kernel.
@@ -306,7 +288,6 @@ impl SymbolicCholesky {
         if a.nrows() != a.ncols() {
             return Err(FactorError::NotSquare);
         }
-        let kernel = kernel.resolved();
         let perm = ordering.permutation(a);
         // First pass for the elimination tree, then re-analyze under the
         // postorder-composed permutation.
@@ -369,9 +350,9 @@ impl SymbolicCholesky {
             lp[k + 1] = lp[k] + lnz[k];
         }
 
-        let plan = match kernel.resolved() {
+        let plan = match kernel {
             CholKernel::Scalar => None,
-            _ => Some(Arc::new(build_plan(&parent, &lnz, &ap))),
+            CholKernel::Supernodal => Some(Arc::new(build_plan(&parent, &lnz, &ap))),
         };
 
         Ok(SymbolicCholesky {
@@ -777,14 +758,12 @@ impl SparseCholesky {
         ordering: Ordering,
         policy: PivotPolicy,
     ) -> Result<(Self, FactorDiagnostics, SymbolicCholesky), FactorError> {
-        Self::factor_analyzed_with_kernel(a, ordering, policy, CholKernel::Auto)
+        Self::factor_analyzed_with_kernel(a, ordering, policy, CholKernel::Supernodal)
     }
 
     /// [`SparseCholesky::factor_analyzed`] with an explicit numeric
     /// kernel — the in-process A/B switch between the supernodal and
-    /// scalar paths (tests and benches use this instead of the
-    /// `PACT_CHOL_KERNEL` environment variable to avoid cross-thread
-    /// races on the process environment).
+    /// scalar paths.
     ///
     /// # Errors
     ///

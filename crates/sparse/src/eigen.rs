@@ -4,11 +4,9 @@
 //! susceptance matrix `E'`. For small networks (and as the test oracle for
 //! the Lanczos path) a full dense decomposition is used: Householder
 //! tridiagonalization followed by the implicit-shift QL iteration — the
-//! classic EISPACK `tred2`/`tql2` pair.
-//!
-//! The tridiagonal-only entry point [`eig_tridiagonal`] is also the
-//! workhorse the Lanczos solver uses to extract Ritz values/vectors from
-//! its tridiagonal matrix `T` (eq. 17 of the paper).
+//! classic EISPACK `tred2`/`tql2` pair. The Lanczos solver uses the same
+//! routine to extract Ritz values/vectors from its projected matrix `T`
+//! (eq. 17 of the paper).
 
 use crate::dense::DMat;
 
@@ -25,8 +23,7 @@ pub enum EigenError {
     /// iterating: the QL deflation floor is derived from the matrix norm,
     /// and a NaN norm makes every deflation comparison silently false.
     NonFinite {
-        /// Row (for [`sym_eig`]) or tridiagonal index (for
-        /// [`eig_tridiagonal`]) of the first non-finite entry.
+        /// Row of the first non-finite entry.
         index: usize,
     },
 }
@@ -102,53 +99,6 @@ pub fn sym_eig(a: &DMat<f64>) -> Result<SymEig, EigenError> {
         values: d,
         vectors: z,
     })
-}
-
-/// Eigendecomposition of a symmetric tridiagonal matrix with diagonal `d`
-/// and off-diagonal `e` (`e.len() == d.len() - 1`; pass `&[]` for 1×1).
-///
-/// Returns eigenvalues ascending and, when `want_vectors`, the orthonormal
-/// eigenvector matrix (otherwise an empty matrix).
-///
-/// # Errors
-///
-/// Returns [`EigenError`] on QL non-convergence.
-pub fn eig_tridiagonal(
-    d: &[f64],
-    e: &[f64],
-    want_vectors: bool,
-) -> Result<(Vec<f64>, DMat<f64>), EigenError> {
-    let n = d.len();
-    assert!(n == 0 || e.len() == n - 1, "off-diagonal length mismatch");
-    if n == 0 {
-        return Ok((Vec::new(), DMat::zeros(0, 0)));
-    }
-    for (i, v) in d.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(EigenError::NonFinite { index: i });
-        }
-    }
-    for (i, v) in e.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(EigenError::NonFinite { index: i });
-        }
-    }
-    let mut dd = d.to_vec();
-    // tql2 wants e shifted: e[i] = subdiagonal below d[i], with e[n-1] = 0.
-    let mut ee = vec![0.0; n];
-    ee[..n - 1].copy_from_slice(e);
-    let mut z = if want_vectors {
-        DMat::identity(n)
-    } else {
-        DMat::zeros(0, 0)
-    };
-    tql2_raw(&mut dd, &mut ee, &mut z, want_vectors)?;
-    if want_vectors {
-        sort_ascending(&mut dd, &mut z);
-    } else {
-        dd.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    }
-    Ok((dd, z))
 }
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form
@@ -244,27 +194,12 @@ fn tred2(a: &DMat<f64>) -> (Vec<f64>, Vec<f64>, DMat<f64>) {
 /// (EISPACK `tql2`). `e[0]` unused on entry; eigenvalues land in `d`.
 fn tql2(d: &mut [f64], e: &mut [f64], z: &mut DMat<f64>) -> Result<(), EigenError> {
     let n = d.len();
-    // Shift e for the loop convention used in tql2_raw: e[i] below d[i].
+    // Shift e so that e[i] is the subdiagonal entry coupling d[i] and
+    // d[i+1], with e[n-1] = 0.
     for i in 1..n {
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
-    tql2_raw(d, e, z, true)
-}
-
-/// Core QL iteration. `e[i]` is the subdiagonal entry coupling `d[i]` and
-/// `d[i+1]`; `e[n-1]` must be zero. When `with_z`, plane rotations are
-/// accumulated into `z`.
-fn tql2_raw(
-    d: &mut [f64],
-    e: &mut [f64],
-    z: &mut DMat<f64>,
-    with_z: bool,
-) -> Result<(), EigenError> {
-    let n = d.len();
-    if n == 0 {
-        return Ok(());
-    }
     // Absolute deflation floor: inside a cluster of near-zero eigenvalues
     // the relative test `|e| ≤ ε(|d_m|+|d_{m+1}|)` can never fire (the
     // right-hand side is itself ~0) and the iteration stalls. Couplings
@@ -317,12 +252,10 @@ fn tql2_raw(
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                if with_z {
-                    for k in 0..z.nrows() {
-                        f = z[(k, i + 1)];
-                        z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                        z[(k, i)] = c * z[(k, i)] - s * f;
-                    }
+                for k in 0..z.nrows() {
+                    f = z[(k, i + 1)];
+                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
+                    z[(k, i)] = c * z[(k, i)] - s * f;
                 }
             }
             if r == 0.0 && m > l + 1 {
@@ -406,46 +339,11 @@ mod tests {
     }
 
     #[test]
-    fn tridiagonal_matches_dense() {
-        let d = [2.0, 3.0, 4.0, 5.0];
-        let e = [1.0, 0.5, 0.25];
-        let (vals, vecs) = eig_tridiagonal(&d, &e, true).unwrap();
-        // Compare against the dense path.
-        let mut a = DMat::zeros(4, 4);
-        for i in 0..4 {
-            a[(i, i)] = d[i];
-        }
-        for i in 0..3 {
-            a[(i, i + 1)] = e[i];
-            a[(i + 1, i)] = e[i];
-        }
-        let dense = sym_eig(&a).unwrap();
-        for (u, v) in vals.iter().zip(&dense.values) {
-            assert!((u - v).abs() < 1e-10);
-        }
-        // Residual check A z = λ z.
-        for k in 0..4 {
-            let zk: Vec<f64> = (0..4).map(|i| vecs[(i, k)]).collect();
-            let az = a.matvec(&zk);
-            for i in 0..4 {
-                assert!((az[i] - vals[k] * zk[i]).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn tridiagonal_values_only() {
-        let (vals, vecs) = eig_tridiagonal(&[1.0, 2.0], &[0.0], false).unwrap();
-        assert_eq!(vals, vec![1.0, 2.0]);
-        assert_eq!(vecs.nrows(), 0);
-    }
-
-    #[test]
     fn empty_and_single() {
         let e = sym_eig(&DMat::zeros(0, 0)).unwrap();
         assert!(e.values.is_empty());
-        let (vals, _) = eig_tridiagonal(&[7.0], &[], true).unwrap();
-        assert_eq!(vals, vec![7.0]);
+        let e = sym_eig(&DMat::from_rows(&[&[7.0]])).unwrap();
+        assert_eq!(e.values, vec![7.0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A unified lifecycle over the two sparse factorizations.
 //!
 //! PACT's reduction paths need the same four-step lifecycle from both the
-//! SPD Cholesky factorization (congruence transforms, flat/hier/matrix-free
+//! SPD Cholesky factorization (congruence transforms, flat and hierarchical
 //! reduction) and the threshold-pivoting LU (AC sweeps, transient solves):
 //! *analyze* a sparsity pattern once, *factor* numerically, *refactor*
 //! cheaply when only values changed, and *solve* single or blocked

@@ -13,9 +13,9 @@
 //!   and fill-reducing [`Ordering`], exposing the Cholesky-factor solves
 //!   `F⁻¹`/`F⁻ᵀ` used by the paper's first congruence transform (a
 //!   scalar up-looking reference kernel stays behind [`CholKernel`]);
-//! - [`sym_eig`] / [`eig_tridiagonal`]: dense symmetric eigensolver
-//!   (Householder + implicit-shift QL), the oracle behind pole analysis
-//!   and the extractor for Lanczos' tridiagonal `T`;
+//! - [`sym_eig`]: dense symmetric eigensolver (Householder +
+//!   implicit-shift QL), the oracle behind pole analysis and the
+//!   extractor for Lanczos' projected matrix `T`;
 //! - [`DenseLu`] and [`SparseLu`]: LU with partial pivoting, generic over
 //!   real/complex [`Scalar`]s, powering the circuit simulator's MNA solves
 //!   (the sparse LU pre-orders columns with the fill-reducing [`amd`]);
@@ -60,7 +60,6 @@ mod factor;
 mod lu;
 mod ordering;
 mod par;
-mod pcg;
 mod pencil;
 mod rng;
 mod splu;
@@ -74,7 +73,7 @@ pub use complex::{Complex64, Scalar};
 pub use coo::TripletMat;
 pub use csr::CsrMat;
 pub use dense::{axpy, dot, ldl_update_trapezoid, norm2, norm_inf, scale, DMat, DMatF};
-pub use eigen::{eig_tridiagonal, sym_eig, EigenError, SymEig};
+pub use eigen::{sym_eig, EigenError, SymEig};
 pub use factor::Factorization;
 pub use lu::{invert, DenseLu, SingularMatrixError};
 pub use ordering::{
@@ -82,7 +81,6 @@ pub use ordering::{
     NdPartition, Ordering,
 };
 pub use par::{split_ranges, ParCtx};
-pub use pcg::{pcg, IncompleteCholesky, PcgResult};
 pub use pencil::CscPencil;
 pub use rng::XorShiftRng;
 pub use splu::{

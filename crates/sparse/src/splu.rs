@@ -489,35 +489,6 @@ impl<S: Scalar> SparseLu<S> {
         self.factor_nnz() * (std::mem::size_of::<S>() + 8) + (self.lp.len() + self.up.len()) * 8
     }
 
-    /// Cheap conditioning probe over the `U` diagonal: the column (of the
-    /// input matrix) with the smallest pivot modulus, that modulus, and
-    /// the largest pivot modulus. A ratio `min / max` near zero means the
-    /// factored matrix is numerically singular — for a shifted pencil
-    /// `G + sC`, that the shift `s` sits (to working precision) on a pole
-    /// of the pencil.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is empty (`n == 0`).
-    pub fn diag_extremes(&self) -> (usize, f64, f64) {
-        assert!(self.n > 0, "diag_extremes on empty factorization");
-        let mut argmin = 0usize;
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for j in 0..self.n {
-            // The U diagonal is stored last in each column.
-            let d = self.ux[self.up[j + 1] - 1].modulus();
-            if d < min {
-                min = d;
-                argmin = j;
-            }
-            if d > max {
-                max = d;
-            }
-        }
-        (self.q[argmin], min, max)
-    }
-
     /// Solves `A x = b`.
     ///
     /// # Panics

@@ -8,8 +8,8 @@
 //! tier-1 suite; the `slow-tests` feature widens it.
 
 use pact_sparse::{
-    eig_tridiagonal, sym_eig, CscMat, CsrMat, DMat, DenseLu, Ordering, SparseCholesky, SparseLu,
-    TripletMat, XorShiftRng,
+    sym_eig, CscMat, CsrMat, DMat, DenseLu, Ordering, SparseCholesky, SparseLu, TripletMat,
+    XorShiftRng,
 };
 
 #[cfg(feature = "slow-tests")]
@@ -144,36 +144,6 @@ fn sym_eig_reconstructs() {
             (&rec - &d).norm_max() < 1e-9 * d.norm_max().max(1.0),
             "seed {seed}"
         );
-    }
-}
-
-#[test]
-fn eig_tridiagonal_matches_full() {
-    for seed in seeds() {
-        let mut rng = XorShiftRng::seed_from_u64(seed);
-        let d = random_vec(6, -3.0, 3.0, &mut rng);
-        let e = random_vec(5, -2.0, 2.0, &mut rng);
-        let (vals, vecs) = eig_tridiagonal(&d, &e, true).unwrap();
-        let mut a = DMat::zeros(6, 6);
-        for i in 0..6 {
-            a[(i, i)] = d[i];
-        }
-        for i in 0..5 {
-            a[(i, i + 1)] = e[i];
-            a[(i + 1, i)] = e[i];
-        }
-        let oracle = sym_eig(&a).unwrap();
-        for (u, v) in vals.iter().zip(&oracle.values) {
-            assert!((u - v).abs() < 1e-9, "seed {seed}: {u} vs {v}");
-        }
-        // Residual of each pair.
-        for k in 0..6 {
-            let zk: Vec<f64> = (0..6).map(|i| vecs[(i, k)]).collect();
-            let az = a.matvec(&zk);
-            for i in 0..6 {
-                assert!((az[i] - vals[k] * zk[i]).abs() < 1e-8, "seed {seed}");
-            }
-        }
     }
 }
 

@@ -4,10 +4,10 @@
 //! ```text
 //! rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRACTION]
 //!       [--sparsify TOL] [--port NODE]... [--threads N]
-//!       [--eigen auto|dense|lanczos|lowrank] [--dense] [--stats]
-//!       [--trace] [--log-json PATH] [--strict-pivots]
+//!       [--eigen auto|dense|lanczos|lowrank] [--stats] [--components]
+//!       [--verify] [--trace] [--log-json PATH] [--strict-pivots]
 //!       [--hier] [--block-size N] [--max-depth N]
-//!       [--strategy flat|hier|multipoint] [--points HZ,HZ,...]
+//!       [--extract] [--collapse-chains] [--chain-tol TOL]
 //! ```
 //!
 //! Several decks may be given at once; they are reduced through one
@@ -29,10 +29,10 @@
 
 use std::process::ExitCode;
 
-use pact::{CholKernel, PactError, ReductionSession};
+use pact::{PactError, ReductionSession};
 use pact_netlist::parse_value;
 use pact_serve::{
-    prepare_deck, reduce_prepared, render_reduced, DeckOptions, EigenArg, ReducedDeck, StrategyArg,
+    prepare_deck, reduce_prepared, render_reduced, DeckOptions, EigenArg, ReducedDeck,
     DEFAULT_BLOCK_SIZE, DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH,
 };
 
@@ -46,7 +46,6 @@ struct Args {
     extra_ports: Vec<String>,
     threads: Option<usize>,
     eigen: Option<EigenArg>,
-    dense: bool,
     stats: bool,
     components: bool,
     verify: bool,
@@ -56,9 +55,6 @@ struct Args {
     hier: bool,
     block_size: usize,
     max_depth: usize,
-    chol_kernel: CholKernel,
-    strategy: Option<StrategyArg>,
-    points: Option<Vec<f64>>,
     extract: bool,
     collapse_chains: bool,
     chain_tol: Option<f64>,
@@ -67,31 +63,22 @@ struct Args {
 fn usage() -> &'static str {
     "usage: rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRAC] \
      [--sparsify TOL] [--port NODE]... [--threads N] \
-     [--eigen auto|dense|lanczos|lowrank] [--dense] [--stats] [--components] \
+     [--eigen auto|dense|lanczos|lowrank] [--stats] [--components] \
      [--verify] [--trace] [--log-json PATH] [--strict-pivots] \
      [--hier] [--block-size N] [--max-depth N] \
-     [--strategy flat|hier|multipoint] [--points HZ,HZ,...] \
-     [--chol-kernel auto|supernodal|scalar] \
      [--extract] [--collapse-chains] [--chain-tol TOL]\n\
      defaults: --fmax 1g --tol 0.05 --sparsify 1e-9 --threads <all cores>\n\
      HZ accepts SPICE suffixes (500meg, 3g, ...); the reduced model is\n\
      bit-identical for every --threads value.\n\
-     --eigen picks the pole-analysis backend (default lanczos; --dense is an\n\
-     alias for --eigen lowrank); several decks reduce through one session so\n\
-     same-topology decks reuse the symbolic analysis (-o/--log-json then need\n\
-     a single deck).\n\
+     --sparsify drops couplings below that fraction of the largest entry\n\
+     (finite, in [0, 1); 0 keeps every element).\n\
+     --eigen picks the pole-analysis backend (default lanczos); several decks\n\
+     reduce through one session so same-topology decks reuse the symbolic\n\
+     analysis (-o/--log-json then need a single deck).\n\
      --trace prints per-phase timings/counters; --log-json writes them as JSON;\n\
      --strict-pivots fails on quasi-singular pivots instead of perturbing them;\n\
      --hier reduces via nested-dissection blocks of at most --block-size nodes\n\
      (default 2000) with --max-depth recursion levels (default 16);\n\
-     --strategy picks the reduction algorithm (flat = one-shot PACT, hier =\n\
-     nested dissection, multipoint = multipoint moment expansion with\n\
-     passivity-preserving congruence); --points overrides multipoint's\n\
-     auto-selected expansion frequencies (comma-separated, SPICE suffixes\n\
-     accepted; positive = imaginary-axis s=j2\u{3c0}f, negative = negative real\n\
-     axis s=-2\u{3c0}|f|);\n\
-     --chol-kernel picks the numeric Cholesky kernel (default auto = the\n\
-     supernodal blocked kernel; scalar is the up-looking reference kernel);\n\
      --extract reduces each maximal ported RC subnetwork independently (the\n\
      embedded-parasitics flow for mixed decks); --collapse-chains runs the\n\
      degree-2 series-chain collapse pre-pass before reduction, re-segmenting\n\
@@ -108,7 +95,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         extra_ports: Vec::new(),
         threads: None,
         eigen: None,
-        dense: false,
         stats: false,
         components: false,
         verify: false,
@@ -118,9 +104,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         hier: false,
         block_size: DEFAULT_BLOCK_SIZE,
         max_depth: DEFAULT_MAX_DEPTH,
-        chol_kernel: CholKernel::Auto,
-        strategy: None,
-        points: None,
         extract: false,
         collapse_chains: false,
         chain_tol: None,
@@ -158,7 +141,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.threads = Some(n);
             }
             "--eigen" => args.eigen = Some(EigenArg::parse(&next(a)?)?),
-            "--dense" => args.dense = true,
             "--stats" => args.stats = true,
             "--components" => args.components = true,
             "--verify" => args.verify = true,
@@ -176,48 +158,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.block_size = n;
             }
             "--max-depth" => {
-                args.max_depth = next(a)?
+                let n: usize = next(a)?
                     .parse()
-                    .map_err(|_| "--max-depth needs an integer".to_owned())?;
-            }
-            "--strategy" => args.strategy = Some(StrategyArg::parse(&next(a)?)?),
-            "--points" => {
-                let list = next(a)?;
-                let mut points = Vec::new();
-                for part in list.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        return Err("--points has an empty entry".to_owned());
-                    }
-                    // parse_value has no sign handling, so peel a
-                    // leading `-` (negative = negative-real-axis point).
-                    let (mag, neg) = match part.strip_prefix('-') {
-                        Some(rest) => (rest, true),
-                        None => (part, false),
-                    };
-                    let f = parse_value(mag).map_err(|e| format!("--points: {e}"))?;
-                    let f = if neg { -f } else { f };
-                    if !f.is_finite() || f == 0.0 {
-                        return Err(
-                            "--points entries must be finite and nonzero (the s = 0 moment is always matched)"
-                                .to_owned(),
-                        );
-                    }
-                    points.push(f);
+                    .map_err(|_| "--max-depth needs a positive integer".to_owned())?;
+                if n == 0 {
+                    return Err("--max-depth needs a positive integer".to_owned());
                 }
-                args.points = Some(points);
-            }
-            "--chol-kernel" => {
-                args.chol_kernel = match next(a)?.as_str() {
-                    "auto" => CholKernel::Auto,
-                    "supernodal" => CholKernel::Supernodal,
-                    "scalar" => CholKernel::Scalar,
-                    other => {
-                        return Err(format!(
-                            "--chol-kernel expects auto, supernodal, or scalar (got `{other}`)"
-                        ))
-                    }
-                };
+                args.max_depth = n;
             }
             "--extract" => args.extract = true,
             "--collapse-chains" => args.collapse_chains = true,
@@ -240,9 +187,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.inputs.is_empty() {
         return Err(usage().to_owned());
     }
-    if args.points.is_some() && args.strategy != Some(StrategyArg::Multipoint) {
-        return Err("--points requires --strategy multipoint".to_owned());
-    }
     if args.chain_tol.is_some() && !args.collapse_chains {
         return Err("--chain-tol requires --collapse-chains".to_owned());
     }
@@ -258,7 +202,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// The CLI flags as shared-pipeline options. Resolution of defaults
-/// (the `--dense` alias, pivot relief, ordering, dense threshold) lives
+/// (pivot relief, ordering, dense threshold) and the range checks live
 /// in [`DeckOptions`], shared verbatim with the `rcfitd` daemon so both
 /// front ends produce bit-identical output.
 fn deck_options(args: &Args) -> DeckOptions {
@@ -269,15 +213,11 @@ fn deck_options(args: &Args) -> DeckOptions {
         extra_ports: args.extra_ports.clone(),
         threads: args.threads,
         eigen: args.eigen,
-        dense: args.dense,
         components: args.components,
         strict_pivots: args.strict_pivots,
         hier: args.hier,
         block_size: args.block_size,
         max_depth: args.max_depth,
-        chol_kernel: args.chol_kernel,
-        strategy: args.strategy,
-        points: args.points.clone(),
         extract: args.extract,
         collapse_chains: args.collapse_chains,
         chain_tol: args.chain_tol.unwrap_or(DEFAULT_CHAIN_TOL),
@@ -478,7 +418,8 @@ mod tests {
             "nodeA",
             "--port",
             "nodeB",
-            "--dense",
+            "--eigen",
+            "lowrank",
             "--stats",
             "--components",
             "--verify",
@@ -494,7 +435,8 @@ mod tests {
         assert_eq!(a.tolerance, 0.1);
         assert_eq!(a.sparsify, 1e-6);
         assert_eq!(a.extra_ports, vec!["nodeA", "nodeB"]);
-        assert!(a.dense && a.stats && a.components && a.verify);
+        assert_eq!(a.eigen, Some(EigenArg::LowRank));
+        assert!(a.stats && a.components && a.verify);
         assert!(a.trace && a.strict_pivots);
         assert_eq!(a.log_json.as_deref(), Some("t.json"));
     }
@@ -504,7 +446,7 @@ mod tests {
         let a = parse_args(&argv(&["deck.sp"])).unwrap();
         assert_eq!(a.f_max, 1e9);
         assert_eq!(a.tolerance, 0.05);
-        assert!(!a.dense);
+        assert!(a.eigen.is_none());
         assert!(a.output.is_none());
         assert!(!a.trace && !a.strict_pivots);
         assert!(a.log_json.is_none());
@@ -565,55 +507,8 @@ mod tests {
         assert_eq!(d.max_depth, DEFAULT_MAX_DEPTH);
         assert!(parse_args(&argv(&["x.sp", "--block-size", "0"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--block-size", "lots"])).is_err());
+        assert!(parse_args(&argv(&["x.sp", "--max-depth", "0"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--max-depth"])).is_err());
-    }
-
-    #[test]
-    fn strategy_and_points_flags_parse_and_validate() {
-        let a = parse_args(&argv(&[
-            "x.sp",
-            "--strategy",
-            "multipoint",
-            "--points",
-            "500meg,-2g,1e6",
-        ]))
-        .unwrap();
-        assert_eq!(a.strategy, Some(StrategyArg::Multipoint));
-        assert_eq!(a.points.as_deref(), Some(&[5e8, -2e9, 1e6][..]));
-        let opts = deck_options(&a).reduce_options().unwrap();
-        assert!(matches!(
-            opts.strategy,
-            pact::ReduceStrategy::Multipoint { .. }
-        ));
-        assert_eq!(
-            opts.expansion_points.as_deref(),
-            Some(&[5e8, -2e9, 1e6][..])
-        );
-
-        // Explicit strategy beats the --hier alias.
-        let b = parse_args(&argv(&["x.sp", "--hier", "--strategy", "flat"])).unwrap();
-        let opts = deck_options(&b).reduce_options().unwrap();
-        assert!(matches!(opts.strategy, pact::ReduceStrategy::Flat));
-
-        assert!(parse_args(&argv(&["x.sp", "--strategy", "magic"])).is_err());
-        assert!(parse_args(&argv(&["x.sp", "--points", "1g"])).is_err());
-        let e = parse_args(&argv(&[
-            "x.sp",
-            "--strategy",
-            "multipoint",
-            "--points",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("finite and nonzero"));
-        assert!(parse_args(&argv(&[
-            "x.sp",
-            "--strategy",
-            "multipoint",
-            "--points",
-            "1g,,2g",
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -659,19 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_flag_keeps_lowrank_semantics_and_eigen_wins() {
-        // Bare --dense is the historical alias for the low-rank path.
-        let a = parse_args(&argv(&["x.sp", "--dense"])).unwrap();
-        assert!(matches!(eigen_select(&a), EigenSelect::LowRank));
-        // Default (no flag) stays Lanczos.
-        let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert!(matches!(eigen_select(&d), EigenSelect::Lanczos(_)));
-        // An explicit --eigen overrides --dense.
-        let b = parse_args(&argv(&["x.sp", "--dense", "--eigen", "dense"])).unwrap();
-        assert!(matches!(eigen_select(&b), EigenSelect::Dense));
-    }
-
-    #[test]
     fn multiple_decks_parse_but_reject_single_output_flags() {
         let a = parse_args(&argv(&["a.sp", "b.sp", "c.sp"])).unwrap();
         assert_eq!(a.inputs, vec!["a.sp", "b.sp", "c.sp"]);
@@ -679,6 +561,167 @@ mod tests {
         assert!(e.contains("single input deck"));
         let e = parse_args(&argv(&["a.sp", "b.sp", "--log-json", "t.json"])).unwrap_err();
         assert!(e.contains("single input deck"));
+    }
+
+    /// One option setting: the daemon key, its JSON value, and the value
+    /// the CLI flag takes (`None` for a bare switch).
+    type Setting = (&'static str, &'static str, Option<&'static str>);
+
+    /// One row per `DeckOptions` field, each a non-default setting.
+    const SAME_OPTIONS: [&[Setting]; 14] = [
+        &[("fmax", r#""3g""#, Some("3g"))],
+        &[("tol", "0.1", Some("0.1"))],
+        &[("sparsify", "1e-6", Some("1e-6"))],
+        &[("ports", r#"["n1"]"#, Some("n1"))],
+        &[("threads", "4", Some("4"))],
+        &[("eigen", r#""lowrank""#, Some("lowrank"))],
+        &[("components", "true", None)],
+        &[("strict_pivots", "true", None)],
+        &[("hier", "true", None)],
+        &[("block_size", "100", Some("100"))],
+        &[("max_depth", "4", Some("4"))],
+        &[("extract", "true", None)],
+        &[("collapse_chains", "true", None)],
+        &[
+            ("collapse_chains", "true", None),
+            ("chain_tol", "1e-4", Some("1e-4")),
+        ],
+    ];
+
+    /// Settings both front ends must refuse, in their parser or in
+    /// `reduce_options()`, including every removed option.
+    const REJECTED: [&[Setting]; 10] = [
+        &[("threads", "0", Some("0"))],
+        &[("eigen", r#""magic""#, Some("magic"))],
+        &[("chain_tol", "1e-4", Some("1e-4"))],
+        &[("block_size", "0", Some("0"))],
+        &[("max_depth", "0", Some("0"))],
+        &[("sparsify", "1e999", Some("inf"))],
+        &[("strategy", r#""flat""#, Some("flat"))],
+        &[("points", "[1e9]", Some("1g"))],
+        &[("chol_kernel", r#""scalar""#, Some("scalar"))],
+        &[("dense", "true", None)],
+    ];
+
+    /// The CLI flag for a daemon option key: `--` and the key with `-`
+    /// for `_`, except the repeatable `--port` for the `ports` list.
+    fn flag(key: &str) -> String {
+        match key {
+            "ports" => "--port".to_owned(),
+            k => format!("--{}", k.replace('_', "-")),
+        }
+    }
+
+    /// The options each front end resolves from the same settings: the
+    /// daemon's from one request, the CLI's from its flags.
+    fn both_front_ends(
+        settings: &[Setting],
+    ) -> (Result<DeckOptions, String>, Result<DeckOptions, String>) {
+        let entries: Vec<String> = settings
+            .iter()
+            .map(|(key, json, _)| format!(r#""{key}":{json}"#))
+            .collect();
+        let line = format!(r#"{{"deck":"x","options":{{{}}}}}"#, entries.join(","));
+        let daemon = pact_serve::parse_request(&line, pact_serve::protocol::DEFAULT_MAX_DECK_BYTES)
+            .map(|r| r.options)
+            .map_err(|e| e.message);
+        let mut cli_argv = vec!["x.sp".to_owned()];
+        for (key, _, value) in settings {
+            cli_argv.push(flag(key));
+            cli_argv.extend(value.map(str::to_owned));
+        }
+        let cli = parse_args(&cli_argv).map(|a| deck_options(&a));
+        (daemon, cli)
+    }
+
+    #[test]
+    fn front_ends_accept_the_same_options_and_reject_the_same_values() {
+        // Naming every field makes a new `DeckOptions` field fail to
+        // compile here until SAME_OPTIONS gets a row for it. The CLI's
+        // output and report flags (-o, --stats, --verify, --trace,
+        // --log-json) are not options of the reduction.
+        let DeckOptions {
+            f_max: _,
+            tolerance: _,
+            sparsify: _,
+            extra_ports: _,
+            threads: _,
+            eigen: _,
+            components: _,
+            strict_pivots: _,
+            hier: _,
+            block_size: _,
+            max_depth: _,
+            extract: _,
+            collapse_chains: _,
+            chain_tol: _,
+        } = DeckOptions::default();
+
+        let (baseline, _) = both_front_ends(&[]);
+        let baseline = baseline.unwrap();
+        for settings in SAME_OPTIONS {
+            let (daemon, cli) = both_front_ends(settings);
+            let daemon = daemon.unwrap_or_else(|e| panic!("daemon rejects {settings:?}: {e}"));
+            let mut cli = cli.unwrap_or_else(|e| panic!("rcfit rejects {settings:?}: {e}"));
+            // The daemon's one-thread default is scheduling, not numerics.
+            cli.threads = cli.threads.or(baseline.threads);
+            assert_eq!(daemon, cli, "{settings:?}");
+            assert_ne!(daemon, baseline, "{settings:?} changes no option");
+            assert!(daemon.reduce_options().is_ok(), "{settings:?}");
+        }
+
+        let accepted = |o: Result<DeckOptions, String>| o.is_ok_and(|o| o.reduce_options().is_ok());
+        for settings in REJECTED {
+            let (daemon, cli) = both_front_ends(settings);
+            assert!(!accepted(daemon), "daemon accepts {settings:?}");
+            assert!(!accepted(cli), "rcfit accepts {settings:?}");
+        }
+    }
+
+    #[test]
+    fn sparsify_outside_the_unit_interval_fails_alike_in_both_front_ends() {
+        use std::sync::{Arc, Mutex};
+
+        // `run` checks the options before it reads any deck, so the
+        // missing input is never reached.
+        let cli_code = |value: &str| {
+            let args = parse_args(&argv(&["/nonexistent/deck.sp", "--sparsify", value])).unwrap();
+            run(&args).unwrap_err().code()
+        };
+        let daemon = pact_serve::Daemon::new(pact_serve::ServeConfig {
+            workers: 1,
+            ..pact_serve::ServeConfig::default()
+        });
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let sink_replies = Arc::clone(&replies);
+        let sink: pact_serve::ReplySink =
+            Arc::new(move |l: &str| sink_replies.lock().unwrap().push(l.to_owned()));
+        let daemon_code = |value: &str| {
+            let line = format!(r#"{{"deck":"* d\n.end\n","options":{{"sparsify":{value}}}}}"#);
+            daemon.submit(&line, &sink);
+            let reply = replies.lock().unwrap().pop().expect("answered inline");
+            let doc = pact::json::Value::parse(&reply).unwrap();
+            assert_eq!(
+                doc.get("ok"),
+                Some(&pact::json::Value::Bool(false)),
+                "{reply}"
+            );
+            let code = doc.get("error").and_then(|e| e.get("code"));
+            code.and_then(|c| c.as_str()).unwrap().to_owned()
+        };
+        // JSON has no NaN, and `1e999` parses to infinity.
+        for (cli, json) in [
+            ("inf", Some("1e999")),
+            ("nan", None),
+            ("-1", Some("-1")),
+            ("1", Some("1")),
+        ] {
+            assert_eq!(cli_code(cli), "sparsify", "--sparsify {cli}");
+            if let Some(json) = json {
+                assert_eq!(daemon_code(json), "sparsify", "\"sparsify\":{json}");
+            }
+        }
+        daemon.shutdown();
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Session/backend refactor equivalence.
 //!
 //! The `ReductionSession` + `EigenBackend` rework must be invisible in
-//! the numbers: every path (flat, hierarchical, matrix-free) produces
+//! the numbers: every path (flat, hierarchical) produces
 //! the same bits as the one-shot entry points, warm sessions reproduce
 //! cold sessions exactly, thread count never changes a result, and the
 //! dense / Lanczos / auto eigen backends agree on the retained poles to
 //! tight relative tolerance on every generator family.
 
-use pact::{
-    CutoffSpec, EigenSelect, Partitions, ReduceOptions, ReduceStrategy, Reduction, ReductionSession,
-};
+use pact::{CutoffSpec, EigenSelect, ReduceOptions, ReduceStrategy, Reduction, ReductionSession};
 use pact_gen::{
     inverter_pair_deck, power_grid_deck, substrate_mesh, LineSpec, MeshSpec, PowerGridSpec,
 };
@@ -197,30 +195,6 @@ fn reduce_batch_reuses_analysis_and_stays_bitwise_stable() {
             .unwrap();
         assert_bits_equal(&fresh, red, &format!("deck {k}"));
     }
-}
-
-#[test]
-fn matrix_free_session_matches_free_function_bitwise() {
-    let net = line_fixture();
-    let spec = CutoffSpec::new(5e9, 0.05).unwrap();
-    let parts = Partitions::split(&net.stamp());
-    let ports: Vec<String> = net.node_names[..net.num_ports].to_vec();
-    let solver = pact::PcgSolver::new(&parts.d).unwrap();
-    let free = pact::reduce_matrix_free(&parts, &ports, &spec, &solver).unwrap();
-    let mut session = ReductionSession::new(ReduceOptions::new(spec));
-    let first = session
-        .reduce_matrix_free(&parts, &ports, &spec, &solver)
-        .unwrap();
-    // A second pass on the warm session reuses pooled scratch buffers;
-    // the bits must not care.
-    let warm = session
-        .reduce_matrix_free(&parts, &ports, &spec, &solver)
-        .unwrap();
-    assert_bits_equal(&free, &first, "matrix-free first");
-    assert_bits_equal(&free, &warm, "matrix-free warm");
-    let choices = &first.telemetry.eigen_choices;
-    assert_eq!(choices.len(), 1);
-    assert_eq!(choices[0].backend, "pencil_lanczos");
 }
 
 #[test]

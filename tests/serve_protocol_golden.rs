@@ -109,26 +109,6 @@ fn unknown_option_response_is_golden() {
 }
 
 #[test]
-fn bad_strategy_response_is_golden() {
-    let request = include_str!("fixtures/serve/bad_strategy.jsonl");
-    let responses = serve_one(request.trim_end(), 1 << 20);
-    assert_eq!(
-        responses,
-        vec![include_str!("fixtures/serve/bad_strategy.golden.jsonl").trim_end()]
-    );
-}
-
-#[test]
-fn bad_points_response_is_golden() {
-    let request = include_str!("fixtures/serve/bad_points.jsonl");
-    let responses = serve_one(request.trim_end(), 1 << 20);
-    assert_eq!(
-        responses,
-        vec![include_str!("fixtures/serve/bad_points.golden.jsonl").trim_end()]
-    );
-}
-
-#[test]
 fn oversized_deck_response_is_golden() {
     let request = include_str!("fixtures/serve/oversized.jsonl");
     // The cap is configured down to 64 bytes so the fixture stays small.

@@ -187,39 +187,6 @@ fn single_internal_network_has_invariant_moments() {
     check_moments_invariant(&single_internal_network(), "single-internal");
 }
 
-#[test]
-fn ports_only_and_single_internal_survive_matrix_free() {
-    for (label, net) in [
-        ("ports-only", ports_only_network()),
-        ("single-internal", single_internal_network()),
-    ] {
-        let spec = CutoffSpec::new(1e9, 0.05).unwrap();
-        let parts = pact::Partitions::split(&net.stamp());
-        let ports: Vec<String> = net.node_names[..net.num_ports].to_vec();
-        let solver = pact::PcgSolver::new(&parts.d).unwrap();
-        let mf = pact::reduce_matrix_free(&parts, &ports, &spec, &solver).unwrap();
-        let flat = reduce_with(&net, ReduceStrategy::Flat, EigenSelect::Auto);
-        // The PCG solver replaces the direct factorization, so moments
-        // agree to iteration tolerance rather than bitwise.
-        for (label2, a, b) in [
-            ("A'", &mf.model.a1, &flat.model.a1),
-            ("B'", &mf.model.b1, &flat.model.b1),
-        ] {
-            let scale = b
-                .as_slice()
-                .iter()
-                .fold(0.0f64, |acc, v| acc.max(v.abs()))
-                .max(1e-300);
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!(
-                    (x - y).abs() <= 1e-9 * scale,
-                    "{label}: matrix-free {label2} moments differ ({x:.17e} vs {y:.17e})"
-                );
-            }
-        }
-    }
-}
-
 /// Replaces the diagonal entry of global row `row` of `m` with NaN.
 fn poison_diagonal(m: &CsrMat, row: usize) -> CsrMat {
     let mut data = m.data().to_vec();
