@@ -72,26 +72,6 @@ print(f"hier telemetry ok: {c['hier_blocks']} blocks, "
       f"{c['hier_separator_nodes']} separators, depth {c['hier_tree_depth']}")
 EOF
 
-echo "==> flat vs hier A/B (10k + 20k meshes -> results/hier_perf.txt)"
-# hier_scaling --smoke times reduce_network only (deck built outside the
-# timed regions, min of two runs per side) on the 10k and 20k meshes and
-# asserts that flat and hier keep the same pole count on both. It records
-# but does not gate on wall clock. Run in a scratch dir so a smoke run can
-# never clobber the committed full-size BENCH_hier.json.
-root="$PWD"
-(cd "$tmp" && "$root/target/release/hier_scaling" --smoke) | tee "$tmp/hier_smoke.txt"
-grep -q "hier smoke OK" "$tmp/hier_smoke.txt"
-mkdir -p results
-{
-    echo "# Flat vs hierarchical reduction A/B: 10k (32x32x10) and 20k"
-    echo "# (40x40x13) substrate meshes, 64 ports, fmax 500 MHz, $(nproc)"
-    echo "# core(s). reduce_network wall clock only, min of two runs per"
-    echo "# side (hier_scaling --smoke). Full thread sweep: BENCH_hier.json"
-    echo "# (cargo run --release -p pact-bench --bin hier_scaling)."
-    grep "^PERF " "$tmp/hier_smoke.txt"
-} > results/hier_perf.txt
-cat results/hier_perf.txt
-
 echo "==> lanczos cap-scale cost-cliff gate"
 # Fails when any cap scale of a ±1% capacitor sweep needs more than 100
 # matvecs (deterministic; a block apply counts as its width). Under
@@ -104,8 +84,8 @@ echo "==> lanczos cap-scale cost-cliff gate"
 grep -q "lanczos_cliff OK" "$tmp/cliff.txt"
 
 echo "==> Table 4 mesh (-> results/table4_large_mesh.txt)"
-# The paper's headline case: flat, scalar-kernel and hier reductions of
-# the 469-port mesh (~10 s). Fails unless the flat row keeps 11 poles,
+# The paper's headline case: flat and hier reductions of the 469-port
+# mesh (~2 s). Fails unless the flat row keeps 11 poles,
 # or when its Lanczos needs more than 20 block applies: the count is
 # deterministic (14 with blocks of 4; a one-vector-at-a-time recurrence
 # needs about 50).
@@ -170,35 +150,11 @@ mkdir -p results
 } > results/backend_parity.txt
 cat results/backend_parity.txt
 
-echo "==> supernodal kernel parity + perf A/B (-> results/supernodal_perf.txt)"
-# Runs the scalar-vs-supernodal A/B on the paper's Table-4 mesh: isolated
-# factor/refactor timings, end-to-end reduction timings, and an asserted
-# retained-pole parity gate. The kernel-equivalence guarantee across all
-# generator families, strategies, backends, thread counts, and warm
-# refactors is asserted by the supernodal_parity suite.
-cargo test -q --release --test supernodal_parity > "$tmp/supernodal_test.txt"
-./target/release/supernodal_perf | tee "$tmp/supernodal_ab.txt"
-grep -q "parity: OK" "$tmp/supernodal_ab.txt"
-mkdir -p results
-{
-    echo "# Supernodal vs scalar Cholesky kernel A/B, $(nproc) core(s)."
-    echo "# (A quick small-mesh variant: supernodal_perf --smoke.)"
-    cat "$tmp/supernodal_ab.txt"
-} > results/supernodal_perf.txt
-
-echo "==> session batch smoke (warm reduce_batch amortization)"
-# --smoke asserts bitwise cold-vs-warm equality and the one-symbolic-
-# analysis accounting on a small mesh. Run in a scratch dir so the
-# committed full-size BENCH_session.json is not overwritten.
-root="$PWD"
-(cd "$tmp" && "$root/target/release/session_batch" --smoke) | tee "$tmp/session_smoke.txt"
-grep -q "smoke OK" "$tmp/session_smoke.txt"
-grep -q "^PERF " "$tmp/session_smoke.txt"
-
 echo "==> rcfitd daemon smoke (JSONL over stdin)"
 # Two same-topology decks (the second must hit a warm session and reduce
-# byte-identically), one request with a misspelled option and one with
-# an out-of-range sparsify threshold (typed errors), a stats probe, and a
+# byte-identically), one request with a misspelled option, one with an
+# out-of-range sparsify threshold and one whose source card is cut short
+# (typed errors, and the daemon keeps answering), a stats probe, and a
 # clean shutdown.
 python3 - > "$tmp/serve_requests.jsonl" <<'EOF'
 import json
@@ -210,6 +166,7 @@ print(json.dumps({"id": "s2", "deck": deck}))
 print(json.dumps({"id": "bad", "deck": deck, "options": {"tolerence": 0.1}}))
 # 1e999 parses to infinity, the JSON spelling of `rcfit --sparsify inf`.
 print('{"id": "inf", "deck": %s, "options": {"sparsify": 1e999}}' % json.dumps(deck))
+print(json.dumps({"id": "short", "deck": "* short\nV1 a\n.end\n"}))
 print(json.dumps({"id": "st", "op": "stats"}))
 print(json.dumps({"id": "end", "op": "shutdown"}))
 EOF
@@ -218,7 +175,7 @@ EOF
 python3 - "$tmp/serve_responses.jsonl" <<'EOF'
 import json, sys
 docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
-assert len(docs) == 6, sorted(docs)
+assert len(docs) == 7, sorted(docs)
 assert all(d["schema"] == "rcfitd-v1" for d in docs.values())
 assert docs["s1"]["ok"] and not docs["s1"]["session_hit"]
 assert docs["s2"]["ok"] and docs["s2"]["session_hit"], \
@@ -230,6 +187,8 @@ assert not docs["bad"]["ok"]
 assert docs["bad"]["error"]["code"] == "unknown_option", docs["bad"]["error"]
 assert not docs["inf"]["ok"]
 assert docs["inf"]["error"]["code"] == "sparsify", docs["inf"]["error"]
+assert not docs["short"]["ok"]
+assert docs["short"]["error"]["code"] == "parse", docs["short"]["error"]
 # Stats is answered inline by the dispatcher, so only the submit-side
 # counters are ordered with respect to it.
 assert docs["st"]["stats"]["counters"]["requests"] >= 3
@@ -246,21 +205,6 @@ if ./target/release/rcfit --port in --port out --sparsify inf \
 fi
 grep -q "error \[sparsify\]" "$tmp/sparsify_inf.txt"
 
-echo "==> serve load smoke (daemon vs cold one-shot -> results/serve_perf.txt)"
-# --smoke byte-compares every daemon response against the cold one-shot
-# loop and reports the latency/throughput PERF line; the committed
-# full-size study (1200 decks) lives in BENCH_serve.json.
-(cd "$tmp" && "$root/target/release/serve_load" --smoke) | tee "$tmp/serve_smoke.txt"
-grep -q "smoke OK" "$tmp/serve_smoke.txt"
-mkdir -p results
-{
-    echo "# rcfitd serving smoke: serve_load --smoke (60 mixed decks, daemon"
-    echo "# vs cold one-shot loop), $(nproc) core(s). Full-size study:"
-    echo "# BENCH_serve.json (cargo run --release -p pact-bench --bin serve_load)."
-    grep "^PERF " "$tmp/serve_smoke.txt"
-} > results/serve_perf.txt
-cat results/serve_perf.txt
-
 echo "==> extraction + chain-collapse smoke (-> results/extract_perf.txt)"
 # chain_collapse --smoke runs the 2000-segment line deck A/B and asserts
 # the acceptance gates: collapse eliminates >= 50% of the island's
@@ -269,6 +213,7 @@ echo "==> extraction + chain-collapse smoke (-> results/extract_perf.txt)"
 # deck within the collapse budget, and the mixed R/C/L/diode/MOS deck
 # extracts end-to-end. Run in a scratch dir so the committed full-size
 # BENCH_extract.json is not overwritten.
+root="$PWD"
 (cd "$tmp" && "$root/target/release/chain_collapse" --smoke) \
     | tee "$tmp/extract_smoke.txt"
 grep -q "chain collapse OK" "$tmp/extract_smoke.txt"

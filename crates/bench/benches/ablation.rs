@@ -59,7 +59,6 @@ fn bench_eigen_strategy(rows: &mut Vec<Vec<String>>) {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            chol_kernel: pact::CholKernel::Supernodal,
         };
         let s = sample_secs(SAMPLES, || {
             pact::reduce_network(&net, &opts).expect("reduce")
@@ -78,7 +77,6 @@ fn bench_sparsify(rows: &mut Vec<Vec<String>>) {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let (g, _) = red.model.to_matrices_normalized();

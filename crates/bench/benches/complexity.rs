@@ -36,7 +36,6 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            chol_kernel: pact::CholKernel::Supernodal,
         };
         let s = sample_secs(SAMPLES, || pact::reduce_network(&net, &opts).expect("pact"));
         let (min, med) = min_median(&s);

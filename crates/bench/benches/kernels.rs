@@ -126,7 +126,6 @@ fn bench_reduce(rows: &mut Vec<Vec<String>>) {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            chol_kernel: pact::CholKernel::Supernodal,
         };
         let s = sample_secs(SAMPLES, || {
             pact::reduce_network(&net, &opts).expect("reduce")

@@ -28,7 +28,6 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let m = red.model.num_ports();

@@ -66,7 +66,6 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) = timed(|| pact::reduce_network(net, &opts).expect("reduce"));
     let model = &red.model;

@@ -47,7 +47,6 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            chol_kernel: pact::CholKernel::Supernodal,
         };
         let red = pact::reduce_network(&net, &opts).expect("reduce");
         let mut rdeck = Netlist::new("reduced mesh");

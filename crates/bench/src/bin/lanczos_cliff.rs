@@ -53,7 +53,6 @@ fn eigen_seconds(net: &RcNetwork) -> (f64, u64, usize) {
         threads: Some(1),
         pivot_relief: None,
         strategy: ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(net, &opts).expect("reduce");
     let eigen = red

@@ -39,19 +39,9 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            chol_kernel: pact::CholKernel::Supernodal,
         };
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
         let lanczos = pact_red.stats.lanczos.unwrap_or_default();
-
-        // Same reduction with the scalar up-looking Cholesky kernel:
-        // isolates the supernodal speedup on the factorization hot path.
-        let scalar_opts = ReduceOptions {
-            chol_kernel: pact::CholKernel::Scalar,
-            ..opts.clone()
-        };
-        let (_, t_scalar) =
-            timed(|| pact::reduce_network(&net, &scalar_opts).expect("pact scalar"));
 
         let (krylov, t_kry) =
             timed(|| block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).expect("krylov"));
@@ -63,7 +53,6 @@ fn main() {
             format!("{n}"),
             format!("{}", pact_red.model.num_poles()),
             secs(t_pact),
-            secs(t_scalar),
             format!("{}", lanczos.orthogonalizations),
             mb(pact_lanczos_memory(n, pact_red.model.num_poles())),
             mb(pact_red.stats.modelled_memory_bytes),
@@ -80,8 +69,7 @@ fn main() {
             "ports m",
             "internal n",
             "poles",
-            "supernodal (s)",
-            "scalar chol (s)",
+            "PACT time (s)",
             "PACT orth ops",
             "PACT eig mem (MB)",
             "RCFIT mem (MB)",

@@ -62,7 +62,6 @@ fn main() {
             threads: None,
             pivot_relief: None,
             strategy: pact::ReduceStrategy::Flat,
-            chol_kernel: pact::CholKernel::Supernodal,
         };
         let (red, t_red) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
         let elements = red.model.to_netlist_elements("red", 1e-9);

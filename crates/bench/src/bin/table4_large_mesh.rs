@@ -33,16 +33,8 @@ fn main() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
-    // A/B the factorization hot path: same reduction with the scalar
-    // up-looking Cholesky kernel instead of the supernodal panels.
-    let scalar_opts = ReduceOptions {
-        chol_kernel: pact::CholKernel::Scalar,
-        ..opts.clone()
-    };
-    let (sred, selapsed) = timed(|| pact::reduce_network(&net, &scalar_opts).expect("reduce"));
     let hier_opts = ReduceOptions {
         strategy: pact::ReduceStrategy::Hierarchical {
             max_block: 2000,
@@ -86,15 +78,6 @@ fn main() {
                 mb(red.stats.modelled_memory_bytes),
             ],
             vec![
-                "scalar chol kernel".into(),
-                format!("{}", sred.model.num_ports()),
-                format!("{}", sred.model.num_poles()),
-                "-".into(),
-                "-".into(),
-                secs(selapsed),
-                mb(sred.stats.modelled_memory_bytes),
-            ],
-            vec![
                 "hier, block 2000".into(),
                 format!("{}", hred.model.num_ports()),
                 format!("{}", hred.model.num_poles()),
@@ -118,12 +101,8 @@ fn main() {
     );
     let c = &red.telemetry.counters;
     println!(
-        "supernodal kernel: {} supernodes, widest panel {} cols, {:.3e} panel flops; \
-         scalar/supernodal reduction-time ratio {:.2}",
-        c.supernode_count,
-        c.max_panel_cols,
-        c.panel_flops as f64,
-        selapsed / elapsed.max(1e-12)
+        "supernodal kernel: {} supernodes, widest panel {} cols, {:.3e} panel flops",
+        c.supernode_count, c.max_panel_cols, c.panel_flops as f64
     );
     println!(
         "Cholesky factor: {} nnz = {} MB of the total (paper: 19.5 of 25.8 MB)",

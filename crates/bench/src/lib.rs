@@ -3,9 +3,10 @@
 //! The experiment harness: one binary per table/figure of the paper
 //! (`cargo run --release -p pact-bench --bin <name>`) plus
 //! dependency-free timing benches for kernels, ablations and the
-//! Section-4 complexity study, and the `par_scaling` thread-scaling
-//! study. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for recorded paper-vs-measured results.
+//! Section-4 complexity study. See DESIGN.md §4 for the experiment index
+//! and EXPERIMENTS.md for recorded paper-vs-measured results. The
+//! end-to-end and per-layer performance numbers come from the benchmark
+//! in `ledger/`.
 //!
 //! This library hosts the shared report plumbing: wall-clock timing,
 //! markdown table rendering, waveform CSV output and common reduction /
@@ -128,7 +129,6 @@ pub fn reduce_deck(
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) =
         timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));
@@ -154,7 +154,6 @@ pub fn reduce_deck_laso(
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let (red, elapsed) =
         timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));

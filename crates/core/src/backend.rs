@@ -1,15 +1,15 @@
-//! Pluggable eigensolver backends for the pole analysis of `E'`.
+//! The eigensolver backends for the pole analysis of `E'`.
 //!
 //! The paper's Section-3.2 pole analysis admits three implementations with
 //! very different cost profiles: a dense QL decomposition (`O(n³)`, exact,
 //! the oracle), Lanczos (the paper's choice for large `n`; ours fully
 //! reorthogonalizes, see [`pact_lanczos`]), and a rank-revealing fast
 //! path exploiting the §6 observation that extracted RC networks carry
-//! far fewer capacitors than nodes. [`EigenBackend`] names the common contract;
-//! [`EigenSelect`] picks one per reduction — adaptively by internal-block
-//! size and capacitance rank under [`EigenSelect::Auto`] — and the choice
-//! made for every block is recorded in telemetry
-//! ([`crate::EigenChoice`]).
+//! far fewer capacitors than nodes. [`EigenSelect`] picks one per
+//! reduction — adaptively by internal-block size and capacitance rank
+//! under [`EigenSelect::Auto`] — and the choice made for every block is
+//! recorded in telemetry ([`crate::EigenChoice`]). Every backend is
+//! bit-identical at every thread count.
 
 use pact_lanczos::{eigs_above_with_stats, LanczosConfig, LanczosStats, SymOp};
 use pact_sparse::{sym_eig, DMat, ParCtx};
@@ -28,98 +28,6 @@ pub struct EigenSolution {
     pub vectors: Vec<Vec<f64>>,
     /// Work counters when the Lanczos backend ran.
     pub lanczos: Option<LanczosStats>,
-}
-
-/// One way of computing the eigenpairs of `E' = F⁻¹EF⁻ᵀ` above `λ_c`.
-///
-/// All backends produce identical spectra up to floating-point ordering
-/// guarantees documented per implementation; for a fixed backend the
-/// result is bit-identical at every thread count.
-pub trait EigenBackend {
-    /// Stable identifier recorded in telemetry (`"dense"`, `"lanczos"`,
-    /// `"lowrank"`).
-    fn name(&self) -> &'static str;
-
-    /// Computes the retained eigenpairs, or `None` when this backend does
-    /// not apply to the problem (e.g. the low-rank path on a full-rank
-    /// capacitance block) and the caller should fall back.
-    fn poles(
-        &self,
-        t1: &Transform1,
-        parts: &Partitions,
-        lambda_c: f64,
-        ctx: &ParCtx,
-    ) -> Option<Result<EigenSolution, ReduceError>>;
-}
-
-/// Dense QL on the explicitly formed `E'` (EISPACK `tred2`/`tql2`):
-/// the `O(n³)` oracle, always applicable.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DenseQlBackend;
-
-/// Lanczos with full reorthogonalization on the `E'` operator
-/// ([`pact_lanczos`]), never forming `E'` densely.
-#[derive(Clone, Debug, Default)]
-pub struct LanczosBackend {
-    /// Solver configuration; a `threads: None` config inherits the
-    /// reduction's resolved thread count.
-    pub config: LanczosConfig,
-}
-
-/// Rank-revealing fast path: with the capacitance split `E = Σ c·uuᵀ`
-/// (`= U Uᵀ`), `E' = X Xᵀ` for `X = F⁻¹U`, whose nonzero spectrum equals
-/// that of the tiny `c×c` Gram matrix `XᵀX`. Applies only when `E` is a
-/// capacitance stamp with rank bound `c < n`; otherwise
-/// [`EigenBackend::poles`] returns `None`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LowRankBackend;
-
-impl EigenBackend for DenseQlBackend {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn poles(
-        &self,
-        t1: &Transform1,
-        parts: &Partitions,
-        lambda_c: f64,
-        ctx: &ParCtx,
-    ) -> Option<Result<EigenSolution, ReduceError>> {
-        Some(dense_poles(t1, parts, lambda_c, ctx))
-    }
-}
-
-impl EigenBackend for LanczosBackend {
-    fn name(&self) -> &'static str {
-        "lanczos"
-    }
-
-    fn poles(
-        &self,
-        t1: &Transform1,
-        parts: &Partitions,
-        lambda_c: f64,
-        ctx: &ParCtx,
-    ) -> Option<Result<EigenSolution, ReduceError>> {
-        Some(laso_poles(t1, parts, lambda_c, &self.config, ctx))
-    }
-}
-
-impl EigenBackend for LowRankBackend {
-    fn name(&self) -> &'static str {
-        "lowrank"
-    }
-
-    fn poles(
-        &self,
-        t1: &Transform1,
-        parts: &Partitions,
-        lambda_c: f64,
-        ctx: &ParCtx,
-    ) -> Option<Result<EigenSolution, ReduceError>> {
-        low_rank_poles(t1, parts, lambda_c, ctx)
-    }
 }
 
 /// Eigen backend selection ([`crate::ReduceOptions::eigen_backend`],
@@ -153,46 +61,21 @@ pub(crate) fn compute_poles(
     lambda_c: f64,
     ctx: &ParCtx,
 ) -> Result<(EigenSolution, &'static str), ReduceError> {
-    let lowrank_else_dense =
-        |t1: &Transform1| -> Result<(EigenSolution, &'static str), ReduceError> {
-            match LowRankBackend.poles(t1, parts, lambda_c, ctx) {
-                Some(r) => Ok((r?, LowRankBackend.name())),
-                None => {
-                    let sol = DenseQlBackend
-                        .poles(t1, parts, lambda_c, ctx)
-                        .expect("dense backend is always applicable")?;
-                    Ok((sol, DenseQlBackend.name()))
-                }
-            }
-        };
+    let lowrank_else_dense = || -> Result<(EigenSolution, &'static str), ReduceError> {
+        match low_rank_poles(t1, parts, lambda_c, ctx) {
+            Some(sol) => Ok((sol?, "lowrank")),
+            None => Ok((dense_poles(t1, parts, lambda_c, ctx)?, "dense")),
+        }
+    };
+    let lanczos = |cfg: &LanczosConfig| -> Result<(EigenSolution, &'static str), ReduceError> {
+        Ok((lanczos_poles(t1, parts, lambda_c, cfg, ctx)?, "lanczos"))
+    };
     match sel {
-        EigenSelect::Dense => {
-            let sol = DenseQlBackend
-                .poles(t1, parts, lambda_c, ctx)
-                .expect("dense backend is always applicable")?;
-            Ok((sol, DenseQlBackend.name()))
-        }
-        EigenSelect::Lanczos(cfg) => {
-            let backend = LanczosBackend {
-                config: cfg.clone(),
-            };
-            let sol = backend
-                .poles(t1, parts, lambda_c, ctx)
-                .expect("lanczos backend is always applicable")?;
-            Ok((sol, backend.name()))
-        }
-        EigenSelect::LowRank => lowrank_else_dense(t1),
-        EigenSelect::Auto => {
-            if parts.n <= dense_threshold {
-                lowrank_else_dense(t1)
-            } else {
-                let backend = LanczosBackend::default();
-                let sol = backend
-                    .poles(t1, parts, lambda_c, ctx)
-                    .expect("lanczos backend is always applicable")?;
-                Ok((sol, backend.name()))
-            }
-        }
+        EigenSelect::Dense => Ok((dense_poles(t1, parts, lambda_c, ctx)?, "dense")),
+        EigenSelect::Lanczos(cfg) => lanczos(cfg),
+        EigenSelect::LowRank => lowrank_else_dense(),
+        EigenSelect::Auto if parts.n <= dense_threshold => lowrank_else_dense(),
+        EigenSelect::Auto => lanczos(&LanczosConfig::default()),
     }
 }
 
@@ -376,6 +259,8 @@ pub(crate) fn sparse_dot(a: &(Vec<u32>, Vec<f64>), b: &(Vec<u32>, Vec<f64>)) -> 
     acc
 }
 
+/// Dense QL on the explicitly formed `E'` (EISPACK `tred2`/`tql2`):
+/// the `O(n³)` oracle, always applicable.
 fn dense_poles(
     t1: &Transform1,
     parts: &Partitions,
@@ -406,7 +291,9 @@ fn dense_poles(
     })
 }
 
-fn laso_poles(
+/// Lanczos with full reorthogonalization on the `E'` operator
+/// ([`pact_lanczos`]), never forming `E'` densely.
+fn lanczos_poles(
     t1: &Transform1,
     parts: &Partitions,
     lambda_c: f64,

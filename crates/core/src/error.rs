@@ -37,6 +37,16 @@ pub enum PactError {
         /// The rejected threshold.
         value: f64,
     },
+    /// The worker-thread count was outside `1..=max`. Every parallel
+    /// stage spawns up to that many scoped threads per fan-out, so an
+    /// unbounded count from a client costs the host far more than the
+    /// reduction, whose result is the same at any count.
+    Threads {
+        /// The rejected count.
+        value: usize,
+        /// The largest accepted count.
+        max: usize,
+    },
     /// The internal conductance block `D` is singular: the named internal
     /// node has no DC path to any port, so the congruence transform (and
     /// the paper's stability theorem, which needs `D ≻ 0`) is undefined.
@@ -87,6 +97,7 @@ impl PactError {
             PactError::Network(_) => "network",
             PactError::Cutoff(_) => "cutoff",
             PactError::Sparsify { .. } => "sparsify",
+            PactError::Threads { .. } => "threads",
             PactError::SingularInternalConductance { .. } => "singular_internal_conductance",
             PactError::NonFiniteInternalConductance { .. } => "non_finite_internal_conductance",
             PactError::Lanczos(_) => "lanczos",
@@ -157,6 +168,9 @@ impl std::fmt::Display for PactError {
                 "sparsify threshold must be a finite number in [0, 1) \
                  (0 disables sparsification), got {value}"
             ),
+            PactError::Threads { value, max } => {
+                write!(f, "threads must be between 1 and {max}, got {value}")
+            }
             PactError::SingularInternalConductance { node, pivot } => write!(
                 f,
                 "internal node `{node}` has no DC path to any port \

@@ -144,7 +144,6 @@ pub(crate) fn reduce_network_hier(
         )
         .into_iter()
         .collect::<Result<_, ReduceError>>()?;
-    let kernel = opts.chol_kernel;
     let mut probe = session.cache_snapshot();
     let mut seen = BTreeSet::new();
     let mut unique: Vec<usize> = Vec::new();
@@ -153,7 +152,7 @@ pub(crate) fn reduce_network_hier(
             continue;
         }
         if probe
-            .lookup(prep.pattern_key, opts.ordering, kernel, &prep.parts.d)
+            .lookup(prep.pattern_key, opts.ordering, &prep.parts.d)
             .is_none()
         {
             unique.push(k);
@@ -162,20 +161,11 @@ pub(crate) fn reduce_network_hier(
     let analyzed = ctx.map_items(
         unique.len(),
         || (),
-        |_, i| {
-            SymbolicCholesky::analyze_with_kernel(
-                &prepared[unique[i]].parts.d,
-                opts.ordering,
-                kernel,
-            )
-        },
+        |_, i| SymbolicCholesky::analyze(&prepared[unique[i]].parts.d, opts.ordering),
     );
     let mut new_entries: Vec<CacheEntry> = Vec::with_capacity(unique.len());
     for (&k, sym) in unique.iter().zip(analyzed) {
-        new_entries.push((
-            (prepared[k].pattern_key, opts.ordering, kernel),
-            Arc::new(sym?),
-        ));
+        new_entries.push(((prepared[k].pattern_key, opts.ordering), Arc::new(sym?)));
     }
     let mut leaf_cache = session.cache_snapshot();
     leaf_cache.extend(new_entries.clone());

@@ -58,14 +58,10 @@
 //! Keeping a subset of pole rows is a principal-submatrix congruence of
 //! the realized `(G'', C'')`, so passivity survives exactly as before.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pact_netlist::RcNetwork;
-use pact_sparse::{
-    sym_eig, CholKernel, CsrMat, DMat, FactorDiagnostics, FactorError, Ordering, ParCtx,
-    PivotPolicy, SparseCholesky,
-};
+use pact_sparse::{sym_eig, CsrMat, DMat, ParCtx, PivotPolicy};
 
 use crate::backend::{self, capacitance_split, sparse_dot, CapTerm, EigenSelect};
 use crate::cutoff::CutoffSpec;
@@ -128,27 +124,6 @@ pub(crate) fn prepare_leaf(leaf: &LeafBlock) -> Result<PreparedLeaf, ReduceError
     })
 }
 
-/// Numeric factorization against the shared pattern cache. The
-/// `leaf_reuse` pre-pass guarantees every leaf pattern is present, so
-/// this is a refactorization in all but pathological cases (capacity
-/// eviction on a tree with more unique patterns than cache slots).
-fn factor_cached(
-    cache: &mut SymbolicCache,
-    d: &CsrMat,
-    key: u64,
-    ordering: Ordering,
-    kernel: CholKernel,
-    policy: PivotPolicy,
-) -> Result<(SparseCholesky, FactorDiagnostics), FactorError> {
-    if let Some(sym) = cache.lookup(key, ordering, kernel, d) {
-        return sym.refactor(d, policy);
-    }
-    let (chol, diag, sym) =
-        SparseCholesky::factor_analyzed_with_kernel(d, ordering, policy, kernel)?;
-    cache.insert(key, ordering, kernel, Arc::new(sym));
-    Ok((chol, diag))
-}
-
 /// Reduces one prepared leaf: cached factor → moments → two-level
 /// Gram/Schur pole analysis with budgeted trimming, falling back to the
 /// guarded low-rank/dense flat path when `E` is not a low-rank
@@ -182,18 +157,13 @@ pub(crate) fn reduce_prepared_leaf(
         Some(rel_threshold) => PivotPolicy::Perturb { rel_threshold },
         None => PivotPolicy::Error,
     };
-    let kernel = leaf_opts.chol_kernel;
+    // The `leaf_reuse` pre-pass put every leaf pattern in the cache, so
+    // this is a refactorization in all but pathological cases (capacity
+    // eviction on a tree with more unique patterns than cache slots).
     let factor_start = Instant::now();
-    let factored = factor_cached(
-        cache,
-        &parts.d,
-        prep.pattern_key,
-        leaf_opts.ordering,
-        kernel,
-        policy,
-    );
+    let factored = cache.factor(&parts.d, leaf_opts.ordering, policy);
     tel.record_phase("factor", factor_start.elapsed().as_secs_f64());
-    let (chol, diag) = factored.map_err(|e| {
+    let (chol, diag, _) = factored.map_err(|e| {
         let e = remap_factor_index(ReduceError::from(e), &prep.network, &leaf.network);
         remap_factor_index(e, &leaf.network, parent)
     })?;

@@ -70,9 +70,7 @@ mod transform;
 mod verify;
 
 pub use admittance::{transimpedance_of, FullAdmittance, PortImpedance, SweepCounts, YEvaluator};
-pub use backend::{
-    DenseQlBackend, EigenBackend, EigenSelect, EigenSolution, LanczosBackend, LowRankBackend,
-};
+pub use backend::{EigenSelect, EigenSolution};
 pub use cutoff::{CutoffError, CutoffSpec};
 pub use error::PactError;
 pub use extract::{
@@ -81,7 +79,6 @@ pub use extract::{
 };
 pub use lru::LruCache;
 pub use model::ReducedModel;
-pub use pact_sparse::CholKernel;
 pub use partition::Partitions;
 pub use reduce::{
     reduce, reduce_network, reduce_network_components, ComponentReduction, ReduceError,

@@ -12,7 +12,7 @@
 
 use pact_lanczos::{LanczosError, LanczosStats};
 use pact_netlist::{RcNetwork, Stamped};
-use pact_sparse::{CholKernel, EigenError, FactorError, Ordering};
+use pact_sparse::{EigenError, FactorError, Ordering};
 
 use crate::backend::EigenSelect;
 use crate::cutoff::CutoffSpec;
@@ -74,12 +74,6 @@ pub struct ReduceOptions {
     /// Execution strategy: one-shot flat PACT (default) or hierarchical
     /// divide-and-conquer over a nested-dissection partition tree.
     pub strategy: ReduceStrategy,
-    /// Numeric Cholesky kernel for factoring `D`:
-    /// [`CholKernel::Supernodal`] (default) is the blocked kernel;
-    /// [`CholKernel::Scalar`] is the up-looking reference kernel the
-    /// parity tests and the Section-4 study compare against. Retained
-    /// poles agree between the kernels to floating-point roundoff.
-    pub chol_kernel: CholKernel,
 }
 
 impl ReduceOptions {
@@ -93,7 +87,6 @@ impl ReduceOptions {
             threads: None,
             pivot_relief: None,
             strategy: ReduceStrategy::Flat,
-            chol_kernel: CholKernel::Supernodal,
         }
     }
 }

@@ -22,8 +22,8 @@ use std::time::Instant;
 use pact_lanczos::LanczosStats;
 use pact_netlist::{RcNetwork, Stamped};
 use pact_sparse::{
-    CholKernel, CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy,
-    SparseCholesky, SymbolicCholesky,
+    CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy, SparseCholesky,
+    SymbolicCholesky,
 };
 
 use crate::backend;
@@ -40,9 +40,9 @@ use crate::transform::{lane_scratch_bytes, Transform1};
 /// Cached symbolic analyses the session keeps at most (default).
 const CACHE_CAP: usize = 64;
 
-/// Cache key: pattern fingerprint plus the ordering and kernel the
-/// analysis was computed under.
-pub(crate) type SymKey = (u64, Ordering, CholKernel);
+/// Cache key: pattern fingerprint plus the ordering the analysis was
+/// computed under.
+pub(crate) type SymKey = (u64, Ordering);
 
 /// One cached analysis as handed between sessions (hier leaf workers
 /// report what they learned as a list of these).
@@ -87,22 +87,15 @@ impl SymbolicCache {
         &mut self,
         key: u64,
         ordering: Ordering,
-        kernel: CholKernel,
         a: &CsrMat,
     ) -> Option<Arc<SymbolicCholesky>> {
         self.lru
-            .get_if(&(key, ordering, kernel), |sym| sym.matches(a))
+            .get_if(&(key, ordering), |sym| sym.matches(a))
             .map(Arc::clone)
     }
 
-    pub(crate) fn insert(
-        &mut self,
-        key: u64,
-        ordering: Ordering,
-        kernel: CholKernel,
-        sym: Arc<SymbolicCholesky>,
-    ) {
-        self.lru.insert((key, ordering, kernel), sym);
+    pub(crate) fn insert(&mut self, key: u64, ordering: Ordering, sym: Arc<SymbolicCholesky>) {
+        self.lru.insert((key, ordering), sym);
     }
 
     /// Merges entries learned elsewhere (same-key entries replace).
@@ -111,13 +104,27 @@ impl SymbolicCache {
             self.lru.insert(key, sym);
         }
     }
-}
 
-/// The cache key for `a`'s sparsity pattern: the fingerprint the matrix
-/// computed at construction time (values excluded by construction), so
-/// keying a lookup is O(1) rather than a rehash of the index arrays.
-fn pattern_key(a: &CsrMat) -> u64 {
-    a.pattern_key()
+    /// Factors `d`, replaying a cached symbolic analysis of its pattern
+    /// when there is one (bit-identical to a fresh factor) and caching a
+    /// fresh one otherwise. The flag says whether the cache served it.
+    /// The key is the fingerprint `d` computed at construction, so a
+    /// lookup is O(1) rather than a rehash of the index arrays.
+    pub(crate) fn factor(
+        &mut self,
+        d: &CsrMat,
+        ordering: Ordering,
+        policy: PivotPolicy,
+    ) -> Result<(SparseCholesky, FactorDiagnostics, bool), FactorError> {
+        let key = d.pattern_key();
+        if let Some(sym) = self.lookup(key, ordering, d) {
+            let (chol, diag) = sym.refactor(d, policy)?;
+            return Ok((chol, diag, true));
+        }
+        let (chol, diag, sym) = SparseCholesky::factor_analyzed(d, ordering, policy)?;
+        self.insert(key, ordering, Arc::new(sym));
+        Ok((chol, diag, false))
+    }
 }
 
 /// A reusable reduction context: options plus the symbolic-analysis
@@ -326,7 +333,7 @@ impl ReductionSession {
             None => PivotPolicy::Error,
         };
         let factor_start = Instant::now();
-        let factored = self.factor_internal(&parts.d, policy);
+        let factored = self.cache.factor(&parts.d, self.opts.ordering, policy);
         tel.record_phase("factor", factor_start.elapsed().as_secs_f64());
         let (chol, diag, cache_hit) = factored?;
         for p in &diag.perturbed {
@@ -391,26 +398,6 @@ impl ReductionSession {
             modelled,
             sol.lanczos,
         ))
-    }
-
-    /// Factors `D`, reusing a cached symbolic analysis when the sparsity
-    /// pattern has been seen before (bit-identical to a fresh factor).
-    pub(crate) fn factor_internal(
-        &mut self,
-        d: &CsrMat,
-        policy: PivotPolicy,
-    ) -> Result<(SparseCholesky, FactorDiagnostics, bool), FactorError> {
-        let kernel = self.opts.chol_kernel;
-        let key = pattern_key(d);
-        if let Some(sym) = self.cache.lookup(key, self.opts.ordering, kernel, d) {
-            let (chol, diag) = sym.refactor(d, policy)?;
-            return Ok((chol, diag, true));
-        }
-        let (chol, diag, sym) =
-            SparseCholesky::factor_analyzed_with_kernel(d, self.opts.ordering, policy, kernel)?;
-        self.cache
-            .insert(key, self.opts.ordering, kernel, Arc::new(sym));
-        Ok((chol, diag, false))
     }
 }
 
@@ -550,10 +537,22 @@ mod tests {
             .map(|i| ladder(30, 200.0 + 10.0 * i as f64, 1e-12))
             .collect();
         let opts = ReduceOptions::new(CutoffSpec::new(5e9, 0.05).unwrap());
-        let mut session = ReductionSession::new(opts);
+        let mut session = ReductionSession::new(opts.clone());
         let reds = session.reduce_batch(&decks).unwrap();
         assert_eq!(reds.len(), 5);
         assert_eq!(session.cached_patterns(), 1);
+        for (k, (deck, warm)) in decks.iter().zip(&reds).enumerate() {
+            let cold = ReductionSession::new(opts.clone())
+                .reduce_network(deck)
+                .unwrap();
+            assert_eq!(warm.model.a1, cold.model.a1, "deck {k}: A' differs");
+            assert_eq!(warm.model.b1, cold.model.b1, "deck {k}: B' differs");
+            assert_eq!(
+                warm.model.lambdas, cold.model.lambdas,
+                "deck {k}: poles differ"
+            );
+            assert_eq!(warm.model.r2, cold.model.r2, "deck {k}: R'' differs");
+        }
         let fresh: u64 = reds
             .iter()
             .map(|r| r.telemetry.counters.factorizations)
@@ -618,35 +617,25 @@ mod tests {
         let da = Partitions::split(&net_a.stamp()).d;
         let db = Partitions::split(&net_b.stamp()).d;
         let ordering = Ordering::NestedDissection;
-        let kernel = CholKernel::Supernodal;
         let factor = |d: &CsrMat| {
-            let (_, _, sym) = SparseCholesky::factor_analyzed_with_kernel(
-                d,
-                ordering,
-                PivotPolicy::Error,
-                kernel,
-            )
-            .unwrap();
+            let (_, _, sym) =
+                SparseCholesky::factor_analyzed(d, ordering, PivotPolicy::Error).unwrap();
             Arc::new(sym)
         };
 
         // Forge an FNV-1a collision: store A's analysis under B's
         // fingerprint. The exact `matches` verification must reject it.
         let mut cache = SymbolicCache::with_capacity(4);
-        cache.insert(db.pattern_key(), ordering, kernel, factor(&da));
+        cache.insert(db.pattern_key(), ordering, factor(&da));
         assert!(
-            cache
-                .lookup(db.pattern_key(), ordering, kernel, &db)
-                .is_none(),
+            cache.lookup(db.pattern_key(), ordering, &db).is_none(),
             "a colliding fingerprint must fall through the exact pattern check"
         );
 
         // The fresh analysis of B then *replaces* the colliding entry
         // (newest wins) instead of being shadowed by it forever.
-        cache.insert(db.pattern_key(), ordering, kernel, factor(&db));
+        cache.insert(db.pattern_key(), ordering, factor(&db));
         assert_eq!(cache.len(), 1, "collision resolves by replacement");
-        assert!(cache
-            .lookup(db.pattern_key(), ordering, kernel, &db)
-            .is_some());
+        assert!(cache.lookup(db.pattern_key(), ordering, &db).is_some());
     }
 }

@@ -87,7 +87,6 @@ fn reduce_with_threads(net: &RcNetwork, eigen_backend: &EigenSelect, threads: us
         threads: Some(threads),
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     pact::reduce_network(net, &opts).unwrap()
 }

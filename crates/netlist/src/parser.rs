@@ -368,6 +368,13 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
             Ok(())
         }
         'v' | 'i' => {
+            if tokens.len() < 3 {
+                let what = if head.starts_with('v') { "V" } else { "I" };
+                return Err(err(
+                    line,
+                    format!("expected `{what}name n+ n- [value | waveform]`"),
+                ));
+            }
             let wave = parse_waveform(&tokens[3..], body, line)?;
             let kind = if head.starts_with('v') {
                 ElementKind::VSource {

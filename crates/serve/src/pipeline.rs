@@ -12,13 +12,12 @@
 //! same reason.
 
 use pact::{
-    collapse_chains, sanitize_network, ChainCollapseSpec, CholKernel, ComponentReduction,
-    CutoffSpec, EigenSelect, PactError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession,
-    Telemetry, Warning,
+    collapse_chains, sanitize_network, ChainCollapseSpec, ComponentReduction, CutoffSpec,
+    EigenSelect, PactError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession, Telemetry,
+    Warning,
 };
 use pact_lanczos::LanczosConfig;
 use pact_netlist::{extract_rc, parse, splice_reduced, Element, Netlist, RcNetwork};
-use pact_sparse::Ordering;
 
 /// Default relative pivot-relief floor for quasi-singular `D` diagonals;
 /// see `ReduceOptions::pivot_relief`.
@@ -29,6 +28,9 @@ pub const DEFAULT_BLOCK_SIZE: usize = 2000;
 
 /// Default `--max-depth`: dissection recursion budget.
 pub const DEFAULT_MAX_DEPTH: usize = 16;
+
+/// Largest `--threads` / `"threads"` either front end accepts.
+pub const MAX_THREADS: usize = 256;
 
 /// Default `--chain-tol`: relative in-band admittance error budget for
 /// the series-chain collapse pre-pass.
@@ -158,8 +160,9 @@ impl DeckOptions {
     /// # Errors
     ///
     /// Fails (code `cutoff`) when `f_max`/`tolerance` do not define a
-    /// valid cutoff, and (code `sparsify`) when `sparsify` is not a
-    /// finite number in `[0, 1)`.
+    /// valid cutoff, (code `sparsify`) when `sparsify` is not a finite
+    /// number in `[0, 1)`, and (code `threads`) when `threads` is outside
+    /// `1..=`[`MAX_THREADS`].
     pub fn reduce_options(&self) -> Result<ReduceOptions, PactError> {
         let cutoff = CutoffSpec::new(self.f_max, self.tolerance)?;
         if !(0.0..1.0).contains(&self.sparsify) {
@@ -167,11 +170,16 @@ impl DeckOptions {
                 value: self.sparsify,
             });
         }
+        if let Some(value) = self.threads {
+            if !(1..=MAX_THREADS).contains(&value) {
+                return Err(PactError::Threads {
+                    value,
+                    max: MAX_THREADS,
+                });
+            }
+        }
         Ok(ReduceOptions {
-            cutoff,
             eigen_backend: self.eigen_select(),
-            ordering: Ordering::NestedDissection,
-            dense_threshold: 400,
             threads: self.threads,
             pivot_relief: if self.strict_pivots {
                 None
@@ -179,7 +187,7 @@ impl DeckOptions {
                 Some(PIVOT_RELIEF)
             },
             strategy: self.reduce_strategy(),
-            chol_kernel: CholKernel::Supernodal,
+            ..ReduceOptions::new(cutoff)
         })
     }
 

@@ -283,10 +283,13 @@ impl Daemon {
             Err(e) => return fail(e.code(), &e.to_string()),
         };
         // The front half runs inline: the shard key is the fingerprint
-        // of the *sanitized* topology, so routing needs it.
-        let prep = match prepare_deck(&text, &req.options) {
-            Ok(p) => p,
-            Err(e) => return fail(e.code(), &e.to_string()),
+        // of the *sanitized* topology, so routing needs it. A panic here
+        // would end the dispatcher, and with it every later request, so
+        // it costs this request an `internal` reply instead.
+        let prep = match catch_unwind(AssertUnwindSafe(|| prepare_deck(&text, &req.options))) {
+            Ok(Ok(p)) => p,
+            Ok(Err(e)) => return fail(e.code(), &e.to_string()),
+            Err(_) => return fail("internal", "deck preparation panicked"),
         };
         let shard = (prep.topology_key() % self.workers.len() as u64) as usize;
         let worker = &self.workers[shard];

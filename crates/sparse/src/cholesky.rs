@@ -12,8 +12,9 @@
 //! - **Scalar**: Davis's up-looking LDL — a symbolic pass builds the
 //!   elimination tree and column counts, then a numeric pass computes one
 //!   row of `L` at a time with a sparse triangular solve over the row's
-//!   elimination-tree reach. Retained as the A/B reference behind
-//!   [`CholKernel::Scalar`].
+//!   elimination-tree reach. Retained as the test oracle the parity
+//!   tests and kernel benches compare against, selected by
+//!   [`CholKernel::Scalar`] in [`SparseCholesky::factor_analyzed_with_kernel`].
 //!
 //! Neither kernel requires dynamic fill-in reallocation, and both share
 //! the pivot policies and typed pivot errors below.
@@ -297,20 +298,6 @@ impl SymbolicCholesky {
         Self::analyze_perm_kernel(a, perm2, kernel)
     }
 
-    /// Runs the symbolic analysis under an explicit permutation, taken
-    /// verbatim (no postorder composition), targeting the scalar kernel.
-    ///
-    /// # Errors
-    ///
-    /// [`FactorError::NotSquare`] for rectangular input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` has the wrong length.
-    pub fn analyze_with_permutation(a: &CsrMat, perm: Vec<usize>) -> Result<Self, FactorError> {
-        Self::analyze_perm_kernel(a, perm, CholKernel::Scalar)
-    }
-
     fn analyze_perm_kernel(
         a: &CsrMat,
         perm: Vec<usize>,
@@ -396,16 +383,6 @@ impl SymbolicCholesky {
     /// Below-diagonal entry count of each factor column (permuted order).
     pub fn column_counts(&self) -> Vec<usize> {
         self.lp.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
-    /// The numeric kernel this analysis targets.
-    #[inline]
-    pub fn kernel(&self) -> CholKernel {
-        if self.plan.is_some() {
-            CholKernel::Supernodal
-        } else {
-            CholKernel::Scalar
-        }
     }
 
     /// Number of supernode panels (0 when targeting the scalar kernel).
@@ -730,20 +707,6 @@ impl SparseCholesky {
         Self::factor_analyzed(a, ordering, policy).map(|(f, diag, _)| (f, diag))
     }
 
-    /// Factors with an explicit permutation (row `i` of `PAPᵀ` is row
-    /// `perm[i]` of `A`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseCholesky::factor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` has the wrong length.
-    pub fn factor_with_permutation(a: &CsrMat, perm: Vec<usize>) -> Result<Self, FactorError> {
-        Self::factor_full(a, perm, PivotPolicy::Error).map(|(f, _)| f)
-    }
-
     /// Factors under an explicit [`PivotPolicy`] and also returns the
     /// reusable [`SymbolicCholesky`] analysis, so later matrices with the
     /// same sparsity pattern can skip the fill-reducing ordering and
@@ -762,8 +725,8 @@ impl SparseCholesky {
     }
 
     /// [`SparseCholesky::factor_analyzed`] with an explicit numeric
-    /// kernel — the in-process A/B switch between the supernodal and
-    /// scalar paths.
+    /// kernel: the route to the scalar reference kernel that the parity
+    /// tests and kernel benches compare the supernodal one against.
     ///
     /// # Errors
     ///
@@ -777,14 +740,6 @@ impl SparseCholesky {
         let sym = SymbolicCholesky::analyze_with_kernel(a, ordering, kernel)?;
         let (factor, diag) = sym.refactor(a, policy)?;
         Ok((factor, diag, sym))
-    }
-
-    fn factor_full(
-        a: &CsrMat,
-        perm: Vec<usize>,
-        policy: PivotPolicy,
-    ) -> Result<(Self, FactorDiagnostics), FactorError> {
-        SymbolicCholesky::analyze_with_permutation(a, perm)?.refactor(a, policy)
     }
 
     /// Matrix dimension.
@@ -1031,12 +986,6 @@ impl SparseCholesky {
             }
             FactorData::Super(f) => f.ltsolve_unit(x),
         }
-    }
-
-    /// Solves `A X = B` column by column for a dense right-hand side given
-    /// as columns, yielding `A⁻¹ B`.
-    pub fn solve_mat_cols(&self, cols: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        cols.iter().map(|c| self.solve(c)).collect()
     }
 
     // ---- blocked multi-RHS solves ----

@@ -12,7 +12,8 @@
 //! - [`SparseCholesky`]: supernodal (blocked) LDLᵀ with elimination tree
 //!   and fill-reducing [`Ordering`], exposing the Cholesky-factor solves
 //!   `F⁻¹`/`F⁻ᵀ` used by the paper's first congruence transform (a
-//!   scalar up-looking reference kernel stays behind [`CholKernel`]);
+//!   scalar up-looking kernel, selected by [`CholKernel`], is the test
+//!   oracle);
 //! - [`sym_eig`]: dense symmetric eigensolver (Householder +
 //!   implicit-shift QL), the oracle behind pole analysis and the
 //!   extractor for Lanczos' projected matrix `T`;

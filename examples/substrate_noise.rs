@@ -37,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(&ex.network, &opts)?;
     println!("kept {} pole(s) below ~3 GHz", red.model.num_poles());

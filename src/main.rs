@@ -573,7 +573,7 @@ mod tests {
         &[("tol", "0.1", Some("0.1"))],
         &[("sparsify", "1e-6", Some("1e-6"))],
         &[("ports", r#"["n1"]"#, Some("n1"))],
-        &[("threads", "4", Some("4"))],
+        &[("threads", "256", Some("256"))],
         &[("eigen", r#""lowrank""#, Some("lowrank"))],
         &[("components", "true", None)],
         &[("strict_pivots", "true", None)],
@@ -590,8 +590,9 @@ mod tests {
 
     /// Settings both front ends must refuse, in their parser or in
     /// `reduce_options()`, including every removed option.
-    const REJECTED: [&[Setting]; 10] = [
+    const REJECTED: [&[Setting]; 11] = [
         &[("threads", "0", Some("0"))],
+        &[("threads", "257", Some("257"))],
         &[("eigen", r#""magic""#, Some("magic"))],
         &[("chain_tol", "1e-4", Some("1e-4"))],
         &[("block_size", "0", Some("0"))],
@@ -670,11 +671,18 @@ mod tests {
             assert!(daemon.reduce_options().is_ok(), "{settings:?}");
         }
 
-        let accepted = |o: Result<DeckOptions, String>| o.is_ok_and(|o| o.reduce_options().is_ok());
+        // `None` when the parser refuses, else the code `reduce_options()`
+        // fails with: both front ends must refuse at the same stage, with
+        // the same typed code.
+        let outcome = |o: Result<DeckOptions, String>| {
+            o.ok().map(|o| o.reduce_options().err().map(|e| e.code()))
+        };
         for settings in REJECTED {
             let (daemon, cli) = both_front_ends(settings);
-            assert!(!accepted(daemon), "daemon accepts {settings:?}");
-            assert!(!accepted(cli), "rcfit accepts {settings:?}");
+            let (daemon, cli) = (outcome(daemon), outcome(cli));
+            assert_ne!(daemon, Some(None), "daemon accepts {settings:?}");
+            assert_ne!(cli, Some(None), "rcfit accepts {settings:?}");
+            assert_eq!(daemon, cli, "{settings:?} fails differently");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Session/backend refactor equivalence.
 //!
-//! The `ReductionSession` + `EigenBackend` rework must be invisible in
+//! The `ReductionSession` and eigen-backend rework must be invisible in
 //! the numbers: every path (flat, hierarchical) produces
 //! the same bits as the one-shot entry points, warm sessions reproduce
 //! cold sessions exactly, thread count never changes a result, and the

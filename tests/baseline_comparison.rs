@@ -34,7 +34,6 @@ fn pact_and_krylov_agree_at_low_frequency() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let pact_red = pact::reduce_network(&net, &opts).unwrap();
     let kry = block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).unwrap();
@@ -79,7 +78,6 @@ fn pade_basis_memory_couples_to_ports_pact_does_not() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let pact_a = pact::reduce_network(&net_a, &opts).unwrap();
     let pact_b = pact::reduce_network(&net_b, &opts).unwrap();

@@ -155,7 +155,6 @@ fn run_pipeline(net: &RcNetwork, strict_pivots: bool) -> Result<Reduction, PactE
         threads: None,
         pivot_relief: if strict_pivots { None } else { Some(1e-12) },
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     reduce_network(&sanitized.network, &opts)
         .map_err(|e| PactError::from_reduce(e, &sanitized.network))

@@ -114,7 +114,6 @@ fn reduced_ac_matches_below_fmax() {
         threads: None,
         pivot_relief: None,
         strategy: pact::ReduceStrategy::Flat,
-        chol_kernel: pact::CholKernel::Supernodal,
     };
     let red = pact::reduce_network(&ex.network, &opts).expect("reduce");
     let reduced = splice_reduced(&original, red.model.to_netlist_elements("rf", 1e-9));

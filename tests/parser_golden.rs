@@ -81,6 +81,11 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         include_str!("fixtures/duplicate_model.sp"),
         "line 3, col 8: duplicate .model definition `nch`",
     ),
+    (
+        "short_source.sp",
+        include_str!("fixtures/short_source.sp"),
+        "line 3: expected `Vname n+ n- [value | waveform]`",
+    ),
 ];
 
 #[test]

@@ -58,6 +58,9 @@ fn typed_errors_keep_the_daemon_alive_and_sessions_warm() {
     // A deck that does not parse at all.
     let unparsable = r#"{"id":"noparse","deck":"* bad\nQ1 a b c model\n.end\n"}"#;
     daemon.submit(unparsable, &sink);
+    // A source card cut short, which used to panic the dispatcher.
+    let short_source = r#"{"id":"short","deck":"* bad\nV1 a\n.end\n"}"#;
+    daemon.submit(short_source, &sink);
     // A server-side path that does not exist.
     let bad_path = r#"{"id":"nofile","path":"/nonexistent/deck.sp"}"#;
     daemon.submit(bad_path, &sink);
@@ -80,10 +83,11 @@ fn typed_errors_keep_the_daemon_alive_and_sessions_warm() {
             (d.get("id").unwrap().as_str().unwrap().to_owned(), d)
         })
         .collect();
-    assert_eq!(docs.len(), 6, "every request answered exactly once");
+    assert_eq!(docs.len(), 7, "every request answered exactly once");
 
     assert_eq!(error_code(&docs["poison"]), "network");
     assert_eq!(error_code(&docs["noparse"]), "parse");
+    assert_eq!(error_code(&docs["short"]), "parse");
     assert_eq!(error_code(&docs["nofile"]), "io");
     assert_eq!(error_code(&docs["nocut"]), "cutoff");
 
@@ -97,7 +101,7 @@ fn typed_errors_keep_the_daemon_alive_and_sessions_warm() {
     );
 
     assert_eq!(counters.ok.load(AtomicOrdering::Relaxed), 2);
-    assert_eq!(counters.errors.load(AtomicOrdering::Relaxed), 4);
+    assert_eq!(counters.errors.load(AtomicOrdering::Relaxed), 5);
     assert_eq!(counters.worker_panics.load(AtomicOrdering::Relaxed), 0);
 }
 

@@ -1,29 +1,35 @@
-//! Scalar-vs-supernodal Cholesky kernel parity.
+//! Scalar-vs-supernodal Cholesky kernel parity at the Transform 1 layer.
 //!
-//! The supernodal blocked kernel is a performance representation of the
-//! same LDLᵀ factorization the scalar up-looking reference computes:
-//! both share the postordered fill-reducing permutation, so retained
-//! poles must agree to floating-point roundoff on every generator
-//! family, every strategy, every eigen backend, every thread count, and
-//! both fresh and through a warm session's numeric-only refactor.
+//! Every reduction factors `D` with the supernodal blocked kernel; the
+//! scalar up-looking kernel stays in `pact-sparse` as the oracle it is
+//! checked against. Both share the postordered fill-reducing
+//! permutation, so the first congruence transform built on either
+//! factor must give the same `A'`, `B'` and poles of `E'` above `λ_c` to
+//! floating-point roundoff on every generator family. Within one
+//! kernel the transform is bit-identical at every thread count and
+//! after the numeric-only refactor a warm session replays.
 
-use pact::{
-    CholKernel, CutoffSpec, EigenSelect, ReduceOptions, ReduceStrategy, Reduction, ReductionSession,
-};
+use pact::{CutoffSpec, Partitions, Transform1};
 use pact_gen::{
     inverter_pair_deck, power_grid_deck, substrate_mesh, LineSpec, MeshSpec, PowerGridSpec,
 };
-use pact_lanczos::LanczosConfig;
+use pact_lanczos::{eigs_above, LanczosConfig};
 use pact_netlist::{extract_rc, RcNetwork};
+use pact_sparse::{
+    sym_eig, CholKernel, DMat, Ordering, ParCtx, PivotPolicy, SparseCholesky, SymbolicCholesky,
+};
 
-/// Required agreement of retained poles between the kernels, relative
-/// to the spectral scale (the largest retained pole magnitude). The two
-/// kernels compute the same factorization up to summation order inside
-/// the dense panels, i.e. `E' + E` with `‖E‖` roundoff-sized, and Weyl's
-/// inequality bounds every eigenvalue shift by `‖E‖` — an absolute
-/// bound, which is why tail poles are gated against the spectral scale
-/// rather than their own (tiny) magnitude.
-const POLE_REL_TOL: f64 = 1e-10;
+/// Required agreement between the kernels, relative to the scale of
+/// the compared quantity (the largest retained pole, or the largest
+/// entry of `A'`/`B'`). The two kernels compute the same factorization
+/// up to summation order inside the dense panels, i.e. `E' + E` with
+/// `‖E‖` roundoff-sized, and Weyl's inequality bounds every eigenvalue
+/// shift by `‖E‖` — an absolute bound, which is why tail poles are
+/// gated against the spectral scale rather than their own (tiny)
+/// magnitude.
+const REL_TOL: f64 = 1e-10;
+
+const KERNELS: [CholKernel; 2] = [CholKernel::Supernodal, CholKernel::Scalar];
 
 fn mesh_fixture() -> RcNetwork {
     substrate_mesh(&MeshSpec {
@@ -53,158 +59,157 @@ fn line_fixture() -> RcNetwork {
     extract_rc(&deck, &[]).unwrap().network
 }
 
-fn families() -> Vec<(&'static str, RcNetwork, f64, usize)> {
-    vec![
-        ("mesh", mesh_fixture(), 2e9, 48),
+/// (label, network, `λ_c`).
+fn families() -> Vec<(&'static str, RcNetwork, f64)> {
+    [
+        ("mesh", mesh_fixture(), 2e9),
         // The decap grid's poles sit far above rail bandwidth; 100 GHz
         // retains a few dozen so the parity check has something to bite.
-        ("powergrid", powergrid_fixture(), 1e11, 24),
-        ("line", line_fixture(), 5e9, 20),
+        ("powergrid", powergrid_fixture(), 1e11),
+        ("line", line_fixture(), 5e9),
     ]
+    .into_iter()
+    .map(|(label, net, fmax)| (label, net, CutoffSpec::new(fmax, 0.05).unwrap().lambda_c()))
+    .collect()
 }
 
-fn options(fmax: f64, threads: usize, strategy: ReduceStrategy) -> ReduceOptions {
-    let mut opts = ReduceOptions::new(CutoffSpec::new(fmax, 0.05).unwrap());
-    opts.threads = Some(threads);
-    opts.strategy = strategy;
-    opts
+fn split(net: &RcNetwork) -> Partitions {
+    Partitions::split(&net.stamp())
 }
 
-fn strategies(max_block: usize) -> Vec<(&'static str, ReduceStrategy)> {
-    vec![
-        ("flat", ReduceStrategy::Flat),
-        (
-            "hier",
-            ReduceStrategy::Hierarchical {
-                max_block,
-                max_depth: 16,
-            },
-        ),
-    ]
+fn factor(parts: &Partitions, kernel: CholKernel) -> (SparseCholesky, SymbolicCholesky) {
+    let (chol, _, sym) = SparseCholesky::factor_analyzed_with_kernel(
+        &parts.d,
+        Ordering::NestedDissection,
+        PivotPolicy::Error,
+        kernel,
+    )
+    .unwrap();
+    (chol, sym)
 }
 
-fn assert_pole_parity(sup: &Reduction, sca: &Reduction, what: &str) {
-    assert_eq!(
-        sup.model.lambdas.len(),
-        sca.model.lambdas.len(),
-        "{what}: kernels retained different pole counts"
-    );
-    let scale = sup
-        .model
-        .lambdas
+/// Transform 1 on `chol` at `threads`, with the Lanczos poles of `E'`
+/// above `λ_c` computed at the same thread count.
+fn transform(
+    parts: &Partitions,
+    chol: SparseCholesky,
+    threads: usize,
+    lambda_c: f64,
+) -> (Transform1, Vec<f64>) {
+    let ctx = ParCtx::new(Some(threads));
+    let t1 = Transform1::with_factor(parts, chol, &ctx);
+    let cfg = LanczosConfig {
+        threads: Some(threads),
+        ..LanczosConfig::default()
+    };
+    let poles = eigs_above(&t1.e_prime_operator_ctx(parts, ctx), lambda_c, &cfg).unwrap();
+    (t1, poles.into_iter().map(|p| p.value).collect())
+}
+
+fn assert_close(a: &[f64], b: &[f64], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: kernels disagree on the count");
+    let scale = a
         .iter()
-        .chain(&sca.model.lambdas)
-        .fold(f64::MIN_POSITIVE, |m, l| m.max(l.abs()));
-    for (k, (a, b)) in sup.model.lambdas.iter().zip(&sca.model.lambdas).enumerate() {
-        let rel = (a - b).abs() / scale;
+        .chain(b)
+        .fold(f64::MIN_POSITIVE, |m, v| m.max(v.abs()));
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        let rel = (x - y).abs() / scale;
         assert!(
-            rel <= POLE_REL_TOL,
-            "{what}: pole {k} deviates by {rel:.3e} of the spectral scale ({a} vs {b})"
+            rel <= REL_TOL,
+            "{what}: entry {k} deviates by {rel:.3e} of the scale ({x} vs {y})"
         );
     }
 }
 
-/// Fresh reductions: every family × strategy × eigen backend, scalar vs
-/// supernodal, with the supernodal telemetry sanity-checked on the flat
-/// path (hier aggregates counters across sub-blocks).
+fn assert_parity(sup: &(Transform1, Vec<f64>), sca: &(Transform1, Vec<f64>), what: &str) {
+    let flat = |m: &DMat<f64>| m.as_slice().to_vec();
+    assert_close(&flat(&sup.0.a1), &flat(&sca.0.a1), &format!("{what}: A'"));
+    assert_close(&flat(&sup.0.b1), &flat(&sca.0.b1), &format!("{what}: B'"));
+    assert_close(&sup.1, &sca.1, &format!("{what}: poles"));
+}
+
+fn assert_bitwise(a: &(Transform1, Vec<f64>), b: &(Transform1, Vec<f64>), what: &str) {
+    assert_eq!(a.0.a1, b.0.a1, "{what}: A' differs");
+    assert_eq!(a.0.b1, b.0.b1, "{what}: B' differs");
+    assert_eq!(a.1, b.1, "{what}: poles differ");
+}
+
+/// Fresh factors: the kernels have the same fill, and the transform on
+/// either gives the same moments and poles, whether the poles come
+/// from Lanczos on the `E'` operator or from the dense `E'`.
 #[test]
 fn kernels_agree_on_retained_poles_fresh() {
-    for (label, net, fmax, max_block) in families() {
-        for (sname, strategy) in strategies(max_block) {
-            for (ename, eigen) in [
-                ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
-                ("dense", EigenSelect::LowRank),
-            ] {
-                let mut opts = options(fmax, 1, strategy);
-                opts.eigen_backend = eigen.clone();
-                opts.chol_kernel = CholKernel::Supernodal;
-                let sup = pact::reduce_network(&net, &opts).unwrap();
-                opts.chol_kernel = CholKernel::Scalar;
-                let sca = pact::reduce_network(&net, &opts).unwrap();
-                let what = format!("{label}/{sname}/{ename}");
-                assert!(
-                    !sup.model.lambdas.is_empty(),
-                    "{what}: fixture retains no poles"
-                );
-                assert!(
-                    sup.telemetry.counters.supernode_count > 0,
-                    "{what}: supernodal run reported no supernodes"
-                );
-                assert_eq!(
-                    sca.telemetry.counters.supernode_count, 0,
-                    "{what}: scalar run reported supernodes"
-                );
-                assert_pole_parity(&sup, &sca, &what);
-            }
-        }
+    for (label, net, lambda_c) in families() {
+        let parts = split(&net);
+        let (sup_chol, _) = factor(&parts, CholKernel::Supernodal);
+        let (sca_chol, _) = factor(&parts, CholKernel::Scalar);
+        assert_eq!(sup_chol.l_nnz(), sca_chol.l_nnz(), "{label}: fill differs");
+        assert!(sup_chol.supernode_count() > 0, "{label}: no supernodes");
+        assert_eq!(sca_chol.supernode_count(), 0, "{label}: scalar supernodes");
+
+        let sup = transform(&parts, sup_chol, 1, lambda_c);
+        let sca = transform(&parts, sca_chol, 1, lambda_c);
+        assert!(!sup.1.is_empty(), "{label}: fixture retains no poles");
+        assert_parity(&sup, &sca, label);
+
+        let dense = |t1: &Transform1| {
+            let eig = sym_eig(&t1.e_prime_dense(&parts)).unwrap();
+            let mut kept: Vec<f64> = eig.values.into_iter().filter(|&l| l > lambda_c).collect();
+            kept.reverse();
+            kept
+        };
+        let (sup_dense, sca_dense) = (dense(&sup.0), dense(&sca.0));
+        assert_close(&sup_dense, &sca_dense, &format!("{label}: dense poles"));
+        assert_close(&sup.1, &sup_dense, &format!("{label}: lanczos vs dense"));
     }
 }
 
-/// Warm sessions: the second reduction of the same deck goes through the
-/// cached symbolic analysis and the numeric-only `refactor` path of each
-/// kernel. Warm must be bit-identical to cold within a kernel, and the
-/// cross-kernel pole parity must survive the warm path.
+/// Warm path: a second deck with the same pattern and new values goes
+/// through each kernel's numeric-only `refactor` of the first deck's
+/// analysis, which must be bit-identical to a fresh factor of it, and
+/// cross-kernel parity must survive the refactor.
 #[test]
 fn kernels_agree_after_warm_session_refactor() {
-    for (label, net, fmax, max_block) in families() {
-        for (sname, strategy) in strategies(max_block) {
-            let mut warm = Vec::new();
-            for kernel in [CholKernel::Supernodal, CholKernel::Scalar] {
-                let mut opts = options(fmax, 1, strategy);
-                opts.chol_kernel = kernel;
-                let mut session = ReductionSession::new(opts);
-                let cold = session.reduce_network(&net).unwrap();
-                let rewarm = session.reduce_network(&net).unwrap();
-                let what = format!("{label}/{sname}/{kernel:?}");
-                assert_eq!(
-                    cold.model.lambdas, rewarm.model.lambdas,
-                    "{what}: warm refactor changed the poles"
-                );
-                assert_eq!(
-                    cold.model.a1, rewarm.model.a1,
-                    "{what}: warm refactor changed A'"
-                );
-                warm.push(rewarm);
-            }
-            assert_pole_parity(&warm[0], &warm[1], &format!("{label}/{sname}/warm"));
+    for (label, mut net, lambda_c) in families() {
+        let parts = split(&net);
+        for r in &mut net.resistors {
+            r.value *= 1.7;
         }
+        let rescaled = split(&net);
+        let mut warm = Vec::new();
+        for kernel in KERNELS {
+            let what = format!("{label}/{kernel:?}");
+            let (_, sym) = factor(&parts, kernel);
+            let (refactored, _) = sym.refactor(&rescaled.d, PivotPolicy::Error).unwrap();
+            let (fresh, _) = factor(&rescaled, kernel);
+            let warm_run = transform(&rescaled, refactored, 1, lambda_c);
+            assert_bitwise(&warm_run, &transform(&rescaled, fresh, 1, lambda_c), &what);
+            warm.push(warm_run);
+        }
+        assert_parity(&warm[0], &warm[1], &format!("{label}/warm"));
     }
 }
 
-/// Thread counts: parity holds at 1/2/4/8 threads, and each kernel is
-/// itself bit-identical across thread counts (the blocked solves
-/// partition lanes deterministically).
+/// Thread counts: within each kernel the transform and its poles are
+/// bit-identical at 1/2/4/8 threads, and the kernels agree at each.
 #[test]
 fn kernels_agree_across_thread_counts() {
-    for (label, net, fmax, max_block) in families() {
-        for (sname, strategy) in strategies(max_block) {
-            let mut base: Option<(Reduction, Reduction)> = None;
-            for threads in [1usize, 2, 4, 8] {
-                let mut opts = options(fmax, threads, strategy);
-                opts.chol_kernel = CholKernel::Supernodal;
-                let sup = pact::reduce_network(&net, &opts).unwrap();
-                opts.chol_kernel = CholKernel::Scalar;
-                let sca = pact::reduce_network(&net, &opts).unwrap();
-                let what = format!("{label}/{sname}/threads={threads}");
-                assert_pole_parity(&sup, &sca, &what);
-                match &base {
-                    None => base = Some((sup, sca)),
-                    Some((bsup, bsca)) => {
-                        assert_eq!(
-                            bsup.model.lambdas, sup.model.lambdas,
-                            "{what}: supernodal poles vary with thread count"
-                        );
-                        assert_eq!(
-                            bsca.model.lambdas, sca.model.lambdas,
-                            "{what}: scalar poles vary with thread count"
-                        );
-                        assert_eq!(
-                            bsup.telemetry.counters, sup.telemetry.counters,
-                            "{what}: supernodal counters vary with thread count"
-                        );
-                    }
-                }
+    for (label, net, lambda_c) in families() {
+        let parts = split(&net);
+        let chols = KERNELS.map(|kernel| factor(&parts, kernel).0);
+        let serial: Vec<_> = chols
+            .iter()
+            .map(|chol| transform(&parts, chol.clone(), 1, lambda_c))
+            .collect();
+        for threads in [2usize, 4, 8] {
+            let runs: Vec<_> = chols
+                .iter()
+                .map(|chol| transform(&parts, chol.clone(), threads, lambda_c))
+                .collect();
+            for ((kernel, run), base) in KERNELS.iter().zip(&runs).zip(&serial) {
+                assert_bitwise(run, base, &format!("{label}/{kernel:?}/threads={threads}"));
             }
+            assert_parity(&runs[0], &runs[1], &format!("{label}/threads={threads}"));
         }
     }
 }
