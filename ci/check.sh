@@ -99,6 +99,26 @@ fi
 mkdir -p results
 cp "$tmp/table4.txt" results/table4_large_mesh.txt
 
+echo "==> Tables 1 and 3: the reduced decks' simulation payoff (-> results/table{1,3}_*.txt)"
+# The paper's payoff: the multiplier (~0.2 s) and the full adder over the
+# substrate mesh (~5 s), each simulated full and reduced. Fails unless
+# Table 1 keeps 0 retained poles across 184 ports with the reduced
+# deck's v(out0) within 0.15 V of the full deck's (0.141 V when this
+# gate was set), or unless Table 3 keeps 3 poles across 20 ports.
+# Timings are recorded, not gated.
+./target/release/table1_multiplier | tee "$tmp/table1.txt"
+grep -q "^retained poles: 0 across 184 ports$" "$tmp/table1.txt"
+wave_err="$(sed -n 's/^max |v(out0)_reduced .* = \([0-9.]*\) V over .*/\1/p' "$tmp/table1.txt")"
+if [ -z "$wave_err" ] || ! awk -v e="$wave_err" 'BEGIN { exit !(e <= 0.15) }'; then
+    echo "Table 1 reduced-vs-full v(out0) error '${wave_err}' V (bound 0.15)" >&2
+    exit 1
+fi
+./target/release/table3_adder | tee "$tmp/table3.txt"
+grep -q "^reduction: 3 poles retained across 20 ports " "$tmp/table3.txt"
+mkdir -p results
+cp "$tmp/table1.txt" results/table1_multiplier.txt
+cp "$tmp/table3.txt" results/table3_adder.txt
+
 echo "==> refactor-determinism smoke (transient + AC sweep, 1 vs 4 threads -> results/sweep_perf.txt)"
 # The --smoke mode asserts bit-identical AC voltages and work counters at
 # 1 vs 4 threads, bitwise reuse-vs-fresh equivalence, and the linear

@@ -7,6 +7,9 @@
 
 use pact_netlist::DiodeModel;
 
+use crate::plan::stamp_conductance;
+use crate::StampSink;
+
 /// Thermal voltage `kT/q` at 300 K (V).
 pub const VTHERM: f64 = 0.025852;
 
@@ -74,24 +77,15 @@ pub fn eval_diode(d: &Diode, v: f64) -> DiodeOp {
 }
 
 /// Newton companion stamp at the node voltages in `v` (ground implied 0):
-/// appends the linearized conductance and the equivalent-current RHS
-/// terms.
-pub fn stamp_diode(d: &Diode, v: &[f64], trips: &mut Vec<(usize, usize, f64)>, rhs: &mut [f64]) {
+/// emits the linearized conductance into `sink` (in an order set by the
+/// terminals alone) and adds the equivalent-current RHS terms.
+pub fn stamp_diode(d: &Diode, v: &[f64], sink: &mut impl StampSink, rhs: &mut [f64]) {
     let vp = d.p.map_or(0.0, |i| v[i]);
     let vn = d.n.map_or(0.0, |i| v[i]);
     let vd = vp - vn;
     let op = eval_diode(d, vd);
     let ieq = op.id - op.gd * vd;
-    match (d.p, d.n) {
-        (Some(i), Some(j)) if i != j => {
-            trips.push((i, i, op.gd));
-            trips.push((j, j, op.gd));
-            trips.push((i, j, -op.gd));
-            trips.push((j, i, -op.gd));
-        }
-        (Some(i), None) | (None, Some(i)) => trips.push((i, i, op.gd)),
-        _ => {}
-    }
+    stamp_conductance(sink, d.p, d.n, op.gd);
     if let Some(i) = d.p {
         rhs[i] -= ieq;
     }

@@ -38,15 +38,19 @@
 
 mod diode;
 mod mosfet;
+mod plan;
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use pact_netlist::{is_ground, ElementKind, Netlist, Waveform};
-use pact_sparse::{Complex64, CscMat, CscPencil, LuCache, ParCtx, SparseLu};
+use pact_sparse::{Complex64, CscPencil, LuCache, ParCtx, SparseLu};
 
 pub use diode::{eval_diode, stamp_diode, Diode, DiodeOp, VTHERM};
 pub use mosfet::{eval_level1, stamp_level1, MosOp, Mosfet};
+pub use plan::StampSink;
+
+use plan::{stamp_conductance, MnaPlan};
 
 /// Minimum conductance from every node to ground (SPICE `GMIN`).
 const GMIN: f64 = 1e-12;
@@ -77,11 +81,6 @@ pub enum CircuitError {
         /// Missing controlling voltage-source name.
         ctrl: String,
     },
-    /// A `.DC` sweep names a source that does not exist.
-    UnknownSource {
-        /// Missing source name.
-        source: String,
-    },
     /// The Newton iteration failed to converge.
     NoConvergence {
         /// Analysis phase that failed (e.g. "dc", "transient t=...").
@@ -105,9 +104,6 @@ impl std::fmt::Display for CircuitError {
                     f,
                     "element {element} references unknown controlling source `{ctrl}`"
                 )
-            }
-            CircuitError::UnknownSource { source } => {
-                write!(f, ".dc sweep references unknown source `{source}`")
             }
             CircuitError::NoConvergence { context } => {
                 write!(f, "newton iteration failed to converge ({context})")
@@ -203,7 +199,9 @@ pub struct SimStats {
     /// Largest LU fill-in seen across the whole run (peak, not last —
     /// adaptive-step runs factor at many step sizes).
     pub peak_factor_nnz: usize,
-    /// Modelled peak memory in bytes: peak LU factors + solution storage.
+    /// Modelled peak memory in bytes: the peak LU factor, the MNA
+    /// plan (pattern, values, base values and stamp slots), solution
+    /// storage and, for a transient, the stored waves.
     pub modelled_memory_bytes: usize,
     /// Wall-clock seconds.
     pub elapsed_seconds: f64,
@@ -222,22 +220,51 @@ impl SimStats {
     }
 }
 
-/// Reusable solver state threaded through every Newton stage of a run:
-/// one [`LuCache`] holding the symbolic analysis (the MNA structure is
-/// fixed for the whole run — MOSFET stamps cover `{d,s}×{d,s,g}` in
-/// every operating region, and capacitor companion patterns are always
-/// stamped, with zero conductance at DC), plus, for linear circuits, a
-/// small keyed store of numeric factorizations so repeating step sizes
-/// skip even the numeric pass.
+/// Reusable solver state threaded through every Newton stage of a run.
+/// The MNA structure is fixed for the whole run — MOSFET stamps cover
+/// `{d,s}×{d,s,g}` in every operating region, and capacitor companion
+/// patterns are always stamped, with zero conductance at DC — so one
+/// [`MnaPlan`], built at the run's first stage, assembles every matrix,
+/// and one [`LuCache`] holds the symbolic analysis. Nonlinear circuits
+/// refactor one kept factor in place; linear circuits keep a small store
+/// of numeric factorizations so repeating step sizes skip even the
+/// numeric pass.
 #[derive(Clone, Debug, Default)]
 struct SolveCtx {
     cache: LuCache,
+    plan: Option<MnaPlan>,
+    /// The factor every nonlinear Newton iteration refactors into.
+    lu: Option<SparseLu<f64>>,
     /// Numeric factorizations of linear-circuit matrices, keyed by the
     /// exact bits of `(gmin, cap_geq)` — the only values the matrix
     /// depends on when no nonlinear devices (MOSFETs, diodes) are
     /// present; inductor companion resistances are `cap_geq · L`.
     /// Most-recently-used first.
     numeric: Vec<((u64, u64), SparseLu<f64>)>,
+}
+
+impl SolveCtx {
+    /// Bytes held by the plan, once built.
+    fn plan_bytes(&self) -> usize {
+        self.plan.as_ref().map_or(0, MnaPlan::memory_bytes)
+    }
+}
+
+/// The analysis a Newton stage belongs to: its error context, formatted
+/// only on failure.
+#[derive(Clone, Copy, Debug)]
+enum Stage {
+    Dc,
+    Transient(f64),
+}
+
+impl Stage {
+    fn context(self) -> String {
+        match self {
+            Stage::Dc => "dc".to_owned(),
+            Stage::Transient(t) => format!("transient t={t:.3e}"),
+        }
+    }
 }
 
 /// Bound on distinct `(gmin, step-size)` numeric factorizations kept by
@@ -499,38 +526,28 @@ impl Circuit {
     }
 
     /// Stamps the time-invariant linear parts (resistors + gmin).
-    fn stamp_linear_g(&self, trips: &mut Vec<(usize, usize, f64)>, gmin: f64) {
-        let mut cond = |a: Option<usize>, b: Option<usize>, g: f64| match (a, b) {
-            (Some(i), Some(j)) if i != j => {
-                trips.push((i, i, g));
-                trips.push((j, j, g));
-                trips.push((i, j, -g));
-                trips.push((j, i, -g));
-            }
-            (Some(i), None) | (None, Some(i)) => trips.push((i, i, g)),
-            _ => {}
-        };
+    fn stamp_linear_g(&self, sink: &mut impl StampSink, gmin: f64) {
         for r in &self.resistors {
-            cond(r.a, r.b, 1.0 / r.value);
+            stamp_conductance(sink, r.a, r.b, 1.0 / r.value);
         }
         for i in 0..self.nodes.len() {
-            trips.push((i, i, gmin));
+            sink.add(i, i, gmin);
         }
     }
 
     /// Stamps voltage-source constraint rows/columns (pattern + unit
     /// values; the source values live on the RHS only).
-    fn stamp_vsource_pattern(&self, trips: &mut Vec<(usize, usize, f64)>) {
+    fn stamp_vsource_pattern(&self, sink: &mut impl StampSink) {
         let nn = self.nodes.len();
         for (k, src) in self.vsources.iter().enumerate() {
             let row = nn + k;
             if let Some(p) = src.p {
-                trips.push((row, p, 1.0));
-                trips.push((p, row, 1.0));
+                sink.add(row, p, 1.0);
+                sink.add(p, row, 1.0);
             }
             if let Some(n) = src.n {
-                trips.push((row, n, -1.0));
-                trips.push((n, row, -1.0));
+                sink.add(row, n, -1.0);
+                sink.add(n, row, -1.0);
             }
         }
     }
@@ -540,45 +557,45 @@ impl Circuit {
     /// and the four linear controlled-source families. Like
     /// [`Circuit::stamp_cap_pattern`], this is always called with the
     /// same pattern so one symbolic analysis serves the whole run.
-    fn stamp_branch_elements(&self, trips: &mut Vec<(usize, usize, f64)>, cap_geq: f64) {
+    fn stamp_branch_elements(&self, sink: &mut impl StampSink, cap_geq: f64) {
         let nn = self.nodes.len();
         for (k, l) in self.inductors.iter().enumerate() {
             let row = self.row_ind(k);
             if let Some(a) = l.a {
-                trips.push((a, row, 1.0));
-                trips.push((row, a, 1.0));
+                sink.add(a, row, 1.0);
+                sink.add(row, a, 1.0);
             }
             if let Some(b) = l.b {
-                trips.push((b, row, -1.0));
-                trips.push((row, b, -1.0));
+                sink.add(b, row, -1.0);
+                sink.add(row, b, -1.0);
             }
-            trips.push((row, row, -(cap_geq * l.value)));
+            sink.add(row, row, -(cap_geq * l.value));
         }
         for (k, e) in self.vcvs.iter().enumerate() {
             let row = self.row_vcvs(k);
             if let Some(p) = e.p {
-                trips.push((p, row, 1.0));
-                trips.push((row, p, 1.0));
+                sink.add(p, row, 1.0);
+                sink.add(row, p, 1.0);
             }
             if let Some(n) = e.n {
-                trips.push((n, row, -1.0));
-                trips.push((row, n, -1.0));
+                sink.add(n, row, -1.0);
+                sink.add(row, n, -1.0);
             }
             if let Some(cp) = e.cp {
-                trips.push((row, cp, -e.gain));
+                sink.add(row, cp, -e.gain);
             }
             if let Some(cn) = e.cn {
-                trips.push((row, cn, e.gain));
+                sink.add(row, cn, e.gain);
             }
         }
         for g in &self.vccs {
             for (out, sgn) in [(g.p, 1.0), (g.n, -1.0)] {
                 if let Some(r) = out {
                     if let Some(cp) = g.cp {
-                        trips.push((r, cp, sgn * g.gain));
+                        sink.add(r, cp, sgn * g.gain);
                     }
                     if let Some(cn) = g.cn {
-                        trips.push((r, cn, -sgn * g.gain));
+                        sink.add(r, cn, -sgn * g.gain);
                     }
                 }
             }
@@ -586,24 +603,24 @@ impl Circuit {
         for fsrc in &self.cccs {
             let cv = nn + fsrc.ctrl;
             if let Some(p) = fsrc.p {
-                trips.push((p, cv, fsrc.gain));
+                sink.add(p, cv, fsrc.gain);
             }
             if let Some(n) = fsrc.n {
-                trips.push((n, cv, -fsrc.gain));
+                sink.add(n, cv, -fsrc.gain);
             }
         }
         for (k, h) in self.ccvs.iter().enumerate() {
             let row = self.row_ccvs(k);
             let cv = nn + h.ctrl;
             if let Some(p) = h.p {
-                trips.push((p, row, 1.0));
-                trips.push((row, p, 1.0));
+                sink.add(p, row, 1.0);
+                sink.add(row, p, 1.0);
             }
             if let Some(n) = h.n {
-                trips.push((n, row, -1.0));
-                trips.push((row, n, -1.0));
+                sink.add(n, row, -1.0);
+                sink.add(row, n, -1.0);
             }
-            trips.push((row, cv, -h.gain));
+            sink.add(row, cv, -h.gain);
         }
     }
 
@@ -613,19 +630,9 @@ impl Circuit {
     /// structure is identical across DC, backward-Euler and trapezoidal
     /// stages and one symbolic analysis serves the whole run. Explicit
     /// zeros change neither pivots nor solutions (bitwise).
-    fn stamp_cap_pattern(&self, trips: &mut Vec<(usize, usize, f64)>, cap_geq: f64) {
+    fn stamp_cap_pattern(&self, sink: &mut impl StampSink, cap_geq: f64) {
         for c in &self.capacitors {
-            let geq = cap_geq * c.value;
-            match (c.a, c.b) {
-                (Some(i), Some(j)) if i != j => {
-                    trips.push((i, i, geq));
-                    trips.push((j, j, geq));
-                    trips.push((i, j, -geq));
-                    trips.push((j, i, -geq));
-                }
-                (Some(i), None) | (None, Some(i)) => trips.push((i, i, geq)),
-                _ => {}
-            }
+            stamp_conductance(sink, c.a, c.b, cap_geq * c.value);
         }
     }
 
@@ -679,27 +686,36 @@ impl Circuit {
         }
     }
 
-    /// Stamps the full linear MNA matrix (resistors + gmin, V-source
-    /// rows, capacitor/inductor companions, controlled sources) with
-    /// structure independent of `gmin`/`cap_geq` values.
-    fn assemble_linear(&self, gmin: f64, cap_geq: f64) -> Vec<(usize, usize, f64)> {
-        let nn = self.nodes.len();
-        let mut trips: Vec<(usize, usize, f64)> = Vec::with_capacity(
-            4 * (self.resistors.len() + self.capacitors.len() + self.vsources.len())
-                + 5 * (self.inductors.len() + self.vcvs.len() + self.ccvs.len())
-                + 4 * self.vccs.len()
-                + 2 * self.cccs.len()
-                + nn,
-        );
-        self.stamp_linear_g(&mut trips, gmin);
-        self.stamp_vsource_pattern(&mut trips);
-        self.stamp_cap_pattern(&mut trips, cap_geq);
-        self.stamp_branch_elements(&mut trips, cap_geq);
-        trips
+    /// Stamps the linear MNA matrix at `(gmin, cap_geq)`: resistors and
+    /// gmin, V-source rows, capacitor and inductor companions, and the
+    /// controlled sources. The emission order, like the structure, does
+    /// not depend on the values.
+    fn stamp_linear(&self, sink: &mut impl StampSink, gmin: f64, cap_geq: f64) {
+        self.stamp_linear_g(sink, gmin);
+        self.stamp_vsource_pattern(sink);
+        self.stamp_cap_pattern(sink, cap_geq);
+        self.stamp_branch_elements(sink, cap_geq);
     }
 
-    /// Solves one Newton stage at fixed linear stamps; returns the
-    /// solution.
+    /// Stamps every MOSFET's and diode's Newton companion at the node
+    /// voltages `v`, adding their currents to `rhs`.
+    fn stamp_devices(&self, sink: &mut impl StampSink, v: &[f64], rhs: &mut [f64]) {
+        for m in &self.mosfets {
+            stamp_level1(m, v, sink, rhs);
+        }
+        for d in &self.diodes {
+            stamp_diode(d, v, sink, rhs);
+        }
+    }
+
+    /// Solves one Newton stage at fixed linear stamps: `x` holds the
+    /// initial guess on entry and the solution on return.
+    ///
+    /// The run's [`MnaPlan`] (built at its first stage) keeps the linear
+    /// values of the current `(gmin, cap_geq)` as a base; an iteration
+    /// copies the base, adds the device companions through their slots,
+    /// refactors the kept factor in place and solves into the plan's
+    /// buffer.
     ///
     /// Linear circuits (no MOSFETs, no diodes) take a fast path: the
     /// matrix depends only on `(gmin, cap_geq)` — inductor companion
@@ -709,78 +725,81 @@ impl Circuit {
     #[allow(clippy::too_many_arguments)]
     fn newton(
         &self,
-        x0: &[f64],
+        x: &mut [f64],
         gmin: f64,
         vvals: &[f64],
         t: f64,
         cap_geq: f64,
         cap_ieq: Option<&[f64]>,
         ind_veq: Option<&[f64]>,
-        context: &str,
+        stage: Stage,
         slv: &mut SolveCtx,
         stats: &mut SimStats,
-    ) -> Result<Vec<f64>, CircuitError> {
-        let dim = self.dim();
+    ) -> Result<(), CircuitError> {
         let nn = self.nodes.len();
+        let SolveCtx {
+            cache,
+            plan,
+            lu,
+            numeric,
+        } = slv;
+        let plan = plan.get_or_insert_with(|| MnaPlan::new(self));
+        plan.rhs_base.fill(0.0);
+        self.assemble_rhs(&mut plan.rhs_base, vvals, t, cap_ieq, ind_veq);
+        let singular = |_| CircuitError::Singular {
+            context: stage.context(),
+        };
         if self.mosfets.is_empty() && self.diodes.is_empty() {
-            let mut rhs = vec![0.0; dim];
-            self.assemble_rhs(&mut rhs, vvals, t, cap_ieq, ind_veq);
             let key = (gmin.to_bits(), cap_geq.to_bits());
-            if let Some(pos) = slv.numeric.iter().position(|(k, _)| *k == key) {
+            if let Some(pos) = numeric.iter().position(|(k, _)| *k == key) {
                 // Move-to-front LRU; no factorization work at all.
-                let entry = slv.numeric.remove(pos);
-                slv.numeric.insert(0, entry);
+                let entry = numeric.remove(pos);
+                numeric.insert(0, entry);
             } else {
-                let trips = self.assemble_linear(gmin, cap_geq);
-                let a = CscMat::from_triplets(dim, dim, &trips);
-                let (lu, refactored) =
-                    slv.cache.factor(&a).map_err(|_| CircuitError::Singular {
-                        context: context.to_owned(),
-                    })?;
-                stats.record_factor(lu.factor_nnz(), refactored);
-                slv.numeric.insert(0, (key, lu));
-                slv.numeric.truncate(NUMERIC_CACHE_CAP);
+                plan.set_linear(self, gmin, cap_geq);
+                plan.assemble(self, &x[..nn]);
+                // A full store evicts its least recently used factor;
+                // its storage takes the new one.
+                let mut slot = if numeric.len() == NUMERIC_CACHE_CAP {
+                    numeric.pop().map(|(_, f)| f)
+                } else {
+                    None
+                };
+                let refactored = cache.factor_into(&plan.mat, &mut slot).map_err(singular)?;
+                let f = slot.expect("factor_into fills the slot");
+                stats.record_factor(f.factor_nnz(), refactored);
+                numeric.insert(0, (key, f));
             }
             stats.newton_iterations += 1;
-            return Ok(slv.numeric[0].1.solve(&rhs));
+            numeric[0].1.solve_into(&plan.rhs_base, x);
+            return Ok(());
         }
-        let mut x = x0.to_vec();
+        plan.set_linear(self, gmin, cap_geq);
         for iter in 0..MAX_NEWTON {
-            let mut trips = self.assemble_linear(gmin, cap_geq);
-            trips.reserve(8 * self.mosfets.len() + 4 * self.diodes.len());
-            let mut rhs = vec![0.0; dim];
-            self.assemble_rhs(&mut rhs, vvals, t, cap_ieq, ind_veq);
-            for m in &self.mosfets {
-                stamp_level1(m, &x[..nn], &mut trips, &mut rhs);
-            }
-            for d in &self.diodes {
-                stamp_diode(d, &x[..nn], &mut trips, &mut rhs);
-            }
-            let a = CscMat::from_triplets(dim, dim, &trips);
-            let (lu, refactored) = slv.cache.factor(&a).map_err(|_| CircuitError::Singular {
-                context: context.to_owned(),
-            })?;
-            stats.record_factor(lu.factor_nnz(), refactored);
-            let xn = lu.solve(&rhs);
+            plan.assemble(self, &x[..nn]);
+            let refactored = cache.factor_into(&plan.mat, lu).map_err(singular)?;
+            let f = lu.as_ref().expect("factor_into fills the slot");
+            stats.record_factor(f.factor_nnz(), refactored);
+            f.solve_into(&plan.rhs, &mut plan.sol);
             stats.newton_iterations += 1;
             // Damped update + convergence test on node voltages.
             let mut converged = true;
-            for i in 0..dim {
-                let mut dv = xn[i] - x[i];
+            for (i, (xi, &si)) in x.iter_mut().zip(&plan.sol).enumerate() {
+                let mut dv = si - *xi;
                 if i < nn {
                     dv = dv.clamp(-STEP_LIMIT, STEP_LIMIT);
-                    if dv.abs() > VNTOL + RELTOL * (x[i] + dv).abs() {
+                    if dv.abs() > VNTOL + RELTOL * (*xi + dv).abs() {
                         converged = false;
                     }
                 }
-                x[i] += dv;
+                *xi += dv;
             }
             if converged && iter > 0 {
-                return Ok(x);
+                return Ok(());
             }
         }
         Err(CircuitError::NoConvergence {
-            context: context.to_owned(),
+            context: stage.context(),
         })
     }
 
@@ -795,94 +814,33 @@ impl Circuit {
     }
 
     /// DC operating point reusing the caller's solver state — transient
-    /// runs pass their own [`SolveCtx`] so the single symbolic analysis
-    /// captured during gmin stepping serves every later timestep.
+    /// runs pass their own [`SolveCtx`] so the plan and the single
+    /// symbolic analysis captured during gmin stepping serve every later
+    /// timestep.
     fn dc_with(&self, slv: &mut SolveCtx) -> Result<DcSolution, CircuitError> {
         let start = Instant::now();
         let mut stats = SimStats::default();
         let vvals: Vec<f64> = self.vsources.iter().map(|s| s.wave.dc_value()).collect();
         let mut x = vec![0.0; self.dim()];
         for gmin in [1e-3, 1e-5, 1e-7, 1e-9, GMIN] {
-            x = self.newton(
-                &x, gmin, &vvals, 0.0, 0.0, None, None, "dc", slv, &mut stats,
+            self.newton(
+                &mut x,
+                gmin,
+                &vvals,
+                0.0,
+                0.0,
+                None,
+                None,
+                Stage::Dc,
+                slv,
+                &mut stats,
             )?;
         }
         stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        stats.modelled_memory_bytes = stats.peak_factor_nnz * 16 + self.dim() * 8 * 4;
+        stats.modelled_memory_bytes =
+            stats.peak_factor_nnz * 16 + slv.plan_bytes() + self.dim() * 8 * 4;
         Ok(DcSolution {
             x,
-            nodes: self.nodes.clone(),
-            stats,
-        })
-    }
-
-    /// Runs a `.DC` source sweep: the named V or I source steps from
-    /// `start` to `stop` in increments of `step` (inclusive within half
-    /// a step) and the operating point is solved at each value. One
-    /// solver context is reused across the sweep, so the symbolic
-    /// analysis — and for linear circuits the numeric factorization —
-    /// is shared by every point.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::UnknownSource`] if no source matches, a
-    /// `Singular` error for a step that cannot reach `stop`, and any
-    /// Newton/solver failure at a sweep point.
-    pub fn dc_sweep(
-        &self,
-        source: &str,
-        start: f64,
-        stop: f64,
-        step: f64,
-    ) -> Result<DcSweepResult, CircuitError> {
-        let is_v = self
-            .vsources
-            .iter()
-            .position(|s| s.name.eq_ignore_ascii_case(source));
-        let is_i = self
-            .isources
-            .iter()
-            .position(|s| s.name.eq_ignore_ascii_case(source));
-        if is_v.is_none() && is_i.is_none() {
-            return Err(CircuitError::UnknownSource {
-                source: source.to_owned(),
-            });
-        }
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(CircuitError::Singular {
-                context: format!(".dc: step {step} cannot reach {stop} from {start}"),
-            });
-        }
-        let wall = Instant::now();
-        let mut work = self.clone();
-        let mut slv = SolveCtx::default();
-        let mut stats = SimStats::default();
-        let mut values = Vec::new();
-        let mut waves = Vec::new();
-        let npts = ((stop - start) / step).round() as usize + 1;
-        for k in 0..npts {
-            let v = start + step * k as f64;
-            if let Some(kv) = is_v {
-                work.vsources[kv].wave = Waveform::Dc(v);
-            } else if let Some(ki) = is_i {
-                work.isources[ki].wave = Waveform::Dc(v);
-            }
-            let dc = work.dc_with(&mut slv)?;
-            stats.factorizations += dc.stats.factorizations;
-            stats.refactorizations += dc.stats.refactorizations;
-            stats.newton_iterations += dc.stats.newton_iterations;
-            stats.peak_factor_nnz = stats.peak_factor_nnz.max(dc.stats.peak_factor_nnz);
-            stats.factor_nnz = dc.stats.factor_nnz;
-            stats.steps += 1;
-            values.push(v);
-            waves.push(dc.x[..self.nodes.len()].to_vec());
-        }
-        stats.elapsed_seconds = wall.elapsed().as_secs_f64();
-        stats.modelled_memory_bytes =
-            stats.peak_factor_nnz * 16 + self.dim() * 8 * 4 + waves.len() * self.nodes.len() * 8;
-        Ok(DcSweepResult {
-            values,
-            waves,
             nodes: self.nodes.clone(),
             stats,
         })
@@ -911,15 +869,21 @@ impl Circuit {
     pub fn transient_with(&self, opt: &TranOptions) -> Result<TranResult, CircuitError> {
         let tstop = opt.tstop;
         let start = Instant::now();
-        // One SolveCtx for the whole run: the symbolic analysis captured
-        // by the DC gmin ramp is reused by every timestep, and (for
-        // linear circuits) each distinct step size factors numerically at
-        // most once.
+        // One SolveCtx for the whole run: the plan and the symbolic
+        // analysis captured by the DC gmin ramp serve every timestep, and
+        // (for linear circuits) each distinct step size factors
+        // numerically at most once.
         let mut slv = SolveCtx::default();
         let dc = self.dc_with(&mut slv)?;
         let mut stats = dc.stats;
         let nn = self.nodes.len();
-        let mut x = dc.x.clone();
+        let mut x = dc.x;
+        // The candidate solution of each attempt, and the companion
+        // sources it is solved at.
+        let mut xn = vec![0.0; x.len()];
+        let mut ieqs = vec![0.0; self.capacitors.len()];
+        let mut ind_veqs = vec![0.0; self.inductors.len()];
+        let mut vvals = vec![0.0; self.vsources.len()];
 
         // Collect and sort breakpoints from all sources.
         let mut breakpoints: Vec<f64> = Vec::new();
@@ -953,11 +917,6 @@ impl Circuit {
         } else {
             opt.tstep
         };
-        let vab = |c: &Branch2, xx: &[f64]| {
-            let va = c.a.map_or(0.0, |i| xx[i]);
-            let vb = c.b.map_or(0.0, |i| xx[i]);
-            va - vb
-        };
         while t < tstop - 1e-18 {
             let mut rejections = 0usize;
             loop {
@@ -974,53 +933,36 @@ impl Circuit {
                     h = tstop - t;
                 }
                 let tn = t + h;
-                // Companion parameters per capacitor.
-                let (geq_per_c, ieqs): (f64, Vec<f64>) = if use_be {
-                    let g = 1.0 / h;
-                    (
-                        g,
-                        self.capacitors
-                            .iter()
-                            .map(|c| g * c.value * vab(c, &x))
-                            .collect(),
-                    )
-                } else {
-                    let g = 2.0 / h;
-                    (
-                        g,
-                        self.capacitors
-                            .iter()
-                            .enumerate()
-                            .map(|(ci, c)| g * c.value * vab(c, &x) + icap[ci])
-                            .collect(),
-                    )
-                };
+                // Companion current per capacitor.
+                let geq_per_c = if use_be { 1.0 / h } else { 2.0 / h };
+                for (ci, c) in self.capacitors.iter().enumerate() {
+                    let i = geq_per_c * c.value * vab2(c, &x);
+                    ieqs[ci] = if use_be { i } else { i + icap[ci] };
+                }
                 // Inductor companion branch voltages: the branch row
                 // reads `v_a − v_b − req·i = veq` with `req = geq·L`;
                 // BE: `veq = −req·i_prev`, trapezoidal adds `−v_prev`.
-                let ind_veqs: Vec<f64> = self
-                    .inductors
-                    .iter()
-                    .enumerate()
-                    .map(|(k, l)| {
-                        let req = geq_per_c * l.value;
-                        if use_be {
-                            -req * il_prev[k]
-                        } else {
-                            -req * il_prev[k] - vl_prev[k]
-                        }
-                    })
-                    .collect();
-                let vvals: Vec<f64> = self.vsources.iter().map(|s| s.wave.eval(tn)).collect();
-                let xn = self.newton(
-                    &x,
+                for (k, l) in self.inductors.iter().enumerate() {
+                    let req = geq_per_c * l.value;
+                    ind_veqs[k] = if use_be {
+                        -req * il_prev[k]
+                    } else {
+                        -req * il_prev[k] - vl_prev[k]
+                    };
+                }
+                for (v, s) in vvals.iter_mut().zip(&self.vsources) {
+                    *v = s.wave.eval(tn);
+                }
+                xn.copy_from_slice(&x);
+                self.newton(
+                    &mut xn,
                     GMIN,
                     &vvals,
                     tn,
                     geq_per_c,
                     Some(&ieqs),
                     Some(&ind_veqs),
-                    &format!("transient t={tn:.3e}"),
+                    Stage::Transient(tn),
                     &mut slv,
                     &mut stats,
                 )?;
@@ -1067,7 +1009,7 @@ impl Circuit {
                 }
                 // Commit the step.
                 for (ci, c) in self.capacitors.iter().enumerate() {
-                    let dv = vab(c, &xn) - vab(c, &x);
+                    let dv = vab2(c, &xn) - vab2(c, &x);
                     let g = if use_be { 1.0 } else { 2.0 } / h * c.value;
                     icap[ci] = if use_be { g * dv } else { g * dv - icap[ci] };
                 }
@@ -1075,7 +1017,7 @@ impl Circuit {
                     il_prev[k] = xn[self.row_ind(k)];
                     vl_prev[k] = vab2(l, &xn);
                 }
-                x = xn;
+                std::mem::swap(&mut x, &mut xn);
                 t = tn;
                 times.push(t);
                 waves.push(x[..nn].to_vec());
@@ -1095,8 +1037,10 @@ impl Circuit {
             }
         }
         stats.elapsed_seconds = start.elapsed().as_secs_f64();
-        stats.modelled_memory_bytes =
-            stats.peak_factor_nnz * 16 + self.dim() * 8 * 4 + waves.len() * nn * 8;
+        stats.modelled_memory_bytes = stats.peak_factor_nnz * 16
+            + slv.plan_bytes()
+            + self.dim() * 8 * 4
+            + waves.len() * nn * 8;
         Ok(TranResult {
             times,
             waves,
@@ -1167,16 +1111,7 @@ impl Circuit {
         // branch diagonal so the pencil row reads `v_a − v_b − jωL·i`.
         let mut ctrips: Vec<(usize, usize, f64)> = Vec::new();
         for c in &self.capacitors {
-            match (c.a, c.b) {
-                (Some(i), Some(j)) if i != j => {
-                    ctrips.push((i, i, c.value));
-                    ctrips.push((j, j, c.value));
-                    ctrips.push((i, j, -c.value));
-                    ctrips.push((j, i, -c.value));
-                }
-                (Some(i), None) | (None, Some(i)) => ctrips.push((i, i, c.value)),
-                _ => {}
-            }
+            stamp_conductance(&mut ctrips, c.a, c.b, c.value);
         }
         for (k, l) in self.inductors.iter().enumerate() {
             let row = self.row_ind(k);
@@ -1424,29 +1359,6 @@ impl DcSolution {
             return Some(0.0);
         }
         self.nodes.iter().position(|n| n == name).map(|i| self.x[i])
-    }
-}
-
-/// `.DC` sweep result: node voltages per swept source value.
-#[derive(Clone, Debug)]
-pub struct DcSweepResult {
-    /// Swept source values.
-    pub values: Vec<f64>,
-    /// Node-voltage vectors per sweep point.
-    pub waves: Vec<Vec<f64>>,
-    nodes: Vec<String>,
-    /// Aggregated work statistics across all sweep points.
-    pub stats: SimStats,
-}
-
-impl DcSweepResult {
-    /// The transfer curve of one node across the sweep.
-    pub fn voltage(&self, name: &str) -> Option<Vec<f64>> {
-        if is_ground(name) {
-            return Some(vec![0.0; self.values.len()]);
-        }
-        let i = self.nodes.iter().position(|n| n == name)?;
-        Some(self.waves.iter().map(|w| w[i]).collect())
     }
 }
 
@@ -1957,30 +1869,6 @@ D1 0 out dx
             "|v| = {} at f3db",
             v.abs()
         );
-    }
-
-    #[test]
-    fn dc_sweep_traces_diode_transfer() {
-        let deck = "\
-* sweep
-.model dx d (is=1e-14 n=1)
-V1 in 0 0
-R1 in out 1k
-D1 out 0 dx
-.end
-";
-        let ckt = Circuit::from_netlist(&parse(deck).unwrap()).unwrap();
-        let sw = ckt.dc_sweep("V1", 0.0, 5.0, 0.5).unwrap();
-        assert_eq!(sw.values.len(), 11);
-        let v = sw.voltage("out").unwrap();
-        // Monotone rising, saturating near the diode drop.
-        assert!(v.windows(2).all(|w| w[1] >= w[0] - 1e-12));
-        assert!(v[0].abs() < 1e-6 && *v.last().unwrap() < 1.0);
-        // Unknown source name errors.
-        assert!(matches!(
-            ckt.dc_sweep("V9", 0.0, 1.0, 0.1),
-            Err(CircuitError::UnknownSource { .. })
-        ));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use pact_netlist::MosModel;
 
+use crate::StampSink;
+
 /// A MOSFET instance with resolved model parameters and node indices
 /// (`None` = ground).
 #[derive(Clone, Debug)]
@@ -126,12 +128,15 @@ pub fn eval_level1(m: &Mosfet, vd: f64, vg: f64, vs: f64) -> MosOp {
 }
 
 /// Newton companion stamp for a MOSFET at the voltages in `v` (ground
-/// implied 0): appends conductance triplets and right-hand-side current
-/// terms for the linearized device.
+/// implied 0): emits the linearized device's conductances into `sink`
+/// and adds its current terms to `rhs`.
 ///
 /// The rows/columns follow the standard MNA transistor stamp with the
-/// effective drain/source orientation resolved internally.
-pub fn stamp_level1(m: &Mosfet, v: &[f64], trips: &mut Vec<(usize, usize, f64)>, rhs: &mut [f64]) {
+/// effective drain/source orientation resolved internally. The entries
+/// are always emitted as `(d,d) (d,s) (d,g) (s,d) (s,s) (s,g)`, ground
+/// rows and columns skipped, whatever the orientation: the order depends
+/// on the device's terminals alone, as [`StampSink`] requires.
+pub fn stamp_level1(m: &Mosfet, v: &[f64], sink: &mut impl StampSink, rhs: &mut [f64]) {
     let vt = |n: Option<usize>| n.map_or(0.0, |i| v[i]);
     let (vd, vg, vs) = (vt(m.d), vt(m.g), vt(m.s));
     let sign = if m.nmos { 1.0 } else { -1.0 };
@@ -157,18 +162,23 @@ pub fn stamp_level1(m: &Mosfet, v: &[f64], trips: &mut Vec<(usize, usize, f64)>,
     // i(v) ≈ i_eff + gm·(Δvges) + gds·(Δved)  with sign-mirroring folded:
     // in real space di/dvges = gm, di/dved = gds for both polarities.
     let ieq = i_eff - gm * vges - gds * ved;
-    let mut add = |r: Option<usize>, c: Option<usize>, val: f64| {
-        if let (Some(ri), Some(ci)) = (r, c) {
-            trips.push((ri, ci, val));
-        }
+    // KCL rows: current i flows out of node ed, into node es. Over the
+    // columns (ed, es, g) the ed row reads [gds, −(gds+gm), gm] and the
+    // es row [−gds, gds+gm, −gm]; mapped onto the real terminals'
+    // columns (d, s, g), the drain row is the ed row unless swapped.
+    let (drain, source) = if swapped {
+        ([gds + gm, -gds, -gm], [-(gds + gm), gds, gm])
+    } else {
+        ([gds, -(gds + gm), gm], [-gds, gds + gm, -gm])
     };
-    // KCL rows: current i flows out of node ed, into node es.
-    add(ed, ed, gds);
-    add(ed, es, -(gds + gm));
-    add(ed, m.g, gm);
-    add(es, ed, -gds);
-    add(es, es, gds + gm);
-    add(es, m.g, -gm);
+    for (row, vals) in [(m.d, drain), (m.s, source)] {
+        let Some(r) = row else { continue };
+        for (col, val) in [m.d, m.s, m.g].into_iter().zip(vals) {
+            if let Some(c) = col {
+                sink.add(r, c, val);
+            }
+        }
+    }
     if let Some(ri) = ed {
         rhs[ri] -= ieq;
     }

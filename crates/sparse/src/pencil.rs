@@ -30,8 +30,8 @@ pub struct CscPencil {
 
 impl CscPencil {
     /// Builds the union structure of the `G` and `C` triplet lists for
-    /// an `n × n` pencil. Duplicate entries are summed, exactly like
-    /// [`CscMat::from_triplets`].
+    /// an `n × n` pencil. Duplicate entries are summed in input order,
+    /// side by side, exactly like [`CscMat::from_triplets`].
     ///
     /// # Panics
     ///

@@ -38,11 +38,20 @@
 //! replay is **bit-identical** to a fresh factorization; when values
 //! drift far enough that a cached pivot is rejected, `refactor` reports
 //! it and the caller falls back to a fresh full factorization (see
-//! [`LuCache`], which packages that policy and keeps the cached column
-//! order for the fallback).
+//! [`LuCache`], which packages that policy — in place with
+//! [`LuCache::factor_into`] — and keeps the cached column order for the
+//! fallback).
+
+use std::sync::atomic::{self, AtomicU64};
 
 use crate::complex::Scalar;
 use crate::ordering::{amd, invert_permutation};
+
+/// Source of [`SymbolicLu`] identities. Each captured analysis takes a
+/// fresh id, and every factor it produced or prepared carries that id,
+/// so [`LuCache::factor_into`] can tell in O(1) whether a factor's
+/// patterns are the cached analysis' ones.
+static NEXT_ANALYSIS: AtomicU64 = AtomicU64::new(1);
 
 /// Error from factoring a numerically singular sparse matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,7 +72,7 @@ impl std::error::Error for SparseLuError {}
 /// values — the input format for [`SparseLu`].
 ///
 /// Build one from triplets with [`CscMat::from_triplets`]; duplicate
-/// entries are summed (circuit stamping relies on this).
+/// entries are summed in input order (circuit stamping relies on this).
 #[derive(Clone, Debug)]
 pub struct CscMat<S> {
     n_rows: usize,
@@ -75,7 +84,11 @@ pub struct CscMat<S> {
 
 impl<S: Scalar> CscMat<S> {
     /// Compresses `(row, col, value)` triplets into CSC, summing
-    /// duplicates.
+    /// duplicates in input order: `(r, c)` holds
+    /// `((0 + v₁) + v₂) + …` over its triplets as they appear, so a
+    /// caller that adds the same values in the same order into a fixed
+    /// pattern reproduces the matrix bit for bit. Explicit zeros are
+    /// kept.
     ///
     /// # Panics
     ///
@@ -98,7 +111,8 @@ impl<S: Scalar> CscMat<S> {
             vals[next[c]] = v;
             next[c] += 1;
         }
-        // Sort each column and merge duplicates.
+        // Sort each column (stably, so duplicates stay in input order)
+        // and merge duplicates.
         let mut out_indptr = vec![0usize; n_cols + 1];
         let mut out_rows = Vec::with_capacity(triplets.len());
         let mut out_vals = Vec::with_capacity(triplets.len());
@@ -108,7 +122,7 @@ impl<S: Scalar> CscMat<S> {
             for p in indptr[j]..indptr[j + 1] {
                 scratch.push((rows[p], vals[p]));
             }
-            scratch.sort_unstable_by_key(|&(r, _)| r);
+            scratch.sort_by_key(|&(r, _)| r);
             let mut k = 0;
             while k < scratch.len() {
                 let r = scratch[k].0;
@@ -267,6 +281,8 @@ pub struct SparseLu<S> {
     pinv: Vec<usize>,
     /// Column pre-order: pivot position `k` eliminates column `q[k]`.
     q: Vec<usize>,
+    /// Id of the [`SymbolicLu`] whose patterns these are (0 = none).
+    analysis: u64,
 }
 
 impl<S: Scalar> SparseLu<S> {
@@ -471,6 +487,7 @@ impl<S: Scalar> SparseLu<S> {
             ux,
             pinv,
             q,
+            analysis: 0,
         })
     }
 
@@ -640,8 +657,10 @@ impl<S: Scalar> SparseLu<S> {
         threshold: f64,
         q: Vec<usize>,
     ) -> Result<(Self, SymbolicLu), SparseLuError> {
-        let lu = Self::factor_in_order(a, threshold, q)?;
+        let mut lu = Self::factor_in_order(a, threshold, q)?;
+        lu.analysis = NEXT_ANALYSIS.fetch_add(1, atomic::Ordering::Relaxed);
         let sym = SymbolicLu {
+            id: lu.analysis,
             n: lu.n,
             a_indptr: a.indptr.clone(),
             a_indices: a.indices.clone(),
@@ -739,6 +758,8 @@ impl std::error::Error for RefactorError {}
 /// bit-identical to `factor` whenever the pivot sequence is accepted.
 #[derive(Clone, Debug)]
 pub struct SymbolicLu {
+    /// Identity shared with the factors of this analysis.
+    id: u64,
     n: usize,
     a_indptr: Vec<usize>,
     a_indices: Vec<usize>,
@@ -799,6 +820,7 @@ impl SymbolicLu {
             ux: vec![S::zero(); self.ui.len()],
             pinv: self.pinv.clone(),
             q: self.q.clone(),
+            analysis: self.id,
         }
     }
 
@@ -977,22 +999,54 @@ impl LuCache {
         &mut self,
         a: &CscMat<S>,
     ) -> Result<(SparseLu<S>, bool), SparseLuError> {
+        let mut lu = None;
+        let refactored = self.factor_into(a, &mut lu)?;
+        Ok((lu.expect("factor_into fills the slot"), refactored))
+    }
+
+    /// [`LuCache::factor`] into a caller-kept slot, for loops that
+    /// factor one structure many times. When the cached analysis applies
+    /// and `lu` holds a factor of it, the numeric refactorization
+    /// overwrites `lu`'s values in place and allocates no factor. A slot
+    /// that is empty, or holds a factor of another analysis, first gets
+    /// one prepared from the cached analysis. When the structure changed
+    /// or a cached pivot was rejected, a fresh factorization (reusing the
+    /// cached column order if only the pivots moved) replaces the slot's
+    /// content and its analysis is captured. Returns `true` for a
+    /// numeric-only refactor.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseLuError`] if `a` is singular; the slot then holds no
+    /// usable factor.
+    pub fn factor_into<S: Scalar>(
+        &mut self,
+        a: &CscMat<S>,
+        lu: &mut Option<SparseLu<S>>,
+    ) -> Result<bool, SparseLuError> {
         let q = match &self.sym {
-            Some(sym) => match sym.refactor(a) {
-                Ok(lu) => return Ok((lu, true)),
-                Err(RefactorError::StructureMismatch) => None,
-                // Same structure: only the pivots moved.
-                Err(_) => Some(sym.q.clone()),
-            },
+            Some(sym) => {
+                let out = match lu {
+                    Some(f) if f.analysis == sym.id => f,
+                    _ => lu.insert(sym.prepared()),
+                };
+                match sym.refactor_into(a, out) {
+                    Ok(()) => return Ok(true),
+                    Err(RefactorError::StructureMismatch) => None,
+                    // Same structure: only the pivots moved.
+                    Err(_) => Some(sym.q.clone()),
+                }
+            }
             None => None,
         };
         let q = q.unwrap_or_else(|| {
             self.orderings += 1;
             column_order(a)
         });
-        let (lu, sym) = SparseLu::analyzed_in_order(a, self.threshold, q)?;
+        let (fresh, sym) = SparseLu::analyzed_in_order(a, self.threshold, q)?;
         self.sym = Some(sym);
-        Ok((lu, false))
+        *lu = Some(fresh);
+        Ok(false)
     }
 }
 
@@ -1480,5 +1534,78 @@ mod tests {
         // A structure change computes a new order.
         cache.factor(&mna_fixture(9, 5)).unwrap();
         assert_eq!(cache.orderings(), 2);
+    }
+
+    #[test]
+    fn factor_into_refactors_in_place_and_falls_back_like_factor() {
+        let a = mna_fixture(8, 3);
+        let n = a.nrows();
+        let mut cache = LuCache::new();
+        let mut slot = None;
+        assert!(!cache.factor_into(&a, &mut slot).unwrap(), "first is fresh");
+        // Same structure, new values: refactored in the kept factor,
+        // bit-identical to a fresh factorization.
+        let mut b = a.clone();
+        for (k, v) in b.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 1e-3 * ((k as f64) * 0.37).sin();
+        }
+        let kept = slot.as_ref().unwrap().l_values().as_ptr();
+        assert!(cache.factor_into(&b, &mut slot).unwrap());
+        let lu = slot.as_ref().unwrap();
+        assert_eq!(lu.l_values().as_ptr(), kept, "refactor must stay in place");
+        let fresh = SparseLu::factor(&b).unwrap();
+        assert_eq!(lu.l_values(), fresh.l_values());
+        assert_eq!(lu.u_values(), fresh.u_values());
+        // A factor of another analysis is never refactored into: its
+        // patterns need not be the cached ones.
+        let mut foreign = Some(SparseLu::factor_analyzed(&a).unwrap().0);
+        assert!(cache.factor_into(&b, &mut foreign).unwrap());
+        assert_eq!(foreign.as_ref().unwrap().u_values(), fresh.u_values());
+        // A rejected pivot falls back to a fresh factor in the slot,
+        // reusing the cached order, exactly as `factor` does.
+        let q = cache.symbolic().unwrap().column_permutation().to_vec();
+        let hostile = (0..n)
+            .find_map(|j| {
+                let mut h = b.clone();
+                let p =
+                    (h.indptr()[q[j]]..h.indptr()[q[j] + 1]).find(|&p| h.indices()[p] == q[j])?;
+                h.values_mut()[p] = 1e-30;
+                let sym = cache.symbolic().unwrap();
+                matches!(sym.refactor(&h), Err(RefactorError::PivotRejected { .. })).then_some(h)
+            })
+            .expect("some cached diagonal pivot can be rejected");
+        assert!(!cache.factor_into(&hostile, &mut slot).unwrap());
+        assert_eq!(cache.orderings(), 1);
+        let (by_factor, _) = LuCache::new().factor(&hostile).unwrap();
+        let lu = slot.as_ref().unwrap();
+        assert_eq!(lu.u_values(), by_factor.u_values());
+        assert_eq!(lu.row_permutation(), by_factor.row_permutation());
+        // The fallback's factor belongs to the new analysis.
+        assert!(cache.factor_into(&hostile, &mut slot).unwrap());
+    }
+
+    #[test]
+    fn duplicates_sum_in_input_order_like_the_pencil() {
+        // One column of 48 triplets over 6 rows, 8 duplicates per row,
+        // interleaved. Each row's sum depends on the order of its
+        // terms: 1e16 absorbs a lone 1.0 but not two that meet first.
+        // A column this long is past the insertion-sort cutoff of the
+        // standard library's unstable sort, which reorders equal keys.
+        let terms = [1e16, 1.0, 1.0, -1e16, 1.0, 3.0, -2.0, 0.5];
+        let n = 6;
+        let mut trips = Vec::new();
+        for k in 0..terms.len() {
+            for r in (0..n).rev() {
+                trips.push((r, 0, terms[(k + 3 * r) % terms.len()]));
+            }
+        }
+        let a = CscMat::from_triplets(n, n, &trips);
+        let pencil = crate::CscPencil::from_triplets(n, &trips, &[]).eval(0.0);
+        assert!(a.structure_eq(&pencil));
+        for r in 0..n {
+            let want = trips.iter().filter(|t| t.0 == r).fold(0.0, |s, t| s + t.2);
+            assert_eq!(a.values()[r].to_bits(), want.to_bits(), "row {r}");
+            assert_eq!(pencil.values()[r].re.to_bits(), want.to_bits(), "row {r}");
+        }
     }
 }

@@ -3,10 +3,12 @@
 //! both transient and AC — the complete RCFIT pipeline of the paper's
 //! Figure 1 exercised across every crate.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, EigenSelect, ReduceOptions, ReductionSession};
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
+use pact_gen::{multiplier_like_deck, MultiplierSpec};
 use pact_lanczos::LanczosConfig;
 use pact_netlist::{extract_rc, parse, splice_reduced};
+use pact_serve::{prepare_deck, reduce_prepared, render_reduced, DeckOptions};
 use pact_sparse::Ordering;
 
 /// A two-net interconnect deck with inverters, exercising parser,
@@ -158,4 +160,82 @@ fn rcfit_cli_flow_is_reproducible() {
     let ta = splice_reduced(&original, a.model.to_netlist_elements("r", 1e-9)).to_string();
     let tb = splice_reduced(&original, b.model.to_netlist_elements("r", 1e-9)).to_string();
     assert_eq!(ta, tb);
+}
+
+/// One transient's simulated statistics, pinned by
+/// `multiplier_transient_statistics_are_pinned`.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    steps: usize,
+    newton_iterations: usize,
+    factorizations: usize,
+    refactorizations: usize,
+    peak_lu_nnz: usize,
+    /// Bits of Σ v(out0) over every time point.
+    sum_out0_bits: u64,
+}
+
+fn pinned_transient(text: &str) -> Pinned {
+    let ckt = Circuit::from_netlist(&parse(text).expect("parse")).expect("compile");
+    let tr = ckt.transient(50e-12, 10e-9).expect("transient");
+    let sum: f64 = tr.voltage("out0").expect("v(out0)").iter().sum();
+    let st = tr.stats;
+    Pinned {
+        steps: st.steps,
+        newton_iterations: st.newton_iterations,
+        factorizations: st.factorizations,
+        refactorizations: st.refactorizations,
+        peak_lu_nnz: st.peak_factor_nnz,
+        sum_out0_bits: sum.to_bits(),
+    }
+}
+
+/// The 6×8 multiplier, full and reduced the way the benchmark's
+/// `mult_sim` workload reduces it (extraction, 500 MHz, 5 %, one
+/// thread), simulated 50 ps / 10 ns. Any change to the simulator's
+/// assembly or factor-reuse policy must leave every count and every bit
+/// of the observed waveform's sum where they are. The reduced deck's
+/// three fresh factorizations are a start plus two pivot rejections, so
+/// the refactor-fallback path is covered too.
+#[test]
+fn multiplier_transient_statistics_are_pinned() {
+    let (deck, _) = multiplier_like_deck(&MultiplierSpec {
+        chains: 6,
+        stages: 8,
+        ..MultiplierSpec::scaled_down()
+    });
+    let full = deck.to_string();
+    let opts = DeckOptions {
+        f_max: 500e6,
+        tolerance: 0.05,
+        threads: Some(1),
+        extract: true,
+        ..DeckOptions::default()
+    };
+    let prep = prepare_deck(&full, &opts).expect("prepare");
+    let mut session = ReductionSession::new(opts.reduce_options().expect("options"));
+    let red = reduce_prepared(&prep, &mut session, &opts).expect("reduce");
+    let mut tel = pact::Telemetry::new();
+    let (reduced, _) = render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut tel);
+
+    let got = (pinned_transient(&reduced), pinned_transient(&full));
+    let want = (
+        Pinned {
+            steps: 200,
+            newton_iterations: 650,
+            factorizations: 3,
+            refactorizations: 647,
+            peak_lu_nnz: 589,
+            sum_out0_bits: 4645960426108770854,
+        },
+        Pinned {
+            steps: 200,
+            newton_iterations: 665,
+            factorizations: 1,
+            refactorizations: 664,
+            peak_lu_nnz: 1973,
+            sum_out0_bits: 4645959774856699889,
+        },
+    );
+    assert_eq!(got, want, "(reduced, full)");
 }
