@@ -136,46 +136,12 @@ mkdir -p results
 } > results/sweep_perf.txt
 cat results/sweep_perf.txt
 
-echo "==> eigen backend parity smoke (--eigen dense vs lanczos vs auto -> results/backend_parity.txt)"
-# The numeric guarantee (retained poles agree to <= 1e-8 relative across
-# dense / lanczos / lowrank / auto on every generator family) is asserted
-# by the backend_equivalence suite; here the compiled test re-runs that
-# assertion and the CLI smoke confirms the --eigen flag wires through to
-# the same pole counts on the mesh deck.
-cargo test -q --release --test backend_equivalence \
-    eigen_backends_agree_on_retained_poles -- --exact > "$tmp/parity_test.txt"
-./target/release/gen_mesh 16 16 4 16 "$tmp/parity_mesh.sp" > /dev/null
-parity_ports=""
-for i in $(seq 0 15); do parity_ports="$parity_ports --port port$i"; done
-for backend in dense lanczos auto; do
-    # shellcheck disable=SC2086
-    ./target/release/rcfit $parity_ports --fmax 2e9 --eigen "$backend" \
-        -o /dev/null "$tmp/parity_mesh.sp" 2> "$tmp/parity_$backend.txt" > /dev/null
-done
-dense_poles=$(grep -o "kept [0-9]* pole" "$tmp/parity_dense.txt" | grep -o "[0-9]*")
-lanczos_poles=$(grep -o "kept [0-9]* pole" "$tmp/parity_lanczos.txt" | grep -o "[0-9]*")
-auto_poles=$(grep -o "kept [0-9]* pole" "$tmp/parity_auto.txt" | grep -o "[0-9]*")
-test "$dense_poles" = "$lanczos_poles"
-test "$dense_poles" = "$auto_poles"
-mkdir -p results
-{
-    echo "# Eigen backend parity: 16x16x4 substrate mesh (16 ports), fmax 2 GHz."
-    echo "# Retained-pole agreement to <= 1e-8 relative is asserted by the"
-    echo "# backend_equivalence::eigen_backends_agree_on_retained_poles test"
-    echo "# (dense QL vs Lanczos vs low-rank vs auto on mesh/powergrid/line);"
-    echo "# the CLI rows below confirm --eigen reaches the same pole counts."
-    echo "dense_poles    $dense_poles"
-    echo "lanczos_poles  $lanczos_poles"
-    echo "auto_poles     $auto_poles"
-} > results/backend_parity.txt
-cat results/backend_parity.txt
-
 echo "==> rcfitd daemon smoke (JSONL over stdin)"
 # Two same-topology decks (the second must hit a warm session and reduce
-# byte-identically), one request with a misspelled option, one with an
-# out-of-range sparsify threshold and one whose source card is cut short
-# (typed errors, and the daemon keeps answering), a stats probe, and a
-# clean shutdown.
+# byte-identically), one request with a misspelled option, one with the
+# deleted `eigen` option, one with an out-of-range sparsify threshold and
+# one whose source card is cut short (typed errors, and the daemon keeps
+# answering), a stats probe, and a clean shutdown.
 python3 - > "$tmp/serve_requests.jsonl" <<'EOF'
 import json
 deck = ("* ci ladder\nVdrv in 0 1\nR1 in n1 100\nR2 n1 n2 100\n"
@@ -184,6 +150,7 @@ deck = ("* ci ladder\nVdrv in 0 1\nR1 in n1 100\nR2 n1 n2 100\n"
 print(json.dumps({"id": "s1", "deck": deck}))
 print(json.dumps({"id": "s2", "deck": deck}))
 print(json.dumps({"id": "bad", "deck": deck, "options": {"tolerence": 0.1}}))
+print(json.dumps({"id": "eigen", "deck": deck, "options": {"eigen": "dense"}}))
 # 1e999 parses to infinity, the JSON spelling of `rcfit --sparsify inf`.
 print('{"id": "inf", "deck": %s, "options": {"sparsify": 1e999}}' % json.dumps(deck))
 print(json.dumps({"id": "short", "deck": "* short\nV1 a\n.end\n"}))
@@ -195,7 +162,7 @@ EOF
 python3 - "$tmp/serve_responses.jsonl" <<'EOF'
 import json, sys
 docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
-assert len(docs) == 7, sorted(docs)
+assert len(docs) == 8, sorted(docs)
 assert all(d["schema"] == "rcfitd-v1" for d in docs.values())
 assert docs["s1"]["ok"] and not docs["s1"]["session_hit"]
 assert docs["s2"]["ok"] and docs["s2"]["session_hit"], \
@@ -205,6 +172,8 @@ assert docs["s2"]["deck"] == docs["s1"]["deck"], \
 assert docs["s1"]["telemetry"]["schema"] == "rcfit-telemetry-v1"
 assert not docs["bad"]["ok"]
 assert docs["bad"]["error"]["code"] == "unknown_option", docs["bad"]["error"]
+assert not docs["eigen"]["ok"]
+assert docs["eigen"]["error"]["code"] == "unknown_option", docs["eigen"]["error"]
 assert not docs["inf"]["ok"]
 assert docs["inf"]["error"]["code"] == "sparsify", docs["inf"]["error"]
 assert not docs["short"]["ok"]
@@ -224,6 +193,14 @@ if ./target/release/rcfit --port in --port out --sparsify inf \
     exit 1
 fi
 grep -q "error \[sparsify\]" "$tmp/sparsify_inf.txt"
+# Every reduction finds its poles with Lanczos: --eigen is gone, in the
+# CLI as in the daemon.
+if ./target/release/rcfit --port in --port out --eigen dense \
+    -o /dev/null "$tmp/smoke.sp" 2> "$tmp/eigen_dense.txt"; then
+    echo "rcfit accepted --eigen" >&2
+    exit 1
+fi
+grep -q "unknown argument \`--eigen\`" "$tmp/eigen_dense.txt"
 
 echo "==> extraction + chain-collapse smoke (-> results/extract_perf.txt)"
 # chain_collapse --smoke runs the 2000-segment line deck A/B and asserts

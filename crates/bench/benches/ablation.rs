@@ -1,16 +1,16 @@
 //! Ablation benches for the design choices DESIGN.md §5 calls out:
-//! Cholesky ordering, dense vs Lanczos pole analysis, and the
+//! Cholesky ordering, dense QL vs Lanczos on `E'`, and the
 //! sparsification heuristic.
 //!
 //! Plain `main()` harness (no external bench framework); run with
 //! `cargo bench -p pact-bench --bench ablation`.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, Partitions, ReduceOptions, Transform1};
 use pact_bench::{min_median, print_table, sample_secs, secs};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
+use pact_lanczos::{eigs_above, LanczosConfig};
 use pact_netlist::sparsify_preserving_passivity;
-use pact_sparse::{Ordering, SparseCholesky};
+use pact_sparse::{sym_eig, Ordering, SparseCholesky};
 
 const SAMPLES: usize = 10;
 
@@ -45,38 +45,34 @@ fn bench_ordering(rows: &mut Vec<Vec<String>>) {
     }
 }
 
+/// Dense QL against block Lanczos on the same `E'`, both at the
+/// `Transform1` layer: the factor and the moments are computed once,
+/// outside the timed region.
 fn bench_eigen_strategy(rows: &mut Vec<Vec<String>>) {
-    let net = mesh(8, 8, 5, 12); // n ≈ 300: both strategies feasible
-    for (label, eigen) in [
-        ("dense", EigenSelect::LowRank),
-        ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
-    ] {
-        let opts = ReduceOptions {
-            cutoff: CutoffSpec::new(1e9, 0.05).expect("spec"),
-            eigen_backend: eigen,
-            ordering: Ordering::Rcm,
-            dense_threshold: 0,
-            threads: None,
-            pivot_relief: None,
-            strategy: pact::ReduceStrategy::Flat,
-        };
-        let s = sample_secs(SAMPLES, || {
-            pact::reduce_network(&net, &opts).expect("reduce")
-        });
-        rows.push(row(format!("eigen/{label}"), &s));
-    }
+    let net = mesh(8, 8, 5, 12); // n ≈ 300: both solvers feasible
+    let parts = Partitions::split(&net.stamp());
+    let t1 = Transform1::compute(&parts, Ordering::Rcm).expect("transform");
+    let lambda_c = CutoffSpec::new(1e9, 0.05).expect("spec").lambda_c();
+    let dense = sample_secs(SAMPLES, || {
+        sym_eig(&t1.e_prime_dense(&parts)).expect("dense QL")
+    });
+    rows.push(row("eigen/dense".to_owned(), &dense));
+    let lanczos = sample_secs(SAMPLES, || {
+        eigs_above(
+            &t1.e_prime_operator(&parts),
+            lambda_c,
+            &LanczosConfig::default(),
+        )
+        .expect("lanczos")
+    });
+    rows.push(row("eigen/lanczos".to_owned(), &lanczos));
 }
 
 fn bench_sparsify(rows: &mut Vec<Vec<String>>) {
     let net = mesh(12, 12, 5, 25);
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(3e9, 0.05).expect("spec"),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
         ordering: Ordering::Rcm,
-        dense_threshold: 0,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(3e9, 0.05).expect("spec"))
     };
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let (g, _) = red.model.to_matrices_normalized();

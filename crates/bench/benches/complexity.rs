@@ -5,11 +5,10 @@
 //! Plain `main()` harness (no external bench framework); run with
 //! `cargo bench -p pact-bench --bench complexity`.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_baselines::block_krylov_reduce;
 use pact_bench::{min_median, print_table, sample_secs, secs};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_sparse::Ordering;
 
 const SAMPLES: usize = 10;
@@ -29,13 +28,8 @@ fn main() {
         let ports: Vec<String> = net.node_names[..net.num_ports].to_vec();
 
         let opts = ReduceOptions {
-            cutoff: CutoffSpec::new(1e9, 0.05).expect("spec"),
-            eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
             ordering: Ordering::Rcm,
-            dense_threshold: 0,
-            threads: None,
-            pivot_relief: None,
-            strategy: pact::ReduceStrategy::Flat,
+            ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("spec"))
         };
         let s = sample_secs(SAMPLES, || pact::reduce_network(&net, &opts).expect("pact"));
         let (min, med) = min_median(&s);

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo bench -p pact-bench --bench kernels`.
 
-use pact::{CutoffSpec, EigenSelect, Partitions, ReduceOptions, Transform1};
+use pact::{CutoffSpec, Partitions, ReduceOptions, Transform1};
 use pact_bench::{min_median, print_table, sample_secs, secs};
 use pact_gen::{substrate_mesh, MeshSpec};
 use pact_lanczos::{eigs_above, LanczosConfig};
@@ -119,13 +119,8 @@ fn bench_reduce(rows: &mut Vec<Vec<String>>) {
         };
         let net = substrate_mesh(&spec);
         let opts = ReduceOptions {
-            cutoff: CutoffSpec::new(1e9, 0.05).expect("spec"),
-            eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
             ordering: Ordering::Rcm,
-            dense_threshold: 0,
-            threads: None,
-            pivot_relief: None,
-            strategy: pact::ReduceStrategy::Flat,
+            ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("spec"))
         };
         let s = sample_secs(SAMPLES, || {
             pact::reduce_network(&net, &opts).expect("reduce")

@@ -7,12 +7,11 @@
 //! and the passivity margin — which must stay non-negative at every
 //! threshold.
 
-use pact::{CutoffSpec, EigenSelect, Partitions, ReduceOptions};
+use pact::{CutoffSpec, Partitions, ReduceOptions};
 use pact_bench::print_table;
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::sparsify_preserving_passivity;
-use pact_sparse::{sym_eig, Ordering};
+use pact_sparse::sym_eig;
 
 fn main() {
     println!("# Ablation: sparsification threshold vs element count / accuracy / passivity");
@@ -20,15 +19,7 @@ fn main() {
     let parts = Partitions::split(&net.stamp());
     let full = pact::FullAdmittance::new(&parts);
     let fmax = 1e9;
-    let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(fmax, 0.05).expect("cutoff"),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-        ordering: Ordering::NestedDissection,
-        dense_threshold: 400,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("cutoff"));
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let m = red.model.num_ports();
 

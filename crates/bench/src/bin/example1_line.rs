@@ -3,11 +3,10 @@
 //! frequency. The paper finds a single pole at 4.7 GHz and prints the
 //! 3×3 reduced G and C matrices (two ports + one internal node).
 
-use pact::{CutoffSpec, EigenSelect, Partitions, ReduceOptions};
+use pact::{CutoffSpec, Partitions, ReduceOptions};
 use pact_bench::{mb, print_table, secs, timed};
 use pact_gen::{add_default_models, inverter, rc_line_elements, LineSpec};
 use pact_netlist::{extract_rc, Element, ElementKind, Netlist, Waveform};
-use pact_sparse::Ordering;
 
 /// The Figure 2 circuit without an explicit output load, so the RC
 /// network has exactly the paper's two ports (line_in, line_out).
@@ -58,15 +57,7 @@ fn main() {
         net.capacitors.len()
     );
 
-    let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(5e9, 0.05).expect("cutoff"),
-        eigen_backend: EigenSelect::LowRank,
-        ordering: Ordering::NestedDissection,
-        dense_threshold: 400,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(5e9, 0.05).expect("cutoff"));
     let (red, elapsed) = timed(|| pact::reduce_network(net, &opts).expect("reduce"));
     let model = &red.model;
     println!(

@@ -4,13 +4,11 @@
 //! The paper's error bars assert ≤5 % error below each reduction's
 //! maximum frequency.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_bench::print_table;
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{network_to_elements, substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::Netlist;
-use pact_sparse::Ordering;
 
 fn main() {
     println!("# Figure 5: substrate transimpedance |Z(monitor, nmos)| vs frequency");
@@ -39,15 +37,7 @@ fn main() {
     let mut curves: Vec<(String, Vec<f64>)> = vec![("original".into(), z_orig.clone())];
     let mut rows = Vec::new();
     for &fmax in &[3e9, 1e9, 300e6] {
-        let opts = ReduceOptions {
-            cutoff: CutoffSpec::new(fmax, 0.05).expect("cutoff"),
-            eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-            ordering: Ordering::NestedDissection,
-            dense_threshold: 400,
-            threads: None,
-            pivot_relief: None,
-            strategy: pact::ReduceStrategy::Flat,
-        };
+        let opts = ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("cutoff"));
         let red = pact::reduce_network(&net, &opts).expect("reduce");
         let mut rdeck = Netlist::new("reduced mesh");
         rdeck.elements = red.model.to_netlist_elements("red", 1e-9);

@@ -2,14 +2,14 @@
 //! full-adder switching activity — original mesh vs the 1 GHz reduced
 //! network. The reduced network must track the noise waveform.
 
-use pact_bench::{print_table, print_waveforms, reduce_deck_laso};
+use pact_bench::{print_table, print_waveforms, reduce_deck};
 use pact_circuit::Circuit;
 use pact_gen::{full_adder_deck, MeshSpec};
 
 fn main() {
     println!("# Figure 6: substrate voltage fluctuations (monitor port)");
     let deck = full_adder_deck(&MeshSpec::table2());
-    let (reduced_nl, red, _) = reduce_deck_laso(&deck.netlist, 1e9, 0.05, 1e-9);
+    let (reduced_nl, red, _) = reduce_deck(&deck.netlist, 1e9, 0.05, 1e-9);
     println!("\nreduction kept {} poles", red.model.num_poles());
 
     let tstep = 50e-12;

@@ -22,10 +22,9 @@
 //! cargo run --release -p pact-bench --bin lanczos_cliff
 //! ```
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions, ReduceStrategy};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_bench::print_table;
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::RcNetwork;
 
 /// Matvec budget per cap scale. The block recurrence needs 52–53 (in
@@ -46,13 +45,8 @@ fn cap_scaled(base: &RcNetwork, scale: f64) -> RcNetwork {
 
 fn eigen_seconds(net: &RcNetwork) -> (f64, u64, usize) {
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(500e6, 0.10).expect("cutoff"),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-        ordering: pact_sparse::Ordering::NestedDissection,
-        dense_threshold: 400,
         threads: Some(1),
-        pivot_relief: None,
-        strategy: ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(500e6, 0.10).expect("cutoff"))
     };
     let red = pact::reduce_network(net, &opts).expect("reduce");
     let eigen = red

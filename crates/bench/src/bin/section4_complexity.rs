@@ -7,11 +7,10 @@
 //! the first transform (`|S|·m` for the `|S|` capacitive internal nodes),
 //! is printed next to the Padé block it is the counterpart of.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_baselines::{block_krylov_reduce, mpvl_memory, pact_lanczos_memory};
 use pact_bench::{mb, print_table, secs, timed};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_sparse::Ordering;
 
 fn main() {
@@ -31,15 +30,7 @@ fn main() {
         let ports: Vec<String> = net.node_names[..net.num_ports].to_vec();
         let n = parts.n;
 
-        let opts = ReduceOptions {
-            cutoff: CutoffSpec::new(1e9, 0.05).expect("cutoff"),
-            eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-            ordering: Ordering::NestedDissection,
-            dense_threshold: 0,
-            threads: None,
-            pivot_relief: None,
-            strategy: pact::ReduceStrategy::Flat,
-        };
+        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("cutoff"));
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
         let lanczos = pact_red.stats.lanczos.unwrap_or_default();
 

@@ -2,13 +2,11 @@
 //! frequencies (3 GHz / 1 GHz / 300 MHz, 5 % tolerance), plus the
 //! 81-point AC sweep cost on the original and each reduced netlist.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_bench::{mb, print_table, secs, timed};
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{network_to_elements, substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{Element, Netlist};
-use pact_sparse::Ordering;
 
 fn main() {
     println!("# Table 2: substrate mesh with 25 ports (AC sweep, 81 frequencies)");
@@ -54,15 +52,7 @@ fn main() {
     ]];
 
     for &fmax in &[3e9, 1e9, 300e6] {
-        let opts = ReduceOptions {
-            cutoff: CutoffSpec::new(fmax, 0.05).expect("cutoff"),
-            eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-            ordering: Ordering::NestedDissection,
-            dense_threshold: 400,
-            threads: None,
-            pivot_relief: None,
-            strategy: pact::ReduceStrategy::Flat,
-        };
+        let opts = ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("cutoff"));
         let (red, t_red) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
         let elements = red.model.to_netlist_elements("red", 1e-9);
         let (rr, rc) = count_rc(&elements);

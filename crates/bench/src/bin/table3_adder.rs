@@ -3,7 +3,7 @@
 //! 1 GHz / 5 % PACT reduction. The paper reports a >300× simulation
 //! speedup and two-orders-of-magnitude memory reduction.
 
-use pact_bench::{mb, print_table, reduce_deck_laso, secs, timed};
+use pact_bench::{mb, print_table, reduce_deck, secs, timed};
 use pact_circuit::Circuit;
 use pact_gen::{full_adder_deck, MeshSpec};
 use pact_netlist::Element;
@@ -18,7 +18,7 @@ fn main() {
         rc_orig, deck.monitor_port
     );
 
-    let (reduced_nl, red, t_red) = reduce_deck_laso(nl, 1e9, 0.05, 1e-9);
+    let (reduced_nl, red, t_red) = reduce_deck(nl, 1e9, 0.05, 1e-9);
     let rc_red = reduced_nl.count(Element::is_rc);
     println!(
         "reduction: {} poles retained across {} ports in {} s",

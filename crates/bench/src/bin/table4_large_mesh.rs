@@ -4,12 +4,10 @@
 //! ("469 × 19877 × 8 = 71.1 MB for the Lanczos vectors alone; MPVL
 //! requires two of these blocks").
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_baselines::{format_mb, mpvl_memory, pade_block_memory};
 use pact_bench::{mb, print_table, secs, timed};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
-use pact_sparse::Ordering;
 
 fn main() {
     println!("# Table 4: large 3-D mesh (469 ports), 500 MHz, 10 % tolerance");
@@ -25,15 +23,7 @@ fn main() {
     );
     println!("paper:    469 ports, 19877 internal nodes, 65809 R, 3683 C");
 
-    let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(500e6, 0.10).expect("cutoff"),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-        ordering: Ordering::NestedDissection,
-        dense_threshold: 400,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(500e6, 0.10).expect("cutoff"));
     let (red, elapsed) = timed(|| pact::reduce_network(&net, &opts).expect("reduce"));
     let hier_opts = ReduceOptions {
         strategy: pact::ReduceStrategy::Hierarchical {

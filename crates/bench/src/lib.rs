@@ -17,10 +17,8 @@
 
 use std::time::Instant;
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions, Reduction};
-use pact_lanczos::LanczosConfig;
+use pact::{CutoffSpec, ReduceOptions, Reduction};
 use pact_netlist::{extract_rc, splice_reduced, Netlist};
-use pact_sparse::Ordering;
 
 /// Times a closure, returning its output and elapsed seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -121,40 +119,7 @@ pub fn reduce_deck(
     sparsify_tol: f64,
 ) -> (Netlist, Reduction, f64) {
     let ex = extract_rc(deck, &[]).expect("RC extraction failed");
-    let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(f_max, tolerance).expect("bad cutoff"),
-        eigen_backend: EigenSelect::Auto,
-        ordering: Ordering::NestedDissection,
-        dense_threshold: 400,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
-    };
-    let (red, elapsed) =
-        timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));
-    let elements = red.model.to_netlist_elements("red", sparsify_tol);
-    let reduced_deck = splice_reduced(deck, elements);
-    (reduced_deck, red, elapsed)
-}
-
-/// Like [`reduce_deck`] but with Lanczos forced (for large meshes where the
-/// auto threshold would pick it anyway; explicit for reproducibility).
-pub fn reduce_deck_laso(
-    deck: &Netlist,
-    f_max: f64,
-    tolerance: f64,
-    sparsify_tol: f64,
-) -> (Netlist, Reduction, f64) {
-    let ex = extract_rc(deck, &[]).expect("RC extraction failed");
-    let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(f_max, tolerance).expect("bad cutoff"),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
-        ordering: Ordering::NestedDissection,
-        dense_threshold: 400,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(f_max, tolerance).expect("bad cutoff"));
     let (red, elapsed) =
         timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));
     let elements = red.model.to_netlist_elements("red", sparsify_tol);

@@ -1,15 +1,14 @@
-//! The eigensolver backends for the pole analysis of `E'`.
+//! The eigensolvers for the pole analysis of `E'`.
 //!
-//! The paper's Section-3.2 pole analysis admits three implementations with
-//! very different cost profiles: a dense QL decomposition (`O(n³)`, exact,
-//! the oracle), Lanczos (the paper's choice for large `n`; ours fully
-//! reorthogonalizes, see [`pact_lanczos`]), and a rank-revealing fast
-//! path exploiting the §6 observation that extracted RC networks carry
-//! far fewer capacitors than nodes. [`EigenSelect`] picks one per
-//! reduction — adaptively by internal-block size and capacitance rank
-//! under [`EigenSelect::Auto`] — and the choice made for every block is
-//! recorded in telemetry ([`crate::EigenChoice`]). Every backend is
-//! bit-identical at every thread count.
+//! Every flat reduction, and hier's top pass, finds the kept poles with
+//! block Lanczos, as the paper's Section 3.2 does (ours fully
+//! reorthogonalizes, see [`pact_lanczos`]). Dense QL on the explicitly
+//! formed `E'` (`O(n³)`, exact) serves only hier leaves whose
+//! capacitance is not a low-rank stamp. [`low_rank_poles`], the exact
+//! rank-revealing path over the capacitance split, has no production
+//! caller: tests use it as the cheap exact reference. Which solver
+//! served each block is recorded in telemetry ([`crate::EigenChoice`]).
+//! Each is bit-identical at every thread count.
 
 use pact_lanczos::{eigs_above_with_stats, LanczosConfig, LanczosStats, SymOp};
 use pact_sparse::{sym_eig, DMat, ParCtx};
@@ -28,55 +27,6 @@ pub struct EigenSolution {
     pub vectors: Vec<Vec<f64>>,
     /// Work counters when the Lanczos backend ran.
     pub lanczos: Option<LanczosStats>,
-}
-
-/// Eigen backend selection ([`crate::ReduceOptions::eigen_backend`],
-/// `rcfit --eigen {auto,dense,lanczos,lowrank}`).
-#[derive(Clone, Debug, Default)]
-pub enum EigenSelect {
-    /// Adaptive: for internal blocks of at most
-    /// [`crate::ReduceOptions::dense_threshold`] nodes, try the low-rank
-    /// fast path and fall back to dense QL when the capacitance rank does
-    /// not beat the block size; above the threshold, Lanczos with the
-    /// default configuration.
-    #[default]
-    Auto,
-    /// Always form `E'` densely and fully decompose it (oracle; `O(n³)`).
-    Dense,
-    /// Always use the Lanczos solver with the given configuration.
-    Lanczos(LanczosConfig),
-    /// The rank-revealing fast path, falling back to dense QL when the
-    /// capacitance rank does not beat `n`.
-    LowRank,
-}
-
-/// Resolves the selection against the block at hand and runs the chosen
-/// backend. Returns the solution together with the name of the backend
-/// that actually produced it (after any fallback), for telemetry.
-pub(crate) fn compute_poles(
-    sel: &EigenSelect,
-    dense_threshold: usize,
-    t1: &Transform1,
-    parts: &Partitions,
-    lambda_c: f64,
-    ctx: &ParCtx,
-) -> Result<(EigenSolution, &'static str), ReduceError> {
-    let lowrank_else_dense = || -> Result<(EigenSolution, &'static str), ReduceError> {
-        match low_rank_poles(t1, parts, lambda_c, ctx) {
-            Some(sol) => Ok((sol?, "lowrank")),
-            None => Ok((dense_poles(t1, parts, lambda_c, ctx)?, "dense")),
-        }
-    };
-    let lanczos = |cfg: &LanczosConfig| -> Result<(EigenSolution, &'static str), ReduceError> {
-        Ok((lanczos_poles(t1, parts, lambda_c, cfg, ctx)?, "lanczos"))
-    };
-    match sel {
-        EigenSelect::Dense => Ok((dense_poles(t1, parts, lambda_c, ctx)?, "dense")),
-        EigenSelect::Lanczos(cfg) => lanczos(cfg),
-        EigenSelect::LowRank => lowrank_else_dense(),
-        EigenSelect::Auto if parts.n <= dense_threshold => lowrank_else_dense(),
-        EigenSelect::Auto => lanczos(&LanczosConfig::default()),
-    }
 }
 
 /// One rank-1 term `w·u uᵀ` of the capacitance split: `u = e_i − e_j`
@@ -139,9 +89,12 @@ pub(crate) fn capacitance_split(e: &pact_sparse::CsrMat) -> Option<Vec<CapTerm>>
 /// `E' = X Xᵀ` for `X = F⁻¹U`, whose nonzero spectrum equals that of the
 /// tiny `c×c` Gram matrix `XᵀX`. Eigenpairs `(λ, z)` of the Gram lift to
 /// eigenvectors `v = Xz/√λ` of `E'`. `None` when `E` is not a
-/// capacitance stamp or the rank bound does not beat `n` — callers fall
-/// back to the dense `n×n` path.
-fn low_rank_poles(
+/// capacitance stamp or the rank bound does not beat `n`.
+///
+/// No reduction calls it: it is the exact reference that tests hold
+/// Lanczos to, far cheaper than dense QL on a large block with few
+/// capacitors.
+pub fn low_rank_poles(
     t1: &Transform1,
     parts: &Partitions,
     lambda_c: f64,
@@ -260,8 +213,9 @@ pub(crate) fn sparse_dot(a: &(Vec<u32>, Vec<f64>), b: &(Vec<u32>, Vec<f64>)) -> 
 }
 
 /// Dense QL on the explicitly formed `E'` (EISPACK `tred2`/`tql2`):
-/// the `O(n³)` oracle, always applicable.
-fn dense_poles(
+/// `O(n³)`, exact and always applicable. Only hier leaves whose
+/// capacitance is not a low-rank stamp run it.
+pub(crate) fn dense_poles(
     t1: &Transform1,
     parts: &Partitions,
     lambda_c: f64,
@@ -291,13 +245,14 @@ fn dense_poles(
     })
 }
 
-/// Lanczos with full reorthogonalization on the `E'` operator
-/// ([`pact_lanczos`]), never forming `E'` densely.
-fn lanczos_poles(
+/// Block Lanczos with full reorthogonalization on the `E'` operator
+/// ([`pact_lanczos`]), never forming `E'` densely: the pole analysis of
+/// every flat reduction and of hier's top pass. Runs on the reduction's
+/// resolved thread count.
+pub(crate) fn lanczos_poles(
     t1: &Transform1,
     parts: &Partitions,
     lambda_c: f64,
-    cfg: &LanczosConfig,
     ctx: &ParCtx,
 ) -> Result<EigenSolution, ReduceError> {
     if parts.n == 0 {
@@ -305,14 +260,9 @@ fn lanczos_poles(
     }
     let op = t1.e_prime_operator_ctx(parts, *ctx);
     debug_assert_eq!(op.dim(), parts.n);
-    // An explicit thread choice in the Lanczos config wins; otherwise the
-    // reduction's resolved thread count flows through.
-    let cfg = if cfg.threads.is_none() {
-        let mut c = cfg.clone();
-        c.threads = Some(ctx.threads());
-        c
-    } else {
-        cfg.clone()
+    let cfg = LanczosConfig {
+        threads: Some(ctx.threads()),
+        ..LanczosConfig::default()
     };
     let (pairs, stats) = eigs_above_with_stats(&op, lambda_c, &cfg)?;
     let mut lambdas = Vec::with_capacity(pairs.len());

@@ -47,6 +47,14 @@ pub enum PactError {
         /// The largest accepted count.
         max: usize,
     },
+    /// The chain-collapse tolerance was not a positive finite number. It
+    /// is a relative in-band error budget that the segment-count rule
+    /// divides by, so zero, a negative value, NaN or infinity has no
+    /// meaning.
+    ChainTol {
+        /// The rejected tolerance.
+        value: f64,
+    },
     /// The internal conductance block `D` is singular: the named internal
     /// node has no DC path to any port, so the congruence transform (and
     /// the paper's stability theorem, which needs `D ≻ 0`) is undefined.
@@ -98,6 +106,7 @@ impl PactError {
             PactError::Cutoff(_) => "cutoff",
             PactError::Sparsify { .. } => "sparsify",
             PactError::Threads { .. } => "threads",
+            PactError::ChainTol { .. } => "chain_tol",
             PactError::SingularInternalConductance { .. } => "singular_internal_conductance",
             PactError::NonFiniteInternalConductance { .. } => "non_finite_internal_conductance",
             PactError::Lanczos(_) => "lanczos",
@@ -170,6 +179,9 @@ impl std::fmt::Display for PactError {
             ),
             PactError::Threads { value, max } => {
                 write!(f, "threads must be between 1 and {max}, got {value}")
+            }
+            PactError::ChainTol { value } => {
+                write!(f, "chain_tol must be a positive finite number, got {value}")
             }
             PactError::SingularInternalConductance { node, pivot } => write!(
                 f,

@@ -46,6 +46,7 @@
 
 use pact_netlist::{extract_rc, splice_reduced, Branch, Netlist, NetworkError, RcNetwork};
 
+use crate::cutoff::CutoffError;
 use crate::error::PactError;
 use crate::reduce::ComponentReduction;
 use crate::sanitize::sanitize_network;
@@ -67,17 +68,18 @@ impl ChainCollapseSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`PactError::Internal`] when either value is non-positive
-    /// or non-finite (the segment-count rule below would divide by
-    /// zero or produce a non-finite count).
+    /// Returns [`PactError::Cutoff`] for an `f_max` and
+    /// [`PactError::ChainTol`] for a `tol` that is non-positive or
+    /// non-finite (the segment-count rule below would divide by zero or
+    /// produce a non-finite count).
     pub fn new(f_max: f64, tol: f64) -> Result<ChainCollapseSpec, PactError> {
-        if !(f_max > 0.0 && f_max.is_finite() && tol > 0.0 && tol.is_finite()) {
-            return Err(PactError::Internal {
-                message: format!(
-                    "chain collapse spec requires positive finite f_max and tol, \
-                     got f_max={f_max}, tol={tol}"
-                ),
-            });
+        if !(f_max > 0.0 && f_max.is_finite()) {
+            return Err(PactError::Cutoff(CutoffError {
+                message: format!("maximum frequency must be positive, got {f_max}"),
+            }));
+        }
+        if !(tol > 0.0 && tol.is_finite()) {
+            return Err(PactError::ChainTol { value: tol });
         }
         Ok(ChainCollapseSpec { f_max, tol })
     }
@@ -767,8 +769,11 @@ mod tests {
 
     #[test]
     fn spec_rejects_bad_values() {
-        assert!(ChainCollapseSpec::new(0.0, 1e-6).is_err());
-        assert!(ChainCollapseSpec::new(1e9, 0.0).is_err());
-        assert!(ChainCollapseSpec::new(f64::NAN, 1e-6).is_err());
+        let code = |f_max, tol| ChainCollapseSpec::new(f_max, tol).unwrap_err().code();
+        assert_eq!(code(0.0, 1e-6), "cutoff");
+        assert_eq!(code(f64::NAN, 1e-6), "cutoff");
+        for tol in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(code(1e9, tol), "chain_tol", "tol {tol}");
+        }
     }
 }

@@ -8,7 +8,6 @@ use std::time::Instant;
 use pact_netlist::RcNetwork;
 use pact_sparse::{FactorError, ParCtx, SymbolicCholesky};
 
-use crate::backend::EigenSelect;
 use crate::cutoff::CutoffSpec;
 use crate::hier::leaf::{prepare_leaf, reduce_prepared_leaf, PreparedLeaf};
 use crate::hier::partition_tree::PartitionTree;
@@ -114,14 +113,6 @@ pub(crate) fn reduce_network_hier(
     leaf_opts.cutoff = leaf_cutoff;
     leaf_opts.threads = Some(1); // one worker per leaf; fan-out is outside
     leaf_opts.strategy = ReduceStrategy::Flat;
-    // Under the guarded cutoff a fallback leaf keeps a large fraction of
-    // its spectrum, which is exactly the regime where an iterative
-    // extremal solver (Lanczos) degenerates into full-spectrum iteration
-    // with massive reorthogonalization. Blocks are bounded by
-    // `max_block`, so solve them with the low-rank/dense path;
-    // `opts.eigen_backend` still governs the top-level pass, where the
-    // spectral problem has the usual few-poles-in-band shape.
-    leaf_opts.eigen_backend = EigenSelect::LowRank;
 
     let ctx = ParCtx::new(opts.threads);
 

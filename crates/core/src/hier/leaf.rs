@@ -63,7 +63,7 @@ use std::time::Instant;
 use pact_netlist::RcNetwork;
 use pact_sparse::{sym_eig, CsrMat, DMat, ParCtx, PivotPolicy};
 
-use crate::backend::{self, capacitance_split, sparse_dot, CapTerm, EigenSelect};
+use crate::backend::{self, capacitance_split, sparse_dot, CapTerm};
 use crate::cutoff::CutoffSpec;
 use crate::hier::partition_tree::LeafBlock;
 use crate::model::ReducedModel;
@@ -125,9 +125,8 @@ pub(crate) fn prepare_leaf(leaf: &LeafBlock) -> Result<PreparedLeaf, ReduceError
 }
 
 /// Reduces one prepared leaf: cached factor → moments → two-level
-/// Gram/Schur pole analysis with budgeted trimming, falling back to the
-/// guarded low-rank/dense flat path when `E` is not a low-rank
-/// capacitance stamp.
+/// Gram/Schur pole analysis with budgeted trimming, falling back to
+/// guarded dense QL when `E` is not a low-rank capacitance stamp.
 ///
 /// Runs serially — the leaf fan-out above is the parallel axis — and
 /// reports telemetry with flat phase names; the merge step renames them
@@ -205,21 +204,19 @@ pub(crate) fn reduce_prepared_leaf(
             port_names,
         };
     } else {
-        // General fallback (coupled / full-rank capacitance): the
-        // guarded-cutoff low-rank/dense flat path, per-pole projection.
+        // General fallback (coupled / full-rank capacitance): dense QL
+        // under the guarded cutoff, per-pole projection. The guard keeps
+        // a large fraction of the spectrum, where Lanczos degenerates
+        // into full-spectrum iteration; blocks are bounded by
+        // `max_block`, so the dense solve stays affordable. The low-rank
+        // path cannot apply here: this branch runs exactly when the
+        // capacitance split fails or has at least `n` terms.
         let lambda_guard = leaf_opts.cutoff.lambda_c();
         let eigen_start = Instant::now();
-        let poles = backend::compute_poles(
-            &EigenSelect::LowRank,
-            leaf_opts.dense_threshold,
-            &t1,
-            parts,
-            lambda_guard,
-            &ctx,
-        );
+        let poles = backend::dense_poles(&t1, parts, lambda_guard, &ctx);
         tel.record_phase("eigen", eigen_start.elapsed().as_secs_f64());
-        let (sol, backend_name) = poles?;
-        tel.record_eigen_choice("leaf", backend_name, parts.n, sol.lambdas.len());
+        let sol = poles?;
+        tel.record_eigen_choice("leaf", "dense", parts.n, sol.lambdas.len());
         let r2 = tel.time("projection", || t1.r2_rows_ctx(parts, &sol.vectors, &ctx));
         poles_dim_hint = parts.n;
         model = ReducedModel {

@@ -21,9 +21,8 @@
 //!    `A' = A − QᵀX` and `B' = B − PᵀX − XᵀR` become the exact first two
 //!    moments, `Q` vanishes, `D → I` (eq. 6–9);
 //! 3. pole analysis — eigenpairs of `E' = L⁻¹EL⁻ᵀ` above
-//!    `λ_c = 1/(2π f_c)` ([`CutoffSpec`]) are found by Lanczos
-//!    (`pact_lanczos`) or densely, and everything else is dropped
-//!    (eq. 10–12);
+//!    `λ_c = 1/(2π f_c)` ([`CutoffSpec`]) are found by block Lanczos
+//!    (`pact_lanczos`), and everything else is dropped (eq. 10–12);
 //! 4. [`ReducedModel`] — the `m + k` node reduced network, evaluable as
 //!    `Y(jω)` ([`ReducedModel::y_at`]), checkable for passivity, and
 //!    convertible back to a SPICE RC netlist
@@ -70,7 +69,7 @@ mod transform;
 mod verify;
 
 pub use admittance::{transimpedance_of, FullAdmittance, PortImpedance, SweepCounts, YEvaluator};
-pub use backend::{EigenSelect, EigenSolution};
+pub use backend::{low_rank_poles, EigenSolution};
 pub use cutoff::{CutoffError, CutoffSpec};
 pub use error::PactError;
 pub use extract::{
@@ -93,7 +92,6 @@ pub use verify::{verify_reduction, verify_reduction_with, ErrorSample, Verificat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_lanczos::LanczosConfig;
     use pact_netlist::{extract_rc, parse, RcNetwork};
     use pact_sparse::Ordering;
 
@@ -199,18 +197,34 @@ mod tests {
     fn laso_and_dense_strategies_agree() {
         let net = rc_line(50);
         let spec = CutoffSpec::new(5e9, 0.05).unwrap();
-        let mut opts = ReduceOptions::new(spec);
-        opts.eigen_backend = EigenSelect::Dense;
-        let dense = reduce_network(&net, &opts).unwrap();
-        opts.eigen_backend = EigenSelect::Lanczos(LanczosConfig::default());
-        let laso = reduce_network(&net, &opts).unwrap();
-        assert_eq!(dense.model.num_poles(), laso.model.num_poles());
-        for (a, b) in dense.model.lambdas.iter().zip(&laso.model.lambdas) {
+        let laso = reduce_network(&net, &ReduceOptions::new(spec)).unwrap();
+        // Dense QL of the explicitly formed E' is the oracle.
+        let parts = Partitions::split(&net.stamp());
+        let t1 = Transform1::compute(&parts, Ordering::NestedDissection).unwrap();
+        let eig = pact_sparse::sym_eig(&t1.e_prime_dense(&parts)).unwrap();
+        let kept: Vec<usize> = (0..parts.n)
+            .rev()
+            .take_while(|&idx| eig.values[idx] >= spec.lambda_c())
+            .collect();
+        let vectors: Vec<Vec<f64>> = kept
+            .iter()
+            .map(|&idx| (0..parts.n).map(|i| eig.vectors[(i, idx)]).collect())
+            .collect();
+        let dense = ReducedModel {
+            a1: t1.a1.clone(),
+            b1: t1.b1.clone(),
+            r2: t1.r2_rows(&parts, &vectors),
+            lambdas: kept.iter().map(|&idx| eig.values[idx]).collect(),
+            port_names: laso.model.port_names.clone(),
+        };
+        assert!(dense.num_poles() > 0);
+        assert_eq!(dense.num_poles(), laso.model.num_poles());
+        for (a, b) in dense.lambdas.iter().zip(&laso.model.lambdas) {
             assert!((a - b).abs() < 1e-6 * a.abs());
         }
         // The admittances agree even though eigenvector signs may differ.
         let f = 2e9;
-        let ya = dense.model.y_at(f);
+        let ya = dense.y_at(f);
         let yb = laso.model.y_at(f);
         for i in 0..2 {
             for j in 0..2 {

@@ -8,21 +8,6 @@
 //! semantics — promote on hit, replace on key collision, evict the least
 //! recently used entry under capacity pressure — are tested once and
 //! shared.
-//!
-//! Entries carry a monotonically increasing *insertion stamp* (`seq`):
-//! promotion reorders the recency list but never restamps, so a consumer
-//! can snapshot a cache, hand clones to workers, and later collect
-//! exactly the entries each worker learned via [`LruCache::entries_since`]
-//! (the hierarchical reducer's leaf fan-out does this to keep its
-//! counters independent of worker assignment).
-
-/// One cached entry: key, insertion stamp, value.
-#[derive(Clone, Debug)]
-struct Entry<K, V> {
-    key: K,
-    seq: u64,
-    value: V,
-}
 
 /// A bounded least-recently-used cache.
 ///
@@ -33,9 +18,8 @@ struct Entry<K, V> {
 #[derive(Clone, Debug)]
 pub struct LruCache<K, V> {
     cap: usize,
-    next_seq: u64,
     evictions: u64,
-    entries: Vec<Entry<K, V>>,
+    entries: Vec<(K, V)>,
 }
 
 impl<K: PartialEq, V> LruCache<K, V> {
@@ -49,7 +33,6 @@ impl<K: PartialEq, V> LruCache<K, V> {
         assert!(cap > 0, "LruCache capacity must be positive");
         LruCache {
             cap,
-            next_seq: 0,
             evictions: 0,
             entries: Vec::new(),
         }
@@ -76,13 +59,6 @@ impl<K: PartialEq, V> LruCache<K, V> {
         self.evictions
     }
 
-    /// The stamp the next insertion will receive. Snapshot this before
-    /// handing clones to workers; [`LruCache::entries_since`] with the
-    /// snapshot returns what a clone learned afterwards.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Looks up `key`, promoting the entry to most-recently-used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.get_if(key, |_| true)
@@ -99,29 +75,26 @@ impl<K: PartialEq, V> LruCache<K, V> {
     /// `SymbolicCholesky::matches` pattern comparison, so an FNV-1a
     /// collision can never hand back the wrong analysis.
     pub fn get_if(&mut self, key: &K, verify: impl FnOnce(&V) -> bool) -> Option<&V> {
-        let idx = self.entries.iter().position(|e| &e.key == key)?;
-        if !verify(&self.entries[idx].value) {
+        let idx = self.entries.iter().position(|(k, _)| k == key)?;
+        if !verify(&self.entries[idx].1) {
             return None;
         }
         let entry = self.entries.remove(idx);
         self.entries.push(entry);
-        self.entries.last().map(|e| &e.value)
+        self.entries.last().map(|(_, v)| v)
     }
 
     /// Mutable lookup, promoting the entry to most-recently-used.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let idx = self.entries.iter().position(|e| &e.key == key)?;
+        let idx = self.entries.iter().position(|(k, _)| k == key)?;
         let entry = self.entries.remove(idx);
         self.entries.push(entry);
-        self.entries.last_mut().map(|e| &mut e.value)
+        self.entries.last_mut().map(|(_, v)| v)
     }
 
     /// Looks up `key` without touching recency order.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.entries
-            .iter()
-            .find(|e| &e.key == key)
-            .map(|e| &e.value)
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Inserts `key → value` as the most-recently-used entry and returns
@@ -129,52 +102,35 @@ impl<K: PartialEq, V> LruCache<K, V> {
     /// (newest wins — this is what lets a fingerprint collision correct
     /// itself) or the least-recently-used entry when at capacity.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
+        if let Some(idx) = self.entries.iter().position(|(k, _)| *k == key) {
             let old = self.entries.remove(idx);
-            self.entries.push(Entry { key, seq, value });
-            return Some((old.key, old.value));
+            self.entries.push((key, value));
+            return Some(old);
         }
         let evicted = if self.entries.len() == self.cap {
             self.evictions += 1;
-            let lru = self.entries.remove(0);
-            Some((lru.key, lru.value))
+            Some(self.entries.remove(0))
         } else {
             None
         };
-        self.entries.push(Entry { key, seq, value });
+        self.entries.push((key, value));
         evicted
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.entries.iter().position(|e| &e.key == key)?;
-        Some(self.entries.remove(idx).value)
+        let idx = self.entries.iter().position(|(k, _)| k == key)?;
+        Some(self.entries.remove(idx).1)
     }
 
     /// Keys in recency order, least recently used first.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|e| &e.key)
+        self.entries.iter().map(|(k, _)| k)
     }
 
     /// `(key, value)` pairs in recency order, least recently used first.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|e| (&e.key, &e.value))
-    }
-}
-
-impl<K: PartialEq + Clone, V: Clone> LruCache<K, V> {
-    /// Entries inserted at stamp `seq` or later — what a clone of this
-    /// cache learned after the stamp was taken with
-    /// [`LruCache::next_seq`]. Promotions keep their original stamp, so
-    /// merely *using* snapshot entries never re-reports them.
-    pub fn entries_since(&self, seq: u64) -> Vec<(K, V)> {
-        self.entries
-            .iter()
-            .filter(|e| e.seq >= seq)
-            .map(|e| (e.key.clone(), e.value.clone()))
-            .collect()
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 }
 
@@ -219,19 +175,6 @@ mod tests {
         assert_eq!(c.get_if(&1, |_| false), None);
         // 1 stays least-recently-used, so it is the eviction victim.
         assert_eq!(c.insert(3, "c"), Some((1, "a")));
-    }
-
-    #[test]
-    fn entries_since_reports_only_new_insertions() {
-        let mut c: LruCache<u32, &str> = LruCache::new(4);
-        c.insert(1, "a");
-        c.insert(2, "b");
-        let base = c.next_seq();
-        // Promotions of old entries must not be re-reported as new.
-        assert!(c.get(&1).is_some());
-        c.insert(3, "c");
-        let new = c.entries_since(base);
-        assert_eq!(new, vec![(3, "c")]);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use pact_lanczos::{LanczosError, LanczosStats};
 use pact_netlist::{RcNetwork, Stamped};
 use pact_sparse::{EigenError, FactorError, Ordering};
 
-use crate::backend::EigenSelect;
 use crate::cutoff::CutoffSpec;
 use crate::model::ReducedModel;
 use crate::session::ReductionSession;
@@ -51,14 +50,8 @@ pub enum ReduceStrategy {
 pub struct ReduceOptions {
     /// Accuracy specification (max frequency + tolerance).
     pub cutoff: CutoffSpec,
-    /// Eigen backend selection for the pole analysis
-    /// ([`EigenSelect::Auto`] adapts to block size and capacitance rank).
-    pub eigen_backend: EigenSelect,
     /// Fill-reducing ordering for the Cholesky factorization of `D`.
     pub ordering: Ordering,
-    /// [`EigenSelect::Auto`] switches from the low-rank/dense path to
-    /// Lanczos above this internal-block size.
-    pub dense_threshold: usize,
     /// Worker threads for the parallel stages (port fan-out, Ritz rows,
     /// operator products). `None` ⇒ all available cores. The reduced
     /// model is bit-identical for every thread count.
@@ -81,9 +74,7 @@ impl ReduceOptions {
     pub fn new(cutoff: CutoffSpec) -> Self {
         ReduceOptions {
             cutoff,
-            eigen_backend: EigenSelect::Auto,
             ordering: Ordering::NestedDissection,
-            dense_threshold: 400,
             threads: None,
             pivot_relief: None,
             strategy: ReduceStrategy::Flat,

@@ -314,8 +314,8 @@ impl ReductionSession {
     }
 
     /// The flat reduction body shared by every entry point: partition →
-    /// (cached) factor → moments → pole analysis via the selected eigen
-    /// backend → projection.
+    /// (cached) factor → moments → pole analysis by block Lanczos →
+    /// projection.
     pub(crate) fn reduce_stamped_scoped(
         &mut self,
         stamped: &Stamped,
@@ -357,17 +357,10 @@ impl ReductionSession {
         let lambda_c = self.opts.cutoff.lambda_c();
 
         let eigen_start = Instant::now();
-        let poles = backend::compute_poles(
-            &self.opts.eigen_backend,
-            self.opts.dense_threshold,
-            &t1,
-            &parts,
-            lambda_c,
-            &ctx,
-        );
+        let poles = backend::lanczos_poles(&t1, &parts, lambda_c, &ctx);
         tel.record_phase("eigen", eigen_start.elapsed().as_secs_f64());
-        let (sol, backend_name) = poles?;
-        tel.record_eigen_choice(scope, backend_name, parts.n, sol.lambdas.len());
+        let sol = poles?;
+        tel.record_eigen_choice(scope, "lanczos", parts.n, sol.lambdas.len());
 
         let r2 = tel.time("projection", || t1.r2_rows_ctx(&parts, &sol.vectors, &ctx));
         let eigen_vectors = eigen_peak_vectors(&sol);

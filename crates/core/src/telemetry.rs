@@ -330,16 +330,18 @@ impl std::fmt::Display for Warning {
 /// One record per eigendecomposition the run performed: the flat path
 /// emits one, the hierarchical path one per leaf plus one for the top
 /// (separator) pass, and per-component reduction one per component.
-/// Part of the deterministic telemetry subset — backend selection is a
-/// pure function of block size and options, never of thread count.
+/// Part of the deterministic telemetry subset — the backend is fixed by
+/// the path and the block's capacitance, never by the thread count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EigenChoice {
     /// Which block this record describes (`"flat"`, `"leaf3"`, `"top"`,
     /// `"component2"`).
     pub scope: String,
-    /// Backend that ran: `"dense"`, `"lanczos"`, `"lowrank"`, or
-    /// `"schur"` for the hierarchical two-level leaf path (Gram eigenanalysis on the
-    /// factored Schur complement, residues read off the moment panel).
+    /// Backend that ran: `"lanczos"` for flat reductions and hier's top
+    /// pass, and for a hier leaf `"schur"` (the two-level path: Gram
+    /// eigenanalysis on the factored Schur complement, residues read off
+    /// the moment panel) or `"dense"` (QL, when its capacitance is not a
+    /// low-rank stamp).
     pub backend: &'static str,
     /// Dimension of the internal block the backend decomposed.
     pub dim: u64,
@@ -600,14 +602,14 @@ mod tests {
     #[test]
     fn eigen_choices_serialize_and_absorb() {
         let mut a = Telemetry::new();
-        a.record_eigen_choice("flat", "lowrank", 12, 3);
+        a.record_eigen_choice("flat", "lanczos", 12, 3);
         let mut b = Telemetry::new();
-        b.record_eigen_choice("leaf0", "lanczos", 900, 17);
+        b.record_eigen_choice("leaf0", "schur", 900, 17);
         a.absorb(&b);
         assert_eq!(a.eigen_choices.len(), 2);
         assert_eq!(a.eigen_choices[1].scope, "leaf0");
         let s = a.counters_json_string();
-        assert!(s.contains("\"backend\":\"lowrank\""), "{s}");
+        assert!(s.contains("\"backend\":\"schur\""), "{s}");
         assert!(s.contains("\"scope\":\"leaf0\""), "{s}");
         let doc = a.to_json();
         let back = Value::parse(&doc.render()).unwrap();

@@ -3,9 +3,9 @@
 //! track the exact admittance, and the mesh's pole ladder must behave as
 //! designed (wells dominate the low-frequency spectrum).
 
-use pact::{CutoffSpec, EigenSelect, FullAdmittance, Partitions, ReduceOptions};
+use pact::{CutoffSpec, FullAdmittance, Partitions, ReduceOptions, Transform1};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
+use pact_sparse::{sym_eig, Ordering};
 
 fn small_mesh() -> pact_netlist::RcNetwork {
     substrate_mesh(&MeshSpec {
@@ -21,17 +21,24 @@ fn small_mesh() -> pact_netlist::RcNetwork {
 fn laso_matches_dense_oracle_on_mesh() {
     let net = small_mesh();
     let spec = CutoffSpec::new(2e9, 0.05).unwrap();
-    let mut opts = ReduceOptions::new(spec);
-    opts.eigen_backend = EigenSelect::LowRank;
-    let dense = pact::reduce_network(&net, &opts).unwrap();
-    opts.eigen_backend = EigenSelect::Lanczos(LanczosConfig::default());
-    let laso = pact::reduce_network(&net, &opts).unwrap();
+    let laso = pact::reduce_network(&net, &ReduceOptions::new(spec)).unwrap();
+    // Dense QL of the explicitly formed E' is the oracle.
+    let parts = Partitions::split(&net.stamp());
+    let t1 = Transform1::compute(&parts, Ordering::NestedDissection).unwrap();
+    let eig = sym_eig(&t1.e_prime_dense(&parts)).unwrap();
+    let dense: Vec<f64> = eig
+        .values
+        .iter()
+        .rev()
+        .copied()
+        .take_while(|&l| l >= spec.lambda_c())
+        .collect();
     assert_eq!(
-        dense.model.num_poles(),
+        dense.len(),
         laso.model.num_poles(),
         "pole count disagreement"
     );
-    for (a, b) in dense.model.lambdas.iter().zip(&laso.model.lambdas) {
+    for (a, b) in dense.iter().zip(&laso.model.lambdas) {
         assert!(
             (a - b).abs() < 1e-6 * a,
             "pole mismatch: dense {a:e} vs laso {b:e}"

@@ -5,9 +5,8 @@
 //! partitions work deterministically and never reassociates floating
 //! point across a thread boundary, so `assert_eq!` on `f64` is exact.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions, Reduction};
+use pact::{CutoffSpec, ReduceOptions, ReduceStrategy, Reduction};
 use pact_gen::{substrate_mesh, with_neighbour_coupling, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{Branch, RcNetwork};
 use pact_sparse::XorShiftRng;
 
@@ -78,15 +77,11 @@ fn ladder_fixture() -> RcNetwork {
     }
 }
 
-fn reduce_with_threads(net: &RcNetwork, eigen_backend: &EigenSelect, threads: usize) -> Reduction {
+fn reduce_with_threads(net: &RcNetwork, strategy: ReduceStrategy, threads: usize) -> Reduction {
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(2e9, 0.05).unwrap(),
-        eigen_backend: eigen_backend.clone(),
-        ordering: pact_sparse::Ordering::NestedDissection,
-        dense_threshold: 0,
         threads: Some(threads),
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
+        strategy,
+        ..ReduceOptions::new(CutoffSpec::new(2e9, 0.05).unwrap())
     };
     pact::reduce_network(net, &opts).unwrap()
 }
@@ -117,12 +112,20 @@ fn assert_bit_identical(base: &Reduction, other: &Reduction, what: &str) {
     );
 }
 
+/// Flat runs block Lanczos; hier's leaves run the two-level Gram path
+/// or dense QL, and its top pass Lanczos again.
 fn check_fixture(net: &RcNetwork, label: &str) {
-    for (ename, eigen) in [
-        ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
-        ("dense", EigenSelect::LowRank),
+    for (ename, strategy) in [
+        ("flat", ReduceStrategy::Flat),
+        (
+            "hier",
+            ReduceStrategy::Hierarchical {
+                max_block: 24,
+                max_depth: 16,
+            },
+        ),
     ] {
-        let base = reduce_with_threads(net, &eigen, 1);
+        let base = reduce_with_threads(net, strategy, 1);
         assert!(
             !base.model.lambdas.is_empty(),
             "{label}/{ename}: fixture retains no poles — fixture too small to exercise the pipeline"
@@ -149,7 +152,7 @@ fn check_fixture(net: &RcNetwork, label: &str) {
             "{label}/{ename}: supernodal kernel reported no panel flops"
         );
         for threads in [2usize, 4, 8] {
-            let par = reduce_with_threads(net, &eigen, threads);
+            let par = reduce_with_threads(net, strategy, threads);
             assert_bit_identical(&base, &par, &format!("{label}/{ename}/threads={threads}"));
         }
     }

@@ -412,7 +412,10 @@ fn lanczos_run(
         let row_sums: Vec<f64> = (0..kk)
             .map(|i| (0..kk).map(|j| t[(i, j)].abs()).sum())
             .collect();
-        let tol = f64::EPSILON * row_sums.iter().fold(1.0f64, |m, &v| m.max(v)) * 16.0;
+        // Roundoff relative to the operator's own scale: PACT's `E'` is
+        // in seconds (‖E'‖ ≈ 1e-11), so an absolute floor would drop
+        // genuine directions near the bottom of its spectrum.
+        let tol = f64::EPSILON * row_sums.iter().fold(0.0f64, |m, &v| m.max(v)) * 16.0;
         let cuts = (converged.as_slice(), deflate_base);
         let b = block_qr(&mut aw, wj, tol, &mut basis, rng, cuts, stats, ctx);
         let w_next = basis.len() / n - kk;
@@ -977,6 +980,31 @@ mod tests {
         for i in 0..3 {
             for j in 0..i {
                 assert!(dot(&pairs[i].vector, &pairs[j].vector).abs() < 1e-6);
+            }
+        }
+    }
+
+    #[test]
+    fn a_scaled_operator_keeps_its_whole_spectrum() {
+        // The inverse Laplacian of a 39-node line, the shape of an RC
+        // line's `E'`: a clustered low end 650× below the top, all of it
+        // above the cutoff. At the scale of a PACT `E'` (seconds) the
+        // run must find the same spectrum as at unit scale.
+        let n = 39;
+        let line_inverse = |scale: f64| {
+            DMat::from_fn(n, n, |i, j| {
+                let (lo, hi) = (i.min(j) + 1, i.max(j) + 1);
+                scale * (lo * (n + 1 - hi)) as f64 / (n + 1) as f64
+            })
+        };
+        let exact = sym_eig(&line_inverse(1.0)).unwrap().values;
+        for scale in [1.0, 2e-13] {
+            let cfg = LanczosConfig::default();
+            let pairs = eigs_above(&line_inverse(scale), 1e-6 * scale, &cfg).unwrap();
+            assert_eq!(pairs.len(), n, "scale {scale}");
+            for (p, e) in pairs.iter().zip(exact.iter().rev()) {
+                let got = p.value / scale;
+                assert!((got - e).abs() <= 1e-9 * e, "scale {scale}: {got} vs {e}");
             }
         }
     }

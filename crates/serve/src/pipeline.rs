@@ -13,10 +13,8 @@
 
 use pact::{
     collapse_chains, sanitize_network, ChainCollapseSpec, ComponentReduction, CutoffSpec,
-    EigenSelect, PactError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession, Telemetry,
-    Warning,
+    PactError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession, Telemetry, Warning,
 };
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{extract_rc, parse, splice_reduced, Element, Netlist, RcNetwork};
 
 /// Default relative pivot-relief floor for quasi-singular `D` diagonals;
@@ -36,46 +34,6 @@ pub const MAX_THREADS: usize = 256;
 /// the series-chain collapse pre-pass.
 pub const DEFAULT_CHAIN_TOL: f64 = 1e-6;
 
-/// The `--eigen` flag / `"eigen"` option: which pole-analysis backend to
-/// use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EigenArg {
-    /// Let the reducer pick per sub-problem.
-    Auto,
-    /// The dense reference eigensolver.
-    Dense,
-    /// Shift-invert Lanczos (the default).
-    Lanczos,
-    /// The rank-revealing low-rank path with a dense fallback.
-    LowRank,
-}
-
-impl EigenArg {
-    /// Parses the spelling shared by `rcfit --eigen` and the daemon's
-    /// `"eigen"` option.
-    pub fn parse(s: &str) -> Result<EigenArg, String> {
-        match s {
-            "auto" => Ok(EigenArg::Auto),
-            "dense" => Ok(EigenArg::Dense),
-            "lanczos" => Ok(EigenArg::Lanczos),
-            "lowrank" => Ok(EigenArg::LowRank),
-            other => Err(format!(
-                "eigen expects auto, dense, lanczos, or lowrank (got `{other}`)"
-            )),
-        }
-    }
-
-    /// The canonical spelling (inverse of [`EigenArg::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            EigenArg::Auto => "auto",
-            EigenArg::Dense => "dense",
-            EigenArg::Lanczos => "lanczos",
-            EigenArg::LowRank => "lowrank",
-        }
-    }
-}
-
 /// Everything a deck reduction depends on beyond the deck text itself:
 /// the resolved form of the `rcfit` CLI flags and of the `rcfitd`
 /// request `options` object.
@@ -93,8 +51,6 @@ pub struct DeckOptions {
     pub extra_ports: Vec<String>,
     /// Worker threads inside one reduction (`None` = all cores).
     pub threads: Option<usize>,
-    /// Explicit eigen backend choice, if any.
-    pub eigen: Option<EigenArg>,
     /// Reduce each connected component separately.
     pub components: bool,
     /// Fail on quasi-singular pivots instead of perturbing them.
@@ -128,7 +84,6 @@ impl Default for DeckOptions {
             sparsify: 1e-9,
             extra_ports: Vec::new(),
             threads: None,
-            eigen: None,
             components: false,
             strict_pivots: false,
             hier: false,
@@ -142,17 +97,6 @@ impl Default for DeckOptions {
 }
 
 impl DeckOptions {
-    /// Resolves the eigen choice: shift-invert Lanczos unless `eigen`
-    /// names another backend.
-    pub fn eigen_select(&self) -> EigenSelect {
-        match self.eigen {
-            Some(EigenArg::Auto) => EigenSelect::Auto,
-            Some(EigenArg::Dense) => EigenSelect::Dense,
-            Some(EigenArg::Lanczos) | None => EigenSelect::Lanczos(LanczosConfig::default()),
-            Some(EigenArg::LowRank) => EigenSelect::LowRank,
-        }
-    }
-
     /// The fully resolved reduction options. Both front ends call this
     /// before any deck work, so range checks that must agree between
     /// them live here.
@@ -161,8 +105,10 @@ impl DeckOptions {
     ///
     /// Fails (code `cutoff`) when `f_max`/`tolerance` do not define a
     /// valid cutoff, (code `sparsify`) when `sparsify` is not a finite
-    /// number in `[0, 1)`, and (code `threads`) when `threads` is outside
-    /// `1..=`[`MAX_THREADS`].
+    /// number in `[0, 1)`, (code `threads`) when `threads` is outside
+    /// `1..=`[`MAX_THREADS`], and (code `chain_tol`) when
+    /// `collapse_chains` is set and `chain_tol` is not positive and
+    /// finite.
     pub fn reduce_options(&self) -> Result<ReduceOptions, PactError> {
         let cutoff = CutoffSpec::new(self.f_max, self.tolerance)?;
         if !(0.0..1.0).contains(&self.sparsify) {
@@ -178,8 +124,8 @@ impl DeckOptions {
                 });
             }
         }
+        self.collapse_spec()?;
         Ok(ReduceOptions {
-            eigen_backend: self.eigen_select(),
             threads: self.threads,
             pivot_relief: if self.strict_pivots {
                 None
@@ -209,7 +155,7 @@ impl DeckOptions {
     ///
     /// # Errors
     ///
-    /// Fails (code `internal`) when `chain_tol` is not positive and
+    /// Fails (code `chain_tol`) when `chain_tol` is not positive and
     /// finite.
     pub fn collapse_spec(&self) -> Result<Option<ChainCollapseSpec>, PactError> {
         if self.collapse_chains {
@@ -228,7 +174,6 @@ impl DeckOptions {
     /// which networks go through the session without changing its
     /// numeric options.
     pub fn session_key(&self) -> String {
-        let eigen = self.eigen.unwrap_or(EigenArg::Lanczos).name();
         let strategy = match self.reduce_strategy() {
             ReduceStrategy::Flat => "flat".to_owned(),
             ReduceStrategy::Hierarchical {
@@ -237,7 +182,7 @@ impl DeckOptions {
             } => format!("hier:{max_block}:{max_depth}"),
         };
         format!(
-            "fmax={};tol={};eigen={eigen};threads={:?};strict={};strategy={strategy}",
+            "fmax={};tol={};threads={:?};strict={};strategy={strategy}",
             self.f_max, self.tolerance, self.threads, self.strict_pivots
         )
     }
@@ -536,13 +481,16 @@ mod tests {
             ..DeckOptions::default()
         };
         let e = prepare_deck(DECK, &opts).unwrap_err();
-        assert_eq!(e.code(), "internal");
+        assert_eq!(e.code(), "chain_tol");
+        // Both front ends resolve options first, so they refuse it there.
+        assert_eq!(opts.reduce_options().unwrap_err().code(), "chain_tol");
         // With the pre-pass off the same tolerance is never inspected.
         let off = DeckOptions {
             chain_tol: 0.0,
             ..DeckOptions::default()
         };
         assert!(prepare_deck(DECK, &off).is_ok());
+        assert!(off.reduce_options().is_ok());
     }
 
     #[test]

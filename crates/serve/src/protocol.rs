@@ -9,9 +9,9 @@
 //! - `deck` — the SPICE deck text inline, or `path` — a file to read
 //!   server-side. Exactly one of the two for `reduce`.
 //! - `options` — an object mirroring the `rcfit` flags (`fmax`, `tol`,
-//!   `sparsify`, `ports`, `threads`, `eigen`, `components`,
-//!   `strict_pivots`, `hier`, `block_size`, `max_depth`, `extract`,
-//!   `collapse_chains`, `chain_tol`).
+//!   `sparsify`, `ports`, `threads`, `components`, `strict_pivots`,
+//!   `hier`, `block_size`, `max_depth`, `extract`, `collapse_chains`,
+//!   `chain_tol`).
 //!
 //! Unknown request fields and unknown option keys are *rejected* (code
 //! `unknown_option`) rather than ignored: a silently dropped option
@@ -28,7 +28,7 @@
 use pact::json::Value;
 use pact_netlist::parse_value;
 
-use crate::pipeline::{DeckOptions, EigenArg};
+use crate::pipeline::DeckOptions;
 
 /// The response/request schema tag.
 pub const SCHEMA: &str = "rcfitd-v1";
@@ -161,11 +161,6 @@ fn apply_option(
             opts.extra_ports = ports;
         }
         "threads" => opts.threads = Some(as_positive_int(v, "threads", id)?),
-        "eigen" => {
-            let s = as_str(v, "eigen", id)?;
-            opts.eigen =
-                Some(EigenArg::parse(s).map_err(|e| ProtocolError::new(id, "bad_request", e))?);
-        }
         "components" => opts.components = as_bool(v, "components", id)?,
         "strict_pivots" => opts.strict_pivots = as_bool(v, "strict_pivots", id)?,
         "hier" => opts.hier = as_bool(v, "hier", id)?,
@@ -173,17 +168,7 @@ fn apply_option(
         "max_depth" => opts.max_depth = as_positive_int(v, "max_depth", id)?,
         "extract" => opts.extract = as_bool(v, "extract", id)?,
         "collapse_chains" => opts.collapse_chains = as_bool(v, "collapse_chains", id)?,
-        "chain_tol" => {
-            let tol = as_number(v, "chain_tol", id)?;
-            if !tol.is_finite() || tol <= 0.0 {
-                return Err(ProtocolError::new(
-                    id,
-                    "bad_request",
-                    "`chain_tol` needs a positive finite number",
-                ));
-            }
-            opts.chain_tol = tol;
-        }
+        "chain_tol" => opts.chain_tol = as_number(v, "chain_tol", id)?,
         other => {
             return Err(ProtocolError::new(
                 id,
@@ -393,12 +378,11 @@ mod tests {
 
     #[test]
     fn options_apply_and_fmax_takes_spice_suffixes() {
-        let line = r#"{"id":7,"deck":"x","options":{"fmax":"500meg","tol":0.1,"eigen":"lowrank","hier":true,"block_size":100,"threads":2}}"#;
+        let line = r#"{"id":7,"deck":"x","options":{"fmax":"500meg","tol":0.1,"hier":true,"block_size":100,"threads":2}}"#;
         let r = parse_request(line, DEFAULT_MAX_DECK_BYTES).unwrap();
         assert_eq!(r.id, Value::Num(7.0));
         assert_eq!(r.options.f_max, 5e8);
         assert_eq!(r.options.tolerance, 0.1);
-        assert_eq!(r.options.eigen, Some(EigenArg::LowRank));
         assert!(r.options.hier);
         assert_eq!(r.options.block_size, 100);
         assert_eq!(r.options.threads, Some(2));
@@ -458,17 +442,24 @@ mod tests {
         let r = parse_request(r#"{"deck":"x"}"#, DEFAULT_MAX_DECK_BYTES).unwrap();
         assert!(!r.options.extract && !r.options.collapse_chains);
 
-        // Strict typing: booleans must be booleans, the tolerance must
-        // be a positive finite number.
+        // Strict typing: booleans must be booleans, the tolerance a
+        // number.
         for bad in [
             r#"{"deck":"x","options":{"extract":1}}"#,
             r#"{"deck":"x","options":{"collapse_chains":"yes"}}"#,
-            r#"{"deck":"x","options":{"collapse_chains":true,"chain_tol":0}}"#,
-            r#"{"deck":"x","options":{"collapse_chains":true,"chain_tol":-1e-6}}"#,
             r#"{"deck":"x","options":{"collapse_chains":true,"chain_tol":"tiny"}}"#,
         ] {
             let e = parse_request(bad, DEFAULT_MAX_DECK_BYTES).unwrap_err();
             assert_eq!(e.code, "bad_request", "{bad}");
+        }
+        // The range is `reduce_options()`'s to check, as for the CLI.
+        for bad in [
+            r#"{"deck":"x","options":{"collapse_chains":true,"chain_tol":0}}"#,
+            r#"{"deck":"x","options":{"collapse_chains":true,"chain_tol":-1e-6}}"#,
+        ] {
+            let r = parse_request(bad, DEFAULT_MAX_DECK_BYTES).unwrap();
+            let e = r.options.reduce_options().unwrap_err();
+            assert_eq!(e.code(), "chain_tol", "{bad}");
         }
 
         // A tolerance without the pass it tunes is a cross-field error,

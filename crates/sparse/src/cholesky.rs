@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use crate::csr::CsrMat;
-use crate::ordering::{etree_postorder, invert_permutation, Ordering};
+use crate::ordering::{etree_postorder, Ordering};
 use crate::supernodal::{build_plan, refactor_numeric, SupernodalFactor, SupernodePlan};
 
 /// Selects the numeric factorization kernel (and the matching factor
@@ -182,8 +182,6 @@ pub struct SparseCholesky {
     n: usize,
     /// Fill-reducing permutation: row `i` of `PAPᵀ` is row `perm[i]` of `A`.
     perm: Vec<usize>,
-    /// Inverse permutation.
-    iperm: Vec<usize>,
     /// Kernel-specific storage of unit-lower `L` (diagonal not stored).
     data: FactorData,
     /// Positive pivots `D`.
@@ -238,8 +236,6 @@ pub struct SymbolicCholesky {
     n: usize,
     /// Fill-reducing permutation captured at analysis time.
     perm: Vec<usize>,
-    /// Inverse permutation.
-    iperm: Vec<usize>,
     /// Elimination tree parents over the permuted pattern.
     parent: Vec<usize>,
     /// Column pointers of unit-lower `L` (fill pattern is value-free).
@@ -308,7 +304,6 @@ impl SymbolicCholesky {
         }
         let n = a.nrows();
         assert_eq!(perm.len(), n, "permutation length mismatch");
-        let iperm = invert_permutation(&perm);
         let ap = a.permute_sym(&perm);
 
         // Elimination tree + column counts over the permuted pattern.
@@ -345,7 +340,6 @@ impl SymbolicCholesky {
         Ok(SymbolicCholesky {
             n,
             perm,
-            iperm,
             parent,
             lp,
             plan,
@@ -406,7 +400,7 @@ impl SymbolicCholesky {
 
     /// Modelled memory footprint of the analysis in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.perm.len() + self.iperm.len() + self.parent.len() + self.lp.len()) * 8
+        (self.perm.len() + self.parent.len() + self.lp.len()) * 8
             + (self.a_indptr.len() + self.a_indices.len()) * 8
             + self.plan.as_ref().map_or(0, |p| p.index_bytes())
     }
@@ -458,7 +452,6 @@ impl SymbolicCholesky {
         let mut out = SparseCholesky {
             n: 0,
             perm: Vec::new(),
-            iperm: Vec::new(),
             data: FactorData::default(),
             d: Vec::new(),
             sqrt_d: Vec::new(),
@@ -516,7 +509,6 @@ impl SymbolicCholesky {
 
         out.n = n;
         out.perm.clone_from(perm);
-        out.iperm.clone_from(&self.iperm);
         out.parent.clone_from(parent);
         out.d.clear();
         out.d.resize(n, 0.0);
@@ -810,7 +802,8 @@ impl SparseCholesky {
     /// kernel, concatenated dense panels for the supernodal one. Useful
     /// for bitwise comparisons between factors of the *same*
     /// representation (e.g. fresh vs. refactored).
-    pub fn factor_values(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn factor_values(&self) -> &[f64] {
         match &self.data {
             FactorData::Scalar { lx, .. } => lx,
             FactorData::Super(f) => &f.px,
@@ -821,12 +814,6 @@ impl SparseCholesky {
     #[inline]
     pub fn permutation(&self) -> &[usize] {
         &self.perm
-    }
-
-    /// The inverse of [`SparseCholesky::permutation`].
-    #[inline]
-    pub fn inverse_permutation(&self) -> &[usize] {
-        &self.iperm
     }
 
     /// Elimination-tree parent array (roots hold `usize::MAX`).

@@ -13,15 +13,6 @@ use crate::dense::DMat;
 /// overhead (scheduling only — per-row values are partition-independent).
 const PAR_MATVEC_MIN_NNZ: usize = 1 << 14;
 
-/// Fixed stripe count of the deterministic parallel `matvec_t`: partial
-/// vectors are combined in stripe order, so this must depend only on the
-/// problem, never on the thread count.
-const MATVEC_T_STRIPES: usize = 8;
-
-/// Row count below which `matvec_t` always runs the plain serial scatter
-/// (again a problem-size gate, identical at every thread count).
-const MATVEC_T_STRIPE_MIN_ROWS: usize = 2048;
-
 /// A compressed-sparse-row matrix of `f64`.
 ///
 /// Invariants: `indptr.len() == nrows + 1`, column indices within each row
@@ -193,24 +184,6 @@ impl CsrMat {
         Self::from_parts(nrows, ncols, out_indptr, out_icol, out_val)
     }
 
-    /// Builds from a dense matrix, skipping entries with magnitude ≤ `tol`.
-    pub fn from_dense(m: &DMat<f64>, tol: f64) -> Self {
-        let mut indptr = vec![0usize; m.nrows() + 1];
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
-        for i in 0..m.nrows() {
-            for j in 0..m.ncols() {
-                let v = m[(i, j)];
-                if v.abs() > tol {
-                    indices.push(j);
-                    data.push(v);
-                }
-            }
-            indptr[i + 1] = indices.len();
-        }
-        Self::from_parts(m.nrows(), m.ncols(), indptr, indices, data)
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -356,50 +329,6 @@ impl CsrMat {
                 chunk[k] = acc;
             }
         });
-    }
-
-    /// Parallel transposed product `y = Aᵀ x` with deterministic
-    /// partial-sum combination.
-    ///
-    /// The scatter `y[col] += a[i, col]·x[i]` carries a cross-row
-    /// reduction, so the rows are split into a **fixed** number of
-    /// stripes derived from the row count alone; each stripe's partial
-    /// vector is accumulated with the serial scatter loop and the
-    /// partials are summed in stripe order. Both the striping decision
-    /// and the stripe boundaries are independent of the thread count, so
-    /// results are bit-identical whether the stripes run on one thread
-    /// or many.
-    pub fn matvec_t_into_ctx(&self, x: &[f64], y: &mut [f64], ctx: &crate::ParCtx) {
-        assert_eq!(x.len(), self.nrows, "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.ncols, "output dimension mismatch");
-        if self.nrows < MATVEC_T_STRIPE_MIN_ROWS {
-            self.matvec_t_into(x, y);
-            return;
-        }
-        let stripes = crate::split_ranges(self.nrows, MATVEC_T_STRIPES);
-        let partials = ctx.map_items(
-            stripes.len(),
-            || (),
-            |_, s| {
-                let mut part = vec![0.0; self.ncols];
-                for i in stripes[s].clone() {
-                    let xi = x[i];
-                    if xi == 0.0 {
-                        continue;
-                    }
-                    for p in self.indptr[i]..self.indptr[i + 1] {
-                        part[self.indices[p]] += self.data[p] * xi;
-                    }
-                }
-                part
-            },
-        );
-        y.iter_mut().for_each(|v| *v = 0.0);
-        for part in partials {
-            for (yi, pi) in y.iter_mut().zip(part) {
-                *yi += pi;
-            }
-        }
     }
 
     /// The transpose as a new CSR matrix.
@@ -677,31 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matvec_t_bit_identical_across_thread_counts() {
-        let n = 5000;
-        let m = large_banded(n);
-        let mut x: Vec<f64> = (0..n).map(|i| ((i % 13) as f64 - 6.0) * 0.2).collect();
-        // Exercise the zero-skip too.
-        for i in (0..n).step_by(17) {
-            x[i] = 0.0;
-        }
-        let ctx1 = crate::ParCtx::new(Some(1));
-        let mut base = vec![0.0; n];
-        m.matvec_t_into_ctx(&x, &mut base, &ctx1);
-        for threads in [2usize, 4, 8] {
-            let ctx = crate::ParCtx::new(Some(threads));
-            let mut y = vec![0.0; n];
-            m.matvec_t_into_ctx(&x, &mut y, &ctx);
-            assert_eq!(y, base, "threads={threads}");
-        }
-        // And the striped result stays close to the plain serial scatter.
-        let plain = m.matvec_t(&x);
-        for (a, b) in base.iter().zip(&plain) {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
-        }
-    }
-
-    #[test]
     fn transpose_of_symmetric_is_equal() {
         let m = sample();
         assert!(m.is_symmetric(0.0));
@@ -751,14 +655,6 @@ mod tests {
         t.push(1, 0, -3.0);
         t.push(1, 1, 1.0);
         assert!(!t.to_csr().is_diag_dominant(0.0));
-    }
-
-    #[test]
-    fn dense_roundtrip() {
-        let m = sample();
-        let d = m.to_dense();
-        let back = CsrMat::from_dense(&d, 0.0);
-        assert_eq!(back, m);
     }
 
     #[test]

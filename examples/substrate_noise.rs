@@ -5,10 +5,9 @@
 //!
 //! Run with `cargo run --release --example substrate_noise`.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions};
+use pact::{CutoffSpec, ReduceOptions};
 use pact_circuit::Circuit;
 use pact_gen::{full_adder_deck, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{extract_rc, splice_reduced};
 use pact_sparse::Ordering;
 
@@ -30,13 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ex.network.num_internal()
     );
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(1e9, 0.05)?,
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
         ordering: Ordering::Rcm,
-        dense_threshold: 400,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05)?)
     };
     let red = pact::reduce_network(&ex.network, &opts)?;
     println!("kept {} pole(s) below ~3 GHz", red.model.num_poles());

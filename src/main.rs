@@ -4,7 +4,7 @@
 //! ```text
 //! rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRACTION]
 //!       [--sparsify TOL] [--port NODE]... [--threads N]
-//!       [--eigen auto|dense|lanczos|lowrank] [--stats] [--components]
+//!       [--stats] [--components]
 //!       [--verify] [--trace] [--log-json PATH] [--strict-pivots]
 //!       [--hier] [--block-size N] [--max-depth N]
 //!       [--extract] [--collapse-chains] [--chain-tol TOL]
@@ -32,8 +32,8 @@ use std::process::ExitCode;
 use pact::{PactError, ReductionSession};
 use pact_netlist::parse_value;
 use pact_serve::{
-    prepare_deck, reduce_prepared, render_reduced, DeckOptions, EigenArg, ReducedDeck,
-    DEFAULT_BLOCK_SIZE, DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH,
+    prepare_deck, reduce_prepared, render_reduced, DeckOptions, ReducedDeck, DEFAULT_BLOCK_SIZE,
+    DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH,
 };
 
 #[derive(Debug)]
@@ -45,7 +45,6 @@ struct Args {
     sparsify: f64,
     extra_ports: Vec<String>,
     threads: Option<usize>,
-    eigen: Option<EigenArg>,
     stats: bool,
     components: bool,
     verify: bool,
@@ -63,7 +62,7 @@ struct Args {
 fn usage() -> &'static str {
     "usage: rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRAC] \
      [--sparsify TOL] [--port NODE]... [--threads N] \
-     [--eigen auto|dense|lanczos|lowrank] [--stats] [--components] \
+     [--stats] [--components] \
      [--verify] [--trace] [--log-json PATH] [--strict-pivots] \
      [--hier] [--block-size N] [--max-depth N] \
      [--extract] [--collapse-chains] [--chain-tol TOL]\n\
@@ -72,9 +71,8 @@ fn usage() -> &'static str {
      bit-identical for every --threads value.\n\
      --sparsify drops couplings below that fraction of the largest entry\n\
      (finite, in [0, 1); 0 keeps every element).\n\
-     --eigen picks the pole-analysis backend (default lanczos); several decks\n\
-     reduce through one session so same-topology decks reuse the symbolic\n\
-     analysis (-o/--log-json then need a single deck).\n\
+     Several decks reduce through one session so same-topology decks reuse\n\
+     the symbolic analysis (-o/--log-json then need a single deck).\n\
      --trace prints per-phase timings/counters; --log-json writes them as JSON;\n\
      --strict-pivots fails on quasi-singular pivots instead of perturbing them;\n\
      --hier reduces via nested-dissection blocks of at most --block-size nodes\n\
@@ -94,7 +92,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         sparsify: 1e-9,
         extra_ports: Vec::new(),
         threads: None,
-        eigen: None,
         stats: false,
         components: false,
         verify: false,
@@ -140,7 +137,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--eigen" => args.eigen = Some(EigenArg::parse(&next(a)?)?),
             "--stats" => args.stats = true,
             "--components" => args.components = true,
             "--verify" => args.verify = true,
@@ -169,12 +165,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--extract" => args.extract = true,
             "--collapse-chains" => args.collapse_chains = true,
             "--chain-tol" => {
-                let tol: f64 = next(a)?
+                let tol = next(a)?
                     .parse()
                     .map_err(|_| "--chain-tol needs a number".to_owned())?;
-                if !tol.is_finite() || tol <= 0.0 {
-                    return Err("--chain-tol needs a positive finite number".to_owned());
-                }
                 args.chain_tol = Some(tol);
             }
             "-h" | "--help" => return Err(usage().to_owned()),
@@ -202,7 +195,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// The CLI flags as shared-pipeline options. Resolution of defaults
-/// (pivot relief, ordering, dense threshold) and the range checks live
+/// (pivot relief, ordering) and the range checks live
 /// in [`DeckOptions`], shared verbatim with the `rcfitd` daemon so both
 /// front ends produce bit-identical output.
 fn deck_options(args: &Args) -> DeckOptions {
@@ -212,7 +205,6 @@ fn deck_options(args: &Args) -> DeckOptions {
         sparsify: args.sparsify,
         extra_ports: args.extra_ports.clone(),
         threads: args.threads,
-        eigen: args.eigen,
         components: args.components,
         strict_pivots: args.strict_pivots,
         hier: args.hier,
@@ -392,14 +384,9 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact::EigenSelect;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_owned()).collect()
-    }
-
-    fn eigen_select(args: &Args) -> EigenSelect {
-        deck_options(args).eigen_select()
     }
 
     #[test]
@@ -418,8 +405,6 @@ mod tests {
             "nodeA",
             "--port",
             "nodeB",
-            "--eigen",
-            "lowrank",
             "--stats",
             "--components",
             "--verify",
@@ -435,7 +420,6 @@ mod tests {
         assert_eq!(a.tolerance, 0.1);
         assert_eq!(a.sparsify, 1e-6);
         assert_eq!(a.extra_ports, vec!["nodeA", "nodeB"]);
-        assert_eq!(a.eigen, Some(EigenArg::LowRank));
         assert!(a.stats && a.components && a.verify);
         assert!(a.trace && a.strict_pivots);
         assert_eq!(a.log_json.as_deref(), Some("t.json"));
@@ -446,7 +430,6 @@ mod tests {
         let a = parse_args(&argv(&["deck.sp"])).unwrap();
         assert_eq!(a.f_max, 1e9);
         assert_eq!(a.tolerance, 0.05);
-        assert!(a.eigen.is_none());
         assert!(a.output.is_none());
         assert!(!a.trace && !a.strict_pivots);
         assert!(a.log_json.is_none());
@@ -533,24 +516,14 @@ mod tests {
 
         let e = parse_args(&argv(&["x.sp", "--chain-tol", "1e-4"])).unwrap_err();
         assert!(e.contains("--collapse-chains"));
-        assert!(parse_args(&argv(&["x.sp", "--collapse-chains", "--chain-tol", "0"])).is_err());
+        // The range is `reduce_options()`'s to check, as for the daemon.
+        for tol in ["0", "-1"] {
+            let a = parse_args(&argv(&["x.sp", "--collapse-chains", "--chain-tol", tol])).unwrap();
+            let e = deck_options(&a).reduce_options().unwrap_err();
+            assert_eq!(e.code(), "chain_tol", "--chain-tol {tol}");
+        }
         assert!(parse_args(&argv(&["x.sp", "--collapse-chains", "--chain-tol", "much"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--chain-tol"])).is_err());
-    }
-
-    #[test]
-    fn eigen_flag_parses_and_resolves() {
-        let a = parse_args(&argv(&["x.sp", "--eigen", "auto"])).unwrap();
-        assert_eq!(a.eigen, Some(EigenArg::Auto));
-        assert!(matches!(eigen_select(&a), EigenSelect::Auto));
-        let a = parse_args(&argv(&["x.sp", "--eigen", "dense"])).unwrap();
-        assert!(matches!(eigen_select(&a), EigenSelect::Dense));
-        let a = parse_args(&argv(&["x.sp", "--eigen", "lanczos"])).unwrap();
-        assert!(matches!(eigen_select(&a), EigenSelect::Lanczos(_)));
-        let a = parse_args(&argv(&["x.sp", "--eigen", "lowrank"])).unwrap();
-        assert!(matches!(eigen_select(&a), EigenSelect::LowRank));
-        assert!(parse_args(&argv(&["x.sp", "--eigen", "magic"])).is_err());
-        assert!(parse_args(&argv(&["x.sp", "--eigen"])).is_err());
     }
 
     #[test]
@@ -568,13 +541,12 @@ mod tests {
     type Setting = (&'static str, &'static str, Option<&'static str>);
 
     /// One row per `DeckOptions` field, each a non-default setting.
-    const SAME_OPTIONS: [&[Setting]; 14] = [
+    const SAME_OPTIONS: [&[Setting]; 13] = [
         &[("fmax", r#""3g""#, Some("3g"))],
         &[("tol", "0.1", Some("0.1"))],
         &[("sparsify", "1e-6", Some("1e-6"))],
         &[("ports", r#"["n1"]"#, Some("n1"))],
         &[("threads", "256", Some("256"))],
-        &[("eigen", r#""lowrank""#, Some("lowrank"))],
         &[("components", "true", None)],
         &[("strict_pivots", "true", None)],
         &[("hier", "true", None)],
@@ -590,11 +562,18 @@ mod tests {
 
     /// Settings both front ends must refuse, in their parser or in
     /// `reduce_options()`, including every removed option.
-    const REJECTED: [&[Setting]; 11] = [
+    const REJECTED: [&[Setting]; 13] = [
         &[("threads", "0", Some("0"))],
         &[("threads", "257", Some("257"))],
-        &[("eigen", r#""magic""#, Some("magic"))],
         &[("chain_tol", "1e-4", Some("1e-4"))],
+        &[
+            ("collapse_chains", "true", None),
+            ("chain_tol", "0", Some("0")),
+        ],
+        &[
+            ("collapse_chains", "true", None),
+            ("chain_tol", "-1", Some("-1")),
+        ],
         &[("block_size", "0", Some("0"))],
         &[("max_depth", "0", Some("0"))],
         &[("sparsify", "1e999", Some("inf"))],
@@ -602,6 +581,7 @@ mod tests {
         &[("points", "[1e9]", Some("1g"))],
         &[("chol_kernel", r#""scalar""#, Some("scalar"))],
         &[("dense", "true", None)],
+        &[("eigen", r#""lowrank""#, Some("lowrank"))],
     ];
 
     /// The CLI flag for a daemon option key: `--` and the key with `-`
@@ -647,7 +627,6 @@ mod tests {
             sparsify: _,
             extra_ports: _,
             threads: _,
-            eigen: _,
             components: _,
             strict_pivots: _,
             hier: _,

@@ -1,21 +1,23 @@
-//! Session/backend refactor equivalence.
+//! Session equivalence and the pole oracles.
 //!
-//! The `ReductionSession` and eigen-backend rework must be invisible in
-//! the numbers: every path (flat, hierarchical) produces
-//! the same bits as the one-shot entry points, warm sessions reproduce
-//! cold sessions exactly, thread count never changes a result, and the
-//! dense / Lanczos / auto eigen backends agree on the retained poles to
-//! tight relative tolerance on every generator family.
+//! The `ReductionSession` must be invisible in the numbers: every path
+//! (flat, hierarchical) produces the same bits as the one-shot entry
+//! points, warm sessions reproduce cold sessions exactly, and thread
+//! count never changes a result. The block Lanczos poles of every
+//! reduction agree with both exact oracles, dense QL and the low-rank
+//! path, to tight relative tolerance on every generator family.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions, ReduceStrategy, Reduction, ReductionSession};
+use pact::{
+    low_rank_poles, CutoffSpec, Partitions, ReduceOptions, ReduceStrategy, Reduction,
+    ReductionSession, Transform1,
+};
 use pact_gen::{
     inverter_pair_deck, power_grid_deck, substrate_mesh, LineSpec, MeshSpec, PowerGridSpec,
 };
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{extract_rc, RcNetwork};
+use pact_sparse::{sym_eig, Ordering, ParCtx};
 
-/// Relative pole agreement required between eigen backends (matches the
-/// CI backend-parity smoke).
+/// Relative pole agreement required between Lanczos and the oracles.
 const POLE_REL_TOL: f64 = 1e-8;
 
 fn mesh_fixture() -> RcNetwork {
@@ -197,35 +199,67 @@ fn reduce_batch_reuses_analysis_and_stays_bitwise_stable() {
     }
 }
 
+/// The first transform of `net`, which both oracles start from.
+fn transform(net: &RcNetwork) -> (Partitions, Transform1) {
+    let parts = Partitions::split(&net.stamp());
+    let t1 = Transform1::compute(&parts, Ordering::NestedDissection).unwrap();
+    (parts, t1)
+}
+
+/// The poles above `λ_c` by dense QL of the explicitly formed `E'`.
+fn dense_oracle(parts: &Partitions, t1: &Transform1, lambda_c: f64) -> Vec<f64> {
+    let eig = sym_eig(&t1.e_prime_dense(parts)).unwrap();
+    eig.values
+        .iter()
+        .rev()
+        .copied()
+        .take_while(|&l| l >= lambda_c)
+        .collect()
+}
+
+/// The poles above `λ_c` by the low-rank path over the capacitance
+/// split, or `None` where it does not apply (no fewer capacitance terms
+/// than internal nodes).
+fn low_rank_oracle(parts: &Partitions, t1: &Transform1, lambda_c: f64) -> Option<Vec<f64>> {
+    low_rank_poles(t1, parts, lambda_c, &ParCtx::serial()).map(|sol| sol.unwrap().lambdas)
+}
+
+fn assert_poles_agree(exact: &[f64], lanczos: &[f64], what: &str) {
+    assert_eq!(
+        exact.len(),
+        lanczos.len(),
+        "{what}: the oracle and lanczos retain different pole counts"
+    );
+    for (a, b) in exact.iter().zip(lanczos) {
+        assert!(
+            (a - b).abs() <= POLE_REL_TOL * a.abs().max(1e-300),
+            "{what}: pole {a:.12e} (oracle) vs {b:.12e} (lanczos) \
+             disagrees beyond {POLE_REL_TOL:.1e}"
+        );
+    }
+}
+
 #[test]
-fn eigen_backends_agree_on_retained_poles() {
+fn lanczos_matches_the_dense_and_low_rank_oracles() {
     for (label, net, fmax, _) in families() {
-        let mut results = Vec::new();
-        for (bname, backend) in [
-            ("dense", EigenSelect::Dense),
-            ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
-            ("lowrank", EigenSelect::LowRank),
-            ("auto", EigenSelect::Auto),
-        ] {
-            let mut opts = options(fmax, 1, ReduceStrategy::Flat);
-            opts.eigen_backend = backend;
-            let red = ReductionSession::new(opts).reduce_network(&net).unwrap();
-            results.push((bname, red));
-        }
-        let (ref_name, reference) = &results[0];
-        for (bname, red) in &results[1..] {
-            assert_eq!(
-                reference.model.num_poles(),
-                red.model.num_poles(),
-                "{label}: {ref_name} and {bname} retain different pole counts"
-            );
-            for (a, b) in reference.model.lambdas.iter().zip(&red.model.lambdas) {
-                assert!(
-                    (a - b).abs() <= POLE_REL_TOL * a.abs().max(1e-300),
-                    "{label}: pole {a:.12e} ({ref_name}) vs {b:.12e} ({bname}) \
-                     disagrees beyond {POLE_REL_TOL:.1e}"
-                );
-            }
+        let opts = options(fmax, 1, ReduceStrategy::Flat);
+        let lambda_c = opts.cutoff.lambda_c();
+        let red = pact::reduce_network(&net, &opts).unwrap();
+        let lanczos = &red.model.lambdas;
+        let (parts, t1) = transform(&net);
+        let dense = dense_oracle(&parts, &t1, lambda_c);
+        assert_poles_agree(&dense, lanczos, &format!("{label}/dense"));
+        // The mesh carries capacitors on its surface only; every internal
+        // node of the power grid and of the line carries one, so the
+        // low-rank path has nothing to gain there and declines.
+        let low_rank = low_rank_oracle(&parts, &t1, lambda_c);
+        assert_eq!(
+            low_rank.is_some(),
+            label == "mesh",
+            "{label}: low-rank applicability"
+        );
+        if let Some(low_rank) = low_rank {
+            assert_poles_agree(&low_rank, lanczos, &format!("{label}/lowrank"));
         }
     }
 }
@@ -255,47 +289,51 @@ fn lanczos_stops_at_the_cutoff_on_the_cliff_mesh() {
     // counting as its width) and keeps the exact poles.
     for scale in [0.99, 1.0] {
         let net = cliff_mesh(scale);
-        let run = |backend: EigenSelect| {
-            let mut opts = ReduceOptions::new(CutoffSpec::new(500e6, 0.10).unwrap());
-            opts.ordering = pact_sparse::Ordering::NestedDissection;
-            opts.threads = Some(1);
-            opts.eigen_backend = backend;
-            ReductionSession::new(opts).reduce_network(&net).unwrap()
-        };
-        let lanczos = run(EigenSelect::Lanczos(LanczosConfig::default()));
+        let mut opts = ReduceOptions::new(CutoffSpec::new(500e6, 0.10).unwrap());
+        opts.threads = Some(1);
+        let lanczos = ReductionSession::new(opts.clone())
+            .reduce_network(&net)
+            .unwrap();
         let matvecs = lanczos.telemetry.counters.lanczos_matvecs;
         assert!(
             matvecs <= 100,
             "scale {scale}: {matvecs} matvecs — the eigen phase ran past the cutoff"
         );
-        // The exact reference is the low-rank backend: it solves the same
+        // The exact reference is the low-rank path: it solves the same
         // eigenproblem exactly, agrees with dense QL to POLE_REL_TOL
-        // (eigen_backends_agree_on_retained_poles), and costs ~1 s here
+        // (lanczos_matches_the_dense_and_low_rank_oracles), and costs ~1 s here
         // where dense QL on this 1000-node block takes ~40 s unoptimized.
-        let exact = run(EigenSelect::LowRank);
-        assert_eq!(
-            exact.model.num_poles(),
-            lanczos.model.num_poles(),
-            "scale {scale}: low-rank and lanczos retain different pole counts"
-        );
-        for (a, b) in exact.model.lambdas.iter().zip(&lanczos.model.lambdas) {
-            assert!(
-                (a - b).abs() <= POLE_REL_TOL * a.abs(),
-                "scale {scale}: pole {a:.12e} (low-rank) vs {b:.12e} (lanczos)"
-            );
-        }
+        let (parts, t1) = transform(&net);
+        let exact = low_rank_oracle(&parts, &t1, opts.cutoff.lambda_c())
+            .expect("the cliff mesh's capacitance is low-rank");
+        assert_poles_agree(&exact, &lanczos.model.lambdas, &format!("scale {scale}"));
     }
 }
 
 #[test]
 fn telemetry_records_backend_per_block() {
-    // Flat: one choice. Hier: one per leaf plus the top pass.
+    // Flat: one choice. Hier: one per leaf plus the top pass. Flat and
+    // the top pass always run Lanczos, also on the 20×20 power grid,
+    // small enough that the deleted size threshold sent it to dense QL.
+    let grid = power_grid_deck(&PowerGridSpec {
+        nx: 20,
+        ny: 20,
+        num_taps: 4,
+        ..PowerGridSpec::default()
+    });
+    let grid = extract_rc(&grid.netlist, &[]).unwrap().network;
     let net = mesh_fixture();
-    let flat = ReductionSession::new(options(2e9, 1, ReduceStrategy::Flat))
-        .reduce_network(&net)
-        .unwrap();
-    assert_eq!(flat.telemetry.eigen_choices.len(), 1);
-    assert_eq!(flat.telemetry.eigen_choices[0].scope, "flat");
+    for (label, net) in [("mesh", &net), ("powergrid", &grid)] {
+        let flat = ReductionSession::new(options(2e9, 1, ReduceStrategy::Flat))
+            .reduce_network(net)
+            .unwrap();
+        assert_eq!(flat.telemetry.eigen_choices.len(), 1, "{label}");
+        assert_eq!(flat.telemetry.eigen_choices[0].scope, "flat", "{label}");
+        assert_eq!(
+            flat.telemetry.eigen_choices[0].backend, "lanczos",
+            "{label}"
+        );
+    }
 
     let hier = ReductionSession::new(options(
         2e9,
@@ -324,4 +362,10 @@ fn telemetry_records_backend_per_block() {
         .eigen_choices
         .iter()
         .all(|c| c.scope == "top" || c.scope.starts_with("leaf")));
+    assert!(hier
+        .telemetry
+        .eigen_choices
+        .iter()
+        .filter(|c| c.scope == "top")
+        .all(|c| c.backend == "lanczos"));
 }

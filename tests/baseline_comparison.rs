@@ -4,10 +4,9 @@
 //! are passive, and the Padé basis memory couples to the port count
 //! while PACT's does not.
 
-use pact::{CutoffSpec, EigenSelect, Partitions, ReduceOptions};
+use pact::{CutoffSpec, Partitions, ReduceOptions};
 use pact_baselines::{admittance_moments, block_krylov_reduce, pade_fit};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::LanczosConfig;
 use pact_sparse::Ordering;
 
 fn mesh(m: usize) -> (pact_netlist::RcNetwork, Partitions, Vec<String>) {
@@ -27,13 +26,8 @@ fn mesh(m: usize) -> (pact_netlist::RcNetwork, Partitions, Vec<String>) {
 fn pact_and_krylov_agree_at_low_frequency() {
     let (net, parts, ports) = mesh(8);
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(2e9, 0.05).unwrap(),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
         ordering: Ordering::Rcm,
-        dense_threshold: 0,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(2e9, 0.05).unwrap())
     };
     let pact_red = pact::reduce_network(&net, &opts).unwrap();
     let kry = block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).unwrap();
@@ -71,13 +65,8 @@ fn pade_basis_memory_couples_to_ports_pact_does_not() {
     let (net_a, parts_a, ports_a) = mesh(4);
     let (net_b, parts_b, ports_b) = mesh(24);
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(1e9, 0.05).unwrap(),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
         ordering: Ordering::Rcm,
-        dense_threshold: 0,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap())
     };
     let pact_a = pact::reduce_network(&net_a, &opts).unwrap();
     let pact_b = pact::reduce_network(&net_b, &opts).unwrap();

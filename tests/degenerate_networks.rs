@@ -13,10 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pact::{
-    reduce_network, sanitize_network, CutoffSpec, EigenSelect, PactError, ReduceOptions, Reduction,
-};
-use pact_lanczos::LanczosConfig;
+use pact::{reduce_network, sanitize_network, CutoffSpec, PactError, ReduceOptions, Reduction};
 use pact_netlist::{Branch, RcNetwork};
 use pact_sparse::XorShiftRng;
 
@@ -148,13 +145,9 @@ fn add_non_finite(rng: &mut XorShiftRng, net: &mut RcNetwork) {
 fn run_pipeline(net: &RcNetwork, strict_pivots: bool) -> Result<Reduction, PactError> {
     let sanitized = sanitize_network(net).map_err(PactError::from)?;
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(1e9, 0.1).map_err(PactError::from)?,
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
         ordering: pact_sparse::Ordering::MinDegree,
-        dense_threshold: 0,
-        threads: None,
         pivot_relief: if strict_pivots { None } else { Some(1e-12) },
-        strategy: pact::ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(1e9, 0.1).map_err(PactError::from)?)
     };
     reduce_network(&sanitized.network, &opts)
         .map_err(|e| PactError::from_reduce(e, &sanitized.network))

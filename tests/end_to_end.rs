@@ -3,10 +3,9 @@
 //! both transient and AC — the complete RCFIT pipeline of the paper's
 //! Figure 1 exercised across every crate.
 
-use pact::{CutoffSpec, EigenSelect, ReduceOptions, ReductionSession};
+use pact::{CutoffSpec, ReduceOptions, ReductionSession};
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{multiplier_like_deck, MultiplierSpec};
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{extract_rc, parse, splice_reduced};
 use pact_serve::{prepare_deck, reduce_prepared, render_reduced, DeckOptions};
 use pact_sparse::Ordering;
@@ -109,13 +108,8 @@ fn reduced_ac_matches_below_fmax() {
     let ex = extract_rc(&original, &[]).expect("extract");
     let fmax = 2e9;
     let opts = ReduceOptions {
-        cutoff: CutoffSpec::new(fmax, 0.05).expect("spec"),
-        eigen_backend: EigenSelect::Lanczos(LanczosConfig::default()),
         ordering: Ordering::Rcm,
-        dense_threshold: 0,
-        threads: None,
-        pivot_relief: None,
-        strategy: pact::ReduceStrategy::Flat,
+        ..ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("spec"))
     };
     let red = pact::reduce_network(&ex.network, &opts).expect("reduce");
     let reduced = splice_reduced(&original, red.model.to_netlist_elements("rf", 1e-9));

@@ -1,30 +1,19 @@
-//! Degenerate inputs through every strategy × eigen backend, plus the
-//! poisoned-deck (NaN) regression.
+//! Degenerate inputs through every strategy, plus the poisoned-deck
+//! (NaN) regression.
 //!
 //! A ports-only network (nothing to eliminate) and a single-internal
 //! network (a 1×1 `D` block) must come back with identical `(A′, B′)`
-//! moment blocks no matter which reduction strategy or eigen backend
-//! computes them — the moments are fixed by the congruence transform
-//! before any eigensolver runs. A deck whose conductance block carries
+//! moment blocks from flat Lanczos and from hier's leaf path — the
+//! moments are fixed by the congruence transform before any
+//! eigensolver runs. A deck whose conductance block carries
 //! a NaN must fail with the typed non-finite-pivot error (never a
 //! perturbed-pivot "rescue", never a panic), with node attribution.
 
 use pact::{
-    CutoffSpec, EigenSelect, PactError, ReduceError, ReduceOptions, ReduceStrategy, Reduction,
-    ReductionSession,
+    CutoffSpec, PactError, ReduceError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession,
 };
-use pact_lanczos::LanczosConfig;
 use pact_netlist::{Branch, RcNetwork};
 use pact_sparse::{CsrMat, FactorError};
-
-fn backends() -> Vec<(&'static str, EigenSelect)> {
-    vec![
-        ("auto", EigenSelect::Auto),
-        ("dense", EigenSelect::Dense),
-        ("lanczos", EigenSelect::Lanczos(LanczosConfig::default())),
-        ("lowrank", EigenSelect::LowRank),
-    ]
-}
 
 fn strategies() -> Vec<(&'static str, ReduceStrategy)> {
     vec![
@@ -130,10 +119,9 @@ fn single_internal_network() -> RcNetwork {
     }
 }
 
-fn reduce_with(net: &RcNetwork, strategy: ReduceStrategy, backend: EigenSelect) -> Reduction {
+fn reduce_with(net: &RcNetwork, strategy: ReduceStrategy) -> Reduction {
     let mut opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
     opts.strategy = strategy;
-    opts.eigen_backend = backend;
     opts.threads = Some(1);
     ReductionSession::new(opts).reduce_network(net).unwrap()
 }
@@ -141,28 +129,26 @@ fn reduce_with(net: &RcNetwork, strategy: ReduceStrategy, backend: EigenSelect) 
 fn check_moments_invariant(net: &RcNetwork, label: &str) {
     let mut reference: Option<Reduction> = None;
     for (sname, strategy) in strategies() {
-        for (bname, backend) in backends() {
-            let what = format!("{label}/{sname}/{bname}");
-            let red = reduce_with(net, strategy, backend);
-            assert_eq!(
-                red.model.num_ports(),
-                net.num_ports,
-                "{what}: port count changed"
-            );
-            for &v in red.model.a1.as_slice() {
-                assert!(v.is_finite(), "{what}: non-finite entry in A'");
-            }
-            match &reference {
-                None => reference = Some(red),
-                Some(base) => {
-                    assert_eq!(base.model.a1, red.model.a1, "{what}: A' moments differ");
-                    assert_eq!(base.model.b1, red.model.b1, "{what}: B' moments differ");
-                    assert_eq!(
-                        base.model.lambdas.len(),
-                        red.model.lambdas.len(),
-                        "{what}: retained pole count differs"
-                    );
-                }
+        let what = format!("{label}/{sname}");
+        let red = reduce_with(net, strategy);
+        assert_eq!(
+            red.model.num_ports(),
+            net.num_ports,
+            "{what}: port count changed"
+        );
+        for &v in red.model.a1.as_slice() {
+            assert!(v.is_finite(), "{what}: non-finite entry in A'");
+        }
+        match &reference {
+            None => reference = Some(red),
+            Some(base) => {
+                assert_eq!(base.model.a1, red.model.a1, "{what}: A' moments differ");
+                assert_eq!(base.model.b1, red.model.b1, "{what}: B' moments differ");
+                assert_eq!(
+                    base.model.lambdas.len(),
+                    red.model.lambdas.len(),
+                    "{what}: retained pole count differs"
+                );
             }
         }
     }
@@ -173,7 +159,7 @@ fn ports_only_network_has_invariant_moments() {
     let net = ports_only_network();
     check_moments_invariant(&net, "ports-only");
     // Nothing to eliminate ⇒ no poles, and the moments are the stamps.
-    let red = reduce_with(&net, ReduceStrategy::Flat, EigenSelect::Auto);
+    let red = reduce_with(&net, ReduceStrategy::Flat);
     assert_eq!(red.model.num_poles(), 0, "ports-only network grew poles");
     let stamped = net.stamp();
     let g = stamped.g.to_dense();
