@@ -119,6 +119,25 @@ mkdir -p results
 cp "$tmp/table1.txt" results/table1_multiplier.txt
 cp "$tmp/table3.txt" results/table3_adder.txt
 
+echo "==> Figure 4: parasitics delay the critical path (-> results/fig4_critical_path.txt)"
+# The first 50 % crossing of v(out0) after the input edge (~0.1 s), for
+# the deck without parasitics, with the full RC network and with the
+# PACT-reduced one. Fails unless the parasitics add delay and the reduced
+# deck's delay is within 2 % of the full deck's (1419, 3218 and 3223 ps
+# when this gate was set).
+./target/release/fig4_critical_path | tee "$tmp/fig4.txt"
+fig4_delay() { sed -n "s/^| $1 | \([0-9]*\) |$/\1/p" "$tmp/fig4.txt"; }
+none="$(fig4_delay "no parasitics")"
+full="$(fig4_delay "full parasitics")"
+reduced="$(fig4_delay "PACT reduced")"
+if [ -z "$none" ] || [ -z "$full" ] || [ -z "$reduced" ] \
+    || ! awk -v n="$none" -v f="$full" -v r="$reduced" \
+        'BEGIN { d = r - f; if (d < 0) d = -d; exit !(n < f && d <= 0.02 * f) }'; then
+    echo "Figure 4 delays: no parasitics '${none}', full '${full}', reduced '${reduced}' ps" >&2
+    exit 1
+fi
+cp "$tmp/fig4.txt" results/fig4_critical_path.txt
+
 echo "==> refactor-determinism smoke (transient + AC sweep, 1 vs 4 threads -> results/sweep_perf.txt)"
 # The --smoke mode asserts bit-identical AC voltages and work counters at
 # 1 vs 4 threads, bitwise reuse-vs-fresh equivalence, and the linear
@@ -141,14 +160,32 @@ echo "==> rcfitd daemon smoke (JSONL over stdin)"
 # byte-identically), one request with a misspelled option, one with the
 # deleted `eigen` option, one with an out-of-range sparsify threshold and
 # one whose source card is cut short (typed errors, and the daemon keeps
-# answering), a stats probe, and a clean shutdown.
-python3 - > "$tmp/serve_requests.jsonl" <<'EOF'
-import json
+# answering), a stats probe, and a clean shutdown. One more deck takes
+# the tokenizer's general path (a glued `PULSE(`, a `$` comment, a `+`
+# continuation, a `GND` ground, mixed-case node names): its reply must
+# equal `rcfit -o` on the same file, byte for byte.
+cat > "$tmp/general.sp" <<'EOF'
+* General Path Deck
+Vin IN GND PULSE(0 1 0 1n 1n 5n 20n)  $ glued pulse source
+Rdrv IN Mid 50
+R1 Mid n1 100
+C1 n1 GND 1p
+R2 n1 OUT
++ 100
+C2 OUT gnd 2p
+Iload OUT 0 1m
+.tran 0.1n 20n
+.end
+EOF
+./target/release/rcfit -o "$tmp/general_cli.sp" "$tmp/general.sp" > /dev/null
+python3 - "$tmp/general.sp" > "$tmp/serve_requests.jsonl" <<'EOF'
+import json, sys
 deck = ("* ci ladder\nVdrv in 0 1\nR1 in n1 100\nR2 n1 n2 100\n"
         "R3 n2 out 100\nC1 n1 0 1p\nC2 n2 0 2p\nC3 out 0 1p\n"
         "Iload out 0 1m\n.end\n")
 print(json.dumps({"id": "s1", "deck": deck}))
 print(json.dumps({"id": "s2", "deck": deck}))
+print(json.dumps({"id": "general", "deck": open(sys.argv[1]).read()}))
 print(json.dumps({"id": "bad", "deck": deck, "options": {"tolerence": 0.1}}))
 print(json.dumps({"id": "eigen", "deck": deck, "options": {"eigen": "dense"}}))
 # 1e999 parses to infinity, the JSON spelling of `rcfit --sparsify inf`.
@@ -159,10 +196,13 @@ print(json.dumps({"id": "end", "op": "shutdown"}))
 EOF
 ./target/release/rcfitd --workers 2 < "$tmp/serve_requests.jsonl" \
     > "$tmp/serve_responses.jsonl"
-python3 - "$tmp/serve_responses.jsonl" <<'EOF'
+python3 - "$tmp/serve_responses.jsonl" "$tmp/general_cli.sp" <<'EOF'
 import json, sys
 docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
-assert len(docs) == 8, sorted(docs)
+assert len(docs) == 9, sorted(docs)
+assert docs["general"]["ok"], docs["general"].get("error")
+assert docs["general"]["deck"] == open(sys.argv[2]).read(), \
+    "daemon and CLI reduced the general-path deck differently"
 assert all(d["schema"] == "rcfitd-v1" for d in docs.values())
 assert docs["s1"]["ok"] and not docs["s1"]["session_hit"]
 assert docs["s2"]["ok"] and docs["s2"]["session_hit"], \
@@ -183,7 +223,8 @@ assert docs["short"]["error"]["code"] == "parse", docs["short"]["error"]
 assert docs["st"]["stats"]["counters"]["requests"] >= 3
 assert docs["st"]["stats"]["workers"] == 2
 assert docs["end"]["shutdown"] is True
-print("daemon smoke ok: warm hit + typed errors + stats + clean shutdown")
+print("daemon smoke ok: warm hit + typed errors + stats + clean shutdown"
+      " + daemon deck = CLI deck")
 EOF
 # The CLI holds sparsify to the same range: `inf` must fail, not
 # realize a deck whose ports lost their coupling.

@@ -24,7 +24,7 @@ fn main() {
         let ckt = Circuit::from_netlist(deck).expect("compile");
         let tr = ckt.transient(50e-12, 10e-9).expect("transient");
         let v = tr.voltage("out0").expect("v(out0)");
-        let d = crossing_delay(&tr.times, &v, 2.5, 0.3e-9, tr_direction(&v));
+        let d = first_crossing_delay(&tr.times, &v, 2.5, 0.3e-9);
         rows.push(vec![
             name.to_owned(),
             d.map_or("-".into(), |x| format!("{:.0}", x * 1e12)),
@@ -43,7 +43,12 @@ fn main() {
     print_waveforms("v(out0)", &curves[1].1, &series, 4);
 }
 
-fn tr_direction(v: &[f64]) -> bool {
-    // Rising if the waveform ends higher than it starts.
-    v.last().unwrap_or(&0.0) > v.first().unwrap_or(&0.0)
+/// Delay of the first `level` crossing after `t_from`, whichever way it
+/// goes. The edge direction cannot be read off the waveform's end
+/// points: both sit at ±0.
+fn first_crossing_delay(times: &[f64], v: &[f64], level: f64, t_from: f64) -> Option<f64> {
+    [true, false]
+        .into_iter()
+        .filter_map(|rising| crossing_delay(times, v, level, t_from, rising))
+        .min_by(f64::total_cmp)
 }

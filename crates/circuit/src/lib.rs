@@ -40,10 +40,9 @@ mod diode;
 mod mosfet;
 mod plan;
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use pact_netlist::{is_ground, ElementKind, Netlist, Waveform};
+use pact_netlist::{is_ground, ElementKind, Netlist, NodeTable, Waveform};
 use pact_sparse::{Complex64, CscPencil, LuCache, ParCtx, SparseLu};
 
 pub use diode::{eval_diode, stamp_diode, Diode, DiodeOp, VTHERM};
@@ -280,25 +279,14 @@ impl Circuit {
     pub fn from_netlist(nl: &Netlist) -> Result<Self, CircuitError> {
         // Hierarchical decks are flattened transparently.
         if !nl.instances.is_empty() {
-            let flat = nl.flatten().map_err(|e| CircuitError::Singular {
+            let flat = nl.clone().flatten().map_err(|e| CircuitError::Singular {
                 context: format!("flatten: {e}"),
             })?;
             return Self::from_netlist(&flat);
         }
-        let mut index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut nodes = Vec::new();
-        let mut lookup = |name: &str, nodes: &mut Vec<String>| -> Option<usize> {
-            if is_ground(name) {
-                return None;
-            }
-            if let Some(&i) = index.get(name) {
-                return Some(i);
-            }
-            let i = nodes.len();
-            nodes.push(name.to_owned());
-            index.insert(name.to_owned(), i);
-            Some(i)
-        };
+        // MNA node order is the order of first appearance in the deck.
+        let mut table = NodeTable::default();
+        let mut lookup = |name| table.intern(name);
         let mut ckt = Circuit {
             nodes: Vec::new(),
             resistors: Vec::new(),
@@ -334,13 +322,13 @@ impl Circuit {
         for e in &nl.elements {
             match &e.kind {
                 ElementKind::Resistor { a, b, ohms } => {
-                    let a = lookup(a, &mut nodes);
-                    let b = lookup(b, &mut nodes);
+                    let a = lookup(a);
+                    let b = lookup(b);
                     ckt.resistors.push(Branch2 { a, b, value: *ohms });
                 }
                 ElementKind::Capacitor { a, b, farads } => {
-                    let a = lookup(a, &mut nodes);
-                    let b = lookup(b, &mut nodes);
+                    let a = lookup(a);
+                    let b = lookup(b);
                     ckt.capacitors.push(Branch2 {
                         a,
                         b,
@@ -348,8 +336,8 @@ impl Circuit {
                     });
                 }
                 ElementKind::VSource { p, n, wave } => {
-                    let p = lookup(p, &mut nodes);
-                    let n = lookup(n, &mut nodes);
+                    let p = lookup(p);
+                    let n = lookup(n);
                     ckt.vsources.push(Source {
                         p,
                         n,
@@ -358,8 +346,8 @@ impl Circuit {
                     });
                 }
                 ElementKind::ISource { p, n, wave } => {
-                    let p = lookup(p, &mut nodes);
-                    let n = lookup(n, &mut nodes);
+                    let p = lookup(p);
+                    let n = lookup(n);
                     ckt.isources.push(Source {
                         p,
                         n,
@@ -368,8 +356,8 @@ impl Circuit {
                     });
                 }
                 ElementKind::Inductor { a, b, henries } => {
-                    let a = lookup(a, &mut nodes);
-                    let b = lookup(b, &mut nodes);
+                    let a = lookup(a);
+                    let b = lookup(b);
                     ckt.inductors.push(Branch2 {
                         a,
                         b,
@@ -378,28 +366,28 @@ impl Circuit {
                 }
                 ElementKind::Vcvs { p, n, cp, cn, gain } => {
                     let ctl = VoltCtl {
-                        p: lookup(p, &mut nodes),
-                        n: lookup(n, &mut nodes),
-                        cp: lookup(cp, &mut nodes),
-                        cn: lookup(cn, &mut nodes),
+                        p: lookup(p),
+                        n: lookup(n),
+                        cp: lookup(cp),
+                        cn: lookup(cn),
                         gain: *gain,
                     };
                     ckt.vcvs.push(ctl);
                 }
                 ElementKind::Vccs { p, n, cp, cn, gm } => {
                     let ctl = VoltCtl {
-                        p: lookup(p, &mut nodes),
-                        n: lookup(n, &mut nodes),
-                        cp: lookup(cp, &mut nodes),
-                        cn: lookup(cn, &mut nodes),
+                        p: lookup(p),
+                        n: lookup(n),
+                        cp: lookup(cp),
+                        cn: lookup(cn),
                         gain: *gm,
                     };
                     ckt.vccs.push(ctl);
                 }
                 ElementKind::Cccs { p, n, ctrl, gain } => {
                     let ctl = CurrCtl {
-                        p: lookup(p, &mut nodes),
-                        n: lookup(n, &mut nodes),
+                        p: lookup(p),
+                        n: lookup(n),
                         ctrl: find_ctrl(&e.name, ctrl)?,
                         gain: *gain,
                     };
@@ -407,8 +395,8 @@ impl Circuit {
                 }
                 ElementKind::Ccvs { p, n, ctrl, ohms } => {
                     let ctl = CurrCtl {
-                        p: lookup(p, &mut nodes),
-                        n: lookup(n, &mut nodes),
+                        p: lookup(p),
+                        n: lookup(n),
                         ctrl: find_ctrl(&e.name, ctrl)?,
                         gain: *ohms,
                     };
@@ -422,8 +410,8 @@ impl Circuit {
                                 element: e.name.clone(),
                                 model: model.clone(),
                             })?;
-                    let p = lookup(p, &mut nodes);
-                    let n = lookup(n, &mut nodes);
+                    let p = lookup(p);
+                    let n = lookup(n);
                     let d = Diode::from_model(dm, p, n, *area);
                     // The zero-bias junction capacitance becomes a plain
                     // capacitor, like MOSFET parasitics.
@@ -452,10 +440,10 @@ impl Circuit {
                             element: e.name.clone(),
                             model: model.clone(),
                         })?;
-                    let d = lookup(d, &mut nodes);
-                    let g = lookup(g, &mut nodes);
-                    let s = lookup(s, &mut nodes);
-                    let b = lookup(b, &mut nodes);
+                    let d = lookup(d);
+                    let g = lookup(g);
+                    let s = lookup(s);
+                    let b = lookup(b);
                     let mos = Mosfet::from_model(mm, d, g, s, b, *w, *l);
                     // Parasitic capacitances become plain capacitors.
                     for (x, y, c) in [
@@ -476,7 +464,7 @@ impl Circuit {
                 }
             }
         }
-        ckt.nodes = nodes;
+        ckt.nodes = table.names().iter().map(|&n| n.to_owned()).collect();
         Ok(ckt)
     }
 

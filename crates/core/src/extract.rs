@@ -476,7 +476,7 @@ pub fn reduce_embedded(
     let flat = if deck.instances.is_empty() {
         deck.clone()
     } else {
-        tel.time("flatten", || deck.flatten())?
+        tel.time("flatten", || deck.clone().flatten())?
     };
 
     let extra: Vec<&str> = opts.extra_ports.iter().map(String::as_str).collect();
@@ -713,6 +713,7 @@ mod tests {
             .iter()
             .flat_map(|e| e.nodes())
             .filter(|n| n.starts_with("pact0_p"))
+            .map(str::to_owned)
             .collect();
         fresh.sort();
         fresh.dedup();

@@ -124,7 +124,7 @@ impl Value {
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(text, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -174,19 +174,29 @@ fn render_number(v: f64, out: &mut String) {
 /// UTF-8, so `é` or `Ω` needs no `\u` escape.
 pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Copy each run of bytes that need no escape with one `push_str`;
+    // every byte that does is ASCII, so runs end on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match named {
+            Some(escaped) => out.push_str(escaped),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -225,7 +235,8 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
@@ -239,10 +250,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(text, pos)?;
                 fields.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -264,7 +275,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -276,7 +287,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 }
             }
         }
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -298,60 +309,49 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = std::str::from_utf8(hex)
-                            .ok()
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| err(*pos, "invalid \\u escape"))?;
-                        // Surrogates are not recombined; telemetry output
-                        // never emits them.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err(*pos, "invalid escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is valid UTF-8 by
-                // construction of &str).
-                let s = &bytes[*pos..];
-                let ch_len = match s[0] {
-                    b if b < 0x80 => 1,
-                    b if b < 0xE0 => 2,
-                    b if b < 0xF0 => 3,
-                    _ => 4,
-                };
-                let text =
-                    std::str::from_utf8(&s[..ch_len]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                out.push_str(text);
-                *pos += ch_len;
-            }
+        // Copy the run up to the next quote or backslash in one piece:
+        // both are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
+                let code = std::str::from_utf8(hex)
+                    .ok()
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| err(*pos, "invalid \\u escape"))?;
+                // Surrogates are not recombined; telemetry output
+                // never emits them.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(err(*pos, "invalid escape")),
+        }
+        *pos += 1;
     }
 }
 
@@ -442,6 +442,24 @@ mod tests {
     fn parses_escapes_and_whitespace() {
         let doc = Value::parse(" { \"k\\u0041\" : \"a\\nb\\\"c\" } ").unwrap();
         assert_eq!(doc.get("kA").unwrap().as_str().unwrap(), "a\nb\"c");
+        // Escapes right next to multi-byte characters, at both ends of the
+        // copied runs.
+        for (text, want) in [
+            (r#""é\n漢\"Ωé𝄞\\""#, "é\n漢\"Ωé𝄞\\"),
+            (r#""\tñ""#, "\tñ"),
+            (r#""日本\/""#, "日本/"),
+            (r#""€""#, "€"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(Value::parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+        // Errors keep their byte offsets around multi-byte characters.
+        let e = Value::parse(r#""é\n漢"#).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (8, "unterminated string"));
+        let e = Value::parse(r#""a\é""#).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (3, "invalid escape"));
+        let e = Value::parse(r#""\u00é""#).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (2, "invalid \\u escape"));
     }
 
     #[test]
@@ -454,10 +472,13 @@ mod tests {
         assert_eq!(escape("\u{0}\u{1f}"), "\"\\u0000\\u001f\"");
         // Non-ASCII passes through verbatim (JSON is UTF-8).
         assert_eq!(escape("nœud-Ω-日本"), "\"nœud-Ω-日本\"");
+        // Escapes right next to multi-byte characters.
+        assert_eq!(escape("é\"漢\n𝄞\u{1}Ω\\"), r#""é\"漢\n𝄞\u0001Ω\\""#);
         // Round-trip through the parser.
-        let original = "mixed \"x\"\\\n\u{7}é漢";
-        let back = Value::parse(&escape(original)).unwrap();
-        assert_eq!(back.as_str().unwrap(), original);
+        for original in ["mixed \"x\"\\\n\u{7}é漢", "\"é\"", "ñ\t", "\u{1f}日"] {
+            let back = Value::parse(&escape(original)).unwrap();
+            assert_eq!(back.as_str().unwrap(), original);
+        }
         // escape_into appends without clobbering existing content.
         let mut out = String::from("prefix:");
         escape_into("v", &mut out);

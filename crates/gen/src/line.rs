@@ -460,8 +460,7 @@ mod tests {
         };
         let els = rc_line_elements(&spec, "a", "b", "x");
         assert_eq!(els.len(), 21, "taps rename nodes, never add elements");
-        let nodes: std::collections::BTreeSet<String> =
-            els.iter().flat_map(|e| e.nodes()).collect();
+        let nodes: std::collections::BTreeSet<&str> = els.iter().flat_map(|e| e.nodes()).collect();
         // Positions j*10/4 = 2, 5, 7 are renamed; their plain names go.
         for tap in ["x_tap1", "x_tap2", "x_tap3"] {
             assert!(nodes.contains(tap), "{tap} missing from {nodes:?}");

@@ -1,8 +1,9 @@
 //! Netlist data model: elements, source waveforms, device models and
 //! analysis cards, plus the SPICE writer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::units::format_value;
 
@@ -38,15 +39,15 @@ impl Netlist {
 
     /// All node names referenced by any element, excluding ground.
     pub fn node_names(&self) -> Vec<String> {
-        let mut set = std::collections::BTreeSet::new();
+        let mut set = BTreeSet::new();
         for e in &self.elements {
             for n in e.nodes() {
-                if !is_ground(&n) {
+                if !is_ground(n) {
                     set.insert(n);
                 }
             }
         }
-        set.into_iter().collect()
+        set.into_iter().map(str::to_owned).collect()
     }
 
     /// Counts elements by a predicate (used for table statistics).
@@ -59,11 +60,17 @@ impl Netlist {
     /// cards cumulatively, which is usually an extraction bug worth
     /// flagging — callers surface these as warnings.
     pub fn duplicate_element_names(&self) -> Vec<(String, usize)> {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+        let mut counts: HashMap<NoCase<'_>, usize> = HashMap::with_capacity(self.elements.len());
         for e in &self.elements {
-            *counts.entry(e.name.to_ascii_lowercase()).or_insert(0) += 1;
+            *counts.entry(NoCase(&e.name)).or_insert(0) += 1;
         }
-        counts.into_iter().filter(|(_, c)| *c > 1).collect()
+        let mut dups: Vec<(String, usize)> = counts
+            .into_iter()
+            .filter(|&(_, c)| c > 1)
+            .map(|(name, c)| (name.0.to_ascii_lowercase(), c))
+            .collect();
+        dups.sort_unstable();
+        dups
     }
 
     /// Expands every subcircuit instance into flat elements.
@@ -72,30 +79,51 @@ impl Netlist {
     /// nodes bound to instance terminals take the caller's names, so
     /// hierarchical decks flatten into ordinary flat netlists (ground
     /// passes through untouched). Nesting is supported to depth 50.
+    /// The deck is consumed: its own elements move into the result, so
+    /// a deck without instances comes back with no element copied.
     ///
     /// # Errors
     ///
     /// See [`FlattenError`].
-    pub fn flatten(&self) -> Result<Netlist, FlattenError> {
-        let mut out = Netlist {
-            title: self.title.clone(),
-            elements: self.elements.clone(),
-            models: self.models.clone(),
-            diode_models: self.diode_models.clone(),
-            analyses: self.analyses.clone(),
-            subckts: BTreeMap::new(),
-            instances: Vec::new(),
-        };
-        for inst in &self.instances {
+    pub fn flatten(mut self) -> Result<Netlist, FlattenError> {
+        let subckts = std::mem::take(&mut self.subckts);
+        for inst in std::mem::take(&mut self.instances) {
             expand_instance(
-                inst,
-                &self.subckts,
+                &inst,
+                &subckts,
                 &inst.name.to_ascii_lowercase(),
                 0,
-                &mut out,
+                &mut self,
             )?;
         }
-        Ok(out)
+        Ok(self)
+    }
+}
+
+/// An element name compared and hashed without regard to ASCII case.
+#[derive(Clone, Copy, Debug)]
+struct NoCase<'a>(&'a str);
+
+impl PartialEq for NoCase<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for NoCase<'_> {}
+
+impl Hash for NoCase<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Equal names have equal lengths, so they feed the hasher the
+        // same lower-cased chunks.
+        let mut buf = [0u8; 32];
+        for chunk in self.0.as_bytes().chunks(buf.len()) {
+            let lower = &mut buf[..chunk.len()];
+            lower.copy_from_slice(chunk);
+            lower.make_ascii_lowercase();
+            state.write(lower);
+        }
+        state.write_usize(self.0.len());
     }
 }
 
@@ -138,7 +166,7 @@ fn expand_instance(
     // that reference one of them must follow its flattened name; a name
     // not defined here is a global (deck-level) reference and passes
     // through untouched.
-    let local_names: std::collections::BTreeSet<String> = def
+    let local_names: BTreeSet<String> = def
         .elements
         .iter()
         .map(|e| e.name.to_ascii_lowercase())
@@ -276,10 +304,13 @@ impl fmt::Display for FlattenError {
 
 impl std::error::Error for FlattenError {}
 
-/// `true` for the ground/common node spellings (`0`, `gnd`, `gnd!`).
+/// `true` for the ground/common node spellings `0`, `gnd`, `gnd!` and
+/// `vss!`, in any ASCII case.
 pub fn is_ground(name: &str) -> bool {
-    let n = name.to_ascii_lowercase();
-    n == "0" || n == "gnd" || n == "gnd!" || n == "vss!"
+    name == "0"
+        || ["gnd", "gnd!", "vss!"]
+            .iter()
+            .any(|g| name.eq_ignore_ascii_case(g))
 }
 
 /// One circuit element card.
@@ -326,29 +357,24 @@ impl Element {
         }
     }
 
-    /// The node names this element touches, in terminal order. For
-    /// voltage/current-controlled sources the controlling node pair is
-    /// included: sensing a node voltage pins that node just as a device
-    /// terminal does (the extraction port rule relies on this).
-    pub fn nodes(&self) -> Vec<String> {
+    /// The node names this element touches, in terminal order, borrowed
+    /// from the element. For voltage/current-controlled sources the
+    /// controlling node pair is included: sensing a node voltage pins
+    /// that node just as a device terminal does (the extraction port
+    /// rule relies on this).
+    pub fn nodes(&self) -> Nodes<'_> {
         match &self.kind {
             ElementKind::Resistor { a, b, .. }
             | ElementKind::Capacitor { a, b, .. }
-            | ElementKind::Inductor { a, b, .. } => {
-                vec![a.clone(), b.clone()]
-            }
-            ElementKind::Mosfet { d, g, s, b, .. } => {
-                vec![d.clone(), g.clone(), s.clone(), b.clone()]
-            }
+            | ElementKind::Inductor { a, b, .. } => Nodes::two(a, b),
+            ElementKind::Mosfet { d, g, s, b, .. } => Nodes::four(d, g, s, b),
             ElementKind::VSource { p, n, .. }
             | ElementKind::ISource { p, n, .. }
             | ElementKind::Diode { p, n, .. }
             | ElementKind::Cccs { p, n, .. }
-            | ElementKind::Ccvs { p, n, .. } => {
-                vec![p.clone(), n.clone()]
-            }
+            | ElementKind::Ccvs { p, n, .. } => Nodes::two(p, n),
             ElementKind::Vcvs { p, n, cp, cn, .. } | ElementKind::Vccs { p, n, cp, cn, .. } => {
-                vec![p.clone(), n.clone(), cp.clone(), cn.clone()]
+                Nodes::four(p, n, cp, cn)
             }
         }
     }
@@ -359,6 +385,48 @@ impl Element {
             self.kind,
             ElementKind::Resistor { .. } | ElementKind::Capacitor { .. }
         )
+    }
+}
+
+/// The node names of one element, borrowed from it (two or four):
+/// what [`Element::nodes`] returns. Derefs to a slice and iterates by
+/// value, with no allocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Nodes<'a> {
+    names: [&'a str; 4],
+    len: usize,
+}
+
+impl<'a> Nodes<'a> {
+    fn two(a: &'a str, b: &'a str) -> Self {
+        Nodes {
+            names: [a, b, "", ""],
+            len: 2,
+        }
+    }
+
+    fn four(a: &'a str, b: &'a str, c: &'a str, d: &'a str) -> Self {
+        Nodes {
+            names: [a, b, c, d],
+            len: 4,
+        }
+    }
+}
+
+impl<'a> std::ops::Deref for Nodes<'a> {
+    type Target = [&'a str];
+
+    fn deref(&self) -> &[&'a str] {
+        &self.names[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for Nodes<'a> {
+    type Item = &'a str;
+    type IntoIter = std::iter::Take<std::array::IntoIter<&'a str, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.names.into_iter().take(self.len)
     }
 }
 
@@ -1032,14 +1100,31 @@ mod tests {
         assert!(is_ground("0"));
         assert!(is_ground("GND"));
         assert!(is_ground("gnd!"));
+        assert!(is_ground("Gnd!"));
+        assert!(is_ground("VSS!"));
+        assert!(!is_ground("vss"));
+        assert!(!is_ground("gnd!!"));
         assert!(!is_ground("out"));
+    }
+
+    #[test]
+    fn duplicate_names_group_by_ascii_case_in_sorted_order() {
+        let mut nl = Netlist::new("dups");
+        for name in ["Rb", "R1", "rB", "C1", "RB", "c1", "R2", "r1é", "R1É"] {
+            nl.elements.push(Element::resistor(name, "a", "0", 1.0));
+        }
+        // `é` and `É` are not ASCII, so `r1é` and `R1É` stay distinct.
+        assert_eq!(
+            nl.duplicate_element_names(),
+            [("c1".to_owned(), 2), ("rb".to_owned(), 3)]
+        );
     }
 
     #[test]
     fn element_nodes_and_is_rc() {
         let r = Element::resistor("R1", "a", "b", 100.0);
         assert!(r.is_rc());
-        assert_eq!(r.nodes(), vec!["a".to_owned(), "b".to_owned()]);
+        assert_eq!(*r.nodes(), ["a", "b"]);
         let m = Element {
             name: "M1".into(),
             kind: ElementKind::Mosfet {
@@ -1053,7 +1138,10 @@ mod tests {
             },
         };
         assert!(!m.is_rc());
-        assert_eq!(m.nodes().len(), 4);
+        assert_eq!(
+            m.nodes().into_iter().collect::<Vec<_>>(),
+            ["d", "g", "s", "b"]
+        );
     }
 
     #[test]

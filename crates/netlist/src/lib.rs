@@ -32,10 +32,10 @@ mod units;
 mod unstamp;
 
 pub use ast::{
-    is_ground, Analysis, DiodeModel, Element, ElementKind, FlattenError, MosModel, Netlist, Subckt,
-    SubcktInstance, Waveform,
+    is_ground, Analysis, DiodeModel, Element, ElementKind, FlattenError, MosModel, Netlist, Nodes,
+    Subckt, SubcktInstance, Waveform,
 };
-pub use network::{extract_rc, Branch, Extraction, NetworkError, RcNetwork, Stamped};
+pub use network::{extract_rc, Branch, Extraction, NetworkError, NodeTable, RcNetwork, Stamped};
 pub use parser::{parse, ParseNetlistError};
 pub use units::{format_value, parse_value, ParseValueError};
 pub use unstamp::{sparsify_preserving_passivity, unstamp};

@@ -7,7 +7,7 @@
 //! and stamp the network into the partitioned conductance/susceptance
 //! matrices `G` and `C` with ports ordered first.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use pact_sparse::{CsrMat, TripletMat};
 
@@ -111,6 +111,39 @@ pub struct Extraction {
     pub rest: Vec<Element>,
 }
 
+/// The non-ground node names of a deck, borrowed from its elements,
+/// each with a dense index in order of first appearance.
+///
+/// Names hash with the standard library's randomly seeded hasher: decks
+/// come from clients, and a fixed-seed hash would let a crafted deck
+/// pile every name into one bucket.
+#[derive(Clone, Debug, Default)]
+pub struct NodeTable<'a> {
+    index: HashMap<&'a str, usize>,
+    names: Vec<&'a str>,
+}
+
+impl<'a> NodeTable<'a> {
+    /// The index of `name`, assigning the next free one on first sight;
+    /// `None` for ground (see [`is_ground`]).
+    pub fn intern(&mut self, name: &'a str) -> Option<usize> {
+        if is_ground(name) {
+            return None;
+        }
+        let next = self.names.len();
+        let i = *self.index.entry(name).or_insert(next);
+        if i == next {
+            self.names.push(name);
+        }
+        Some(i)
+    }
+
+    /// The interned names in index order.
+    pub fn names(&self) -> &[&'a str] {
+        &self.names
+    }
+}
+
 /// Extracts all resistors and capacitors from a netlist into an
 /// [`RcNetwork`], applying the paper's port rule: *any node connected to a
 /// resistor or capacitor as well as to a device other than a resistor or
@@ -118,6 +151,7 @@ pub struct Extraction {
 ///
 /// Additional node names can be forced to be ports via `extra_ports`
 /// (e.g. observation nodes like the paper's substrate monitor port).
+/// Ports and internal nodes each follow the byte order of their names.
 ///
 /// # Errors
 ///
@@ -129,50 +163,50 @@ pub fn extract_rc(netlist: &Netlist, extra_ports: &[&str]) -> Result<Extraction,
             instance: inst.name.clone(),
         });
     }
-    let mut touches_rc: BTreeMap<String, bool> = BTreeMap::new();
-    let mut touches_other: BTreeMap<String, bool> = BTreeMap::new();
+    // Which kinds of element touch each node.
+    const RC: u8 = 1;
+    const OTHER: u8 = 2;
+    let mut table = NodeTable::default();
+    let mut touches: Vec<u8> = Vec::new();
+    // Table indices of each element's first two terminals (an RC
+    // element's two), so no terminal is looked up twice.
+    let mut ends: Vec<[Option<usize>; 2]> = Vec::with_capacity(netlist.elements.len());
     for e in &netlist.elements {
-        for node in e.nodes() {
-            if is_ground(&node) {
-                continue;
+        let kind = if e.is_rc() { RC } else { OTHER };
+        let mut first_two = [None; 2];
+        for (k, node) in e.nodes().into_iter().enumerate() {
+            let i = table.intern(node);
+            if let Some(i) = i {
+                if i == touches.len() {
+                    touches.push(0);
+                }
+                touches[i] |= kind;
             }
-            if e.is_rc() {
-                touches_rc.insert(node, true);
-            } else {
-                touches_other.insert(node, true);
+            if k < 2 {
+                first_two[k] = i;
             }
         }
+        ends.push(first_two);
     }
     // Port = RC-connected ∧ (other-connected ∨ explicitly requested).
-    let mut ports: Vec<String> = Vec::new();
-    let mut internals: Vec<String> = Vec::new();
-    for node in touches_rc.keys() {
-        let forced = extra_ports.iter().any(|p| p.eq_ignore_ascii_case(node));
-        if touches_other.contains_key(node) || forced {
-            ports.push(node.clone());
-        } else {
-            internals.push(node.clone());
-        }
-    }
+    let names = table.names();
+    let mut rc_nodes: Vec<usize> = (0..names.len()).filter(|&i| touches[i] & RC != 0).collect();
+    rc_nodes.sort_unstable_by_key(|&i| names[i]);
+    let (ports, internals): (Vec<usize>, Vec<usize>) = rc_nodes.into_iter().partition(|&i| {
+        touches[i] & OTHER != 0 || extra_ports.iter().any(|p| p.eq_ignore_ascii_case(names[i]))
+    });
     if ports.is_empty() {
         return Err(NetworkError::NoPorts);
     }
-    let mut node_names = ports;
-    let num_ports = node_names.len();
-    node_names.extend(internals);
-    let index: BTreeMap<String, usize> = node_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i))
-        .collect();
-
-    let lookup = |name: &str| -> Option<usize> {
-        if is_ground(name) {
-            None
-        } else {
-            Some(index[name])
-        }
-    };
+    let num_ports = ports.len();
+    // `slot[i]`: the network index of table node `i` (RC nodes only).
+    let mut slot = vec![usize::MAX; names.len()];
+    let mut node_names = Vec::with_capacity(num_ports + internals.len());
+    for (k, &i) in ports.iter().chain(&internals).enumerate() {
+        slot[i] = k;
+        node_names.push(names[i].to_owned());
+    }
+    let lookup = |terminal: Option<usize>| terminal.map(|i| slot[i]);
 
     let mut network = RcNetwork {
         node_names,
@@ -181,9 +215,9 @@ pub fn extract_rc(netlist: &Netlist, extra_ports: &[&str]) -> Result<Extraction,
         capacitors: Vec::new(),
     };
     let mut rest = Vec::new();
-    for e in &netlist.elements {
+    for (e, &[a, b]) in netlist.elements.iter().zip(&ends) {
         match &e.kind {
-            ElementKind::Resistor { a, b, ohms } => {
+            ElementKind::Resistor { ohms, .. } => {
                 if !ohms.is_finite() {
                     return Err(NetworkError::NonFiniteValue {
                         name: e.name.clone(),
@@ -202,7 +236,7 @@ pub fn extract_rc(netlist: &Netlist, extra_ports: &[&str]) -> Result<Extraction,
                     value: *ohms,
                 });
             }
-            ElementKind::Capacitor { a, b, farads } => {
+            ElementKind::Capacitor { farads, .. } => {
                 if !farads.is_finite() {
                     return Err(NetworkError::NonFiniteValue {
                         name: e.name.clone(),

@@ -5,13 +5,18 @@
 //! level-1 MOSFETs and junction diodes, `.TRAN`/`.AC`/`.DC`/`.PRINT`
 //! analyses, comments (`*`), line continuations (`+`) and
 //! case-insensitive keywords with engineering-unit values.
+//!
+//! Cards are tokenized in place: tokens borrow the deck text, and only a
+//! card joined from `+` continuation lines owns a copy of it. The parsed
+//! [`Netlist`] owns one `String` per name it keeps.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::ast::{
     Analysis, DiodeModel, Element, ElementKind, MosModel, Netlist, Subckt, SubcktInstance, Waveform,
 };
-use crate::units::parse_value;
+use crate::units::{parse_value, starts_with_ignore_case};
 
 /// Error from parsing a SPICE deck, with 1-based line information.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,28 +61,31 @@ impl std::error::Error for ParseNetlistError {}
 /// # Ok::<(), pact_netlist::ParseNetlistError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Netlist, ParseNetlistError> {
-    // Join continuation lines, remembering original line numbers.
-    let mut logical: Vec<(usize, String)> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim_end();
-        if let Some(rest) = line.trim_start().strip_prefix('+') {
-            if let Some(last) = logical.last_mut() {
-                last.1.push(' ');
-                last.1.push_str(rest);
-                continue;
-            }
-        }
-        logical.push((idx + 1, line.to_owned()));
-    }
-
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .map(|(idx, raw)| (idx + 1, raw.trim_end()))
+        .peekable();
     let mut nl = Netlist::default();
     // Subcircuit scope: while inside `.subckt … .ends`, cards land in a
     // scratch netlist that becomes the definition body. The line number of
     // the opening `.subckt` card rides along for error attribution.
     let mut subckt_stack: Vec<(usize, Subckt, Netlist)> = Vec::new();
     let mut first = true;
-    for (lineno, line) in logical {
-        let trimmed = line.trim();
+    while let Some((lineno, line)) = lines.next() {
+        // Join continuation lines onto the card they continue; the card
+        // keeps the line number it started on.
+        let mut card = Cow::Borrowed(line);
+        while let Some(rest) = lines
+            .peek()
+            .and_then(|&(_, next)| next.trim_start().strip_prefix('+'))
+        {
+            let joined = card.to_mut();
+            joined.push(' ');
+            joined.push_str(rest);
+            lines.next();
+        }
+        let trimmed = card.trim();
         if first {
             first = false;
             // Title line (may be empty or a comment).
@@ -100,8 +108,7 @@ pub fn parse(text: &str) -> Result<Netlist, ParseNetlistError> {
             continue;
         }
         // Subcircuit scope transitions.
-        let lower = body.to_ascii_lowercase();
-        if lower.starts_with(".subckt") {
+        if starts_with_ignore_case(body.as_bytes(), b".subckt") {
             let toks: Vec<&str> = body.split_whitespace().collect();
             if toks.len() < 2 {
                 return Err(err(lineno, ".subckt needs a name"));
@@ -118,7 +125,7 @@ pub fn parse(text: &str) -> Result<Netlist, ParseNetlistError> {
             ));
             continue;
         }
-        if lower.starts_with(".ends") {
+        if starts_with_ignore_case(body.as_bytes(), b".ends") {
             let (def_line, mut def, scope) = subckt_stack
                 .pop()
                 .ok_or_else(|| err(lineno, ".ends without matching .subckt"))?;
@@ -166,12 +173,11 @@ pub fn parse(text: &str) -> Result<Netlist, ParseNetlistError> {
 }
 
 fn looks_like_card(line: &str) -> bool {
-    let lower = line.to_ascii_lowercase();
-    let first = lower.chars().next().unwrap_or(' ');
+    let first = line.chars().next().unwrap_or(' ').to_ascii_lowercase();
     matches!(
         first,
         'r' | 'c' | 'l' | 'm' | 'v' | 'i' | 'x' | 'e' | 'g' | 'f' | 'h' | 'd' | '.'
-    ) && lower.split_whitespace().count() >= 2
+    ) && line.split_whitespace().nth(1).is_some()
 }
 
 fn err(line: usize, message: impl Into<String>) -> ParseNetlistError {
@@ -190,72 +196,103 @@ fn err_at(line: usize, col: usize, message: impl Into<String>) -> ParseNetlistEr
     }
 }
 
-/// 1-based column of `token`'s first occurrence in the original card body.
-///
-/// Tokenization happens on a copy with `(`/`)`/`=` padded out, so token
-/// positions in the token stream do not map back to source columns; the
-/// token *text* is unchanged, though, so a substring search on the
-/// original body recovers the column. Returns 0 (unknown) if the token
-/// cannot be located.
-fn col_of(body: &str, token: &str) -> usize {
-    body.find(token).map(|p| p + 1).unwrap_or(0)
+/// One token of a card, borrowed from it.
+#[derive(Clone, Copy, Debug)]
+struct Token<'a> {
+    text: &'a str,
+    /// 1-based byte column of the token's first byte in the card.
+    col: usize,
+}
+
+impl Token<'_> {
+    fn is(&self, word: &str) -> bool {
+        self.text.eq_ignore_ascii_case(word)
+    }
+
+    /// The token's first character, ASCII-lower-cased.
+    fn letter(&self) -> char {
+        self.text
+            .chars()
+            .next()
+            .map_or(' ', |c| c.to_ascii_lowercase())
+    }
+
+    fn value(&self, line: usize) -> Result<f64, ParseNetlistError> {
+        parse_value(self.text).map_err(|e| err_at(line, self.col, e.to_string()))
+    }
+
+    fn owned(&self) -> String {
+        self.text.to_owned()
+    }
+}
+
+/// Splits a card exactly where `str::split_whitespace` would, and also
+/// around every `(`, `)` and `=`, which are tokens of their own: so
+/// `PULSE(0 1)`, `w=10u` and `area = 2` tokenize alike.
+fn tokenize(body: &str) -> Vec<Token<'_>> {
+    let mut tokens = Vec::with_capacity(8);
+    let mut start = None;
+    for (i, c) in body.char_indices() {
+        let punct = matches!(c, '(' | ')' | '=');
+        if punct || c.is_whitespace() {
+            if let Some(s) = start.take() {
+                tokens.push(Token {
+                    text: &body[s..i],
+                    col: s + 1,
+                });
+            }
+            if punct {
+                tokens.push(Token {
+                    text: &body[i..i + 1],
+                    col: i + 1,
+                });
+            }
+        } else if start.is_none() {
+            start = Some(i);
+        }
+    }
+    if let Some(s) = start {
+        tokens.push(Token {
+            text: &body[s..],
+            col: s + 1,
+        });
+    }
+    tokens
 }
 
 fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetlistError> {
-    // Normalize parentheses into separate tokens for PULSE(...) forms.
-    let spaced = body
-        .replace('(', " ( ")
-        .replace(')', " ) ")
-        .replace('=', " = ");
-    let tokens: Vec<&str> = spaced.split_whitespace().collect();
-    if tokens.is_empty() {
+    let tokens = tokenize(body);
+    let Some(head) = tokens.first() else {
         return Ok(());
-    }
-    let head = tokens[0].to_ascii_lowercase();
-    match head.chars().next().unwrap() {
-        '.' => parse_dot_card(&head, &tokens, body, line, nl),
-        'r' => {
-            let (a, b, v) = two_node_value(&tokens, body, line)?;
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind: ElementKind::Resistor { a, b, ohms: v },
-            });
-            Ok(())
-        }
-        'c' => {
-            let (a, b, v) = two_node_value(&tokens, body, line)?;
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind: ElementKind::Capacitor { a, b, farads: v },
-            });
-            Ok(())
-        }
-        'l' => {
-            let (a, b, v) = two_node_value(&tokens, body, line)?;
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind: ElementKind::Inductor { a, b, henries: v },
-            });
-            Ok(())
+    };
+    let letter = head.letter();
+    let kind = match letter {
+        '.' => return parse_dot_card(&tokens, line, nl),
+        'r' | 'c' | 'l' => {
+            let (a, b, v) = two_node_value(&tokens, line)?;
+            match letter {
+                'r' => ElementKind::Resistor { a, b, ohms: v },
+                'c' => ElementKind::Capacitor { a, b, farads: v },
+                _ => ElementKind::Inductor { a, b, henries: v },
+            }
         }
         'e' | 'g' => {
             // Ename p n cp cn gain / Gname p n cp cn gm.
             if tokens.len() < 6 {
-                let what = if head.starts_with('e') { "E" } else { "G" };
+                let what = if letter == 'e' { "E" } else { "G" };
                 return Err(err(
                     line,
                     format!("expected `{what}name p n cp cn value` (controlled source)"),
                 ));
             }
-            let v = parse_value(tokens[5])
-                .map_err(|e| err_at(line, col_of(body, tokens[5]), e.to_string()))?;
+            let v = tokens[5].value(line)?;
             let (p, n, cp, cn) = (
-                tokens[1].to_owned(),
-                tokens[2].to_owned(),
-                tokens[3].to_owned(),
-                tokens[4].to_owned(),
+                tokens[1].owned(),
+                tokens[2].owned(),
+                tokens[3].owned(),
+                tokens[4].owned(),
             );
-            let kind = if head.starts_with('e') {
+            if letter == 'e' {
                 ElementKind::Vcvs {
                     p,
                     n,
@@ -271,34 +308,31 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                     cn,
                     gm: v,
                 }
-            };
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind,
-            });
-            Ok(())
+            }
         }
         'f' | 'h' => {
             // Fname p n Vctrl gain / Hname p n Vctrl ohms.
             if tokens.len() < 5 {
-                let what = if head.starts_with('f') { "F" } else { "H" };
+                let what = if letter == 'f' { "F" } else { "H" };
                 return Err(err(
                     line,
                     format!("expected `{what}name p n vsource value` (controlled source)"),
                 ));
             }
-            let ctrl = tokens[3].to_owned();
-            if !ctrl.to_ascii_lowercase().starts_with('v') {
+            let ctrl = tokens[3];
+            if ctrl.letter() != 'v' {
                 return Err(err_at(
                     line,
-                    col_of(body, tokens[3]),
-                    format!("controlling element `{ctrl}` must be a voltage source (V…)"),
+                    ctrl.col,
+                    format!(
+                        "controlling element `{}` must be a voltage source (V…)",
+                        ctrl.text
+                    ),
                 ));
             }
-            let v = parse_value(tokens[4])
-                .map_err(|e| err_at(line, col_of(body, tokens[4]), e.to_string()))?;
-            let (p, n) = (tokens[1].to_owned(), tokens[2].to_owned());
-            let kind = if head.starts_with('f') {
+            let v = tokens[4].value(line)?;
+            let (p, n, ctrl) = (tokens[1].owned(), tokens[2].owned(), ctrl.owned());
+            if letter == 'f' {
                 ElementKind::Cccs {
                     p,
                     n,
@@ -312,12 +346,7 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                     ctrl,
                     ohms: v,
                 }
-            };
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind,
-            });
-            Ok(())
+            }
         }
         'd' => {
             // Dname anode cathode model [area=x | x].
@@ -326,98 +355,78 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
             }
             let mut area = 1.0;
             if tokens.len() > 4 {
-                if tokens.len() >= 7 && tokens[4].eq_ignore_ascii_case("area") && tokens[5] == "=" {
-                    area = parse_value(tokens[6])
-                        .map_err(|e| err_at(line, col_of(body, tokens[6]), e.to_string()))?;
+                area = if tokens.len() >= 7 && tokens[4].is("area") && tokens[5].text == "=" {
+                    tokens[6].value(line)?
                 } else {
-                    area = parse_value(tokens[4])
-                        .map_err(|e| err_at(line, col_of(body, tokens[4]), e.to_string()))?;
-                }
+                    tokens[4].value(line)?
+                };
                 if area <= 0.0 || !area.is_finite() {
                     return Err(err_at(
                         line,
-                        col_of(body, tokens[tokens.len() - 1]),
+                        tokens[tokens.len() - 1].col,
                         format!("diode area must be positive and finite, got {area}"),
                     ));
                 }
             }
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind: ElementKind::Diode {
-                    p: tokens[1].to_owned(),
-                    n: tokens[2].to_owned(),
-                    model: tokens[3].to_ascii_lowercase(),
-                    area,
-                },
-            });
-            Ok(())
+            ElementKind::Diode {
+                p: tokens[1].owned(),
+                n: tokens[2].owned(),
+                model: tokens[3].text.to_ascii_lowercase(),
+                area,
+            }
         }
-        'm' => parse_mosfet(&tokens, body, line, nl),
+        'm' => parse_mosfet(&tokens, line)?,
         'x' => {
             if tokens.len() < 3 {
                 return Err(err(line, "expected `Xname node... subckt`"));
             }
             nl.instances.push(SubcktInstance {
-                name: tokens[0].to_owned(),
+                name: head.owned(),
                 nodes: tokens[1..tokens.len() - 1]
                     .iter()
-                    .map(|t| (*t).to_owned())
+                    .map(Token::owned)
                     .collect(),
-                subckt: tokens[tokens.len() - 1].to_ascii_lowercase(),
+                subckt: tokens[tokens.len() - 1].text.to_ascii_lowercase(),
             });
-            Ok(())
+            return Ok(());
         }
         'v' | 'i' => {
             if tokens.len() < 3 {
-                let what = if head.starts_with('v') { "V" } else { "I" };
+                let what = if letter == 'v' { "V" } else { "I" };
                 return Err(err(
                     line,
                     format!("expected `{what}name n+ n- [value | waveform]`"),
                 ));
             }
-            let wave = parse_waveform(&tokens[3..], body, line)?;
-            let kind = if head.starts_with('v') {
-                ElementKind::VSource {
-                    p: tokens[1].to_owned(),
-                    n: tokens[2].to_owned(),
-                    wave,
-                }
+            let wave = parse_waveform(&tokens[3..], line)?;
+            let (p, n) = (tokens[1].owned(), tokens[2].owned());
+            if letter == 'v' {
+                ElementKind::VSource { p, n, wave }
             } else {
-                ElementKind::ISource {
-                    p: tokens[1].to_owned(),
-                    n: tokens[2].to_owned(),
-                    wave,
-                }
-            };
-            nl.elements.push(Element {
-                name: tokens[0].to_owned(),
-                kind,
-            });
-            Ok(())
+                ElementKind::ISource { p, n, wave }
+            }
         }
-        other => Err(err(line, format!("unsupported element type `{other}`"))),
-    }
+        other => return Err(err(line, format!("unsupported element type `{other}`"))),
+    };
+    nl.elements.push(Element {
+        name: head.owned(),
+        kind,
+    });
+    Ok(())
 }
 
 fn two_node_value(
-    tokens: &[&str],
-    body: &str,
+    tokens: &[Token<'_>],
     line: usize,
 ) -> Result<(String, String, f64), ParseNetlistError> {
     if tokens.len() < 4 {
         return Err(err(line, "expected `NAME node1 node2 value`"));
     }
-    let v =
-        parse_value(tokens[3]).map_err(|e| err_at(line, col_of(body, tokens[3]), e.to_string()))?;
-    Ok((tokens[1].to_owned(), tokens[2].to_owned(), v))
+    let v = tokens[3].value(line)?;
+    Ok((tokens[1].owned(), tokens[2].owned(), v))
 }
 
-fn parse_mosfet(
-    tokens: &[&str],
-    body: &str,
-    line: usize,
-    nl: &mut Netlist,
-) -> Result<(), ParseNetlistError> {
+fn parse_mosfet(tokens: &[Token<'_>], line: usize) -> Result<ElementKind, ParseNetlistError> {
     if tokens.len() < 6 {
         return Err(err(line, "expected `Mname d g s b model [w= l=]`"));
     }
@@ -425,331 +434,286 @@ fn parse_mosfet(
     let mut l = 1e-6;
     let mut i = 6;
     while i < tokens.len() {
-        let key = tokens[i].to_ascii_lowercase();
-        if (key == "w" || key == "l") && i + 2 < tokens.len() && tokens[i + 1] == "=" {
-            let v = parse_value(tokens[i + 2])
-                .map_err(|e| err_at(line, col_of(body, tokens[i + 2]), e.to_string()))?;
-            if key == "w" {
+        let key = tokens[i];
+        if (key.is("w") || key.is("l")) && i + 2 < tokens.len() && tokens[i + 1].text == "=" {
+            let v = tokens[i + 2].value(line)?;
+            if key.is("w") {
                 w = v;
             } else {
                 l = v;
             }
             i += 3;
-        } else if let Some(eqpos) = key.find('=') {
-            // w=10u glued form survives `=` spacing replacement only when
-            // the token had no `=`; handle defensively.
-            let (k, v) = key.split_at(eqpos);
-            let v = parse_value(&v[1..])
-                .map_err(|e| err_at(line, col_of(body, tokens[i]), e.to_string()))?;
-            match k {
-                "w" => w = v,
-                "l" => l = v,
-                _ => {}
-            }
-            i += 1;
         } else {
             i += 1;
         }
     }
-    nl.elements.push(Element {
-        name: tokens[0].to_owned(),
-        kind: ElementKind::Mosfet {
-            d: tokens[1].to_owned(),
-            g: tokens[2].to_owned(),
-            s: tokens[3].to_owned(),
-            b: tokens[4].to_owned(),
-            model: tokens[5].to_ascii_lowercase(),
-            w,
-            l,
-        },
-    });
-    Ok(())
+    Ok(ElementKind::Mosfet {
+        d: tokens[1].owned(),
+        g: tokens[2].owned(),
+        s: tokens[3].owned(),
+        b: tokens[4].owned(),
+        model: tokens[5].text.to_ascii_lowercase(),
+        w,
+        l,
+    })
 }
 
-fn parse_waveform(tokens: &[&str], body: &str, line: usize) -> Result<Waveform, ParseNetlistError> {
-    if tokens.is_empty() {
+fn parse_waveform(tokens: &[Token<'_>], line: usize) -> Result<Waveform, ParseNetlistError> {
+    let Some(head) = tokens.first() else {
         return Ok(Waveform::Dc(0.0));
-    }
-    let head = tokens[0].to_ascii_lowercase();
-    match head.as_str() {
-        "dc" => {
-            let v = tokens
-                .get(1)
-                .ok_or_else(|| err(line, "dc needs a value"))
-                .and_then(|t| {
-                    parse_value(t).map_err(|e| err_at(line, col_of(body, t), e.to_string()))
-                })?;
-            Ok(Waveform::Dc(v))
+    };
+    if head.is("dc") {
+        let v = tokens
+            .get(1)
+            .ok_or_else(|| err(line, "dc needs a value"))?
+            .value(line)?;
+        Ok(Waveform::Dc(v))
+    } else if head.is("pulse") {
+        let vals = numeric_args(&tokens[1..], line)?;
+        if vals.len() < 2 {
+            return Err(err(line, "pulse needs at least v1 v2"));
         }
-        "pulse" => {
-            let vals = numeric_args(&tokens[1..], body, line)?;
-            if vals.len() < 2 {
-                return Err(err(line, "pulse needs at least v1 v2"));
+        let get = |i: usize, d: f64| vals.get(i).copied().unwrap_or(d);
+        Ok(Waveform::Pulse {
+            v1: vals[0],
+            v2: vals[1],
+            td: get(2, 0.0),
+            tr: get(3, 0.0),
+            tf: get(4, 0.0),
+            pw: get(5, f64::INFINITY),
+            per: get(6, 0.0),
+        })
+    } else if head.is("pwl") {
+        let vals = numeric_args(&tokens[1..], line)?;
+        if vals.len() % 2 != 0 {
+            return Err(err(line, "pwl needs time/value pairs"));
+        }
+        let pts: Vec<(f64, f64)> = vals.chunks(2).map(|c| (c[0], c[1])).collect();
+        for w in pts.windows(2) {
+            if w[1].0 < w[0].0 {
+                return Err(err(line, "pwl times must be non-decreasing"));
             }
-            let get = |i: usize, d: f64| vals.get(i).copied().unwrap_or(d);
-            Ok(Waveform::Pulse {
-                v1: vals[0],
-                v2: vals[1],
-                td: get(2, 0.0),
-                tr: get(3, 0.0),
-                tf: get(4, 0.0),
-                pw: get(5, f64::INFINITY),
-                per: get(6, 0.0),
-            })
         }
-        "pwl" => {
-            let vals = numeric_args(&tokens[1..], body, line)?;
-            if vals.len() % 2 != 0 {
-                return Err(err(line, "pwl needs time/value pairs"));
-            }
-            let pts: Vec<(f64, f64)> = vals.chunks(2).map(|c| (c[0], c[1])).collect();
-            for w in pts.windows(2) {
-                if w[1].0 < w[0].0 {
-                    return Err(err(line, "pwl times must be non-decreasing"));
-                }
-            }
-            Ok(Waveform::Pwl(pts))
+        Ok(Waveform::Pwl(pts))
+    } else if head.is("sin") {
+        let vals = numeric_args(&tokens[1..], line)?;
+        if vals.len() < 3 {
+            return Err(err(line, "sin needs vo va freq"));
         }
-        "sin" => {
-            let vals = numeric_args(&tokens[1..], body, line)?;
-            if vals.len() < 3 {
-                return Err(err(line, "sin needs vo va freq"));
-            }
-            Ok(Waveform::Sin {
-                vo: vals[0],
-                va: vals[1],
-                freq: vals[2],
-            })
-        }
-        _ => {
-            // Bare value: `V1 a 0 5`.
-            let v = parse_value(tokens[0])
-                .map_err(|e| err_at(line, col_of(body, tokens[0]), e.to_string()))?;
-            Ok(Waveform::Dc(v))
-        }
+        Ok(Waveform::Sin {
+            vo: vals[0],
+            va: vals[1],
+            freq: vals[2],
+        })
+    } else {
+        // Bare value: `V1 a 0 5`.
+        Ok(Waveform::Dc(head.value(line)?))
     }
 }
 
-fn numeric_args(tokens: &[&str], body: &str, line: usize) -> Result<Vec<f64>, ParseNetlistError> {
-    let mut out = Vec::new();
-    for t in tokens {
-        if *t == "(" || *t == ")" {
-            continue;
-        }
-        out.push(parse_value(t).map_err(|e| err_at(line, col_of(body, t), e.to_string()))?);
-    }
-    Ok(out)
+fn numeric_args(tokens: &[Token<'_>], line: usize) -> Result<Vec<f64>, ParseNetlistError> {
+    tokens
+        .iter()
+        .filter(|t| t.text != "(" && t.text != ")")
+        .map(|t| t.value(line))
+        .collect()
 }
 
 fn parse_dot_card(
-    head: &str,
-    tokens: &[&str],
-    body: &str,
+    tokens: &[Token<'_>],
     line: usize,
     nl: &mut Netlist,
 ) -> Result<(), ParseNetlistError> {
-    match head {
-        ".model" => {
-            if tokens.len() < 3 {
-                return Err(err(line, ".model needs name and type"));
-            }
-            let name = tokens[1].to_ascii_lowercase();
-            let kind = tokens[2].to_ascii_lowercase();
-            // Duplicate-model detection spans both namespaces: a MOSFET
-            // and a diode model may not share a name either — references
-            // resolve by name alone, so a collision is always ambiguous.
-            if nl.models.contains_key(&name) || nl.diode_models.contains_key(&name) {
-                return Err(err_at(
-                    line,
-                    col_of(body, tokens[1]),
-                    format!("duplicate .model definition `{name}`"),
-                ));
-            }
-            if kind == "d" || kind == "diode" {
-                let mut model = DiodeModel::default_diode(name);
-                let params = collect_params(&tokens[3..], body, line)?;
-                for (k, v) in params {
-                    match k.as_str() {
-                        "is" => model.is = v,
-                        "n" => model.n = v,
-                        "cj0" | "cjo" => model.cj0 = v,
-                        _ => {} // ignore unknown parameters
-                    }
-                }
-                if model.is.is_nan() || model.is <= 0.0 || model.n.is_nan() || model.n <= 0.0 {
-                    return Err(err_at(
-                        line,
-                        col_of(body, tokens[1]),
-                        format!(
-                            "diode model `{}` needs positive is and n (got is={}, n={})",
-                            model.name, model.is, model.n
-                        ),
-                    ));
-                }
-                nl.diode_models.insert(model.name.clone(), model);
-                return Ok(());
-            }
-            let mut model = match kind.as_str() {
-                "nmos" => MosModel::default_nmos(name.clone()),
-                "pmos" => MosModel::default_pmos(name.clone()),
-                other => {
-                    return Err(err_at(
-                        line,
-                        col_of(body, tokens[2]),
-                        format!("unsupported model type `{other}`"),
-                    ))
-                }
-            };
-            // key = value pairs (already `=`-spaced).
-            let params = collect_params(&tokens[3..], body, line)?;
+    let head = tokens[0];
+    if head.is(".model") {
+        if tokens.len() < 3 {
+            return Err(err(line, ".model needs name and type"));
+        }
+        let name = tokens[1].text.to_ascii_lowercase();
+        let kind = tokens[2];
+        // Duplicate-model detection spans both namespaces: a MOSFET
+        // and a diode model may not share a name either — references
+        // resolve by name alone, so a collision is always ambiguous.
+        if nl.models.contains_key(&name) || nl.diode_models.contains_key(&name) {
+            return Err(err_at(
+                line,
+                tokens[1].col,
+                format!("duplicate .model definition `{name}`"),
+            ));
+        }
+        if kind.is("d") || kind.is("diode") {
+            let mut model = DiodeModel::default_diode(name);
+            let params = collect_params(&tokens[3..], line)?;
             for (k, v) in params {
                 match k.as_str() {
-                    "vto" | "vt0" => model.vto = v,
-                    "kp" => model.kp = v,
-                    "lambda" => model.lambda = v,
-                    "cox" => model.cox = v,
-                    "cjb" => model.cjb = v,
-                    _ => {} // ignore unknown parameters (HSPICE decks carry many)
+                    "is" => model.is = v,
+                    "n" => model.n = v,
+                    "cj0" | "cjo" => model.cj0 = v,
+                    _ => {} // ignore unknown parameters
                 }
             }
-            nl.models.insert(model.name.clone(), model);
-            Ok(())
-        }
-        ".tran" => {
-            let vals = numeric_args(&tokens[1..], body, line)?;
-            if vals.len() < 2 {
-                return Err(err(line, ".tran needs tstep tstop"));
-            }
-            nl.analyses.push(Analysis::Tran {
-                tstep: vals[0],
-                tstop: vals[1],
-            });
-            Ok(())
-        }
-        ".ac" => {
-            if tokens.len() < 5 || !tokens[1].eq_ignore_ascii_case("dec") {
-                return Err(err(line, ".ac supports `dec n fstart fstop`"));
-            }
-            let n: usize = tokens[2]
-                .parse()
-                .map_err(|_| err_at(line, col_of(body, tokens[2]), "invalid point count"))?;
-            let fstart = parse_value(tokens[3])
-                .map_err(|e| err_at(line, col_of(body, tokens[3]), e.to_string()))?;
-            let fstop = parse_value(tokens[4])
-                .map_err(|e| err_at(line, col_of(body, tokens[4]), e.to_string()))?;
-            nl.analyses.push(Analysis::AcDec {
-                points_per_decade: n,
-                fstart,
-                fstop,
-            });
-            Ok(())
-        }
-        ".dc" => {
-            // .dc SRC start stop step
-            if tokens.len() < 5 {
-                return Err(err(line, ".dc needs `source start stop step`"));
-            }
-            let source = tokens[1].to_owned();
-            let first = source.chars().next().unwrap_or(' ').to_ascii_lowercase();
-            if first != 'v' && first != 'i' {
+            if model.is.is_nan() || model.is <= 0.0 || model.n.is_nan() || model.n <= 0.0 {
                 return Err(err_at(
                     line,
-                    col_of(body, tokens[1]),
-                    format!("swept element `{source}` must be a V or I source"),
+                    tokens[1].col,
+                    format!(
+                        "diode model `{}` needs positive is and n (got is={}, n={})",
+                        model.name, model.is, model.n
+                    ),
                 ));
             }
-            let start = parse_value(tokens[2])
-                .map_err(|e| err_at(line, col_of(body, tokens[2]), e.to_string()))?;
-            let stop = parse_value(tokens[3])
-                .map_err(|e| err_at(line, col_of(body, tokens[3]), e.to_string()))?;
-            let step = parse_value(tokens[4])
-                .map_err(|e| err_at(line, col_of(body, tokens[4]), e.to_string()))?;
-            if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-                return Err(err_at(
-                    line,
-                    col_of(body, tokens[4]),
-                    format!("sweep step {step} cannot reach {stop} from {start}"),
-                ));
-            }
-            nl.analyses.push(Analysis::DcSweep {
-                source,
-                start,
-                stop,
-                step,
-            });
-            Ok(())
+            nl.diode_models.insert(model.name.clone(), model);
+            return Ok(());
         }
-        ".print" => {
-            // .print [tran|ac|dc] v(node) … — the analysis keyword is
-            // optional (defaults to tran, matching classic decks).
-            let (analysis, rest) = match tokens.get(1).map(|t| t.to_ascii_lowercase()) {
-                Some(a) if a == "tran" || a == "ac" || a == "dc" => (a, &tokens[2..]),
-                _ => ("tran".to_owned(), &tokens[1..]),
-            };
-            // Re-assemble `v ( out )` token runs into `v(out)` variables.
-            let mut vars: Vec<String> = Vec::new();
-            let mut depth = 0usize;
-            for t in rest {
-                match *t {
-                    "(" => {
+        let mut model = if kind.is("nmos") {
+            MosModel::default_nmos(name)
+        } else if kind.is("pmos") {
+            MosModel::default_pmos(name)
+        } else {
+            return Err(err_at(
+                line,
+                kind.col,
+                format!(
+                    "unsupported model type `{}`",
+                    kind.text.to_ascii_lowercase()
+                ),
+            ));
+        };
+        // key = value pairs (`=` is a token of its own).
+        let params = collect_params(&tokens[3..], line)?;
+        for (k, v) in params {
+            match k.as_str() {
+                "vto" | "vt0" => model.vto = v,
+                "kp" => model.kp = v,
+                "lambda" => model.lambda = v,
+                "cox" => model.cox = v,
+                "cjb" => model.cjb = v,
+                _ => {} // ignore unknown parameters (HSPICE decks carry many)
+            }
+        }
+        nl.models.insert(model.name.clone(), model);
+    } else if head.is(".tran") {
+        let vals = numeric_args(&tokens[1..], line)?;
+        if vals.len() < 2 {
+            return Err(err(line, ".tran needs tstep tstop"));
+        }
+        nl.analyses.push(Analysis::Tran {
+            tstep: vals[0],
+            tstop: vals[1],
+        });
+    } else if head.is(".ac") {
+        if tokens.len() < 5 || !tokens[1].is("dec") {
+            return Err(err(line, ".ac supports `dec n fstart fstop`"));
+        }
+        let n: usize = tokens[2]
+            .text
+            .parse()
+            .map_err(|_| err_at(line, tokens[2].col, "invalid point count"))?;
+        let fstart = tokens[3].value(line)?;
+        let fstop = tokens[4].value(line)?;
+        nl.analyses.push(Analysis::AcDec {
+            points_per_decade: n,
+            fstart,
+            fstop,
+        });
+    } else if head.is(".dc") {
+        // .dc SRC start stop step
+        if tokens.len() < 5 {
+            return Err(err(line, ".dc needs `source start stop step`"));
+        }
+        let source = tokens[1];
+        if !matches!(source.letter(), 'v' | 'i') {
+            return Err(err_at(
+                line,
+                source.col,
+                format!("swept element `{}` must be a V or I source", source.text),
+            ));
+        }
+        let start = tokens[2].value(line)?;
+        let stop = tokens[3].value(line)?;
+        let step = tokens[4].value(line)?;
+        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
+            return Err(err_at(
+                line,
+                tokens[4].col,
+                format!("sweep step {step} cannot reach {stop} from {start}"),
+            ));
+        }
+        nl.analyses.push(Analysis::DcSweep {
+            source: source.owned(),
+            start,
+            stop,
+            step,
+        });
+    } else if head.is(".print") {
+        // .print [tran|ac|dc] v(node) … — the analysis keyword is
+        // optional (defaults to tran, matching classic decks).
+        let (analysis, rest) = match tokens.get(1) {
+            Some(a) if a.is("tran") || a.is("ac") || a.is("dc") => {
+                (a.text.to_ascii_lowercase(), &tokens[2..])
+            }
+            _ => ("tran".to_owned(), &tokens[1..]),
+        };
+        // Re-assemble `v ( out )` token runs into `v(out)` variables.
+        let mut vars: Vec<String> = Vec::new();
+        let mut depth = 0usize;
+        for t in rest {
+            match t.text {
+                "(" => {
+                    if let Some(last) = vars.last_mut() {
+                        last.push('(');
+                        depth += 1;
+                    }
+                }
+                ")" => {
+                    if depth > 0 {
                         if let Some(last) = vars.last_mut() {
-                            last.push('(');
-                            depth += 1;
+                            last.push(')');
                         }
+                        depth -= 1;
                     }
-                    ")" => {
-                        if depth > 0 {
-                            if let Some(last) = vars.last_mut() {
-                                last.push(')');
-                            }
-                            depth -= 1;
+                }
+                tok => {
+                    if depth > 0 {
+                        if let Some(last) = vars.last_mut() {
+                            last.push_str(tok);
                         }
-                    }
-                    tok => {
-                        if depth > 0 {
-                            if let Some(last) = vars.last_mut() {
-                                last.push_str(tok);
-                            }
-                        } else {
-                            vars.push(tok.to_ascii_lowercase());
-                        }
+                    } else {
+                        vars.push(tok.to_ascii_lowercase());
                     }
                 }
             }
-            if vars.is_empty() {
-                return Err(err(line, ".print needs at least one output variable"));
-            }
-            nl.analyses.push(Analysis::Print { analysis, vars });
-            Ok(())
         }
-        ".end" => Ok(()),
-        _ => Ok(()), // ignore .options, .probe, ...
+        if vars.is_empty() {
+            return Err(err(line, ".print needs at least one output variable"));
+        }
+        nl.analyses.push(Analysis::Print { analysis, vars });
     }
+    // `.end`, `.options`, `.probe`, ... are accepted and ignored.
+    Ok(())
 }
 
 fn collect_params(
-    tokens: &[&str],
-    body: &str,
+    tokens: &[Token<'_>],
     line: usize,
 ) -> Result<BTreeMap<String, f64>, ParseNetlistError> {
     let mut out = BTreeMap::new();
     let mut i = 0;
     while i < tokens.len() {
         let t = tokens[i];
-        if t == "(" || t == ")" {
+        if t.text == "(" || t.text == ")" {
             i += 1;
             continue;
         }
-        if i + 2 < tokens.len() && tokens[i + 1] == "=" {
-            let v = parse_value(tokens[i + 2])
-                .map_err(|e| err_at(line, col_of(body, tokens[i + 2]), e.to_string()))?;
-            out.insert(t.to_ascii_lowercase(), v);
+        if i + 2 < tokens.len() && tokens[i + 1].text == "=" {
+            let v = tokens[i + 2].value(line)?;
+            out.insert(t.text.to_ascii_lowercase(), v);
             i += 3;
-        } else if i + 2 == tokens.len() && tokens[i + 1] == "=" {
+        } else if i + 2 == tokens.len() && tokens[i + 1].text == "=" {
             return Err(err_at(
                 line,
-                col_of(body, t),
-                format!("parameter `{t}` missing value"),
+                t.col,
+                format!("parameter `{}` missing value", t.text),
             ));
         } else {
             i += 1;
@@ -880,6 +844,40 @@ Vdd vdd 0 5
         let e = parse("* t\nR1 a b\n.end\n").unwrap_err();
         assert_eq!(e.col, 0);
         assert!(e.to_string().starts_with("line 2:"));
+    }
+
+    #[test]
+    fn value_columns_point_at_the_token_not_an_earlier_match() {
+        // `b` first occurs inside the node name `nb`; the value is at
+        // column 10.
+        let e = parse("* t\nR1 in nb b\n.end\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 2, col 10: invalid SPICE number `b`");
+        // The same holds for the last token of a diode card.
+        let e = parse("* t\nD1 a 0 dm 0\n.end\n").unwrap_err();
+        assert_eq!(e.col, 11);
+    }
+
+    #[test]
+    fn tokens_split_like_split_whitespace_around_punctuation() {
+        for card in [
+            "R1\tin \u{a0}out\r 1k",
+            "V1 a 0 PULSE(0 1)",
+            "M1 d g s b n w=1u l = 2u",
+            "x(=)y((",
+            "nœud\u{2003}é=µ",
+        ] {
+            let spaced = card
+                .replace('(', " ( ")
+                .replace(')', " ) ")
+                .replace('=', " = ");
+            let expected: Vec<&str> = spaced.split_whitespace().collect();
+            let tokens = tokenize(card);
+            let texts: Vec<&str> = tokens.iter().map(|t| t.text).collect();
+            assert_eq!(texts, expected, "{card:?}");
+            for t in tokens {
+                assert_eq!(&card[t.col - 1..t.col - 1 + t.text.len()], t.text);
+            }
+        }
     }
 
     #[test]

@@ -70,31 +70,30 @@ pub fn parse_value(token: &str) -> Result<f64, ParseValueError> {
     }
     let (num, suffix) = t.split_at(split);
     let base: f64 = num.parse().map_err(|_| err())?;
-    let s = suffix.to_ascii_lowercase();
-    let scale = if s.starts_with("meg") {
+    let s = suffix.as_bytes();
+    let scale = if starts_with_ignore_case(s, b"meg") {
         1e6
-    } else if s.starts_with('f') {
-        1e-15
-    } else if s.starts_with('p') {
-        1e-12
-    } else if s.starts_with('n') {
-        1e-9
-    } else if s.starts_with('u') {
-        1e-6
-    } else if s.starts_with("mil") {
+    } else if starts_with_ignore_case(s, b"mil") {
         25.4e-6
-    } else if s.starts_with('m') {
-        1e-3
-    } else if s.starts_with('k') {
-        1e3
-    } else if s.starts_with('g') {
-        1e9
-    } else if s.starts_with('t') {
-        1e12
     } else {
-        1.0
+        match s.first().map(u8::to_ascii_lowercase) {
+            Some(b'f') => 1e-15,
+            Some(b'p') => 1e-12,
+            Some(b'n') => 1e-9,
+            Some(b'u') => 1e-6,
+            Some(b'm') => 1e-3,
+            Some(b'k') => 1e3,
+            Some(b'g') => 1e9,
+            Some(b't') => 1e12,
+            _ => 1.0,
+        }
     };
     Ok(base * scale)
+}
+
+/// `true` when `s` starts with `prefix`, ignoring ASCII case.
+pub(crate) fn starts_with_ignore_case(s: &[u8], prefix: &[u8]) -> bool {
+    s.len() >= prefix.len() && s[..prefix.len()].eq_ignore_ascii_case(prefix)
 }
 
 /// Formats a value in engineering notation with a SPICE suffix, the inverse

@@ -81,13 +81,10 @@ Rload q 0 1k
     // Nested internal node carries the full instance path.
     assert!(flat.elements.iter().any(|e| e
         .nodes()
-        .iter()
+        .into_iter()
         .any(|n| n == "xtop.x1.m" || n == "xtop.x2.m")));
     // Shared mid node between the two leaves belongs to `pair`'s scope.
-    assert!(flat
-        .elements
-        .iter()
-        .any(|e| e.nodes().iter().any(|n| n == "xtop.m")));
+    assert!(flat.elements.iter().any(|e| e.nodes().contains(&"xtop.m")));
 }
 
 #[test]

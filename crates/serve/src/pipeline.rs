@@ -192,8 +192,10 @@ impl DeckOptions {
 /// flattened, extracted and sanitized, ready to be reduced.
 #[derive(Clone, Debug)]
 pub struct PreparedDeck {
-    /// The flattened original deck (reduced elements splice into this).
-    pub deck: Netlist,
+    /// The flattened deck without its RC cards: title, models, analyses
+    /// and the non-RC elements ([`pact_netlist::Extraction::rest`]). The
+    /// reduced elements splice into it.
+    pub shell: Netlist,
     /// The sanitized RC network.
     pub network: RcNetwork,
     /// Ports in the raw extraction, before sanitization.
@@ -244,6 +246,11 @@ pub fn prepare_deck(text: &str, opts: &DeckOptions) -> Result<PreparedDeck, Pact
     }
     let port_refs: Vec<&str> = opts.extra_ports.iter().map(String::as_str).collect();
     let ex = tel.time("extract", || extract_rc(&deck, &port_refs))?;
+    // Keep only the shell: the RC cards live on in `network`.
+    let shell = Netlist {
+        elements: ex.rest,
+        ..deck
+    };
     let raw_ports = ex.network.num_ports;
     let raw_internal = ex.network.num_internal();
     let raw_resistors = ex.network.resistors.len();
@@ -262,7 +269,7 @@ pub fn prepare_deck(text: &str, opts: &DeckOptions) -> Result<PreparedDeck, Pact
         None => sanitized.network,
     };
     Ok(PreparedDeck {
-        deck,
+        shell,
         network,
         raw_ports,
         raw_internal,
@@ -364,9 +371,9 @@ pub fn reduce_prepared(
 }
 
 /// Realizes the reduced model as SPICE elements, splices them into the
-/// original deck and renders the result. Returns the rendered deck text
-/// and the number of realized elements; the `emit` phase is recorded on
-/// `tel`.
+/// prepared deck's shell and renders the result. Returns the rendered
+/// deck text and the number of realized elements; the `emit` phase is
+/// recorded on `tel`.
 pub fn render_reduced(
     prep: &PreparedDeck,
     reduced: &ReducedDeck,
@@ -376,7 +383,7 @@ pub fn render_reduced(
 ) -> (String, usize) {
     let elements = reduced.to_netlist_elements(prefix, sparsify);
     let count = elements.len();
-    let rendered = tel.time("emit", || splice_reduced(&prep.deck, elements).to_string());
+    let rendered = tel.time("emit", || splice_reduced(&prep.shell, elements).to_string());
     (rendered, count)
 }
 

@@ -190,7 +190,7 @@ fn apply_option(
 /// silently ignored) or `deck_too_large` (inline deck exceeding
 /// `max_deck_bytes`).
 pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, ProtocolError> {
-    let doc = Value::parse(line).map_err(|e| {
+    let mut doc = Value::parse(line).map_err(|e| {
         ProtocolError::new(&Value::Null, "bad_request", format!("malformed JSON: {e}"))
     })?;
     let fields = match &doc {
@@ -277,18 +277,17 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
             ))
         }
         (Some(v), None) => {
-            let text = as_str(v, "deck", &id)?;
-            if text.len() > max_deck_bytes {
+            let len = as_str(v, "deck", &id)?.len();
+            if len > max_deck_bytes {
                 return Err(ProtocolError::new(
                     &id,
                     "deck_too_large",
                     format!(
-                        "inline deck is {} bytes; this daemon accepts at most {max_deck_bytes}",
-                        text.len()
+                        "inline deck is {len} bytes; this daemon accepts at most {max_deck_bytes}"
                     ),
                 ));
             }
-            Some(DeckSource::Inline(text.to_owned()))
+            take_str(&mut doc, "deck").map(DeckSource::Inline)
         }
         (None, Some(v)) => Some(DeckSource::Path(as_str(v, "path", &id)?.to_owned())),
         (None, None) => None,
@@ -307,6 +306,18 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
         source,
         options,
     })
+}
+
+/// Moves the string out of the first `key` field of an object document
+/// (the field keeps an empty string).
+fn take_str(doc: &mut Value, key: &str) -> Option<String> {
+    let Value::Obj(fields) = doc else {
+        return None;
+    };
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, Value::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
+    }
 }
 
 fn response_head(id: &Value, ok: bool) -> Vec<(String, Value)> {

@@ -86,6 +86,13 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         include_str!("fixtures/short_source.sp"),
         "line 3: expected `Vname n+ n- [value | waveform]`",
     ),
+    // The column is the token's own, not the first occurrence of its
+    // text in the card (`b` first occurs inside `nb`, at column 8).
+    (
+        "value_in_node_name.sp",
+        include_str!("fixtures/value_in_node_name.sp"),
+        "line 2, col 10: invalid SPICE number `b`",
+    ),
 ];
 
 #[test]
@@ -117,12 +124,23 @@ fn error_columns_point_at_the_offending_token() {
             .nth(e.line - 1)
             .unwrap_or_else(|| panic!("{name}: error line {} out of range", e.line));
         // The message quotes the offending token between backticks; check
-        // the source line actually contains it at the reported column.
+        // the source line holds exactly that token at the reported column,
+        // not just its text inside a longer one.
         if let Some(tok) = expected.split('`').nth(1) {
+            let (start, end) = (e.col - 1, e.col - 1 + tok.len());
             assert_eq!(
-                &line[e.col - 1..e.col - 1 + tok.len()],
+                &line[start..end],
                 tok,
                 "{name}: col {} does not point at `{tok}` in {line:?}",
+                e.col
+            );
+            let separator = |c: Option<char>| {
+                c.is_none_or(|c| c.is_whitespace() || matches!(c, '(' | ')' | '='))
+            };
+            assert!(
+                separator(line[..start].chars().next_back())
+                    && separator(line[end..].chars().next()),
+                "{name}: col {} points inside a longer token in {line:?}",
                 e.col
             );
         }

@@ -45,14 +45,18 @@ Rload out 0 1k
 ";
 
 /// JSON tokens inserted by the request mutator.
-const JSON_TOKENS: &str = r#"{ } [ ] " : , \ \u \n null true false 1e999 -0 1e-4 257 "deck" "path" "options" "op" "id" "stats" "shutdown" "threads" "hier" "block_size" "eigen" "sparsify" "collapse_chains" "chain_tol" "ports" "fmax""#;
+const JSON_TOKENS: &str = r#"{ } [ ] " : , \ \u \n \" é null true false 1e999 -0 1e-4 257 "deck" "path" "options" "op" "id" "stats" "shutdown" "threads" "hier" "block_size" "eigen" "sparsify" "collapse_chains" "chain_tol" "ports" "fmax""#;
 
 /// SPICE tokens inserted by the deck mutator: a new card of every
-/// element kind and dot command, and values and keywords within a card.
+/// element kind and dot command, and values, keywords, ground aliases,
+/// comments and separators (`\r`, a non-breaking space) within a card.
+/// Multi-byte ones (`µ`, the non-breaking space) make the tokenizer's
+/// byte offsets land next to characters it must never slice inside.
 fn spice_tokens() -> Vec<String> {
     let cards =
         "V1 I1 R9 C9 L9 D9 M9 X9 E9 F9 G9 H9 K9 .subckt .ends .model .tran .ac .dc .print .end + *";
-    let words = "0 in out 1k 1p -1 1e999 nan pulse( pwl( dc ac area= w= l= nmos d seg ( ) =";
+    let words = "0 in out 1k 1p -1 1e999 nan pulse( pwl( dc ac area= w= l= nmos d seg ( ) = \
+                 $ GND Vss! \r \u{a0} µ 1µ";
     let cards = cards.split(' ').map(|c| format!("\n{c} "));
     cards
         .chain(words.split(' ').map(|w| format!(" {w} ")))
