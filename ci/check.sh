@@ -157,10 +157,12 @@ cat results/sweep_perf.txt
 
 echo "==> rcfitd daemon smoke (JSONL over stdin)"
 # Two same-topology decks (the second must hit a warm session and reduce
-# byte-identically), one request with a misspelled option, one with the
-# deleted `eigen` option, one with an out-of-range sparsify threshold and
-# one whose source card is cut short (typed errors, and the daemon keeps
-# answering), a stats probe, and a clean shutdown. One more deck takes
+# byte-identically), one request with a misspelled option, two with the
+# deleted `eigen` and `components` options, one with an out-of-range
+# sparsify threshold, one whose source card is cut short and one whose
+# `path` deck (the 16x16x4 mesh) is over the daemon's 4 KiB deck cap
+# (typed errors, and the daemon keeps answering), a stats probe, and a
+# clean shutdown. One more deck takes
 # the tokenizer's general path (a glued `PULSE(`, a `$` comment, a `+`
 # continuation, a `GND` ground, mixed-case node names): its reply must
 # equal `rcfit -o` on the same file, byte for byte.
@@ -178,7 +180,7 @@ Iload OUT 0 1m
 .end
 EOF
 ./target/release/rcfit -o "$tmp/general_cli.sp" "$tmp/general.sp" > /dev/null
-python3 - "$tmp/general.sp" > "$tmp/serve_requests.jsonl" <<'EOF'
+python3 - "$tmp/general.sp" "$tmp/hier_mesh.sp" > "$tmp/serve_requests.jsonl" <<'EOF'
 import json, sys
 deck = ("* ci ladder\nVdrv in 0 1\nR1 in n1 100\nR2 n1 n2 100\n"
         "R3 n2 out 100\nC1 n1 0 1p\nC2 n2 0 2p\nC3 out 0 1p\n"
@@ -188,18 +190,20 @@ print(json.dumps({"id": "s2", "deck": deck}))
 print(json.dumps({"id": "general", "deck": open(sys.argv[1]).read()}))
 print(json.dumps({"id": "bad", "deck": deck, "options": {"tolerence": 0.1}}))
 print(json.dumps({"id": "eigen", "deck": deck, "options": {"eigen": "dense"}}))
+print(json.dumps({"id": "components", "deck": deck, "options": {"components": True}}))
 # 1e999 parses to infinity, the JSON spelling of `rcfit --sparsify inf`.
 print('{"id": "inf", "deck": %s, "options": {"sparsify": 1e999}}' % json.dumps(deck))
 print(json.dumps({"id": "short", "deck": "* short\nV1 a\n.end\n"}))
+print(json.dumps({"id": "bigpath", "path": sys.argv[2]}))
 print(json.dumps({"id": "st", "op": "stats"}))
 print(json.dumps({"id": "end", "op": "shutdown"}))
 EOF
-./target/release/rcfitd --workers 2 < "$tmp/serve_requests.jsonl" \
-    > "$tmp/serve_responses.jsonl"
+./target/release/rcfitd --workers 2 --max-deck-bytes 4096 \
+    < "$tmp/serve_requests.jsonl" > "$tmp/serve_responses.jsonl"
 python3 - "$tmp/serve_responses.jsonl" "$tmp/general_cli.sp" <<'EOF'
 import json, sys
 docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
-assert len(docs) == 9, sorted(docs)
+assert len(docs) == 11, sorted(docs)
 assert docs["general"]["ok"], docs["general"].get("error")
 assert docs["general"]["deck"] == open(sys.argv[2]).read(), \
     "daemon and CLI reduced the general-path deck differently"
@@ -214,10 +218,14 @@ assert not docs["bad"]["ok"]
 assert docs["bad"]["error"]["code"] == "unknown_option", docs["bad"]["error"]
 assert not docs["eigen"]["ok"]
 assert docs["eigen"]["error"]["code"] == "unknown_option", docs["eigen"]["error"]
+assert not docs["components"]["ok"]
+assert docs["components"]["error"]["code"] == "unknown_option", docs["components"]["error"]
 assert not docs["inf"]["ok"]
 assert docs["inf"]["error"]["code"] == "sparsify", docs["inf"]["error"]
 assert not docs["short"]["ok"]
 assert docs["short"]["error"]["code"] == "parse", docs["short"]["error"]
+assert not docs["bigpath"]["ok"]
+assert docs["bigpath"]["error"]["code"] == "deck_too_large", docs["bigpath"]["error"]
 # Stats is answered inline by the dispatcher, so only the submit-side
 # counters are ordered with respect to it.
 assert docs["st"]["stats"]["counters"]["requests"] >= 3
@@ -235,13 +243,17 @@ if ./target/release/rcfit --port in --port out --sparsify inf \
 fi
 grep -q "error \[sparsify\]" "$tmp/sparsify_inf.txt"
 # Every reduction finds its poles with Lanczos: --eigen is gone, in the
-# CLI as in the daemon.
-if ./target/release/rcfit --port in --port out --eigen dense \
-    -o /dev/null "$tmp/smoke.sp" 2> "$tmp/eigen_dense.txt"; then
-    echo "rcfit accepted --eigen" >&2
-    exit 1
-fi
-grep -q "unknown argument \`--eigen\`" "$tmp/eigen_dense.txt"
+# CLI as in the daemon. --components is gone too (--extract is the same
+# per-subnetwork split).
+for removed in "--eigen dense" "--components"; do
+    # shellcheck disable=SC2086
+    if ./target/release/rcfit --port in --port out $removed \
+        -o /dev/null "$tmp/smoke.sp" 2> "$tmp/removed.txt"; then
+        echo "rcfit accepted $removed" >&2
+        exit 1
+    fi
+    grep -q "error \[unknown_option\]" "$tmp/removed.txt"
+done
 
 echo "==> extraction + chain-collapse smoke (-> results/extract_perf.txt)"
 # chain_collapse --smoke runs the 2000-segment line deck A/B and asserts

@@ -223,7 +223,7 @@ mod tests {
     fn krylov_model_matches_exact_at_low_frequency() {
         let (parts, ports) = ladder_parts(30);
         let red = block_krylov_reduce(&parts, &ports, 3, Ordering::Rcm).unwrap();
-        let fa = pact::FullAdmittance::new(&parts);
+        let fa = pact::YEvaluator::new(&parts);
         for &f in &[1e7, 1e8, 1e9] {
             let exact = fa.y_at(f).unwrap();
             let approx = red.model.y_at(f);

@@ -23,8 +23,5 @@ mod memory;
 mod moments;
 
 pub use krylov::{block_krylov_reduce, KrylovError, KrylovReduction};
-pub use memory::{
-    format_mb, mpvl_memory, pact_first_pole_ops, pact_lanczos_memory, pade_block_memory,
-    pade_first_pole_ops,
-};
+pub use memory::{format_mb, mpvl_memory, pact_lanczos_memory, pade_block_memory};
 pub use moments::{admittance_moments, pade_fit, MomentSeries, PadeError, PadeModel};

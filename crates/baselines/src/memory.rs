@@ -27,20 +27,6 @@ pub fn mpvl_memory(m: usize, n: usize) -> usize {
     2 * (m + 1) * n * 8
 }
 
-/// Modelled vector operations for LASO to resolve the first pole,
-/// assuming iterations grow linearly with `m` (paper's Section 4
-/// assumption): `O(m)` iterations × `O(n)` per matvec.
-pub fn pact_first_pole_ops(m: usize, n: usize) -> usize {
-    m * n
-}
-
-/// Modelled vector operations for the block-Padé methods to resolve the
-/// first pole: two blocks of `m + 1` vectors, each orthogonalized
-/// against a full block — `O(m²·n)`.
-pub fn pade_first_pole_ops(m: usize, n: usize) -> usize {
-    2 * (m + 1) * (m + 1) * n
-}
-
 /// Pretty-prints a byte count the way the paper's tables do (MB with one
 /// decimal).
 pub fn format_mb(bytes: usize) -> String {
@@ -74,15 +60,5 @@ mod tests {
         let small_m = pade_block_memory(10, 10_000);
         let big_m = pade_block_memory(500, 10_000);
         assert!(big_m > 40 * small_m);
-    }
-
-    #[test]
-    fn ops_ratio_grows_linearly_with_ports() {
-        // Padé/PACT op ratio should be ~2(m+1)²/m — roughly linear in m.
-        let ratio_small =
-            pade_first_pole_ops(10, 1000) as f64 / pact_first_pole_ops(10, 1000) as f64;
-        let ratio_big =
-            pade_first_pole_ops(100, 1000) as f64 / pact_first_pole_ops(100, 1000) as f64;
-        assert!(ratio_big > 8.0 * ratio_small);
     }
 }

@@ -383,7 +383,7 @@ mod tests {
         // m1 ≈ dY/ds at 0 along the imaginary axis.
         let parts = ladder_parts(8);
         let mom = admittance_moments(&parts, 3, Ordering::Rcm).unwrap();
-        let fa = pact::FullAdmittance::new(&parts);
+        let fa = pact::YEvaluator::new(&parts);
         let f = 1e3; // tiny
         let y = fa.y_at(f).unwrap();
         let w = 2.0 * std::f64::consts::PI * f;
@@ -419,7 +419,7 @@ mod tests {
             p.re
         );
         // And the model tracks the exact admittance near the pole.
-        let fa = pact::FullAdmittance::new(&parts);
+        let fa = pact::YEvaluator::new(&parts);
         for &f in &[1e7, 1.59e8, 1e9] {
             let exact = fa.y_at(f).unwrap()[(0, 0)];
             let approx = model.y_at(f);
@@ -433,7 +433,7 @@ mod tests {
         let mom = admittance_moments(&parts, 8, Ordering::Rcm).unwrap();
         let series: Vec<f64> = mom.iter().map(|m| m[(0, 0)]).collect();
         let model = pade_fit(&series, 2).unwrap();
-        let fa = pact::FullAdmittance::new(&parts);
+        let fa = pact::YEvaluator::new(&parts);
         for &f in &[1e7, 1e8, 5e8] {
             let exact = fa.y_at(f).unwrap()[(0, 0)];
             let approx = model.y_at(f);

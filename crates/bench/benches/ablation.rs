@@ -70,10 +70,7 @@ fn bench_eigen_strategy(rows: &mut Vec<Vec<String>>) {
 
 fn bench_sparsify(rows: &mut Vec<Vec<String>>) {
     let net = mesh(12, 12, 5, 25);
-    let opts = ReduceOptions {
-        ordering: Ordering::Rcm,
-        ..ReduceOptions::new(CutoffSpec::new(3e9, 0.05).expect("spec"))
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(3e9, 0.05).expect("spec"));
     let red = pact::reduce_network(&net, &opts).expect("reduce");
     let (g, _) = red.model.to_matrices_normalized();
     for &tol in &[0.0, 1e-9, 1e-6, 1e-3] {

@@ -27,10 +27,7 @@ fn main() {
         let parts = pact::Partitions::split(&net.stamp());
         let ports: Vec<String> = net.node_names[..net.num_ports].to_vec();
 
-        let opts = ReduceOptions {
-            ordering: Ordering::Rcm,
-            ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("spec"))
-        };
+        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("spec"));
         let s = sample_secs(SAMPLES, || pact::reduce_network(&net, &opts).expect("pact"));
         let (min, med) = min_median(&s);
         rows.push(vec![format!("pact/m_{m}"), secs(min), secs(med)]);

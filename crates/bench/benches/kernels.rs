@@ -118,10 +118,7 @@ fn bench_reduce(rows: &mut Vec<Vec<String>>) {
             ..MeshSpec::table2()
         };
         let net = substrate_mesh(&spec);
-        let opts = ReduceOptions {
-            ordering: Ordering::Rcm,
-            ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("spec"))
-        };
+        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).expect("spec"));
         let s = sample_secs(SAMPLES, || {
             pact::reduce_network(&net, &opts).expect("reduce")
         });

@@ -17,7 +17,7 @@ fn main() {
     println!("# Ablation: sparsification threshold vs element count / accuracy / passivity");
     let net = substrate_mesh(&MeshSpec::table2());
     let parts = Partitions::split(&net.stamp());
-    let full = pact::FullAdmittance::new(&parts);
+    let full = pact::YEvaluator::new(&parts);
     let fmax = 1e9;
     let opts = ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("cutoff"));
     let red = pact::reduce_network(&net, &opts).expect("reduce");

@@ -102,7 +102,7 @@ fn main() {
 
     // Accuracy versus the exact admittance below f_max.
     let parts = Partitions::split(&net.stamp());
-    let full = pact::FullAdmittance::new(&parts);
+    let full = pact::YEvaluator::new(&parts);
     // Error relative to the admittance scale ‖Y(f)‖_max at each
     // frequency (entrywise relative error on the exponentially decaying
     // transfer term Y12 is not what the tolerance bounds).

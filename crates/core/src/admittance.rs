@@ -256,6 +256,28 @@ impl<'a> YEvaluator<'a> {
         }
         Ok((ys, counts))
     }
+
+    /// All port-pair impedances at frequency `f`, factored once — use
+    /// this instead of repeated [`YEvaluator::transimpedance`] calls
+    /// when querying several pairs.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseLuError`] propagated from `y_at`, or if `Y` is singular.
+    pub fn impedance_at(&self, f: f64) -> Result<PortImpedance, SparseLuError> {
+        PortImpedance::new(&self.y_at(f)?)
+    }
+
+    /// The `(i, j)` entry of the impedance matrix `Z(jω) = Y(jω)⁻¹` —
+    /// the transimpedance plotted in the paper's Figure 5.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseLuError`] propagated from `y_at`, or if `Y` itself is
+    /// singular.
+    pub fn transimpedance(&self, f: f64, i: usize, j: usize) -> Result<Complex64, SparseLuError> {
+        Ok(self.impedance_at(f)?.z(i, j))
+    }
 }
 
 /// Cached impedance view of one admittance matrix: dense-LU factored
@@ -307,70 +329,6 @@ impl PortImpedance {
     }
 }
 
-/// Evaluator for the exact admittance of a partitioned RC network.
-///
-/// Thin compatibility wrapper over [`YEvaluator`]; prefer the latter
-/// for sweep workloads ([`YEvaluator::y_grid`] parallelizes the grid).
-#[derive(Clone, Debug)]
-pub struct FullAdmittance<'a> {
-    eval: YEvaluator<'a>,
-}
-
-impl<'a> FullAdmittance<'a> {
-    /// Wraps partitioned network matrices.
-    pub fn new(parts: &'a Partitions) -> Self {
-        FullAdmittance {
-            eval: YEvaluator::new(parts),
-        }
-    }
-
-    /// Evaluates `Y(j·2πf)` exactly (an `m×m` complex matrix).
-    ///
-    /// # Errors
-    ///
-    /// [`SparseLuError`] if `(D + sE)` is singular at this frequency
-    /// (cannot happen for a well-posed RC network at real frequencies).
-    pub fn y_at(&self, f: f64) -> Result<DMat<Complex64>, SparseLuError> {
-        self.eval.y_at(f)
-    }
-
-    /// All port-pair impedances at frequency `f`, factored once — use
-    /// this instead of repeated [`FullAdmittance::transimpedance`] calls
-    /// when querying several pairs.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseLuError`] propagated from `y_at`, or if `Y` is singular.
-    pub fn impedance_at(&self, f: f64) -> Result<PortImpedance, SparseLuError> {
-        PortImpedance::new(&self.y_at(f)?)
-    }
-
-    /// The `(i, j)` entry of the impedance matrix `Z(jω) = Y(jω)⁻¹` —
-    /// the transimpedance plotted in the paper's Figure 5.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseLuError`] propagated from `y_at`, or if `Y` itself is
-    /// singular.
-    pub fn transimpedance(&self, f: f64, i: usize, j: usize) -> Result<Complex64, SparseLuError> {
-        Ok(self.impedance_at(f)?.z(i, j))
-    }
-}
-
-/// `Z_ij` of a given admittance matrix (shared by full and reduced paths).
-///
-/// # Errors
-///
-/// Returns [`SparseLuError`] when `Y` is singular.
-pub fn transimpedance_of(
-    y: &DMat<Complex64>,
-    i: usize,
-    j: usize,
-) -> Result<Complex64, SparseLuError> {
-    let mut z = PortImpedance::new(y)?;
-    Ok(z.z(i, j))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,7 +356,7 @@ C1 mid 0 2p
     #[test]
     fn dc_matches_resistive_reduction() {
         let p = simple();
-        let fa = FullAdmittance::new(&p);
+        let fa = YEvaluator::new(&p);
         let y = fa.y_at(0.0).unwrap();
         // DC: series 100Ω between ports; Y11 = 1/100, Y12 = −1/100.
         assert!((y[(0, 0)].re - 0.01).abs() < 1e-12);
@@ -409,7 +367,7 @@ C1 mid 0 2p
     #[test]
     fn high_frequency_cap_shunts() {
         let p = simple();
-        let fa = FullAdmittance::new(&p);
+        let fa = YEvaluator::new(&p);
         // At very high f the 2p cap shorts `mid` to ground: each port sees
         // its 50Ω to ground, no transfer.
         let y = fa.y_at(1e15).unwrap();
@@ -420,7 +378,7 @@ C1 mid 0 2p
     #[test]
     fn symmetric_reciprocal_network() {
         let p = simple();
-        let fa = FullAdmittance::new(&p);
+        let fa = YEvaluator::new(&p);
         let y = fa.y_at(3e9).unwrap();
         assert!((y[(0, 1)] - y[(1, 0)]).abs() < 1e-15);
     }
@@ -428,13 +386,13 @@ C1 mid 0 2p
     #[test]
     fn transimpedance_inverse_consistency() {
         let p = simple();
-        let fa = FullAdmittance::new(&p);
+        let fa = YEvaluator::new(&p);
         let f = 1e9;
         let y = fa.y_at(f).unwrap();
         let z01 = fa.transimpedance(f, 0, 1).unwrap();
         // Y * Z = I  ⇒  row 0 of Y times column 1 of Z equals 0, checked
         // implicitly by recomputing Z from Y.
-        let z01b = transimpedance_of(&y, 0, 1).unwrap();
+        let z01b = PortImpedance::new(&y).unwrap().z(0, 1);
         assert!((z01 - z01b).abs() < 1e-12 * z01.abs());
     }
 
@@ -444,7 +402,7 @@ C1 mid 0 2p
         let ex = extract_rc(&nl, &[]).unwrap();
         let p = Partitions::split(&ex.network.stamp());
         assert_eq!(p.n, 0);
-        let fa = FullAdmittance::new(&p);
+        let fa = YEvaluator::new(&p);
         let y = fa.y_at(1e9).unwrap();
         assert!((y[(0, 0)].re - 0.01).abs() < 1e-15);
         // The grid path degenerates gracefully too.
@@ -480,7 +438,7 @@ C1 mid 0 2p
     #[test]
     fn port_impedance_caches_columns() {
         let p = simple();
-        let fa = FullAdmittance::new(&p);
+        let fa = YEvaluator::new(&p);
         let mut z = fa.impedance_at(2e9).unwrap();
         assert_eq!(z.num_ports(), 2);
         let z01 = z.z(0, 1);

@@ -530,7 +530,7 @@ pub fn reduce_embedded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admittance::FullAdmittance;
+    use crate::admittance::YEvaluator;
     use crate::cutoff::CutoffSpec;
     use crate::partition::Partitions;
     use crate::reduce::ReduceOptions;
@@ -558,8 +558,8 @@ mod tests {
     fn max_rel_y_err(a: &RcNetwork, b: &RcNetwork, freqs: &[f64]) -> f64 {
         let pa = Partitions::split(&a.stamp());
         let pb = Partitions::split(&b.stamp());
-        let fa = FullAdmittance::new(&pa);
-        let fb = FullAdmittance::new(&pb);
+        let fa = YEvaluator::new(&pa);
+        let fb = YEvaluator::new(&pb);
         let m = a.num_ports;
         assert_eq!(m, b.num_ports);
         let mut worst = 0.0f64;

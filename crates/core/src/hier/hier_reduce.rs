@@ -13,7 +13,7 @@ use crate::hier::leaf::{prepare_leaf, reduce_prepared_leaf, PreparedLeaf};
 use crate::hier::partition_tree::PartitionTree;
 use crate::hier::stitch::stitch;
 use crate::reduce::{ReduceError, ReduceStrategy, Reduction, ReductionStats};
-use crate::session::{CacheEntry, ReductionSession};
+use crate::session::{CacheEntry, ReductionSession, ORDERING};
 use crate::telemetry::{Telemetry, Warning};
 
 /// Cutoff widening of the *fallback* leaf path (leaves whose
@@ -142,21 +142,18 @@ pub(crate) fn reduce_network_hier(
         if !seen.insert(prep.pattern_key) {
             continue;
         }
-        if probe
-            .lookup(prep.pattern_key, opts.ordering, &prep.parts.d)
-            .is_none()
-        {
+        if probe.lookup(prep.pattern_key, &prep.parts.d).is_none() {
             unique.push(k);
         }
     }
     let analyzed = ctx.map_items(
         unique.len(),
         || (),
-        |_, i| SymbolicCholesky::analyze(&prepared[unique[i]].parts.d, opts.ordering),
+        |_, i| SymbolicCholesky::analyze(&prepared[unique[i]].parts.d, ORDERING),
     );
     let mut new_entries: Vec<CacheEntry> = Vec::with_capacity(unique.len());
     for (&k, sym) in unique.iter().zip(analyzed) {
-        new_entries.push(((prepared[k].pattern_key, opts.ordering), Arc::new(sym?)));
+        new_entries.push((prepared[k].pattern_key, Arc::new(sym?)));
     }
     let mut leaf_cache = session.cache_snapshot();
     leaf_cache.extend(new_entries.clone());

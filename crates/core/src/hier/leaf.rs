@@ -160,7 +160,7 @@ pub(crate) fn reduce_prepared_leaf(
     // this is a refactorization in all but pathological cases (capacity
     // eviction on a tree with more unique patterns than cache slots).
     let factor_start = Instant::now();
-    let factored = cache.factor(&parts.d, leaf_opts.ordering, policy);
+    let factored = cache.factor(&parts.d, policy);
     tel.record_phase("factor", factor_start.elapsed().as_secs_f64());
     let (chol, diag, _) = factored.map_err(|e| {
         let e = remap_factor_index(ReduceError::from(e), &prep.network, &leaf.network);

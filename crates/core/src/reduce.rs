@@ -12,7 +12,7 @@
 
 use pact_lanczos::{LanczosError, LanczosStats};
 use pact_netlist::{RcNetwork, Stamped};
-use pact_sparse::{EigenError, FactorError, Ordering};
+use pact_sparse::{EigenError, FactorError};
 
 use crate::cutoff::CutoffSpec;
 use crate::model::ReducedModel;
@@ -50,8 +50,6 @@ pub enum ReduceStrategy {
 pub struct ReduceOptions {
     /// Accuracy specification (max frequency + tolerance).
     pub cutoff: CutoffSpec,
-    /// Fill-reducing ordering for the Cholesky factorization of `D`.
-    pub ordering: Ordering,
     /// Worker threads for the parallel stages (port fan-out, Ritz rows,
     /// operator products). `None` ⇒ all available cores. The reduced
     /// model is bit-identical for every thread count.
@@ -74,7 +72,6 @@ impl ReduceOptions {
     pub fn new(cutoff: CutoffSpec) -> Self {
         ReduceOptions {
             cutoff,
-            ordering: Ordering::NestedDissection,
             threads: None,
             pivot_relief: None,
             strategy: ReduceStrategy::Flat,

@@ -40,13 +40,15 @@ use crate::transform::{lane_scratch_bytes, Transform1};
 /// Cached symbolic analyses the session keeps at most (default).
 const CACHE_CAP: usize = 64;
 
-/// Cache key: pattern fingerprint plus the ordering the analysis was
-/// computed under.
-pub(crate) type SymKey = (u64, Ordering);
+/// The fill-reducing ordering of every reduction's Cholesky factor of
+/// `D`: nested dissection, the best fill on substrate meshes. The cache
+/// is keyed by the pattern alone because every analysis uses it.
+pub(crate) const ORDERING: Ordering = Ordering::NestedDissection;
 
-/// One cached analysis as handed between sessions (hier leaf workers
-/// report what they learned as a list of these).
-pub(crate) type CacheEntry = (SymKey, Arc<SymbolicCholesky>);
+/// One cached analysis, keyed by its pattern fingerprint, as handed
+/// between sessions (hier leaf workers report what they learned as a
+/// list of these).
+pub(crate) type CacheEntry = (u64, Arc<SymbolicCholesky>);
 
 /// A pattern-keyed, bounded-LRU store of symbolic Cholesky analyses,
 /// built on the shared [`LruCache`] machinery.
@@ -59,7 +61,7 @@ pub(crate) type CacheEntry = (SymKey, Arc<SymbolicCholesky>);
 /// colliding entry (newest wins) instead of poisoning the cache.
 #[derive(Clone)]
 pub(crate) struct SymbolicCache {
-    lru: LruCache<SymKey, Arc<SymbolicCholesky>>,
+    lru: LruCache<u64, Arc<SymbolicCholesky>>,
 }
 
 impl Default for SymbolicCache {
@@ -83,19 +85,12 @@ impl SymbolicCache {
         self.lru.evictions()
     }
 
-    pub(crate) fn lookup(
-        &mut self,
-        key: u64,
-        ordering: Ordering,
-        a: &CsrMat,
-    ) -> Option<Arc<SymbolicCholesky>> {
-        self.lru
-            .get_if(&(key, ordering), |sym| sym.matches(a))
-            .map(Arc::clone)
+    pub(crate) fn lookup(&mut self, key: u64, a: &CsrMat) -> Option<Arc<SymbolicCholesky>> {
+        self.lru.get_if(&key, |sym| sym.matches(a)).map(Arc::clone)
     }
 
-    pub(crate) fn insert(&mut self, key: u64, ordering: Ordering, sym: Arc<SymbolicCholesky>) {
-        self.lru.insert((key, ordering), sym);
+    pub(crate) fn insert(&mut self, key: u64, sym: Arc<SymbolicCholesky>) {
+        self.lru.insert(key, sym);
     }
 
     /// Merges entries learned elsewhere (same-key entries replace).
@@ -113,16 +108,15 @@ impl SymbolicCache {
     pub(crate) fn factor(
         &mut self,
         d: &CsrMat,
-        ordering: Ordering,
         policy: PivotPolicy,
     ) -> Result<(SparseCholesky, FactorDiagnostics, bool), FactorError> {
         let key = d.pattern_key();
-        if let Some(sym) = self.lookup(key, ordering, d) {
+        if let Some(sym) = self.lookup(key, d) {
             let (chol, diag) = sym.refactor(d, policy)?;
             return Ok((chol, diag, true));
         }
-        let (chol, diag, sym) = SparseCholesky::factor_analyzed(d, ordering, policy)?;
-        self.insert(key, ordering, Arc::new(sym));
+        let (chol, diag, sym) = SparseCholesky::factor_analyzed(d, ORDERING, policy)?;
+        self.insert(key, Arc::new(sym));
         Ok((chol, diag, false))
     }
 }
@@ -333,7 +327,7 @@ impl ReductionSession {
             None => PivotPolicy::Error,
         };
         let factor_start = Instant::now();
-        let factored = self.cache.factor(&parts.d, self.opts.ordering, policy);
+        let factored = self.cache.factor(&parts.d, policy);
         tel.record_phase("factor", factor_start.elapsed().as_secs_f64());
         let (chol, diag, cache_hit) = factored?;
         for p in &diag.perturbed {
@@ -609,26 +603,25 @@ mod tests {
         let net_b = ladder(16, 100.0, 1e-12);
         let da = Partitions::split(&net_a.stamp()).d;
         let db = Partitions::split(&net_b.stamp()).d;
-        let ordering = Ordering::NestedDissection;
         let factor = |d: &CsrMat| {
             let (_, _, sym) =
-                SparseCholesky::factor_analyzed(d, ordering, PivotPolicy::Error).unwrap();
+                SparseCholesky::factor_analyzed(d, ORDERING, PivotPolicy::Error).unwrap();
             Arc::new(sym)
         };
 
         // Forge an FNV-1a collision: store A's analysis under B's
         // fingerprint. The exact `matches` verification must reject it.
         let mut cache = SymbolicCache::with_capacity(4);
-        cache.insert(db.pattern_key(), ordering, factor(&da));
+        cache.insert(db.pattern_key(), factor(&da));
         assert!(
-            cache.lookup(db.pattern_key(), ordering, &db).is_none(),
+            cache.lookup(db.pattern_key(), &db).is_none(),
             "a colliding fingerprint must fall through the exact pattern check"
         );
 
         // The fresh analysis of B then *replaces* the colliding entry
         // (newest wins) instead of being shadowed by it forever.
-        cache.insert(db.pattern_key(), ordering, factor(&db));
+        cache.insert(db.pattern_key(), factor(&db));
         assert_eq!(cache.len(), 1, "collision resolves by replacement");
-        assert!(cache.lookup(db.pattern_key(), ordering, &db).is_some());
+        assert!(cache.lookup(db.pattern_key(), &db).is_some());
     }
 }

@@ -3,7 +3,7 @@
 //! track the exact admittance, and the mesh's pole ladder must behave as
 //! designed (wells dominate the low-frequency spectrum).
 
-use pact::{CutoffSpec, FullAdmittance, Partitions, ReduceOptions, Transform1};
+use pact::{CutoffSpec, Partitions, ReduceOptions, Transform1, YEvaluator};
 use pact_gen::{substrate_mesh, MeshSpec};
 use pact_sparse::{sym_eig, Ordering};
 
@@ -50,7 +50,7 @@ fn laso_matches_dense_oracle_on_mesh() {
 fn mesh_reduction_tracks_exact_admittance() {
     let net = small_mesh();
     let parts = Partitions::split(&net.stamp());
-    let full = FullAdmittance::new(&parts);
+    let full = YEvaluator::new(&parts);
     let fmax = 1e9;
     let red = pact::reduce_network(
         &net,

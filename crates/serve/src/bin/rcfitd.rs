@@ -23,7 +23,7 @@ fn usage() -> &'static str {
      --queue-cap    queued requests per worker before shedding (default 64)\n\
      --session-cap  warm sessions kept per worker (default 8)\n\
      --pattern-cap  symbolic analyses cached per session (default 64)\n\
-     --max-deck-bytes  inline deck size cap (default 8 MiB)\n\
+     --max-deck-bytes  deck size cap (default 8 MiB)\n\
      --stats        print final serve counters to stderr on exit"
 }
 

@@ -34,8 +34,9 @@ pub mod server;
 
 pub use io::{serve_lines, serve_stdin, serve_unix};
 pub use pipeline::{
-    prepare_deck, reduce_prepared, render_reduced, DeckOptions, PreparedDeck, ReducedDeck,
-    DEFAULT_BLOCK_SIZE, DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH, MAX_THREADS, PIVOT_RELIEF,
+    option_for_flag, prepare_deck, reduce_prepared, render_reduced, resolve_options, DeckOptions,
+    Given, OptionError, OptionRow, PreparedDeck, ReducedDeck, DEFAULT_BLOCK_SIZE,
+    DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH, MAX_THREADS, OPTIONS, PIVOT_RELIEF,
 };
 pub use protocol::{parse_request, DeckSource, Op, ProtocolError, Request, SCHEMA};
 pub use server::{Daemon, ReplySink, ServeConfig, ServeCounters, Submission};

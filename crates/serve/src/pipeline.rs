@@ -7,15 +7,19 @@
 //! same deck and options), and the cheapest way to guarantee it is by
 //! construction: both front ends call [`prepare_deck`],
 //! [`reduce_prepared`] and [`render_reduced`] in that order, and neither
-//! owns any numeric decision of its own. Option resolution (including
-//! the pivot-relief default and the range checks) lives here for the
-//! same reason.
+//! owns any numeric decision of its own. Option resolution lives here
+//! for the same reason: [`OPTIONS`] declares every reduction option once
+//! (its `rcfitd` key, how its value is written, the [`DeckOptions`]
+//! field it sets), [`resolve_options`] is the one parser of settings, and
+//! [`DeckOptions::reduce_options`] holds the range checks and the
+//! pivot-relief default.
 
+use pact::json::Value;
 use pact::{
     collapse_chains, sanitize_network, ChainCollapseSpec, ComponentReduction, CutoffSpec,
     PactError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession, Telemetry, Warning,
 };
-use pact_netlist::{extract_rc, parse, splice_reduced, Element, Netlist, RcNetwork};
+use pact_netlist::{extract_rc, parse, parse_value, splice_reduced, Element, Netlist, RcNetwork};
 
 /// Default relative pivot-relief floor for quasi-singular `D` diagonals;
 /// see `ReduceOptions::pivot_relief`.
@@ -51,8 +55,6 @@ pub struct DeckOptions {
     pub extra_ports: Vec<String>,
     /// Worker threads inside one reduction (`None` = all cores).
     pub threads: Option<usize>,
-    /// Reduce each connected component separately.
-    pub components: bool,
     /// Fail on quasi-singular pivots instead of perturbing them.
     pub strict_pivots: bool,
     /// Reduce via nested-dissection blocks.
@@ -64,7 +66,8 @@ pub struct DeckOptions {
     /// Reduce each maximal ported RC subnetwork independently
     /// (`--extract` / `"extract"`): the embedded-parasitics flow, where
     /// every RC island with its own boundary ports gets its own reduced
-    /// realization and the `extract_subnets` counter reports how many.
+    /// realization, floating islands are dropped, and the
+    /// `extract_subnets` counter reports how many were reduced.
     pub extract: bool,
     /// Run the degree-2 series-chain collapse pre-pass on the sanitized
     /// network before reduction (`--collapse-chains` /
@@ -84,7 +87,6 @@ impl Default for DeckOptions {
             sparsify: 1e-9,
             extra_ports: Vec::new(),
             threads: None,
-            components: false,
             strict_pivots: false,
             hier: false,
             block_size: DEFAULT_BLOCK_SIZE,
@@ -170,9 +172,8 @@ impl DeckOptions {
     /// fields (`sparsify`) and deck-shaping fields (`extra_ports`,
     /// `collapse_chains`, `chain_tol`, which change the *network*, hence
     /// the topology shard, not the session) are deliberately excluded,
-    /// as are execution-split fields (`components`, `extract`) that pick
-    /// which networks go through the session without changing its
-    /// numeric options.
+    /// as is the execution split (`extract`), which picks which networks
+    /// go through the session without changing its numeric options.
     pub fn session_key(&self) -> String {
         let strategy = match self.reduce_strategy() {
             ReduceStrategy::Flat => "flat".to_owned(),
@@ -186,6 +187,238 @@ impl DeckOptions {
             self.f_max, self.tolerance, self.threads, self.strict_pivots
         )
     }
+}
+
+/// How an option's value is written, holding the setter of the
+/// [`DeckOptions`] field it sets.
+#[derive(Clone, Copy, Debug)]
+enum Field {
+    /// A bare flag, or a JSON boolean.
+    Switch(fn(&mut DeckOptions, bool)),
+    /// A number.
+    Number(fn(&mut DeckOptions, f64)),
+    /// A frequency: a number, or a string with a SPICE suffix (`500meg`).
+    Frequency(fn(&mut DeckOptions, f64)),
+    /// A positive integer.
+    Count(fn(&mut DeckOptions, usize)),
+    /// Node names: one per repeated flag, or a JSON array of strings.
+    Names(fn(&mut DeckOptions, Vec<String>)),
+}
+
+/// One reduction option.
+#[derive(Clone, Copy, Debug)]
+pub struct OptionRow {
+    /// The key in an `rcfitd` request's `options` object.
+    pub key: &'static str,
+    /// How the value is written, and the field it sets.
+    field: Field,
+}
+
+/// Every reduction option, once. `rcfit`'s flags and `rcfitd`'s
+/// `options` keys are both read through this table by
+/// [`resolve_options`].
+pub const OPTIONS: [OptionRow; 12] = [
+    OptionRow {
+        key: "fmax",
+        field: Field::Frequency(|o, v| o.f_max = v),
+    },
+    OptionRow {
+        key: "tol",
+        field: Field::Number(|o, v| o.tolerance = v),
+    },
+    OptionRow {
+        key: "sparsify",
+        field: Field::Number(|o, v| o.sparsify = v),
+    },
+    OptionRow {
+        key: "ports",
+        field: Field::Names(|o, v| o.extra_ports.extend(v)),
+    },
+    OptionRow {
+        key: "threads",
+        field: Field::Count(|o, v| o.threads = Some(v)),
+    },
+    OptionRow {
+        key: "strict_pivots",
+        field: Field::Switch(|o, v| o.strict_pivots = v),
+    },
+    OptionRow {
+        key: "hier",
+        field: Field::Switch(|o, v| o.hier = v),
+    },
+    OptionRow {
+        key: "block_size",
+        field: Field::Count(|o, v| o.block_size = v),
+    },
+    OptionRow {
+        key: "max_depth",
+        field: Field::Count(|o, v| o.max_depth = v),
+    },
+    OptionRow {
+        key: "extract",
+        field: Field::Switch(|o, v| o.extract = v),
+    },
+    OptionRow {
+        key: "collapse_chains",
+        field: Field::Switch(|o, v| o.collapse_chains = v),
+    },
+    OptionRow {
+        key: "chain_tol",
+        field: Field::Number(|o, v| o.chain_tol = v),
+    },
+];
+
+/// An option value as a front end received it.
+#[derive(Clone, Copy, Debug)]
+pub enum Given<'a> {
+    /// An `rcfit` flag with no value: a switch, or a flag that ends the
+    /// command line.
+    Bare,
+    /// An `rcfit` flag's value.
+    Text(&'a str),
+    /// An `rcfitd` request's value.
+    Json(&'a Value),
+}
+
+impl Given<'_> {
+    fn number(self) -> Option<f64> {
+        match self {
+            Given::Bare => None,
+            Given::Text(s) => s.parse().ok(),
+            Given::Json(v) => v.as_f64(),
+        }
+    }
+}
+
+/// A setting that [`resolve_options`] refuses. `rcfitd` answers with
+/// this code and message; `rcfit` prints `rcfit: error [<code>]:
+/// <message>`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OptionError {
+    /// `unknown_option` or `bad_request`.
+    pub code: &'static str,
+    /// Human-readable detail.
+    pub message: String,
+}
+
+impl OptionError {
+    /// A malformed or conflicting setting.
+    pub fn bad_request(message: impl Into<String>) -> OptionError {
+        OptionError {
+            code: "bad_request",
+            message: message.into(),
+        }
+    }
+
+    /// A key that no row of [`OPTIONS`] declares.
+    pub fn unknown(key: &str) -> OptionError {
+        OptionError {
+            code: "unknown_option",
+            message: format!("unknown option `{key}`"),
+        }
+    }
+}
+
+impl OptionRow {
+    /// The `rcfit` flag: `--` and the key with `-` for `_`, except the
+    /// repeatable `--port` for `ports`.
+    pub fn flag(&self) -> String {
+        match self.key {
+            "ports" => "--port".to_owned(),
+            key => format!("--{}", key.replace('_', "-")),
+        }
+    }
+
+    /// Whether the flag takes a value: all but switches do.
+    pub fn takes_value(&self) -> bool {
+        !matches!(self.field, Field::Switch(_))
+    }
+
+    fn apply(&self, opts: &mut DeckOptions, value: Given) -> Result<(), OptionError> {
+        let key = self.key;
+        let needs = |what: &str| OptionError::bad_request(format!("`{key}` needs {what}"));
+        if self.takes_value() && matches!(value, Given::Bare) {
+            return Err(needs("a value"));
+        }
+        match self.field {
+            Field::Switch(set) => match value {
+                Given::Bare => set(opts, true),
+                Given::Json(Value::Bool(b)) => set(opts, *b),
+                _ => return Err(needs("a boolean")),
+            },
+            Field::Number(set) => set(opts, value.number().ok_or_else(|| needs("a number"))?),
+            Field::Frequency(set) => {
+                let spice = |s: &str| {
+                    parse_value(s).map_err(|e| OptionError::bad_request(format!("`{key}`: {e}")))
+                };
+                let f = match value {
+                    Given::Json(Value::Num(f)) => *f,
+                    Given::Json(Value::Str(s)) => spice(s)?,
+                    Given::Text(s) => spice(s)?,
+                    _ => return Err(needs("a number or a SPICE-suffixed string")),
+                };
+                set(opts, f);
+            }
+            Field::Count(set) => {
+                let n = value
+                    .number()
+                    .filter(|f| f.fract() == 0.0 && (1.0..=f64::from(u32::MAX)).contains(f))
+                    .ok_or_else(|| needs("a positive integer"))?;
+                set(opts, n as usize);
+            }
+            Field::Names(set) => {
+                let names = match value {
+                    Given::Text(s) => Some(vec![s.to_owned()]),
+                    Given::Json(v) => v.as_arr().and_then(|names| {
+                        names
+                            .iter()
+                            .map(|n| n.as_str().map(str::to_owned))
+                            .collect()
+                    }),
+                    Given::Bare => None,
+                };
+                set(opts, names.ok_or_else(|| needs("an array of strings"))?);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The row whose `rcfit` flag is `flag`.
+pub fn option_for_flag(flag: &str) -> Option<&'static OptionRow> {
+    OPTIONS.iter().find(|row| row.flag() == flag)
+}
+
+/// Applies option settings, in the order given, on top of `base`: the
+/// one parser of reduction options for both front ends.
+///
+/// # Errors
+///
+/// `unknown_option` for a key that no row of [`OPTIONS`] declares, and
+/// `bad_request` for a value of the wrong form or for `chain_tol`
+/// without `collapse_chains`. Ranges are [`DeckOptions::reduce_options`]'s
+/// to check.
+pub fn resolve_options<'a>(
+    base: DeckOptions,
+    settings: impl IntoIterator<Item = (&'a str, Given<'a>)>,
+) -> Result<DeckOptions, OptionError> {
+    let mut opts = base;
+    let mut chain_tol_given = false;
+    for (key, value) in settings {
+        let row = OPTIONS
+            .iter()
+            .find(|row| row.key == key)
+            .ok_or_else(|| OptionError::unknown(key))?;
+        row.apply(&mut opts, value)?;
+        chain_tol_given |= key == "chain_tol";
+    }
+    // A tolerance without the pass it tunes would silently do nothing.
+    if chain_tol_given && !opts.collapse_chains {
+        return Err(OptionError::bad_request(
+            "`chain_tol` requires `\"collapse_chains\":true`",
+        ));
+    }
+    Ok(opts)
 }
 
 /// A deck carried through the front half of the pipeline: parsed,
@@ -239,8 +472,15 @@ impl PreparedDeck {
 pub fn prepare_deck(text: &str, opts: &DeckOptions) -> Result<PreparedDeck, PactError> {
     let mut tel = Telemetry::new();
     let deck = tel.time("parse", || parse(text))?;
-    let deck = tel.time("flatten", || deck.flatten())?;
-    for (name, count) in deck.duplicate_element_names() {
+    // The duplicate-name scan walks the flat deck, so it counts as
+    // flattening.
+    let (deck, duplicates) = tel.time("flatten", || {
+        deck.flatten().map(|deck| {
+            let duplicates = deck.duplicate_element_names();
+            (deck, duplicates)
+        })
+    })?;
+    for (name, count) in duplicates {
         tel.counters.duplicate_element_names += 1;
         tel.warn(Warning::DuplicateElementName { name, count });
     }
@@ -286,28 +526,22 @@ pub enum ReducedDeck {
     /// One reduction of the whole connected network (boxed: a
     /// `Reduction` is large relative to the per-component variant).
     Whole(Box<Reduction>),
-    /// Independent reductions of each connected component.
+    /// Independent reductions of each ported RC subnetwork (`extract`).
     Components {
-        /// The per-component reductions.
+        /// The per-subnetwork reductions.
         reduction: ComponentReduction,
-        /// Ported RC subnetworks counted by the embedded-parasitics
-        /// flow; zero under bare `components` (same execution split,
-        /// but the caller did not ask for extraction semantics).
-        extract_subnets: u64,
     },
 }
 
 impl ReducedDeck {
-    /// The reduction's telemetry (aggregated across components).
+    /// The reduction's telemetry (aggregated across subnetworks, whose
+    /// count is the `extract_subnets` counter).
     pub fn telemetry(&self) -> Telemetry {
         match self {
             ReducedDeck::Whole(r) => r.telemetry.clone(),
-            ReducedDeck::Components {
-                reduction,
-                extract_subnets,
-            } => {
+            ReducedDeck::Components { reduction } => {
                 let mut tel = reduction.telemetry();
-                tel.counters.extract_subnets = *extract_subnets;
+                tel.counters.extract_subnets = reduction.reductions.len() as u64;
                 tel
             }
         }
@@ -333,9 +567,7 @@ impl ReducedDeck {
 }
 
 /// Reduces a prepared deck inside `session`: whole-network by default,
-/// or per ported RC subnetwork when `opts.components` or `opts.extract`
-/// is set (the two share the execution split; `extract` additionally
-/// reports the subnetwork count through the `extract_subnets` counter).
+/// or per ported RC subnetwork when `opts.extract` is set.
 ///
 /// # Errors
 ///
@@ -347,20 +579,10 @@ pub fn reduce_prepared(
     opts: &DeckOptions,
 ) -> Result<ReducedDeck, PactError> {
     let net = &prep.network;
-    if opts.components || opts.extract {
+    if opts.extract {
         session
             .reduce_network_components(net)
-            .map(|reduction| {
-                let extract_subnets = if opts.extract {
-                    reduction.reductions.len() as u64
-                } else {
-                    0
-                };
-                ReducedDeck::Components {
-                    reduction,
-                    extract_subnets,
-                }
-            })
+            .map(|reduction| ReducedDeck::Components { reduction })
             .map_err(|e| PactError::from_reduce(e, net))
     } else {
         session
@@ -517,25 +739,12 @@ mod tests {
         let mut session = ReductionSession::new(opts.reduce_options().unwrap());
         let red = reduce_prepared(&prep, &mut session, &opts).unwrap();
         match &red {
-            ReducedDeck::Components {
-                reduction,
-                extract_subnets,
-            } => {
+            ReducedDeck::Components { reduction } => {
                 assert_eq!(reduction.reductions.len(), 2, "two RC islands");
-                assert_eq!(*extract_subnets, 2);
             }
             ReducedDeck::Whole(_) => panic!("extract must split per subnetwork"),
         }
         assert_eq!(red.telemetry().counters.extract_subnets, 2);
-
-        // Bare `components` takes the same split without claiming the
-        // extraction counter.
-        let comp = DeckOptions {
-            components: true,
-            ..DeckOptions::default()
-        };
-        let red = reduce_prepared(&prep, &mut session, &comp).unwrap();
-        assert_eq!(red.telemetry().counters.extract_subnets, 0);
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //! - `op` — `"reduce"` (default), `"stats"`, or `"shutdown"`.
 //! - `deck` — the SPICE deck text inline, or `path` — a file to read
 //!   server-side. Exactly one of the two for `reduce`.
-//! - `options` — an object mirroring the `rcfit` flags (`fmax`, `tol`,
-//!   `sparsify`, `ports`, `threads`, `components`, `strict_pivots`,
-//!   `hier`, `block_size`, `max_depth`, `extract`, `collapse_chains`,
-//!   `chain_tol`).
+//! - `options` — an object of reduction options, one key per row of
+//!   [`crate::pipeline::OPTIONS`] (`fmax`, `tol`, `sparsify`, `ports`,
+//!   `threads`, `strict_pivots`, `hier`, `block_size`, `max_depth`,
+//!   `extract`, `collapse_chains`, `chain_tol`); each is an `rcfit` flag
+//!   too, and both front ends parse them with
+//!   [`crate::pipeline::resolve_options`].
 //!
 //! Unknown request fields and unknown option keys are *rejected* (code
 //! `unknown_option`) rather than ignored: a silently dropped option
 //! would change numerics behind the caller's back, which the protocol's
-//! bit-identity guarantee forbids.
+//! bit-identity guarantee forbids. A deck larger than the daemon's cap,
+//! inline or read from `path`, is `deck_too_large`.
 //!
 //! Responses always carry `"schema":"rcfitd-v1"`, the echoed `id`, and
 //! `"ok"`. Success adds the reduced `deck`, placement fields (`worker`,
@@ -26,14 +29,13 @@
 //! `unknown_option`, `deck_too_large` and `overloaded`.
 
 use pact::json::Value;
-use pact_netlist::parse_value;
 
-use crate::pipeline::DeckOptions;
+use crate::pipeline::{resolve_options, DeckOptions, Given};
 
 /// The response/request schema tag.
 pub const SCHEMA: &str = "rcfitd-v1";
 
-/// Default cap on inline deck text (bytes).
+/// Default cap on deck text (bytes), inline or read from a `path`.
 pub const DEFAULT_MAX_DECK_BYTES: usize = 8 * 1024 * 1024;
 
 /// What a request asks the daemon to do.
@@ -91,93 +93,10 @@ impl ProtocolError {
     }
 }
 
-/// Extracts a positive integer from a JSON number.
-fn as_positive_int(v: &Value, what: &str, id: &Value) -> Result<usize, ProtocolError> {
-    match v.as_f64() {
-        Some(f) if f.fract() == 0.0 && f >= 1.0 && f <= u32::MAX as f64 => Ok(f as usize),
-        _ => Err(ProtocolError::new(
-            id,
-            "bad_request",
-            format!("`{what}` needs a positive integer"),
-        )),
-    }
-}
-
-fn as_number(v: &Value, what: &str, id: &Value) -> Result<f64, ProtocolError> {
-    v.as_f64()
-        .ok_or_else(|| ProtocolError::new(id, "bad_request", format!("`{what}` needs a number")))
-}
-
-fn as_bool(v: &Value, what: &str, id: &Value) -> Result<bool, ProtocolError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(ProtocolError::new(
-            id,
-            "bad_request",
-            format!("`{what}` needs a boolean"),
-        )),
-    }
-}
-
-fn as_str<'v>(v: &'v Value, what: &str, id: &Value) -> Result<&'v str, ProtocolError> {
+/// A string request field (`op`, `deck`, `path`).
+fn field_str<'v>(v: &'v Value, what: &str, id: &Value) -> Result<&'v str, ProtocolError> {
     v.as_str()
         .ok_or_else(|| ProtocolError::new(id, "bad_request", format!("`{what}` needs a string")))
-}
-
-/// Applies one `options` entry onto `opts`.
-fn apply_option(
-    opts: &mut DeckOptions,
-    key: &str,
-    v: &Value,
-    id: &Value,
-) -> Result<(), ProtocolError> {
-    match key {
-        // `fmax` accepts a JSON number or a SPICE-suffixed string
-        // ("500meg"), exactly like the CLI flag.
-        "fmax" => {
-            opts.f_max = match v {
-                Value::Num(f) => *f,
-                Value::Str(s) => parse_value(s)
-                    .map_err(|e| ProtocolError::new(id, "bad_request", format!("`fmax`: {e}")))?,
-                _ => {
-                    return Err(ProtocolError::new(
-                        id,
-                        "bad_request",
-                        "`fmax` needs a number or a SPICE-suffixed string",
-                    ))
-                }
-            };
-        }
-        "tol" => opts.tolerance = as_number(v, "tol", id)?,
-        "sparsify" => opts.sparsify = as_number(v, "sparsify", id)?,
-        "ports" => {
-            let arr = v.as_arr().ok_or_else(|| {
-                ProtocolError::new(id, "bad_request", "`ports` needs an array of strings")
-            })?;
-            let mut ports = Vec::with_capacity(arr.len());
-            for p in arr {
-                ports.push(as_str(p, "ports", id)?.to_owned());
-            }
-            opts.extra_ports = ports;
-        }
-        "threads" => opts.threads = Some(as_positive_int(v, "threads", id)?),
-        "components" => opts.components = as_bool(v, "components", id)?,
-        "strict_pivots" => opts.strict_pivots = as_bool(v, "strict_pivots", id)?,
-        "hier" => opts.hier = as_bool(v, "hier", id)?,
-        "block_size" => opts.block_size = as_positive_int(v, "block_size", id)?,
-        "max_depth" => opts.max_depth = as_positive_int(v, "max_depth", id)?,
-        "extract" => opts.extract = as_bool(v, "extract", id)?,
-        "collapse_chains" => opts.collapse_chains = as_bool(v, "collapse_chains", id)?,
-        "chain_tol" => opts.chain_tol = as_number(v, "chain_tol", id)?,
-        other => {
-            return Err(ProtocolError::new(
-                id,
-                "unknown_option",
-                format!("unknown option `{other}`"),
-            ))
-        }
-    }
-    Ok(())
 }
 
 /// Parses and validates one request line.
@@ -220,7 +139,7 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
 
     let op = match doc.get("op") {
         None => Op::Reduce,
-        Some(v) => match as_str(v, "op", &id)? {
+        Some(v) => match field_str(v, "op", &id)? {
             "reduce" => Op::Reduce,
             "stats" => Op::Stats,
             "shutdown" => Op::Shutdown,
@@ -238,35 +157,24 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
     // reduction defaults to one thread (results are bit-identical for
     // every thread count — this is scheduling, not numerics). An
     // explicit `threads` option still wins.
-    let mut options = DeckOptions {
+    let entries = match doc.get("options") {
+        None => &[][..],
+        Some(Value::Obj(entries)) => entries.as_slice(),
+        Some(_) => {
+            return Err(ProtocolError::new(
+                &id,
+                "bad_request",
+                "`options` must be an object",
+            ))
+        }
+    };
+    let base = DeckOptions {
         threads: Some(1),
         ..DeckOptions::default()
     };
-    let mut chain_tol_given = false;
-    if let Some(v) = doc.get("options") {
-        match v {
-            Value::Obj(entries) => {
-                for (k, v) in entries {
-                    chain_tol_given |= k == "chain_tol";
-                    apply_option(&mut options, k, v, &id)?;
-                }
-            }
-            _ => {
-                return Err(ProtocolError::new(
-                    &id,
-                    "bad_request",
-                    "`options` must be an object",
-                ))
-            }
-        }
-    }
-    if chain_tol_given && !options.collapse_chains {
-        return Err(ProtocolError::new(
-            &id,
-            "bad_request",
-            "`chain_tol` requires `\"collapse_chains\":true`",
-        ));
-    }
+    let settings = entries.iter().map(|(k, v)| (k.as_str(), Given::Json(v)));
+    let options =
+        resolve_options(base, settings).map_err(|e| ProtocolError::new(&id, e.code, e.message))?;
 
     let source = match (doc.get("deck"), doc.get("path")) {
         (Some(_), Some(_)) => {
@@ -277,7 +185,7 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
             ))
         }
         (Some(v), None) => {
-            let len = as_str(v, "deck", &id)?.len();
+            let len = field_str(v, "deck", &id)?.len();
             if len > max_deck_bytes {
                 return Err(ProtocolError::new(
                     &id,
@@ -289,7 +197,7 @@ pub fn parse_request(line: &str, max_deck_bytes: usize) -> Result<Request, Proto
             }
             take_str(&mut doc, "deck").map(DeckSource::Inline)
         }
-        (None, Some(v)) => Some(DeckSource::Path(as_str(v, "path", &id)?.to_owned())),
+        (None, Some(v)) => Some(DeckSource::Path(field_str(v, "path", &id)?.to_owned())),
         (None, None) => None,
     };
     if op == Op::Reduce && source.is_none() {

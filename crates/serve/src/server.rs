@@ -37,6 +37,7 @@
 //! `Send` but not `Sync` — each worker owns its scratch exclusively
 //! (pinned by the compile-time assertions in `pact::session`).
 
+use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -63,7 +64,8 @@ pub struct ServeConfig {
     pub sessions_per_worker: usize,
     /// Symbolic-analysis patterns cached inside each session.
     pub patterns_per_session: usize,
-    /// Cap on inline deck text per request (bytes).
+    /// Cap on a request's deck text (bytes), inline or read from a
+    /// `path`; a larger deck is answered `deck_too_large`.
     pub max_deck_bytes: usize,
 }
 
@@ -288,10 +290,16 @@ impl Daemon {
             ServeCounters::bump(&self.counters.errors);
             reply(&error_response(&id, code, message));
         };
+        let max = self.cfg.max_deck_bytes;
         let text = match req.source.expect("reduce requests carry a source") {
             DeckSource::Inline(text) => text,
-            DeckSource::Path(path) => match std::fs::read_to_string(&path) {
-                Ok(text) => text,
+            DeckSource::Path(path) => match read_capped(&path, max) {
+                Ok(Some(text)) => text,
+                Ok(None) => {
+                    let message =
+                        format!("deck file {path} is over {max} bytes, this daemon's cap");
+                    return fail("deck_too_large", &message);
+                }
                 Err(e) => return fail("io", &format!("{path}: {e}")),
             },
         };
@@ -355,6 +363,24 @@ impl Daemon {
         }
         counters
     }
+}
+
+/// Reads the file at `path` if it holds at most `max` bytes (`None` if
+/// it holds more), reading no more than `max + 1` bytes either way.
+fn read_capped(path: &str, max: usize) -> std::io::Result<Option<String>> {
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)?
+        .take((max as u64).saturating_add(1))
+        .read_to_end(&mut bytes)?;
+    if bytes.len() > max {
+        return Ok(None);
+    }
+    String::from_utf8(bytes).map(Some).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })
 }
 
 fn worker_loop(

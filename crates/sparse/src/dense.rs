@@ -27,9 +27,6 @@ pub struct DMat<S = f64> {
     data: Vec<S>,
 }
 
-/// A dense matrix of `f64` (the common case).
-pub type DMatF = DMat<f64>;
-
 impl<S: Scalar> DMat<S> {
     /// An `nrows × ncols` matrix of zeros.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
@@ -240,11 +237,6 @@ impl DMat<f64> {
             }
         }
         worst
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry.

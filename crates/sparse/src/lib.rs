@@ -57,7 +57,6 @@ mod coo;
 mod csr;
 mod dense;
 mod eigen;
-mod factor;
 mod lu;
 mod ordering;
 mod par;
@@ -73,13 +72,12 @@ pub use cholesky::{
 pub use complex::{Complex64, Scalar};
 pub use coo::TripletMat;
 pub use csr::CsrMat;
-pub use dense::{axpy, dot, ldl_update_trapezoid, norm2, norm_inf, scale, DMat, DMatF};
+pub use dense::{axpy, dot, ldl_update_trapezoid, norm2, norm_inf, scale, DMat};
 pub use eigen::{sym_eig, EigenError, SymEig};
-pub use factor::Factorization;
 pub use lu::{invert, DenseLu, SingularMatrixError};
 pub use ordering::{
-    amd, etree_postorder, invert_permutation, is_permutation, nested_dissection_partition, profile,
-    NdPartition, Ordering,
+    amd, etree_postorder, invert_permutation, nested_dissection_partition, profile, NdPartition,
+    Ordering,
 };
 pub use par::{split_ranges, ParCtx};
 pub use pencil::CscPencil;

@@ -595,7 +595,8 @@ pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
 }
 
 /// Validates that `perm` is a permutation of `0..n`.
-pub fn is_permutation(perm: &[usize]) -> bool {
+#[cfg(test)]
+fn is_permutation(perm: &[usize]) -> bool {
     let n = perm.len();
     let mut seen = vec![false; n];
     for &p in perm {

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use pact::{CutoffSpec, FullAdmittance, Partitions, ReduceOptions};
+use pact::{CutoffSpec, Partitions, ReduceOptions, YEvaluator};
 use pact_netlist::{extract_rc, parse};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Compare Y(jω) against the exact network.
     let parts = Partitions::split(&ex.network.stamp());
-    let exact = FullAdmittance::new(&parts);
+    let exact = YEvaluator::new(&parts);
     for f in [1e8, 1e9, 5e9] {
         let ye = exact.y_at(f)?[(0, 0)];
         let yr = red.model.y_at(f)[(0, 0)];

@@ -9,7 +9,6 @@ use pact::{CutoffSpec, ReduceOptions};
 use pact_circuit::Circuit;
 use pact_gen::{full_adder_deck, MeshSpec};
 use pact_netlist::{extract_rc, splice_reduced};
-use pact_sparse::Ordering;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A smaller mesh than the paper's keeps this example fast.
@@ -28,10 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ex.network.num_ports,
         ex.network.num_internal()
     );
-    let opts = ReduceOptions {
-        ordering: Ordering::Rcm,
-        ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05)?)
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05)?);
     let red = pact::reduce_network(&ex.network, &opts)?;
     println!("kept {} pole(s) below ~3 GHz", red.model.num_poles());
     let reduced = splice_reduced(&deck.netlist, red.model.to_netlist_elements("sub", 1e-9));

@@ -3,12 +3,17 @@
 //!
 //! ```text
 //! rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRACTION]
-//!       [--sparsify TOL] [--port NODE]... [--threads N]
-//!       [--stats] [--components]
-//!       [--verify] [--trace] [--log-json PATH] [--strict-pivots]
+//!       [--sparsify TOL] [--port NODE]... [--threads N] [--strict-pivots]
 //!       [--hier] [--block-size N] [--max-depth N]
 //!       [--extract] [--collapse-chains] [--chain-tol TOL]
+//!       [--stats] [--verify] [--trace] [--log-json PATH]
 //! ```
+//!
+//! The reduction options are the rows of [`pact_serve::OPTIONS`], the
+//! same table `rcfitd` reads its `options` keys through: each flag is
+//! `--` and its key with `-` for `_` (`ports` is the repeatable
+//! `--port`). A refused setting prints `rcfit: error [<code>]:
+//! <message>` with the code and message `rcfitd` would answer.
 //!
 //! Several decks may be given at once; they are reduced through one
 //! [`pact::ReductionSession`], so same-topology decks reuse the cached
@@ -30,42 +35,28 @@
 use std::process::ExitCode;
 
 use pact::{PactError, ReductionSession};
-use pact_netlist::parse_value;
 use pact_serve::{
-    prepare_deck, reduce_prepared, render_reduced, DeckOptions, ReducedDeck, DEFAULT_BLOCK_SIZE,
-    DEFAULT_CHAIN_TOL, DEFAULT_MAX_DEPTH,
+    option_for_flag, prepare_deck, reduce_prepared, render_reduced, resolve_options, DeckOptions,
+    Given, OptionError, ReducedDeck,
 };
 
 #[derive(Debug)]
 struct Args {
     inputs: Vec<String>,
     output: Option<String>,
-    f_max: f64,
-    tolerance: f64,
-    sparsify: f64,
-    extra_ports: Vec<String>,
-    threads: Option<usize>,
     stats: bool,
-    components: bool,
     verify: bool,
     trace: bool,
     log_json: Option<String>,
-    strict_pivots: bool,
-    hier: bool,
-    block_size: usize,
-    max_depth: usize,
-    extract: bool,
-    collapse_chains: bool,
-    chain_tol: Option<f64>,
+    options: DeckOptions,
 }
 
 fn usage() -> &'static str {
     "usage: rcfit INPUT.sp [INPUT2.sp ...] [-o OUTPUT.sp] [--fmax HZ] [--tol FRAC] \
-     [--sparsify TOL] [--port NODE]... [--threads N] \
-     [--stats] [--components] \
-     [--verify] [--trace] [--log-json PATH] [--strict-pivots] \
+     [--sparsify TOL] [--port NODE]... [--threads N] [--strict-pivots] \
      [--hier] [--block-size N] [--max-depth N] \
-     [--extract] [--collapse-chains] [--chain-tol TOL]\n\
+     [--extract] [--collapse-chains] [--chain-tol TOL] \
+     [--stats] [--verify] [--trace] [--log-json PATH]\n\
      defaults: --fmax 1g --tol 0.05 --sparsify 1e-9 --threads <all cores>\n\
      HZ accepts SPICE suffixes (500meg, 3g, ...); the reduced model is\n\
      bit-identical for every --threads value.\n\
@@ -83,141 +74,82 @@ fn usage() -> &'static str {
      long RC chains within --chain-tol relative in-band error (default 1e-6)"
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        inputs: Vec::new(),
-        output: None,
-        f_max: 1e9,
-        tolerance: 0.05,
-        sparsify: 1e-9,
-        extra_ports: Vec::new(),
-        threads: None,
-        stats: false,
-        components: false,
-        verify: false,
-        trace: false,
-        log_json: None,
-        strict_pivots: false,
-        hier: false,
-        block_size: DEFAULT_BLOCK_SIZE,
-        max_depth: DEFAULT_MAX_DEPTH,
-        extract: false,
-        collapse_chains: false,
-        chain_tol: None,
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "-o" | "--output" => args.output = Some(next(a)?),
-            "--fmax" => {
-                args.f_max = parse_value(&next(a)?).map_err(|e| e.to_string())?;
-            }
-            "--tol" => {
-                args.tolerance = next(a)?
-                    .parse()
-                    .map_err(|_| "--tol needs a number".to_owned())?;
-            }
-            "--sparsify" => {
-                args.sparsify = next(a)?
-                    .parse()
-                    .map_err(|_| "--sparsify needs a number".to_owned())?;
-            }
-            "--port" => args.extra_ports.push(next(a)?),
-            "--threads" => {
-                let n: usize = next(a)?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer".to_owned())?;
-                if n == 0 {
-                    return Err("--threads needs a positive integer".to_owned());
-                }
-                args.threads = Some(n);
-            }
-            "--stats" => args.stats = true,
-            "--components" => args.components = true,
-            "--verify" => args.verify = true,
-            "--trace" => args.trace = true,
-            "--log-json" => args.log_json = Some(next(a)?),
-            "--strict-pivots" => args.strict_pivots = true,
-            "--hier" => args.hier = true,
-            "--block-size" => {
-                let n: usize = next(a)?
-                    .parse()
-                    .map_err(|_| "--block-size needs a positive integer".to_owned())?;
-                if n == 0 {
-                    return Err("--block-size needs a positive integer".to_owned());
-                }
-                args.block_size = n;
-            }
-            "--max-depth" => {
-                let n: usize = next(a)?
-                    .parse()
-                    .map_err(|_| "--max-depth needs a positive integer".to_owned())?;
-                if n == 0 {
-                    return Err("--max-depth needs a positive integer".to_owned());
-                }
-                args.max_depth = n;
-            }
-            "--extract" => args.extract = true,
-            "--collapse-chains" => args.collapse_chains = true,
-            "--chain-tol" => {
-                let tol = next(a)?
-                    .parse()
-                    .map_err(|_| "--chain-tol needs a number".to_owned())?;
-                args.chain_tol = Some(tol);
-            }
-            "-h" | "--help" => return Err(usage().to_owned()),
-            other if !other.starts_with('-') => {
-                args.inputs.push(other.to_owned());
-            }
-            other => return Err(format!("unknown argument `{other}`\n{}", usage())),
-        }
-    }
-    if args.inputs.is_empty() {
-        return Err(usage().to_owned());
-    }
-    if args.chain_tol.is_some() && !args.collapse_chains {
-        return Err("--chain-tol requires --collapse-chains".to_owned());
-    }
-    if args.inputs.len() > 1 {
-        if args.output.is_some() {
-            return Err("-o/--output needs a single input deck".to_owned());
-        }
-        if args.log_json.is_some() {
-            return Err("--log-json needs a single input deck".to_owned());
-        }
-    }
-    Ok(args)
+/// Why the command line does not start a run.
+#[derive(Debug)]
+enum ArgError {
+    /// `--help`, or no input deck: print the usage text.
+    Usage,
+    /// A refused setting.
+    Bad(OptionError),
 }
 
-/// The CLI flags as shared-pipeline options. Resolution of defaults
-/// (pivot relief, ordering) and the range checks live
-/// in [`DeckOptions`], shared verbatim with the `rcfitd` daemon so both
-/// front ends produce bit-identical output.
-fn deck_options(args: &Args) -> DeckOptions {
-    DeckOptions {
-        f_max: args.f_max,
-        tolerance: args.tolerance,
-        sparsify: args.sparsify,
-        extra_ports: args.extra_ports.clone(),
-        threads: args.threads,
-        components: args.components,
-        strict_pivots: args.strict_pivots,
-        hier: args.hier,
-        block_size: args.block_size,
-        max_depth: args.max_depth,
-        extract: args.extract,
-        collapse_chains: args.collapse_chains,
-        chain_tol: args.chain_tol.unwrap_or(DEFAULT_CHAIN_TOL),
+impl From<OptionError> for ArgError {
+    fn from(e: OptionError) -> ArgError {
+        ArgError::Bad(e)
     }
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, ArgError> {
+    let mut inputs = Vec::new();
+    let mut output = None;
+    let (mut stats, mut verify, mut trace) = (false, false, false);
+    let mut log_json = None;
+    let mut settings = Vec::new();
+    let mut it = argv.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        let mut path = |flag: &str| {
+            it.next()
+                .map(str::to_owned)
+                .ok_or_else(|| OptionError::bad_request(format!("{flag} needs a value")))
+        };
+        match a {
+            "-o" | "--output" => output = Some(path(a)?),
+            "--stats" => stats = true,
+            "--verify" => verify = true,
+            "--trace" => trace = true,
+            "--log-json" => log_json = Some(path(a)?),
+            "-h" | "--help" => return Err(ArgError::Usage),
+            input if !input.starts_with('-') => inputs.push(input.to_owned()),
+            flag => {
+                // An unknown flag is named by the key it would map to,
+                // as `rcfitd` names an unknown key.
+                let row = option_for_flag(flag).ok_or_else(|| {
+                    OptionError::unknown(&flag.trim_start_matches('-').replace('-', "_"))
+                })?;
+                let value = if row.takes_value() {
+                    it.next().map_or(Given::Bare, Given::Text)
+                } else {
+                    Given::Bare
+                };
+                settings.push((row.key, value));
+            }
+        }
+    }
+    if inputs.is_empty() {
+        return Err(ArgError::Usage);
+    }
+    let options = resolve_options(DeckOptions::default(), settings)?;
+    if inputs.len() > 1 {
+        if output.is_some() {
+            return Err(OptionError::bad_request("-o/--output needs a single input deck").into());
+        }
+        if log_json.is_some() {
+            return Err(OptionError::bad_request("--log-json needs a single input deck").into());
+        }
+    }
+    Ok(Args {
+        inputs,
+        output,
+        stats,
+        verify,
+        trace,
+        log_json,
+        options,
+    })
 }
 
 fn run(args: &Args) -> Result<(), PactError> {
-    let mut session = ReductionSession::new(deck_options(args).reduce_options()?);
+    let mut session = ReductionSession::new(args.options.reduce_options()?);
     let batch = args.inputs.len() > 1;
     for (i, input) in args.inputs.iter().enumerate() {
         if batch {
@@ -244,8 +176,8 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
     // The front half (parse → flatten → extract → sanitize) and the
     // reduce/render back half are the shared pact-serve pipeline — the
     // CLI only adds progress reporting around it.
-    let opts = deck_options(args);
-    let prep = prepare_deck(&text, &opts)?;
+    let opts = &args.options;
+    let prep = prepare_deck(&text, opts)?;
     eprintln!(
         "rcfit: extracted RC network: {} ports, {} internal nodes, {} R, {} C",
         prep.raw_ports, prep.raw_internal, prep.raw_resistors, prep.raw_capacitors
@@ -253,36 +185,24 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
     for w in &prep.sanitize_warnings {
         eprintln!("rcfit: warning: {w}");
     }
-    if args.collapse_chains {
+    if opts.collapse_chains {
         eprintln!(
             "rcfit: chain collapse: {} chain(s) collapsed, {} internal node(s) eliminated",
             prep.telemetry.counters.chains_collapsed, prep.telemetry.counters.nodes_eliminated
         );
     }
 
-    let red = reduce_prepared(&prep, session, &opts)?;
+    let red = reduce_prepared(&prep, session, opts)?;
     let mut tel = prep.telemetry.clone();
     tel.absorb(&red.telemetry());
     match &red {
-        ReducedDeck::Components {
-            reduction: c,
-            extract_subnets,
-        } => {
-            if args.extract {
-                eprintln!(
-                    "rcfit: {} embedded RC subnetwork(s) reduced, {} floating island(s) dropped, {} pole(s) kept",
-                    extract_subnets,
-                    c.floating_dropped,
-                    c.num_poles()
-                );
-            } else {
-                eprintln!(
-                    "rcfit: {} component(s) reduced, {} floating island(s) dropped, {} pole(s) kept",
-                    c.reductions.len(),
-                    c.floating_dropped,
-                    c.num_poles()
-                );
-            }
+        ReducedDeck::Components { reduction: c } => {
+            eprintln!(
+                "rcfit: {} embedded RC subnetwork(s) reduced, {} floating island(s) dropped, {} pole(s) kept",
+                c.reductions.len(),
+                c.floating_dropped,
+                c.num_poles()
+            );
         }
         ReducedDeck::Whole(r) => {
             let cutoff = session.options().cutoff;
@@ -316,7 +236,7 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
             }
             if args.verify {
                 let parts = pact::Partitions::split(&prep.network.stamp());
-                let ctx = pact_sparse::ParCtx::new(args.threads);
+                let ctx = pact_sparse::ParCtx::new(opts.threads);
                 let report = tel.time("verify_sweep", || {
                     pact::verify_reduction_with(&parts, &r.model, &cutoff, 25, ctx)
                 });
@@ -342,7 +262,7 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
         }
     }
 
-    let (rendered, element_count) = render_reduced(&prep, &red, "rcfit", args.sparsify, &mut tel);
+    let (rendered, element_count) = render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut tel);
     eprintln!("rcfit: reduced network realized with {element_count} elements");
     tel.time("write", || match &args.output {
         Some(path) => std::fs::write(path, &rendered).map_err(|e| PactError::io(path, &e)),
@@ -367,8 +287,12 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
         Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(ArgError::Usage) => {
+            eprintln!("{}", usage());
+            return ExitCode::FAILURE;
+        }
+        Err(ArgError::Bad(e)) => {
+            eprintln!("rcfit: error [{}]: {}", e.code, e.message);
             return ExitCode::FAILURE;
         }
     };
@@ -384,9 +308,18 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pact_serve::OPTIONS;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// The refused setting's code and message.
+    fn refused(e: ArgError) -> OptionError {
+        match e {
+            ArgError::Bad(e) => e,
+            ArgError::Usage => panic!("usage instead of a typed error"),
+        }
     }
 
     #[test]
@@ -406,7 +339,6 @@ mod tests {
             "--port",
             "nodeB",
             "--stats",
-            "--components",
             "--verify",
             "--trace",
             "--log-json",
@@ -416,56 +348,74 @@ mod tests {
         .unwrap();
         assert_eq!(a.inputs, vec!["in.sp"]);
         assert_eq!(a.output.as_deref(), Some("out.sp"));
-        assert_eq!(a.f_max, 3e9);
-        assert_eq!(a.tolerance, 0.1);
-        assert_eq!(a.sparsify, 1e-6);
-        assert_eq!(a.extra_ports, vec!["nodeA", "nodeB"]);
-        assert!(a.stats && a.components && a.verify);
-        assert!(a.trace && a.strict_pivots);
+        assert_eq!(a.options.f_max, 3e9);
+        assert_eq!(a.options.tolerance, 0.1);
+        assert_eq!(a.options.sparsify, 1e-6);
+        assert_eq!(a.options.extra_ports, vec!["nodeA", "nodeB"]);
+        assert!(a.stats && a.verify);
+        assert!(a.trace && a.options.strict_pivots);
         assert_eq!(a.log_json.as_deref(), Some("t.json"));
     }
 
     #[test]
     fn defaults_are_sane() {
         let a = parse_args(&argv(&["deck.sp"])).unwrap();
-        assert_eq!(a.f_max, 1e9);
-        assert_eq!(a.tolerance, 0.05);
+        assert_eq!(a.options, DeckOptions::default());
+        assert_eq!(a.options.f_max, 1e9);
+        assert_eq!(a.options.tolerance, 0.05);
         assert!(a.output.is_none());
-        assert!(!a.trace && !a.strict_pivots);
+        assert!(!a.trace && !a.options.strict_pivots);
         assert!(a.log_json.is_none());
     }
 
     #[test]
     fn missing_input_is_usage_error() {
-        assert!(parse_args(&argv(&["--stats"])).is_err());
-        assert!(parse_args(&[]).is_err());
+        assert!(matches!(
+            parse_args(&argv(&["--stats"])),
+            Err(ArgError::Usage)
+        ));
+        assert!(matches!(parse_args(&[]), Err(ArgError::Usage)));
+        assert!(matches!(
+            parse_args(&argv(&["x.sp", "--help"])),
+            Err(ArgError::Usage)
+        ));
     }
 
     #[test]
     fn unknown_flag_is_error() {
-        let e = parse_args(&argv(&["deck.sp", "--frobnicate"])).unwrap_err();
-        assert!(e.contains("unknown argument"));
+        let e = refused(parse_args(&argv(&["deck.sp", "--frobnicate"])).unwrap_err());
+        assert_eq!(e.code, "unknown_option");
+        assert_eq!(e.message, "unknown option `frobnicate`");
+        // The CLI spells keys with `-`; the daemon's `_` spelling is no flag.
+        let e = refused(parse_args(&argv(&["deck.sp", "--block_size", "9"])).unwrap_err());
+        assert_eq!(e.code, "unknown_option");
     }
 
     #[test]
     fn flag_missing_value_is_error() {
-        assert!(parse_args(&argv(&["deck.sp", "--fmax"])).is_err());
-        assert!(parse_args(&argv(&["deck.sp", "--tol", "abc"])).is_err());
-        assert!(parse_args(&argv(&["deck.sp", "--log-json"])).is_err());
+        for (args, message) in [
+            (&["deck.sp", "--fmax"][..], "`fmax` needs a value"),
+            (&["deck.sp", "--tol", "abc"], "`tol` needs a number"),
+            (&["deck.sp", "--log-json"], "--log-json needs a value"),
+            (&["deck.sp", "-o"], "-o needs a value"),
+        ] {
+            let e = refused(parse_args(&argv(args)).unwrap_err());
+            assert_eq!((e.code, e.message.as_str()), ("bad_request", message));
+        }
     }
 
     #[test]
     fn spice_units_accepted_for_fmax() {
         let a = parse_args(&argv(&["x.sp", "--fmax", "500meg"])).unwrap();
-        assert_eq!(a.f_max, 5e8);
+        assert_eq!(a.options.f_max, 5e8);
     }
 
     #[test]
     fn threads_flag_parses_and_validates() {
         let a = parse_args(&argv(&["x.sp", "--threads", "4"])).unwrap();
-        assert_eq!(a.threads, Some(4));
+        assert_eq!(a.options.threads, Some(4));
         let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert_eq!(d.threads, None);
+        assert_eq!(d.options.threads, None);
         assert!(parse_args(&argv(&["x.sp", "--threads", "0"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--threads", "many"])).is_err());
     }
@@ -481,13 +431,13 @@ mod tests {
             "8",
         ]))
         .unwrap();
-        assert!(a.hier);
-        assert_eq!(a.block_size, 500);
-        assert_eq!(a.max_depth, 8);
+        assert!(a.options.hier);
+        assert_eq!(a.options.block_size, 500);
+        assert_eq!(a.options.max_depth, 8);
         let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert!(!d.hier);
-        assert_eq!(d.block_size, DEFAULT_BLOCK_SIZE);
-        assert_eq!(d.max_depth, DEFAULT_MAX_DEPTH);
+        assert!(!d.options.hier);
+        assert_eq!(d.options.block_size, pact_serve::DEFAULT_BLOCK_SIZE);
+        assert_eq!(d.options.max_depth, pact_serve::DEFAULT_MAX_DEPTH);
         assert!(parse_args(&argv(&["x.sp", "--block-size", "0"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--block-size", "lots"])).is_err());
         assert!(parse_args(&argv(&["x.sp", "--max-depth", "0"])).is_err());
@@ -504,22 +454,19 @@ mod tests {
             "1e-4",
         ]))
         .unwrap();
-        assert!(a.extract && a.collapse_chains);
-        assert_eq!(a.chain_tol, Some(1e-4));
-        let o = deck_options(&a);
-        assert!(o.extract && o.collapse_chains);
-        assert_eq!(o.chain_tol, 1e-4);
+        assert!(a.options.extract && a.options.collapse_chains);
+        assert_eq!(a.options.chain_tol, 1e-4);
 
         let d = parse_args(&argv(&["x.sp"])).unwrap();
-        assert!(!d.extract && !d.collapse_chains);
-        assert_eq!(deck_options(&d).chain_tol, DEFAULT_CHAIN_TOL);
+        assert!(!d.options.extract && !d.options.collapse_chains);
+        assert_eq!(d.options.chain_tol, pact_serve::DEFAULT_CHAIN_TOL);
 
-        let e = parse_args(&argv(&["x.sp", "--chain-tol", "1e-4"])).unwrap_err();
-        assert!(e.contains("--collapse-chains"));
+        let e = refused(parse_args(&argv(&["x.sp", "--chain-tol", "1e-4"])).unwrap_err());
+        assert!(e.message.contains("collapse_chains"), "{}", e.message);
         // The range is `reduce_options()`'s to check, as for the daemon.
         for tol in ["0", "-1"] {
             let a = parse_args(&argv(&["x.sp", "--collapse-chains", "--chain-tol", tol])).unwrap();
-            let e = deck_options(&a).reduce_options().unwrap_err();
+            let e = a.options.reduce_options().unwrap_err();
             assert_eq!(e.code(), "chain_tol", "--chain-tol {tol}");
         }
         assert!(parse_args(&argv(&["x.sp", "--collapse-chains", "--chain-tol", "much"])).is_err());
@@ -530,24 +477,38 @@ mod tests {
     fn multiple_decks_parse_but_reject_single_output_flags() {
         let a = parse_args(&argv(&["a.sp", "b.sp", "c.sp"])).unwrap();
         assert_eq!(a.inputs, vec!["a.sp", "b.sp", "c.sp"]);
-        let e = parse_args(&argv(&["a.sp", "b.sp", "-o", "out.sp"])).unwrap_err();
-        assert!(e.contains("single input deck"));
-        let e = parse_args(&argv(&["a.sp", "b.sp", "--log-json", "t.json"])).unwrap_err();
-        assert!(e.contains("single input deck"));
+        let e = refused(parse_args(&argv(&["a.sp", "b.sp", "-o", "out.sp"])).unwrap_err());
+        assert!(e.message.contains("single input deck"));
+        let e = refused(parse_args(&argv(&["a.sp", "b.sp", "--log-json", "t.json"])).unwrap_err());
+        assert!(e.message.contains("single input deck"));
+    }
+
+    #[test]
+    fn help_names_every_option() {
+        let words: Vec<&str> = usage()
+            .split(|c: char| c.is_whitespace() || "[]".contains(c))
+            .collect();
+        for row in OPTIONS {
+            assert!(
+                words.contains(&row.flag().as_str()),
+                "usage lacks {}",
+                row.flag()
+            );
+        }
     }
 
     /// One option setting: the daemon key, its JSON value, and the value
     /// the CLI flag takes (`None` for a bare switch).
     type Setting = (&'static str, &'static str, Option<&'static str>);
 
-    /// One row per `DeckOptions` field, each a non-default setting.
-    const SAME_OPTIONS: [&[Setting]; 13] = [
+    /// A non-default setting of each row of `OPTIONS`, found by its
+    /// last key.
+    const SAME_OPTIONS: [&[Setting]; 12] = [
         &[("fmax", r#""3g""#, Some("3g"))],
         &[("tol", "0.1", Some("0.1"))],
         &[("sparsify", "1e-6", Some("1e-6"))],
         &[("ports", r#"["n1"]"#, Some("n1"))],
         &[("threads", "256", Some("256"))],
-        &[("components", "true", None)],
         &[("strict_pivots", "true", None)],
         &[("hier", "true", None)],
         &[("block_size", "100", Some("100"))],
@@ -560,10 +521,13 @@ mod tests {
         ],
     ];
 
-    /// Settings both front ends must refuse, in their parser or in
+    /// Settings both front ends must refuse, in `resolve_options` or in
     /// `reduce_options()`, including every removed option.
-    const REJECTED: [&[Setting]; 13] = [
+    const REJECTED: [&[Setting]; 18] = [
+        &[("tol", r#""abc""#, Some("abc"))],
+        &[("fmax", r#""fast""#, Some("fast"))],
         &[("threads", "0", Some("0"))],
+        &[("threads", "1.5", Some("1.5"))],
         &[("threads", "257", Some("257"))],
         &[("chain_tol", "1e-4", Some("1e-4"))],
         &[
@@ -577,27 +541,29 @@ mod tests {
         &[("block_size", "0", Some("0"))],
         &[("max_depth", "0", Some("0"))],
         &[("sparsify", "1e999", Some("inf"))],
+        &[("components", "true", None)],
         &[("strategy", r#""flat""#, Some("flat"))],
         &[("points", "[1e9]", Some("1g"))],
         &[("chol_kernel", r#""scalar""#, Some("scalar"))],
         &[("dense", "true", None)],
         &[("eigen", r#""lowrank""#, Some("lowrank"))],
+        &[("ordering", r#""rcm""#, Some("rcm"))],
     ];
 
-    /// The CLI flag for a daemon option key: `--` and the key with `-`
-    /// for `_`, except the repeatable `--port` for the `ports` list.
+    /// The flag for a key that no row declares: the same spelling rule.
     fn flag(key: &str) -> String {
-        match key {
-            "ports" => "--port".to_owned(),
-            k => format!("--{}", k.replace('_', "-")),
-        }
+        OPTIONS
+            .iter()
+            .find(|row| row.key == key)
+            .map_or_else(|| format!("--{}", key.replace('_', "-")), |row| row.flag())
     }
 
-    /// The options each front end resolves from the same settings: the
-    /// daemon's from one request, the CLI's from its flags.
-    fn both_front_ends(
-        settings: &[Setting],
-    ) -> (Result<DeckOptions, String>, Result<DeckOptions, String>) {
+    /// A front end's resolved options, or the code and message it refuses with.
+    type Outcome = Result<DeckOptions, (&'static str, String)>;
+
+    /// What each front end makes of the same settings: the daemon of one
+    /// request, the CLI of its flags.
+    fn both_front_ends(settings: &[Setting]) -> (Outcome, Outcome) {
         let entries: Vec<String> = settings
             .iter()
             .map(|(key, json, _)| format!(r#""{key}":{json}"#))
@@ -605,29 +571,32 @@ mod tests {
         let line = format!(r#"{{"deck":"x","options":{{{}}}}}"#, entries.join(","));
         let daemon = pact_serve::parse_request(&line, pact_serve::protocol::DEFAULT_MAX_DECK_BYTES)
             .map(|r| r.options)
-            .map_err(|e| e.message);
+            .map_err(|e| (e.code, e.message));
         let mut cli_argv = vec!["x.sp".to_owned()];
         for (key, _, value) in settings {
             cli_argv.push(flag(key));
             cli_argv.extend(value.map(str::to_owned));
         }
-        let cli = parse_args(&cli_argv).map(|a| deck_options(&a));
+        let cli = parse_args(&cli_argv).map(|a| a.options).map_err(|e| {
+            let e = refused(e);
+            (e.code, e.message)
+        });
         (daemon, cli)
     }
 
     #[test]
     fn front_ends_accept_the_same_options_and_reject_the_same_values() {
         // Naming every field makes a new `DeckOptions` field fail to
-        // compile here until SAME_OPTIONS gets a row for it. The CLI's
-        // output and report flags (-o, --stats, --verify, --trace,
-        // --log-json) are not options of the reduction.
+        // compile here until `OPTIONS` gets a row and SAME_OPTIONS an
+        // entry for it. The CLI's output and report flags (-o, --stats,
+        // --verify, --trace, --log-json) are not options of the
+        // reduction.
         let DeckOptions {
             f_max: _,
             tolerance: _,
             sparsify: _,
             extra_ports: _,
             threads: _,
-            components: _,
             strict_pivots: _,
             hier: _,
             block_size: _,
@@ -636,13 +605,18 @@ mod tests {
             collapse_chains: _,
             chain_tol: _,
         } = DeckOptions::default();
+        assert_eq!(SAME_OPTIONS.len(), OPTIONS.len());
 
         let (baseline, _) = both_front_ends(&[]);
         let baseline = baseline.unwrap();
-        for settings in SAME_OPTIONS {
+        for row in OPTIONS {
+            let settings = SAME_OPTIONS
+                .iter()
+                .find(|s| s.last().map(|(key, _, _)| *key) == Some(row.key))
+                .unwrap_or_else(|| panic!("no SAME_OPTIONS entry sets `{}`", row.key));
             let (daemon, cli) = both_front_ends(settings);
-            let daemon = daemon.unwrap_or_else(|e| panic!("daemon rejects {settings:?}: {e}"));
-            let mut cli = cli.unwrap_or_else(|e| panic!("rcfit rejects {settings:?}: {e}"));
+            let daemon = daemon.unwrap_or_else(|e| panic!("daemon rejects {settings:?}: {e:?}"));
+            let mut cli = cli.unwrap_or_else(|e| panic!("rcfit rejects {settings:?}: {e:?}"));
             // The daemon's one-thread default is scheduling, not numerics.
             cli.threads = cli.threads.or(baseline.threads);
             assert_eq!(daemon, cli, "{settings:?}");
@@ -650,17 +624,19 @@ mod tests {
             assert!(daemon.reduce_options().is_ok(), "{settings:?}");
         }
 
-        // `None` when the parser refuses, else the code `reduce_options()`
-        // fails with: both front ends must refuse at the same stage, with
-        // the same typed code.
-        let outcome = |o: Result<DeckOptions, String>| {
-            o.ok().map(|o| o.reduce_options().err().map(|e| e.code()))
+        // Refused by the parser, or by `reduce_options()`: both front ends
+        // must refuse with the same code and the same message.
+        let refusal = |o: Outcome| match o {
+            Ok(o) => o
+                .reduce_options()
+                .map(drop)
+                .map_err(|e| (e.code(), e.to_string())),
+            Err(e) => Err(e),
         };
         for settings in REJECTED {
             let (daemon, cli) = both_front_ends(settings);
-            let (daemon, cli) = (outcome(daemon), outcome(cli));
-            assert_ne!(daemon, Some(None), "daemon accepts {settings:?}");
-            assert_ne!(cli, Some(None), "rcfit accepts {settings:?}");
+            let daemon = refusal(daemon).expect_err("daemon accepts a REJECTED setting");
+            let cli = refusal(cli).expect_err("rcfit accepts a REJECTED setting");
             assert_eq!(daemon, cli, "{settings:?} fails differently");
         }
     }

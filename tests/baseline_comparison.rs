@@ -25,13 +25,10 @@ fn mesh(m: usize) -> (pact_netlist::RcNetwork, Partitions, Vec<String>) {
 #[test]
 fn pact_and_krylov_agree_at_low_frequency() {
     let (net, parts, ports) = mesh(8);
-    let opts = ReduceOptions {
-        ordering: Ordering::Rcm,
-        ..ReduceOptions::new(CutoffSpec::new(2e9, 0.05).unwrap())
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(2e9, 0.05).unwrap());
     let pact_red = pact::reduce_network(&net, &opts).unwrap();
     let kry = block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).unwrap();
-    let full = pact::FullAdmittance::new(&parts);
+    let full = pact::YEvaluator::new(&parts);
     for &f in &[1e7, 1e8, 5e8] {
         let exact = full.y_at(f).unwrap();
         let yp = pact_red.model.y_at(f);
@@ -64,10 +61,7 @@ fn both_congruence_methods_are_passive() {
 fn pade_basis_memory_couples_to_ports_pact_does_not() {
     let (net_a, parts_a, ports_a) = mesh(4);
     let (net_b, parts_b, ports_b) = mesh(24);
-    let opts = ReduceOptions {
-        ordering: Ordering::Rcm,
-        ..ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap())
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
     let pact_a = pact::reduce_network(&net_a, &opts).unwrap();
     let pact_b = pact::reduce_network(&net_b, &opts).unwrap();
     let kry_a = block_krylov_reduce(&parts_a, &ports_a, 2, Ordering::Rcm).unwrap();
@@ -92,7 +86,7 @@ fn awe_matches_low_order_then_degrades() {
     let low = pade_fit(&series, 2).unwrap();
     assert!(low.hankel_condition.is_finite());
     // A low-order fit is accurate at low frequency.
-    let full = pact::FullAdmittance::new(&parts);
+    let full = pact::YEvaluator::new(&parts);
     let f = 5e7;
     let exact = full.y_at(f).unwrap()[(0, 0)];
     let fit = low.y_at(f);

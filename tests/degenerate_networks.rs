@@ -145,7 +145,6 @@ fn add_non_finite(rng: &mut XorShiftRng, net: &mut RcNetwork) {
 fn run_pipeline(net: &RcNetwork, strict_pivots: bool) -> Result<Reduction, PactError> {
     let sanitized = sanitize_network(net).map_err(PactError::from)?;
     let opts = ReduceOptions {
-        ordering: pact_sparse::Ordering::MinDegree,
         pivot_relief: if strict_pivots { None } else { Some(1e-12) },
         ..ReduceOptions::new(CutoffSpec::new(1e9, 0.1).map_err(PactError::from)?)
     };

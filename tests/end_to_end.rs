@@ -8,7 +8,6 @@ use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{multiplier_like_deck, MultiplierSpec};
 use pact_netlist::{extract_rc, parse, splice_reduced};
 use pact_serve::{prepare_deck, reduce_prepared, render_reduced, DeckOptions};
-use pact_sparse::Ordering;
 
 /// A two-net interconnect deck with inverters, exercising parser,
 /// extraction, reduction, splicing and simulation together.
@@ -107,10 +106,7 @@ fn reduced_ac_matches_below_fmax() {
     let original = parse(&interconnect_deck()).expect("parse");
     let ex = extract_rc(&original, &[]).expect("extract");
     let fmax = 2e9;
-    let opts = ReduceOptions {
-        ordering: Ordering::Rcm,
-        ..ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("spec"))
-    };
+    let opts = ReduceOptions::new(CutoffSpec::new(fmax, 0.05).expect("spec"));
     let red = pact::reduce_network(&ex.network, &opts).expect("reduce");
     let reduced = splice_reduced(&original, red.model.to_netlist_elements("rf", 1e-9));
 

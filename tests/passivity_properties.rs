@@ -12,7 +12,7 @@
 //! failures reproduce exactly. The default sweep is small enough for the
 //! tier-1 suite; the `slow-tests` feature widens it.
 
-use pact::{CutoffSpec, FullAdmittance, Partitions, ReduceOptions};
+use pact::{CutoffSpec, Partitions, ReduceOptions, YEvaluator};
 use pact_netlist::{Branch, RcNetwork};
 use pact_sparse::XorShiftRng;
 
@@ -128,7 +128,7 @@ fn dc_moment_is_exact() {
         )
         .unwrap();
         let parts = Partitions::split(&net.stamp());
-        let full = FullAdmittance::new(&parts);
+        let full = YEvaluator::new(&parts);
         let y0e = full.y_at(0.0).unwrap();
         let y0r = red.model.y_at(0.0);
         let scale = (0..3)
@@ -183,7 +183,7 @@ fn unstamped_netlist_restamps_to_same_model() {
             num_ports: red.model.num_ports(),
         };
         let parts = Partitions::split(&st);
-        let full = FullAdmittance::new(&parts);
+        let full = YEvaluator::new(&parts);
         for &f in &[1e8f64, 2e9] {
             let ya = full.y_at(f).unwrap();
             let yb = red.model.y_at(f);

@@ -1,12 +1,13 @@
 //! Fault injection: the daemon answers typed errors and stays alive.
 //!
-//! Three failure classes from the serving checklist: a client that
+//! Four failure classes from the serving checklist: a client that
 //! disconnects mid-stream with a response still in flight, a poisoned
-//! deck whose element value overflows to infinity, and requests that
-//! trip ordinary [`pact::PactError`]s (parse errors, bad paths, invalid
-//! cutoffs). In every case the daemon must answer a typed error (or
-//! swallow the undeliverable response and count the disconnect), keep
-//! serving, and keep its warm sessions warm.
+//! deck whose element value overflows to infinity, requests that trip
+//! ordinary [`pact::PactError`]s (parse errors, bad paths, invalid
+//! cutoffs), and a `path` deck larger than the daemon's deck cap. In
+//! every case the daemon must answer a typed error (or swallow the
+//! undeliverable response and count the disconnect), keep serving, and
+//! keep its warm sessions warm.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -103,6 +104,57 @@ fn typed_errors_keep_the_daemon_alive_and_sessions_warm() {
     assert_eq!(counters.ok.load(AtomicOrdering::Relaxed), 2);
     assert_eq!(counters.errors.load(AtomicOrdering::Relaxed), 5);
     assert_eq!(counters.worker_panics.load(AtomicOrdering::Relaxed), 0);
+}
+
+#[test]
+fn path_deck_over_the_cap_is_typed_and_sessions_stay_warm() {
+    // A cap between the small deck and the large one, on one worker so
+    // both small decks meet the same session.
+    let daemon = Daemon::new(ServeConfig {
+        workers: 1,
+        max_deck_bytes: 1024,
+        ..ServeConfig::default()
+    });
+    let (sink, lines) = collector();
+    let dir = std::env::temp_dir().join(format!("rcfitd-path-cap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let small = dir.join("small.sp");
+    std::fs::write(&small, GOOD_DECK.replace("\\n", "\n")).unwrap();
+    // The same ladder with enough comment lines to pass the cap.
+    let big = dir.join("big.sp");
+    let padding = "* padding\n".repeat(200);
+    std::fs::write(&big, format!("{padding}{}", GOOD_DECK.replace("\\n", "\n"))).unwrap();
+    assert!(std::fs::metadata(&big).unwrap().len() > 1024);
+
+    let path_request = |id: &str, path: &std::path::Path| {
+        let path = Value::str(path.to_str().unwrap()).render();
+        format!(r#"{{"id":"{id}","path":{path}}}"#)
+    };
+    daemon.submit(&path_request("warm-1", &small), &sink);
+    daemon.submit(&path_request("big", &big), &sink);
+    daemon.submit(&path_request("warm-2", &small), &sink);
+    let counters = daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let docs: std::collections::BTreeMap<String, Value> = lines
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|l| {
+            let d = Value::parse(l).unwrap();
+            (d.get("id").unwrap().as_str().unwrap().to_owned(), d)
+        })
+        .collect();
+    assert_eq!(docs.len(), 3, "every request answered exactly once");
+    assert_eq!(error_code(&docs["big"]), "deck_too_large");
+    assert_eq!(docs["warm-1"].get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(
+        docs["warm-2"].get("session_hit"),
+        Some(&Value::Bool(true)),
+        "the refused deck must not cool the warm session"
+    );
+    assert_eq!(counters.ok.load(AtomicOrdering::Relaxed), 2);
+    assert_eq!(counters.errors.load(AtomicOrdering::Relaxed), 1);
 }
 
 /// Polls `pred` until it holds or `timeout` elapses.
