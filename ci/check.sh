@@ -255,6 +255,76 @@ for removed in "--eigen dense" "--components"; do
     grep -q "error \[unknown_option\]" "$tmp/removed.txt"
 done
 
+echo "==> CLI and daemon write the same bytes on a 96-port mesh"
+# The render walk writes each reduced model straight into the deck text.
+# On a deck whose reduced network has thousands of elements, the
+# daemon's reply to a `path` request (under a cap the deck fits) must
+# equal `rcfit -o` byte for byte.
+./target/release/gen_mesh 24 24 4 96 "$tmp/mesh96.sp" > /dev/null
+mesh96_ports=""
+for i in $(seq 0 95); do mesh96_ports="$mesh96_ports --port port$i"; done
+# shellcheck disable=SC2086
+./target/release/rcfit $mesh96_ports -o "$tmp/mesh96_cli.sp" "$tmp/mesh96.sp" \
+    2> "$tmp/mesh96_cli.txt"
+mesh96_elements="$(sed -n 's/^rcfit: reduced network realized with \([0-9]*\) elements$/\1/p' \
+    "$tmp/mesh96_cli.txt")"
+if [ -z "$mesh96_elements" ] || [ "$mesh96_elements" -lt 5000 ]; then
+    echo "the 96-port mesh reduced to '${mesh96_elements}' elements (want >= 5000)" >&2
+    exit 1
+fi
+python3 - "$tmp/mesh96.sp" > "$tmp/mesh96_requests.jsonl" <<'EOF'
+import json, sys
+ports = [f"port{i}" for i in range(96)]
+print(json.dumps({"id": "mesh96", "path": sys.argv[1], "options": {"ports": ports}}))
+print(json.dumps({"id": "end", "op": "shutdown"}))
+EOF
+./target/release/rcfitd --workers 1 --max-deck-bytes 1048576 \
+    < "$tmp/mesh96_requests.jsonl" > "$tmp/mesh96_responses.jsonl"
+python3 - "$tmp/mesh96_responses.jsonl" "$tmp/mesh96_daemon.sp" <<'EOF'
+import json, sys
+docs = {d["id"]: d for d in map(json.loads, open(sys.argv[1]))}
+assert docs["mesh96"]["ok"], docs["mesh96"].get("error")
+with open(sys.argv[2], "w", newline="") as f:
+    f.write(docs["mesh96"]["deck"])
+EOF
+cmp "$tmp/mesh96_cli.sp" "$tmp/mesh96_daemon.sp"
+echo "daemon deck = CLI deck on the 96-port mesh (${mesh96_elements} elements)"
+
+echo "==> pole nodes never merge into deck nets"
+# `rcfit_p0` is the name the reduction would give its first pole node;
+# here it is a net of the deck, driven by V2. The reduced deck must name
+# its pole nodes so that none equals a node of the input.
+cat > "$tmp/clash.sp" <<'EOF'
+* pole node clash
+V1 in 0 1
+R1 in n1 100
+C1 n1 0 1p
+R2 n1 n2 100
+C2 n2 0 1p
+R3 n2 out 100
+C3 out 0 1p
+M1 d1 out 0 0 nch
+M2 d2 rcfit_p0 0 0 nch
+V2 rcfit_p0 0 0.5
+.model nch nmos()
+.end
+EOF
+./target/release/rcfit --fmax 100g --tol 0.01 -o "$tmp/clash_reduced.sp" "$tmp/clash.sp" \
+    2> /dev/null
+python3 - "$tmp/clash.sp" "$tmp/clash_reduced.sp" <<'EOF'
+import re, sys
+deck = set(open(sys.argv[1]).read().lower().split())
+poles = set()
+for line in open(sys.argv[2]):
+    t = line.split()
+    if len(t) == 4 and t[0][:1] in "RC":
+        poles.update(n for n in t[1:3] if re.fullmatch(r"rcfit\w*_p\d+", n.lower()))
+assert poles, "the reduction kept no pole node"
+clash = poles & deck
+assert not clash, f"pole node(s) merged into deck nets: {sorted(clash)}"
+print(f"pole nodes fresh: {' '.join(sorted(poles))}")
+EOF
+
 echo "==> extraction + chain-collapse smoke (-> results/extract_perf.txt)"
 # chain_collapse --smoke runs the 2000-segment line deck A/B and asserts
 # the acceptance gates: collapse eliminates >= 50% of the island's

@@ -53,9 +53,9 @@ fn mesh_circuit(nx: usize, ny: usize, nz: usize, contacts: usize) -> (Circuit, u
     nl.elements.push(Element {
         name: "Vac".to_owned(),
         kind: ElementKind::VSource {
-            p: net.node_names[0].clone(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(0.0),
+            p: net.node_names[0].clone().into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(0.0)),
         },
     });
     (Circuit::from_netlist(&nl).expect("mesh circuit"), nodes)
@@ -236,9 +236,9 @@ fn smoke() {
     nl.elements.push(Element {
         name: "Iin".to_owned(),
         kind: ElementKind::ISource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Pulse {
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Pulse {
                 v1: 0.0,
                 v2: 1e-3,
                 td: 0.1e-9,
@@ -246,7 +246,7 @@ fn smoke() {
                 tf: 0.1e-9,
                 pw: 1.0e-9,
                 per: 4e-9,
-            },
+            }),
         },
     });
     let line = Circuit::from_netlist(&nl).expect("line circuit");

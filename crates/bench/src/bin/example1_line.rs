@@ -18,7 +18,7 @@ fn deck() -> Netlist {
         kind: ElementKind::VSource {
             p: "vdd".into(),
             n: "0".into(),
-            wave: Waveform::Dc(5.0),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     nl.elements.push(Element {
@@ -26,7 +26,7 @@ fn deck() -> Netlist {
         kind: ElementKind::VSource {
             p: "in".into(),
             n: "0".into(),
-            wave: Waveform::Dc(0.0),
+            wave: Box::new(Waveform::Dc(0.0)),
         },
     });
     nl.elements.extend(inverter(

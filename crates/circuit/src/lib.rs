@@ -341,7 +341,7 @@ impl Circuit {
                     ckt.vsources.push(Source {
                         p,
                         n,
-                        wave: wave.clone(),
+                        wave: (**wave).clone(),
                         name: e.name.clone(),
                     });
                 }
@@ -351,7 +351,7 @@ impl Circuit {
                     ckt.isources.push(Source {
                         p,
                         n,
-                        wave: wave.clone(),
+                        wave: (**wave).clone(),
                         name: e.name.clone(),
                     });
                 }
@@ -364,22 +364,27 @@ impl Circuit {
                         value: *henries,
                     });
                 }
-                ElementKind::Vcvs { p, n, cp, cn, gain } => {
+                ElementKind::Vcvs {
+                    p,
+                    n,
+                    control,
+                    gain,
+                } => {
                     let ctl = VoltCtl {
                         p: lookup(p),
                         n: lookup(n),
-                        cp: lookup(cp),
-                        cn: lookup(cn),
+                        cp: lookup(&control[0]),
+                        cn: lookup(&control[1]),
                         gain: *gain,
                     };
                     ckt.vcvs.push(ctl);
                 }
-                ElementKind::Vccs { p, n, cp, cn, gm } => {
+                ElementKind::Vccs { p, n, control, gm } => {
                     let ctl = VoltCtl {
                         p: lookup(p),
                         n: lookup(n),
-                        cp: lookup(cp),
-                        cn: lookup(cn),
+                        cp: lookup(&control[0]),
+                        cn: lookup(&control[1]),
                         gain: *gm,
                     };
                     ckt.vccs.push(ctl);
@@ -403,13 +408,12 @@ impl Circuit {
                     ckt.ccvs.push(ctl);
                 }
                 ElementKind::Diode { p, n, model, area } => {
-                    let dm =
-                        nl.diode_models
-                            .get(model)
-                            .ok_or_else(|| CircuitError::UnknownModel {
-                                element: e.name.clone(),
-                                model: model.clone(),
-                            })?;
+                    let dm = nl.diode_models.get(&**model).ok_or_else(|| {
+                        CircuitError::UnknownModel {
+                            element: e.name.clone(),
+                            model: model.to_string(),
+                        }
+                    })?;
                     let p = lookup(p);
                     let n = lookup(n);
                     let d = Diode::from_model(dm, p, n, *area);
@@ -424,27 +428,19 @@ impl Circuit {
                     }
                     ckt.diodes.push(d);
                 }
-                ElementKind::Mosfet {
-                    d,
-                    g,
-                    s,
-                    b,
-                    model,
-                    w,
-                    l,
-                } => {
+                ElementKind::Mosfet(m) => {
                     let mm = nl
                         .models
-                        .get(model)
+                        .get(&m.model)
                         .ok_or_else(|| CircuitError::UnknownModel {
                             element: e.name.clone(),
-                            model: model.clone(),
+                            model: m.model.clone(),
                         })?;
-                    let d = lookup(d);
-                    let g = lookup(g);
-                    let s = lookup(s);
-                    let b = lookup(b);
-                    let mos = Mosfet::from_model(mm, d, g, s, b, *w, *l);
+                    let d = lookup(&m.d);
+                    let g = lookup(&m.g);
+                    let s = lookup(&m.s);
+                    let b = lookup(&m.b);
+                    let mos = Mosfet::from_model(mm, d, g, s, b, m.w, m.l);
                     // Parasitic capacitances become plain capacitors.
                     for (x, y, c) in [
                         (mos.g, mos.s, mos.cgs),

@@ -26,6 +26,14 @@ pub enum PactError {
     Flatten(FlattenError),
     /// RC extraction rejected the deck (bad element values, no ports, …).
     Network(NetworkError),
+    /// A requested port (`--port`, `"ports"`) names no node of the deck.
+    /// Dropping it would silently change which nodes the reduction
+    /// keeps, as a misspelled name or a `--port` that took the next flag
+    /// as its value would.
+    UnknownPort {
+        /// The requested name.
+        name: String,
+    },
     /// The accuracy specification was invalid.
     Cutoff(CutoffError),
     /// The sparsification threshold was not a finite number in `[0, 1)`.
@@ -103,6 +111,7 @@ impl PactError {
             PactError::Value(_) => "value",
             PactError::Flatten(_) => "flatten",
             PactError::Network(_) => "network",
+            PactError::UnknownPort { .. } => "unknown_port",
             PactError::Cutoff(_) => "cutoff",
             PactError::Sparsify { .. } => "sparsify",
             PactError::Threads { .. } => "threads",
@@ -151,7 +160,7 @@ impl PactError {
             },
             ReduceError::Lanczos(le) => PactError::Lanczos(le),
             ReduceError::Eigen(ee) => PactError::Eigen(ee),
-            ReduceError::Network(ne) => PactError::Network(ne),
+            ReduceError::Network(ne) => ne.into(),
         }
     }
 
@@ -171,6 +180,9 @@ impl std::fmt::Display for PactError {
             PactError::Value(e) => write!(f, "invalid value: {e}"),
             PactError::Flatten(e) => write!(f, "flatten error: {e}"),
             PactError::Network(e) => write!(f, "extraction error: {e}"),
+            PactError::UnknownPort { name } => {
+                write!(f, "requested port `{name}` names no node of the deck")
+            }
             PactError::Cutoff(e) => write!(f, "cutoff error: {e}"),
             PactError::Sparsify { value } => write!(
                 f,
@@ -221,7 +233,10 @@ impl From<FlattenError> for PactError {
 }
 impl From<NetworkError> for PactError {
     fn from(e: NetworkError) -> Self {
-        PactError::Network(e)
+        match e {
+            NetworkError::UnknownPort { name } => PactError::UnknownPort { name },
+            e => PactError::Network(e),
+        }
     }
 }
 impl From<CutoffError> for PactError {

@@ -48,6 +48,7 @@ use pact_netlist::{extract_rc, splice_reduced, Branch, Netlist, NetworkError, Rc
 
 use crate::cutoff::CutoffError;
 use crate::error::PactError;
+use crate::model::pole_safe_prefix;
 use crate::reduce::ComponentReduction;
 use crate::sanitize::sanitize_network;
 use crate::session::ReductionSession;
@@ -513,7 +514,14 @@ pub fn reduce_embedded(
     tel.counters.extract_subnets = reduction.reductions.len() as u64;
 
     let elements = tel.time("emit", || {
-        reduction.to_netlist_elements(&opts.prefix, opts.sparsify)
+        let poles: Vec<usize> = reduction
+            .reductions
+            .iter()
+            .map(|r| r.model.num_poles())
+            .collect();
+        let taken = flat.elements.iter().flat_map(|e| e.nodes());
+        let prefix = pole_safe_prefix(&opts.prefix, &poles, true, taken);
+        reduction.to_netlist_elements(&prefix, opts.sparsify)
     });
     let deck_out = splice_reduced(&flat, elements);
     let nodes_after = reduction.num_poles();

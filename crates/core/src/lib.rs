@@ -77,7 +77,7 @@ pub use extract::{
     ExtractOptions,
 };
 pub use lru::LruCache;
-pub use model::ReducedModel;
+pub use model::{pole_safe_prefix, ReducedModel};
 pub use partition::Partitions;
 pub use reduce::{
     reduce, reduce_network, reduce_network_components, ComponentReduction, ReduceError,

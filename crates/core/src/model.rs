@@ -12,7 +12,9 @@
 //!
 //! with one retained pole per row `rᵢ` of `R''` at `s = −1/λᵢ`.
 
-use pact_netlist::{sparsify_preserving_passivity, unstamp, Element};
+use std::fmt;
+
+use pact_netlist::{sparsify_preserving_passivity, unstamp, unstamp_each, Element};
 use pact_sparse::{sym_eig, Complex64, DMat, EigenError};
 
 /// A passive reduced-order multiport RC model.
@@ -176,23 +178,149 @@ impl ReducedModel {
         }
     }
 
-    /// Converts the reduced model into SPICE RC elements (possibly with
-    /// negative values — reduced models generally need them), applying the
-    /// sparsification heuristic with threshold `sparsify_tol` (0 disables).
-    ///
-    /// Internal nodes are named `<prefix>_p<i>`.
-    pub fn to_netlist_elements(&self, prefix: &str, sparsify_tol: f64) -> Vec<Element> {
+    /// The `(G'', C'')` that are realized: normalized
+    /// ([`ReducedModel::to_matrices_normalized`]), then sparsified with
+    /// threshold `sparsify_tol` (0 disables).
+    fn realized_matrices(&self, sparsify_tol: f64) -> (DMat<f64>, DMat<f64>) {
         let (mut g, mut c) = self.to_matrices_normalized();
         if sparsify_tol > 0.0 {
             sparsify_preserving_passivity(&mut g, sparsify_tol);
             sparsify_preserving_passivity(&mut c, sparsify_tol);
         }
-        let mut names = self.port_names.clone();
-        for i in 0..self.num_poles() {
-            names.push(format!("{prefix}_p{i}"));
+        (g, c)
+    }
+
+    /// The name of row `i` of the realized matrices: port `i`'s name, or
+    /// `<prefix>_p<k>` for the node of retained pole `k = i − m`.
+    fn row_name<'a>(&'a self, prefix: &'a str, i: usize) -> RowName<'a> {
+        match self.port_names.get(i) {
+            Some(port) => RowName::Port(port),
+            None => RowName::Pole(prefix, i - self.num_ports()),
         }
+    }
+
+    /// Writes the reduced model's SPICE RC cards into `out`, one line per
+    /// element, and returns how many it wrote: the walk of
+    /// [`pact_netlist::unstamp_each`] over the realized matrices, with no
+    /// element built. The lines are exactly those of
+    /// [`ReducedModel::to_netlist_elements`], printed in order.
+    ///
+    /// Allocates the two matrices, and reserves room in `out` for the
+    /// lines once, estimated from a first pass that counts the elements.
+    pub fn write_cards(&self, out: &mut String, prefix: &str, sparsify_tol: f64) -> usize {
+        let (g, c) = self.realized_matrices(sparsify_tol);
+        let mut count = 0;
+        unstamp_each(&g, &c, |_| count += 1);
+        // Name, two nodes, a value of `{:.6}` plus a suffix, three
+        // spaces and a newline.
+        let digits = |n: usize| n.max(1).ilog10() as usize + 1;
+        let name = 3 + prefix.len() + 2 * digits(g.nrows());
+        let pole = prefix.len() + 2 + digits(self.num_poles());
+        let node = self
+            .port_names
+            .iter()
+            .map(String::len)
+            .fold(pole, usize::max);
+        out.reserve(count * (name + 2 * node + 12 + 4));
+        unstamp_each(&g, &c, |u| {
+            u.write_card(out, prefix, |i| self.row_name(prefix, i))
+                .expect("writing to a String cannot fail");
+        });
+        count
+    }
+
+    /// Converts the reduced model into SPICE RC elements (possibly with
+    /// negative values — reduced models generally need them), applying the
+    /// sparsification heuristic with threshold `sparsify_tol` (0 disables):
+    /// the elements of [`ReducedModel::write_cards`], collected.
+    ///
+    /// Internal nodes are named `<prefix>_p<i>`.
+    pub fn to_netlist_elements(&self, prefix: &str, sparsify_tol: f64) -> Vec<Element> {
+        let (g, c) = self.realized_matrices(sparsify_tol);
+        let names: Vec<String> = (0..g.nrows())
+            .map(|i| self.row_name(prefix, i).to_string())
+            .collect();
         unstamp(&g, &c, &names, prefix)
     }
+}
+
+/// A row of a reduced model's realized matrices, as its node is named.
+enum RowName<'a> {
+    Port(&'a str),
+    Pole(&'a str, usize),
+}
+
+impl fmt::Display for RowName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowName::Port(name) => f.write_str(name),
+            RowName::Pole(prefix, k) => write!(f, "{prefix}_p{k}"),
+        }
+    }
+}
+
+/// The prefix under which reduced models enter a deck without merging a
+/// pole node into one of the deck's nets.
+///
+/// A model realized under prefix `p` adds pole nodes `p_p0`, `p_p1`, …
+/// ([`ReducedModel::write_cards`]). `poles[k]` is the pole count of
+/// model `k`; a lone model (`numbered == false`) takes the prefix itself,
+/// and model `k` of several takes the prefix followed by `k`. This
+/// returns `prefix` when no name in `taken` equals one of those pole
+/// nodes (ignoring ASCII case, as SPICE simulators do), and otherwise
+/// `prefix` with the fewest `x`s appended that avoids them all: each
+/// name blocks at most one count of `x`s, so one pass over `taken`
+/// decides.
+pub fn pole_safe_prefix<'a>(
+    prefix: &str,
+    poles: &[usize],
+    numbered: bool,
+    taken: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let mut blocked: Vec<usize> = taken
+        .into_iter()
+        .filter_map(|name| blocked_xs(name, prefix, poles, numbered))
+        .collect();
+    blocked.sort_unstable();
+    blocked.dedup();
+    let xs = blocked
+        .iter()
+        .enumerate()
+        .find(|&(free, &b)| free != b)
+        .map_or(blocked.len(), |(free, _)| free);
+    format!("{prefix}{}", "x".repeat(xs))
+}
+
+/// How many `x`s after `prefix` would make `name` a pole node, if any.
+fn blocked_xs(name: &str, prefix: &str, poles: &[usize], numbered: bool) -> Option<usize> {
+    let rest = strip_prefix_ignore_case(name, prefix)?;
+    let xs = rest
+        .bytes()
+        .take_while(|b| b.eq_ignore_ascii_case(&b'x'))
+        .count();
+    let rest = &rest[xs..];
+    let (model, rest) = if numbered {
+        let end = rest.bytes().take_while(u8::is_ascii_digit).count();
+        (decimal(&rest[..end])?, &rest[end..])
+    } else {
+        (0, rest)
+    };
+    let pole = decimal(strip_prefix_ignore_case(rest, "_p")?)?;
+    (pole < *poles.get(model)?).then_some(xs)
+}
+
+fn strip_prefix_ignore_case<'a>(s: &'a str, prefix: &str) -> Option<&'a str> {
+    let head = s.get(..prefix.len())?;
+    head.eq_ignore_ascii_case(prefix)
+        .then(|| &s[prefix.len()..])
+}
+
+/// `s` read as `{}` writes a `usize`: digits only, no leading zero.
+fn decimal(s: &str) -> Option<usize> {
+    if !s.bytes().all(|b| b.is_ascii_digit()) || (s.len() > 1 && s.starts_with('0')) {
+        return None;
+    }
+    s.parse().ok()
 }
 
 #[cfg(test)]
@@ -275,6 +403,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn written_cards_print_the_collected_elements() {
+        let m = toy_model();
+        for tol in [0.0, 1e-9, 0.3] {
+            let mut text = String::new();
+            let n = m.write_cards(&mut text, "red", tol);
+            let els = m.to_netlist_elements("red", tol);
+            assert_eq!(n, els.len());
+            let collected: String = els.iter().map(|e| format!("{e}\n")).collect();
+            assert_eq!(text, collected, "sparsify {tol}");
+        }
+    }
+
+    #[test]
+    fn pole_prefix_avoids_only_real_clashes() {
+        let taken = |names: &[&'static str]| names.to_vec();
+        // No clash: the prefix stays.
+        let p = pole_safe_prefix(
+            "rcfit",
+            &[2],
+            false,
+            taken(&["in", "rcfit_p2", "rcfit_p01"]),
+        );
+        assert_eq!(p, "rcfit");
+        // A deck net named like pole 1 moves every pole node.
+        let p = pole_safe_prefix("rcfit", &[2], false, taken(&["RCFIT_P1", "rcfitx_p0"]));
+        assert_eq!(p, "rcfitxx");
+        // Numbered models: model 1 has no pole 3, model 0 has pole 0.
+        let names = taken(&["rcfit1_p3", "rcfit_p0"]);
+        assert_eq!(pole_safe_prefix("rcfit", &[1, 3], true, names), "rcfit");
+        let names = taken(&["rcfit1_p2"]);
+        assert_eq!(pole_safe_prefix("rcfit", &[1, 3], true, names), "rcfitx");
+        // A model without poles adds no pole node to clash with.
+        assert_eq!(pole_safe_prefix("x", &[0], false, taken(&["x_p0"])), "x");
     }
 
     #[test]

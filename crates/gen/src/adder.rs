@@ -14,7 +14,7 @@
 //! ports. One extra port (`portM`) is left unconnected as the substrate
 //! voltage monitor, exactly as in the paper.
 
-use pact_netlist::{Element, ElementKind, Netlist, RcNetwork, Waveform};
+use pact_netlist::{Element, ElementKind, MosfetCard, Netlist, RcNetwork, Waveform};
 
 use crate::line::add_default_models;
 use crate::mesh::{network_to_elements, substrate_mesh, MeshSpec};
@@ -36,18 +36,18 @@ pub struct AdderDeck {
 
 /// A four-terminal transistor shorthand used while assembling the adder.
 fn mos(name: &str, d: &str, g: &str, s: &str, b: &str, nmos: bool, w: f64) -> Element {
-    Element {
-        name: name.to_owned(),
-        kind: ElementKind::Mosfet {
-            d: d.to_owned(),
-            g: g.to_owned(),
-            s: s.to_owned(),
-            b: b.to_owned(),
+    Element::mosfet(
+        name,
+        MosfetCard {
+            d: d.into(),
+            g: g.into(),
+            s: s.into(),
+            b: b.into(),
             model: if nmos { "nch" } else { "pch" }.to_owned(),
             w,
             l: 1e-6,
         },
-    }
+    )
 }
 
 /// Builds the full-adder-over-substrate deck.
@@ -74,7 +74,7 @@ pub fn full_adder_deck(mesh_spec: &MeshSpec) -> AdderDeck {
         kind: ElementKind::VSource {
             p: "vdd".into(),
             n: "0".into(),
-            wave: Waveform::Dc(vdd),
+            wave: Box::new(Waveform::Dc(vdd)),
         },
     });
     for (i, (name, period)) in [("a", 4e-9), ("b", 8e-9), ("cin", 16e-9)]
@@ -84,9 +84,9 @@ pub fn full_adder_deck(mesh_spec: &MeshSpec) -> AdderDeck {
         nl.elements.push(Element {
             name: format!("Vin{i}"),
             kind: ElementKind::VSource {
-                p: format!("{name}_in"),
+                p: format!("{name}_in").into(),
                 n: "0".into(),
-                wave: Waveform::Pulse {
+                wave: Box::new(Waveform::Pulse {
                     v1: 0.0,
                     v2: vdd,
                     td: 0.5e-9,
@@ -94,7 +94,7 @@ pub fn full_adder_deck(mesh_spec: &MeshSpec) -> AdderDeck {
                     tf: 0.15e-9,
                     pw: period / 2.0 - 0.15e-9,
                     per: *period,
-                },
+                }),
             },
         });
     }
@@ -220,9 +220,9 @@ pub fn full_adder_deck(mesh_spec: &MeshSpec) -> AdderDeck {
     els.push(Element {
         name: "Imon".into(),
         kind: ElementKind::ISource {
-            p: monitor_port.clone(),
+            p: monitor_port.clone().into(),
             n: "0".into(),
-            wave: Waveform::Dc(0.0),
+            wave: Box::new(Waveform::Dc(0.0)),
         },
     });
 
@@ -301,7 +301,7 @@ mod tests {
                     if e.name.starts_with("Vin") {
                         // driver inverts: to get logic L at adder input,
                         // drive the pad high.
-                        *wave = Waveform::Dc(if levels[k] { 0.0 } else { 5.0 });
+                        **wave = Waveform::Dc(if levels[k] { 0.0 } else { 5.0 });
                         k += 1;
                     }
                 }

@@ -65,17 +65,17 @@ pub fn chain_heavy_deck(spec: &ChainDeckSpec) -> Netlist {
     nl.elements.push(Element {
         name: "Vdd".to_owned(),
         kind: ElementKind::VSource {
-            p: "vdd".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(5.0),
+            p: "vdd".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     nl.elements.push(Element {
         name: "Vin".to_owned(),
         kind: ElementKind::VSource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Pulse {
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Pulse {
                 v1: 0.0,
                 v2: 5.0,
                 td: 0.2e-9,
@@ -83,7 +83,7 @@ pub fn chain_heavy_deck(spec: &ChainDeckSpec) -> Netlist {
                 tf: 0.1e-9,
                 pw: 2.4e-9,
                 per: 5e-9,
-            },
+            }),
         },
     });
     let line = LineSpec {
@@ -116,9 +116,9 @@ pub fn chain_heavy_deck(spec: &ChainDeckSpec) -> Netlist {
             nl.elements.push(Element {
                 name: format!("Itap{k}_{j}"),
                 kind: ElementKind::ISource {
-                    p: format!("{prefix}_tap{j}"),
-                    n: "0".to_owned(),
-                    wave: Waveform::Dc(1e-6),
+                    p: format!("{prefix}_tap{j}").into(),
+                    n: "0".into(),
+                    wave: Box::new(Waveform::Dc(1e-6)),
                 },
             });
         }
@@ -175,17 +175,17 @@ pub fn rich_mixed_deck(spec: &RichDeckSpec) -> Netlist {
     nl.elements.push(Element {
         name: "Vdd".to_owned(),
         kind: ElementKind::VSource {
-            p: "vdd".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(3.3),
+            p: "vdd".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(3.3)),
         },
     });
     nl.elements.push(Element {
         name: "Vin".to_owned(),
         kind: ElementKind::VSource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Pulse {
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Pulse {
                 v1: 0.0,
                 v2: 3.3,
                 td: 0.2e-9,
@@ -193,7 +193,7 @@ pub fn rich_mixed_deck(spec: &RichDeckSpec) -> Netlist {
                 tf: 0.1e-9,
                 pw: 2.4e-9,
                 per: 5e-9,
-            },
+            }),
         },
     });
     let line = LineSpec {
@@ -213,8 +213,8 @@ pub fn rich_mixed_deck(spec: &RichDeckSpec) -> Netlist {
     nl.elements.push(Element {
         name: "Lbond".to_owned(),
         kind: ElementKind::Inductor {
-            a: "b".to_owned(),
-            b: "bl".to_owned(),
+            a: "b".into(),
+            b: "bl".into(),
             henries: 1e-9,
         },
     });
@@ -222,9 +222,9 @@ pub fn rich_mixed_deck(spec: &RichDeckSpec) -> Netlist {
     nl.elements.push(Element {
         name: "Dclamp".to_owned(),
         kind: ElementKind::Diode {
-            p: "0".to_owned(),
-            n: "bl".to_owned(),
-            model: "dclamp".to_owned(),
+            p: "0".into(),
+            n: "bl".into(),
+            model: "dclamp".into(),
             area: 1.0,
         },
     });
@@ -238,10 +238,9 @@ pub fn rich_mixed_deck(spec: &RichDeckSpec) -> Netlist {
     nl.elements.push(Element {
         name: "Esense".to_owned(),
         kind: ElementKind::Vcvs {
-            p: "sense".to_owned(),
-            n: "0".to_owned(),
-            cp: "d".to_owned(),
-            cn: "0".to_owned(),
+            p: "sense".into(),
+            n: "0".into(),
+            control: Box::new(["d".into(), "0".into()]),
             gain: 2.0,
         },
     });

@@ -1,7 +1,7 @@
 //! RC transmission-line and inverter-pair generators (the paper's
 //! Figure 2 circuit and the Figure 3 comparison variants).
 
-use pact_netlist::{Element, MosModel, Netlist, Waveform};
+use pact_netlist::{Element, MosModel, MosfetCard, Netlist, Waveform};
 
 /// Per-segment scaling law for a lumped RC line.
 ///
@@ -187,30 +187,30 @@ pub fn inverter(
     wp: f64,
 ) -> Vec<Element> {
     vec![
-        Element {
-            name: format!("MN{name}"),
-            kind: pact_netlist::ElementKind::Mosfet {
-                d: output.to_owned(),
-                g: input.to_owned(),
-                s: "0".to_owned(),
-                b: nbody.to_owned(),
+        Element::mosfet(
+            format!("MN{name}"),
+            MosfetCard {
+                d: output.into(),
+                g: input.into(),
+                s: "0".into(),
+                b: nbody.into(),
                 model: "nch".to_owned(),
                 w: wn,
                 l: 1e-6,
             },
-        },
-        Element {
-            name: format!("MP{name}"),
-            kind: pact_netlist::ElementKind::Mosfet {
-                d: output.to_owned(),
-                g: input.to_owned(),
-                s: vdd.to_owned(),
-                b: pbody.to_owned(),
+        ),
+        Element::mosfet(
+            format!("MP{name}"),
+            MosfetCard {
+                d: output.into(),
+                g: input.into(),
+                s: vdd.into(),
+                b: pbody.into(),
                 model: "pch".to_owned(),
                 w: wp,
                 l: 1e-6,
             },
-        },
+        ),
     ]
 }
 
@@ -236,17 +236,17 @@ pub fn inverter_pair_deck(line: &LineSpec) -> Netlist {
     nl.elements.push(Element {
         name: "Vdd".to_owned(),
         kind: pact_netlist::ElementKind::VSource {
-            p: "vdd".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(5.0),
+            p: "vdd".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     nl.elements.push(Element {
         name: "Vin".to_owned(),
         kind: pact_netlist::ElementKind::VSource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Pulse {
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Pulse {
                 v1: 0.0,
                 v2: 5.0,
                 td: 0.2e-9,
@@ -254,7 +254,7 @@ pub fn inverter_pair_deck(line: &LineSpec) -> Netlist {
                 tf: 0.1e-9,
                 pw: 2.4e-9,
                 per: 5e-9,
-            },
+            }),
         },
     });
     // Driver: large inverter (the paper's W/L = 100 for the first stage).
@@ -281,17 +281,17 @@ pub fn no_line_deck() -> Netlist {
     nl.elements.push(Element {
         name: "Vdd".to_owned(),
         kind: pact_netlist::ElementKind::VSource {
-            p: "vdd".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(5.0),
+            p: "vdd".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     nl.elements.push(Element {
         name: "Vin".to_owned(),
         kind: pact_netlist::ElementKind::VSource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Pulse {
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Pulse {
                 v1: 0.0,
                 v2: 5.0,
                 td: 0.2e-9,
@@ -299,7 +299,7 @@ pub fn no_line_deck() -> Netlist {
                 tf: 0.1e-9,
                 pw: 2.4e-9,
                 per: 5e-9,
-            },
+            }),
         },
     });
     nl.elements.extend(inverter(

@@ -8,7 +8,7 @@
 //! 100 MHz–10 GHz range set by contact capacitance against spreading
 //! resistance — is what PACT exploits.
 
-use pact_netlist::{Branch, Element, RcNetwork};
+use pact_netlist::{Branch, Element, Node, RcNetwork};
 use pact_sparse::XorShiftRng;
 
 /// Parameters for [`substrate_mesh`].
@@ -307,26 +307,24 @@ pub fn with_neighbour_coupling(mut net: RcNetwork, c_couple: f64) -> RcNetwork {
 /// Converts an [`RcNetwork`] into SPICE elements (for splicing a mesh
 /// into a transistor-level deck). Element names get `prefix`.
 pub fn network_to_elements(net: &RcNetwork, prefix: &str) -> Vec<Element> {
-    let name_of = |n: Option<usize>| -> String {
-        match n {
-            Some(i) => net.node_names[i].clone(),
-            None => "0".to_owned(),
-        }
-    };
+    // One shared name per node, as the parser stores them.
+    let nodes: Vec<Node> = net.node_names.iter().map(Node::from).collect();
+    let ground = Node::from("0");
+    let node = |n: Option<usize>| n.map_or_else(|| ground.clone(), |i| nodes[i].clone());
     let mut out = Vec::with_capacity(net.resistors.len() + net.capacitors.len());
     for (k, r) in net.resistors.iter().enumerate() {
         out.push(Element::resistor(
             format!("R{prefix}{k}"),
-            name_of(r.a),
-            name_of(r.b),
+            node(r.a),
+            node(r.b),
             r.value,
         ));
     }
     for (k, c) in net.capacitors.iter().enumerate() {
         out.push(Element::capacitor(
             format!("C{prefix}{k}"),
-            name_of(c.a),
-            name_of(c.b),
+            node(c.a),
+            node(c.b),
             c.value,
         ));
     }

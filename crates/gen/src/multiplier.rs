@@ -70,16 +70,16 @@ pub fn multiplier_like_deck(spec: &MultiplierSpec) -> (Netlist, MultiplierStats)
         kind: ElementKind::VSource {
             p: "vdd".into(),
             n: "0".into(),
-            wave: Waveform::Dc(5.0),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     for c in 0..spec.chains {
         nl.elements.push(Element {
             name: format!("Vin{c}"),
             kind: ElementKind::VSource {
-                p: format!("in{c}"),
+                p: format!("in{c}").into(),
                 n: "0".into(),
-                wave: Waveform::Pulse {
+                wave: Box::new(Waveform::Pulse {
                     v1: 0.0,
                     v2: 5.0,
                     td: 0.3e-9 + 0.1e-9 * c as f64,
@@ -87,7 +87,7 @@ pub fn multiplier_like_deck(spec: &MultiplierSpec) -> (Netlist, MultiplierStats)
                     tf: 0.1e-9,
                     pw: 4e-9,
                     per: 10e-9,
-                },
+                }),
             },
         });
     }

@@ -115,9 +115,9 @@ pub fn power_grid_deck(spec: &PowerGridSpec) -> PowerGridDeck {
         nl.elements.push(Element {
             name: format!("Vpad{k}"),
             kind: ElementKind::VSource {
-                p: pad.clone(),
+                p: pad.clone().into(),
                 n: "0".into(),
-                wave: Waveform::Dc(spec.vdd),
+                wave: Box::new(Waveform::Dc(spec.vdd)),
             },
         });
         nl.elements.push(Element::resistor(
@@ -149,9 +149,9 @@ pub fn power_grid_deck(spec: &PowerGridSpec) -> PowerGridDeck {
         nl.elements.push(Element {
             name: format!("Isw{k}"),
             kind: ElementKind::ISource {
-                p: n.clone(),
+                p: n.clone().into(),
                 n: "0".into(),
-                wave: Waveform::Pulse {
+                wave: Box::new(Waveform::Pulse {
                     v1: 0.0,
                     v2: spec.i_peak,
                     td: 0.5e-9 + 0.2e-9 * k as f64,
@@ -159,7 +159,7 @@ pub fn power_grid_deck(spec: &PowerGridSpec) -> PowerGridDeck {
                     tf: 0.1e-9,
                     pw: 1e-9,
                     per: 5e-9,
-                },
+                }),
             },
         });
         taps.push(n);

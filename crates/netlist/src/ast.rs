@@ -1,11 +1,13 @@
 //! Netlist data model: elements, source waveforms, device models and
 //! analysis cards, plus the SPICE writer.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use crate::units::format_value;
+use crate::units::SpiceValue;
 
 /// A parsed SPICE deck.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -100,9 +102,9 @@ impl Netlist {
     }
 }
 
-/// An element name compared and hashed without regard to ASCII case.
+/// A name compared and hashed without regard to ASCII case.
 #[derive(Clone, Copy, Debug)]
-struct NoCase<'a>(&'a str);
+pub(crate) struct NoCase<'a>(pub(crate) &'a str);
 
 impl PartialEq for NoCase<'_> {
     fn eq(&self, other: &Self) -> bool {
@@ -153,14 +155,22 @@ fn expand_instance(
             got: inst.nodes.len(),
         });
     }
-    let map_node = |name: &str| -> String {
-        if is_ground(name) {
-            return name.to_owned();
+    // Each local node of this instance gets one flattened name, shared
+    // by every card that touches it.
+    let mut locals: HashMap<Node, Node> = HashMap::new();
+    let mut map_node = |node: &Node| -> Node {
+        if is_ground(node) {
+            return node.clone();
         }
-        if let Some(pos) = def.ports.iter().position(|p| p.eq_ignore_ascii_case(name)) {
+        if let Some(pos) = def.ports.iter().position(|p| p.eq_ignore_ascii_case(node)) {
             return inst.nodes[pos].clone();
         }
-        format!("{path}.{name}")
+        if let Some(flat) = locals.get(node.as_str()) {
+            return flat.clone();
+        }
+        let flat = Node::from(format!("{path}.{node}"));
+        locals.insert(node.clone(), flat.clone());
+        flat
     };
     // Element names local to this body: current-controlled sources (F/H)
     // that reference one of them must follow its flattened name; a name
@@ -171,11 +181,11 @@ fn expand_instance(
         .iter()
         .map(|e| e.name.to_ascii_lowercase())
         .collect();
-    let map_ctrl = |ctrl: &str| -> String {
+    let map_ctrl = |ctrl: &str| -> Box<str> {
         if local_names.contains(&ctrl.to_ascii_lowercase()) {
-            format!("{ctrl}.{path}")
+            format!("{ctrl}.{path}").into()
         } else {
-            ctrl.to_owned()
+            ctrl.into()
         }
     };
     for e in &def.elements {
@@ -188,11 +198,11 @@ fn expand_instance(
                 *a = map_node(a);
                 *b = map_node(b);
             }
-            ElementKind::Mosfet { d, g, s, b, .. } => {
-                *d = map_node(d);
-                *g = map_node(g);
-                *s = map_node(s);
-                *b = map_node(b);
+            ElementKind::Mosfet(m) => {
+                m.d = map_node(&m.d);
+                m.g = map_node(&m.g);
+                m.s = map_node(&m.s);
+                m.b = map_node(&m.b);
             }
             ElementKind::VSource { p, n, .. }
             | ElementKind::ISource { p, n, .. }
@@ -200,11 +210,12 @@ fn expand_instance(
                 *p = map_node(p);
                 *n = map_node(n);
             }
-            ElementKind::Vcvs { p, n, cp, cn, .. } | ElementKind::Vccs { p, n, cp, cn, .. } => {
+            ElementKind::Vcvs { p, n, control, .. } | ElementKind::Vccs { p, n, control, .. } => {
                 *p = map_node(p);
                 *n = map_node(n);
-                *cp = map_node(cp);
-                *cn = map_node(cn);
+                for c in control.iter_mut() {
+                    *c = map_node(c);
+                }
             }
             ElementKind::Cccs { p, n, ctrl, .. } | ElementKind::Ccvs { p, n, ctrl, .. } => {
                 *p = map_node(p);
@@ -217,7 +228,7 @@ fn expand_instance(
     for nested in &def.instances {
         let nested_bound = SubcktInstance {
             name: nested.name.clone(),
-            nodes: nested.nodes.iter().map(|n| map_node(n)).collect(),
+            nodes: nested.nodes.iter().map(&mut map_node).collect(),
             subckt: nested.subckt.clone(),
         };
         let nested_path = format!("{path}.{}", nested.name.to_ascii_lowercase());
@@ -246,7 +257,7 @@ pub struct SubcktInstance {
     /// Instance name (`X1`, `Xcore`, …).
     pub name: String,
     /// Nodes bound to the subcircuit's ports, in order.
-    pub nodes: Vec<String>,
+    pub nodes: Vec<Node>,
     /// Referenced subcircuit name (lower-cased).
     pub subckt: String,
 }
@@ -313,6 +324,89 @@ pub fn is_ground(name: &str) -> bool {
             .any(|g| name.eq_ignore_ascii_case(g))
 }
 
+/// A node name, stored once per deck and shared by every card that
+/// names it: cloning a `Node` copies a pointer, not the text.
+///
+/// It derefs to `str` and compares, hashes, prints and debug-prints
+/// exactly as the name does.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Node(Arc<str>);
+
+impl Node {
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Node {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for Node {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Node {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Node {
+    fn from(name: &str) -> Node {
+        Node(name.into())
+    }
+}
+
+impl From<String> for Node {
+    fn from(name: String) -> Node {
+        Node(name.into())
+    }
+}
+
+impl From<&String> for Node {
+    fn from(name: &String) -> Node {
+        Node(name.as_str().into())
+    }
+}
+
+impl PartialEq<str> for Node {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Node {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for Node {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
 /// One circuit element card.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Element {
@@ -326,8 +420,8 @@ impl Element {
     /// Creates a resistor element.
     pub fn resistor(
         name: impl Into<String>,
-        a: impl Into<String>,
-        b: impl Into<String>,
+        a: impl Into<Node>,
+        b: impl Into<Node>,
         ohms: f64,
     ) -> Self {
         Element {
@@ -343,8 +437,8 @@ impl Element {
     /// Creates a capacitor element.
     pub fn capacitor(
         name: impl Into<String>,
-        a: impl Into<String>,
-        b: impl Into<String>,
+        a: impl Into<Node>,
+        b: impl Into<Node>,
         farads: f64,
     ) -> Self {
         Element {
@@ -354,6 +448,14 @@ impl Element {
                 b: b.into(),
                 farads,
             },
+        }
+    }
+
+    /// Creates a MOSFET element.
+    pub fn mosfet(name: impl Into<String>, card: MosfetCard) -> Self {
+        Element {
+            name: name.into(),
+            kind: ElementKind::Mosfet(Box::new(card)),
         }
     }
 
@@ -367,14 +469,14 @@ impl Element {
             ElementKind::Resistor { a, b, .. }
             | ElementKind::Capacitor { a, b, .. }
             | ElementKind::Inductor { a, b, .. } => Nodes::two(a, b),
-            ElementKind::Mosfet { d, g, s, b, .. } => Nodes::four(d, g, s, b),
+            ElementKind::Mosfet(m) => Nodes::four(&m.d, &m.g, &m.s, &m.b),
             ElementKind::VSource { p, n, .. }
             | ElementKind::ISource { p, n, .. }
             | ElementKind::Diode { p, n, .. }
             | ElementKind::Cccs { p, n, .. }
             | ElementKind::Ccvs { p, n, .. } => Nodes::two(p, n),
-            ElementKind::Vcvs { p, n, cp, cn, .. } | ElementKind::Vccs { p, n, cp, cn, .. } => {
-                Nodes::four(p, n, cp, cn)
+            ElementKind::Vcvs { p, n, control, .. } | ElementKind::Vccs { p, n, control, .. } => {
+                Nodes::four(p, n, &control[0], &control[1])
             }
         }
     }
@@ -431,14 +533,21 @@ impl<'a> IntoIterator for Nodes<'a> {
 }
 
 /// Device-specific element payload.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// An R or C card is the common case and sets the size: two shared node
+/// names and a value. Wider payloads (the MOSFET card, source waveforms,
+/// the controlling node pair of E/G sources) live behind a `Box`, so an
+/// [`Element`] takes 88 bytes. `Debug` prints every variant with the
+/// field names of a flat struct variant (`Mosfet { d: .., g: .., .. }`,
+/// `Vcvs { p: .., n: .., cp: .., cn: .., gain: .. }`).
+#[derive(Clone, PartialEq)]
 pub enum ElementKind {
     /// Two-terminal resistor (`ohms` may be negative in reduced netlists).
     Resistor {
         /// First terminal.
-        a: String,
+        a: Node,
         /// Second terminal.
-        b: String,
+        b: Node,
         /// Resistance in ohms.
         ohms: f64,
     },
@@ -446,54 +555,39 @@ pub enum ElementKind {
     /// netlists).
     Capacitor {
         /// First terminal.
-        a: String,
+        a: Node,
         /// Second terminal.
-        b: String,
+        b: Node,
         /// Capacitance in farads.
         farads: f64,
     },
     /// Four-terminal MOSFET referencing a `.MODEL` card.
-    Mosfet {
-        /// Drain node.
-        d: String,
-        /// Gate node.
-        g: String,
-        /// Source node.
-        s: String,
-        /// Body/bulk node.
-        b: String,
-        /// Model name (lower-cased).
-        model: String,
-        /// Channel width in meters.
-        w: f64,
-        /// Channel length in meters.
-        l: f64,
-    },
+    Mosfet(Box<MosfetCard>),
     /// Independent voltage source.
     VSource {
         /// Positive terminal.
-        p: String,
+        p: Node,
         /// Negative terminal.
-        n: String,
+        n: Node,
         /// Drive waveform.
-        wave: Waveform,
+        wave: Box<Waveform>,
     },
     /// Independent current source (current flows from `p` through the
     /// source to `n`).
     ISource {
         /// Positive terminal.
-        p: String,
+        p: Node,
         /// Negative terminal.
-        n: String,
+        n: Node,
         /// Drive waveform.
-        wave: Waveform,
+        wave: Box<Waveform>,
     },
     /// Two-terminal inductor (`L` card).
     Inductor {
         /// First terminal.
-        a: String,
+        a: Node,
         /// Second terminal.
-        b: String,
+        b: Node,
         /// Inductance in henries.
         henries: f64,
     },
@@ -501,13 +595,11 @@ pub enum ElementKind {
     /// `v(p) − v(n) = gain · (v(cp) − v(cn))`.
     Vcvs {
         /// Positive output terminal.
-        p: String,
+        p: Node,
         /// Negative output terminal.
-        n: String,
-        /// Positive controlling node.
-        cp: String,
-        /// Negative controlling node.
-        cn: String,
+        n: Node,
+        /// The controlling nodes `[cp, cn]`.
+        control: Box<[Node; 2]>,
         /// Voltage gain (dimensionless).
         gain: f64,
     },
@@ -515,13 +607,11 @@ pub enum ElementKind {
     /// (v(cp) − v(cn))` flows from `p` through the source to `n`.
     Vccs {
         /// Positive output terminal.
-        p: String,
+        p: Node,
         /// Negative output terminal.
-        n: String,
-        /// Positive controlling node.
-        cp: String,
-        /// Negative controlling node.
-        cn: String,
+        n: Node,
+        /// The controlling nodes `[cp, cn]`.
+        control: Box<[Node; 2]>,
         /// Transconductance in siemens.
         gm: f64,
     },
@@ -530,11 +620,11 @@ pub enum ElementKind {
     /// source whose branch current is the control.
     Cccs {
         /// Positive output terminal.
-        p: String,
+        p: Node,
         /// Negative output terminal.
-        n: String,
+        n: Node,
         /// Name of the controlling voltage source.
-        ctrl: String,
+        ctrl: Box<str>,
         /// Current gain (dimensionless).
         gain: f64,
     },
@@ -542,11 +632,11 @@ pub enum ElementKind {
     /// `v(p) − v(n) = ohms · i(ctrl)`.
     Ccvs {
         /// Positive output terminal.
-        p: String,
+        p: Node,
         /// Negative output terminal.
-        n: String,
+        n: Node,
         /// Name of the controlling voltage source.
-        ctrl: String,
+        ctrl: Box<str>,
         /// Transresistance in ohms.
         ohms: f64,
     },
@@ -554,14 +644,122 @@ pub enum ElementKind {
     /// Anode is `p`, cathode is `n`.
     Diode {
         /// Anode.
-        p: String,
+        p: Node,
         /// Cathode.
-        n: String,
+        n: Node,
         /// Model name (lower-cased).
-        model: String,
+        model: Box<str>,
         /// Area scale factor (multiplies `IS` and `CJ0`).
         area: f64,
     },
+}
+
+/// The payload of an `M` card.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MosfetCard {
+    /// Drain node.
+    pub d: Node,
+    /// Gate node.
+    pub g: Node,
+    /// Source node.
+    pub s: Node,
+    /// Body/bulk node.
+    pub b: Node,
+    /// Model name (lower-cased).
+    pub model: String,
+    /// Channel width in meters.
+    pub w: f64,
+    /// Channel length in meters.
+    pub l: f64,
+}
+
+impl fmt::Debug for ElementKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ElementKind::Resistor { a, b, ohms } => f
+                .debug_struct("Resistor")
+                .field("a", a)
+                .field("b", b)
+                .field("ohms", ohms)
+                .finish(),
+            ElementKind::Capacitor { a, b, farads } => f
+                .debug_struct("Capacitor")
+                .field("a", a)
+                .field("b", b)
+                .field("farads", farads)
+                .finish(),
+            ElementKind::Mosfet(m) => f
+                .debug_struct("Mosfet")
+                .field("d", &m.d)
+                .field("g", &m.g)
+                .field("s", &m.s)
+                .field("b", &m.b)
+                .field("model", &m.model)
+                .field("w", &m.w)
+                .field("l", &m.l)
+                .finish(),
+            ElementKind::VSource { p, n, wave } => f
+                .debug_struct("VSource")
+                .field("p", p)
+                .field("n", n)
+                .field("wave", wave)
+                .finish(),
+            ElementKind::ISource { p, n, wave } => f
+                .debug_struct("ISource")
+                .field("p", p)
+                .field("n", n)
+                .field("wave", wave)
+                .finish(),
+            ElementKind::Inductor { a, b, henries } => f
+                .debug_struct("Inductor")
+                .field("a", a)
+                .field("b", b)
+                .field("henries", henries)
+                .finish(),
+            ElementKind::Vcvs {
+                p,
+                n,
+                control,
+                gain,
+            } => f
+                .debug_struct("Vcvs")
+                .field("p", p)
+                .field("n", n)
+                .field("cp", &control[0])
+                .field("cn", &control[1])
+                .field("gain", gain)
+                .finish(),
+            ElementKind::Vccs { p, n, control, gm } => f
+                .debug_struct("Vccs")
+                .field("p", p)
+                .field("n", n)
+                .field("cp", &control[0])
+                .field("cn", &control[1])
+                .field("gm", gm)
+                .finish(),
+            ElementKind::Cccs { p, n, ctrl, gain } => f
+                .debug_struct("Cccs")
+                .field("p", p)
+                .field("n", n)
+                .field("ctrl", ctrl)
+                .field("gain", gain)
+                .finish(),
+            ElementKind::Ccvs { p, n, ctrl, ohms } => f
+                .debug_struct("Ccvs")
+                .field("p", p)
+                .field("n", n)
+                .field("ctrl", ctrl)
+                .field("ohms", ohms)
+                .finish(),
+            ElementKind::Diode { p, n, model, area } => f
+                .debug_struct("Diode")
+                .field("p", p)
+                .field("n", n)
+                .field("model", model)
+                .field("area", area)
+                .finish(),
+        }
+    }
 }
 
 /// Source waveform descriptions.
@@ -821,49 +1019,60 @@ pub enum Analysis {
     },
 }
 
-impl fmt::Display for Netlist {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "* {}", self.title)?;
+impl Netlist {
+    /// Writes the deck as SPICE text: `suffix` after the title, the
+    /// elements `keep` accepts, then whatever `extra` writes, then the
+    /// analyses. `Display` is this with no suffix, every element and
+    /// nothing extra.
+    pub(crate) fn write_with<W: fmt::Write>(
+        &self,
+        w: &mut W,
+        suffix: &str,
+        keep: impl Fn(&Element) -> bool,
+        extra: impl FnOnce(&mut W) -> fmt::Result,
+    ) -> fmt::Result {
+        writeln!(w, "* {}{suffix}", self.title)?;
         for m in self.models.values() {
             writeln!(
-                f,
+                w,
                 ".model {} {} (vto={} kp={} lambda={} cox={} cjb={})",
                 m.name,
                 if m.nmos { "nmos" } else { "pmos" },
-                format_value(m.vto),
-                format_value(m.kp),
-                format_value(m.lambda),
-                format_value(m.cox),
-                format_value(m.cjb)
+                SpiceValue(m.vto),
+                SpiceValue(m.kp),
+                SpiceValue(m.lambda),
+                SpiceValue(m.cox),
+                SpiceValue(m.cjb)
             )?;
         }
         for m in self.diode_models.values() {
             writeln!(
-                f,
+                w,
                 ".model {} d (is={} n={} cj0={})",
                 m.name,
-                format_value(m.is),
-                format_value(m.n),
-                format_value(m.cj0)
+                SpiceValue(m.is),
+                SpiceValue(m.n),
+                SpiceValue(m.cj0)
             )?;
         }
-        for e in &self.elements {
-            writeln!(f, "{e}")?;
+        for e in self.elements.iter().filter(|e| keep(e)) {
+            writeln!(w, "{e}")?;
         }
+        extra(w)?;
         for a in &self.analyses {
             match a {
                 Analysis::Tran { tstep, tstop } => {
-                    writeln!(f, ".tran {} {}", format_value(*tstep), format_value(*tstop))?;
+                    writeln!(w, ".tran {} {}", SpiceValue(*tstep), SpiceValue(*tstop))?;
                 }
                 Analysis::AcDec {
                     points_per_decade,
                     fstart,
                     fstop,
                 } => writeln!(
-                    f,
+                    w,
                     ".ac dec {points_per_decade} {} {}",
-                    format_value(*fstart),
-                    format_value(*fstop)
+                    SpiceValue(*fstart),
+                    SpiceValue(*fstop)
                 )?,
                 Analysis::DcSweep {
                     source,
@@ -871,115 +1080,90 @@ impl fmt::Display for Netlist {
                     stop,
                     step,
                 } => writeln!(
-                    f,
+                    w,
                     ".dc {source} {} {} {}",
-                    format_value(*start),
-                    format_value(*stop),
-                    format_value(*step)
+                    SpiceValue(*start),
+                    SpiceValue(*stop),
+                    SpiceValue(*step)
                 )?,
                 Analysis::Print { analysis, vars } => {
-                    write!(f, ".print {analysis}")?;
+                    write!(w, ".print {analysis}")?;
                     for v in vars {
-                        write!(f, " {v}")?;
+                        write!(w, " {v}")?;
                     }
-                    writeln!(f)?;
+                    writeln!(w)?;
                 }
             }
         }
-        writeln!(f, ".end")
+        writeln!(w, ".end")
+    }
+}
+
+impl fmt::Display for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_with(f, "", |_| true, |_| Ok(()))
     }
 }
 
 impl fmt::Display for Element {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = &self.name;
         match &self.kind {
             ElementKind::Resistor { a, b, ohms } => {
-                write!(f, "{} {} {} {}", self.name, a, b, format_value(*ohms))
+                write!(f, "{name} {a} {b} {}", SpiceValue(*ohms))
             }
             ElementKind::Capacitor { a, b, farads } => {
-                write!(f, "{} {} {} {}", self.name, a, b, format_value(*farads))
+                write!(f, "{name} {a} {b} {}", SpiceValue(*farads))
             }
-            ElementKind::Mosfet {
-                d,
-                g,
-                s,
-                b,
-                model,
-                w,
-                l,
-            } => write!(
+            ElementKind::Mosfet(m) => write!(
                 f,
-                "{} {} {} {} {} {} w={} l={}",
-                self.name,
-                d,
-                g,
-                s,
-                b,
-                model,
-                format_value(*w),
-                format_value(*l)
+                "{name} {} {} {} {} {} w={} l={}",
+                m.d,
+                m.g,
+                m.s,
+                m.b,
+                m.model,
+                SpiceValue(m.w),
+                SpiceValue(m.l)
             ),
             ElementKind::VSource { p, n, wave } | ElementKind::ISource { p, n, wave } => {
-                write!(f, "{} {} {} {}", self.name, p, n, wave)
+                write!(f, "{name} {p} {n} {wave}")
             }
             ElementKind::Inductor { a, b, henries } => {
-                write!(f, "{} {} {} {}", self.name, a, b, format_value(*henries))
+                write!(f, "{name} {a} {b} {}", SpiceValue(*henries))
             }
-            ElementKind::Vcvs { p, n, cp, cn, gain } => write!(
-                f,
-                "{} {} {} {} {} {}",
-                self.name,
+            ElementKind::Vcvs {
                 p,
                 n,
-                cp,
-                cn,
-                format_value(*gain)
-            ),
-            ElementKind::Vccs { p, n, cp, cn, gm } => write!(
-                f,
-                "{} {} {} {} {} {}",
-                self.name,
+                control,
+                gain: value,
+            }
+            | ElementKind::Vccs {
                 p,
                 n,
-                cp,
-                cn,
-                format_value(*gm)
-            ),
-            ElementKind::Cccs { p, n, ctrl, gain } => {
-                write!(
-                    f,
-                    "{} {} {} {} {}",
-                    self.name,
-                    p,
-                    n,
-                    ctrl,
-                    format_value(*gain)
-                )
+                control,
+                gm: value,
+            } => {
+                let [cp, cn] = &**control;
+                write!(f, "{name} {p} {n} {cp} {cn} {}", SpiceValue(*value))
             }
-            ElementKind::Ccvs { p, n, ctrl, ohms } => {
-                write!(
-                    f,
-                    "{} {} {} {} {}",
-                    self.name,
-                    p,
-                    n,
-                    ctrl,
-                    format_value(*ohms)
-                )
+            ElementKind::Cccs {
+                p,
+                n,
+                ctrl,
+                gain: value,
             }
+            | ElementKind::Ccvs {
+                p,
+                n,
+                ctrl,
+                ohms: value,
+            } => write!(f, "{name} {p} {n} {ctrl} {}", SpiceValue(*value)),
             ElementKind::Diode { p, n, model, area } => {
                 if *area == 1.0 {
-                    write!(f, "{} {} {} {}", self.name, p, n, model)
+                    write!(f, "{name} {p} {n} {model}")
                 } else {
-                    write!(
-                        f,
-                        "{} {} {} {} area={}",
-                        self.name,
-                        p,
-                        n,
-                        model,
-                        format_value(*area)
-                    )
+                    write!(f, "{name} {p} {n} {model} area={}", SpiceValue(*area))
                 }
             }
         }
@@ -989,7 +1173,7 @@ impl fmt::Display for Element {
 impl fmt::Display for Waveform {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Waveform::Dc(v) => write!(f, "dc {}", format_value(*v)),
+            Waveform::Dc(v) => write!(f, "dc {}", SpiceValue(*v)),
             Waveform::Pulse {
                 v1,
                 v2,
@@ -1001,13 +1185,13 @@ impl fmt::Display for Waveform {
             } => write!(
                 f,
                 "pulse({} {} {} {} {} {} {})",
-                format_value(*v1),
-                format_value(*v2),
-                format_value(*td),
-                format_value(*tr),
-                format_value(*tf),
-                format_value(*pw),
-                format_value(*per)
+                SpiceValue(*v1),
+                SpiceValue(*v2),
+                SpiceValue(*td),
+                SpiceValue(*tr),
+                SpiceValue(*tf),
+                SpiceValue(*pw),
+                SpiceValue(*per)
             ),
             Waveform::Pwl(pts) => {
                 write!(f, "pwl(")?;
@@ -1015,16 +1199,16 @@ impl fmt::Display for Waveform {
                     if i > 0 {
                         write!(f, " ")?;
                     }
-                    write!(f, "{} {}", format_value(*t), format_value(*v))?;
+                    write!(f, "{} {}", SpiceValue(*t), SpiceValue(*v))?;
                 }
                 write!(f, ")")
             }
             Waveform::Sin { vo, va, freq } => write!(
                 f,
                 "sin({} {} {})",
-                format_value(*vo),
-                format_value(*va),
-                format_value(*freq)
+                SpiceValue(*vo),
+                SpiceValue(*va),
+                SpiceValue(*freq)
             ),
         }
     }
@@ -1125,9 +1309,9 @@ mod tests {
         let r = Element::resistor("R1", "a", "b", 100.0);
         assert!(r.is_rc());
         assert_eq!(*r.nodes(), ["a", "b"]);
-        let m = Element {
-            name: "M1".into(),
-            kind: ElementKind::Mosfet {
+        let m = Element::mosfet(
+            "M1",
+            MosfetCard {
                 d: "d".into(),
                 g: "g".into(),
                 s: "s".into(),
@@ -1136,12 +1320,35 @@ mod tests {
                 w: 1e-6,
                 l: 1e-6,
             },
-        };
+        );
         assert!(!m.is_rc());
         assert_eq!(
             m.nodes().into_iter().collect::<Vec<_>>(),
             ["d", "g", "s", "b"]
         );
+    }
+
+    #[test]
+    fn boxed_payloads_debug_print_as_flat_struct_variants() {
+        let nl = crate::parse(
+            "* d\nE1 p 0 cp cn 2.5\nG1 q 0 cp cn 1m\nM1 d g s b nch w=1u l=2u\nV1 a 0 1\n.end\n",
+        )
+        .unwrap();
+        let kinds: Vec<String> = nl
+            .elements
+            .iter()
+            .map(|e| format!("{:?}", e.kind))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                r#"Vcvs { p: "p", n: "0", cp: "cp", cn: "cn", gain: 2.5 }"#,
+                r#"Vccs { p: "q", n: "0", cp: "cp", cn: "cn", gm: 0.001 }"#,
+                r#"Mosfet { d: "d", g: "g", s: "s", b: "b", model: "nch", w: 1e-6, l: 2e-6 }"#,
+                r#"VSource { p: "a", n: "0", wave: Dc(1.0) }"#,
+            ]
+        );
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     #[test]

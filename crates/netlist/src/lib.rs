@@ -8,10 +8,12 @@
 //! - [`extract_rc`] pulls every resistor and capacitor into an
 //!   [`RcNetwork`], classifying nodes by the paper's port rule;
 //! - [`RcNetwork::stamp`] builds the partitioned `G`/`C` matrices;
-//! - [`unstamp`] converts reduced matrices back into RC elements, and
-//!   [`sparsify_preserving_passivity`] implements the element-count
-//!   reduction heuristic;
-//! - [`Netlist`]'s `Display` impl writes SPICE text back out.
+//! - [`unstamp_each`] is the rule that turns reduced matrices back into
+//!   RC elements ([`unstamp`] collects them, [`Unstamped::write_card`]
+//!   writes each as a SPICE line), and [`sparsify_preserving_passivity`]
+//!   implements the element-count reduction heuristic;
+//! - [`Netlist`]'s `Display` impl writes SPICE text back out, and
+//!   [`write_spliced`] writes a deck with its RC cards replaced.
 //!
 //! ```
 //! use pact_netlist::{parse, extract_rc};
@@ -32,13 +34,16 @@ mod units;
 mod unstamp;
 
 pub use ast::{
-    is_ground, Analysis, DiodeModel, Element, ElementKind, FlattenError, MosModel, Netlist, Nodes,
-    Subckt, SubcktInstance, Waveform,
+    is_ground, Analysis, DiodeModel, Element, ElementKind, FlattenError, MosModel, MosfetCard,
+    Netlist, Node, Nodes, Subckt, SubcktInstance, Waveform,
 };
 pub use network::{extract_rc, Branch, Extraction, NetworkError, NodeTable, RcNetwork, Stamped};
 pub use parser::{parse, ParseNetlistError};
-pub use units::{format_value, parse_value, ParseValueError};
-pub use unstamp::{sparsify_preserving_passivity, unstamp};
+pub use units::{format_value, parse_value, ParseValueError, SpiceValue};
+pub use unstamp::{sparsify_preserving_passivity, unstamp, unstamp_each, Unstamped};
+
+/// What a spliced deck's title gets after the original's.
+const REDUCED_TITLE: &str = " (RC network reduced by PACT)";
 
 /// Splices a reduced RC network back into a deck: the original RC elements
 /// are removed and the reduced elements appended, leaving all other
@@ -46,7 +51,7 @@ pub use unstamp::{sparsify_preserving_passivity, unstamp};
 /// flowchart).
 pub fn splice_reduced(original: &Netlist, reduced_elements: Vec<Element>) -> Netlist {
     let mut out = Netlist {
-        title: format!("{} (RC network reduced by PACT)", original.title),
+        title: format!("{}{REDUCED_TITLE}", original.title),
         elements: Vec::new(),
         models: original.models.clone(),
         diode_models: original.diode_models.clone(),
@@ -61,6 +66,23 @@ pub fn splice_reduced(original: &Netlist, reduced_elements: Vec<Element>) -> Net
     }
     out.elements.extend(reduced_elements);
     out
+}
+
+/// Appends to `out` the text of `splice_reduced(original, reduced)`
+/// without building either deck: `cards` writes the reduced elements'
+/// lines where the spliced deck's elements would print.
+pub fn write_spliced(original: &Netlist, out: &mut String, cards: impl FnOnce(&mut String)) {
+    original
+        .write_with(
+            out,
+            REDUCED_TITLE,
+            |e| !e.is_rc(),
+            |out| {
+                cards(out);
+                Ok(())
+            },
+        )
+        .expect("writing to a String cannot fail");
 }
 
 #[cfg(test)]
@@ -79,5 +101,17 @@ mod tests {
         assert!(spliced.elements.iter().any(|e| e.name == "Rred"));
         assert!(spliced.elements.iter().all(|e| e.name != "R1"));
         assert_eq!(spliced.models.len(), 1);
+    }
+
+    #[test]
+    fn written_splice_matches_the_spliced_deck() {
+        let nl = parse(
+            "* t\n.model nch nmos()\nV1 a 0 1\nR1 a b 100\nC1 b 0 1p\nM1 c b 0 0 nch\n.tran 1n 1u\n.end\n",
+        )
+        .unwrap();
+        let red = Element::resistor("Rred", "a", "b", 42.0);
+        let mut text = String::new();
+        write_spliced(&nl, &mut text, |out| out.push_str(&format!("{red}\n")));
+        assert_eq!(text, splice_reduced(&nl, vec![red]).to_string());
     }
 }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use pact_sparse::{CsrMat, TripletMat};
 
-use crate::ast::{is_ground, Element, ElementKind, Netlist};
+use crate::ast::{is_ground, Element, ElementKind, Netlist, NoCase};
 
 /// A two-terminal RC branch inside an [`RcNetwork`]; `None` terminals are
 /// the common/ground node.
@@ -76,6 +76,12 @@ pub enum NetworkError {
     },
     /// The network has no port nodes; reduction would erase it entirely.
     NoPorts,
+    /// A requested port names no node of the deck (in any ASCII case);
+    /// reducing without it would silently change which nodes are kept.
+    UnknownPort {
+        /// The requested name.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for NetworkError {
@@ -91,6 +97,9 @@ impl std::fmt::Display for NetworkError {
                 write!(f, "element {name} has non-finite value {value}")
             }
             NetworkError::NoPorts => write!(f, "RC network has no port nodes"),
+            NetworkError::UnknownPort { name } => {
+                write!(f, "requested port `{name}` names no node of the deck")
+            }
             NetworkError::NotFlattened { instance } => write!(
                 f,
                 "deck contains unexpanded subcircuit instance {instance}; flatten() first"
@@ -150,22 +159,28 @@ impl<'a> NodeTable<'a> {
 /// capacitor is made a port node*.
 ///
 /// Additional node names can be forced to be ports via `extra_ports`
-/// (e.g. observation nodes like the paper's substrate monitor port).
-/// Ports and internal nodes each follow the byte order of their names.
+/// (e.g. observation nodes like the paper's substrate monitor port),
+/// matched without regard to ASCII case; a name that matches a node
+/// without RC elements is no port and no error. Ports and internal nodes
+/// each follow the byte order of their names.
 ///
 /// # Errors
 ///
-/// Returns [`NetworkError`] for non-physical element values or a network
-/// with no ports.
+/// Returns [`NetworkError`] for non-physical element values, for an
+/// `extra_ports` name that matches no node of the deck
+/// ([`NetworkError::UnknownPort`], the first in the given order), or for
+/// a network with no ports.
 pub fn extract_rc(netlist: &Netlist, extra_ports: &[&str]) -> Result<Extraction, NetworkError> {
     if let Some(inst) = netlist.instances.first() {
         return Err(NetworkError::NotFlattened {
             instance: inst.name.clone(),
         });
     }
-    // Which kinds of element touch each node.
+    // Which kinds of element touch each node, and whether it was requested
+    // as a port.
     const RC: u8 = 1;
     const OTHER: u8 = 2;
+    const REQUESTED: u8 = 4;
     let mut table = NodeTable::default();
     let mut touches: Vec<u8> = Vec::new();
     // Table indices of each element's first two terminals (an RC
@@ -188,13 +203,30 @@ pub fn extract_rc(netlist: &Netlist, extra_ports: &[&str]) -> Result<Extraction,
         }
         ends.push(first_two);
     }
-    // Port = RC-connected ∧ (other-connected ∨ explicitly requested).
     let names = table.names();
+    if !extra_ports.is_empty() {
+        // One case-folded lookup per node; each entry records whether
+        // some node carries its name.
+        let mut requested: HashMap<NoCase<'_>, bool> =
+            extra_ports.iter().map(|&p| (NoCase(p), false)).collect();
+        for (i, &name) in names.iter().enumerate() {
+            if let Some(found) = requested.get_mut(&NoCase(name)) {
+                *found = true;
+                touches[i] |= REQUESTED;
+            }
+        }
+        if let Some(name) = extra_ports.iter().find(|&&p| !requested[&NoCase(p)]) {
+            return Err(NetworkError::UnknownPort {
+                name: (*name).to_owned(),
+            });
+        }
+    }
+    // Port = RC-connected ∧ (other-connected ∨ explicitly requested).
     let mut rc_nodes: Vec<usize> = (0..names.len()).filter(|&i| touches[i] & RC != 0).collect();
     rc_nodes.sort_unstable_by_key(|&i| names[i]);
-    let (ports, internals): (Vec<usize>, Vec<usize>) = rc_nodes.into_iter().partition(|&i| {
-        touches[i] & OTHER != 0 || extra_ports.iter().any(|p| p.eq_ignore_ascii_case(names[i]))
-    });
+    let (ports, internals): (Vec<usize>, Vec<usize>) = rc_nodes
+        .into_iter()
+        .partition(|&i| touches[i] & (OTHER | REQUESTED) != 0);
     if ports.is_empty() {
         return Err(NetworkError::NoPorts);
     }
@@ -490,6 +522,22 @@ M1 sink out 0 0 nch w=1u l=1u
         let ex = extract_rc(&ladder_deck(), &["mid"]).unwrap();
         assert_eq!(ex.network.num_ports, 3);
         assert!(ex.network.node_index("mid").unwrap() < 3);
+    }
+
+    #[test]
+    fn requested_ports_match_without_case_and_unknown_ones_are_refused() {
+        let ex = extract_rc(&ladder_deck(), &["MID", "sink"]).unwrap();
+        // `sink` is a node (M1's drain) with no RC element: no port, no error.
+        assert_eq!(ex.network.num_ports, 3);
+        assert!(ex.network.node_index("mid").unwrap() < 3);
+        for missing in ["zzz", "--stats", "0"] {
+            assert_eq!(
+                extract_rc(&ladder_deck(), &["mid", missing]).unwrap_err(),
+                NetworkError::UnknownPort {
+                    name: missing.to_owned()
+                }
+            );
+        }
     }
 
     #[test]

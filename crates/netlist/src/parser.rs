@@ -6,15 +6,18 @@
 //! analyses, comments (`*`), line continuations (`+`) and
 //! case-insensitive keywords with engineering-unit values.
 //!
-//! Cards are tokenized in place: tokens borrow the deck text, and only a
-//! card joined from `+` continuation lines owns a copy of it. The parsed
-//! [`Netlist`] owns one `String` per name it keeps.
+//! Cards are tokenized in place: tokens borrow the deck text (up to
+//! [`INLINE_TOKENS`] of them on the stack), and only a card joined from
+//! `+` continuation lines owns a copy of it. Node names are interned per
+//! deck: each distinct name is allocated once and every card that names
+//! it shares it, so an R or C card costs one allocation, its name.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::ast::{
-    Analysis, DiodeModel, Element, ElementKind, MosModel, Netlist, Subckt, SubcktInstance, Waveform,
+    Analysis, DiodeModel, Element, ElementKind, MosModel, MosfetCard, Netlist, Node, Subckt,
+    SubcktInstance, Waveform,
 };
 use crate::units::{parse_value, starts_with_ignore_case};
 
@@ -67,6 +70,7 @@ pub fn parse(text: &str) -> Result<Netlist, ParseNetlistError> {
         .map(|(idx, raw)| (idx + 1, raw.trim_end()))
         .peekable();
     let mut nl = Netlist::default();
+    let mut nodes = Interner::default();
     // Subcircuit scope: while inside `.subckt … .ends`, cards land in a
     // scratch netlist that becomes the definition body. The line number of
     // the opening `.subckt` card rides along for error attribution.
@@ -161,7 +165,7 @@ pub fn parse(text: &str) -> Result<Netlist, ParseNetlistError> {
             Some((_, _, scope)) => scope,
             None => &mut nl,
         };
-        parse_card(body, lineno, target)?;
+        parse_card(body, lineno, target, &mut nodes)?;
     }
     if let Some((def_line, def, _)) = subckt_stack.last() {
         return Err(err(
@@ -224,17 +228,132 @@ impl Token<'_> {
     fn owned(&self) -> String {
         self.text.to_owned()
     }
+
+    fn node(&self, nodes: &mut Interner) -> Node {
+        nodes.node(self.text)
+    }
+}
+
+/// The deck's node names, each stored once.
+///
+/// A name is looked up first in a small direct-mapped cache, indexed by
+/// a cheap hash of its last bytes and compared in full, and only then in
+/// a set hashed with the standard, randomly seeded hasher. Neighbouring
+/// cards mostly share nodes (a ladder's `R_k`, `C_k` and `R_k+1` all
+/// touch node `k`), so most lookups skip the keyed hash. Names crafted
+/// to share a cache slot cost one failed comparison each, no more: the
+/// set keeps its protection against colliding keys.
+struct Interner {
+    names: HashSet<Node>,
+    cache: Vec<Option<Node>>,
+}
+
+/// Slots of [`Interner`]'s cache (a power of two).
+const CACHE_SLOTS: usize = 4096;
+
+impl Default for Interner {
+    fn default() -> Interner {
+        Interner {
+            names: HashSet::new(),
+            cache: vec![None; CACHE_SLOTS],
+        }
+    }
+}
+
+impl Interner {
+    /// The shared node for `name`, allocated on first sight.
+    fn node(&mut self, name: &str) -> Node {
+        let slot = &mut self.cache[cache_slot(name.as_bytes())];
+        if let Some(node) = slot.as_ref().filter(|n| n.as_str() == name) {
+            return node.clone();
+        }
+        let node = match self.names.get(name) {
+            Some(node) => node.clone(),
+            None => {
+                let node = Node::from(name);
+                self.names.insert(node.clone());
+                node
+            }
+        };
+        *slot = Some(node.clone());
+        node
+    }
+}
+
+/// The cache slot of a name: its length and last eight bytes, mixed by
+/// a multiplication.
+fn cache_slot(name: &[u8]) -> usize {
+    let tail = &name[name.len().saturating_sub(8)..];
+    let mut word = [0u8; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    let key = u64::from_le_bytes(word) ^ ((name.len() as u64) << 59);
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - CACHE_SLOTS.trailing_zeros())) as usize
+}
+
+/// Tokens a card keeps on the stack; longer cards (waveforms, `.print`
+/// lists, subcircuit instances) move to the heap.
+const INLINE_TOKENS: usize = 8;
+
+/// A card's tokens: inline up to [`INLINE_TOKENS`], else on the heap.
+struct Tokens<'a> {
+    inline: [Token<'a>; INLINE_TOKENS],
+    len: usize,
+    heap: Vec<Token<'a>>,
+}
+
+impl<'a> Tokens<'a> {
+    fn push(&mut self, token: Token<'a>) {
+        if self.len < INLINE_TOKENS {
+            self.inline[self.len] = token;
+            self.len += 1;
+        } else {
+            if self.heap.is_empty() {
+                self.heap.extend_from_slice(&self.inline);
+            }
+            self.heap.push(token);
+        }
+    }
+}
+
+impl<'a> std::ops::Deref for Tokens<'a> {
+    type Target = [Token<'a>];
+
+    fn deref(&self) -> &[Token<'a>] {
+        if self.heap.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
 }
 
 /// Splits a card exactly where `str::split_whitespace` would, and also
 /// around every `(`, `)` and `=`, which are tokens of their own: so
 /// `PULSE(0 1)`, `w=10u` and `area = 2` tokenize alike.
-fn tokenize(body: &str) -> Vec<Token<'_>> {
-    let mut tokens = Vec::with_capacity(8);
+fn tokenize(body: &str) -> Tokens<'_> {
+    let mut tokens = Tokens {
+        inline: [Token { text: "", col: 0 }; INLINE_TOKENS],
+        len: 0,
+        heap: Vec::new(),
+    };
+    let bytes = body.as_bytes();
     let mut start = None;
-    for (i, c) in body.char_indices() {
-        let punct = matches!(c, '(' | ')' | '=');
-        if punct || c.is_whitespace() {
+    let mut i = 0;
+    while i < bytes.len() {
+        // An ASCII byte decides alone (`char::is_whitespace` of ASCII is
+        // a space or `\t`..=`\r`); any other character is decoded.
+        let (punct, space, width) = match bytes[i] {
+            b @ 0..=0x7f => (
+                matches!(b, b'(' | b')' | b'='),
+                matches!(b, b' ' | b'\t'..=b'\r'),
+                1,
+            ),
+            _ => {
+                let c = body[i..].chars().next().expect("a character starts here");
+                (false, c.is_whitespace(), c.len_utf8())
+            }
+        };
+        if punct || space {
             if let Some(s) = start.take() {
                 tokens.push(Token {
                     text: &body[s..i],
@@ -250,6 +369,7 @@ fn tokenize(body: &str) -> Vec<Token<'_>> {
         } else if start.is_none() {
             start = Some(i);
         }
+        i += width;
     }
     if let Some(s) = start {
         tokens.push(Token {
@@ -260,7 +380,12 @@ fn tokenize(body: &str) -> Vec<Token<'_>> {
     tokens
 }
 
-fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetlistError> {
+fn parse_card(
+    body: &str,
+    line: usize,
+    nl: &mut Netlist,
+    nodes: &mut Interner,
+) -> Result<(), ParseNetlistError> {
     let tokens = tokenize(body);
     let Some(head) = tokens.first() else {
         return Ok(());
@@ -269,7 +394,7 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
     let kind = match letter {
         '.' => return parse_dot_card(&tokens, line, nl),
         'r' | 'c' | 'l' => {
-            let (a, b, v) = two_node_value(&tokens, line)?;
+            let (a, b, v) = two_node_value(&tokens, line, nodes)?;
             match letter {
                 'r' => ElementKind::Resistor { a, b, ohms: v },
                 'c' => ElementKind::Capacitor { a, b, farads: v },
@@ -286,26 +411,20 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                 ));
             }
             let v = tokens[5].value(line)?;
-            let (p, n, cp, cn) = (
-                tokens[1].owned(),
-                tokens[2].owned(),
-                tokens[3].owned(),
-                tokens[4].owned(),
-            );
+            let (p, n) = (tokens[1].node(nodes), tokens[2].node(nodes));
+            let control = Box::new([tokens[3].node(nodes), tokens[4].node(nodes)]);
             if letter == 'e' {
                 ElementKind::Vcvs {
                     p,
                     n,
-                    cp,
-                    cn,
+                    control,
                     gain: v,
                 }
             } else {
                 ElementKind::Vccs {
                     p,
                     n,
-                    cp,
-                    cn,
+                    control,
                     gm: v,
                 }
             }
@@ -331,7 +450,11 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                 ));
             }
             let v = tokens[4].value(line)?;
-            let (p, n, ctrl) = (tokens[1].owned(), tokens[2].owned(), ctrl.owned());
+            let (p, n, ctrl) = (
+                tokens[1].node(nodes),
+                tokens[2].node(nodes),
+                ctrl.text.into(),
+            );
             if letter == 'f' {
                 ElementKind::Cccs {
                     p,
@@ -369,13 +492,13 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                 }
             }
             ElementKind::Diode {
-                p: tokens[1].owned(),
-                n: tokens[2].owned(),
-                model: tokens[3].text.to_ascii_lowercase(),
+                p: tokens[1].node(nodes),
+                n: tokens[2].node(nodes),
+                model: tokens[3].text.to_ascii_lowercase().into(),
                 area,
             }
         }
-        'm' => parse_mosfet(&tokens, line)?,
+        'm' => parse_mosfet(&tokens, line, nodes)?,
         'x' => {
             if tokens.len() < 3 {
                 return Err(err(line, "expected `Xname node... subckt`"));
@@ -384,7 +507,7 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                 name: head.owned(),
                 nodes: tokens[1..tokens.len() - 1]
                     .iter()
-                    .map(Token::owned)
+                    .map(|t| t.node(nodes))
                     .collect(),
                 subckt: tokens[tokens.len() - 1].text.to_ascii_lowercase(),
             });
@@ -398,8 +521,8 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
                     format!("expected `{what}name n+ n- [value | waveform]`"),
                 ));
             }
-            let wave = parse_waveform(&tokens[3..], line)?;
-            let (p, n) = (tokens[1].owned(), tokens[2].owned());
+            let wave = Box::new(parse_waveform(&tokens[3..], line)?);
+            let (p, n) = (tokens[1].node(nodes), tokens[2].node(nodes));
             if letter == 'v' {
                 ElementKind::VSource { p, n, wave }
             } else {
@@ -418,15 +541,20 @@ fn parse_card(body: &str, line: usize, nl: &mut Netlist) -> Result<(), ParseNetl
 fn two_node_value(
     tokens: &[Token<'_>],
     line: usize,
-) -> Result<(String, String, f64), ParseNetlistError> {
+    nodes: &mut Interner,
+) -> Result<(Node, Node, f64), ParseNetlistError> {
     if tokens.len() < 4 {
         return Err(err(line, "expected `NAME node1 node2 value`"));
     }
     let v = tokens[3].value(line)?;
-    Ok((tokens[1].owned(), tokens[2].owned(), v))
+    Ok((tokens[1].node(nodes), tokens[2].node(nodes), v))
 }
 
-fn parse_mosfet(tokens: &[Token<'_>], line: usize) -> Result<ElementKind, ParseNetlistError> {
+fn parse_mosfet(
+    tokens: &[Token<'_>],
+    line: usize,
+    nodes: &mut Interner,
+) -> Result<ElementKind, ParseNetlistError> {
     if tokens.len() < 6 {
         return Err(err(line, "expected `Mname d g s b model [w= l=]`"));
     }
@@ -447,15 +575,15 @@ fn parse_mosfet(tokens: &[Token<'_>], line: usize) -> Result<ElementKind, ParseN
             i += 1;
         }
     }
-    Ok(ElementKind::Mosfet {
-        d: tokens[1].owned(),
-        g: tokens[2].owned(),
-        s: tokens[3].owned(),
-        b: tokens[4].owned(),
+    Ok(ElementKind::Mosfet(Box::new(MosfetCard {
+        d: tokens[1].node(nodes),
+        g: tokens[2].node(nodes),
+        s: tokens[3].node(nodes),
+        b: tokens[4].node(nodes),
         model: tokens[5].text.to_ascii_lowercase(),
         w,
         l,
-    })
+    })))
 }
 
 fn parse_waveform(tokens: &[Token<'_>], line: usize) -> Result<Waveform, ParseNetlistError> {
@@ -752,13 +880,13 @@ C2 out 0 0.5pF
         let deck = "* t\nV1 in 0 pulse(0 5\n+ 0 1n 1n 3n 10n)\n.end\n";
         let nl = parse(deck).unwrap();
         match &nl.elements[0].kind {
-            ElementKind::VSource {
-                wave: Waveform::Pulse { v2, per, .. },
-                ..
-            } => {
-                assert_eq!(*v2, 5.0);
-                assert_eq!(*per, 10e-9);
-            }
+            ElementKind::VSource { wave, .. } => match **wave {
+                Waveform::Pulse { v2, per, .. } => {
+                    assert_eq!(v2, 5.0);
+                    assert_eq!(per, 10e-9);
+                }
+                ref other => panic!("wrong wave {other:?}"),
+            },
             other => panic!("wrong kind {other:?}"),
         }
     }
@@ -780,10 +908,10 @@ Vdd vdd 0 5
         assert!((nl.models["nch"].kp - 110e-6).abs() < 1e-12);
         assert!(!nl.models["pch"].nmos);
         match &nl.elements[0].kind {
-            ElementKind::Mosfet { w, l, model, .. } => {
-                assert_eq!(*w, 4e-6);
-                assert_eq!(*l, 1e-6);
-                assert_eq!(model, "nch");
+            ElementKind::Mosfet(m) => {
+                assert_eq!(m.w, 4e-6);
+                assert_eq!(m.l, 1e-6);
+                assert_eq!(m.model, "nch");
             }
             other => panic!("wrong kind {other:?}"),
         }
@@ -800,10 +928,10 @@ Vdd vdd 0 5
             _ => panic!(),
         }
         match &nl.elements[2].kind {
-            ElementKind::ISource {
-                wave: Waveform::Pwl(p),
-                ..
-            } => assert_eq!(p.len(), 2),
+            ElementKind::ISource { wave, .. } => match &**wave {
+                Waveform::Pwl(p) => assert_eq!(p.len(), 2),
+                _ => panic!(),
+            },
             _ => panic!(),
         }
     }
@@ -862,9 +990,11 @@ Vdd vdd 0 5
         for card in [
             "R1\tin \u{a0}out\r 1k",
             "V1 a 0 PULSE(0 1)",
+            "V2 a 0 PULSE(0 1 2n 1n 1n 5n 20n)",
             "M1 d g s b n w=1u l = 2u",
             "x(=)y((",
             "nœud\u{2003}é=µ",
+            "a\u{85}b\u{3000}c\u{1680}(d\x0b)e\x0c",
         ] {
             let spaced = card
                 .replace('(', " ( ")
@@ -874,7 +1004,7 @@ Vdd vdd 0 5
             let tokens = tokenize(card);
             let texts: Vec<&str> = tokens.iter().map(|t| t.text).collect();
             assert_eq!(texts, expected, "{card:?}");
-            for t in tokens {
+            for t in tokens.iter() {
                 assert_eq!(&card[t.col - 1..t.col - 1 + t.text.len()], t.text);
             }
         }
@@ -937,9 +1067,9 @@ H1 t 0 Vref 50
             other => panic!("wrong kind {other:?}"),
         }
         match &nl.elements[1].kind {
-            ElementKind::Vcvs { gain, cp, .. } => {
+            ElementKind::Vcvs { gain, control, .. } => {
                 assert_eq!(*gain, 2.5);
-                assert_eq!(cp, "cp");
+                assert_eq!(control[0], "cp");
             }
             other => panic!("wrong kind {other:?}"),
         }
@@ -949,7 +1079,7 @@ H1 t 0 Vref 50
         }
         match &nl.elements[4].kind {
             ElementKind::Cccs { ctrl, gain, .. } => {
-                assert_eq!(ctrl, "Vref");
+                assert_eq!(&**ctrl, "Vref");
                 assert_eq!(*gain, 3.0);
             }
             other => panic!("wrong kind {other:?}"),
@@ -978,7 +1108,7 @@ D2 b 0 dclamp area=4
         match &nl.elements[1].kind {
             ElementKind::Diode { area, model, .. } => {
                 assert_eq!(*area, 4.0);
-                assert_eq!(model, "dclamp");
+                assert_eq!(&**model, "dclamp");
             }
             other => panic!("wrong kind {other:?}"),
         }

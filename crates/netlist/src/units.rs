@@ -96,37 +96,54 @@ pub(crate) fn starts_with_ignore_case(s: &[u8], prefix: &[u8]) -> bool {
     s.len() >= prefix.len() && s[..prefix.len()].eq_ignore_ascii_case(prefix)
 }
 
-/// Formats a value in engineering notation with a SPICE suffix, the inverse
-/// of [`parse_value`] for netlist output.
+/// Formats a value in engineering notation with a SPICE suffix: the text
+/// [`SpiceValue`] writes, which [`parse_value`] reads back.
 pub fn format_value(v: f64) -> String {
-    if v == 0.0 {
-        return "0".to_owned();
+    SpiceValue(v).to_string()
+}
+
+/// A value written in engineering notation with a SPICE suffix (`1.350000p`,
+/// `-2.500000k`, `0`), with no allocation.
+///
+/// The mantissa gets six decimals after the SI prefix: 7–9 significant
+/// digits, so a written value can be off by up to 5e-7 of itself and
+/// does not round-trip in general (`1.23456789e-12` is written
+/// `1.234568p`). That rounding alone moves the reduced Table 4 deck
+/// 6.3e-8 from its in-memory model.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpiceValue(pub f64);
+
+impl std::fmt::Display for SpiceValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = self.0;
+        if v == 0.0 {
+            return f.write_str("0");
+        }
+        let a = v.abs();
+        let (scale, suffix) = if a >= 1e12 {
+            (1e12, "t")
+        } else if a >= 1e9 {
+            (1e9, "g")
+        } else if a >= 1e6 {
+            (1e6, "meg")
+        } else if a >= 1e3 {
+            (1e3, "k")
+        } else if a >= 1.0 {
+            (1.0, "")
+        } else if a >= 1e-3 {
+            (1e-3, "m")
+        } else if a >= 1e-6 {
+            (1e-6, "u")
+        } else if a >= 1e-9 {
+            (1e-9, "n")
+        } else if a >= 1e-12 {
+            (1e-12, "p")
+        } else {
+            (1e-15, "f")
+        };
+        let scaled = v / scale;
+        write!(f, "{scaled:.6}{suffix}")
     }
-    let a = v.abs();
-    let (scale, suffix) = if a >= 1e12 {
-        (1e12, "t")
-    } else if a >= 1e9 {
-        (1e9, "g")
-    } else if a >= 1e6 {
-        (1e6, "meg")
-    } else if a >= 1e3 {
-        (1e3, "k")
-    } else if a >= 1.0 {
-        (1.0, "")
-    } else if a >= 1e-3 {
-        (1e-3, "m")
-    } else if a >= 1e-6 {
-        (1e-6, "u")
-    } else if a >= 1e-9 {
-        (1e-9, "n")
-    } else if a >= 1e-12 {
-        (1e-12, "p")
-    } else {
-        (1e-15, "f")
-    };
-    let scaled = v / scale;
-    // Enough digits to round-trip RC values.
-    format!("{scaled:.6}{suffix}")
 }
 
 #[cfg(test)]
@@ -176,6 +193,14 @@ mod tests {
         assert!(parse_value("abc").is_err());
         assert!(parse_value("").is_err());
         assert!(parse_value("k10").is_err());
+    }
+
+    #[test]
+    fn format_keeps_six_decimals_after_the_prefix() {
+        // Not a round trip: the seventh decimal is rounded away.
+        assert_eq!(format_value(1.23456789e-12), "1.234568p");
+        assert_eq!(format_value(-2.5e3), "-2.500000k");
+        assert_eq!(format!("{}", SpiceValue(0.0)), "0");
     }
 
     #[test]

@@ -8,31 +8,80 @@
 //! `C` matrix has a *positive* off-diagonal), and each row's residual sum
 //! `Σ_j g_ij` becomes an element to ground.
 
+use std::fmt;
+
 use pact_sparse::DMat;
 
-use crate::ast::Element;
+use crate::ast::{Element, Node};
+use crate::units::SpiceValue;
 
-/// Unstamps a symmetric `G`/`C` matrix pair into RC elements.
+/// One element that the unstamping rule finds in a `G`/`C` pair.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Unstamped {
+    /// `'R'` for a resistor (from `G`), `'C'` for a capacitor (from `C`).
+    pub letter: char,
+    /// Matrix row of the first terminal.
+    pub i: usize,
+    /// Matrix row of the second terminal, or `None` for ground.
+    pub j: Option<usize>,
+    /// Ohms for a resistor, farads for a capacitor.
+    pub value: f64,
+}
+
+impl Unstamped {
+    /// The element's name, `<letter><prefix>_<i>_<j>`, where the element
+    /// to ground has `j = i`.
+    pub fn name<'a>(&'a self, prefix: &'a str) -> impl fmt::Display + 'a {
+        struct Name<'a>(&'a Unstamped, &'a str);
+        impl fmt::Display for Name<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let Name(u, prefix) = self;
+                write!(f, "{}{prefix}_{}_{}", u.letter, u.i, u.j.unwrap_or(u.i))
+            }
+        }
+        Name(self, prefix)
+    }
+
+    /// Writes the element as one SPICE line, `<name> <node> <node> <value>`
+    /// and a newline, exactly as its [`Element`] prints: `node(i)` names
+    /// row `i`, and ground is `0`.
+    ///
+    /// # Errors
+    ///
+    /// Only those of `w`.
+    pub fn write_card<W: fmt::Write, N: fmt::Display>(
+        &self,
+        w: &mut W,
+        prefix: &str,
+        node: impl Fn(usize) -> N,
+    ) -> fmt::Result {
+        write!(w, "{} {} ", self.name(prefix), node(self.i))?;
+        match self.j {
+            Some(j) => write!(w, "{}", node(j))?,
+            None => w.write_str("0")?,
+        }
+        writeln!(w, " {}", SpiceValue(self.value))
+    }
+}
+
+/// The unstamping rule, the one place it lives: calls `emit` for every
+/// RC element that realizes the symmetric pair `(g, c)`, row by row.
 ///
-/// `node_names[i]` names matrix row `i`; names are typically the original
-/// port names followed by synthesized internal names. Elements whose value
-/// would round to exactly zero are skipped. `prefix` seeds generated
-/// element names (`R<prefix>_i_j`).
+/// Each row `i` gives, for every `j > i` in turn, a resistor of
+/// `−1/g_ij` ohms when `g_ij ≠ 0` and then a capacitor of `−c_ij` farads
+/// when `c_ij ≠ 0`; then a resistor of `1/Σ_j g_ij` ohms and a capacitor
+/// of `Σ_j c_ij` farads to ground. Only exact zeros emit nothing among
+/// the branches; a row sum counts as zero when it is within 1e-12 of
+/// the row's largest entry.
 ///
 /// # Panics
 ///
-/// Panics if the matrices are not square and matching `node_names` in
-/// size.
-pub fn unstamp(g: &DMat<f64>, c: &DMat<f64>, node_names: &[String], prefix: &str) -> Vec<Element> {
-    let n = node_names.len();
-    assert_eq!(g.nrows(), n, "G size mismatch");
+/// Panics if the matrices are not square and of one size.
+pub fn unstamp_each(g: &DMat<f64>, c: &DMat<f64>, mut emit: impl FnMut(Unstamped)) {
+    let n = g.nrows();
     assert_eq!(g.ncols(), n, "G size mismatch");
     assert_eq!(c.nrows(), n, "C size mismatch");
     assert_eq!(c.ncols(), n, "C size mismatch");
-    let mut out = Vec::new();
-    let gname = |i: usize, j: usize| format!("R{prefix}_{i}_{j}");
-    let cname = |i: usize, j: usize| format!("C{prefix}_{i}_{j}");
-
     for i in 0..n {
         let mut grow_sum = 0.0;
         let mut crow_sum = 0.0;
@@ -53,21 +102,21 @@ pub fn unstamp(g: &DMat<f64>, c: &DMat<f64>, node_names: &[String], prefix: &str
             }
             let gij = g[(i, j)];
             if gij != 0.0 {
-                out.push(Element::resistor(
-                    gname(i, j),
-                    node_names[i].clone(),
-                    node_names[j].clone(),
-                    -1.0 / gij,
-                ));
+                emit(Unstamped {
+                    letter: 'R',
+                    i,
+                    j: Some(j),
+                    value: -1.0 / gij,
+                });
             }
             let cij = c[(i, j)];
             if cij != 0.0 {
-                out.push(Element::capacitor(
-                    cname(i, j),
-                    node_names[i].clone(),
-                    node_names[j].clone(),
-                    -cij,
-                ));
+                emit(Unstamped {
+                    letter: 'C',
+                    i,
+                    j: Some(j),
+                    value: -cij,
+                });
             }
         }
         // Residual row sum stamps to ground; sums below rounding noise
@@ -82,22 +131,51 @@ pub fn unstamp(g: &DMat<f64>, c: &DMat<f64>, node_names: &[String], prefix: &str
             crow_sum = 0.0;
         }
         if grow_sum != 0.0 {
-            out.push(Element::resistor(
-                gname(i, i),
-                node_names[i].clone(),
-                "0",
-                1.0 / grow_sum,
-            ));
+            emit(Unstamped {
+                letter: 'R',
+                i,
+                j: None,
+                value: 1.0 / grow_sum,
+            });
         }
         if crow_sum != 0.0 {
-            out.push(Element::capacitor(
-                cname(i, i),
-                node_names[i].clone(),
-                "0",
-                crow_sum,
-            ));
+            emit(Unstamped {
+                letter: 'C',
+                i,
+                j: None,
+                value: crow_sum,
+            });
         }
     }
+}
+
+/// Unstamps a symmetric `G`/`C` matrix pair into RC elements: the
+/// elements of [`unstamp_each`], collected.
+///
+/// `node_names[i]` names matrix row `i`; names are typically the original
+/// port names followed by synthesized internal names, and each is shared
+/// by the elements that touch it. `prefix` seeds generated element names
+/// (`R<prefix>_i_j`).
+///
+/// # Panics
+///
+/// Panics if the matrices are not square and matching `node_names` in
+/// size.
+pub fn unstamp(g: &DMat<f64>, c: &DMat<f64>, node_names: &[String], prefix: &str) -> Vec<Element> {
+    assert_eq!(g.nrows(), node_names.len(), "G size mismatch");
+    let nodes: Vec<Node> = node_names.iter().map(Node::from).collect();
+    let ground = Node::from("0");
+    let mut out = Vec::new();
+    unstamp_each(g, c, |u| {
+        let name = u.name(prefix).to_string();
+        let a = nodes[u.i].clone();
+        let b = u.j.map_or_else(|| ground.clone(), |j| nodes[j].clone());
+        out.push(if u.letter == 'R' {
+            Element::resistor(name, a, b, u.value)
+        } else {
+            Element::capacitor(name, a, b, u.value)
+        });
+    });
     out
 }
 
@@ -198,6 +276,23 @@ mod tests {
             .any(|e| matches!(e.kind, ElementKind::Capacitor { farads, .. } if farads < 0.0));
         assert!(neg_cap, "expected a negative capacitor for +C off-diagonal");
         roundtrip_check(&g, &c, &names);
+    }
+
+    #[test]
+    fn written_cards_match_the_collected_elements() {
+        let g = DMat::from_rows(&[&[3e-3, -1e-3], &[-1e-3, 1e-3]]);
+        let c = DMat::from_rows(&[&[2e-12, 5e-13], &[5e-13, 1e-12]]);
+        let names: Vec<String> = vec!["a".into(), "b".into()];
+        let mut text = String::new();
+        unstamp_each(&g, &c, |u| {
+            u.write_card(&mut text, "t", |i| &names[i]).unwrap();
+        });
+        let collected: String = unstamp(&g, &c, &names, "t")
+            .iter()
+            .map(|e| format!("{e}\n"))
+            .collect();
+        assert_eq!(text, collected);
+        assert!(text.starts_with("Rt_0_1 a b 1.000000k\n"), "{text}");
     }
 
     #[test]

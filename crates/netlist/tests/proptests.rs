@@ -50,9 +50,9 @@ fn write_parse_roundtrip_rc() {
         nl.elements.push(Element {
             name: "V1".into(),
             kind: ElementKind::VSource {
-                p: names[0].clone(),
+                p: names[0].clone().into(),
                 n: "0".into(),
-                wave: pact_netlist::Waveform::Dc(1.0),
+                wave: Box::new(pact_netlist::Waveform::Dc(1.0)),
             },
         });
         for (k, v) in values.iter().enumerate() {

@@ -38,10 +38,10 @@ X2 b c vdd invd
         .find(|e| e.name == "MN.x1")
         .expect("flattened device name");
     match &x1_mn.kind {
-        ElementKind::Mosfet { d, g, s, .. } => {
-            assert_eq!(d, "b");
-            assert_eq!(g, "a");
-            assert_eq!(s, "0"); // ground passes through
+        ElementKind::Mosfet(m) => {
+            assert_eq!(m.d, "b");
+            assert_eq!(m.g, "a");
+            assert_eq!(m.s, "0"); // ground passes through
         }
         other => panic!("wrong kind {other:?}"),
     }

@@ -16,10 +16,11 @@
 
 use pact::json::Value;
 use pact::{
-    collapse_chains, sanitize_network, ChainCollapseSpec, ComponentReduction, CutoffSpec,
-    PactError, ReduceOptions, ReduceStrategy, Reduction, ReductionSession, Telemetry, Warning,
+    collapse_chains, pole_safe_prefix, sanitize_network, ChainCollapseSpec, ComponentReduction,
+    CutoffSpec, PactError, ReduceOptions, ReduceStrategy, ReducedModel, Reduction,
+    ReductionSession, Telemetry, Warning,
 };
-use pact_netlist::{extract_rc, parse, parse_value, splice_reduced, Element, Netlist, RcNetwork};
+use pact_netlist::{extract_rc, parse, parse_value, write_spliced, Netlist, RcNetwork};
 
 /// Default relative pivot-relief floor for quasi-singular `D` diagonals;
 /// see `ReduceOptions::pivot_relief`.
@@ -426,8 +427,8 @@ pub fn resolve_options<'a>(
 #[derive(Clone, Debug)]
 pub struct PreparedDeck {
     /// The flattened deck without its RC cards: title, models, analyses
-    /// and the non-RC elements ([`pact_netlist::Extraction::rest`]). The
-    /// reduced elements splice into it.
+    /// and the non-RC elements ([`pact_netlist::Extraction::rest`]).
+    /// [`render_reduced`] writes the reduced elements into its text.
     pub shell: Netlist,
     /// The sanitized RC network.
     pub network: RcNetwork,
@@ -555,13 +556,15 @@ impl ReducedDeck {
         }
     }
 
-    /// SPICE elements realizing the reduced network.
-    pub fn to_netlist_elements(&self, prefix: &str, sparsify_tol: f64) -> Vec<Element> {
+    /// The reduced models in output order, and whether they are named
+    /// per component (`<prefix><k>`) rather than by the prefix alone.
+    fn models(&self) -> (Vec<&ReducedModel>, bool) {
         match self {
-            ReducedDeck::Whole(r) => r.model.to_netlist_elements(prefix, sparsify_tol),
-            ReducedDeck::Components { reduction, .. } => {
-                reduction.to_netlist_elements(prefix, sparsify_tol)
-            }
+            ReducedDeck::Whole(r) => (vec![&r.model], false),
+            ReducedDeck::Components { reduction } => (
+                reduction.reductions.iter().map(|r| &r.model).collect(),
+                true,
+            ),
         }
     }
 }
@@ -592,10 +595,19 @@ pub fn reduce_prepared(
     }
 }
 
-/// Realizes the reduced model as SPICE elements, splices them into the
-/// prepared deck's shell and renders the result. Returns the rendered
-/// deck text and the number of realized elements; the `emit` phase is
-/// recorded on `tel`.
+/// Writes the reduced deck: the prepared deck's shell with the reduced
+/// models' RC cards where its RC cards were. Returns the deck text and
+/// the number of realized elements; the whole walk is the `emit` phase
+/// on `tel`.
+///
+/// One pass writes everything into one `String`: the shell's head, then
+/// each model's cards straight from its realized `(G'', C'')`
+/// ([`ReducedModel::write_cards`]: one element per line, no element
+/// built), then the analyses. The text is what splicing each model's
+/// `to_netlist_elements(<prefix>, sparsify)` into the shell with
+/// [`pact_netlist::splice_reduced`] and printing it would give. The
+/// prefix is `prefix` unless a node of the shell or of the network
+/// already has a pole node's name ([`pact::pole_safe_prefix`]).
 pub fn render_reduced(
     prep: &PreparedDeck,
     reduced: &ReducedDeck,
@@ -603,10 +615,29 @@ pub fn render_reduced(
     sparsify: f64,
     tel: &mut Telemetry,
 ) -> (String, usize) {
-    let elements = reduced.to_netlist_elements(prefix, sparsify);
-    let count = elements.len();
-    let rendered = tel.time("emit", || splice_reduced(&prep.shell, elements).to_string());
-    (rendered, count)
+    tel.time("emit", || {
+        let (models, numbered) = reduced.models();
+        let poles: Vec<usize> = models.iter().map(|m| m.num_poles()).collect();
+        let taken = prep
+            .shell
+            .elements
+            .iter()
+            .flat_map(|e| e.nodes())
+            .chain(prep.network.node_names.iter().map(String::as_str));
+        let base = pole_safe_prefix(prefix, &poles, numbered, taken);
+        let mut text = String::new();
+        let mut count = 0;
+        write_spliced(&prep.shell, &mut text, |out| {
+            for (k, model) in models.iter().enumerate() {
+                count += if numbered {
+                    model.write_cards(out, &format!("{base}{k}"), sparsify)
+                } else {
+                    model.write_cards(out, &base, sparsify)
+                };
+            }
+        });
+        (text, count)
+    })
 }
 
 #[cfg(test)]
@@ -784,6 +815,42 @@ mod tests {
     }
 
     #[test]
+    fn pole_nodes_never_merge_into_a_deck_net() {
+        // `rcfit_p0` and `rcfit0_p1` are the names the whole and the
+        // per-component reductions would give their pole nodes; here
+        // they are nets of the deck, driven by sources.
+        let deck = "* pole node clash\nV1 in 0 1\nR1 in n1 100\nC1 n1 0 1p\n\
+                    R2 n1 n2 100\nC2 n2 0 1p\nR3 n2 out 100\nC3 out 0 1p\n\
+                    M1 d1 out 0 0 nch\nM2 d2 rcfit_p0 0 0 nch\nV2 rcfit_p0 0 0.5\n\
+                    M3 d3 rcfit0_p1 0 0 nch\nV3 rcfit0_p1 0 0.2\n\
+                    .model nch nmos()\n.end\n";
+        let deck_nodes = parse(deck).unwrap().node_names();
+        for extract in [false, true] {
+            let opts = DeckOptions {
+                f_max: 100e9,
+                tolerance: 0.01,
+                extract,
+                ..DeckOptions::default()
+            };
+            let prep = prepare_deck(deck, &opts).unwrap();
+            let mut session = ReductionSession::new(opts.reduce_options().unwrap());
+            let red = reduce_prepared(&prep, &mut session, &opts).unwrap();
+            assert!(red.num_poles() >= 2, "the clash needs pole nodes");
+            let (text, _) =
+                render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut Telemetry::new());
+            let out = parse(&text).unwrap();
+            let fresh: Vec<String> = out
+                .node_names()
+                .into_iter()
+                .filter(|n| !deck_nodes.contains(n))
+                .collect();
+            assert_eq!(fresh.len(), red.num_poles(), "extract {extract}: {fresh:?}");
+            let prefix = if extract { "rcfitx0_p" } else { "rcfitx_p" };
+            assert!(fresh.iter().all(|n| n.starts_with(prefix)), "{fresh:?}");
+        }
+    }
+
+    #[test]
     fn accepted_sparsify_thresholds_keep_the_port_to_port_coupling() {
         // A threshold of 1 turns this ladder's in–out coupling into two
         // resistors to ground, which loses the DC transfer.
@@ -797,9 +864,13 @@ mod tests {
         let mut session = ReductionSession::new(opts.reduce_options().unwrap());
         let red = reduce_prepared(&prep, &mut session, &opts).unwrap();
         for sparsify in [0.0, opts.sparsify] {
-            let couples = red.to_netlist_elements("x", sparsify).iter().any(|e| {
-                matches!(&e.kind, pact_netlist::ElementKind::Resistor { a, b, .. }
-                    if (a == "in" && b == "out") || (a == "out" && b == "in"))
+            let (text, _) = render_reduced(&prep, &red, "x", sparsify, &mut Telemetry::new());
+            let couples = text.lines().any(|l| {
+                let t: Vec<&str> = l.split_whitespace().collect();
+                t[0].starts_with('R')
+                    && t.len() == 4
+                    && t[1..3].contains(&"in")
+                    && t[1..3].contains(&"out")
             });
             assert!(couples, "sparsify {sparsify} dropped the in-out resistor");
         }

@@ -521,9 +521,9 @@ mod tests {
         ],
     ];
 
-    /// Settings both front ends must refuse, in `resolve_options` or in
-    /// `reduce_options()`, including every removed option.
-    const REJECTED: [&[Setting]; 18] = [
+    /// Settings both front ends must refuse, in `resolve_options`, in
+    /// `reduce_options()` or on [`DECK`], including every removed option.
+    const REJECTED: [&[Setting]; 20] = [
         &[("tol", r#""abc""#, Some("abc"))],
         &[("fmax", r#""fast""#, Some("fast"))],
         &[("threads", "0", Some("0"))],
@@ -548,7 +548,15 @@ mod tests {
         &[("dense", "true", None)],
         &[("eigen", r#""lowrank""#, Some("lowrank"))],
         &[("ordering", r#""rcm""#, Some("rcm"))],
+        // A port that names no node of the deck, and the flag that
+        // `--port` takes as its value when it comes next.
+        &[("ports", r#"["zzz"]"#, Some("zzz"))],
+        &[("ports", r#"["--stats"]"#, Some("--stats"))],
     ];
+
+    /// The deck that settings which pass `reduce_options()` are prepared
+    /// on: nodes `in`, `n1` and `out`.
+    const DECK: &str = "* ladder\nV1 in 0 1\nR1 in n1 1k\nC1 n1 0 1p\nR2 n1 out 1k\n.end\n";
 
     /// The flag for a key that no row declares: the same spelling rule.
     fn flag(key: &str) -> String {
@@ -624,11 +632,13 @@ mod tests {
             assert!(daemon.reduce_options().is_ok(), "{settings:?}");
         }
 
-        // Refused by the parser, or by `reduce_options()`: both front ends
-        // must refuse with the same code and the same message.
+        // Refused by the parser, by `reduce_options()` or when the deck
+        // is prepared: both front ends must refuse with the same code and
+        // the same message.
         let refusal = |o: Outcome| match o {
             Ok(o) => o
                 .reduce_options()
+                .and_then(|_| prepare_deck(DECK, &o))
                 .map(drop)
                 .map_err(|e| (e.code(), e.to_string())),
             Err(e) => Err(e),
@@ -639,6 +649,15 @@ mod tests {
             let cli = refusal(cli).expect_err("rcfit accepts a REJECTED setting");
             assert_eq!(daemon, cli, "{settings:?} fails differently");
         }
+        let (daemon, cli) = both_front_ends(&[("ports", r#"["--stats"]"#, Some("--stats"))]);
+        assert_eq!(
+            refusal(cli).unwrap_err(),
+            (
+                "unknown_port",
+                "requested port `--stats` names no node of the deck".to_owned()
+            )
+        );
+        assert_eq!(refusal(daemon).unwrap_err().0, "unknown_port");
     }
 
     #[test]

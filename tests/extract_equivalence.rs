@@ -84,17 +84,17 @@ fn mesh_host() -> Host {
     nl.elements.push(Element {
         name: "Vdd".to_owned(),
         kind: ElementKind::VSource {
-            p: "vdd".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(5.0),
+            p: "vdd".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     nl.elements.push(Element {
         name: "Vin".to_owned(),
         kind: ElementKind::VSource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Pulse {
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Pulse {
                 v1: 0.0,
                 v2: 5.0,
                 td: 0.2e-9,
@@ -102,7 +102,7 @@ fn mesh_host() -> Host {
                 tf: 0.1e-9,
                 pw: 2.4e-9,
                 per: 5e-9,
-            },
+            }),
         },
     });
     nl.elements.extend(inverter(
@@ -411,17 +411,17 @@ fn deck_without_rc_subnetworks_passes_through_unchanged() {
     nl.elements.push(Element {
         name: "Vdd".to_owned(),
         kind: ElementKind::VSource {
-            p: "vdd".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(5.0),
+            p: "vdd".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(5.0)),
         },
     });
     nl.elements.push(Element {
         name: "Vin".to_owned(),
         kind: ElementKind::VSource {
-            p: "in".to_owned(),
-            n: "0".to_owned(),
-            wave: Waveform::Dc(2.5),
+            p: "in".into(),
+            n: "0".into(),
+            wave: Box::new(Waveform::Dc(2.5)),
         },
     });
     nl.elements.extend(inverter(

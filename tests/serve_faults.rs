@@ -1,10 +1,11 @@
 //! Fault injection: the daemon answers typed errors and stays alive.
 //!
-//! Four failure classes from the serving checklist: a client that
+//! Five failure classes from the serving checklist: a client that
 //! disconnects mid-stream with a response still in flight, a poisoned
 //! deck whose element value overflows to infinity, requests that trip
 //! ordinary [`pact::PactError`]s (parse errors, bad paths, invalid
-//! cutoffs), and a `path` deck larger than the daemon's deck cap. In
+//! cutoffs), a `path` deck larger than the daemon's deck cap, and ports
+//! that name no node of the deck. In
 //! every case the daemon must answer a typed error (or swallow the
 //! undeliverable response and count the disconnect), keep serving, and
 //! keep its warm sessions warm.
@@ -155,6 +156,58 @@ fn path_deck_over_the_cap_is_typed_and_sessions_stay_warm() {
     );
     assert_eq!(counters.ok.load(AtomicOrdering::Relaxed), 2);
     assert_eq!(counters.errors.load(AtomicOrdering::Relaxed), 1);
+}
+
+#[test]
+fn unknown_port_is_typed_and_sessions_stay_warm() {
+    let daemon = Daemon::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let (sink, lines) = collector();
+    let with_ports = |id: &str, ports: &str| {
+        format!(r#"{{"id":"{id}","deck":"{GOOD_DECK}","options":{{"ports":{ports}}}}}"#)
+    };
+    daemon.submit(&with_ports("warm-1", r#"["a"]"#), &sink);
+    // A misspelled port, and the flag `rcfit --port --stats` would take
+    // as one: both name no node of the deck.
+    daemon.submit(&with_ports("typo", r#"["a","zzz"]"#), &sink);
+    daemon.submit(&with_ports("flag", r#"["--stats"]"#), &sink);
+    // Ports match without regard to case.
+    daemon.submit(&with_ports("warm-2", r#"["A"]"#), &sink);
+    let counters = daemon.shutdown();
+
+    let docs: std::collections::BTreeMap<String, Value> = lines
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|l| {
+            let d = Value::parse(l).unwrap();
+            (d.get("id").unwrap().as_str().unwrap().to_owned(), d)
+        })
+        .collect();
+    assert_eq!(docs.len(), 4, "every request answered exactly once");
+    for id in ["typo", "flag"] {
+        assert_eq!(error_code(&docs[id]), "unknown_port", "{id}");
+    }
+    let message = docs["typo"]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str);
+    assert_eq!(
+        message,
+        Some("requested port `zzz` names no node of the deck")
+    );
+    assert_eq!(docs["warm-1"].get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(docs["warm-2"].get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(docs["warm-2"].get("deck"), docs["warm-1"].get("deck"));
+    assert_eq!(
+        docs["warm-2"].get("session_hit"),
+        Some(&Value::Bool(true)),
+        "the refused ports must not cool the warm session"
+    );
+    assert_eq!(counters.ok.load(AtomicOrdering::Relaxed), 2);
+    assert_eq!(counters.errors.load(AtomicOrdering::Relaxed), 2);
 }
 
 /// Polls `pred` until it holds or `timeout` elapses.
