@@ -461,12 +461,15 @@ pub struct EmbeddedReduction {
 /// Decks with no reducible RC subnetwork (no RC elements, or none
 /// touching a non-RC device and no `extra_ports`) are returned
 /// unchanged with `reduction: None` — the pass-through path costs one
-/// element scan and never errors.
+/// element scan.
 ///
 /// # Errors
 ///
-/// [`PactError`] on flatten failures, non-physical element values, or a
-/// failed reduction; factorization failures are attributed to the
+/// [`PactError`] on flatten failures, non-physical element values, an
+/// `extra_ports` name that matches no node of the deck
+/// ([`PactError::UnknownPort`], refused on the pass-through path too:
+/// [`extract_rc`] checks the requested ports before it looks for any),
+/// or a failed reduction; factorization failures are attributed to the
 /// offending node of the extracted network.
 pub fn reduce_embedded(
     deck: &Netlist,
@@ -514,13 +517,8 @@ pub fn reduce_embedded(
     tel.counters.extract_subnets = reduction.reductions.len() as u64;
 
     let elements = tel.time("emit", || {
-        let poles: Vec<usize> = reduction
-            .reductions
-            .iter()
-            .map(|r| r.model.num_poles())
-            .collect();
         let taken = flat.elements.iter().flat_map(|e| e.nodes());
-        let prefix = pole_safe_prefix(&opts.prefix, &poles, true, taken);
+        let prefix = pole_safe_prefix(&opts.prefix, taken, |p| reduction.prefixed_models(p));
         reduction.to_netlist_elements(&prefix, opts.sparsify)
     });
     let deck_out = splice_reduced(&flat, elements);
@@ -774,6 +772,26 @@ mod tests {
         let out = reduce_embedded(&nl, &mut session, &ExtractOptions::default()).unwrap();
         assert!(out.reduction.is_none());
         assert!(out.deck.elements.iter().any(|e| e.name == "R1"));
+    }
+
+    #[test]
+    fn unknown_port_is_refused_even_on_the_pass_through_path() {
+        // No RC element touches a non-RC device: with no requested port
+        // the deck passes through, but a requested port that names no
+        // node is refused before the ports are counted.
+        let nl = parse("* f\nR1 a b 100\nC1 b 0 1p\n.end\n").unwrap();
+        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
+        let mut session = ReductionSession::new(opts);
+        let xopts = ExtractOptions {
+            extra_ports: vec!["zzz".to_owned()],
+            ..ExtractOptions::default()
+        };
+        let err = reduce_embedded(&nl, &mut session, &xopts).unwrap_err();
+        assert_eq!(err.code(), "unknown_port");
+        assert!(matches!(
+            extract_rc(&nl, &["zzz"]),
+            Err(NetworkError::UnknownPort { .. })
+        ));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! with one retained pole per row `rᵢ` of `R''` at `s = −1/λᵢ`.
 
-use std::fmt;
+use std::collections::HashSet;
+use std::fmt::{self, Write};
 
-use pact_netlist::{sparsify_preserving_passivity, unstamp, unstamp_each, Element};
+use pact_netlist::{sparsify_preserving_passivity, unstamp, unstamp_each, Element, NoCase};
 use pact_sparse::{sym_eig, Complex64, DMat, EigenError};
 
 /// A passive reduced-order multiport RC model.
@@ -262,65 +263,43 @@ impl fmt::Display for RowName<'_> {
 /// The prefix under which reduced models enter a deck without merging a
 /// pole node into one of the deck's nets.
 ///
-/// A model realized under prefix `p` adds pole nodes `p_p0`, `p_p1`, …
-/// ([`ReducedModel::write_cards`]). `poles[k]` is the pole count of
-/// model `k`; a lone model (`numbered == false`) takes the prefix itself,
-/// and model `k` of several takes the prefix followed by `k`. This
-/// returns `prefix` when no name in `taken` equals one of those pole
-/// nodes (ignoring ASCII case, as SPICE simulators do), and otherwise
-/// `prefix` with the fewest `x`s appended that avoids them all: each
-/// name blocks at most one count of `x`s, so one pass over `taken`
-/// decides.
-pub fn pole_safe_prefix<'a>(
+/// `models(p)` lists the models with the prefix each takes when the
+/// deck's prefix is `p` (`p` itself, or `p` followed by a component
+/// number); a model under prefix `q` adds the pole nodes that
+/// [`ReducedModel::write_cards`] names `q_p0`, `q_p1`, …. This returns
+/// `prefix` when no name in `taken` equals one of those pole nodes
+/// (ignoring ASCII case, as SPICE simulators do), and otherwise `prefix`
+/// with the fewest `x`s appended that avoids them all. Each taken name
+/// blocks at most one count of `x`s, so the search ends.
+pub fn pole_safe_prefix<'a, 'm>(
     prefix: &str,
-    poles: &[usize],
-    numbered: bool,
     taken: impl IntoIterator<Item = &'a str>,
+    models: impl Fn(&str) -> Vec<(String, &'m ReducedModel)>,
 ) -> String {
-    let mut blocked: Vec<usize> = taken
+    // Every candidate starts with `prefix`, and so does each of its pole
+    // nodes: no other name can clash.
+    let names: HashSet<NoCase<'_>> = taken
         .into_iter()
-        .filter_map(|name| blocked_xs(name, prefix, poles, numbered))
+        .filter(|name| {
+            name.get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+        })
+        .map(NoCase)
         .collect();
-    blocked.sort_unstable();
-    blocked.dedup();
-    let xs = blocked
-        .iter()
-        .enumerate()
-        .find(|&(free, &b)| free != b)
-        .map_or(blocked.len(), |(free, _)| free);
-    format!("{prefix}{}", "x".repeat(xs))
-}
-
-/// How many `x`s after `prefix` would make `name` a pole node, if any.
-fn blocked_xs(name: &str, prefix: &str, poles: &[usize], numbered: bool) -> Option<usize> {
-    let rest = strip_prefix_ignore_case(name, prefix)?;
-    let xs = rest
-        .bytes()
-        .take_while(|b| b.eq_ignore_ascii_case(&b'x'))
-        .count();
-    let rest = &rest[xs..];
-    let (model, rest) = if numbered {
-        let end = rest.bytes().take_while(u8::is_ascii_digit).count();
-        (decimal(&rest[..end])?, &rest[end..])
-    } else {
-        (0, rest)
+    let mut pole = String::new();
+    let mut clashes = |q: &str, k: usize| {
+        pole.clear();
+        write!(pole, "{}", RowName::Pole(q, k)).expect("writing to a String cannot fail");
+        names.contains(&NoCase(&pole))
     };
-    let pole = decimal(strip_prefix_ignore_case(rest, "_p")?)?;
-    (pole < *poles.get(model)?).then_some(xs)
-}
-
-fn strip_prefix_ignore_case<'a>(s: &'a str, prefix: &str) -> Option<&'a str> {
-    let head = s.get(..prefix.len())?;
-    head.eq_ignore_ascii_case(prefix)
-        .then(|| &s[prefix.len()..])
-}
-
-/// `s` read as `{}` writes a `usize`: digits only, no leading zero.
-fn decimal(s: &str) -> Option<usize> {
-    if !s.bytes().all(|b| b.is_ascii_digit()) || (s.len() > 1 && s.starts_with('0')) {
-        return None;
+    let mut candidate = prefix.to_owned();
+    while models(&candidate)
+        .iter()
+        .any(|(q, model)| (0..model.num_poles()).any(|k| clashes(q, k)))
+    {
+        candidate.push('x');
     }
-    s.parse().ok()
+    candidate
 }
 
 #[cfg(test)]
@@ -418,27 +397,37 @@ mod tests {
         }
     }
 
+    /// A 2-port model with `k` poles.
+    fn with_poles(k: usize) -> ReducedModel {
+        ReducedModel {
+            r2: DMat::zeros(k, 2),
+            lambdas: vec![1e-10; k],
+            ..toy_model()
+        }
+    }
+
     #[test]
     fn pole_prefix_avoids_only_real_clashes() {
-        let taken = |names: &[&'static str]| names.to_vec();
+        let two = with_poles(2);
+        let lone = |p: &str| vec![(p.to_owned(), &two)];
         // No clash: the prefix stays.
-        let p = pole_safe_prefix(
-            "rcfit",
-            &[2],
-            false,
-            taken(&["in", "rcfit_p2", "rcfit_p01"]),
-        );
-        assert_eq!(p, "rcfit");
+        let taken = ["in", "rcfit_p2", "rcfit_p01"];
+        assert_eq!(pole_safe_prefix("rcfit", taken, lone), "rcfit");
         // A deck net named like pole 1 moves every pole node.
-        let p = pole_safe_prefix("rcfit", &[2], false, taken(&["RCFIT_P1", "rcfitx_p0"]));
-        assert_eq!(p, "rcfitxx");
-        // Numbered models: model 1 has no pole 3, model 0 has pole 0.
-        let names = taken(&["rcfit1_p3", "rcfit_p0"]);
-        assert_eq!(pole_safe_prefix("rcfit", &[1, 3], true, names), "rcfit");
-        let names = taken(&["rcfit1_p2"]);
-        assert_eq!(pole_safe_prefix("rcfit", &[1, 3], true, names), "rcfitx");
+        let taken = ["RCFIT_P1", "rcfitx_p0"];
+        assert_eq!(pole_safe_prefix("rcfit", taken, lone), "rcfitxx");
+        // Per-component prefixes: component 1 has no pole 3, and no
+        // component is named by the bare prefix.
+        let (one, three) = (with_poles(1), with_poles(3));
+        let components = |p: &str| vec![(format!("{p}0"), &one), (format!("{p}1"), &three)];
+        let taken = ["rcfit1_p3", "rcfit_p0"];
+        assert_eq!(pole_safe_prefix("rcfit", taken, components), "rcfit");
+        let taken = ["rcfit1_p2"];
+        assert_eq!(pole_safe_prefix("rcfit", taken, components), "rcfitx");
         // A model without poles adds no pole node to clash with.
-        assert_eq!(pole_safe_prefix("x", &[0], false, taken(&["x_p0"])), "x");
+        let none = with_poles(0);
+        let lone = |p: &str| vec![(p.to_owned(), &none)];
+        assert_eq!(pole_safe_prefix("x", ["x_p0"], lone), "x");
     }
 
     #[test]

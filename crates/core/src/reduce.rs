@@ -212,22 +212,28 @@ impl ComponentReduction {
         self.reductions.iter().map(|r| r.model.num_poles()).sum()
     }
 
-    /// Emits the SPICE elements of every component's reduced network.
-    /// Internal node names are disambiguated per component
-    /// (`<prefix><k>_p<i>`).
+    /// Every component's reduced model with the prefix it is realized
+    /// under when the deck's prefix is `prefix`: `<prefix><k>` for
+    /// component `k`, so its pole nodes are `<prefix><k>_p<i>`.
+    pub fn prefixed_models(&self, prefix: &str) -> Vec<(String, &ReducedModel)> {
+        self.reductions
+            .iter()
+            .enumerate()
+            .map(|(k, r)| (format!("{prefix}{k}"), &r.model))
+            .collect()
+    }
+
+    /// Emits the SPICE elements of every component's reduced network,
+    /// each under its prefix from [`ComponentReduction::prefixed_models`].
     pub fn to_netlist_elements(
         &self,
         prefix: &str,
         sparsify_tol: f64,
     ) -> Vec<pact_netlist::Element> {
-        let mut out = Vec::new();
-        for (k, r) in self.reductions.iter().enumerate() {
-            out.extend(
-                r.model
-                    .to_netlist_elements(&format!("{prefix}{k}"), sparsify_tol),
-            );
-        }
-        out
+        self.prefixed_models(prefix)
+            .into_iter()
+            .flat_map(|(p, model)| model.to_netlist_elements(&p, sparsify_tol))
+            .collect()
     }
 
     /// `true` when every component's reduced model is passive.

@@ -102,9 +102,10 @@ impl Netlist {
     }
 }
 
-/// A name compared and hashed without regard to ASCII case.
+/// A name compared and hashed without regard to ASCII case, as SPICE
+/// simulators match node and element names.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct NoCase<'a>(pub(crate) &'a str);
+pub struct NoCase<'a>(pub &'a str);
 
 impl PartialEq for NoCase<'_> {
     fn eq(&self, other: &Self) -> bool {

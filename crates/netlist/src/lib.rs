@@ -35,11 +35,11 @@ mod unstamp;
 
 pub use ast::{
     is_ground, Analysis, DiodeModel, Element, ElementKind, FlattenError, MosModel, MosfetCard,
-    Netlist, Node, Nodes, Subckt, SubcktInstance, Waveform,
+    Netlist, NoCase, Node, Nodes, Subckt, SubcktInstance, Waveform,
 };
 pub use network::{extract_rc, Branch, Extraction, NetworkError, NodeTable, RcNetwork, Stamped};
 pub use parser::{parse, ParseNetlistError};
-pub use units::{format_value, parse_value, ParseValueError, SpiceValue};
+pub use units::{parse_value, ParseValueError, SpiceValue};
 pub use unstamp::{sparsify_preserving_passivity, unstamp, unstamp_each, Unstamped};
 
 /// What a spliced deck's title gets after the original's.

@@ -169,7 +169,9 @@ impl<'a> NodeTable<'a> {
 /// Returns [`NetworkError`] for non-physical element values, for an
 /// `extra_ports` name that matches no node of the deck
 /// ([`NetworkError::UnknownPort`], the first in the given order), or for
-/// a network with no ports.
+/// a network with no ports ([`NetworkError::NoPorts`]). The requested
+/// ports are checked first: a deck without ports and with an unmatched
+/// requested port is `UnknownPort`.
 pub fn extract_rc(netlist: &Netlist, extra_ports: &[&str]) -> Result<Extraction, NetworkError> {
     if let Some(inst) = netlist.instances.first() {
         return Err(NetworkError::NotFlattened {

@@ -235,59 +235,21 @@ impl Token<'_> {
 }
 
 /// The deck's node names, each stored once.
-///
-/// A name is looked up first in a small direct-mapped cache, indexed by
-/// a cheap hash of its last bytes and compared in full, and only then in
-/// a set hashed with the standard, randomly seeded hasher. Neighbouring
-/// cards mostly share nodes (a ladder's `R_k`, `C_k` and `R_k+1` all
-/// touch node `k`), so most lookups skip the keyed hash. Names crafted
-/// to share a cache slot cost one failed comparison each, no more: the
-/// set keeps its protection against colliding keys.
+#[derive(Default)]
 struct Interner {
     names: HashSet<Node>,
-    cache: Vec<Option<Node>>,
-}
-
-/// Slots of [`Interner`]'s cache (a power of two).
-const CACHE_SLOTS: usize = 4096;
-
-impl Default for Interner {
-    fn default() -> Interner {
-        Interner {
-            names: HashSet::new(),
-            cache: vec![None; CACHE_SLOTS],
-        }
-    }
 }
 
 impl Interner {
     /// The shared node for `name`, allocated on first sight.
     fn node(&mut self, name: &str) -> Node {
-        let slot = &mut self.cache[cache_slot(name.as_bytes())];
-        if let Some(node) = slot.as_ref().filter(|n| n.as_str() == name) {
+        if let Some(node) = self.names.get(name) {
             return node.clone();
         }
-        let node = match self.names.get(name) {
-            Some(node) => node.clone(),
-            None => {
-                let node = Node::from(name);
-                self.names.insert(node.clone());
-                node
-            }
-        };
-        *slot = Some(node.clone());
+        let node = Node::from(name);
+        self.names.insert(node.clone());
         node
     }
-}
-
-/// The cache slot of a name: its length and last eight bytes, mixed by
-/// a multiplication.
-fn cache_slot(name: &[u8]) -> usize {
-    let tail = &name[name.len().saturating_sub(8)..];
-    let mut word = [0u8; 8];
-    word[..tail.len()].copy_from_slice(tail);
-    let key = u64::from_le_bytes(word) ^ ((name.len() as u64) << 59);
-    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - CACHE_SLOTS.trailing_zeros())) as usize
 }
 
 /// Tokens a card keeps on the stack; longer cards (waveforms, `.print`
@@ -336,24 +298,10 @@ fn tokenize(body: &str) -> Tokens<'_> {
         len: 0,
         heap: Vec::new(),
     };
-    let bytes = body.as_bytes();
     let mut start = None;
-    let mut i = 0;
-    while i < bytes.len() {
-        // An ASCII byte decides alone (`char::is_whitespace` of ASCII is
-        // a space or `\t`..=`\r`); any other character is decoded.
-        let (punct, space, width) = match bytes[i] {
-            b @ 0..=0x7f => (
-                matches!(b, b'(' | b')' | b'='),
-                matches!(b, b' ' | b'\t'..=b'\r'),
-                1,
-            ),
-            _ => {
-                let c = body[i..].chars().next().expect("a character starts here");
-                (false, c.is_whitespace(), c.len_utf8())
-            }
-        };
-        if punct || space {
+    for (i, c) in body.char_indices() {
+        let punct = matches!(c, '(' | ')' | '=');
+        if punct || c.is_whitespace() {
             if let Some(s) = start.take() {
                 tokens.push(Token {
                     text: &body[s..i],
@@ -369,7 +317,6 @@ fn tokenize(body: &str) -> Tokens<'_> {
         } else if start.is_none() {
             start = Some(i);
         }
-        i += width;
     }
     if let Some(s) = start {
         tokens.push(Token {

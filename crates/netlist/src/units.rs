@@ -96,12 +96,6 @@ pub(crate) fn starts_with_ignore_case(s: &[u8], prefix: &[u8]) -> bool {
     s.len() >= prefix.len() && s[..prefix.len()].eq_ignore_ascii_case(prefix)
 }
 
-/// Formats a value in engineering notation with a SPICE suffix: the text
-/// [`SpiceValue`] writes, which [`parse_value`] reads back.
-pub fn format_value(v: f64) -> String {
-    SpiceValue(v).to_string()
-}
-
 /// A value written in engineering notation with a SPICE suffix (`1.350000p`,
 /// `-2.500000k`, `0`), with no allocation.
 ///
@@ -198,9 +192,9 @@ mod tests {
     #[test]
     fn format_keeps_six_decimals_after_the_prefix() {
         // Not a round trip: the seventh decimal is rounded away.
-        assert_eq!(format_value(1.23456789e-12), "1.234568p");
-        assert_eq!(format_value(-2.5e3), "-2.500000k");
-        assert_eq!(format!("{}", SpiceValue(0.0)), "0");
+        assert_eq!(SpiceValue(1.23456789e-12).to_string(), "1.234568p");
+        assert_eq!(SpiceValue(-2.5e3).to_string(), "-2.500000k");
+        assert_eq!(SpiceValue(0.0).to_string(), "0");
     }
 
     #[test]
@@ -208,10 +202,10 @@ mod tests {
         for &v in &[
             1.0, 250.0, 4.7e3, 1.35e-12, 2.2e-6, 3.3e6, -5e-9, 1e-15, 7e9,
         ] {
-            let s = format_value(v);
+            let s = SpiceValue(v).to_string();
             let back = parse_value(&s).unwrap();
             assert!((back - v).abs() <= 1e-6 * v.abs(), "{v} -> {s} -> {back}");
         }
-        assert_eq!(format_value(0.0), "0");
+        assert_eq!(SpiceValue(0.0).to_string(), "0");
     }
 }

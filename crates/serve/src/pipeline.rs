@@ -556,15 +556,14 @@ impl ReducedDeck {
         }
     }
 
-    /// The reduced models in output order, and whether they are named
-    /// per component (`<prefix><k>`) rather than by the prefix alone.
-    fn models(&self) -> (Vec<&ReducedModel>, bool) {
+    /// The reduced models in output order, each with the prefix it is
+    /// realized under when the deck's prefix is `prefix`: the prefix
+    /// itself for a whole-network model, else
+    /// [`ComponentReduction::prefixed_models`].
+    fn prefixed_models(&self, prefix: &str) -> Vec<(String, &ReducedModel)> {
         match self {
-            ReducedDeck::Whole(r) => (vec![&r.model], false),
-            ReducedDeck::Components { reduction } => (
-                reduction.reductions.iter().map(|r| &r.model).collect(),
-                true,
-            ),
+            ReducedDeck::Whole(r) => vec![(prefix.to_owned(), &r.model)],
+            ReducedDeck::Components { reduction } => reduction.prefixed_models(prefix),
         }
     }
 }
@@ -616,24 +615,18 @@ pub fn render_reduced(
     tel: &mut Telemetry,
 ) -> (String, usize) {
     tel.time("emit", || {
-        let (models, numbered) = reduced.models();
-        let poles: Vec<usize> = models.iter().map(|m| m.num_poles()).collect();
         let taken = prep
-            .shell
-            .elements
+            .network
+            .node_names
             .iter()
-            .flat_map(|e| e.nodes())
-            .chain(prep.network.node_names.iter().map(String::as_str));
-        let base = pole_safe_prefix(prefix, &poles, numbered, taken);
+            .map(String::as_str)
+            .chain(prep.shell.elements.iter().flat_map(|e| e.nodes()));
+        let base = pole_safe_prefix(prefix, taken, |p| reduced.prefixed_models(p));
         let mut text = String::new();
         let mut count = 0;
         write_spliced(&prep.shell, &mut text, |out| {
-            for (k, model) in models.iter().enumerate() {
-                count += if numbered {
-                    model.write_cards(out, &format!("{base}{k}"), sparsify)
-                } else {
-                    model.write_cards(out, &base, sparsify)
-                };
+            for (p, model) in reduced.prefixed_models(&base) {
+                count += model.write_cards(out, &p, sparsify);
             }
         });
         (text, count)

@@ -271,7 +271,7 @@ fn restitched_decks_match_unreduced_across_hosts_and_strategies() {
             // The re-stitched deck must render and reparse (the CLI
             // path); the tight comparison runs on the in-memory deck —
             // SPICE text quantizes values at ~1e-7 relative
-            // (`format_value`'s 6 fractional digits), which the looser
+            // (`SpiceValue`'s 6 fractional digits), which the looser
             // `end_to_end.rs` bounds absorb but this one must not.
             pact_netlist::parse(&red.deck.to_string()).expect("re-stitched deck reparses");
             assert_equivalent(&host, sname, &red.deck);

@@ -145,8 +145,9 @@ fn rendering_a_100_port_deck_allocates_o1_per_model() {
     assert!(elements >= 5000, "{elements} elements");
     assert!(text.len() > 100_000);
     // One model: its two matrices and its text, plus the walk's few
-    // fixed buffers (model list, pole counts, prefix, telemetry phase).
-    assert!(n <= 12, "{n} allocations for {elements} elements");
+    // fixed buffers (the prefixed model list, built twice; the prefix
+    // and a pole-name buffer of the clash check; the telemetry phase).
+    assert!(n <= 14, "{n} allocations for {elements} elements");
 }
 
 #[test]
