@@ -100,17 +100,20 @@ mkdir -p results
 cp "$tmp/table4.txt" results/table4_large_mesh.txt
 
 echo "==> Tables 1 and 3: the reduced decks' simulation payoff (-> results/table{1,3}_*.txt)"
-# The paper's payoff: the multiplier (~0.2 s) and the full adder over the
-# substrate mesh (~5 s), each simulated full and reduced. Fails unless
-# Table 1 keeps 0 retained poles across 184 ports with the reduced
-# deck's v(out0) within 0.15 V of the full deck's (0.141 V when this
-# gate was set), or unless Table 3 keeps 3 poles across 20 ports.
-# Timings are recorded, not gated.
+# The paper's payoff: the multiplier at the paper's scale (7,296
+# MOSFETs, 3,648 RC nets; ~4 s) and the full adder over the substrate
+# mesh (~5 s), each simulated full and reduced. Fails unless Table 1
+# keeps 0 retained poles across 7,248 ports with the reduced deck's
+# v(out0) within 1e-9 V of the full deck's (1.774e-15 V when this gate
+# was set: the 76-stage chain has not switched out0 by 10 ns, so this
+# holds its settled level; Figure 4 below gates the switching edge), or
+# unless Table 3 keeps 3 poles across 20 ports. Timings are recorded,
+# not gated.
 ./target/release/table1_multiplier | tee "$tmp/table1.txt"
-grep -q "^retained poles: 0 across 184 ports$" "$tmp/table1.txt"
-wave_err="$(sed -n 's/^max |v(out0)_reduced .* = \([0-9.]*\) V over .*/\1/p' "$tmp/table1.txt")"
-if [ -z "$wave_err" ] || ! awk -v e="$wave_err" 'BEGIN { exit !(e <= 0.15) }'; then
-    echo "Table 1 reduced-vs-full v(out0) error '${wave_err}' V (bound 0.15)" >&2
+grep -q "^retained poles: 0 across 7248 ports$" "$tmp/table1.txt"
+wave_err="$(sed -n 's/^max |v(out0)_reduced .* = \([0-9.e+-]*\) V over .*/\1/p' "$tmp/table1.txt")"
+if [ -z "$wave_err" ] || ! awk -v e="$wave_err" 'BEGIN { exit !(e + 0 <= 1e-9) }'; then
+    echo "Table 1 reduced-vs-full v(out0) error '${wave_err}' V (bound 1e-9)" >&2
     exit 1
 fi
 ./target/release/table3_adder | tee "$tmp/table3.txt"
@@ -137,23 +140,6 @@ if [ -z "$none" ] || [ -z "$full" ] || [ -z "$reduced" ] \
     exit 1
 fi
 cp "$tmp/fig4.txt" results/fig4_critical_path.txt
-
-echo "==> refactor-determinism smoke (transient + AC sweep, 1 vs 4 threads -> results/sweep_perf.txt)"
-# The --smoke mode asserts bit-identical AC voltages and work counters at
-# 1 vs 4 threads, bitwise reuse-vs-fresh equivalence, and the linear
-# transient's one-symbolic-analysis accounting; its PERF line records the
-# factor-vs-refactor sweep wall clock.
-./target/release/ac_sweep_scaling --smoke | tee "$tmp/sweep_smoke.txt"
-grep -q "ac sweep determinism OK" "$tmp/sweep_smoke.txt"
-grep -q "transient accounting OK" "$tmp/sweep_smoke.txt"
-mkdir -p results
-{
-    echo "# Factorization-reuse smoke: 192-node substrate mesh, 16-point AC"
-    echo "# sweep, $(nproc) core(s). fresh = full symbolic+numeric LU per"
-    echo "# point; refactor = one symbolic analysis, numeric-only replay."
-    grep "^PERF " "$tmp/sweep_smoke.txt"
-} > results/sweep_perf.txt
-cat results/sweep_perf.txt
 
 echo "==> rcfitd daemon smoke (JSONL over stdin)"
 # Two same-topology decks (the second must hit a warm session and reduce
@@ -243,8 +229,8 @@ if ./target/release/rcfit --port in --port out --sparsify inf \
 fi
 grep -q "error \[sparsify\]" "$tmp/sparsify_inf.txt"
 # Every reduction finds its poles with Lanczos: --eigen is gone, in the
-# CLI as in the daemon. --components is gone too (--extract is the same
-# per-subnetwork split).
+# CLI as in the daemon. --components is gone too (every deck is reduced
+# per connected component).
 for removed in "--eigen dense" "--components"; do
     # shellcheck disable=SC2086
     if ./target/release/rcfit --port in --port out $removed \
@@ -325,32 +311,11 @@ assert not clash, f"pole node(s) merged into deck nets: {sorted(clash)}"
 print(f"pole nodes fresh: {' '.join(sorted(poles))}")
 EOF
 
-echo "==> extraction + chain-collapse smoke (-> results/extract_perf.txt)"
-# chain_collapse --smoke runs the 2000-segment line deck A/B and asserts
-# the acceptance gates: collapse eliminates >= 50% of the island's
-# internal nodes, two runs emit byte-identical decks (bit-identical port
-# responses), the re-stitched deck's in-band AC matches the unreduced
-# deck within the collapse budget, and the mixed R/C/L/diode/MOS deck
-# extracts end-to-end. Run in a scratch dir so the committed full-size
-# BENCH_extract.json is not overwritten.
-root="$PWD"
-(cd "$tmp" && "$root/target/release/chain_collapse" --smoke) \
-    | tee "$tmp/extract_smoke.txt"
-grep -q "chain collapse OK" "$tmp/extract_smoke.txt"
-mkdir -p results
-{
-    echo "# Chain-collapse A/B smoke: 2000-segment line deck, fmax 1 GHz,"
-    echo "# $(nproc) core(s). reduce_embedded wall clock, extraction only vs"
-    echo "# collapse + extraction. Full run: BENCH_extract.json"
-    echo "# (cargo run --release -p pact-bench --bin chain_collapse)."
-    grep "^PERF " "$tmp/extract_smoke.txt"
-} > results/extract_perf.txt
-cat results/extract_perf.txt
-
 echo "==> rcfit --extract --collapse-chains CLI smoke (2000-segment line)"
-# The same workload through the CLI flags: telemetry must report the
-# collapsed chain and the eliminated nodes, and the re-stitched deck must
-# be a parseable SPICE payload.
+# A 2000-segment line through the CLI flags (`--extract` is accepted and
+# does nothing): telemetry must report the one reduced component, the
+# collapsed chain and the eliminated nodes, and the re-stitched deck
+# must be a parseable SPICE payload.
 python3 - > "$tmp/long_line.sp" <<'EOF'
 n = 2000
 print("* 2000-segment extraction smoke line")
@@ -372,12 +337,12 @@ import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["schema"] == "rcfit-telemetry-v1", d.get("schema")
 c = d["counters"]
-assert c["extract_subnets"] >= 1, "no RC island extracted"
+assert c["components_reduced"] >= 1, "no RC component reduced"
 assert c["chains_collapsed"] >= 1, "chain collapse did not run"
 assert c["nodes_eliminated"] > 0, "no nodes eliminated"
 assert c["nodes_eliminated"] >= 1000, \
     f"eliminated {c['nodes_eliminated']} of ~2000 internal nodes (< 50%)"
-print(f"extraction telemetry ok: {c['extract_subnets']} island(s), "
+print(f"extraction telemetry ok: {c['components_reduced']} component(s), "
       f"{c['chains_collapsed']} chain(s) collapsed, "
       f"{c['nodes_eliminated']} nodes eliminated")
 EOF

@@ -22,11 +22,11 @@ fn main() {
     let deck_none = no_line_deck();
     let deck_two = inverter_pair_deck(&two_seg);
     let deck_full = inverter_pair_deck(&full_spec);
-    let (deck_red, red, t_red) = reduce_deck(&deck_full, 5e9, 0.05, 1e-9);
+    let red = reduce_deck(&deck_full, 5e9, 0.05, 1e-9);
     println!(
         "\nPACT reduction: {} pole(s) retained in {} s — same internal node count as the 2-segment model",
-        red.model.num_poles(),
-        secs(t_red)
+        red.poles,
+        secs(red.seconds)
     );
 
     let mut rows = Vec::new();
@@ -35,7 +35,7 @@ fn main() {
         ("no line", &deck_none),
         ("2-segment", &deck_two),
         ("100-segment", &deck_full),
-        ("PACT reduced", &deck_red),
+        ("PACT reduced", &red.deck),
     ] {
         let ckt = Circuit::from_netlist(deck).expect("compile");
         let tr = ckt.transient(tstep, tstop).expect("transient");

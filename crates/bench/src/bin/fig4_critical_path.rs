@@ -12,14 +12,14 @@ fn main() {
     let spec = MultiplierSpec::scaled_down();
     let (deck_none, _) = multiplier_like_deck_no_parasitics(&spec);
     let (deck_full, _) = multiplier_like_deck(&spec);
-    let (deck_red, _, _) = reduce_deck(&deck_full, 500e6, 0.05, 1e-9);
+    let red = reduce_deck(&deck_full, 500e6, 0.05, 1e-9);
 
     let mut curves = Vec::new();
     let mut rows = Vec::new();
     for (name, deck) in [
         ("no parasitics", &deck_none),
         ("full parasitics", &deck_full),
-        ("PACT reduced", &deck_red),
+        ("PACT reduced", &red.deck),
     ] {
         let ckt = Circuit::from_netlist(deck).expect("compile");
         let tr = ckt.transient(50e-12, 10e-9).expect("transient");

@@ -9,15 +9,15 @@ use pact_gen::{full_adder_deck, MeshSpec};
 fn main() {
     println!("# Figure 6: substrate voltage fluctuations (monitor port)");
     let deck = full_adder_deck(&MeshSpec::table2());
-    let (reduced_nl, red, _) = reduce_deck(&deck.netlist, 1e9, 0.05, 1e-9);
-    println!("\nreduction kept {} poles", red.model.num_poles());
+    let red = reduce_deck(&deck.netlist, 1e9, 0.05, 1e-9);
+    println!("\nreduction kept {} poles", red.poles);
 
     let tstep = 50e-12;
     let tstop = 12e-9;
     let monitor = deck.monitor_port.as_str();
 
     let mut curves = Vec::new();
-    for (name, d) in [("original", &deck.netlist), ("reduced 1 GHz", &reduced_nl)] {
+    for (name, d) in [("original", &deck.netlist), ("reduced 1 GHz", &red.deck)] {
         let ckt = Circuit::from_netlist(d).expect("compile");
         let tr = ckt.transient(tstep, tstop).expect("transient");
         let v = tr.voltage(monitor).expect("monitor waveform");

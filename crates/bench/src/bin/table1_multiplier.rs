@@ -1,7 +1,9 @@
-//! Table 1 / Figure 4 workload: the multiplier-like array (the stand-in
-//! for the paper's extracted 8-bit multiplier) simulated without
-//! parasitics, with the full RC parasitics, and with the PACT-reduced
-//! parasitics (5 %, 500 MHz). Reports the paper's Table 1 columns.
+//! Table 1 workload: the multiplier-like array at the paper's scale
+//! ([`MultiplierSpec::paper`], the stand-in for the paper's extracted
+//! 8-bit multiplier) simulated without parasitics, with the full RC
+//! parasitics, and with the PACT-reduced parasitics (5 %, 500 MHz).
+//! Reports the paper's Table 1 columns; the reduction is `rcfit
+//! --threads 1`'s, one connected RC net at a time.
 
 use pact_bench::{mb, print_table, reduce_deck, secs, timed};
 use pact_circuit::Circuit;
@@ -10,11 +12,11 @@ use pact_netlist::Element;
 
 fn main() {
     println!("# Table 1: multiplier-like circuit with interconnect parasitics");
-    println!("\n(workload scaled ~20x below the paper's 7264-transistor layout; see DESIGN.md §3)");
-    let spec = MultiplierSpec::scaled_down();
+    println!("\n(the paper's scale: 48 chains x 76 stages; see DESIGN.md §3)");
+    let spec = MultiplierSpec::paper();
     let (deck_none, stats_none) = multiplier_like_deck_no_parasitics(&spec);
     let (deck_full, stats_full) = multiplier_like_deck(&spec);
-    let (deck_red, red, t_red) = reduce_deck(&deck_full, 500e6, 0.05, 1e-9);
+    let red = reduce_deck(&deck_full, 500e6, 0.05, 1e-9);
 
     let tstep = 50e-12;
     let tstop = 10e-9;
@@ -25,9 +27,9 @@ fn main() {
         ("full RC network", &deck_full, stats_full.rc_elements, None),
         (
             "PACT reduced (5 %, 500 MHz)",
-            &deck_red,
-            deck_red.count(Element::is_rc),
-            Some((t_red, red.stats.modelled_memory_bytes)),
+            &red.deck,
+            red.deck.count(Element::is_rc),
+            Some((red.seconds, red.modelled_memory_bytes)),
         ),
     ] {
         let ckt = Circuit::from_netlist(deck).expect("compile");
@@ -63,11 +65,7 @@ fn main() {
         ],
         &rows,
     );
-    println!(
-        "retained poles: {} across {} ports",
-        red.model.num_poles(),
-        red.model.num_ports()
-    );
+    println!("retained poles: {} across {} ports", red.poles, red.ports);
 
     // Figure 4 check: reduced tracks full on the critical path.
     let reference = &observe[1];
@@ -84,5 +82,5 @@ fn main() {
         }
         worst = worst.max((vi - reference.2[k]).abs());
     }
-    println!("max |v(out0)_reduced − v(out0)_full| = {worst:.3} V over 0–10 ns");
+    println!("max |v(out0)_reduced − v(out0)_full| = {worst:.3e} V over 0–10 ns");
 }

@@ -18,13 +18,13 @@ fn main() {
         rc_orig, deck.monitor_port
     );
 
-    let (reduced_nl, red, t_red) = reduce_deck(nl, 1e9, 0.05, 1e-9);
-    let rc_red = reduced_nl.count(Element::is_rc);
+    let red = reduce_deck(nl, 1e9, 0.05, 1e-9);
+    let rc_red = red.deck.count(Element::is_rc);
     println!(
         "reduction: {} poles retained across {} ports in {} s",
-        red.model.num_poles(),
-        red.model.num_ports(),
-        secs(t_red)
+        red.poles,
+        red.ports,
+        secs(red.seconds)
     );
 
     let tstep = 100e-12;
@@ -34,8 +34,8 @@ fn main() {
         ("original", nl, None),
         (
             "reduced, 1 GHz",
-            &reduced_nl,
-            Some((t_red, red.stats.modelled_memory_bytes)),
+            &red.deck,
+            Some((red.seconds, red.modelled_memory_bytes)),
         ),
     ] {
         let ckt = Circuit::from_netlist(d).expect("compile");

@@ -9,16 +9,18 @@
 //! in `ledger/`.
 //!
 //! This library hosts the shared report plumbing: wall-clock timing,
-//! markdown table rendering, waveform CSV output and common reduction /
-//! simulation drivers used by several binaries.
+//! markdown table rendering, waveform CSV output, and [`reduce_deck`],
+//! which runs a deck through the `rcfit` pipeline for the binaries that
+//! simulate reduced decks.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
 
-use pact::{CutoffSpec, ReduceOptions, Reduction};
-use pact_netlist::{extract_rc, splice_reduced, Netlist};
+use pact::{ReductionSession, Telemetry};
+use pact_netlist::{parse, Netlist};
+use pact_serve::{prepare_deck, reduce_prepared, render_reduced, DeckOptions};
 
 /// Times a closure, returning its output and elapsed seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -104,27 +106,56 @@ pub fn print_waveforms(title: &str, time: &[f64], series: &[(&str, &[f64])], str
     println!();
 }
 
-/// Extracts the RC network from a deck, reduces it with the given spec,
-/// and splices the reduced elements back in. Returns the reduced deck,
-/// the reduction record and the elapsed reduction seconds.
+/// A deck reduced by [`reduce_deck`].
+#[derive(Debug)]
+pub struct ReducedRun {
+    /// The reduced deck, parsed back from the text `rcfit` would write.
+    pub deck: Netlist,
+    /// Poles kept across every reduction.
+    pub poles: usize,
+    /// Ports across every reduction.
+    pub ports: usize,
+    /// The reduction's modelled peak bytes (the largest component's).
+    pub modelled_memory_bytes: usize,
+    /// Wall-clock seconds from deck text to reduced deck text.
+    pub seconds: f64,
+}
+
+/// Reduces a deck the way `rcfit --threads 1` does (prepare, reduce per
+/// connected component, render) at the given cutoff, tolerance and
+/// sparsification threshold, and parses the written text back.
 ///
 /// # Panics
 ///
-/// Panics on extraction or reduction failure (experiment binaries treat
-/// these as fatal).
-pub fn reduce_deck(
-    deck: &Netlist,
-    f_max: f64,
-    tolerance: f64,
-    sparsify_tol: f64,
-) -> (Netlist, Reduction, f64) {
-    let ex = extract_rc(deck, &[]).expect("RC extraction failed");
-    let opts = ReduceOptions::new(CutoffSpec::new(f_max, tolerance).expect("bad cutoff"));
-    let (red, elapsed) =
-        timed(|| pact::reduce_network(&ex.network, &opts).expect("reduction failed"));
-    let elements = red.model.to_netlist_elements("red", sparsify_tol);
-    let reduced_deck = splice_reduced(deck, elements);
-    (reduced_deck, red, elapsed)
+/// Panics when the deck is refused or the reduction fails (experiment
+/// binaries treat these as fatal).
+pub fn reduce_deck(deck: &Netlist, f_max: f64, tolerance: f64, sparsify: f64) -> ReducedRun {
+    let text = deck.to_string();
+    let opts = DeckOptions {
+        f_max,
+        tolerance,
+        sparsify,
+        threads: Some(1),
+        ..DeckOptions::default()
+    };
+    let mut session = ReductionSession::new(opts.reduce_options().expect("bad options"));
+    let ((reduced, out), seconds) = timed(|| {
+        let prep = prepare_deck(&text, &opts).expect("deck refused");
+        let reduced = reduce_prepared(&prep, &mut session, &opts).expect("reduction failed");
+        let (out, _) = render_reduced(&prep, &reduced, "rcfit", sparsify, &mut Telemetry::new());
+        (reduced, out)
+    });
+    ReducedRun {
+        deck: parse(&out).expect("reduced deck parses"),
+        poles: reduced.num_poles(),
+        ports: reduced
+            .reductions()
+            .iter()
+            .map(|r| r.model.num_ports())
+            .sum(),
+        modelled_memory_bytes: reduced.modelled_memory_bytes(),
+        seconds,
+    }
 }
 
 /// 50 %-crossing delay of a rising waveform after `t_from`, in seconds.
@@ -183,10 +214,14 @@ mod tests {
             segments: 20,
             ..pact_gen::LineSpec::default()
         });
-        let (reduced, red, _) = reduce_deck(&deck, 5e9, 0.05, 0.0);
-        assert!(red.model.num_poles() < 19);
+        let run = reduce_deck(&deck, 5e9, 0.05, 0.0);
+        assert!(run.poles < 19);
+        // The line's two ends, and the receiver's load in its own net.
+        assert_eq!(run.ports, 3);
         // Reduced deck keeps the transistors.
-        let mos = reduced.count(|e| matches!(e.kind, pact_netlist::ElementKind::Mosfet { .. }));
+        let mos = run
+            .deck
+            .count(|e| matches!(e.kind, pact_netlist::ElementKind::Mosfet { .. }));
         assert_eq!(mos, 4);
     }
 }

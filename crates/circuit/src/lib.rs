@@ -1606,6 +1606,37 @@ Rsub sub 0 10k
     }
 
     #[test]
+    fn repeated_linear_transients_are_bit_identical() {
+        // A 40-segment RC line under a pulsed current drive: the drive
+        // keeps the MNA diagonally dominant, so the pivot order captured
+        // at the first gmin stage serves the whole run.
+        let mut deck = String::from("* line\nIin in 0 pulse(0 1m 0.1n 0.1n 0.1n 1n 4n)\n");
+        for i in 0..40 {
+            let a = if i == 0 {
+                "in".to_owned()
+            } else {
+                format!("n{i}")
+            };
+            deck.push_str(&format!(
+                "R{i} {a} n{} 6.25\nC{i} n{} 0 33.75f\n",
+                i + 1,
+                i + 1
+            ));
+        }
+        deck.push_str(".end\n");
+        let ckt = Circuit::from_netlist(&parse(&deck).unwrap()).unwrap();
+        let first = ckt.transient(2e-11, 4e-9).unwrap();
+        let again = ckt.transient(2e-11, 4e-9).unwrap();
+        assert_eq!(first.times, again.times);
+        for (a, b) in first.waves.iter().zip(&again.waves) {
+            let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "repeated transient drifted");
+        }
+        assert_eq!(first.stats.factorizations, 1);
+        assert!(first.stats.refactorizations <= 12);
+    }
+
+    #[test]
     fn ac_sweep_bit_identical_across_threads_and_reuse() {
         let deck = "\
 * ladder

@@ -1,30 +1,9 @@
-//! Embedded-parasitic extraction: automatic RC-subnetwork reduction for
-//! mixed decks, plus the long-chain collapse pre-pass.
+//! The long-chain collapse pre-pass for extracted RC networks.
 //!
-//! Real extracted decks are not pure RC networks — the parasitics are
-//! *embedded* among drivers, receivers, inductors and diodes. This
-//! module runs the whole RCFIT flow on such a deck end-to-end:
-//!
-//! 1. flatten the deck and pull every resistor/capacitor into an
-//!    [`RcNetwork`] ([`pact_netlist::extract_rc`]), so each connected
-//!    component of the RC graph is a maximal RC-only subnetwork whose
-//!    boundary nodes (the paper's port rule: any node also touching a
-//!    non-RC device) become ports;
-//! 2. optionally collapse long degree-2 RC chains
-//!    ([`collapse_chains`]) — extracted interconnect is dominated by
-//!    thousands-of-segments series chains that PACT would otherwise
-//!    factor at full size;
-//! 3. reduce every ported component through a [`ReductionSession`]
-//!    (flat or hierarchical — whatever the session's options select);
-//! 4. re-stitch the reduced realizations back into the deck
-//!    ([`pact_netlist::splice_reduced`]), leaving every non-RC device,
-//!    model and analysis card untouched, so the simulator runs the
-//!    mixed deck with the parasitics replaced by their reduced
-//!    equivalents.
-//!
-//! Decks with no reducible parasitics (no RC elements at all, or RC
-//! elements that never touch a non-RC device) pass through unchanged at
-//! zero cost rather than erroring.
+//! Extracted interconnect is dominated by thousands-of-segments series
+//! chains that PACT would otherwise factor at full size. The deck
+//! pipeline (`pact_serve::prepare_deck`, `--collapse-chains`) runs
+//! [`collapse_chains`] on the sanitized network before it is reduced.
 //!
 //! ## Chain collapse
 //!
@@ -44,15 +23,10 @@
 //! deterministic and the collapsed network reduces bit-identically
 //! across runs.
 
-use pact_netlist::{extract_rc, splice_reduced, Branch, Netlist, NetworkError, RcNetwork};
+use pact_netlist::{Branch, RcNetwork};
 
 use crate::cutoff::CutoffError;
 use crate::error::PactError;
-use crate::model::pole_safe_prefix;
-use crate::reduce::ComponentReduction;
-use crate::sanitize::sanitize_network;
-use crate::session::ReductionSession;
-use crate::telemetry::Telemetry;
 
 /// Accuracy specification for [`collapse_chains`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -406,141 +380,12 @@ pub fn collapse_chains(net: &RcNetwork, spec: &ChainCollapseSpec) -> ChainCollap
     }
 }
 
-/// Options for [`reduce_embedded`].
-#[derive(Clone, Debug)]
-pub struct ExtractOptions {
-    /// Node names forced to be ports in addition to the port rule.
-    pub extra_ports: Vec<String>,
-    /// Run the chain-collapse pre-pass with this spec before reduction.
-    pub collapse: Option<ChainCollapseSpec>,
-    /// Sparsification tolerance for the emitted reduced elements
-    /// (`0.0` = keep everything; see
-    /// [`pact_netlist::sparsify_preserving_passivity`]).
-    pub sparsify: f64,
-    /// Name prefix for the reduced networks' internal nodes and
-    /// elements.
-    pub prefix: String,
-}
-
-impl Default for ExtractOptions {
-    fn default() -> ExtractOptions {
-        ExtractOptions {
-            extra_ports: Vec::new(),
-            collapse: None,
-            sparsify: 0.0,
-            prefix: "pact".to_owned(),
-        }
-    }
-}
-
-/// Result of [`reduce_embedded`].
-#[derive(Clone, Debug)]
-pub struct EmbeddedReduction {
-    /// The flattened deck with every reducible RC subnetwork replaced by
-    /// its reduced realization (or the flattened input unchanged on the
-    /// pass-through path).
-    pub deck: Netlist,
-    /// Per-component reductions, or `None` when the deck had nothing to
-    /// reduce (pass-through).
-    pub reduction: Option<ComponentReduction>,
-    /// Aggregated telemetry: extraction counters
-    /// (`extract_subnets`, `chains_collapsed`, `nodes_eliminated`),
-    /// sanitize warnings, and every component's reduction record.
-    pub telemetry: Telemetry,
-    /// Internal (non-port) RC nodes in the deck before any rewriting.
-    pub nodes_before: usize,
-    /// Internal nodes in the re-stitched deck (retained poles across all
-    /// reduced components).
-    pub nodes_after: usize,
-}
-
-/// Reduces the parasitics embedded in a mixed deck end-to-end: flatten →
-/// extract maximal RC subnetworks → (optional) chain collapse → sanitize
-/// → per-component reduction through `session` → re-stitch.
-///
-/// Decks with no reducible RC subnetwork (no RC elements, or none
-/// touching a non-RC device and no `extra_ports`) are returned
-/// unchanged with `reduction: None` — the pass-through path costs one
-/// element scan.
-///
-/// # Errors
-///
-/// [`PactError`] on flatten failures, non-physical element values, an
-/// `extra_ports` name that matches no node of the deck
-/// ([`PactError::UnknownPort`], refused on the pass-through path too:
-/// [`extract_rc`] checks the requested ports before it looks for any),
-/// or a failed reduction; factorization failures are attributed to the
-/// offending node of the extracted network.
-pub fn reduce_embedded(
-    deck: &Netlist,
-    session: &mut ReductionSession,
-    opts: &ExtractOptions,
-) -> Result<EmbeddedReduction, PactError> {
-    let mut tel = Telemetry::new();
-    let flat = if deck.instances.is_empty() {
-        deck.clone()
-    } else {
-        tel.time("flatten", || deck.clone().flatten())?
-    };
-
-    let extra: Vec<&str> = opts.extra_ports.iter().map(String::as_str).collect();
-    let extraction = match tel.time("extract", || extract_rc(&flat, &extra)) {
-        Ok(ex) => ex,
-        Err(NetworkError::NoPorts) => {
-            return Ok(EmbeddedReduction {
-                deck: flat,
-                reduction: None,
-                telemetry: tel,
-                nodes_before: 0,
-                nodes_after: 0,
-            });
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let nodes_before = extraction.network.num_internal();
-
-    let report = tel.time("sanitize", || sanitize_network(&extraction.network))?;
-    report.record(&mut tel);
-    let mut network = report.network;
-
-    if let Some(spec) = &opts.collapse {
-        let collapsed = tel.time("collapse", || collapse_chains(&network, spec));
-        tel.counters.chains_collapsed = collapsed.chains_collapsed;
-        tel.counters.nodes_eliminated = collapsed.nodes_eliminated;
-        network = collapsed.network;
-    }
-
-    let reduction = session
-        .reduce_network_components(&network)
-        .map_err(|e| PactError::from_reduce(e, &network))?;
-    tel.absorb(&reduction.telemetry());
-    tel.counters.extract_subnets = reduction.reductions.len() as u64;
-
-    let elements = tel.time("emit", || {
-        let taken = flat.elements.iter().flat_map(|e| e.nodes());
-        let prefix = pole_safe_prefix(&opts.prefix, taken, |p| reduction.prefixed_models(p));
-        reduction.to_netlist_elements(&prefix, opts.sparsify)
-    });
-    let deck_out = splice_reduced(&flat, elements);
-    let nodes_after = reduction.num_poles();
-
-    Ok(EmbeddedReduction {
-        deck: deck_out,
-        reduction: Some(reduction),
-        telemetry: tel,
-        nodes_before,
-        nodes_after,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admittance::YEvaluator;
-    use crate::cutoff::CutoffSpec;
     use crate::partition::Partitions;
-    use crate::reduce::ReduceOptions;
-    use pact_netlist::parse;
+    use pact_netlist::{extract_rc, parse};
 
     /// A two-port RC line of `nseg` segments (series R, shunt C).
     fn line_net(nseg: usize, r_total: f64, c_total: f64) -> RcNetwork {
@@ -680,118 +525,6 @@ mod tests {
         assert_eq!(out.network.num_internal(), 0);
         let err = max_rel_y_err(&net, &out.network, &[0.0, 1e8, 1e9]);
         assert!(err <= 1e-3, "error {err:.3e}");
-    }
-
-    #[test]
-    fn reduce_embedded_restitches_mixed_deck() {
-        let mut deck = String::from("* mix\nV1 p0 0 1\nM1 q pN 0 0 n\n.model n nmos()\n");
-        let nseg = 60;
-        for i in 0..nseg {
-            let a = if i == 0 { "p0".into() } else { format!("n{i}") };
-            let b = if i == nseg - 1 {
-                "pN".into()
-            } else {
-                format!("n{}", i + 1)
-            };
-            deck.push_str(&format!("R{i} {a} {b} 5\nC{i} {b} 0 20f\n"));
-        }
-        deck.push_str(".end\n");
-        let nl = parse(&deck).unwrap();
-        let opts = ReduceOptions::new(CutoffSpec::new(3e9, 0.05).unwrap());
-        let mut session = ReductionSession::new(opts);
-        let out = reduce_embedded(&nl, &mut session, &ExtractOptions::default()).unwrap();
-        let red = out.reduction.as_ref().expect("reducible deck");
-        assert_eq!(red.reductions.len(), 1);
-        assert_eq!(out.telemetry.counters.extract_subnets, 1);
-        assert_eq!(out.nodes_before, nseg - 1);
-        assert!(out.nodes_after < out.nodes_before);
-        // Non-RC devices and cards survive; original RC elements do not.
-        assert!(out.deck.elements.iter().any(|e| e.name == "V1"));
-        assert!(out.deck.elements.iter().any(|e| e.name == "M1"));
-        assert!(out.deck.elements.iter().all(|e| e.name != "R0"));
-        assert_eq!(out.deck.models.len(), 1);
-        // The spliced deck carries exactly one fresh internal node per
-        // retained pole (the realization may contain negative coupling
-        // capacitors, so it is simulated, never re-extracted).
-        let mut fresh: Vec<String> = out
-            .deck
-            .elements
-            .iter()
-            .flat_map(|e| e.nodes())
-            .filter(|n| n.starts_with("pact0_p"))
-            .map(str::to_owned)
-            .collect();
-        fresh.sort();
-        fresh.dedup();
-        assert_eq!(fresh.len(), out.nodes_after);
-    }
-
-    #[test]
-    fn reduce_embedded_chain_collapse_feeds_the_reducer() {
-        let mut deck = String::from("* mix\nV1 p0 0 1\nM1 q pN 0 0 n\n.model n nmos()\n");
-        for i in 0..300 {
-            let a = if i == 0 { "p0".into() } else { format!("n{i}") };
-            let b = if i == 299 {
-                "pN".into()
-            } else {
-                format!("n{}", i + 1)
-            };
-            deck.push_str(&format!("R{i} {a} {b} 1\nC{i} {b} 0 5f\n"));
-        }
-        deck.push_str(".end\n");
-        let nl = parse(&deck).unwrap();
-        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
-        let mut session = ReductionSession::new(opts);
-        let xopts = ExtractOptions {
-            collapse: Some(ChainCollapseSpec::new(1e8, 1e-4).unwrap()),
-            ..ExtractOptions::default()
-        };
-        let out = reduce_embedded(&nl, &mut session, &xopts).unwrap();
-        assert_eq!(out.telemetry.counters.chains_collapsed, 1);
-        assert!(out.telemetry.counters.nodes_eliminated > 0);
-        assert!(out.reduction.is_some());
-        // The collapse counters survive into the deterministic JSON.
-        let s = out.telemetry.counters_json_string();
-        assert!(s.contains("\"chains_collapsed\":1"), "{s}");
-    }
-
-    #[test]
-    fn deck_without_reducible_rc_passes_through() {
-        // No RC elements at all.
-        let nl = parse("* d\nV1 a 0 1\nM1 b a 0 0 n\n.model n nmos()\n.end\n").unwrap();
-        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
-        let mut session = ReductionSession::new(opts);
-        let out = reduce_embedded(&nl, &mut session, &ExtractOptions::default()).unwrap();
-        assert!(out.reduction.is_none());
-        assert_eq!(out.nodes_before, 0);
-        assert_eq!(out.telemetry.counters.extract_subnets, 0);
-        assert_eq!(out.deck.elements.len(), 2, "deck unchanged");
-
-        // RC island never touching a non-RC device: also pass-through.
-        let nl = parse("* f\nR1 a b 100\nC1 b 0 1p\n.end\n").unwrap();
-        let out = reduce_embedded(&nl, &mut session, &ExtractOptions::default()).unwrap();
-        assert!(out.reduction.is_none());
-        assert!(out.deck.elements.iter().any(|e| e.name == "R1"));
-    }
-
-    #[test]
-    fn unknown_port_is_refused_even_on_the_pass_through_path() {
-        // No RC element touches a non-RC device: with no requested port
-        // the deck passes through, but a requested port that names no
-        // node is refused before the ports are counted.
-        let nl = parse("* f\nR1 a b 100\nC1 b 0 1p\n.end\n").unwrap();
-        let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
-        let mut session = ReductionSession::new(opts);
-        let xopts = ExtractOptions {
-            extra_ports: vec!["zzz".to_owned()],
-            ..ExtractOptions::default()
-        };
-        let err = reduce_embedded(&nl, &mut session, &xopts).unwrap_err();
-        assert_eq!(err.code(), "unknown_port");
-        assert!(matches!(
-            extract_rc(&nl, &["zzz"]),
-            Err(NetworkError::UnknownPort { .. })
-        ));
     }
 
     #[test]

@@ -72,16 +72,13 @@ pub use admittance::{PortImpedance, SweepCounts, YEvaluator};
 pub use backend::{low_rank_poles, EigenSolution};
 pub use cutoff::{CutoffError, CutoffSpec};
 pub use error::PactError;
-pub use extract::{
-    collapse_chains, reduce_embedded, ChainCollapse, ChainCollapseSpec, EmbeddedReduction,
-    ExtractOptions,
-};
+pub use extract::{collapse_chains, ChainCollapse, ChainCollapseSpec};
 pub use lru::LruCache;
 pub use model::{pole_safe_prefix, ReducedModel};
 pub use partition::Partitions;
 pub use reduce::{
-    reduce, reduce_network, reduce_network_components, ComponentReduction, ReduceError,
-    ReduceOptions, ReduceStrategy, Reduction, ReductionStats,
+    reduce, reduce_network, ComponentReduction, ReduceError, ReduceOptions, ReduceStrategy,
+    Reduction, ReductionStats,
 };
 pub use sanitize::{sanitize_network, SanitizeReport};
 pub use session::ReductionSession;
@@ -315,58 +312,6 @@ mod tests {
         assert_eq!(red.model.num_poles(), 0);
         let y = red.model.y_at(1e9);
         assert!((y[(0, 0)].re - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn component_reduction_matches_whole_network() {
-        // Two independent ladders reduced per component must give the
-        // same port admittances as reducing the union at once.
-        let mut deck = String::from(
-            "* two\nV1 x0 0 1\nM1 q xN 0 0 nch\nV2 y0 0 1\nM2 r yN 0 0 nch\n.model nch nmos()\n",
-        );
-        for (p, nseg, r, c) in [("x", 20usize, 200.0, 1.0e-12), ("y", 15, 120.0, 0.7e-12)] {
-            for i in 0..nseg {
-                let a = if i == 0 {
-                    format!("{p}0")
-                } else {
-                    format!("{p}m{i}")
-                };
-                let b = if i == nseg - 1 {
-                    format!("{p}N")
-                } else {
-                    format!("{p}m{}", i + 1)
-                };
-                deck.push_str(&format!("R{p}{i} {a} {b} {}\n", r / nseg as f64));
-                deck.push_str(&format!("C{p}{i} {b} 0 {}\n", c / nseg as f64));
-            }
-        }
-        let net = extract_rc(&parse(&deck).unwrap(), &[]).unwrap().network;
-        let opts = ReduceOptions::new(CutoffSpec::new(3e9, 0.05).unwrap());
-        let whole = reduce_network(&net, &opts).unwrap();
-        let comps = reduce_network_components(&net, &opts).unwrap();
-        assert_eq!(comps.reductions.len(), 2);
-        assert_eq!(comps.floating_dropped, 0);
-        assert_eq!(comps.num_poles(), whole.model.num_poles());
-        assert!(comps.is_passive(1e-8));
-        // Per-port admittance agreement at a few frequencies: the whole
-        // model's Y is block diagonal over components.
-        for f in [1e8, 1e9, 3e9] {
-            let yw = whole.model.y_at(f);
-            for r in &comps.reductions {
-                let yc = r.model.y_at(f);
-                for (i, ni) in r.model.port_names.iter().enumerate() {
-                    let gi = whole.model.port_names.iter().position(|p| p == ni).unwrap();
-                    for (j, nj) in r.model.port_names.iter().enumerate() {
-                        let gj = whole.model.port_names.iter().position(|p| p == nj).unwrap();
-                        assert!(
-                            (yc[(i, j)] - yw[(gi, gj)]).abs()
-                                <= 1e-9 * yw[(gi, gj)].abs().max(1e-12),
-                            "component Y mismatch at f={f:e}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -196,7 +196,8 @@ pub fn reduce_network(network: &RcNetwork, opts: &ReduceOptions) -> Result<Reduc
     ReductionSession::new(opts.clone()).reduce_network(network)
 }
 
-/// Result of a per-component reduction ([`reduce_network_components`]).
+/// Result of a per-component reduction
+/// ([`ReductionSession::reduce_network_components`]).
 #[derive(Clone, Debug)]
 pub struct ComponentReduction {
     /// One reduction per connected component that has port nodes.
@@ -207,11 +208,6 @@ pub struct ComponentReduction {
 }
 
 impl ComponentReduction {
-    /// Total retained poles across all components.
-    pub fn num_poles(&self) -> usize {
-        self.reductions.iter().map(|r| r.model.num_poles()).sum()
-    }
-
     /// Every component's reduced model with the prefix it is realized
     /// under when the deck's prefix is `prefix`: `<prefix><k>` for
     /// component `k`, so its pole nodes are `<prefix><k>_p<i>`.
@@ -221,24 +217,6 @@ impl ComponentReduction {
             .enumerate()
             .map(|(k, r)| (format!("{prefix}{k}"), &r.model))
             .collect()
-    }
-
-    /// Emits the SPICE elements of every component's reduced network,
-    /// each under its prefix from [`ComponentReduction::prefixed_models`].
-    pub fn to_netlist_elements(
-        &self,
-        prefix: &str,
-        sparsify_tol: f64,
-    ) -> Vec<pact_netlist::Element> {
-        self.prefixed_models(prefix)
-            .into_iter()
-            .flat_map(|(p, model)| model.to_netlist_elements(&p, sparsify_tol))
-            .collect()
-    }
-
-    /// `true` when every component's reduced model is passive.
-    pub fn is_passive(&self, rel_tol: f64) -> bool {
-        self.reductions.iter().all(|r| r.model.is_passive(rel_tol))
     }
 
     /// Aggregated telemetry across all component reductions: phase times
@@ -253,24 +231,6 @@ impl ComponentReduction {
         tel.counters.floating_islands_dropped = self.floating_dropped as u64;
         tel
     }
-}
-
-/// Reduces each connected component of the network independently.
-///
-/// Real layouts contain many electrically independent nets (the paper's
-/// multiplier parasitics are hundreds of separate RC trees); reducing
-/// them per component keeps each eigenproblem small and drops floating
-/// RC islands that no port can observe. One-shot convenience over
-/// [`ReductionSession::reduce_network_components`].
-///
-/// # Errors
-///
-/// See [`ReduceError`]; the first failing component aborts.
-pub fn reduce_network_components(
-    network: &RcNetwork,
-    opts: &ReduceOptions,
-) -> Result<ComponentReduction, ReduceError> {
-    ReductionSession::new(opts.clone()).reduce_network_components(network)
 }
 
 /// Rewrites a component-local factorization failure index into the parent

@@ -252,8 +252,14 @@ impl ReductionSession {
             .collect()
     }
 
-    /// Reduces each connected component independently (see
-    /// [`crate::reduce_network_components`]).
+    /// Reduces each connected component with ports independently, and
+    /// counts the components without ports, which no port can observe,
+    /// as dropped.
+    ///
+    /// Real layouts contain many electrically independent nets (the
+    /// paper's multiplier parasitics are thousands of separate RC trees);
+    /// reducing them one at a time keeps every eigenproblem and dense
+    /// port block as small as its component.
     ///
     /// # Errors
     ///

@@ -62,9 +62,9 @@ pub struct Counters {
     pub duplicate_element_names: u64,
     /// Zero-valued capacitors dropped during sanitization.
     pub zero_value_elements: u64,
-    /// Connected components independently reduced.
+    /// Connected components with ports reduced (one reduction each).
     pub components_reduced: u64,
-    /// Floating port-free islands discarded in per-component mode.
+    /// Connected components without ports, dropped unreduced.
     pub floating_islands_dropped: u64,
     /// Lanczos iterations across all restarts.
     pub lanczos_iterations: u64,
@@ -102,9 +102,6 @@ pub struct Counters {
     /// Internal nodes eliminated by the chain-collapse pre-pass (chain
     /// interior nodes removed minus re-segmentation nodes added).
     pub nodes_eliminated: u64,
-    /// Ported RC subnetworks independently reduced by the embedded
-    /// extraction pass (`pact::extract::reduce_embedded`).
-    pub extract_subnets: u64,
     /// Fresh full sparse-LU factorizations (symbolic + numeric) across
     /// sweep phases (e.g. the `--verify` exact-admittance grid).
     pub factorizations: u64,
@@ -150,7 +147,6 @@ impl Counters {
         self.hier_tree_depth = self.hier_tree_depth.max(other.hier_tree_depth);
         self.chains_collapsed += other.chains_collapsed;
         self.nodes_eliminated += other.nodes_eliminated;
-        self.extract_subnets += other.extract_subnets;
         self.factorizations += other.factorizations;
         self.refactorizations += other.refactorizations;
     }
@@ -196,7 +192,6 @@ impl Counters {
             ("hier_tree_depth", self.hier_tree_depth),
             ("chains_collapsed", self.chains_collapsed),
             ("nodes_eliminated", self.nodes_eliminated),
-            ("extract_subnets", self.extract_subnets),
             ("factorizations", self.factorizations),
             ("refactorizations", self.refactorizations),
         ]

@@ -45,6 +45,21 @@ impl MultiplierSpec {
             wire_c: 60e-15,
         }
     }
+
+    /// The paper's multiplier at its own scale (Table 1: 7,264
+    /// transistors, 20,263 RC elements): 48 chains of 76 stages with one
+    /// stub and two wire segments per stage give 7,296 MOSFETs and
+    /// 21,648 RC elements, whose RC network has 7,248 ports in 3,648
+    /// separate nets.
+    pub fn paper() -> Self {
+        MultiplierSpec {
+            chains: 48,
+            stages: 76,
+            stubs: 1,
+            wire_segments: 2,
+            ..MultiplierSpec::scaled_down()
+        }
+    }
 }
 
 /// Statistics of a generated multiplier-like deck.
@@ -205,6 +220,15 @@ mod tests {
             stats.transistors,
             nl.count(|e| matches!(e.kind, ElementKind::Mosfet { .. }))
         );
+    }
+
+    #[test]
+    fn paper_spec_matches_the_papers_size() {
+        let (nl, stats) = multiplier_like_deck(&MultiplierSpec::paper());
+        assert_eq!((stats.transistors, stats.rc_elements), (7_296, 21_648));
+        let net = extract_rc(&nl, &[]).unwrap().network;
+        assert_eq!(net.num_ports, 7_248);
+        assert_eq!(net.component_labels().1, 3_648);
     }
 
     #[test]

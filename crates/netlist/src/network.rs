@@ -380,18 +380,13 @@ impl RcNetwork {
         (self.resistors.len(), self.capacitors.len())
     }
 
-    /// Splits the network into its connected components (ground does not
-    /// connect components — two nets that only share the ground node are
-    /// electrically independent at the ports).
-    ///
-    /// Each component is a self-contained [`RcNetwork`] with its own
-    /// ports-first ordering; node *names* are preserved, so reduced
-    /// components can be emitted into one netlist without clashes.
-    /// Components containing no port node cannot influence any port and
-    /// are returned too (callers typically drop them).
-    pub fn connected_components(&self) -> Vec<RcNetwork> {
+    /// The connected component of every node, and the number of
+    /// components (ground does not connect components — two nets that
+    /// only share the ground node are electrically independent at the
+    /// ports). Components are numbered by the union-find root that
+    /// represents them, in ascending order.
+    pub fn component_labels(&self) -> (Vec<usize>, usize) {
         let n = self.num_nodes();
-        // Union-find over non-ground terminals.
         let mut parent: Vec<usize> = (0..n).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
             while parent[x] != x {
@@ -400,81 +395,68 @@ impl RcNetwork {
             }
             x
         }
-        let union = |parent: &mut Vec<usize>, a: usize, b: usize| {
-            let ra = find(parent, a);
-            let rb = find(parent, b);
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        };
         for b in self.resistors.iter().chain(&self.capacitors) {
             if let (Some(x), Some(y)) = (b.a, b.b) {
-                union(&mut parent, x, y);
+                let (rx, ry) = (find(&mut parent, x), find(&mut parent, y));
+                if rx != ry {
+                    parent[rx] = ry;
+                }
             }
         }
-        // Group nodes by root.
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for v in 0..n {
-            let r = find(&mut parent, v);
-            groups.entry(r).or_default().push(v);
+        let roots: Vec<usize> = (0..n).map(|v| find(&mut parent, v)).collect();
+        // Number the roots in ascending order.
+        let mut label = vec![usize::MAX; n];
+        for &r in &roots {
+            label[r] = 0;
         }
-        // Build each component with ports first (preserving global order).
-        let mut components = Vec::with_capacity(groups.len());
-        for nodes in groups.values() {
-            let ports: Vec<usize> = nodes
-                .iter()
-                .copied()
-                .filter(|&v| v < self.num_ports)
-                .collect();
-            let internals: Vec<usize> = nodes
-                .iter()
-                .copied()
-                .filter(|&v| v >= self.num_ports)
-                .collect();
-            let mut remap = vec![usize::MAX; n];
-            let mut node_names = Vec::with_capacity(nodes.len());
-            for (new, &old) in ports.iter().chain(&internals).enumerate() {
-                remap[old] = new;
-                node_names.push(self.node_names[old].clone());
+        let mut count = 0;
+        for l in label.iter_mut().filter(|l| **l == 0) {
+            *l = count;
+            count += 1;
+        }
+        (roots.iter().map(|&r| label[r]).collect(), count)
+    }
+
+    /// Splits the network into its connected components, numbered as in
+    /// [`RcNetwork::component_labels`], in one pass over the nodes and
+    /// one over the elements.
+    ///
+    /// Each component is a self-contained [`RcNetwork`] with its own
+    /// ports-first ordering (each group in the parent's order), and keeps
+    /// its elements in the parent's order; node *names* are preserved, so
+    /// reduced components can be emitted into one netlist without
+    /// clashes. Components containing no port node cannot influence any
+    /// port and are returned too (callers typically drop them).
+    pub fn connected_components(&self) -> Vec<RcNetwork> {
+        let (labels, count) = self.component_labels();
+        let mut components = vec![RcNetwork::default(); count];
+        // Each node's index in its component; ports come first in the
+        // parent, so they come first in every component.
+        let mut local = vec![0; labels.len()];
+        for (v, &label) in labels.iter().enumerate() {
+            let comp = &mut components[label];
+            local[v] = comp.node_names.len();
+            comp.node_names.push(self.node_names[v].clone());
+            if v < self.num_ports {
+                comp.num_ports += 1;
             }
-            let map_branch = |b: &Branch| -> Option<Branch> {
-                let a = match b.a {
-                    Some(x) if remap[x] != usize::MAX => Some(remap[x]),
-                    Some(_) => return None,
-                    None => None,
+        }
+        for (branches, resistors) in [(&self.resistors, true), (&self.capacitors, false)] {
+            for b in branches {
+                // A branch between two ground terminals belongs nowhere.
+                let Some(v) = b.a.or(b.b) else { continue };
+                let comp = &mut components[labels[v]];
+                let list = if resistors {
+                    &mut comp.resistors
+                } else {
+                    &mut comp.capacitors
                 };
-                let bb = match b.b {
-                    Some(x) if remap[x] != usize::MAX => Some(remap[x]),
-                    Some(_) => return None,
-                    None => None,
-                };
-                Some(Branch {
-                    a,
-                    b: bb,
+                list.push(Branch {
+                    a: b.a.map(|x| local[x]),
+                    b: b.b.map(|x| local[x]),
                     value: b.value,
-                })
-            };
-            let in_component = |b: &Branch| -> bool {
-                b.a.is_some_and(|x| remap[x] != usize::MAX)
-                    || b.b.is_some_and(|x| remap[x] != usize::MAX)
-            };
-            components.push(RcNetwork {
-                num_ports: ports.len(),
-                node_names,
-                resistors: self
-                    .resistors
-                    .iter()
-                    .filter(|b| in_component(b))
-                    .filter_map(map_branch)
-                    .collect(),
-                capacitors: self
-                    .capacitors
-                    .iter()
-                    .filter(|b| in_component(b))
-                    .filter_map(map_branch)
-                    .collect(),
-            });
+                });
+            }
         }
         components
     }

@@ -64,11 +64,9 @@ pub struct DeckOptions {
     pub block_size: usize,
     /// `--max-depth`: dissection recursion budget.
     pub max_depth: usize,
-    /// Reduce each maximal ported RC subnetwork independently
-    /// (`--extract` / `"extract"`): the embedded-parasitics flow, where
-    /// every RC island with its own boundary ports gets its own reduced
-    /// realization, floating islands are dropped, and the
-    /// `extract_subnets` counter reports how many were reduced.
+    /// Accepted and ignored (`--extract` / `"extract"`): every deck is
+    /// reduced per connected component (see [`reduce_prepared`]), which
+    /// is what this switch once selected.
     pub extract: bool,
     /// Run the degree-2 series-chain collapse pre-pass on the sanitized
     /// network before reduction (`--collapse-chains` /
@@ -173,8 +171,7 @@ impl DeckOptions {
     /// fields (`sparsify`) and deck-shaping fields (`extra_ports`,
     /// `collapse_chains`, `chain_tol`, which change the *network*, hence
     /// the topology shard, not the session) are deliberately excluded,
-    /// as is the execution split (`extract`), which picks which networks
-    /// go through the session without changing its numeric options.
+    /// as is the ignored `extract`.
     pub fn session_key(&self) -> String {
         let strategy = match self.reduce_strategy() {
             ReduceStrategy::Flat => "flat".to_owned(),
@@ -521,46 +518,68 @@ pub fn prepare_deck(text: &str, opts: &DeckOptions) -> Result<PreparedDeck, Pact
     })
 }
 
-/// The back half's result: a whole-network or per-component reduction.
+/// The back half's result: the reductions of a deck's connected
+/// components ([`reduce_prepared`]).
 #[derive(Clone, Debug)]
 pub enum ReducedDeck {
-    /// One reduction of the whole connected network (boxed: a
-    /// `Reduction` is large relative to the per-component variant).
+    /// The one reduction of a network that is a single connected
+    /// component with ports, reduced in place; its elements are named
+    /// with the deck's prefix (boxed: a `Reduction` is large relative
+    /// to the per-component variant).
     Whole(Box<Reduction>),
-    /// Independent reductions of each ported RC subnetwork (`extract`).
+    /// Every other network: one reduction per component with ports,
+    /// component `k` named `<prefix><k>`; port-less islands are dropped
+    /// and counted.
     Components {
-        /// The per-subnetwork reductions.
+        /// The per-component reductions.
         reduction: ComponentReduction,
     },
 }
 
 impl ReducedDeck {
-    /// The reduction's telemetry (aggregated across subnetworks, whose
-    /// count is the `extract_subnets` counter).
-    pub fn telemetry(&self) -> Telemetry {
+    /// The reductions in output order: one per component with ports.
+    pub fn reductions(&self) -> &[Reduction] {
         match self {
-            ReducedDeck::Whole(r) => r.telemetry.clone(),
-            ReducedDeck::Components { reduction } => {
-                let mut tel = reduction.telemetry();
-                tel.counters.extract_subnets = reduction.reductions.len() as u64;
-                tel
-            }
+            ReducedDeck::Whole(r) => std::slice::from_ref(r.as_ref()),
+            ReducedDeck::Components { reduction } => &reduction.reductions,
         }
     }
 
-    /// Poles retained by the reduced model(s).
-    pub fn num_poles(&self) -> usize {
+    /// The reductions' telemetry, aggregated as
+    /// [`ComponentReduction::telemetry`] does: every deck counts its
+    /// reductions in `components_reduced` and its port-less islands in
+    /// `floating_islands_dropped`.
+    pub fn telemetry(&self) -> Telemetry {
         match self {
-            ReducedDeck::Whole(r) => r.model.num_poles(),
-            ReducedDeck::Components { reduction, .. } => reduction.num_poles(),
+            ReducedDeck::Whole(r) => {
+                let mut tel = r.telemetry.clone();
+                tel.counters.components_reduced = 1;
+                tel
+            }
+            ReducedDeck::Components { reduction } => reduction.telemetry(),
         }
+    }
+
+    /// Poles retained by the reduced models.
+    pub fn num_poles(&self) -> usize {
+        self.reductions().iter().map(|r| r.model.num_poles()).sum()
+    }
+
+    /// The modelled peak bytes of the reduction: components reduce one
+    /// after another, so the largest one's.
+    pub fn modelled_memory_bytes(&self) -> usize {
+        self.reductions()
+            .iter()
+            .map(|r| r.stats.modelled_memory_bytes)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The reduced models in output order, each with the prefix it is
     /// realized under when the deck's prefix is `prefix`: the prefix
     /// itself for a whole-network model, else
     /// [`ComponentReduction::prefixed_models`].
-    fn prefixed_models(&self, prefix: &str) -> Vec<(String, &ReducedModel)> {
+    pub fn prefixed_models(&self, prefix: &str) -> Vec<(String, &ReducedModel)> {
         match self {
             ReducedDeck::Whole(r) => vec![(prefix.to_owned(), &r.model)],
             ReducedDeck::Components { reduction } => reduction.prefixed_models(prefix),
@@ -568,8 +587,15 @@ impl ReducedDeck {
     }
 }
 
-/// Reduces a prepared deck inside `session`: whole-network by default,
-/// or per ported RC subnetwork when `opts.extract` is set.
+/// Reduces a prepared deck inside `session`, one connected component at
+/// a time: couplings between components are exactly zero, so each
+/// component's reduction is independent, and no eigenproblem or dense
+/// port block spans more than one component.
+///
+/// A network that is one connected component with ports is reduced in
+/// place ([`ReducedDeck::Whole`]); every other network is split
+/// ([`ReducedDeck::Components`]), and components without a port, which
+/// no port can observe, are dropped. `opts.extract` is ignored.
 ///
 /// # Errors
 ///
@@ -578,20 +604,19 @@ impl ReducedDeck {
 pub fn reduce_prepared(
     prep: &PreparedDeck,
     session: &mut ReductionSession,
-    opts: &DeckOptions,
+    _opts: &DeckOptions,
 ) -> Result<ReducedDeck, PactError> {
     let net = &prep.network;
-    if opts.extract {
-        session
-            .reduce_network_components(net)
-            .map(|reduction| ReducedDeck::Components { reduction })
-            .map_err(|e| PactError::from_reduce(e, net))
-    } else {
+    let reduced = if net.num_ports > 0 && net.component_labels().1 == 1 {
         session
             .reduce_network(net)
             .map(|r| ReducedDeck::Whole(Box::new(r)))
-            .map_err(|e| PactError::from_reduce(e, net))
-    }
+    } else {
+        session
+            .reduce_network_components(net)
+            .map(|reduction| ReducedDeck::Components { reduction })
+    };
+    reduced.map_err(|e| PactError::from_reduce(e, net))
 }
 
 /// Writes the reduced deck: the prepared deck's shell with the reduced
@@ -746,29 +771,232 @@ mod tests {
         assert!(off.reduce_options().is_ok());
     }
 
+    /// Reduces `deck` the way one `rcfit` call does.
+    fn reduce(deck: &str, opts: &DeckOptions) -> (PreparedDeck, ReducedDeck) {
+        let prep = prepare_deck(deck, opts).unwrap();
+        let mut session = ReductionSession::new(opts.reduce_options().unwrap());
+        let red = reduce_prepared(&prep, &mut session, opts).unwrap();
+        (prep, red)
+    }
+
+    /// An RC ladder named `<p>…`, driven at `<p>0` and loading a gate at
+    /// `<p>N`: one connected component with two ports.
+    fn ladder(p: &str, nseg: usize, r: f64, c: f64) -> String {
+        let mut s = format!("V{p} {p}0 0 1\nM{p} q{p} {p}N 0 0 nch\n");
+        for i in 0..nseg {
+            let a = if i == 0 {
+                format!("{p}0")
+            } else {
+                format!("{p}m{i}")
+            };
+            let b = if i + 1 == nseg {
+                format!("{p}N")
+            } else {
+                format!("{p}m{}", i + 1)
+            };
+            s.push_str(&format!("R{p}{i} {a} {b} {}\n", r / nseg as f64));
+            s.push_str(&format!("C{p}{i} {b} 0 {}\n", c / nseg as f64));
+        }
+        s
+    }
+
+    fn deck_of(ladders: &[String]) -> String {
+        format!("* ladders\n{}.model nch nmos()\n.end\n", ladders.concat())
+    }
+
     #[test]
-    fn extract_option_counts_subnetworks() {
-        // Two RC islands separated by a voltage source: each gets its
-        // own reduced realization under `extract`.
+    fn every_deck_is_reduced_per_connected_component() {
+        // One component: reduced in place, named with the deck's prefix.
+        let opts = DeckOptions::default();
+        let (_, red) = reduce(&deck_of(&[ladder("x", 6, 100.0, 1e-12)]), &opts);
+        assert!(matches!(red, ReducedDeck::Whole(_)));
+        let c = red.telemetry().counters;
+        assert_eq!((c.components_reduced, c.floating_islands_dropped), (1, 0));
+        // Two RC islands separated by a voltage source: one reduction
+        // each, whatever `extract` says.
         let deck = "* two islands\n\
             R1 a m1 1k\nC1 m1 0 1p\nR2 m1 b 1k\n\
             V1 b c 1\n\
             R3 c m2 2k\nC2 m2 0 2p\nR4 m2 d 2k\n\
             Vd a 0 1\nRL d 0 1k\n.end\n";
+        for extract in [false, true] {
+            let opts = DeckOptions {
+                extract,
+                ..DeckOptions::default()
+            };
+            let (_, red) = reduce(deck, &opts);
+            match &red {
+                ReducedDeck::Components { reduction } => {
+                    assert_eq!(reduction.reductions.len(), 2, "two RC islands");
+                }
+                ReducedDeck::Whole(_) => panic!("two components must split"),
+            }
+            assert_eq!(red.telemetry().counters.components_reduced, 2);
+        }
+    }
+
+    #[test]
+    fn two_component_admittance_is_the_block_diagonal_of_its_components() {
+        let deck = deck_of(&[
+            ladder("x", 20, 200.0, 1.0e-12),
+            ladder("y", 15, 120.0, 0.7e-12),
+        ]);
         let opts = DeckOptions {
-            extract: true,
+            f_max: 3e9,
             ..DeckOptions::default()
         };
-        let prep = prepare_deck(deck, &opts).unwrap();
+        let (prep, red) = reduce(&deck, &opts);
+        let ReducedDeck::Components { reduction } = &red else {
+            panic!("two components must split");
+        };
+        assert_eq!(reduction.reductions.len(), 2);
+        assert_eq!(reduction.floating_dropped, 0);
+        assert!(red.reductions().iter().all(|r| r.model.is_passive(1e-8)));
+        // The whole network reduced as one block: its `Y` must be the
+        // block diagonal of the components' `Y`s.
         let mut session = ReductionSession::new(opts.reduce_options().unwrap());
-        let red = reduce_prepared(&prep, &mut session, &opts).unwrap();
-        match &red {
-            ReducedDeck::Components { reduction } => {
-                assert_eq!(reduction.reductions.len(), 2, "two RC islands");
+        let whole = session.reduce_network(&prep.network).unwrap();
+        assert_eq!(red.num_poles(), whole.model.num_poles());
+        let ports = &whole.model.port_names;
+        let block = |name: &String| {
+            red.reductions()
+                .iter()
+                .enumerate()
+                .find_map(|(k, r)| Some((k, r.model.port_names.iter().position(|p| p == name)?)))
+                .unwrap()
+        };
+        for f in [1e8, 1e9, 3e9] {
+            let yw = whole.model.y_at(f);
+            let ys: Vec<_> = red.reductions().iter().map(|r| r.model.y_at(f)).collect();
+            let scale = (0..ports.len())
+                .map(|i| yw[(i, i)].abs())
+                .fold(0.0, f64::max);
+            for (gi, ni) in ports.iter().enumerate() {
+                for (gj, nj) in ports.iter().enumerate() {
+                    let ((ki, i), (kj, j)) = (block(ni), block(nj));
+                    let w = yw[(gi, gj)];
+                    if ki == kj {
+                        let d = (ys[ki][(i, j)] - w).abs();
+                        assert!(
+                            d <= 1e-9 * w.abs().max(1e-12),
+                            "Y[{ni},{nj}] at {f:e}: {d:e}"
+                        );
+                    } else {
+                        assert!(w.abs() <= 1e-12 * scale, "Y[{ni},{nj}] couples components");
+                    }
+                }
             }
-            ReducedDeck::Whole(_) => panic!("extract must split per subnetwork"),
         }
-        assert_eq!(red.telemetry().counters.extract_subnets, 2);
+    }
+
+    #[test]
+    fn modelled_memory_follows_the_largest_component() {
+        // One long two-port ladder, and 4 or 40 short ones beside it. Each component reduces on its own,
+        // so the deck's modelled peak is the long ladder's however many
+        // short ones (and ports) there are; one whole-network block grows
+        // with the total port count.
+        let opts = DeckOptions {
+            f_max: 3e9,
+            threads: Some(1),
+            ..DeckOptions::default()
+        };
+        let big = ladder("big", 400, 500.0, 2e-12);
+        let with = |n: usize| {
+            let mut ladders = vec![big.clone()];
+            ladders.extend((0..n).map(|k| ladder(&format!("s{k}x"), 4, 50.0, 0.1e-12)));
+            deck_of(&ladders)
+        };
+        let (_, alone) = reduce(&deck_of(std::slice::from_ref(&big)), &opts);
+        let mut peaks = Vec::new();
+        for n in [4, 40] {
+            let (prep, red) = reduce(&with(n), &opts);
+            assert_eq!(red.reductions().len(), n + 1);
+            assert_eq!(red.modelled_memory_bytes(), alone.modelled_memory_bytes());
+            let mut session = ReductionSession::new(opts.reduce_options().unwrap());
+            let whole = session.reduce_network(&prep.network).unwrap();
+            peaks.push(whole.stats.modelled_memory_bytes);
+        }
+        assert!(
+            peaks[1] > peaks[0] && peaks[0] > alone.modelled_memory_bytes(),
+            "a whole-network block grows with the port count: {peaks:?}"
+        );
+    }
+
+    #[test]
+    fn a_grounded_island_no_port_sees_is_dropped() {
+        // `x`–`y` reaches ground through R10 but touches no port: its two
+        // poles would be written on pole nodes nothing observes.
+        let deck = "V1 in 0 1\nR1 in n1 100\nC1 n1 0 1p\nR2 n1 out 100\nRL out 0 1k\n\
+                    R9 x y 100\nR10 y 0 50\nC9 y 0 1p\nC10 x 0 2p\n";
+        let opts = DeckOptions {
+            f_max: 100e9,
+            tolerance: 0.01,
+            ..DeckOptions::default()
+        };
+        let (prep, red) = reduce(deck, &opts);
+        let c = red.telemetry().counters;
+        assert_eq!((c.components_reduced, c.floating_islands_dropped), (1, 1));
+        assert_eq!(red.num_poles(), 1);
+        let (text, n) = render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut Telemetry::new());
+        assert_eq!(n, 3);
+        assert_eq!(
+            text,
+            "*  (RC network reduced by PACT)\n\
+             V1 in 0 dc 1.000000\n\
+             Crcfit0_0_1 in rcfit0_p0 840.277778f\n\
+             Rrcfit0_0_0 in 0 1.200000k\n\
+             Rrcfit0_1_1 rcfit0_p0 0 109.090909\n\
+             .end\n"
+        );
+    }
+
+    #[test]
+    fn decks_without_ports_are_refused_with_a_typed_error() {
+        let opts = DeckOptions::default();
+        // No RC element at all, and an RC island no device touches.
+        for deck in [
+            "* d\nV1 a 0 1\nM1 b a 0 0 n\n.model n nmos()\n.end\n",
+            "* f\nR1 a b 100\nC1 b 0 1p\n.end\n",
+        ] {
+            let e = prepare_deck(deck, &opts).unwrap_err();
+            assert_eq!(e.code(), "network", "{deck}");
+            assert_eq!(
+                e.to_string(),
+                "extraction error: RC network has no port nodes"
+            );
+        }
+        // A requested port that names no node is refused first.
+        let zzz = DeckOptions {
+            extra_ports: vec!["zzz".to_owned()],
+            ..DeckOptions::default()
+        };
+        let e = prepare_deck("* f\nR1 a b 100\nC1 b 0 1p\n.end\n", &zzz).unwrap_err();
+        assert_eq!(e.code(), "unknown_port");
+    }
+
+    #[test]
+    fn a_mixed_deck_keeps_its_devices_and_gains_one_node_per_pole() {
+        let deck = deck_of(&[ladder("p", 60, 300.0, 1.2e-12)]);
+        let opts = DeckOptions {
+            f_max: 3e9,
+            ..DeckOptions::default()
+        };
+        let (prep, red) = reduce(&deck, &opts);
+        assert_eq!(prep.raw_internal, 59);
+        assert!(red.num_poles() < 59);
+        let (text, _) = render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut Telemetry::new());
+        let out = parse(&text).unwrap();
+        assert!(out.elements.iter().any(|e| e.name == "Vp"));
+        assert!(out.elements.iter().any(|e| e.name == "Mp"));
+        assert!(out.elements.iter().all(|e| e.name != "Rp0"));
+        assert_eq!(out.models.len(), 1);
+        let deck_nodes = parse(&deck).unwrap().node_names();
+        let fresh = out
+            .node_names()
+            .into_iter()
+            .filter(|n| !deck_nodes.contains(n))
+            .count();
+        assert_eq!(fresh, red.num_poles());
     }
 
     #[test]
@@ -809,25 +1037,34 @@ mod tests {
 
     #[test]
     fn pole_nodes_never_merge_into_a_deck_net() {
-        // `rcfit_p0` and `rcfit0_p1` are the names the whole and the
-        // per-component reductions would give their pole nodes; here
-        // they are nets of the deck, driven by sources.
-        let deck = "* pole node clash\nV1 in 0 1\nR1 in n1 100\nC1 n1 0 1p\n\
-                    R2 n1 n2 100\nC2 n2 0 1p\nR3 n2 out 100\nC3 out 0 1p\n\
-                    M1 d1 out 0 0 nch\nM2 d2 rcfit_p0 0 0 nch\nV2 rcfit_p0 0 0.5\n\
-                    M3 d3 rcfit0_p1 0 0 nch\nV3 rcfit0_p1 0 0.2\n\
-                    .model nch nmos()\n.end\n";
-        let deck_nodes = parse(deck).unwrap().node_names();
-        for extract in [false, true] {
+        // `rcfit_p0` and `rcfit1_p1` are names a whole and a split deck
+        // would give pole nodes; here they are nets of the deck, driven by
+        // sources. Alone the ladder is one component; with a second ladder
+        // the deck splits.
+        let ladder = "V1 in 0 1\nR1 in n1 100\nC1 n1 0 1p\n\
+                      R2 n1 n2 100\nC2 n2 0 1p\nR3 n2 out 100\nC3 out 0 1p\n\
+                      M1 d1 out 0 0 nch\n";
+        let clash = "M2 d2 rcfit_p0 0 0 nch\nV2 rcfit_p0 0 0.5\n\
+                     M3 d3 rcfit1_p1 0 0 nch\nV3 rcfit1_p1 0 0.2\n";
+        let second = "V4 a 0 1\nR4 a m1 100\nC4 m1 0 1p\nR5 m1 b 100\nC5 b 0 1p\n\
+                      M4 d4 b 0 0 nch\n";
+        for (deck, prefixes) in [
+            (
+                format!("* one\n{ladder}{clash}.model nch nmos()\n.end\n"),
+                &["rcfitx_p"][..],
+            ),
+            (
+                format!("* two\n{ladder}{second}{clash}.model nch nmos()\n.end\n"),
+                &["rcfitx0_p", "rcfitx1_p"],
+            ),
+        ] {
+            let deck_nodes = parse(&deck).unwrap().node_names();
             let opts = DeckOptions {
                 f_max: 100e9,
                 tolerance: 0.01,
-                extract,
                 ..DeckOptions::default()
             };
-            let prep = prepare_deck(deck, &opts).unwrap();
-            let mut session = ReductionSession::new(opts.reduce_options().unwrap());
-            let red = reduce_prepared(&prep, &mut session, &opts).unwrap();
+            let (prep, red) = reduce(&deck, &opts);
             assert!(red.num_poles() >= 2, "the clash needs pole nodes");
             let (text, _) =
                 render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut Telemetry::new());
@@ -837,9 +1074,16 @@ mod tests {
                 .into_iter()
                 .filter(|n| !deck_nodes.contains(n))
                 .collect();
-            assert_eq!(fresh.len(), red.num_poles(), "extract {extract}: {fresh:?}");
-            let prefix = if extract { "rcfitx0_p" } else { "rcfitx_p" };
-            assert!(fresh.iter().all(|n| n.starts_with(prefix)), "{fresh:?}");
+            assert_eq!(fresh.len(), red.num_poles(), "{deck}: {fresh:?}");
+            for prefix in prefixes {
+                assert!(fresh.iter().any(|n| n.starts_with(prefix)), "{fresh:?}");
+            }
+            assert!(
+                fresh
+                    .iter()
+                    .all(|n| prefixes.iter().any(|p| n.starts_with(p))),
+                "{fresh:?}"
+            );
         }
     }
 

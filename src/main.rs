@@ -22,9 +22,16 @@
 //!
 //! The flow mirrors the paper's Figure 1: parse → extract RC elements and
 //! classify ports → sanitize (prune floating internal nodes, drop
-//! zero-valued caps) → stamp `G`,`C` → Cholesky congruence → pole
-//! analysis via Lanczos → drop poles above the cutoff → sparsify → unstamp
-//! → splice the reduced network back into the deck and write it out.
+//! zero-valued caps) → split into connected components → per component:
+//! stamp `G`,`C` → Cholesky congruence → pole analysis via Lanczos → drop
+//! poles above the cutoff → sparsify → unstamp → splice the reduced
+//! networks back into the deck and write it out. A deck whose RC network
+//! is one connected component is reduced in place and its elements are
+//! named `rcfit_…`; otherwise component `k` is named `rcfit<k>_…` and
+//! components without a port are dropped. `--extract` is accepted and
+//! does nothing: it once selected the per-component split, which is now
+//! the only path. `--stats` and `--verify` report over every reduction:
+//! one verdict, the worst over the components.
 //!
 //! Every failure surfaces as a typed [`PactError`] with node/element
 //! attribution — the reduction path never panics on malformed input.
@@ -34,10 +41,11 @@
 
 use std::process::ExitCode;
 
-use pact::{PactError, ReductionSession};
+use pact::{CutoffSpec, PactError, ReductionSession, VerificationReport};
+use pact_netlist::RcNetwork;
 use pact_serve::{
     option_for_flag, prepare_deck, reduce_prepared, render_reduced, resolve_options, DeckOptions,
-    Given, OptionError, ReducedDeck,
+    Given, OptionError, PreparedDeck, ReducedDeck,
 };
 
 #[derive(Debug)]
@@ -68,8 +76,9 @@ fn usage() -> &'static str {
      --strict-pivots fails on quasi-singular pivots instead of perturbing them;\n\
      --hier reduces via nested-dissection blocks of at most --block-size nodes\n\
      (default 2000) with --max-depth recursion levels (default 16);\n\
-     --extract reduces each maximal ported RC subnetwork independently (the\n\
-     embedded-parasitics flow for mixed decks); --collapse-chains runs the\n\
+     every deck is reduced one connected RC component at a time, and\n\
+     components without a port are dropped; --extract is accepted and does\n\
+     nothing (it once selected that split); --collapse-chains runs the\n\
      degree-2 series-chain collapse pre-pass before reduction, re-segmenting\n\
      long RC chains within --chain-tol relative in-band error (default 1e-6)"
 }
@@ -195,70 +204,43 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
     let red = reduce_prepared(&prep, session, opts)?;
     let mut tel = prep.telemetry.clone();
     tel.absorb(&red.telemetry());
-    match &red {
-        ReducedDeck::Components { reduction: c } => {
-            eprintln!(
-                "rcfit: {} embedded RC subnetwork(s) reduced, {} floating island(s) dropped, {} pole(s) kept",
-                c.reductions.len(),
-                c.floating_dropped,
-                c.num_poles()
-            );
-        }
-        ReducedDeck::Whole(r) => {
-            let cutoff = session.options().cutoff;
-            eprintln!(
-                "rcfit: kept {} pole(s) below the {:.3e} Hz cutoff ({} internal nodes eliminated)",
-                r.model.num_poles(),
-                cutoff.cutoff_frequency(),
-                prep.network.num_internal() - r.model.num_poles()
-            );
-            if args.stats {
-                let s = &r.stats;
+    let cutoff = session.options().cutoff;
+    eprintln!(
+        "rcfit: kept {} pole(s) below the {:.3e} Hz cutoff ({} internal nodes eliminated)",
+        red.num_poles(),
+        cutoff.cutoff_frequency(),
+        prep.network.num_internal() - red.num_poles()
+    );
+    if let ReducedDeck::Components { reduction: c } = &red {
+        eprintln!(
+            "rcfit: {} connected component(s) reduced, {} floating island(s) dropped",
+            c.reductions.len(),
+            c.floating_dropped
+        );
+    }
+    if args.stats {
+        print_stats(&red);
+    }
+    if args.verify {
+        let ctx = pact_sparse::ParCtx::new(opts.threads);
+        match tel.time("verify_sweep", || verify(&prep, &red, &cutoff, ctx)) {
+            Ok(Some(report)) => {
+                tel.counters.factorizations += report.sweep_counts.factorizations;
+                tel.counters.refactorizations += report.sweep_counts.refactorizations;
                 eprintln!(
-                    "rcfit: reduction {:.3} s; Cholesky |L| = {} nnz ({:.1} MB); modelled peak {:.1} MB",
-                    s.elapsed_seconds,
-                    s.chol_nnz,
-                    s.chol_memory_bytes as f64 / 1e6,
-                    s.modelled_memory_bytes as f64 / 1e6
+                    "rcfit: verify: worst in-band error {:.3} % (tolerance {:.1} %), overall {:.3} %: {}",
+                    report.worst_in_band * 100.0,
+                    report.tolerance * 100.0,
+                    report.worst_overall * 100.0,
+                    if report.passes() { "PASS" } else { "FAIL" }
                 );
-                if let Some(ls) = s.lanczos {
-                    eprintln!(
-                        "rcfit: Lanczos: {} matvecs, {} iterations, {} restarts",
-                        ls.matvecs, ls.iterations, ls.restarts
-                    );
-                }
-                match r.model.passivity_margins() {
-                    Ok((g, c)) => {
-                        eprintln!("rcfit: passivity margins: λmin(G'')={g:.3e}, λmin(C'')={c:.3e}");
-                    }
-                    Err(e) => eprintln!("rcfit: passivity check failed: {e}"),
-                }
+                eprintln!(
+                    "rcfit: verify: exact sweep used {} factorization(s) + {} refactorization(s)",
+                    report.sweep_counts.factorizations, report.sweep_counts.refactorizations
+                );
             }
-            if args.verify {
-                let parts = pact::Partitions::split(&prep.network.stamp());
-                let ctx = pact_sparse::ParCtx::new(opts.threads);
-                let report = tel.time("verify_sweep", || {
-                    pact::verify_reduction_with(&parts, &r.model, &cutoff, 25, ctx)
-                });
-                match report {
-                    Ok(report) => {
-                        tel.counters.factorizations += report.sweep_counts.factorizations;
-                        tel.counters.refactorizations += report.sweep_counts.refactorizations;
-                        eprintln!(
-                            "rcfit: verify: worst in-band error {:.3} % (tolerance {:.1} %), overall {:.3} %: {}",
-                            report.worst_in_band * 100.0,
-                            report.tolerance * 100.0,
-                            report.worst_overall * 100.0,
-                            if report.passes() { "PASS" } else { "FAIL" }
-                        );
-                        eprintln!(
-                            "rcfit: verify: exact sweep used {} factorization(s) + {} refactorization(s)",
-                            report.sweep_counts.factorizations, report.sweep_counts.refactorizations
-                        );
-                    }
-                    Err(e) => eprintln!("rcfit: verify failed to run: {e}"),
-                }
-            }
+            Ok(None) => eprintln!("rcfit: verify: no reduction to verify"),
+            Err(e) => eprintln!("rcfit: verify failed to run: {e}"),
         }
     }
 
@@ -281,6 +263,90 @@ fn run_deck(args: &Args, input: &str, session: &mut ReductionSession) -> Result<
         std::fs::write(path, doc).map_err(|e| PactError::io(path, &e))?;
     }
     Ok(())
+}
+
+/// `--stats`: one report over every reduction of the deck. Work and
+/// factor sizes add up; the modelled peak is the largest reduction's
+/// (components reduce one after another), and the passivity margins are
+/// the smallest.
+fn print_stats(red: &ReducedDeck) {
+    let reductions = red.reductions();
+    let sum = |f: fn(&pact::ReductionStats) -> usize| -> usize {
+        reductions.iter().map(|r| f(&r.stats)).sum()
+    };
+    eprintln!(
+        "rcfit: reduction {:.3} s; Cholesky |L| = {} nnz ({:.1} MB); modelled peak {:.1} MB",
+        reductions
+            .iter()
+            .map(|r| r.stats.elapsed_seconds)
+            .sum::<f64>(),
+        sum(|s| s.chol_nnz),
+        sum(|s| s.chol_memory_bytes) as f64 / 1e6,
+        red.modelled_memory_bytes() as f64 / 1e6
+    );
+    let lanczos: Vec<_> = reductions.iter().filter_map(|r| r.stats.lanczos).collect();
+    if !lanczos.is_empty() {
+        eprintln!(
+            "rcfit: Lanczos: {} matvecs, {} iterations, {} restarts",
+            lanczos.iter().map(|l| l.matvecs).sum::<usize>(),
+            lanczos.iter().map(|l| l.iterations).sum::<usize>(),
+            lanczos.iter().map(|l| l.restarts).sum::<usize>()
+        );
+    }
+    let margins: Result<Vec<(f64, f64)>, _> = reductions
+        .iter()
+        .map(|r| r.model.passivity_margins())
+        .collect();
+    match margins {
+        Ok(m) if !m.is_empty() => {
+            let g = m.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+            let c = m.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+            eprintln!("rcfit: passivity margins: λmin(G'')={g:.3e}, λmin(C'')={c:.3e}");
+        }
+        Ok(_) => {}
+        Err(e) => eprintln!("rcfit: passivity check failed: {e}"),
+    }
+}
+
+/// `--verify`: each reduction against the exact admittance of the
+/// network it was made from (the whole network, or its connected
+/// component), over one shared 25-point grid, folded into one report:
+/// the worst error at each frequency, the smallest passivity margins and
+/// the summed sweep effort. `None` when the deck has no reduction.
+fn verify(
+    prep: &PreparedDeck,
+    red: &ReducedDeck,
+    cutoff: &CutoffSpec,
+    ctx: pact_sparse::ParCtx,
+) -> Result<Option<VerificationReport>, String> {
+    let components;
+    let networks: Vec<&RcNetwork> = match red {
+        ReducedDeck::Whole(_) => vec![&prep.network],
+        ReducedDeck::Components { .. } => {
+            components = prep.network.connected_components();
+            components.iter().filter(|c| c.num_ports > 0).collect()
+        }
+    };
+    let mut worst: Option<VerificationReport> = None;
+    for (net, r) in networks.into_iter().zip(red.reductions()) {
+        let parts = pact::Partitions::split(&net.stamp());
+        let report = pact::verify_reduction_with(&parts, &r.model, cutoff, 25, ctx)?;
+        worst = Some(match worst {
+            None => report,
+            Some(mut w) => {
+                for (a, b) in w.samples.iter_mut().zip(&report.samples) {
+                    a.worst_relative_error = a.worst_relative_error.max(b.worst_relative_error);
+                }
+                w.worst_in_band = w.worst_in_band.max(report.worst_in_band);
+                w.worst_overall = w.worst_overall.max(report.worst_overall);
+                w.passivity_margins.0 = w.passivity_margins.0.min(report.passivity_margins.0);
+                w.passivity_margins.1 = w.passivity_margins.1.min(report.passivity_margins.1);
+                w.sweep_counts.absorb(report.sweep_counts);
+                w
+            }
+        });
+    }
+    Ok(worst)
 }
 
 fn main() -> ExitCode {

@@ -152,6 +152,67 @@ fn rcfit_cli_flow_is_reproducible() {
     assert_eq!(ta, tb);
 }
 
+/// `rcfit --verify` on a deck of two connected components (the two nets
+/// of [`interconnect_deck`]) prints one verdict: the worst error over the
+/// components, each verified against its own exact admittance.
+#[test]
+fn verify_prints_one_verdict_for_a_two_component_deck() {
+    let deck = interconnect_deck();
+    let dir = std::env::temp_dir().join(format!("rcfit-verify-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let input = dir.join("two_nets.sp");
+    std::fs::write(&input, &deck).expect("write deck");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_rcfit"))
+        .arg(&input)
+        .args(["--verify", "--fmax", "3g", "-o"])
+        .arg(dir.join("reduced.sp"))
+        .output()
+        .expect("rcfit runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8(run.stderr).expect("utf-8");
+    assert!(run.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("rcfit: 2 connected component(s) reduced"),
+        "{stderr}"
+    );
+    let verdicts: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("rcfit: verify: worst in-band error"))
+        .collect();
+    assert_eq!(verdicts.len(), 1, "{stderr}");
+
+    let opts = DeckOptions {
+        f_max: 3e9,
+        ..DeckOptions::default()
+    };
+    let prep = prepare_deck(&deck, &opts).expect("prepare");
+    let mut session = ReductionSession::new(opts.reduce_options().expect("options"));
+    let red = reduce_prepared(&prep, &mut session, &opts).expect("reduce");
+    let components = prep.network.connected_components();
+    assert_eq!((components.len(), red.reductions().len()), (2, 2));
+    let spec = session.options().cutoff;
+    let reports: Vec<_> = components
+        .iter()
+        .zip(red.reductions())
+        .map(|(net, r)| {
+            let parts = pact::Partitions::split(&net.stamp());
+            pact::verify_reduction(&parts, &r.model, &spec, 25).expect("verify")
+        })
+        .collect();
+    let worst =
+        |f: fn(&pact::VerificationReport) -> f64| reports.iter().map(f).fold(0.0, f64::max) * 100.0;
+    let expected = format!(
+        "rcfit: verify: worst in-band error {:.3} % (tolerance 5.0 %), overall {:.3} %: PASS",
+        worst(|r| r.worst_in_band),
+        worst(|r| r.worst_overall)
+    );
+    assert_eq!(verdicts[0], expected);
+    assert!(
+        stderr.contains("exact sweep used 2 factorization(s) + 50 refactorization(s)"),
+        "{stderr}"
+    );
+}
+
 /// One transient's simulated statistics, pinned by
 /// `multiplier_transient_statistics_are_pinned`.
 #[derive(Debug, PartialEq, Eq)]

@@ -3,7 +3,9 @@
 //!
 //! For every host deck (inverter line, substrate mesh, power grid, and
 //! the mixed R/C/L/diode/MOSFET/VCVS acceptance deck) and every
-//! reduction strategy (flat, hierarchical), the
+//! reduction strategy (flat, hierarchical), each deck goes through the
+//! `rcfit` pipeline (`prepare_deck`, `reduce_prepared`, which reduces
+//! every connected RC component on its own), and the
 //! reduced-and-restitched deck's AC sweep and transient waveforms are
 //! compared against the unreduced deck at every node the two decks
 //! share, to ≤1e-6 of signal scale in-band.
@@ -14,22 +16,22 @@
 //! coordinates — any disagreement beyond roundoff is an extraction,
 //! sanitize, or splice bug, not truncation error. (Truncation accuracy
 //! has its own budget and is covered by `end_to_end.rs` and the
-//! verify-stage tests.)
+//! verify-stage tests.) The written deck rounds values to 7 digits, so
+//! the comparison splices the same reductions into the deck in memory;
+//! the written text must still parse.
 //!
-//! A degenerate host with no RC-only subnetwork must pass through
-//! untouched: same bytes out, no reduction, zero extraction counters.
+//! A host with no RC-only subnetwork is refused with the typed
+//! `network` error.
 
-use pact::{
-    reduce_embedded, ChainCollapseSpec, CutoffSpec, ExtractOptions, ReduceOptions, ReduceStrategy,
-    ReductionSession,
-};
+use pact::{Counters, ReductionSession, Telemetry};
 use pact_circuit::{log_frequencies, AcExcitation, Circuit};
 use pact_gen::{
     add_default_models, chain_heavy_deck, inverter, inverter_pair_deck, multiplier_like_deck,
     network_to_elements, power_grid_deck, rich_mixed_deck, substrate_mesh, ChainDeckSpec, LineSpec,
     MeshSpec, MultiplierSpec, PowerGridSpec, RichDeckSpec,
 };
-use pact_netlist::{Element, ElementKind, Netlist, Waveform};
+use pact_netlist::{parse, splice_reduced, Element, ElementKind, Netlist, Waveform};
+use pact_serve::{prepare_deck, reduce_prepared, render_reduced, DeckOptions, ReducedDeck};
 
 /// In-band agreement required between unreduced and re-stitched decks,
 /// relative to signal scale.
@@ -38,6 +40,7 @@ const TOL: f64 = 1e-6;
 /// One host deck of the equivalence matrix.
 struct Host {
     name: &'static str,
+    /// The deck as the pipeline reads it: its text, parsed back.
     deck: Netlist,
     /// Cutoff placed above every pole of this host's RC content.
     fmax: f64,
@@ -53,10 +56,10 @@ struct Host {
 fn line_host() -> Host {
     Host {
         name: "line",
-        deck: inverter_pair_deck(&LineSpec {
+        deck: as_read(&inverter_pair_deck(&LineSpec {
             segments: 40,
             ..LineSpec::default()
-        }),
+        })),
         fmax: 1e13,
         ac_source: "Vin",
         freqs: log_frequencies(4, 1e7, 1e10),
@@ -115,7 +118,7 @@ fn mesh_host() -> Host {
         .push(Element::capacitor("Cload", "out", "0", 10e-15));
     Host {
         name: "mesh",
-        deck: nl,
+        deck: as_read(&nl),
         fmax: 1e15,
         ac_source: "Vin",
         freqs: log_frequencies(4, 1e7, 1e10),
@@ -133,7 +136,7 @@ fn powergrid_host() -> Host {
     });
     Host {
         name: "powergrid",
-        deck: deck.netlist,
+        deck: as_read(&deck.netlist),
         fmax: 1e15,
         ac_source: "Vpad0",
         freqs: log_frequencies(4, 1e6, 1e9),
@@ -147,7 +150,7 @@ fn powergrid_host() -> Host {
 fn rich_host() -> Host {
     Host {
         name: "rich",
-        deck: rich_mixed_deck(&RichDeckSpec::default()),
+        deck: as_read(&rich_mixed_deck(&RichDeckSpec::default())),
         fmax: 1e14,
         ac_source: "Vin",
         freqs: log_frequencies(4, 1e7, 1e10),
@@ -156,26 +159,59 @@ fn rich_host() -> Host {
     }
 }
 
-fn strategies() -> Vec<(&'static str, ReduceStrategy)> {
-    vec![
-        ("flat", ReduceStrategy::Flat),
-        (
-            "hier",
-            ReduceStrategy::Hierarchical {
-                max_block: 24,
-                max_depth: 4,
-            },
-        ),
-    ]
-}
-
-fn session_for(fmax: f64, strategy: ReduceStrategy) -> ReductionSession {
+/// The flat and hierarchical pipelines with the cutoff at `fmax`.
+fn strategies(fmax: f64) -> Vec<(&'static str, DeckOptions)> {
     // With `fmax` above every pole the congruence retains the full
     // basis, so the reduction is exact up to roundoff.
-    let mut opts = ReduceOptions::new(CutoffSpec::new(fmax, 1e-7).expect("cutoff"));
-    opts.threads = Some(1);
-    opts.strategy = strategy;
-    ReductionSession::new(opts)
+    let flat = DeckOptions {
+        f_max: fmax,
+        tolerance: 1e-7,
+        threads: Some(1),
+        ..DeckOptions::default()
+    };
+    let hier = DeckOptions {
+        hier: true,
+        block_size: 24,
+        max_depth: 4,
+        ..flat.clone()
+    };
+    vec![("flat", flat), ("hier", hier)]
+}
+
+/// A deck through the pipeline: what `prepare_deck` saw, the reductions,
+/// the deck text `rcfit` writes, and the same reductions spliced into
+/// the deck in memory (unsparsified, unrounded).
+struct Reduced {
+    raw_internal: usize,
+    /// The prepared deck's counters (chain collapse).
+    counters: Counters,
+    red: ReducedDeck,
+    text: String,
+    spliced: Netlist,
+}
+
+fn reduce(deck: &Netlist, opts: &DeckOptions) -> Reduced {
+    let prep = prepare_deck(&deck.to_string(), opts).expect("deck prepares");
+    let mut session = ReductionSession::new(opts.reduce_options().expect("valid options"));
+    let red = reduce_prepared(&prep, &mut session, opts).expect("deck reduces");
+    let (text, _) = render_reduced(&prep, &red, "rcfit", opts.sparsify, &mut Telemetry::new());
+    let elements = red
+        .prefixed_models("rcfit")
+        .into_iter()
+        .flat_map(|(prefix, model)| model.to_netlist_elements(&prefix, 0.0))
+        .collect();
+    Reduced {
+        raw_internal: prep.raw_internal,
+        counters: prep.telemetry.counters,
+        spliced: splice_reduced(&prep.shell, elements),
+        red,
+        text,
+    }
+}
+
+/// `deck` as the pipeline reads it: its text, parsed back.
+fn as_read(deck: &Netlist) -> Netlist {
+    parse(&deck.to_string()).expect("deck text parses")
 }
 
 /// Node names present in both compiled circuits (ground excluded) —
@@ -249,32 +285,26 @@ fn assert_equivalent(host: &Host, label: &str, reduced: &Netlist) {
 #[test]
 fn restitched_decks_match_unreduced_across_hosts_and_strategies() {
     for host in [line_host(), mesh_host(), powergrid_host(), rich_host()] {
-        for (sname, strategy) in strategies() {
-            let mut session = session_for(host.fmax, strategy);
-            let red = reduce_embedded(&host.deck, &mut session, &ExtractOptions::default())
-                .unwrap_or_else(|e| panic!("{}/{sname}: reduce_embedded: {e}", host.name));
-            let reduction = red
-                .reduction
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}/{sname}: nothing reduced", host.name));
+        for (sname, opts) in strategies(host.fmax) {
+            let out = reduce(&host.deck, &opts);
+            let reduced = out.red.telemetry().counters.components_reduced;
             assert!(
-                reduction.reductions.len() as u64 == red.telemetry.counters.extract_subnets
-                    && red.telemetry.counters.extract_subnets >= 1,
-                "{}/{sname}: subnet counter mismatch",
+                reduced == out.red.reductions().len() as u64 && reduced >= 1,
+                "{}/{sname}: component counter mismatch",
                 host.name
             );
             assert!(
-                red.nodes_before > 0,
+                out.raw_internal > 0,
                 "{}/{sname}: no internal nodes found",
                 host.name
             );
-            // The re-stitched deck must render and reparse (the CLI
-            // path); the tight comparison runs on the in-memory deck —
-            // SPICE text quantizes values at ~1e-7 relative
-            // (`SpiceValue`'s 6 fractional digits), which the looser
-            // `end_to_end.rs` bounds absorb but this one must not.
-            pact_netlist::parse(&red.deck.to_string()).expect("re-stitched deck reparses");
-            assert_equivalent(&host, sname, &red.deck);
+            // The written deck must reparse (the CLI path); the tight
+            // comparison runs on the in-memory deck — SPICE text
+            // quantizes values at ~1e-7 relative (`SpiceValue`'s 6
+            // fractional digits), which the looser `end_to_end.rs`
+            // bounds absorb but this one must not.
+            parse(&out.text).expect("re-stitched deck reparses");
+            assert_equivalent(&host, sname, &out.spliced);
         }
     }
 }
@@ -297,7 +327,7 @@ fn reduced_multiplier_needs_no_more_lu_fill_than_the_full_deck() {
     let (deck, _) = multiplier_like_deck(&MultiplierSpec::scaled_down());
     let host = Host {
         name: "multiplier",
-        deck,
+        deck: as_read(&deck),
         fmax: 1e15,
         ac_source: "Vin0",
         freqs: log_frequencies(4, 1e7, 1e10),
@@ -310,12 +340,17 @@ fn reduced_multiplier_needs_no_more_lu_fill_than_the_full_deck() {
             .transient(host.tstep, host.tstop)
             .expect("transient")
     };
-    let mut opts = ReduceOptions::new(CutoffSpec::new(500e6, 0.05).expect("cutoff"));
-    opts.threads = Some(1);
-    let mut session = ReductionSession::new(opts);
-    let red = reduce_embedded(&host.deck, &mut session, &ExtractOptions::default()).unwrap();
-    assert!(red.nodes_before > red.nodes_after, "nothing was reduced");
-    let (full, reduced) = (tran(&host.deck), tran(&red.deck));
+    let opts = DeckOptions {
+        f_max: 500e6,
+        threads: Some(1),
+        ..DeckOptions::default()
+    };
+    let red = reduce(&host.deck, &opts);
+    assert!(
+        red.raw_internal > red.red.num_poles(),
+        "nothing was reduced"
+    );
+    let (full, reduced) = (tran(&host.deck), tran(&red.spliced));
     assert!(
         reduced.stats.peak_factor_nnz <= full.stats.peak_factor_nnz,
         "reduced deck's LU fills more than the full deck's: {} > {}",
@@ -323,9 +358,8 @@ fn reduced_multiplier_needs_no_more_lu_fill_than_the_full_deck() {
         full.stats.peak_factor_nnz
     );
 
-    let mut session = session_for(host.fmax, ReduceStrategy::Flat);
-    let exact = reduce_embedded(&host.deck, &mut session, &ExtractOptions::default()).unwrap();
-    assert_equivalent(&host, "flat", &exact.deck);
+    let (_, flat) = &strategies(host.fmax)[0];
+    assert_equivalent(&host, "flat", &reduce(&host.deck, flat).spliced);
 }
 
 /// The rich host extracts exactly its three buried islands (two tapered
@@ -334,22 +368,21 @@ fn reduced_multiplier_needs_no_more_lu_fill_than_the_full_deck() {
 #[test]
 fn rich_deck_extraction_finds_the_buried_islands() {
     let host = rich_host();
-    let mut session = session_for(host.fmax, ReduceStrategy::Flat);
-    let red = reduce_embedded(&host.deck, &mut session, &ExtractOptions::default()).unwrap();
-    assert_eq!(red.telemetry.counters.extract_subnets, 3);
-    let text = red.deck.to_string();
+    let (_, flat) = &strategies(host.fmax)[0];
+    let red = reduce(&host.deck, flat);
+    assert_eq!(red.red.telemetry().counters.components_reduced, 3);
     for port in ["a", "b", "c", "d", "sense"] {
         assert!(
-            text.split_whitespace().any(|t| t == port),
+            red.text.split_whitespace().any(|t| t == port),
             "boundary port {port} missing from re-stitched deck"
         );
     }
 }
 
-/// Chain collapse ahead of extraction: with a collapse budget tighter
-/// than the equivalence tolerance, the pre-pass eliminates nodes and
-/// the re-stitched deck still matches in-band (the collapse spec's band,
-/// here well above the AC grid).
+/// Chain collapse ahead of the reduction: with a collapse budget and a
+/// reduction tolerance tighter than the equivalence tolerance, the
+/// pre-pass eliminates nodes and the re-stitched deck still matches in
+/// the band both are set for (1 MHz).
 #[test]
 fn collapsed_chains_still_match_in_band() {
     let deck = chain_heavy_deck(&ChainDeckSpec {
@@ -361,29 +394,30 @@ fn collapsed_chains_still_match_in_band() {
     });
     let host = Host {
         name: "chains",
-        deck,
-        fmax: 1e14,
+        deck: as_read(&deck),
+        fmax: 1e6,
         ac_source: "Vin",
         freqs: log_frequencies(4, 1e4, 1e6),
         tstep: 50e-12,
         tstop: 5e-9,
     };
-    let opts = ExtractOptions {
-        collapse: Some(ChainCollapseSpec::new(1e6, 1e-7).expect("collapse spec")),
-        ..ExtractOptions::default()
+    let (_, flat) = &strategies(host.fmax)[0];
+    let opts = DeckOptions {
+        collapse_chains: true,
+        chain_tol: 1e-7,
+        ..flat.clone()
     };
-    let mut session = session_for(host.fmax, ReduceStrategy::Flat);
-    let red = reduce_embedded(&host.deck, &mut session, &opts).unwrap();
-    assert_eq!(red.telemetry.counters.chains_collapsed, 2);
+    let red = reduce(&host.deck, &opts);
+    assert_eq!(red.counters.chains_collapsed, 2);
     assert!(
-        red.telemetry.counters.nodes_eliminated >= 60,
+        red.counters.nodes_eliminated >= 60,
         "re-segmentation barely helped: {}",
-        red.telemetry.counters.nodes_eliminated
+        red.counters.nodes_eliminated
     );
     // AC-only comparison: the collapse budget holds below its f_max
     // (1 MHz); the transient pulse has content far above it.
     let c0 = Circuit::from_netlist(&host.deck).expect("compile original");
-    let c1 = Circuit::from_netlist(&red.deck).expect("compile reduced");
+    let c1 = Circuit::from_netlist(&red.spliced).expect("compile reduced");
     let exc = AcExcitation::VSource(host.ac_source.to_owned());
     let a0 = c0.ac_sweep(&host.freqs, &exc).expect("ac original");
     let a1 = c1.ac_sweep(&host.freqs, &exc).expect("ac reduced");
@@ -401,11 +435,66 @@ fn collapsed_chains_still_match_in_band() {
     }
 }
 
-/// A deck with no RC elements at all is the pass-through path: the
-/// flattened input comes back unchanged, nothing is reduced, and the
-/// extraction counters stay zero.
+/// Worst relative AC deviation between two decks at every node they
+/// share, normalized per point by `max(|v|, 1)`.
+fn worst_ac_deviation(a: &Netlist, b: &Netlist, source: &str, freqs: &[f64]) -> f64 {
+    let ca = Circuit::from_netlist(a).expect("compile a");
+    let cb = Circuit::from_netlist(b).expect("compile b");
+    let ex = AcExcitation::VSource(source.to_owned());
+    let ra = ca.ac_sweep(freqs, &ex).expect("ac a");
+    let rb = cb.ac_sweep(freqs, &ex).expect("ac b");
+    let mut worst = 0.0f64;
+    for name in shared_nodes(&ca, &cb) {
+        let va = ra.voltage(&name).expect("node a");
+        let vb = rb.voltage(&name).expect("node b");
+        for (x, y) in va.iter().zip(&vb) {
+            worst = worst.max((*x - *y).abs() / x.abs().max(1.0));
+        }
+    }
+    worst
+}
+
+/// The pipeline with truncation on: chain collapse and the reduction
+/// both held to a 1e-4 budget at 1 GHz. On the 2000-segment inverter
+/// line the collapse removes at least half of the internal nodes and the
+/// re-stitched deck stays within 10× the budget in band; the mixed deck
+/// splits into several components and stays within 1e-3.
 #[test]
-fn deck_without_rc_subnetworks_passes_through_unchanged() {
+fn collapsed_and_truncated_decks_stay_within_their_budget() {
+    let opts = DeckOptions {
+        f_max: 1e9,
+        tolerance: 1e-4,
+        collapse_chains: true,
+        chain_tol: 1e-4,
+        threads: Some(1),
+        ..DeckOptions::default()
+    };
+    let line = as_read(&inverter_pair_deck(&LineSpec {
+        segments: 2000,
+        ..LineSpec::default()
+    }));
+    let red = reduce(&line, &opts);
+    let eliminated = red.counters.nodes_eliminated as usize;
+    assert!(
+        2 * eliminated >= red.raw_internal,
+        "collapse eliminated {eliminated} of {} internal nodes (< 50%)",
+        red.raw_internal
+    );
+    let dev = worst_ac_deviation(&line, &red.spliced, "Vin", &log_frequencies(16, 1e6, 1e9));
+    assert!(dev <= 1e-3, "collapsed line deviates by {dev:.3e} in band");
+
+    let rich = as_read(&rich_mixed_deck(&RichDeckSpec::default()));
+    let red = reduce(&rich, &opts);
+    assert!(red.red.reductions().len() >= 2, "several RC islands");
+    let dev = worst_ac_deviation(&rich, &red.spliced, "Vin", &log_frequencies(8, 1e6, 1e9));
+    assert!(dev <= 1e-3, "mixed deck deviates by {dev:.3e}");
+}
+
+/// A deck with no RC elements at all has nothing to reduce: the
+/// pipeline refuses it with the typed `network` error rather than write
+/// the deck back unchanged.
+#[test]
+fn deck_without_rc_subnetworks_is_a_typed_network_refusal() {
     let mut nl = Netlist::new("no parasitics");
     add_default_models(&mut nl);
     nl.elements.push(Element {
@@ -430,18 +519,10 @@ fn deck_without_rc_subnetworks_passes_through_unchanged() {
     nl.elements
         .extend(inverter("rcv", "mid", "out", "vdd", "0", "vdd", 4e-6, 8e-6));
 
-    let mut session = session_for(1e12, ReduceStrategy::Flat);
-    let red = reduce_embedded(&nl, &mut session, &ExtractOptions::default()).unwrap();
-    assert!(red.reduction.is_none(), "nothing to reduce");
-    assert_eq!(red.deck.to_string(), nl.to_string(), "pass-through bytes");
-    assert_eq!(red.nodes_before, 0);
-    assert_eq!(red.nodes_after, 0);
-    assert_eq!(red.telemetry.counters.extract_subnets, 0);
-    assert_eq!(red.telemetry.counters.chains_collapsed, 0);
-    assert_eq!(red.telemetry.counters.nodes_eliminated, 0);
-    // Zero-cost: no reduction phases ran — only the element scan.
-    assert!(
-        !red.telemetry.phases.iter().any(|p| p.name == "sanitize"),
-        "pass-through ran the reduction pipeline"
+    let e = prepare_deck(&nl.to_string(), &DeckOptions::default()).unwrap_err();
+    assert_eq!(e.code(), "network");
+    assert_eq!(
+        e.to_string(),
+        "extraction error: RC network has no port nodes"
     );
 }

@@ -35,8 +35,8 @@ struct Family {
     /// `Some(max_block)` routes the request through the hierarchical
     /// strategy (the daemon's `"hier"`/`"block_size"` options).
     hier_block: Option<usize>,
-    /// Reduce per ported RC subnetwork (the daemon's `"extract"`
-    /// option).
+    /// Send the daemon's `"extract"` option (accepted and ignored:
+    /// every deck is reduced per connected component).
     extract: bool,
     /// `Some(tol)` runs the chain-collapse pre-pass (the daemon's
     /// `"collapse_chains"`/`"chain_tol"` options).
@@ -109,7 +109,7 @@ fn line_deck() -> (String, Vec<String>) {
 }
 
 /// Two embedded RC islands — a 60-segment chain and a tiny T — between
-/// non-RC anchors: exercises the `extract` split plus the chain-collapse
+/// non-RC anchors: exercises the per-component split plus the chain-collapse
 /// pre-pass (small per-segment τ so the default 1 GHz band re-segments
 /// at the 1e-3 budget). Its own topology, like every family.
 fn chain_deck() -> (String, Vec<String>) {
@@ -284,7 +284,7 @@ fn concurrent_mixed_decks_are_bit_identical_to_one_shot() {
             .and_then(|(_, v)| v.as_f64())
             .unwrap()
     };
-    assert_eq!(xt_count("extract_subnets"), 2.0);
+    assert_eq!(xt_count("components_reduced"), 2.0);
     assert_eq!(xt_count("chains_collapsed"), 2.0);
     assert!(
         xt_count("nodes_eliminated") >= 50.0,

@@ -72,7 +72,7 @@ fn extract_collapse_deck_reduces_to_the_golden_payload() {
     let count = |k: &str| counters.get(k).and_then(Value::as_f64).unwrap();
     assert_eq!(count("chains_collapsed"), 2.0);
     assert_eq!(count("nodes_eliminated"), 20.0);
-    assert_eq!(count("extract_subnets"), 2.0);
+    assert_eq!(count("components_reduced"), 2.0);
     let deck = doc.get("deck").unwrap().as_str().unwrap();
     let golden = include_str!("fixtures/serve/extract_collapse.golden.sp");
     assert_eq!(deck, golden, "reduced deck drifted from the golden payload");
