@@ -103,19 +103,29 @@ echo "==> Tables 1 and 3: the reduced decks' simulation payoff (-> results/table
 # The paper's payoff: the multiplier at the paper's scale (7,296
 # MOSFETs, 3,648 RC nets; ~4 s) and the full adder over the substrate
 # mesh (~5 s), each simulated full and reduced. Fails unless Table 1
-# keeps 0 retained poles across 7,248 ports with the reduced deck's
-# v(out0) within 1e-9 V of the full deck's (1.774e-15 V when this gate
-# was set: the 76-stage chain has not switched out0 by 10 ns, so this
-# holds its settled level; Figure 4 below gates the switching edge), or
+# keeps 0 retained poles across 7,248 ports, with the Elmore bound
+# certifying all 3,600 nets that have internal nodes (so none runs
+# Lanczos), the reduced deck's v(out0) within 1e-9 V of the full deck's
+# (1.774e-15 V when this gate was set: the 76-stage chain has not
+# switched out0 by 10 ns, so this holds its settled level) and its
+# v(w0_4_end), an early wire end that switches inside the window, within
+# 0.195 V (1.25 x the 0.1554 V measured when this gate was set), or
 # unless Table 3 keeps 3 poles across 20 ports. Timings are recorded,
 # not gated.
 ./target/release/table1_multiplier | tee "$tmp/table1.txt"
 grep -q "^retained poles: 0 across 7248 ports$" "$tmp/table1.txt"
-wave_err="$(sed -n 's/^max |v(out0)_reduced .* = \([0-9.e+-]*\) V over .*/\1/p' "$tmp/table1.txt")"
-if [ -z "$wave_err" ] || ! awk -v e="$wave_err" 'BEGIN { exit !(e + 0 <= 1e-9) }'; then
-    echo "Table 1 reduced-vs-full v(out0) error '${wave_err}' V (bound 1e-9)" >&2
-    exit 1
-fi
+grep -q "^certified pole-free: 3600 of 3648 components (3600 with internal nodes)$" \
+    "$tmp/table1.txt"
+table1_gate() {
+    local err
+    err="$(sed -n "s/^max |v($1)_reduced .* = \([0-9.e+-]*\) V over .*/\1/p" "$tmp/table1.txt")"
+    if [ -z "$err" ] || ! awk -v e="$err" -v b="$2" 'BEGIN { exit !(e + 0 <= b + 0) }'; then
+        echo "Table 1 reduced-vs-full v($1) error '${err}' V (bound $2)" >&2
+        exit 1
+    fi
+}
+table1_gate out0 1e-9
+table1_gate w0_4_end 0.195
 ./target/release/table3_adder | tee "$tmp/table3.txt"
 grep -q "^reduction: 3 poles retained across 20 ports " "$tmp/table3.txt"
 mkdir -p results

@@ -119,6 +119,8 @@ pub struct ReducedRun {
     pub modelled_memory_bytes: usize,
     /// Wall-clock seconds from deck text to reduced deck text.
     pub seconds: f64,
+    /// [`pact_serve::ReducedDeck::certified_summary`] of the reduction.
+    pub certified: String,
 }
 
 /// Reduces a deck the way `rcfit --threads 1` does (prepare, reduce per
@@ -155,6 +157,7 @@ pub fn reduce_deck(deck: &Netlist, f_max: f64, tolerance: f64, sparsify: f64) ->
             .sum(),
         modelled_memory_bytes: reduced.modelled_memory_bytes(),
         seconds,
+        certified: reduced.certified_summary(),
     }
 }
 

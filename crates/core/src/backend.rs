@@ -9,9 +9,13 @@
 //! caller: tests use it as the cheap exact reference. Which solver
 //! served each block is recorded in telemetry ([`crate::EigenChoice`]).
 //! Each is bit-identical at every thread count.
+//!
+//! Before Lanczos runs, [`elmore_bound`] bounds the whole spectrum of
+//! `E'` from one solve; a block whose bound sits below the cutoff keeps
+//! no pole ([`certifies_pole_free`]) and skips Lanczos.
 
 use pact_lanczos::{eigs_above_with_stats, LanczosConfig, LanczosStats, SymOp};
-use pact_sparse::{sym_eig, DMat, ParCtx};
+use pact_sparse::{sym_eig, DMat, FactorDiagnostics, ParCtx, SparseCholesky};
 
 use crate::partition::Partitions;
 use crate::reduce::ReduceError;
@@ -245,11 +249,71 @@ pub(crate) fn dense_poles(
     })
 }
 
+/// Relative margin by which the Elmore bound must clear the cutoff (see
+/// [`certifies_pole_free`]).
+const ELMORE_MARGIN: f64 = 1e-6;
+
+/// The Elmore bound `τ̄ = maxᵢ (D⁻¹|E|𝟙)ᵢ ≥ λ_max(E')`, from one solve
+/// against the factor of `D`; `None` when its premises fail.
+///
+/// `D` must be a Z-matrix (no positive off-diagonal entry). Elimination
+/// on a Z-matrix keeps the factor's sign pattern through rounding
+/// (positive diagonal, nonpositive off-diagonal), so the computed factor
+/// `F` is a triangular M-matrix, `F⁻¹ ≥ 0` and `(FFᵀ)⁻¹ ≥ 0` entrywise.
+/// Then `|D⁻¹E| ≤ D⁻¹|E|` (with `D = FFᵀ`, the matrix Lanczos sees), and
+/// by Perron–Frobenius `λ_max(E') = ρ(D⁻¹E) ≤ ρ(D⁻¹|E|) ≤ ‖D⁻¹|E|‖∞`,
+/// the largest row sum of a nonnegative matrix: `τ̄`. With grounded
+/// capacitors only, `τ̄` is the largest Elmore delay with every port
+/// grounded. A factor with perturbed pivots is of `D + ΔD`, not of the
+/// network's `D`, and yields no bound.
+pub fn elmore_bound(
+    chol: &SparseCholesky,
+    diag: &FactorDiagnostics,
+    parts: &Partitions,
+) -> Option<f64> {
+    if !diag.perturbed.is_empty() {
+        return None;
+    }
+    let n = parts.n;
+    let mut rowsum = vec![0.0f64; n];
+    for (i, s) in rowsum.iter_mut().enumerate() {
+        if parts.d.row_iter(i).any(|(j, v)| j != i && v > 0.0) {
+            return None;
+        }
+        *s = parts.e.row_iter(i).map(|(_, v)| v.abs()).sum();
+    }
+    let mut tau = 0.0f64;
+    for y in chol.solve(&rowsum) {
+        if !y.is_finite() {
+            return None;
+        }
+        tau = tau.max(y);
+    }
+    Some(tau)
+}
+
+/// Whether the Elmore bound `tau` proves that an `n`-node block keeps no
+/// pole at cutoff `lambda_c`: `τ̄` must clear `λ_c` by a relative margin
+/// of `max(1e-6, n²ε)`. That covers the rounding of the solve, accurate
+/// to `O(n²ε)` relative whatever the conditioning (triangular M-matrix
+/// solves with a nonnegative right-hand side), and of the operator
+/// Lanczos applies. Lanczos keeps only eigenvalues above `λ_c`, and no
+/// Ritz value exceeds `λ_max(E')`, so it would return nothing.
+pub fn certifies_pole_free(tau: f64, lambda_c: f64, n: usize) -> bool {
+    let margin = ELMORE_MARGIN.max((n as f64).powi(2) * f64::EPSILON);
+    tau * (1.0 + margin) < lambda_c
+}
+
 /// Block Lanczos with full reorthogonalization on the `E'` operator
 /// ([`pact_lanczos`]), never forming `E'` densely: the pole analysis of
-/// every flat reduction and of hier's top pass. Runs on the reduction's
-/// resolved thread count.
-pub(crate) fn lanczos_poles(
+/// every flat reduction and of hier's top pass that the Elmore bound does
+/// not certify. Runs on the reduction's resolved thread count.
+///
+/// # Errors
+///
+/// [`ReduceError::Lanczos`] when the spectrum near the cutoff does not
+/// resolve.
+pub fn lanczos_poles(
     t1: &Transform1,
     parts: &Partitions,
     lambda_c: f64,

@@ -68,7 +68,7 @@ use crate::cutoff::CutoffSpec;
 use crate::hier::partition_tree::LeafBlock;
 use crate::model::ReducedModel;
 use crate::partition::Partitions;
-use crate::reduce::{remap_factor_index, ReduceError, ReduceOptions, Reduction};
+use crate::reduce::{by_name, remap_factor_index, ReduceError, ReduceOptions, Reduction};
 use crate::sanitize::sanitize_network;
 use crate::session::{finish_reduction, SymbolicCache};
 use crate::telemetry::{Telemetry, Warning};
@@ -163,8 +163,8 @@ pub(crate) fn reduce_prepared_leaf(
     let factored = cache.factor(&parts.d, policy);
     tel.record_phase("factor", factor_start.elapsed().as_secs_f64());
     let (chol, diag, _) = factored.map_err(|e| {
-        let e = remap_factor_index(ReduceError::from(e), &prep.network, &leaf.network);
-        remap_factor_index(e, &leaf.network, parent)
+        let e = remap_factor_index(ReduceError::from(e), by_name(&prep.network, &leaf.network));
+        remap_factor_index(e, by_name(&leaf.network, parent))
     })?;
     for p in &diag.perturbed {
         tel.warn(Warning::PerturbedPivot {
@@ -194,7 +194,7 @@ pub(crate) fn reduce_prepared_leaf(
         tel.record_phase("schur", schur_start.elapsed().as_secs_f64());
         let schur = schur?;
         tel.counters.hier_leaf_trimmed_poles = schur.trimmed as u64;
-        tel.record_eigen_choice("leaf", "schur", parts.n, schur.lambdas.len());
+        tel.record_eigen_choice("leaf", "schur", parts.n, schur.lambdas.len(), None);
         poles_dim_hint = terms.len();
         model = ReducedModel {
             a1: t1.a1.clone(),
@@ -216,7 +216,7 @@ pub(crate) fn reduce_prepared_leaf(
         let poles = backend::dense_poles(&t1, parts, lambda_guard, &ctx);
         tel.record_phase("eigen", eigen_start.elapsed().as_secs_f64());
         let sol = poles?;
-        tel.record_eigen_choice("leaf", "dense", parts.n, sol.lambdas.len());
+        tel.record_eigen_choice("leaf", "dense", parts.n, sol.lambdas.len(), None);
         let r2 = tel.time("projection", || t1.r2_rows_ctx(parts, &sol.vectors, &ctx));
         poles_dim_hint = parts.n;
         model = ReducedModel {

@@ -69,7 +69,9 @@ mod transform;
 mod verify;
 
 pub use admittance::{PortImpedance, SweepCounts, YEvaluator};
-pub use backend::{low_rank_poles, EigenSolution};
+pub use backend::{
+    certifies_pole_free, elmore_bound, lanczos_poles, low_rank_poles, EigenSolution,
+};
 pub use cutoff::{CutoffError, CutoffSpec};
 pub use error::PactError;
 pub use extract::{collapse_chains, ChainCollapse, ChainCollapseSpec};

@@ -40,18 +40,17 @@ impl Partitions {
         let total = stamped.g.nrows();
         let m = stamped.num_ports;
         assert!(m <= total, "more ports than nodes");
-        let n = total - m;
-        let ports: Vec<usize> = (0..m).collect();
-        let internals: Vec<usize> = (m..total).collect();
+        let [a, q, d] = stamped.g.split_leading(m);
+        let [b, r, e] = stamped.c.split_leading(m);
         Partitions {
             m,
-            n,
-            a: stamped.g.submatrix(&ports, &ports),
-            b: stamped.c.submatrix(&ports, &ports),
-            q: stamped.g.submatrix(&internals, &ports),
-            r: stamped.c.submatrix(&internals, &ports),
-            d: stamped.g.submatrix(&internals, &internals),
-            e: stamped.c.submatrix(&internals, &internals),
+            n: total - m,
+            a,
+            b,
+            q,
+            r,
+            d,
+            e,
         }
     }
 

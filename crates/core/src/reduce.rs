@@ -234,36 +234,44 @@ impl ComponentReduction {
 }
 
 /// Rewrites a component-local factorization failure index into the parent
-/// network's internal-node numbering, so callers attributing errors
-/// against the parent network (e.g. [`crate::PactError::from_reduce`])
-/// name the right node.
+/// network's internal-node numbering (`parent_internal` maps one to the
+/// other), so callers attributing errors against the parent network (e.g.
+/// [`crate::PactError::from_reduce`]) name the right node.
 pub(crate) fn remap_factor_index(
     e: ReduceError,
-    comp: &RcNetwork,
-    parent: &RcNetwork,
+    parent_internal: impl Fn(usize) -> usize,
 ) -> ReduceError {
-    let remap = |index: usize| {
-        comp.node_names
-            .get(comp.num_ports + index)
-            .and_then(|name| parent.node_index(name))
-            .and_then(|gi| gi.checked_sub(parent.num_ports))
-            .unwrap_or(index)
-    };
     match e {
         ReduceError::Factor(FactorError::NotPositiveDefinite { step, index, pivot }) => {
             ReduceError::Factor(FactorError::NotPositiveDefinite {
                 step,
-                index: remap(index),
+                index: parent_internal(index),
                 pivot,
             })
         }
         ReduceError::Factor(FactorError::NonFinitePivot { step, index, pivot }) => {
             ReduceError::Factor(FactorError::NonFinitePivot {
                 step,
-                index: remap(index),
+                index: parent_internal(index),
                 pivot,
             })
         }
         other => other,
+    }
+}
+
+/// The internal-node map of [`remap_factor_index`] between two networks
+/// that share node names: internal node `i` of `comp` to the internal
+/// node of `parent` with its name (itself when there is none).
+pub(crate) fn by_name<'a>(
+    comp: &'a RcNetwork,
+    parent: &'a RcNetwork,
+) -> impl Fn(usize) -> usize + 'a {
+    move |index| {
+        comp.node_names
+            .get(comp.num_ports + index)
+            .and_then(|name| parent.node_index(name))
+            .and_then(|gi| gi.checked_sub(parent.num_ports))
+            .unwrap_or(index)
     }
 }

@@ -22,11 +22,11 @@ use std::time::Instant;
 use pact_lanczos::LanczosStats;
 use pact_netlist::{RcNetwork, Stamped};
 use pact_sparse::{
-    CsrMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy, SparseCholesky,
+    CsrMat, DMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy, SparseCholesky,
     SymbolicCholesky,
 };
 
-use crate::backend;
+use crate::backend::{self, EigenSolution};
 use crate::lru::LruCache;
 use crate::model::ReducedModel;
 use crate::partition::Partitions;
@@ -259,7 +259,9 @@ impl ReductionSession {
     /// Real layouts contain many electrically independent nets (the
     /// paper's multiplier parasitics are thousands of separate RC trees);
     /// reducing them one at a time keeps every eigenproblem and dense
-    /// port block as small as its component.
+    /// port block as small as its component. A flat reduction stamps each
+    /// component straight from `network` ([`pact_netlist::Components`]);
+    /// only its port names are copied.
     ///
     /// # Errors
     ///
@@ -268,21 +270,45 @@ impl ReductionSession {
         &mut self,
         network: &RcNetwork,
     ) -> Result<ComponentReduction, ReduceError> {
+        let comps = network.components();
+        let ctx = ParCtx::new(self.opts.threads);
         let mut reductions: Vec<Reduction> = Vec::new();
         let mut floating = 0usize;
-        for comp in network.connected_components() {
-            if comp.num_ports == 0 {
+        for k in 0..comps.len() {
+            let m = comps.num_ports(k);
+            if m == 0 {
                 floating += 1;
                 continue;
             }
-            let mut red = self
-                .reduce_network(&comp)
-                .map_err(|e| remap_factor_index(e, &comp, network))?;
-            let k = reductions.len();
-            for c in &mut red.telemetry.eigen_choices {
-                c.scope = format!("component{k}:{}", c.scope);
-            }
-            reductions.push(red);
+            let nodes = comps.nodes(k);
+            let index = reductions.len();
+            let red = match self.opts.strategy {
+                ReduceStrategy::Flat => {
+                    let start = Instant::now();
+                    let parts = Partitions::split(&comps.stamp(network, k));
+                    let names = &network.node_names;
+                    self.reduce_parts(
+                        FlatRun {
+                            start,
+                            port_names: nodes[..m].iter().map(|&v| names[v].clone()).collect(),
+                            internal_name: &|i| names[nodes[m + i]].clone(),
+                            scope: format!("component{index}:flat"),
+                            ctx: &ctx,
+                        },
+                        parts,
+                    )
+                }
+                ReduceStrategy::Hierarchical { .. } => self
+                    .reduce_network(&comps.network(network, k))
+                    .map(|mut red| {
+                        for c in &mut red.telemetry.eigen_choices {
+                            c.scope = format!("component{index}:{}", c.scope);
+                        }
+                        red
+                    }),
+            };
+            let parent_internal = |i: usize| nodes.get(m + i).map_or(i, |&v| v - network.num_ports);
+            reductions.push(red.map_err(|e| remap_factor_index(e, parent_internal))?);
         }
         Ok(ComponentReduction {
             reductions,
@@ -297,25 +323,24 @@ impl ReductionSession {
         network: &RcNetwork,
         scope: &str,
     ) -> Result<Reduction, ReduceError> {
-        let stamped = network.stamp();
-        let ports: Vec<String> = network.node_names[..network.num_ports].to_vec();
-        self.reduce_stamped_scoped(
-            &stamped,
-            &ports,
-            &|i| {
-                network
-                    .node_names
-                    .get(network.num_ports + i)
-                    .cloned()
-                    .unwrap_or_else(|| format!("internal#{i}"))
+        let start = Instant::now();
+        let parts = Partitions::split(&network.stamp());
+        let names = &network.node_names;
+        let m = network.num_ports;
+        self.reduce_parts(
+            FlatRun {
+                start,
+                port_names: names[..m].to_vec(),
+                internal_name: &|i| names[m + i].clone(),
+                scope: scope.to_owned(),
+                ctx: &ParCtx::new(self.opts.threads),
             },
-            scope,
+            parts,
         )
     }
 
-    /// The flat reduction body shared by every entry point: partition →
-    /// (cached) factor → moments → pole analysis by block Lanczos →
-    /// projection.
+    /// The flat reduction of stamped matrices, with warnings attributed
+    /// through `internal_name` and eigen choices recorded under `scope`.
     pub(crate) fn reduce_stamped_scoped(
         &mut self,
         stamped: &Stamped,
@@ -324,9 +349,62 @@ impl ReductionSession {
         scope: &str,
     ) -> Result<Reduction, ReduceError> {
         let start = Instant::now();
+        let parts = Partitions::split(stamped);
+        self.reduce_parts(
+            FlatRun {
+                start,
+                port_names: port_names.to_vec(),
+                internal_name,
+                scope: scope.to_owned(),
+                ctx: &ParCtx::new(self.opts.threads),
+            },
+            parts,
+        )
+    }
+
+    /// The flat reduction body shared by every entry point: (cached)
+    /// factor → moments → pole analysis → projection. The pole analysis
+    /// is the Elmore certificate ([`backend::elmore_bound`]) and, when it
+    /// does not prove the block pole-free, block Lanczos. A block without
+    /// internal nodes is its own model: `A' = A`, `B' = B`.
+    fn reduce_parts(
+        &mut self,
+        run: FlatRun<'_>,
+        parts: Partitions,
+    ) -> Result<Reduction, ReduceError> {
+        let FlatRun {
+            start,
+            port_names,
+            internal_name,
+            scope,
+            ctx,
+        } = run;
         let mut tel = Telemetry::new();
-        let ctx = ParCtx::new(self.opts.threads);
-        let parts = tel.time("partition", || Partitions::split(stamped));
+        tel.record_phase("partition", start.elapsed().as_secs_f64());
+        if parts.n == 0 {
+            let (mut a1, mut b1) = (parts.a.to_dense(), parts.b.to_dense());
+            a1.symmetrize();
+            b1.symmetrize();
+            let m = parts.m;
+            let model = ReducedModel {
+                a1,
+                b1,
+                r2: DMat::zeros(0, m),
+                lambdas: Vec::new(),
+                port_names,
+            };
+            tel.record_eigen_choice(scope, "none", 0, 0, None);
+            return Ok(finish_reduction(
+                tel,
+                start,
+                model,
+                0,
+                0,
+                0,
+                2 * m * m * 8,
+                None,
+            ));
+        }
 
         let policy = match self.opts.pivot_relief {
             Some(rel_threshold) => PivotPolicy::Perturb { rel_threshold },
@@ -353,45 +431,66 @@ impl ReductionSession {
         tel.counters.max_panel_cols = chol.max_panel_cols() as u64;
         tel.counters.panel_flops = chol.panel_flops();
 
-        let t1 = tel.time("moments", || Transform1::with_factor(&parts, chol, &ctx));
+        let t1 = tel.time("moments", || Transform1::with_factor(&parts, chol, ctx));
         let lambda_c = self.opts.cutoff.lambda_c();
 
         let eigen_start = Instant::now();
-        let poles = backend::lanczos_poles(&t1, &parts, lambda_c, &ctx);
+        let tau = backend::elmore_bound(&t1.chol, &diag, &parts);
+        let certified = tau.is_some_and(|t| backend::certifies_pole_free(t, lambda_c, parts.n));
+        let poles = if certified {
+            Ok(EigenSolution::default())
+        } else {
+            backend::lanczos_poles(&t1, &parts, lambda_c, ctx)
+        };
         tel.record_phase("eigen", eigen_start.elapsed().as_secs_f64());
         let sol = poles?;
-        tel.record_eigen_choice(scope, "lanczos", parts.n, sol.lambdas.len());
+        let backend = if certified { "elmore_bound" } else { "lanczos" };
+        let ratio = tau.map(|t| t / lambda_c);
+        tel.record_eigen_choice(scope, backend, parts.n, sol.lambdas.len(), ratio);
+        tel.counters.eigen_certified = u64::from(certified);
 
-        let r2 = tel.time("projection", || t1.r2_rows_ctx(&parts, &sol.vectors, &ctx));
+        let r2 = tel.time("projection", || t1.r2_rows_ctx(&parts, &sol.vectors, ctx));
         let eigen_vectors = eigen_peak_vectors(&sol);
-        let model = ReducedModel {
-            a1: t1.a1.clone(),
-            b1: t1.b1.clone(),
-            r2,
-            lambdas: sol.lambdas,
-            port_names: port_names.to_vec(),
-        };
-
-        let m = parts.m;
-        let k = model.lambdas.len();
+        let (m, n) = (parts.m, parts.n);
+        let k = sol.lambdas.len();
         let chol_memory = t1.chol.memory_bytes();
+        let chol_nnz = t1.chol.l_nnz();
         let modelled = chol_memory
             + 2 * m * m * 8              // A', B'
             + t1.x_s_bytes()             // X_S panel
-            + eigen_vectors * parts.n * 8 // Lanczos basis and buffers / Ritz vectors
+            + eigen_vectors * n * 8      // Lanczos basis and buffers / Ritz vectors
             + k * m * 8                  // R''
-            + ctx.threads() * lane_scratch_bytes(parts.n); // lane panels per worker
+            + ctx.threads() * lane_scratch_bytes(n); // lane panels per worker
+        let Transform1 { a1, b1, .. } = t1;
+        let model = ReducedModel {
+            a1,
+            b1,
+            r2,
+            lambdas: sol.lambdas,
+            port_names,
+        };
         Ok(finish_reduction(
             tel,
             start,
             model,
-            parts.n,
-            t1.chol.l_nnz(),
+            n,
+            chol_nnz,
             chol_memory,
             modelled,
             sol.lanczos,
         ))
     }
+}
+
+/// What a flat reduction carries besides its partitions: its start time
+/// (its partition phase ran from there), the names it reports under, and
+/// the resolved worker pool.
+struct FlatRun<'a> {
+    start: Instant,
+    port_names: Vec<String>,
+    internal_name: &'a dyn Fn(usize) -> String,
+    scope: String,
+    ctx: &'a ParCtx,
 }
 
 /// Length-`n` vectors the pole analysis held at its peak: the whole

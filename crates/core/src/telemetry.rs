@@ -66,6 +66,9 @@ pub struct Counters {
     pub components_reduced: u64,
     /// Connected components without ports, dropped unreduced.
     pub floating_islands_dropped: u64,
+    /// Pole analyses the Elmore bound proved pole-free, so Lanczos did
+    /// not run (`EigenChoice::backend` `"elmore_bound"`).
+    pub eigen_certified: u64,
     /// Lanczos iterations across all restarts.
     pub lanczos_iterations: u64,
     /// Operator applications inside Lanczos.
@@ -130,6 +133,7 @@ impl Counters {
         self.zero_value_elements += other.zero_value_elements;
         self.components_reduced += other.components_reduced;
         self.floating_islands_dropped += other.floating_islands_dropped;
+        self.eigen_certified += other.eigen_certified;
         self.lanczos_iterations += other.lanczos_iterations;
         self.lanczos_matvecs += other.lanczos_matvecs;
         self.lanczos_restarts += other.lanczos_restarts;
@@ -171,6 +175,7 @@ impl Counters {
             ("zero_value_elements", self.zero_value_elements),
             ("components_reduced", self.components_reduced),
             ("floating_islands_dropped", self.floating_islands_dropped),
+            ("eigen_certified", self.eigen_certified),
             ("lanczos_iterations", self.lanczos_iterations),
             ("lanczos_matvecs", self.lanczos_matvecs),
             ("lanczos_restarts", self.lanczos_restarts),
@@ -326,32 +331,42 @@ impl std::fmt::Display for Warning {
 /// emits one, the hierarchical path one per leaf plus one for the top
 /// (separator) pass, and per-component reduction one per component.
 /// Part of the deterministic telemetry subset — the backend is fixed by
-/// the path and the block's capacitance, never by the thread count.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// the path and the block's values, never by the thread count.
+#[derive(Clone, Debug, PartialEq)]
 pub struct EigenChoice {
     /// Which block this record describes (`"flat"`, `"leaf3"`, `"top"`,
     /// `"component2"`).
     pub scope: String,
-    /// Backend that ran: `"lanczos"` for flat reductions and hier's top
-    /// pass, and for a hier leaf `"schur"` (the two-level path: Gram
-    /// eigenanalysis on the factored Schur complement, residues read off
-    /// the moment panel) or `"dense"` (QL, when its capacitance is not a
-    /// low-rank stamp).
+    /// Backend that ran. For flat reductions and hier's top pass:
+    /// `"elmore_bound"` when the Elmore bound proved the block pole-free
+    /// (`pact::elmore_bound`), else `"lanczos"`, and `"none"` for a block
+    /// without internal nodes. For a hier leaf: `"schur"` (the two-level
+    /// path: Gram eigenanalysis on the factored Schur complement, residues
+    /// read off the moment panel) or `"dense"` (QL, when its capacitance
+    /// is not a low-rank stamp).
     pub backend: &'static str,
     /// Dimension of the internal block the backend decomposed.
     pub dim: u64,
     /// Poles the backend retained below the cutoff.
     pub poles: u64,
+    /// The Elmore bound over the cutoff, `τ̄/λ_c`, when it was computed:
+    /// below 1 on `"elmore_bound"` blocks, and on `"lanczos"` blocks it
+    /// says how far the bound missed.
+    pub elmore_ratio: Option<f64>,
 }
 
 impl EigenChoice {
     fn to_json(&self) -> Value {
-        Value::obj(vec![
+        let mut fields = vec![
             ("scope".to_owned(), Value::str(self.scope.clone())),
             ("backend".to_owned(), Value::str(self.backend)),
             ("dim".to_owned(), Value::num(self.dim as f64)),
             ("poles".to_owned(), Value::num(self.poles as f64)),
-        ])
+        ];
+        if let Some(r) = self.elmore_ratio {
+            fields.push(("elmore_ratio".to_owned(), Value::num(r)));
+        }
+        Value::obj(fields)
     }
 }
 
@@ -398,19 +413,22 @@ impl Telemetry {
         self.warnings.push(warning);
     }
 
-    /// Records which eigen backend served one pole-analysis block.
+    /// Records which eigen backend served one pole-analysis block, with
+    /// the Elmore bound's `τ̄/λ_c` when it was computed.
     pub fn record_eigen_choice(
         &mut self,
         scope: impl Into<String>,
         backend: &'static str,
         dim: usize,
         poles: usize,
+        elmore_ratio: Option<f64>,
     ) {
         self.eigen_choices.push(EigenChoice {
             scope: scope.into(),
             backend,
             dim: dim as u64,
             poles: poles as u64,
+            elmore_ratio,
         });
     }
 
@@ -505,9 +523,13 @@ impl Telemetry {
             out.push_str("eigen backends\n");
             for c in &self.eigen_choices {
                 out.push_str(&format!(
-                    "  {:<14} {:<10} dim={} poles={}\n",
+                    "  {:<14} {:<12} dim={} poles={}",
                     c.scope, c.backend, c.dim, c.poles
                 ));
+                if let Some(r) = c.elmore_ratio {
+                    out.push_str(&format!(" tau/lambda_c={r:.3}"));
+                }
+                out.push('\n');
             }
         }
         if !self.warnings.is_empty() {
@@ -597,21 +619,28 @@ mod tests {
     #[test]
     fn eigen_choices_serialize_and_absorb() {
         let mut a = Telemetry::new();
-        a.record_eigen_choice("flat", "lanczos", 12, 3);
+        a.record_eigen_choice("flat", "lanczos", 12, 3, Some(2.5));
         let mut b = Telemetry::new();
-        b.record_eigen_choice("leaf0", "schur", 900, 17);
+        b.record_eigen_choice("leaf0", "schur", 900, 17, None);
         a.absorb(&b);
         assert_eq!(a.eigen_choices.len(), 2);
         assert_eq!(a.eigen_choices[1].scope, "leaf0");
         let s = a.counters_json_string();
         assert!(s.contains("\"backend\":\"schur\""), "{s}");
         assert!(s.contains("\"scope\":\"leaf0\""), "{s}");
+        assert!(s.contains("\"elmore_ratio\":2.5"), "{s}");
+        assert_eq!(
+            s.matches("elmore_ratio").count(),
+            1,
+            "absent ratios stay out: {s}"
+        );
         let doc = a.to_json();
         let back = Value::parse(&doc.render()).unwrap();
         assert_eq!(back, doc);
         let trace = a.render_trace();
         assert!(trace.contains("eigen backends"), "{trace}");
         assert!(trace.contains("lanczos"), "{trace}");
+        assert!(trace.contains("tau/lambda_c=2.500"), "{trace}");
     }
 
     #[test]

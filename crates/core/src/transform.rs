@@ -20,6 +20,7 @@
 //! transform likewise come from one backward sweep per Ritz vector plus
 //! `X_S`.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -124,7 +125,13 @@ impl Transform1 {
                     }
                 }
             }
-            let es = p.e.submatrix(&s_rows, &s_rows);
+            // E vanishes outside S×S, so when S is every internal node
+            // E_SS is E itself.
+            let es = if ns == n {
+                Cow::Borrowed(&p.e)
+            } else {
+                Cow::Owned(p.e.submatrix(&s_rows, &s_rows))
+            };
             let g = gram_upper(&xs, &es, m, ctx);
             for j in 0..m {
                 for i in 0..m {
@@ -404,14 +411,14 @@ fn gram_upper(xs: &[f64], es: &CsrMat, m: usize, ctx: &ParCtx) -> Vec<f64> {
 /// The `GI`-row panels `panels` of [`gram_upper`]'s triangle, each
 /// `GI×mp` row-major with `mp = m` rounded up to a multiple of `GJ`
 /// (the padding columns of `X_S` and `E_SS X_S` are zero, so every tile
-/// is whole). Sweeps `S` in `GKC`-row blocks, forming each block of
-/// `E_SS X_S` on the fly.
+/// is whole). Sweeps `S` in `GKC`-row blocks (fewer rows when `S` is
+/// smaller), forming each block of `E_SS X_S` on the fly.
 fn gram_panels(xs: &[f64], es: &CsrMat, m: usize, panels: &[usize]) -> Vec<f64> {
     let ns = es.nrows();
     let mp = m.next_multiple_of(GJ);
     let mut out = vec![0.0f64; panels.len() * GI * mp];
-    let mut xc = vec![0.0f64; GKC * mp];
-    let mut yc = vec![0.0f64; GKC * mp];
+    let mut xc = vec![0.0f64; ns.min(GKC) * mp];
+    let mut yc = vec![0.0f64; ns.min(GKC) * mp];
     for c0 in (0..ns).step_by(GKC) {
         let rows = (ns - c0).min(GKC);
         for r in 0..rows {

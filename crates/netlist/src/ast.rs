@@ -979,14 +979,21 @@ impl DiodeModel {
 }
 
 /// Analysis request cards.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub enum Analysis {
-    /// `.TRAN tstep tstop`.
+    /// `.TRAN tstep tstop [tstart [tmax]] [UIC]`.
     Tran {
         /// Suggested/print time step.
         tstep: f64,
         /// Stop time.
         tstop: f64,
+        /// Time from which results are printed, when given.
+        tstart: Option<f64>,
+        /// Largest internal time step, when given.
+        tmax: Option<f64>,
+        /// `UIC`: start from the `IC=` values rather than a DC operating
+        /// point.
+        uic: bool,
     },
     /// `.AC DEC n fstart fstop` — logarithmic sweep.
     AcDec {
@@ -1018,6 +1025,63 @@ pub enum Analysis {
         /// Requested output variables as written (e.g. `v(out)`).
         vars: Vec<String>,
     },
+}
+
+/// Derived field by field, except that a `.tran`'s unset optional values
+/// are left out, so a deck without them prints as it did before they
+/// were kept (the pinned front-half fingerprints hash this text).
+impl fmt::Debug for Analysis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Analysis::Tran {
+                tstep,
+                tstop,
+                tstart,
+                tmax,
+                uic,
+            } => {
+                let mut d = f.debug_struct("Tran");
+                d.field("tstep", tstep).field("tstop", tstop);
+                if let Some(t) = tstart {
+                    d.field("tstart", t);
+                }
+                if let Some(t) = tmax {
+                    d.field("tmax", t);
+                }
+                if *uic {
+                    d.field("uic", uic);
+                }
+                d.finish()
+            }
+            Analysis::AcDec {
+                points_per_decade,
+                fstart,
+                fstop,
+            } => f
+                .debug_struct("AcDec")
+                .field("points_per_decade", points_per_decade)
+                .field("fstart", fstart)
+                .field("fstop", fstop)
+                .finish(),
+            Analysis::DcSweep {
+                source,
+                start,
+                stop,
+                step,
+            } => f
+                .debug_struct("DcSweep")
+                .field("source", source)
+                .field("start", start)
+                .field("stop", stop)
+                .field("step", step)
+                .finish(),
+            Analysis::Print { analysis, vars } => f
+                .debug_struct("Print")
+                .field("analysis", analysis)
+                .field("vars", vars)
+                .finish(),
+        }
+    }
 }
 
 impl Netlist {
@@ -1062,8 +1126,22 @@ impl Netlist {
         extra(w)?;
         for a in &self.analyses {
             match a {
-                Analysis::Tran { tstep, tstop } => {
-                    writeln!(w, ".tran {} {}", SpiceValue(*tstep), SpiceValue(*tstop))?;
+                Analysis::Tran {
+                    tstep,
+                    tstop,
+                    tstart,
+                    tmax,
+                    uic,
+                } => {
+                    write!(w, ".tran {} {}", SpiceValue(*tstep), SpiceValue(*tstop))?;
+                    // `tmax` is positional: it needs a `tstart` before it.
+                    if tstart.is_some() || tmax.is_some() {
+                        write!(w, " {}", SpiceValue(tstart.unwrap_or(0.0)))?;
+                    }
+                    if let Some(t) = tmax {
+                        write!(w, " {}", SpiceValue(*t))?;
+                    }
+                    writeln!(w, "{}", if *uic { " uic" } else { "" })?;
                 }
                 Analysis::AcDec {
                     points_per_decade,
@@ -1362,6 +1440,9 @@ mod tests {
             n.analyses.push(Analysis::Tran {
                 tstep: 1e-11,
                 tstop: 5e-9,
+                tstart: None,
+                tmax: None,
+                uic: false,
             });
             n
         };

@@ -37,7 +37,9 @@ pub use ast::{
     is_ground, Analysis, DiodeModel, Element, ElementKind, FlattenError, MosModel, MosfetCard,
     Netlist, NoCase, Node, Nodes, Subckt, SubcktInstance, Waveform,
 };
-pub use network::{extract_rc, Branch, Extraction, NetworkError, NodeTable, RcNetwork, Stamped};
+pub use network::{
+    extract_rc, Branch, Components, Extraction, NetworkError, NodeTable, RcNetwork, Stamped,
+};
 pub use parser::{parse, ParseNetlistError};
 pub use units::{parse_value, ParseValueError, SpiceValue};
 pub use unstamp::{sparsify_preserving_passivity, unstamp, unstamp_each, Unstamped};

@@ -321,20 +321,12 @@ impl RcNetwork {
 
     /// Stamps the network into its `G` and `C` matrices.
     pub fn stamp(&self) -> Stamped {
-        let n = self.num_nodes();
-        let mut g = TripletMat::with_capacity(n, n, 4 * self.resistors.len());
-        for r in &self.resistors {
-            g.stamp_conductance(r.a, r.b, 1.0 / r.value);
-        }
-        let mut c = TripletMat::with_capacity(n, n, 4 * self.capacitors.len());
-        for cap in &self.capacitors {
-            c.stamp_conductance(cap.a, cap.b, cap.value);
-        }
-        Stamped {
-            g: g.to_csr(),
-            c: c.to_csr(),
-            num_ports: self.num_ports,
-        }
+        stamp_branches(
+            self.num_nodes(),
+            self.num_ports,
+            self.resistors.iter().copied(),
+            self.capacitors.iter().copied(),
+        )
     }
 
     /// Index of a node by name, if present.
@@ -418,8 +410,7 @@ impl RcNetwork {
     }
 
     /// Splits the network into its connected components, numbered as in
-    /// [`RcNetwork::component_labels`], in one pass over the nodes and
-    /// one over the elements.
+    /// [`RcNetwork::component_labels`]: [`Components::network`] of each.
     ///
     /// Each component is a self-contained [`RcNetwork`] with its own
     /// ports-first ordering (each group in the parent's order), and keeps
@@ -428,37 +419,176 @@ impl RcNetwork {
     /// clashes. Components containing no port node cannot influence any
     /// port and are returned too (callers typically drop them).
     pub fn connected_components(&self) -> Vec<RcNetwork> {
+        let comps = self.components();
+        (0..comps.len()).map(|k| comps.network(self, k)).collect()
+    }
+
+    /// The connected components as index lists into this network, in one
+    /// pass over the nodes and one over the elements; nothing is copied.
+    pub fn components(&self) -> Components {
         let (labels, count) = self.component_labels();
-        let mut components = vec![RcNetwork::default(); count];
-        // Each node's index in its component; ports come first in the
-        // parent, so they come first in every component.
-        let mut local = vec![0; labels.len()];
-        for (v, &label) in labels.iter().enumerate() {
-            let comp = &mut components[label];
-            local[v] = comp.node_names.len();
-            comp.node_names.push(self.node_names[v].clone());
-            if v < self.num_ports {
-                comp.num_ports += 1;
+        // Counting sort by label: each group keeps the network's order.
+        let group = |keys: &mut dyn Iterator<Item = Option<usize>>| {
+            let keys: Vec<Option<usize>> = keys.collect();
+            let mut start = vec![0usize; count + 1];
+            for &l in keys.iter().flatten() {
+                start[l + 1] += 1;
+            }
+            for k in 0..count {
+                start[k + 1] += start[k];
+            }
+            let mut next = start.clone();
+            let mut items = vec![0usize; start[count]];
+            for (i, l) in keys.into_iter().enumerate() {
+                if let Some(l) = l {
+                    items[next[l]] = i;
+                    next[l] += 1;
+                }
+            }
+            (start, items)
+        };
+        let (node_start, nodes) = group(&mut labels.iter().map(|&l| Some(l)));
+        // A branch between two ground terminals belongs nowhere.
+        let label_of = |b: &Branch| b.a.or(b.b).map(|v| labels[v]);
+        let (res_start, resistors) = group(&mut self.resistors.iter().map(label_of));
+        let (cap_start, capacitors) = group(&mut self.capacitors.iter().map(label_of));
+        let mut local = vec![0usize; labels.len()];
+        let mut ports = vec![0usize; count];
+        for k in 0..count {
+            for (i, &v) in nodes[node_start[k]..node_start[k + 1]].iter().enumerate() {
+                local[v] = i;
+                if v < self.num_ports {
+                    ports[k] += 1;
+                }
             }
         }
-        for (branches, resistors) in [(&self.resistors, true), (&self.capacitors, false)] {
-            for b in branches {
-                // A branch between two ground terminals belongs nowhere.
-                let Some(v) = b.a.or(b.b) else { continue };
-                let comp = &mut components[labels[v]];
-                let list = if resistors {
-                    &mut comp.resistors
-                } else {
-                    &mut comp.capacitors
-                };
-                list.push(Branch {
-                    a: b.a.map(|x| local[x]),
-                    b: b.b.map(|x| local[x]),
-                    value: b.value,
-                });
-            }
+        Components {
+            node_start,
+            nodes,
+            ports,
+            local,
+            res_start,
+            resistors,
+            cap_start,
+            capacitors,
         }
-        components
+    }
+}
+
+/// `G` (from resistor values in ohms) and `C` (capacitor values in
+/// farads) of an `n`-node network whose first `num_ports` nodes are its
+/// ports, one stamp per branch in order.
+fn stamp_branches(
+    n: usize,
+    num_ports: usize,
+    resistors: impl ExactSizeIterator<Item = Branch>,
+    capacitors: impl ExactSizeIterator<Item = Branch>,
+) -> Stamped {
+    let mut g = TripletMat::with_capacity(n, n, 4 * resistors.len());
+    for r in resistors {
+        g.stamp_conductance(r.a, r.b, 1.0 / r.value);
+    }
+    let mut c = TripletMat::with_capacity(n, n, 4 * capacitors.len());
+    for cap in capacitors {
+        c.stamp_conductance(cap.a, cap.b, cap.value);
+    }
+    Stamped {
+        g: g.to_csr(),
+        c: c.to_csr(),
+        num_ports,
+    }
+}
+
+/// The connected components of an [`RcNetwork`] ([`RcNetwork::components`])
+/// as index lists into it, numbered as in [`RcNetwork::component_labels`].
+///
+/// Component `k` is the network [`Components::network`] builds: its
+/// nodes in the parent's order (so its ports come first), its resistors
+/// and capacitors in the parent's order, each terminal renumbered within
+/// the component. [`Components::stamp`] stamps it without building it.
+#[derive(Clone, Debug, Default)]
+pub struct Components {
+    /// `nodes[node_start[k]..node_start[k + 1]]` are component `k`'s nodes.
+    node_start: Vec<usize>,
+    nodes: Vec<usize>,
+    /// Port nodes per component.
+    ports: Vec<usize>,
+    /// Each node's index within its component.
+    local: Vec<usize>,
+    /// Resistor indices per component, grouped like `nodes`.
+    res_start: Vec<usize>,
+    resistors: Vec<usize>,
+    /// Capacitor indices per component, grouped like `nodes`.
+    cap_start: Vec<usize>,
+    capacitors: Vec<usize>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// Whether the network has no node at all.
+    pub fn is_empty(&self) -> bool {
+        self.ports.is_empty()
+    }
+
+    /// Port nodes of component `k`.
+    pub fn num_ports(&self, k: usize) -> usize {
+        self.ports[k]
+    }
+
+    /// The network's indices of component `k`'s nodes, ascending: its
+    /// local node `i` is network node `nodes(k)[i]`.
+    pub fn nodes(&self, k: usize) -> &[usize] {
+        &self.nodes[self.node_start[k]..self.node_start[k + 1]]
+    }
+
+    /// Component `k`'s resistors and capacitors, renumbered within it.
+    fn branches<'a>(
+        &'a self,
+        net: &'a RcNetwork,
+        k: usize,
+    ) -> [impl ExactSizeIterator<Item = Branch> + 'a; 2] {
+        let local = |b: &Branch| Branch {
+            a: b.a.map(|v| self.local[v]),
+            b: b.b.map(|v| self.local[v]),
+            value: b.value,
+        };
+        [
+            (
+                &net.resistors,
+                &self.resistors[self.res_start[k]..self.res_start[k + 1]],
+            ),
+            (
+                &net.capacitors,
+                &self.capacitors[self.cap_start[k]..self.cap_start[k + 1]],
+            ),
+        ]
+        .map(move |(all, mine)| mine.iter().map(move |&i| local(&all[i])))
+    }
+
+    /// Component `k` of `net` (the network these components were taken
+    /// from) stamped: the matrices of `self.network(net, k).stamp()`.
+    pub fn stamp(&self, net: &RcNetwork, k: usize) -> Stamped {
+        let [resistors, capacitors] = self.branches(net, k);
+        stamp_branches(self.nodes(k).len(), self.ports[k], resistors, capacitors)
+    }
+
+    /// Component `k` of `net` as a network of its own.
+    pub fn network(&self, net: &RcNetwork, k: usize) -> RcNetwork {
+        let [resistors, capacitors] = self.branches(net, k);
+        RcNetwork {
+            node_names: self
+                .nodes(k)
+                .iter()
+                .map(|&v| net.node_names[v].clone())
+                .collect(),
+            num_ports: self.ports[k],
+            resistors: resistors.collect(),
+            capacitors: capacitors.collect(),
+        }
     }
 }
 

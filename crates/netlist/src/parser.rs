@@ -668,13 +668,25 @@ fn parse_dot_card(
         }
         nl.models.insert(model.name.clone(), model);
     } else if head.is(".tran") {
-        let vals = numeric_args(&tokens[1..], line)?;
+        // .tran tstep tstop [tstart [tmax]] [UIC]
+        let mut args = &tokens[1..];
+        let uic = args.last().is_some_and(|t| t.is("uic"));
+        if uic {
+            args = &args[..args.len() - 1];
+        }
+        let vals = numeric_args(args, line)?;
         if vals.len() < 2 {
             return Err(err(line, ".tran needs tstep tstop"));
+        }
+        if vals.len() > 4 {
+            return Err(err(line, ".tran takes tstep tstop [tstart [tmax]] [uic]"));
         }
         nl.analyses.push(Analysis::Tran {
             tstep: vals[0],
             tstop: vals[1],
+            tstart: vals.get(2).copied(),
+            tmax: vals.get(3).copied(),
+            uic,
         });
     } else if head.is(".ac") {
         if tokens.len() < 5 || !tokens[1].is("dec") {
@@ -820,6 +832,45 @@ C2 out 0 0.5pF
             other => panic!("wrong kind {other:?}"),
         }
         assert_eq!(nl.analyses.len(), 1);
+    }
+
+    #[test]
+    fn tran_keeps_its_optional_values_and_uic() {
+        let deck = |tran: &str| format!("* t\nV1 a 0 1\nR1 a b 1k\nC1 b 0 1p\n{tran}\n");
+        let cases = [
+            (".tran 1n 10n", (None, None, false), ""),
+            (".tran 1n 10n UIC", (None, None, true), " uic"),
+            (".tran 1n 10n 2n", (Some(2e-9), None, false), " 2.000000n"),
+            (
+                ".TRAN 1n 10n 0 100p uic",
+                (Some(0.0), Some(1e-10), true),
+                " 0 100.000000p uic",
+            ),
+        ];
+        for (card, want, written) in cases {
+            let nl = parse(&deck(card)).unwrap();
+            match nl.analyses[..] {
+                [Analysis::Tran {
+                    tstep,
+                    tstop,
+                    tstart,
+                    tmax,
+                    uic,
+                }] => {
+                    assert_eq!((tstep, tstop), (1e-9, 1e-8), "{card}");
+                    assert_eq!((tstart, tmax, uic), want, "{card}");
+                }
+                ref other => panic!("{card}: {other:?}"),
+            }
+            let text = nl.to_string();
+            let line = format!(".tran 1.000000n 10.000000n{written}\n.end\n");
+            assert!(text.ends_with(&line), "{card}: {text}");
+            assert_eq!(parse(&text).unwrap().analyses, nl.analyses, "{card}");
+        }
+        let e = parse(&deck(".tran 1n 10n 0 1p 2p")).unwrap_err();
+        assert!(e.to_string().contains(".tran takes"), "{e}");
+        let e = parse(&deck(".tran 1n UIC")).unwrap_err();
+        assert!(e.to_string().contains(".tran needs tstep tstop"), "{e}");
     }
 
     #[test]

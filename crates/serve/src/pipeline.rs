@@ -560,6 +560,25 @@ impl ReducedDeck {
         }
     }
 
+    /// `certified pole-free: N of M components (K with internal nodes)`:
+    /// how many of the `M` reductions the Elmore bound proved pole-free
+    /// without running Lanczos, out of the `K` with a pole analysis to run.
+    pub fn certified_summary(&self) -> String {
+        let reductions = self.reductions();
+        let certified: u64 = reductions
+            .iter()
+            .map(|r| r.telemetry.counters.eigen_certified)
+            .sum();
+        let analysed = reductions
+            .iter()
+            .filter(|r| r.stats.num_internal > 0)
+            .count();
+        format!(
+            "certified pole-free: {certified} of {} components ({analysed} with internal nodes)",
+            reductions.len()
+        )
+    }
+
     /// Poles retained by the reduced models.
     pub fn num_poles(&self) -> usize {
         self.reductions().iter().map(|r| r.model.num_poles()).sum()

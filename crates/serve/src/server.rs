@@ -447,7 +447,8 @@ fn run_job(
     queue_depth: u64,
 ) -> String {
     let key = opts.session_key();
-    if sessions.peek(&key).is_none() {
+    let fresh = sessions.peek(&key).is_none();
+    if fresh {
         let fresh = ReductionSession::with_capacity(ropts, cfg.patterns_per_session);
         if sessions.insert(key.clone(), fresh).is_some() {
             ServeCounters::bump(&counters.sessions_evicted);
@@ -463,9 +464,10 @@ fn run_job(
         }
         Ok(red) => {
             let rtel = red.telemetry();
-            // Fully warm means no fresh symbolic analysis anywhere in
-            // the request — refactorizations only.
-            let hit = rtel.counters.factorizations == 0 && rtel.counters.refactorizations > 0;
+            // Fully warm means an existing session and no fresh
+            // symbolic analysis anywhere in the request (components
+            // without internal nodes factor nothing).
+            let hit = !fresh && rtel.counters.factorizations == 0;
             ServeCounters::bump(if hit {
                 &counters.session_hits
             } else {

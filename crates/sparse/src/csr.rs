@@ -386,6 +386,51 @@ impl CsrMat {
         Self::from_parts(rows.len(), cols.len(), indptr, indices, data)
     }
 
+    /// The blocks `[..m, ..m]`, `[m.., ..m]` and `[m.., m..]` of a square
+    /// matrix, in one pass over its rows: the same matrices as
+    /// [`CsrMat::submatrix`] with those contiguous index ranges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or `m` exceeds its dimension.
+    pub fn split_leading(&self, m: usize) -> [CsrMat; 3] {
+        let n = self.nrows;
+        assert_eq!(n, self.ncols, "split_leading needs a square matrix");
+        assert!(m <= n, "leading block larger than the matrix");
+        // `(indptr, indices, data)` of the three blocks; the rows `..m`
+        // past column `m` belong to none of them.
+        let mut blocks: [(Vec<usize>, Vec<usize>, Vec<f64>); 3] = Default::default();
+        for (indptr, _, _) in &mut blocks {
+            indptr.push(0);
+        }
+        for i in 0..n {
+            for (j, v) in self.row_iter(i) {
+                let (k, col) = match (i < m, j < m) {
+                    (true, true) => (0, j),
+                    (true, false) => continue,
+                    (false, true) => (1, j),
+                    (false, false) => (2, j - m),
+                };
+                blocks[k].1.push(col);
+                blocks[k].2.push(v);
+            }
+            let touched = if i < m {
+                &mut blocks[..1]
+            } else {
+                &mut blocks[1..]
+            };
+            for (indptr, indices, _) in touched {
+                indptr.push(indices.len());
+            }
+        }
+        let [(ap, ai, ad), (qp, qi, qd), (dp, di, dd)] = blocks;
+        [
+            Self::from_parts(m, m, ap, ai, ad),
+            Self::from_parts(n - m, m, qp, qi, qd),
+            Self::from_parts(n - m, n - m, dp, di, dd),
+        ]
+    }
+
     /// Symmetric permutation `P A Pᵀ` where row/col `i` of the result is
     /// row/col `perm[i]` of `self`.
     ///
@@ -622,6 +667,35 @@ mod tests {
         let q = m.submatrix(&[1, 2], &[0]);
         assert_eq!(q.get(0, 0), -1.0);
         assert_eq!(q.get(1, 0), 0.0);
+    }
+
+    #[test]
+    fn split_leading_equals_submatrices() {
+        // Stamps with duplicates (parallel branches), a branch that
+        // cancels to zero, and rows long enough for an unstable sort.
+        let n = 30;
+        let mut t = TripletMat::new(n, n);
+        for k in 0..n * 6 {
+            let (a, b) = (k % n, (k * 7 + 3) % n);
+            let g = 1.0 + (k % 11) as f64 * 0.37;
+            t.stamp_conductance(Some(a), (k % 5 != 0).then_some(b), g);
+        }
+        t.stamp_conductance(Some(1), Some(2), 2.5);
+        t.stamp_conductance(Some(1), Some(2), -2.5);
+        let whole = t.to_csr();
+        for m in [0, 1, 4, n] {
+            let (ports, internals): (Vec<usize>, Vec<usize>) = ((0..m).collect(), (m..n).collect());
+            let want = [
+                whole.submatrix(&ports, &ports),
+                whole.submatrix(&internals, &ports),
+                whole.submatrix(&internals, &internals),
+            ];
+            let got = whole.split_leading(m);
+            assert_eq!(got, want, "m = {m}");
+            for (got, want) in got.iter().zip(&want) {
+                assert_eq!(got.pattern_key(), want.pattern_key());
+            }
+        }
     }
 
     #[test]

@@ -284,6 +284,7 @@ fn print_stats(red: &ReducedDeck) {
         sum(|s| s.chol_memory_bytes) as f64 / 1e6,
         red.modelled_memory_bytes() as f64 / 1e6
     );
+    eprintln!("rcfit: {}", red.certified_summary());
     let lanczos: Vec<_> = reductions.iter().filter_map(|r| r.stats.lanczos).collect();
     if !lanczos.is_empty() {
         eprintln!(

@@ -312,9 +312,10 @@ fn lanczos_stops_at_the_cutoff_on_the_cliff_mesh() {
 
 #[test]
 fn telemetry_records_backend_per_block() {
-    // Flat: one choice. Hier: one per leaf plus the top pass. Flat and
-    // the top pass always run Lanczos, also on the 20×20 power grid,
-    // small enough that the deleted size threshold sent it to dense QL.
+    // Flat: one choice. Hier: one per leaf plus the top pass. The mesh
+    // and the 20×20 power grid (small enough that the deleted size
+    // threshold sent it to dense QL) keep poles at 2 GHz, so the Elmore
+    // bound misses the cutoff (its ratio is recorded) and Lanczos runs.
     let grid = power_grid_deck(&PowerGridSpec {
         nx: 20,
         ny: 20,
@@ -333,6 +334,9 @@ fn telemetry_records_backend_per_block() {
             flat.telemetry.eigen_choices[0].backend, "lanczos",
             "{label}"
         );
+        let ratio = flat.telemetry.eigen_choices[0].elmore_ratio;
+        assert!(ratio.is_some_and(|r| r > 1.0), "{label}: {ratio:?}");
+        assert_eq!(flat.telemetry.counters.eigen_certified, 0, "{label}");
     }
 
     let hier = ReductionSession::new(options(
