@@ -152,6 +152,21 @@ fi
 cp "$tmp/fig4.txt" results/fig4_critical_path.txt
 
 echo "==> rcfitd daemon smoke (JSONL over stdin)"
+# Sizes the daemon cannot honour are refused as usage errors before any
+# worker starts: more workers than the 256-thread limit, or a queue
+# deeper than its 4096-slot cap (each queue allocates its slots up front).
+for bad in "--workers 257" "--queue-cap 4097"; do
+    # shellcheck disable=SC2086
+    if ./target/release/rcfitd $bad < /dev/null 2> "$tmp/refused.txt"; then
+        echo "rcfitd accepted $bad" >&2
+        exit 1
+    fi
+    grep -q "usage: rcfitd" "$tmp/refused.txt"
+    if grep -q "serving" "$tmp/refused.txt"; then
+        echo "rcfitd started workers for $bad" >&2
+        exit 1
+    fi
+done
 # Two same-topology decks (the second must hit a warm session and reduce
 # byte-identically), one request with a misspelled option, two with the
 # deleted `eigen` and `components` options, one with an out-of-range

@@ -15,7 +15,7 @@
 
 use pact::{Partitions, ReducedModel, Transform1};
 use pact_lanczos::SymOp;
-use pact_sparse::{axpy, dot, norm2, sym_eig, DMat, EigenError, FactorError, Ordering};
+use pact_sparse::{axpy, dot, norm2, sym_eig, DMat, EigenError, FactorError};
 
 /// Result of a block-Krylov Padé reduction.
 #[derive(Clone, Debug)]
@@ -76,9 +76,8 @@ pub fn block_krylov_reduce(
     parts: &Partitions,
     port_names: &[String],
     q: usize,
-    ordering: Ordering,
 ) -> Result<KrylovReduction, KrylovError> {
-    let t1 = Transform1::compute(parts, ordering)?;
+    let t1 = Transform1::compute(parts)?;
     let n = parts.n;
     let m = parts.m;
     let mut orth_count = 0usize;
@@ -222,7 +221,7 @@ mod tests {
     #[test]
     fn krylov_model_matches_exact_at_low_frequency() {
         let (parts, ports) = ladder_parts(30);
-        let red = block_krylov_reduce(&parts, &ports, 3, Ordering::Rcm).unwrap();
+        let red = block_krylov_reduce(&parts, &ports, 3).unwrap();
         let fa = pact::YEvaluator::new(&parts);
         for &f in &[1e7, 1e8, 1e9] {
             let exact = fa.y_at(f).unwrap();
@@ -240,15 +239,15 @@ mod tests {
     #[test]
     fn krylov_preserves_passivity() {
         let (parts, ports) = ladder_parts(25);
-        let red = block_krylov_reduce(&parts, &ports, 3, Ordering::Rcm).unwrap();
+        let red = block_krylov_reduce(&parts, &ports, 3).unwrap();
         assert!(red.model.is_passive(1e-8));
     }
 
     #[test]
     fn memory_scales_with_blocks_and_ports() {
         let (parts, ports) = ladder_parts(30);
-        let r1 = block_krylov_reduce(&parts, &ports, 1, Ordering::Rcm).unwrap();
-        let r3 = block_krylov_reduce(&parts, &ports, 3, Ordering::Rcm).unwrap();
+        let r1 = block_krylov_reduce(&parts, &ports, 1).unwrap();
+        let r3 = block_krylov_reduce(&parts, &ports, 3).unwrap();
         assert!(r3.basis_vectors > r1.basis_vectors);
         assert!(r3.basis_memory_bytes > r1.basis_memory_bytes);
         // Basis never exceeds q·m.
@@ -261,7 +260,7 @@ mod tests {
         let ex = extract_rc(&parse(deck).unwrap(), &[]).unwrap();
         let ports = ex.network.node_names.clone();
         let parts = Partitions::split(&ex.network.stamp());
-        let red = block_krylov_reduce(&parts, &ports, 2, Ordering::Natural).unwrap();
+        let red = block_krylov_reduce(&parts, &ports, 2).unwrap();
         assert_eq!(red.basis_vectors, 0);
         assert_eq!(red.model.num_poles(), 0);
     }

@@ -9,7 +9,7 @@
 //! `hankel_conditioning_degrades` test and the ablation bench).
 
 use pact::Partitions;
-use pact_sparse::{Complex64, DMat, DenseLu, FactorError, Ordering, SparseCholesky};
+use pact_sparse::{Complex64, DMat, DenseLu, FactorError, SparseCholesky};
 
 /// Moment sequence of one admittance entry `Y_ij(s) = Σ_k m_k s^k`.
 #[derive(Clone, Debug)]
@@ -27,14 +27,10 @@ pub struct MomentSeries {
 /// # Errors
 ///
 /// [`FactorError`] when `D` is not positive definite.
-pub fn admittance_moments(
-    parts: &Partitions,
-    count: usize,
-    ordering: Ordering,
-) -> Result<Vec<DMat<f64>>, FactorError> {
+pub fn admittance_moments(parts: &Partitions, count: usize) -> Result<Vec<DMat<f64>>, FactorError> {
     let m = parts.m;
     let n = parts.n;
-    let chol = SparseCholesky::factor(&parts.d, ordering)?;
+    let chol = SparseCholesky::factor(&parts.d)?;
     let mut out: Vec<DMat<f64>> = Vec::with_capacity(count);
     // Moment 0: A − QᵀD⁻¹Q;  moment 1: B − QᵀD⁻¹R − RᵀD⁻¹Q + XᵀEX …
     // computed per port column via the recursion
@@ -372,8 +368,8 @@ mod tests {
     #[test]
     fn first_two_moments_match_pact() {
         let parts = ladder_parts(10);
-        let mom = admittance_moments(&parts, 4, Ordering::Rcm).unwrap();
-        let t1 = pact::Transform1::compute(&parts, Ordering::Rcm).unwrap();
+        let mom = admittance_moments(&parts, 4).unwrap();
+        let t1 = pact::Transform1::compute(&parts).unwrap();
         assert!((&mom[0] - &t1.a1).norm_max() < 1e-12 * t1.a1.norm_max());
         assert!((&mom[1] - &t1.b1).norm_max() < 1e-12 * t1.b1.norm_max().max(1e-20));
     }
@@ -382,7 +378,7 @@ mod tests {
     fn moments_match_finite_difference_of_exact_y() {
         // m1 ≈ dY/ds at 0 along the imaginary axis.
         let parts = ladder_parts(8);
-        let mom = admittance_moments(&parts, 3, Ordering::Rcm).unwrap();
+        let mom = admittance_moments(&parts, 3).unwrap();
         let fa = pact::YEvaluator::new(&parts);
         let f = 1e3; // tiny
         let y = fa.y_at(f).unwrap();
@@ -406,7 +402,7 @@ mod tests {
         let ex = extract_rc(&parse(deck).unwrap(), &[]).unwrap();
         assert_eq!(ex.network.num_internal(), 1);
         let parts = Partitions::split(&ex.network.stamp());
-        let mom = admittance_moments(&parts, 4, Ordering::Natural).unwrap();
+        let mom = admittance_moments(&parts, 4).unwrap();
         let series: Vec<f64> = mom.iter().map(|m| m[(0, 0)]).collect();
         let model = pade_fit(&series, 1).unwrap();
         assert!(model.is_stable());
@@ -430,7 +426,7 @@ mod tests {
     #[test]
     fn pade_accuracy_at_low_frequency() {
         let parts = ladder_parts(20);
-        let mom = admittance_moments(&parts, 8, Ordering::Rcm).unwrap();
+        let mom = admittance_moments(&parts, 8).unwrap();
         let series: Vec<f64> = mom.iter().map(|m| m[(0, 0)]).collect();
         let model = pade_fit(&series, 2).unwrap();
         let fa = pact::YEvaluator::new(&parts);
@@ -447,7 +443,7 @@ mod tests {
         // The paper's AWE critique: condition number of the moment
         // (Hankel) matrix explodes with order.
         let parts = ladder_parts(40);
-        let mom = admittance_moments(&parts, 18, Ordering::Rcm).unwrap();
+        let mom = admittance_moments(&parts, 18).unwrap();
         let series: Vec<f64> = mom.iter().map(|m| m[(0, 0)]).collect();
         let low = pade_fit(&series, 2).unwrap();
         // Higher order: either the condition number explodes or the

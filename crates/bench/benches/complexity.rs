@@ -9,7 +9,6 @@ use pact::{CutoffSpec, ReduceOptions};
 use pact_baselines::block_krylov_reduce;
 use pact_bench::{min_median, print_table, sample_secs, secs};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_sparse::Ordering;
 
 const SAMPLES: usize = 10;
 
@@ -33,7 +32,7 @@ fn main() {
         rows.push(vec![format!("pact/m_{m}"), secs(min), secs(med)]);
 
         let s = sample_secs(SAMPLES, || {
-            block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).expect("krylov")
+            block_krylov_reduce(&parts, &ports, 2).expect("krylov")
         });
         let (min, med) = min_median(&s);
         rows.push(vec![format!("pade_block/m_{m}"), secs(min), secs(med)]);

@@ -11,8 +11,8 @@
 use pact::{CutoffSpec, Partitions, ReduceOptions, Transform1};
 use pact_bench::{min_median, print_table, sample_secs, secs};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_lanczos::{eigs_above, LanczosConfig};
-use pact_sparse::{ldl_update_trapezoid, CholKernel, Ordering, PivotPolicy, SparseCholesky};
+use pact_lanczos::eigs_above;
+use pact_sparse::{ldl_update_trapezoid, CholKernel, ParCtx, PivotPolicy, SparseCholesky};
 
 const SAMPLES: usize = 10;
 
@@ -45,17 +45,13 @@ fn bench_cholesky(rows: &mut Vec<Vec<String>>) {
         ("cholesky/mesh_2k", (16, 16, 8)),
     ] {
         let (_, parts) = mesh_parts(dims.0, dims.1, dims.2, 16);
-        // A/B the two numeric kernels over the same ordering: the
-        // supernodal blocked panels vs the scalar up-looking reference.
+        // A/B the two numeric kernels over the production (nested
+        // dissection) ordering: the supernodal blocked panels vs the
+        // scalar up-looking reference.
         for kernel in [CholKernel::Supernodal, CholKernel::Scalar] {
             let s = sample_secs(SAMPLES, || {
-                SparseCholesky::factor_analyzed_with_kernel(
-                    &parts.d,
-                    Ordering::Rcm,
-                    PivotPolicy::Error,
-                    kernel,
-                )
-                .expect("factor")
+                SparseCholesky::factor_analyzed_with_kernel(&parts.d, PivotPolicy::Error, kernel)
+                    .expect("factor")
             });
             rows.push(row(&format!("{label}/{kernel:?}"), &s));
         }
@@ -87,20 +83,18 @@ fn bench_panel_update(rows: &mut Vec<Vec<String>>) {
 fn bench_transform1(rows: &mut Vec<Vec<String>>) {
     for &m in &[8usize, 32] {
         let (_, parts) = mesh_parts(14, 14, 5, m);
-        let s = sample_secs(SAMPLES, || {
-            Transform1::compute(&parts, Ordering::Rcm).expect("t1")
-        });
+        let s = sample_secs(SAMPLES, || Transform1::compute(&parts).expect("t1"));
         rows.push(row(&format!("transform1/ports_{m}"), &s));
     }
 }
 
 fn bench_lanczos(rows: &mut Vec<Vec<String>>) {
     let (_, parts) = mesh_parts(14, 14, 5, 16);
-    let t1 = Transform1::compute(&parts, Ordering::Rcm).expect("t1");
+    let t1 = Transform1::compute(&parts).expect("t1");
     let lambda_c = CutoffSpec::new(1e9, 0.05).expect("spec").lambda_c();
     let op = t1.e_prime_operator(&parts);
     let s = sample_secs(SAMPLES, || {
-        eigs_above(&op, lambda_c, &LanczosConfig::default()).expect("lanczos")
+        eigs_above(&op, lambda_c, &ParCtx::serial()).expect("lanczos")
     });
     rows.push(row("lanczos/mesh_1k_cutoff_1GHz", &s));
 }

@@ -11,7 +11,6 @@ use pact::{CutoffSpec, ReduceOptions};
 use pact_baselines::{block_krylov_reduce, mpvl_memory, pact_lanczos_memory};
 use pact_bench::{mb, print_table, secs, timed};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_sparse::Ordering;
 
 fn main() {
     println!("# Section 4: complexity vs number of ports m (fixed mesh)");
@@ -34,8 +33,7 @@ fn main() {
         let (pact_red, t_pact) = timed(|| pact::reduce_network(&net, &opts).expect("pact"));
         let lanczos = pact_red.stats.lanczos.unwrap_or_default();
 
-        let (krylov, t_kry) =
-            timed(|| block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).expect("krylov"));
+        let (krylov, t_kry) = timed(|| block_krylov_reduce(&parts, &ports, 2).expect("krylov"));
 
         // Transform 1's X_S panel: D⁻¹Q on the capacitive internal nodes.
         let xs_bytes = parts.capacitive_internals().len() * m * 8;

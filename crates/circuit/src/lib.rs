@@ -191,12 +191,10 @@ pub struct SimStats {
     pub newton_iterations: usize,
     /// Time steps (transient) or frequency points (AC).
     pub steps: usize,
-    /// Steps rejected by adaptive LTE control.
-    pub steps_rejected: usize,
     /// Nonzeros in the last LU factorization (fill-in).
     pub factor_nnz: usize,
     /// Largest LU fill-in seen across the whole run (peak, not last —
-    /// adaptive-step runs factor at many step sizes).
+    /// a nonlinear run's pivots, and so its fill, may move).
     pub peak_factor_nnz: usize,
     /// Modelled peak memory in bytes: the peak LU factor, the MNA
     /// plan (pattern, values, base values and stamp slots), solution
@@ -267,7 +265,8 @@ impl Stage {
 }
 
 /// Bound on distinct `(gmin, step-size)` numeric factorizations kept by
-/// the linear fast path (gmin stepping needs 5; adaptive runs churn).
+/// the linear fast path (gmin stepping needs 5; a transient's BE and
+/// trapezoidal steps and its shortened breakpoint steps add a few).
 const NUMERIC_CACHE_CAP: usize = 16;
 
 impl Circuit {
@@ -838,20 +837,6 @@ impl Circuit {
     ///
     /// [`CircuitError`] on Newton failure or singular matrices.
     pub fn transient(&self, tstep: f64, tstop: f64) -> Result<TranResult, CircuitError> {
-        self.transient_with(&TranOptions::fixed(tstep, tstop))
-    }
-
-    /// Runs a transient analysis per [`TranOptions`] — fixed-step or
-    /// adaptive with trapezoidal local-truncation-error control
-    /// (`LTE ≈ h³·v‴/12` estimated from third divided differences, the
-    /// classic SPICE scheme).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError`] on Newton failure, singular matrices, or when
-    /// adaptive control cannot meet the tolerance above the minimum step.
-    pub fn transient_with(&self, opt: &TranOptions) -> Result<TranResult, CircuitError> {
-        let tstop = opt.tstop;
         let start = Instant::now();
         // One SolveCtx for the whole run: the plan and the symbolic
         // analysis captured by the DC gmin ramp serve every timestep, and
@@ -862,8 +847,8 @@ impl Circuit {
         let mut stats = dc.stats;
         let nn = self.nodes.len();
         let mut x = dc.x;
-        // The candidate solution of each attempt, and the companion
-        // sources it is solved at.
+        // The solution of each step, and the companion sources it is
+        // solved at.
         let mut xn = vec![0.0; x.len()];
         let mut ieqs = vec![0.0; self.capacitors.len()];
         let mut ind_veqs = vec![0.0; self.inductors.len()];
@@ -893,131 +878,75 @@ impl Circuit {
         // A step leaving t=0 or a breakpoint uses backward Euler
         // (trapezoidal needs a consistent capacitor current history).
         let mut use_be = true;
-        let h_min = opt.tstep * opt.min_step_factor;
-        let mut h_next = if opt.adaptive {
-            // Start conservatively: breakpoints and startup transients
-            // live at small time scales.
-            (opt.tstep * 0.1).max(h_min)
-        } else {
-            opt.tstep
-        };
         while t < tstop - 1e-18 {
-            let mut rejections = 0usize;
-            loop {
-                let mut h = h_next;
-                let mut hit_bp = false;
-                if bp_idx < breakpoints.len() && t + h >= breakpoints[bp_idx] - 1e-18 {
-                    let bph = breakpoints[bp_idx] - t;
-                    if bph > 1e-18 {
-                        h = bph;
-                    }
-                    hit_bp = true;
+            let mut h = tstep;
+            let mut hit_bp = false;
+            if bp_idx < breakpoints.len() && t + h >= breakpoints[bp_idx] - 1e-18 {
+                let bph = breakpoints[bp_idx] - t;
+                if bph > 1e-18 {
+                    h = bph;
                 }
-                if t + h > tstop {
-                    h = tstop - t;
-                }
-                let tn = t + h;
-                // Companion current per capacitor.
-                let geq_per_c = if use_be { 1.0 / h } else { 2.0 / h };
-                for (ci, c) in self.capacitors.iter().enumerate() {
-                    let i = geq_per_c * c.value * vab2(c, &x);
-                    ieqs[ci] = if use_be { i } else { i + icap[ci] };
-                }
-                // Inductor companion branch voltages: the branch row
-                // reads `v_a − v_b − req·i = veq` with `req = geq·L`;
-                // BE: `veq = −req·i_prev`, trapezoidal adds `−v_prev`.
-                for (k, l) in self.inductors.iter().enumerate() {
-                    let req = geq_per_c * l.value;
-                    ind_veqs[k] = if use_be {
-                        -req * il_prev[k]
-                    } else {
-                        -req * il_prev[k] - vl_prev[k]
-                    };
-                }
-                for (v, s) in vvals.iter_mut().zip(&self.vsources) {
-                    *v = s.wave.eval(tn);
-                }
-                xn.copy_from_slice(&x);
-                self.newton(
-                    &mut xn,
-                    GMIN,
-                    &vvals,
-                    tn,
-                    geq_per_c,
-                    Some(&ieqs),
-                    Some(&ind_veqs),
-                    Stage::Transient(tn),
-                    &mut slv,
-                    &mut stats,
-                )?;
-                // Adaptive: estimate the local truncation error —
-                // trapezoidal LTE ≈ (h³/2)·DD3 from the last four points;
-                // backward-Euler (restart) LTE ≈ h²·DD2 from the last
-                // three — and accept/reject/grow accordingly.
-                if opt.adaptive {
-                    let k = times.len();
-                    let err = if !use_be && k >= 3 {
-                        let hist = [
-                            (times[k - 3], &waves[k - 3]),
-                            (times[k - 2], &waves[k - 2]),
-                            (times[k - 1], &waves[k - 1]),
-                        ];
-                        Some(worst_lte_trap(&hist, tn, &xn[..nn], h, opt))
-                    } else if use_be && k >= 2 {
-                        let hist = [(times[k - 2], &waves[k - 2]), (times[k - 1], &waves[k - 1])];
-                        Some(worst_lte_be(&hist, tn, &xn[..nn], h, opt))
-                    } else {
-                        None
-                    };
-                    if let Some(err) = err {
-                        if err > 1.0 && h > h_min * 1.001 && rejections < 16 {
-                            rejections += 1;
-                            h_next = (h * 0.5).max(h_min);
-                            stats.steps_rejected += 1;
-                            continue; // retry from the same state
-                        }
-                        // Step accepted: pick the next step size. BE is
-                        // first order ⇒ square-root growth law.
-                        let grow = if err > 0.0 {
-                            let g = if use_be {
-                                (1.0 / err).sqrt()
-                            } else {
-                                (1.0 / err).cbrt()
-                            };
-                            g.clamp(0.3, 2.0) * 0.9
-                        } else {
-                            2.0
-                        };
-                        h_next = (h * grow.max(1e-2)).clamp(h_min, opt.tstep);
-                    }
-                }
-                // Commit the step.
-                for (ci, c) in self.capacitors.iter().enumerate() {
-                    let dv = vab2(c, &xn) - vab2(c, &x);
-                    let g = if use_be { 1.0 } else { 2.0 } / h * c.value;
-                    icap[ci] = if use_be { g * dv } else { g * dv - icap[ci] };
-                }
-                for (k, l) in self.inductors.iter().enumerate() {
-                    il_prev[k] = xn[self.row_ind(k)];
-                    vl_prev[k] = vab2(l, &xn);
-                }
-                std::mem::swap(&mut x, &mut xn);
-                t = tn;
-                times.push(t);
-                waves.push(x[..nn].to_vec());
-                stats.steps += 1;
-                if hit_bp {
-                    while bp_idx < breakpoints.len() && breakpoints[bp_idx] <= t + 1e-18 {
-                        bp_idx += 1;
-                    }
-                    use_be = true;
-                    if opt.adaptive {
-                        h_next = (opt.tstep * 0.05).max(h_min);
-                    }
+                hit_bp = true;
+            }
+            if t + h > tstop {
+                h = tstop - t;
+            }
+            let tn = t + h;
+            // Companion current per capacitor.
+            let geq_per_c = if use_be { 1.0 / h } else { 2.0 / h };
+            for (ci, c) in self.capacitors.iter().enumerate() {
+                let i = geq_per_c * c.value * vab2(c, &x);
+                ieqs[ci] = if use_be { i } else { i + icap[ci] };
+            }
+            // Inductor companion branch voltages: the branch row reads
+            // `v_a − v_b − req·i = veq` with `req = geq·L`; BE:
+            // `veq = −req·i_prev`, trapezoidal adds `−v_prev`.
+            for (k, l) in self.inductors.iter().enumerate() {
+                let req = geq_per_c * l.value;
+                ind_veqs[k] = if use_be {
+                    -req * il_prev[k]
                 } else {
-                    use_be = false;
+                    -req * il_prev[k] - vl_prev[k]
+                };
+            }
+            for (v, s) in vvals.iter_mut().zip(&self.vsources) {
+                *v = s.wave.eval(tn);
+            }
+            xn.copy_from_slice(&x);
+            self.newton(
+                &mut xn,
+                GMIN,
+                &vvals,
+                tn,
+                geq_per_c,
+                Some(&ieqs),
+                Some(&ind_veqs),
+                Stage::Transient(tn),
+                &mut slv,
+                &mut stats,
+            )?;
+            // Commit the step.
+            for (ci, c) in self.capacitors.iter().enumerate() {
+                let dv = vab2(c, &xn) - vab2(c, &x);
+                let g = if use_be { 1.0 } else { 2.0 } / h * c.value;
+                icap[ci] = if use_be { g * dv } else { g * dv - icap[ci] };
+            }
+            for (k, l) in self.inductors.iter().enumerate() {
+                il_prev[k] = xn[self.row_ind(k)];
+                vl_prev[k] = vab2(l, &xn);
+            }
+            std::mem::swap(&mut x, &mut xn);
+            t = tn;
+            times.push(t);
+            waves.push(x[..nn].to_vec());
+            stats.steps += 1;
+            if hit_bp {
+                while bp_idx < breakpoints.len() && breakpoints[bp_idx] <= t + 1e-18 {
+                    bp_idx += 1;
                 }
-                break;
+                use_be = true;
+            } else {
+                use_be = false;
             }
         }
         stats.elapsed_seconds = start.elapsed().as_secs_f64();
@@ -1036,7 +965,7 @@ impl Circuit {
     /// Small-signal AC sweep: linearizes MOSFETs at the DC operating
     /// point and solves the complex MNA system at each frequency with a
     /// unit excitation. Equivalent to [`Circuit::ac_sweep_with`] at the
-    /// default options (symbolic reuse on, all available cores).
+    /// default options (all available cores).
     ///
     /// # Errors
     ///
@@ -1050,12 +979,13 @@ impl Circuit {
         self.ac_sweep_with(freqs, excitation, &AcOptions::default())
     }
 
-    /// AC sweep with explicit threading / factorization-reuse options.
+    /// AC sweep with an explicit thread count.
     ///
     /// The `G + jωC` pencil is assembled once as a fixed union
-    /// structure; with `reuse_symbolic` the sparse LU is analyzed
-    /// symbolically at the first frequency and every point pays only a
-    /// numeric refactorization. The grid is fanned across worker threads
+    /// structure; the sparse LU is analyzed symbolically at the first
+    /// frequency and every point pays only a numeric refactorization (a
+    /// fresh factorization where a cached pivot is rejected). The grid
+    /// is fanned across worker threads
     /// with results in grid order — voltages and all [`SimStats`]
     /// counters are bit-identical at every thread count.
     ///
@@ -1137,18 +1067,12 @@ impl Circuit {
         }
 
         // One symbolic analysis serves the whole grid.
-        let symbolic = if opt.reuse_symbolic {
-            let w0 = 2.0 * std::f64::consts::PI * freqs[0];
-            let (_, sym) = SparseLu::factor_analyzed(&pencil.eval(w0)).map_err(|_| {
-                CircuitError::Singular {
-                    context: format!("ac f={:e}", freqs[0]),
-                }
+        let w0 = 2.0 * std::f64::consts::PI * freqs[0];
+        let (_, symbolic) =
+            SparseLu::factor_analyzed(&pencil.eval(w0)).map_err(|_| CircuitError::Singular {
+                context: format!("ac f={:e}", freqs[0]),
             })?;
-            stats.factorizations += 1;
-            Some(sym)
-        } else {
-            None
-        };
+        stats.factorizations += 1;
 
         let ctx = ParCtx::new(opt.threads);
         let results = ctx.map_items(
@@ -1156,22 +1080,18 @@ impl Circuit {
             || {
                 (
                     pencil.eval(0.0),
-                    symbolic.as_ref().map(|s| s.prepared::<Complex64>()),
+                    symbolic.prepared::<Complex64>(),
                     vec![Complex64::ZERO; dim],
                 )
             },
             |(mat, prep, x), k| {
                 let w = 2.0 * std::f64::consts::PI * freqs[k];
                 pencil.eval_into(w, mat);
-                let refactored = match (&symbolic, prep.as_mut()) {
-                    (Some(sym), Some(p)) => sym.refactor_into(mat, p).is_ok(),
-                    _ => false,
-                };
+                let refactored = symbolic.refactor_into(mat, prep).is_ok();
                 let (fresh, nnz);
                 let lu: &SparseLu<Complex64> = if refactored {
-                    let p = prep.as_ref().expect("refactored implies prepared");
-                    nnz = p.factor_nnz();
-                    p
+                    nnz = prep.factor_nnz();
+                    prep
                 } else {
                     fresh = SparseLu::factor(mat).map_err(|_| CircuitError::Singular {
                         context: format!("ac f={:e}", freqs[k]),
@@ -1203,118 +1123,11 @@ impl Circuit {
 }
 
 /// Options for [`Circuit::ac_sweep_with`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AcOptions {
     /// Worker threads for the frequency fan-out (`None` = all cores).
     /// Results are bit-identical at every thread count.
     pub threads: Option<usize>,
-    /// Reuse one symbolic LU analysis across the grid (numeric-only
-    /// refactorization per point). `false` re-runs the full symbolic +
-    /// numeric factorization at every frequency — the ablation baseline.
-    pub reuse_symbolic: bool,
-}
-
-impl Default for AcOptions {
-    fn default() -> Self {
-        AcOptions {
-            threads: None,
-            reuse_symbolic: true,
-        }
-    }
-}
-
-/// Transient-analysis options for [`Circuit::transient_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct TranOptions {
-    /// Maximum (fixed-mode: the) time step in seconds.
-    pub tstep: f64,
-    /// Stop time in seconds.
-    pub tstop: f64,
-    /// Enable LTE-controlled adaptive stepping.
-    pub adaptive: bool,
-    /// Relative LTE tolerance per node voltage.
-    pub lte_reltol: f64,
-    /// Absolute LTE tolerance in volts.
-    pub lte_abstol: f64,
-    /// Minimum step as a fraction of `tstep`.
-    pub min_step_factor: f64,
-}
-
-impl TranOptions {
-    /// Fixed-step configuration (the `.TRAN tstep tstop` semantics).
-    pub fn fixed(tstep: f64, tstop: f64) -> Self {
-        TranOptions {
-            tstep,
-            tstop,
-            adaptive: false,
-            lte_reltol: 1e-3,
-            lte_abstol: 1e-5,
-            min_step_factor: 1e-4,
-        }
-    }
-
-    /// Adaptive configuration: `tstep` becomes the *maximum* step; the
-    /// controller shrinks into fast transients and stretches across
-    /// quiescent intervals.
-    pub fn adaptive(max_step: f64, tstop: f64) -> Self {
-        TranOptions {
-            adaptive: true,
-            ..TranOptions::fixed(max_step, tstop)
-        }
-    }
-}
-
-/// Worst normalized backward-Euler LTE over all nodes:
-/// `LTE_i ≈ (h²/2)·v″ ≈ h²·DD2_i`, normalized like the trapezoidal
-/// variant; > 1 means reject.
-fn worst_lte_be(
-    hist: &[(f64, &Vec<f64>); 2],
-    tn: f64,
-    vn: &[f64],
-    h: f64,
-    opt: &TranOptions,
-) -> f64 {
-    let (t0, v0) = (hist[0].0, hist[0].1);
-    let (t1, v1) = (hist[1].0, hist[1].1);
-    let mut worst = 0.0f64;
-    for i in 0..vn.len() {
-        let d01 = (v1[i] - v0[i]) / (t1 - t0);
-        let d1n = (vn[i] - v1[i]) / (tn - t1);
-        let dd2 = (d1n - d01) / (tn - t0);
-        let lte = h * h * dd2.abs();
-        let tol = opt.lte_abstol + opt.lte_reltol * vn[i].abs();
-        worst = worst.max(lte / tol);
-    }
-    worst
-}
-
-/// Worst normalized trapezoidal LTE over all nodes:
-/// `LTE_i ≈ (h³/2)·DD3_i`, normalized by `abstol + reltol·|v_i|`; > 1
-/// means reject.
-fn worst_lte_trap(
-    hist: &[(f64, &Vec<f64>); 3],
-    tn: f64,
-    vn: &[f64],
-    h: f64,
-    opt: &TranOptions,
-) -> f64 {
-    let (t0, v0) = (hist[0].0, hist[0].1);
-    let (t1, v1) = (hist[1].0, hist[1].1);
-    let (t2, v2) = (hist[2].0, hist[2].1);
-    let mut worst = 0.0f64;
-    for i in 0..vn.len() {
-        // Third divided difference over (t0, t1, t2, tn).
-        let d01 = (v1[i] - v0[i]) / (t1 - t0);
-        let d12 = (v2[i] - v1[i]) / (t2 - t1);
-        let d2n = (vn[i] - v2[i]) / (tn - t2);
-        let dd2a = (d12 - d01) / (t2 - t0);
-        let dd2b = (d2n - d12) / (tn - t1);
-        let dd3 = (dd2b - dd2a) / (tn - t0);
-        let lte = 0.5 * h * h * h * dd3.abs();
-        let tol = opt.lte_abstol + opt.lte_reltol * vn[i].abs();
-        worst = worst.max(lte / tol);
-    }
-    worst
 }
 
 /// AC excitation selector.
@@ -1637,7 +1450,7 @@ Rsub sub 0 10k
     }
 
     #[test]
-    fn ac_sweep_bit_identical_across_threads_and_reuse() {
+    fn ac_sweep_bit_identical_across_threads() {
         let deck = "\
 * ladder
 V1 in 0 dc 0
@@ -1653,14 +1466,7 @@ C3 out 0 1p
         let freqs = log_frequencies(9, 1e6, 1e9);
         let exc = AcExcitation::VSource("V1".into());
         let base = ckt
-            .ac_sweep_with(
-                &freqs,
-                &exc,
-                &AcOptions {
-                    threads: Some(1),
-                    reuse_symbolic: true,
-                },
-            )
+            .ac_sweep_with(&freqs, &exc, &AcOptions { threads: Some(1) })
             .unwrap();
         // DC gmin ramp: 1 fresh + 4 refactors; AC grid: 1 fresh symbolic
         // capture + one refactor per frequency point.
@@ -1673,7 +1479,6 @@ C3 out 0 1p
                     &exc,
                     &AcOptions {
                         threads: Some(threads),
-                        reuse_symbolic: true,
                     },
                 )
                 .unwrap();
@@ -1684,26 +1489,6 @@ C3 out 0 1p
                     assert_eq!(x.re.to_bits(), y.re.to_bits(), "threads={threads}");
                     assert_eq!(x.im.to_bits(), y.im.to_bits(), "threads={threads}");
                 }
-            }
-        }
-        // Refactor ablation: full factorization per point gives the exact
-        // same waveforms, just more expensively.
-        let ablate = ckt
-            .ac_sweep_with(
-                &freqs,
-                &exc,
-                &AcOptions {
-                    threads: Some(1),
-                    reuse_symbolic: false,
-                },
-            )
-            .unwrap();
-        assert_eq!(ablate.stats.refactorizations, 4, "dc ramp only");
-        assert_eq!(ablate.stats.factorizations, 1 + freqs.len());
-        for (a, b) in base.voltages.iter().zip(&ablate.voltages) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
             }
         }
     }

@@ -113,90 +113,6 @@ fn ac_matches_transient_steady_state() {
 }
 
 #[test]
-fn adaptive_stepping_matches_fixed_with_fewer_steps() {
-    use pact_circuit::TranOptions;
-    // A pulse with long quiescent intervals: adaptive stepping should
-    // stretch across them while staying accurate through the edges.
-    let deck = "\
-* adapt
-V1 in 0 pulse(0 1 2n 0.1n 0.1n 10n 40n)
-R1 in out 1k
-C1 out 0 2p
-.end
-";
-    let ckt = Circuit::from_netlist(&parse(deck).unwrap()).unwrap();
-    let fine = ckt.transient(5e-12, 30e-9).unwrap();
-    let adapt = ckt
-        .transient_with(&TranOptions::adaptive(2e-9, 30e-9))
-        .unwrap();
-    assert!(
-        adapt.stats.steps * 4 < fine.stats.steps,
-        "adaptive should use far fewer steps: {} vs {}",
-        adapt.stats.steps,
-        fine.stats.steps
-    );
-    // Accuracy versus the fine fixed-step reference, compared at the
-    // adaptive run's own time points (no interpolation across its long
-    // accepted steps).
-    let err_of = |tr: &pact_circuit::TranResult| {
-        let av = tr.voltage("out").unwrap();
-        let mut worst: f64 = 0.0;
-        for (k, &t) in tr.times.iter().enumerate() {
-            let b = fine.voltage_at("out", t).unwrap();
-            worst = worst.max((av[k] - b).abs());
-        }
-        worst
-    };
-    // LTE control bounds per-step error; the accumulated global error at
-    // the default reltol=1e-3 lands at a few 10⁻² of the swing.
-    let worst = err_of(&adapt);
-    assert!(worst < 0.05, "adaptive error {worst} too large");
-    // Tightening the tolerance must tighten the result.
-    let tight = ckt
-        .transient_with(&TranOptions {
-            lte_reltol: 5e-5,
-            lte_abstol: 5e-7,
-            ..TranOptions::adaptive(2e-9, 30e-9)
-        })
-        .unwrap();
-    let worst_tight = err_of(&tight);
-    assert!(
-        worst_tight < worst / 2.0,
-        "tighter LTE tolerance should shrink error: {worst_tight} vs {worst}"
-    );
-    assert!(tight.stats.steps > adapt.stats.steps);
-}
-
-#[test]
-fn adaptive_rejects_steps_through_sharp_transients() {
-    use pact_circuit::TranOptions;
-    // With a generous max step, the controller must cut into the RC edge
-    // and report at least some rejections or step shrinkage.
-    let deck = "\
-* sharp
-V1 in 0 pulse(0 5 1n 0.05n 0.05n 5n 20n)
-R1 in out 200
-C1 out 0 1p
-.end
-";
-    let ckt = Circuit::from_netlist(&parse(deck).unwrap()).unwrap();
-    let adapt = ckt
-        .transient_with(&TranOptions::adaptive(5e-9, 10e-9))
-        .unwrap();
-    // Minimum observed spacing after the edge must be well below max step.
-    let min_dt = adapt
-        .times
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .fold(f64::MAX, f64::min);
-    assert!(min_dt < 1e-9, "controller never shrank: min dt {min_dt:e}");
-    // Several τ after the fall edge (τ = 200 ps, fall at ~6.1 ns) the
-    // output must have decayed.
-    let v_end = adapt.voltage_at("out", 7.6e-9).unwrap();
-    assert!(v_end < 0.5, "output should have fallen, got {v_end}");
-}
-
-#[test]
 fn mosfet_current_matches_square_law_in_dc() {
     // Saturated NMOS with drain resistor: solve the quadratic by hand and
     // compare the operating point.

@@ -14,7 +14,7 @@
 //! `E'` from one solve; a block whose bound sits below the cutoff keeps
 //! no pole ([`certifies_pole_free`]) and skips Lanczos.
 
-use pact_lanczos::{eigs_above_with_stats, LanczosConfig, LanczosStats, SymOp};
+use pact_lanczos::{eigs_above, LanczosStats, SymOp};
 use pact_sparse::{sym_eig, DMat, FactorDiagnostics, ParCtx, SparseCholesky};
 
 use crate::partition::Partitions;
@@ -324,11 +324,7 @@ pub fn lanczos_poles(
     }
     let op = t1.e_prime_operator_ctx(parts, *ctx);
     debug_assert_eq!(op.dim(), parts.n);
-    let cfg = LanczosConfig {
-        threads: Some(ctx.threads()),
-        ..LanczosConfig::default()
-    };
-    let (pairs, stats) = eigs_above_with_stats(&op, lambda_c, &cfg)?;
+    let (pairs, stats) = eigs_above(&op, lambda_c, ctx)?;
     let mut lambdas = Vec::with_capacity(pairs.len());
     let mut vectors = Vec::with_capacity(pairs.len());
     for p in pairs {

@@ -13,7 +13,7 @@ use crate::hier::leaf::{prepare_leaf, reduce_prepared_leaf, PreparedLeaf};
 use crate::hier::partition_tree::PartitionTree;
 use crate::hier::stitch::stitch;
 use crate::reduce::{ReduceError, ReduceStrategy, Reduction, ReductionStats};
-use crate::session::{CacheEntry, ReductionSession, ORDERING};
+use crate::session::{CacheEntry, ReductionSession};
 use crate::telemetry::{Telemetry, Warning};
 
 /// Cutoff widening of the *fallback* leaf path (leaves whose
@@ -149,7 +149,7 @@ pub(crate) fn reduce_network_hier(
     let analyzed = ctx.map_items(
         unique.len(),
         || (),
-        |_, i| SymbolicCholesky::analyze(&prepared[unique[i]].parts.d, ORDERING),
+        |_, i| SymbolicCholesky::analyze(&prepared[unique[i]].parts.d),
     );
     let mut new_entries: Vec<CacheEntry> = Vec::with_capacity(unique.len());
     for (&k, sym) in unique.iter().zip(analyzed) {

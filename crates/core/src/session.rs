@@ -11,8 +11,9 @@
 //!
 //! Determinism contract: a cache hit replays the cached permutation and
 //! fill pattern through [`SymbolicCholesky::refactor`], which is
-//! bit-identical to a fresh factorization of the same values (orderings
-//! are functions of the pattern alone — see `pact_sparse`). Warm and
+//! bit-identical to a fresh factorization of the same values (the
+//! nested-dissection ordering is a function of the pattern alone — see
+//! `pact_sparse`). Warm and
 //! cold sessions therefore produce bit-identical reduced models; only
 //! the `factorizations`/`refactorizations` telemetry counters differ.
 
@@ -22,7 +23,7 @@ use std::time::Instant;
 use pact_lanczos::LanczosStats;
 use pact_netlist::{RcNetwork, Stamped};
 use pact_sparse::{
-    CsrMat, DMat, FactorDiagnostics, FactorError, Ordering, ParCtx, PivotPolicy, SparseCholesky,
+    CsrMat, DMat, FactorDiagnostics, FactorError, ParCtx, PivotPolicy, SparseCholesky,
     SymbolicCholesky,
 };
 
@@ -39,11 +40,6 @@ use crate::transform::{lane_scratch_bytes, Transform1};
 
 /// Cached symbolic analyses the session keeps at most (default).
 const CACHE_CAP: usize = 64;
-
-/// The fill-reducing ordering of every reduction's Cholesky factor of
-/// `D`: nested dissection, the best fill on substrate meshes. The cache
-/// is keyed by the pattern alone because every analysis uses it.
-pub(crate) const ORDERING: Ordering = Ordering::NestedDissection;
 
 /// One cached analysis, keyed by its pattern fingerprint, as handed
 /// between sessions (hier leaf workers report what they learned as a
@@ -115,7 +111,7 @@ impl SymbolicCache {
             let (chol, diag) = sym.refactor(d, policy)?;
             return Ok((chol, diag, true));
         }
-        let (chol, diag, sym) = SparseCholesky::factor_analyzed(d, ORDERING, policy)?;
+        let (chol, diag, sym) = SparseCholesky::factor_analyzed(d, policy)?;
         self.insert(key, Arc::new(sym));
         Ok((chol, diag, false))
     }
@@ -709,8 +705,7 @@ mod tests {
         let da = Partitions::split(&net_a.stamp()).d;
         let db = Partitions::split(&net_b.stamp()).d;
         let factor = |d: &CsrMat| {
-            let (_, _, sym) =
-                SparseCholesky::factor_analyzed(d, ORDERING, PivotPolicy::Error).unwrap();
+            let (_, _, sym) = SparseCholesky::factor_analyzed(d, PivotPolicy::Error).unwrap();
             Arc::new(sym)
         };
 

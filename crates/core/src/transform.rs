@@ -25,9 +25,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use pact_lanczos::SymOp;
-use pact_sparse::{
-    split_ranges, CsrMat, DMat, FactorError, Ordering, ParCtx, SparseCholesky, LANES,
-};
+use pact_sparse::{split_ranges, CsrMat, DMat, FactorError, ParCtx, SparseCholesky, LANES};
 
 use crate::partition::Partitions;
 
@@ -53,18 +51,26 @@ pub struct Transform1 {
 }
 
 impl Transform1 {
-    /// Runs the transform on partitioned network matrices.
+    /// Runs the transform on partitioned network matrices on one thread,
+    /// factoring `D` strictly.
     ///
     /// # Errors
     ///
     /// [`FactorError`] when `D` is not positive definite — physically, an
     /// internal node with no DC path to any port.
-    pub fn compute(p: &Partitions, ordering: Ordering) -> Result<Self, FactorError> {
-        Self::compute_ctx(p, ordering, &ParCtx::serial())
+    pub fn compute(p: &Partitions) -> Result<Self, FactorError> {
+        let chol = SparseCholesky::factor(&p.d)?;
+        Ok(Self::with_factor(p, chol, &ParCtx::serial()))
     }
 
-    /// Like [`Transform1::compute`], fanning the per-port column work out
-    /// across the threads of `ctx`.
+    /// Runs the moment computation of the transform against an already
+    /// computed Cholesky factorization of `D`, fanning the per-port column
+    /// work out across the threads of `ctx`.
+    ///
+    /// This split lets callers choose the factorization path (strict vs
+    /// pivot-perturbing, see [`pact_sparse::PivotPolicy`]) and time the
+    /// factor and moment phases separately; given the factor, the moment
+    /// work itself cannot fail.
     ///
     /// Ports are grouped into blocks of up to [`LANES`] columns whose
     /// boundaries depend only on the port count; each block runs one
@@ -74,26 +80,6 @@ impl Transform1 {
     /// order over `S`. Every value is computed with the same instruction
     /// sequence regardless of which worker runs it, so the result is
     /// bit-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transform1::compute`].
-    pub fn compute_ctx(
-        p: &Partitions,
-        ordering: Ordering,
-        ctx: &ParCtx,
-    ) -> Result<Self, FactorError> {
-        let chol = SparseCholesky::factor(&p.d, ordering)?;
-        Ok(Self::with_factor(p, chol, ctx))
-    }
-
-    /// Runs the moment computation of the transform against an already
-    /// computed Cholesky factorization of `D`.
-    ///
-    /// This split lets callers choose the factorization path (strict vs
-    /// pivot-perturbing, see [`pact_sparse::PivotPolicy`]) and time the
-    /// factor and moment phases separately; given the factor, the moment
-    /// work itself cannot fail.
     pub fn with_factor(p: &Partitions, chol: SparseCholesky, ctx: &ParCtx) -> Self {
         let m = p.m;
         let n = p.n;
@@ -572,7 +558,7 @@ mod tests {
     fn moments_match_direct_computation() {
         // A' must equal A − QᵀD⁻¹Q computed densely.
         let (_, p) = ladder(6);
-        let t1 = Transform1::compute(&p, Ordering::Rcm).unwrap();
+        let t1 = Transform1::compute(&p).unwrap();
         let dd = p.d.to_dense();
         let dinv = pact_sparse::invert(&dd).unwrap();
         let qd = p.q.to_dense();
@@ -601,7 +587,7 @@ mod tests {
     fn e_prime_spectrum_matches_pencil() {
         // Eigenvalues of E' equal generalized eigenvalues of (E, D).
         let (_, p) = ladder(5);
-        let t1 = Transform1::compute(&p, Ordering::MinDegree).unwrap();
+        let t1 = Transform1::compute(&p).unwrap();
         let ep = t1.e_prime_dense(&p);
         let eig = sym_eig(&ep).unwrap();
         // Direct: solve det(E - λD) = 0 via dense D^{-1}E spectrum
@@ -624,7 +610,7 @@ mod tests {
     #[test]
     fn e_prime_operator_matches_dense() {
         let (_, p) = ladder(7);
-        let t1 = Transform1::compute(&p, Ordering::Rcm).unwrap();
+        let t1 = Transform1::compute(&p).unwrap();
         let dense = t1.e_prime_dense(&p);
         let op = t1.e_prime_operator(&p);
         let n = p.n;
@@ -640,7 +626,7 @@ mod tests {
     #[test]
     fn e_prime_is_nonnegative_definite() {
         let (_, p) = ladder(8);
-        let t1 = Transform1::compute(&p, Ordering::Rcm).unwrap();
+        let t1 = Transform1::compute(&p).unwrap();
         let ep = t1.e_prime_dense(&p);
         let eig = sym_eig(&ep).unwrap();
         for &v in &eig.values {
@@ -651,7 +637,7 @@ mod tests {
     #[test]
     fn r2_rows_match_direct() {
         let (_, p) = ladder(5);
-        let t1 = Transform1::compute(&p, Ordering::Natural).unwrap();
+        let t1 = Transform1::compute(&p).unwrap();
         let ep = t1.e_prime_dense(&p);
         let eig = sym_eig(&ep).unwrap();
         let n = p.n;
@@ -757,7 +743,7 @@ mod tests {
         // exercises RᵀX, an off-diagonal E_SS and a node outside S, and
         // its capacitance-free twin an empty S.
         for (name, p) in [("coupled", coupled(true)), ("no caps", coupled(false))] {
-            let t1 = Transform1::compute(&p, Ordering::Rcm).unwrap();
+            let t1 = Transform1::compute(&p).unwrap();
             let dinv = pact_sparse::invert(&p.d.to_dense()).unwrap();
             let (qd, rd, ed) = (p.q.to_dense(), p.r.to_dense(), p.e.to_dense());
             let x = dinv.matmul(&qd);
@@ -776,7 +762,7 @@ mod tests {
         // eigenvector of E' in descending order (with no capacitance,
         // E' = 0 and these are unit vectors).
         for (name, p) in [("coupled", coupled(true)), ("no caps", coupled(false))] {
-            let t1 = Transform1::compute(&p, Ordering::Natural).unwrap();
+            let t1 = Transform1::compute(&p).unwrap();
             let n = p.n;
             let eig = sym_eig(&t1.e_prime_dense(&p)).unwrap();
             let vecs: Vec<Vec<f64>> = (0..n)
@@ -833,7 +819,7 @@ mod tests {
         let p = mesh();
         let n = p.n;
         assert_eq!(n, 47);
-        let t1 = Transform1::compute(&p, Ordering::NestedDissection).unwrap();
+        let t1 = Transform1::compute(&p).unwrap();
         let op = t1.e_prime_operator(&p);
         // Widths past LANES take a second group.
         for k in 1..=LANES + 2 {
@@ -861,6 +847,6 @@ mod tests {
         let ex = extract_rc(&nl, &[]).unwrap();
         let st = ex.network.stamp();
         let p = Partitions::split(&st);
-        assert!(Transform1::compute(&p, Ordering::Rcm).is_err());
+        assert!(Transform1::compute(&p).is_err());
     }
 }

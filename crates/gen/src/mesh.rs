@@ -334,7 +334,6 @@ pub fn network_to_elements(net: &RcNetwork, prefix: &str) -> Vec<Element> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_sparse::Ordering;
 
     #[test]
     fn table2_mesh_counts_near_paper() {
@@ -365,7 +364,7 @@ mod tests {
         let net = substrate_mesh(&spec);
         let st = net.stamp();
         let parts = pact::Partitions::split(&st);
-        assert!(pact::Transform1::compute(&parts, Ordering::Rcm).is_ok());
+        assert!(pact::Transform1::compute(&parts).is_ok());
     }
 
     #[test]

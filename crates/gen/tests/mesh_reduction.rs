@@ -5,7 +5,7 @@
 
 use pact::{CutoffSpec, Partitions, ReduceOptions, Transform1, YEvaluator};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_sparse::{sym_eig, Ordering};
+use pact_sparse::sym_eig;
 
 fn small_mesh() -> pact_netlist::RcNetwork {
     substrate_mesh(&MeshSpec {
@@ -24,7 +24,7 @@ fn laso_matches_dense_oracle_on_mesh() {
     let laso = pact::reduce_network(&net, &ReduceOptions::new(spec)).unwrap();
     // Dense QL of the explicitly formed E' is the oracle.
     let parts = Partitions::split(&net.stamp());
-    let t1 = Transform1::compute(&parts, Ordering::NestedDissection).unwrap();
+    let t1 = Transform1::compute(&parts).unwrap();
     let eig = sym_eig(&t1.e_prime_dense(&parts)).unwrap();
     let dense: Vec<f64> = eig
         .values

@@ -193,14 +193,7 @@ fn ac_sweep_is_bit_identical_across_thread_counts() {
     let freqs = log_frequencies(7, 1e6, 1e10);
     let exc = AcExcitation::VSource("Vin".into());
     let base = ckt
-        .ac_sweep_with(
-            &freqs,
-            &exc,
-            &AcOptions {
-                threads: Some(1),
-                reuse_symbolic: true,
-            },
-        )
+        .ac_sweep_with(&freqs, &exc, &AcOptions { threads: Some(1) })
         .unwrap();
     assert_eq!(base.stats.steps, freqs.len());
     assert!(
@@ -215,7 +208,6 @@ fn ac_sweep_is_bit_identical_across_thread_counts() {
                 &exc,
                 &AcOptions {
                     threads: Some(threads),
-                    reuse_symbolic: true,
                 },
             )
             .unwrap();

@@ -28,11 +28,11 @@
 //! applications it saves because `k` stays small.
 //!
 //! ```
-//! use pact_lanczos::{eigs_above, LanczosConfig, SymOp};
-//! use pact_sparse::DMat;
+//! use pact_lanczos::{eigs_above, SymOp};
+//! use pact_sparse::{DMat, ParCtx};
 //!
 //! let a = DMat::from_diag(&[10.0, 5.0, 1.0, 0.1, 0.01]);
-//! let pairs = eigs_above(&a, 0.5, &LanczosConfig::default())?;
+//! let (pairs, _stats) = eigs_above(&a, 0.5, &ParCtx::serial())?;
 //! let mut vals: Vec<f64> = pairs.iter().map(|p| p.value).collect();
 //! vals.sort_by(|x, y| y.partial_cmp(x).unwrap());
 //! assert_eq!(vals.len(), 3); // 10, 5, 1 exceed the 0.5 cutoff
@@ -108,41 +108,21 @@ impl SymOp for DMat<f64> {
     }
 }
 
-/// Configuration for [`eigs_above`].
-#[derive(Clone, Debug)]
-pub struct LanczosConfig {
-    /// Relative residual bound below which a Ritz pair counts as
-    /// converged: `‖B_k y_k‖ ≤ conv_tol · ‖T‖`, where `B_k` couples the
-    /// last block to the next and `y_k` is the Ritz vector's last block.
-    pub conv_tol: f64,
-    /// Hard cap on basis vectors per restart (defaults to the operator
-    /// dimension, at most 300).
-    pub max_iters: Option<usize>,
-    /// Maximum number of deflated restarts (captures eigenvalues of
-    /// multiplicity above [`BLOCK`], which one block Krylov sequence
-    /// cannot).
-    pub max_restarts: usize,
-    /// RNG seed for the random start block (deterministic by default).
-    pub seed: u64,
-    /// Worker threads for the reorthogonalization sweeps (`None` ⇒ run
-    /// serially). Results are bit-identical for every thread count: each
-    /// inner product is computed whole by one worker, and each element
-    /// of an update receives its terms in basis order whichever worker
-    /// owns its row.
-    pub threads: Option<usize>,
-}
+/// Relative residual bound below which a Ritz pair counts as converged:
+/// `‖B_k y_k‖ ≤ CONV_TOL · ‖T‖`, where `B_k` couples the last block to the
+/// next and `y_k` is the Ritz vector's last block.
+const CONV_TOL: f64 = 1e-10;
 
-impl Default for LanczosConfig {
-    fn default() -> Self {
-        LanczosConfig {
-            conv_tol: 1e-10,
-            max_iters: None,
-            max_restarts: 8,
-            seed: 0x9E37_79B9_7F4A_7C15,
-            threads: None,
-        }
-    }
-}
+/// Cap on basis vectors per restart (the operator dimension when it is
+/// smaller).
+const MAX_VECS: usize = 300;
+
+/// Deflated restarts at most (they capture eigenvalues of multiplicity
+/// above [`BLOCK`], which one block Krylov sequence cannot).
+const MAX_RESTARTS: usize = 8;
+
+/// Seed of the random start block: every run is deterministic.
+const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A converged Ritz pair: approximate eigenvalue, eigenvector and the
 /// residual bound `‖B_k y_k‖` that certified convergence.
@@ -184,8 +164,8 @@ pub enum LanczosError {
     /// The projected eigensolver failed (should not occur for symmetric
     /// input).
     Tridiagonal(pact_sparse::EigenError),
-    /// The iteration hit `max_iters` before resolving the spectrum near
-    /// the cutoff.
+    /// The iteration hit its cap of basis vectors before resolving the
+    /// spectrum near the cutoff.
     NotConverged {
         /// Block steps performed.
         iterations: usize,
@@ -219,29 +199,21 @@ impl From<pact_sparse::EigenError> for LanczosError {
 ///
 /// This is the exact query PACT issues: eigenvalues of `E'` above
 /// `λ_c = 1/(2π f_c)` correspond to admittance poles *below* the cutoff
-/// frequency and must be retained.
+/// frequency and must be retained. Also returns the work counters.
+///
+/// The reorthogonalization sweeps run on the threads of `ctx`. Results
+/// are bit-identical for every thread count: each inner product is
+/// computed whole by one worker, and each element of an update receives
+/// its terms in basis order whichever worker owns its row.
 ///
 /// # Errors
 ///
 /// [`LanczosError::NotConverged`] if the spectrum near the cutoff cannot
-/// be resolved within the configured iteration budget.
+/// be resolved within the iteration budget.
 pub fn eigs_above(
     op: &impl SymOp,
     lambda_min: f64,
-    cfg: &LanczosConfig,
-) -> Result<Vec<RitzPair>, LanczosError> {
-    eigs_above_with_stats(op, lambda_min, cfg).map(|(pairs, _)| pairs)
-}
-
-/// Like [`eigs_above`] but also returns work counters.
-///
-/// # Errors
-///
-/// See [`eigs_above`].
-pub fn eigs_above_with_stats(
-    op: &impl SymOp,
-    lambda_min: f64,
-    cfg: &LanczosConfig,
+    ctx: &ParCtx,
 ) -> Result<(Vec<RitzPair>, LanczosStats), LanczosError> {
     let n = op.dim();
     let mut stats = LanczosStats::default();
@@ -249,11 +221,7 @@ pub fn eigs_above_with_stats(
     if n == 0 {
         return Ok((converged, stats));
     }
-    let mut rng = XorShiftRng::seed_from_u64(cfg.seed);
-    let ctx = match cfg.threads {
-        Some(t) => ParCtx::new(Some(t)),
-        None => ParCtx::serial(),
-    };
+    let mut rng = XorShiftRng::seed_from_u64(SEED);
 
     // A block Krylov sequence sees at most `BLOCK` copies of each
     // eigenvalue, so a run that resolves its spectrum with a full block
@@ -261,21 +229,13 @@ pub fn eigs_above_with_stats(
     // its residual check) is re-confirmed with a deflated restart; only a
     // restart that finds nothing new terminates such a search (this is
     // how higher multiplicities are recovered).
-    for restart in 0..cfg.max_restarts.max(1) {
+    for restart in 0..MAX_RESTARTS {
         stats.restarts = restart;
         if converged.len() >= n {
             break;
         }
         let before = converged.len();
-        let outcome = lanczos_run(
-            op,
-            lambda_min,
-            cfg,
-            &mut converged,
-            &mut rng,
-            &mut stats,
-            &ctx,
-        )?;
+        let outcome = lanczos_run(op, lambda_min, &mut converged, &mut rng, &mut stats, ctx)?;
         let found_new = converged.len() > before;
         match outcome {
             RunOutcome::Stalled => break,
@@ -316,11 +276,9 @@ enum RunOutcome {
 /// the Ritz pairs, with residual `‖A Q y − θ Q y‖ = ‖B_k y_k‖` for the
 /// last block `k` (block eq. 17/18). Ritz values are extracted after
 /// every block step.
-#[allow(clippy::too_many_arguments)]
 fn lanczos_run(
     op: &impl SymOp,
     lambda_min: f64,
-    cfg: &LanczosConfig,
     converged: &mut Vec<RitzPair>,
     rng: &mut XorShiftRng,
     stats: &mut LanczosStats,
@@ -330,7 +288,7 @@ fn lanczos_run(
     // Per-run cap: Ritz extraction costs O(k³), so unbounded runs on large
     // operators are quadratic-to-cubic in wasted work. Extreme eigenvalues
     // converge in ≪ n iterations; deflated restarts pick up the rest.
-    let max_vecs = cfg.max_iters.unwrap_or_else(|| n.min(300)).min(n).max(1);
+    let max_vecs = n.min(MAX_VECS);
     let deflate_base = converged.len();
 
     // Random orthonormal start block, deflated against already-converged
@@ -453,11 +411,11 @@ fn lanczos_run(
         };
         let bounds: Vec<f64> = (0..kk).map(bound).collect();
         let t_scale = t_norm.max(1e-300);
-        let match_tol = 16.0 * cfg.conv_tol * t_scale;
+        let match_tol = 16.0 * CONV_TOL * t_scale;
         // Converged Ritz values above the cutoff, descending.
         let conv: Vec<usize> = (0..kk)
             .rev()
-            .filter(|&i| vals[i] > lambda_min && bounds[i] <= cfg.conv_tol * t_scale)
+            .filter(|&i| vals[i] > lambda_min && bounds[i] <= CONV_TOL * t_scale)
             .collect();
         let near = |theta: f64, v: f64| (theta - v).abs() <= match_tol;
         let seen =
@@ -475,7 +433,6 @@ fn lanczos_run(
                 (z, vals, &bounds),
                 &candidates,
                 t_scale,
-                cfg,
                 converged,
                 &mut accepted,
                 stats,
@@ -485,10 +442,10 @@ fn lanczos_run(
         // Boundary proof: some Ritz value at/below the cutoff has
         // (loosely) converged, or the subspace is exhausted.
         let boundary_proven =
-            (0..kk).any(|i| vals[i] <= lambda_min && bounds[i] <= cfg.conv_tol.sqrt() * t_scale);
+            (0..kk).any(|i| vals[i] <= lambda_min && bounds[i] <= CONV_TOL.sqrt() * t_scale);
         let all_above_converged = (0..kk)
             .filter(|&i| vals[i] > lambda_min)
-            .all(|i| bounds[i] <= cfg.conv_tol * t_scale);
+            .all(|i| bounds[i] <= CONV_TOL * t_scale);
         // Basis, remainder, next block, the verification panels (Ritz
         // vectors, deflated copies, images) and the converged pairs.
         let held = kk + wj + w_next + 3 * candidates.len() + converged.len();
@@ -560,7 +517,6 @@ fn verify_candidates(
     (z, vals, bounds): (&DMat<f64>, &[f64], &[f64]),
     candidates: &[usize],
     t_scale: f64,
-    cfg: &LanczosConfig,
     converged: &mut Vec<RitzPair>,
     accepted: &mut Vec<f64>,
     stats: &mut LanczosStats,
@@ -603,7 +559,7 @@ fn verify_candidates(
     op.apply_block(&panel, kept.len(), &mut images);
     stats.matvecs += kept.len();
     stats.block_applies += 1;
-    let accept_tol = (cfg.conv_tol.sqrt() * t_scale).max(1e-8 * t_scale);
+    let accept_tol = (CONV_TOL.sqrt() * t_scale).max(1e-8 * t_scale);
     let mut found = 0;
     let pairs = panel.chunks_exact(n).zip(images.chunks_exact(n));
     for (&idx, (u, au)) in kept.iter().zip(pairs) {
@@ -916,7 +872,7 @@ mod tests {
     #[test]
     fn finds_top_of_diagonal_spectrum() {
         let d = [9.0, 7.0, 3.0, 1.0, 0.5, 0.1, 0.01];
-        let pairs = eigs_above(&diag_op(&d), 2.0, &LanczosConfig::default()).unwrap();
+        let (pairs, _) = eigs_above(&diag_op(&d), 2.0, &ParCtx::serial()).unwrap();
         assert_eq!(pairs.len(), 3);
         assert!((pairs[0].value - 9.0).abs() < 1e-8);
         assert!((pairs[1].value - 7.0).abs() < 1e-8);
@@ -933,7 +889,7 @@ mod tests {
             t.push(i, i, 0.3);
         }
         let a = t.to_csr();
-        let pairs = eigs_above(&a, 0.5, &LanczosConfig::default()).unwrap();
+        let (pairs, _) = eigs_above(&a, 0.5, &ParCtx::serial()).unwrap();
         assert!(!pairs.is_empty());
         for p in &pairs {
             let mut au = vec![0.0; 6];
@@ -954,7 +910,7 @@ mod tests {
         });
         let oracle = sym_eig(&a).unwrap();
         let cutoff = oracle.values[n - 4] + 1e-9; // top 3 eigenvalues
-        let pairs = eigs_above(&a, cutoff, &LanczosConfig::default()).unwrap();
+        let (pairs, _) = eigs_above(&a, cutoff, &ParCtx::serial()).unwrap();
         assert_eq!(pairs.len(), 3, "expected 3 eigenvalues above {cutoff}");
         for (p, expect) in pairs.iter().zip(oracle.values.iter().rev()) {
             assert!(
@@ -970,8 +926,7 @@ mod tests {
     fn repeated_eigenvalues_within_the_block_width_take_one_run() {
         // Eigenvalue 5 with multiplicity 3, plus a low-frequency tail.
         let d = [5.0, 5.0, 5.0, 0.1, 0.1, 0.05, 0.01, 0.02];
-        let (pairs, stats) =
-            eigs_above_with_stats(&diag_op(&d), 1.0, &LanczosConfig::default()).unwrap();
+        let (pairs, stats) = eigs_above(&diag_op(&d), 1.0, &ParCtx::serial()).unwrap();
         assert_eq!(pairs.len(), 3, "multiplicity missed");
         assert_eq!(stats.restarts, 0, "three copies fit one block");
         for p in &pairs {
@@ -999,8 +954,8 @@ mod tests {
         };
         let exact = sym_eig(&line_inverse(1.0)).unwrap().values;
         for scale in [1.0, 2e-13] {
-            let cfg = LanczosConfig::default();
-            let pairs = eigs_above(&line_inverse(scale), 1e-6 * scale, &cfg).unwrap();
+            let (pairs, _) =
+                eigs_above(&line_inverse(scale), 1e-6 * scale, &ParCtx::serial()).unwrap();
             assert_eq!(pairs.len(), n, "scale {scale}");
             for (p, e) in pairs.iter().zip(exact.iter().rev()) {
                 let got = p.value / scale;
@@ -1012,27 +967,26 @@ mod tests {
     #[test]
     fn empty_result_when_cutoff_above_spectrum() {
         let d = [0.3, 0.2, 0.1];
-        let pairs = eigs_above(&diag_op(&d), 1.0, &LanczosConfig::default()).unwrap();
+        let (pairs, _) = eigs_above(&diag_op(&d), 1.0, &ParCtx::serial()).unwrap();
         assert!(pairs.is_empty());
     }
 
     #[test]
     fn zero_operator() {
-        let pairs = eigs_above(&diag_op(&[0.0; 5]), 0.5, &LanczosConfig::default()).unwrap();
+        let (pairs, _) = eigs_above(&diag_op(&[0.0; 5]), 0.5, &ParCtx::serial()).unwrap();
         assert!(pairs.is_empty());
     }
 
     #[test]
     fn dimension_zero() {
-        let pairs = eigs_above(&DMat::zeros(0, 0), 0.5, &LanczosConfig::default()).unwrap();
+        let (pairs, _) = eigs_above(&DMat::zeros(0, 0), 0.5, &ParCtx::serial()).unwrap();
         assert!(pairs.is_empty());
     }
 
     #[test]
     fn stats_are_populated() {
         let d = [4.0, 3.0, 2.0, 1.0, 0.5, 0.25];
-        let (pairs, stats) =
-            eigs_above_with_stats(&diag_op(&d), 1.5, &LanczosConfig::default()).unwrap();
+        let (pairs, stats) = eigs_above(&diag_op(&d), 1.5, &ParCtx::serial()).unwrap();
         assert_eq!(pairs.len(), 3);
         assert!(stats.matvecs >= pairs.len());
         assert!(stats.block_applies >= stats.iterations && stats.iterations > 0);
@@ -1044,8 +998,7 @@ mod tests {
         // of distinct eigenvalues below the cutoff.
         let mut d = vec![5.0; 10];
         d.extend((0..30).map(|i| 0.9 * 0.8f64.powi(i)));
-        let (pairs, stats) =
-            eigs_above_with_stats(&diag_op(&d), 1.0, &LanczosConfig::default()).unwrap();
+        let (pairs, stats) = eigs_above(&diag_op(&d), 1.0, &ParCtx::serial()).unwrap();
         assert_eq!(pairs.len(), 10, "multiplicity missed");
         assert!(stats.restarts > 0, "found without the deflated restart");
         for (i, p) in pairs.iter().enumerate() {

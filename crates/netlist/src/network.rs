@@ -409,20 +409,6 @@ impl RcNetwork {
         (roots.iter().map(|&r| label[r]).collect(), count)
     }
 
-    /// Splits the network into its connected components, numbered as in
-    /// [`RcNetwork::component_labels`]: [`Components::network`] of each.
-    ///
-    /// Each component is a self-contained [`RcNetwork`] with its own
-    /// ports-first ordering (each group in the parent's order), and keeps
-    /// its elements in the parent's order; node *names* are preserved, so
-    /// reduced components can be emitted into one netlist without
-    /// clashes. Components containing no port node cannot influence any
-    /// port and are returned too (callers typically drop them).
-    pub fn connected_components(&self) -> Vec<RcNetwork> {
-        let comps = self.components();
-        (0..comps.len()).map(|k| comps.network(self, k)).collect()
-    }
-
     /// The connected components as index lists into this network, in one
     /// pass over the nodes and one over the elements; nothing is copied.
     pub fn components(&self) -> Components {
@@ -576,7 +562,12 @@ impl Components {
         stamp_branches(self.nodes(k).len(), self.ports[k], resistors, capacitors)
     }
 
-    /// Component `k` of `net` as a network of its own.
+    /// Component `k` of `net` as a network of its own, with its own
+    /// ports-first ordering (each group in the parent's order) and its
+    /// elements in the parent's order. Node *names* are preserved, so
+    /// reduced components can be emitted into one netlist without
+    /// clashes. A component containing no port node cannot influence any
+    /// port (callers typically drop it).
     pub fn network(&self, net: &RcNetwork, k: usize) -> RcNetwork {
         let [resistors, capacitors] = self.branches(net, k);
         RcNetwork {
@@ -705,7 +696,7 @@ M1 sink out 0 0 nch w=1u l=1u
     }
 
     #[test]
-    fn connected_components_split_independent_nets() {
+    fn components_split_independent_nets() {
         // Two nets sharing only ground, plus a floating RC island.
         let nl = parse(
             "\
@@ -726,8 +717,14 @@ C3 f2 0 1p
         )
         .unwrap();
         let ex = extract_rc(&nl, &[]).unwrap();
-        let comps = ex.network.connected_components();
-        assert_eq!(comps.len(), 3);
+        let split = ex.network.components();
+        assert_eq!(split.len(), 3);
+        let comps: Vec<RcNetwork> = (0..split.len())
+            .map(|k| split.network(&ex.network, k))
+            .collect();
+        for (k, c) in comps.iter().enumerate() {
+            assert_eq!(split.num_ports(k), c.num_ports);
+        }
         let with_ports: Vec<_> = comps.iter().filter(|c| c.num_ports > 0).collect();
         assert_eq!(with_ports.len(), 2);
         // Each ported component has 2 ports (driver + receiver nodes)...
@@ -751,9 +748,13 @@ C3 f2 0 1p
         )
         .unwrap();
         let ex = extract_rc(&nl, &[]).unwrap();
-        let comps = ex.network.connected_components();
-        for c in &comps {
+        let split = ex.network.components();
+        for k in 0..split.len() {
+            let c = split.network(&ex.network, k);
             let st = c.stamp();
+            // Stamping in place equals stamping the built component.
+            let direct = split.stamp(&ex.network, k);
+            assert_eq!((direct.g, direct.c), (st.g.clone(), st.c.clone()));
             assert!(st.g.is_symmetric(0.0));
             for (i, name) in c.node_names.iter().enumerate() {
                 let gi = ex.network.node_index(name).unwrap();
@@ -769,10 +770,13 @@ C3 f2 0 1p
     #[test]
     fn single_component_roundtrip() {
         let ex = extract_rc(&ladder_deck(), &[]).unwrap();
-        let comps = ex.network.connected_components();
-        assert_eq!(comps.len(), 1);
-        assert_eq!(comps[0].num_ports, ex.network.num_ports);
-        assert_eq!(comps[0].num_nodes(), ex.network.num_nodes());
+        let split = ex.network.components();
+        assert_eq!(split.len(), 1);
+        assert_eq!(split.num_ports(0), ex.network.num_ports);
+        assert_eq!(split.nodes(0).len(), ex.network.num_nodes());
+        let c = split.network(&ex.network, 0);
+        assert_eq!(c.num_ports, ex.network.num_ports);
+        assert_eq!(c.num_nodes(), ex.network.num_nodes());
     }
 
     #[test]

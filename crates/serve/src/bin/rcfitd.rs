@@ -12,15 +12,22 @@
 
 use std::process::ExitCode;
 
-use pact_serve::{serve_stdin, serve_unix, Daemon, ServeConfig};
+use pact_serve::{serve_stdin, serve_unix, Daemon, ServeConfig, MAX_THREADS};
+
+/// Largest `--queue-cap`: a worker's bounded queue allocates all its
+/// slots up front, so the cap bounds that memory. 4096 is the deepest
+/// queue any caller in this repository configures (the ledger's
+/// `serve_mix`).
+const MAX_QUEUE_CAP: usize = 4096;
 
 fn usage() -> &'static str {
     "usage: rcfitd [--workers N] [--queue-cap N] [--session-cap N] [--pattern-cap N] \
      [--max-deck-bytes N] [--socket PATH] [--stats]\n\
      Speaks rcfitd-v1 JSON Lines on stdin/stdout (one request per line, one\n\
      response per line), or on a Unix socket with --socket PATH.\n\
-     --workers      worker shards (default: min(cores, 8))\n\
-     --queue-cap    queued requests per worker before shedding (default 64)\n\
+     --workers      worker shards (default: min(cores, 8); at most 256)\n\
+     --queue-cap    queued requests per worker before shedding (default 64;\n\
+     \x20              at most 4096)\n\
      --session-cap  warm sessions kept per worker (default 8)\n\
      --pattern-cap  symbolic analyses cached per session (default 64)\n\
      --max-deck-bytes  deck size cap (default 8 MiB)\n\
@@ -50,9 +57,18 @@ fn parse_args(argv: &[String]) -> Result<DaemonArgs, String> {
                 _ => Err(format!("{flag} needs a positive integer")),
             }
         };
+        // A worker is a thread and a preallocated queue: refuse sizes
+        // the daemon could not honour before any worker starts.
+        let at_most = |flag: &str, n: usize, max: usize| -> Result<usize, String> {
+            if n > max {
+                Err(format!("{flag} is at most {max}, got {n}\n{}", usage()))
+            } else {
+                Ok(n)
+            }
+        };
         match a.as_str() {
-            "--workers" => cfg.workers = positive(a, next(a)?)?,
-            "--queue-cap" => cfg.queue_cap = positive(a, next(a)?)?,
+            "--workers" => cfg.workers = at_most(a, positive(a, next(a)?)?, MAX_THREADS)?,
+            "--queue-cap" => cfg.queue_cap = at_most(a, positive(a, next(a)?)?, MAX_QUEUE_CAP)?,
             "--session-cap" => cfg.sessions_per_worker = positive(a, next(a)?)?,
             "--pattern-cap" => cfg.patterns_per_session = positive(a, next(a)?)?,
             "--max-deck-bytes" => cfg.max_deck_bytes = positive(a, next(a)?)?,
@@ -134,5 +150,21 @@ mod tests {
         assert!(parse_args(&argv(&["--workers", "0"])).is_err());
         assert!(parse_args(&argv(&["--frobnicate"])).is_err());
         assert!(parse_args(&argv(&["--workers"])).is_err());
+    }
+
+    #[test]
+    fn sizes_past_the_bounds_are_usage_errors() {
+        // The bounds themselves parse; one past each is the usage error.
+        // Only the parser runs here: no daemon is started.
+        let a = parse_args(&argv(&["--workers", "256", "--queue-cap", "4096"])).unwrap();
+        assert_eq!(
+            (a.cfg.workers, a.cfg.queue_cap),
+            (MAX_THREADS, MAX_QUEUE_CAP)
+        );
+        for args in [["--workers", "257"], ["--queue-cap", "4097"]] {
+            let msg = parse_args(&argv(&args)).err().expect("refused");
+            assert!(msg.contains("is at most"), "{msg}");
+            assert!(msg.contains(usage()), "{args:?} must print the usage");
+        }
     }
 }

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use crate::csr::CsrMat;
-use crate::ordering::{etree_postorder, Ordering};
+use crate::ordering::{etree_postorder, nested_dissection};
 use crate::supernodal::{build_plan, refactor_numeric, SupernodalFactor, SupernodePlan};
 
 /// Selects the numeric factorization kernel (and the matching factor
@@ -152,7 +152,7 @@ pub struct PerturbedPivot {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FactorDiagnostics {
     /// Every pivot substitution, in elimination order (deterministic for a
-    /// given matrix + ordering, independent of thread count).
+    /// given matrix, independent of thread count).
     pub perturbed: Vec<PerturbedPivot>,
 }
 
@@ -165,13 +165,13 @@ pub struct FactorDiagnostics {
 /// and [`SparseCholesky::ftsolve`] apply `F⁻¹` and `F⁻ᵀ`.
 ///
 /// ```
-/// use pact_sparse::{TripletMat, SparseCholesky, Ordering};
+/// use pact_sparse::{TripletMat, SparseCholesky};
 /// let mut t = TripletMat::new(2, 2);
 /// t.push(0, 0, 4.0);
 /// t.push(1, 1, 3.0);
 /// t.push(0, 1, -1.0);
 /// t.push(1, 0, -1.0);
-/// let f = SparseCholesky::factor(&t.to_csr(), Ordering::Natural)?;
+/// let f = SparseCholesky::factor(&t.to_csr())?;
 /// let x = f.solve(&[1.0, 2.0]);
 /// // A x = b
 /// assert!((4.0 * x[0] - x[1] - 1.0).abs() < 1e-12);
@@ -227,10 +227,9 @@ impl Default for FactorData {
 /// matrices share one pattern (parameter sweeps, same-topology decks, the
 /// [`crate::LuCache`] analogue for SPD systems) a single analysis serves
 /// them all. [`SymbolicCholesky::refactor`] replays exactly the numeric
-/// elimination that a fresh [`SparseCholesky::factor_diagnosed`] with the
-/// same ordering would run — same floating-point operations in the same
-/// order — so the resulting factor is bit-identical to a cold
-/// factorization.
+/// elimination that a fresh [`SparseCholesky::factor_diagnosed`] would
+/// run — same floating-point operations in the same order — so the
+/// resulting factor is bit-identical to a cold factorization.
 #[derive(Clone, Debug)]
 pub struct SymbolicCholesky {
     n: usize,
@@ -254,20 +253,20 @@ pub struct SymbolicCholesky {
 }
 
 impl SymbolicCholesky {
-    /// Runs the symbolic analysis (ordering + elimination tree + column
-    /// counts + supernode detection) for a symmetric matrix pattern,
-    /// targeting the default kernel ([`CholKernel::Supernodal`]).
+    /// Runs the symbolic analysis (nested-dissection ordering + elimination
+    /// tree + column counts + supernode detection) for a symmetric matrix
+    /// pattern, targeting the default kernel ([`CholKernel::Supernodal`]).
     ///
     /// # Errors
     ///
     /// [`FactorError::NotSquare`] for rectangular input.
-    pub fn analyze(a: &CsrMat, ordering: Ordering) -> Result<Self, FactorError> {
-        Self::analyze_with_kernel(a, ordering, CholKernel::Supernodal)
+    pub fn analyze(a: &CsrMat) -> Result<Self, FactorError> {
+        Self::analyze_with_kernel(a, CholKernel::Supernodal)
     }
 
     /// Runs the symbolic analysis targeting an explicit numeric kernel.
     ///
-    /// For both kernels the fill-reducing permutation is composed with a
+    /// For both kernels the nested-dissection permutation is composed with a
     /// postorder of the elimination tree. A postorder is a topological
     /// reorder of the tree, so fill-in and column counts are preserved
     /// exactly; it makes supernode chains contiguous (required by the
@@ -277,15 +276,11 @@ impl SymbolicCholesky {
     /// # Errors
     ///
     /// [`FactorError::NotSquare`] for rectangular input.
-    pub fn analyze_with_kernel(
-        a: &CsrMat,
-        ordering: Ordering,
-        kernel: CholKernel,
-    ) -> Result<Self, FactorError> {
+    pub fn analyze_with_kernel(a: &CsrMat, kernel: CholKernel) -> Result<Self, FactorError> {
         if a.nrows() != a.ncols() {
             return Err(FactorError::NotSquare);
         }
-        let perm = ordering.permutation(a);
+        let perm = nested_dissection(a);
         // First pass for the elimination tree, then re-analyze under the
         // postorder-composed permutation.
         let pre = Self::analyze_perm_kernel(a, perm, CholKernel::Scalar)?;
@@ -434,10 +429,9 @@ impl SymbolicCholesky {
 
     /// Numeric-only factorization of a matrix with the analyzed pattern.
     ///
-    /// Bit-identical to a fresh [`SparseCholesky::factor_diagnosed`] with
-    /// the ordering that produced this analysis: the replay executes the
-    /// same elimination with the same permutation, so every intermediate
-    /// and final value matches exactly.
+    /// Bit-identical to a fresh [`SparseCholesky::factor_diagnosed`]: the
+    /// replay executes the same elimination with the same permutation, so
+    /// every intermediate and final value matches exactly.
     ///
     /// # Errors
     ///
@@ -664,7 +658,8 @@ fn scalar_refactor_numeric(
 }
 
 impl SparseCholesky {
-    /// Factors a symmetric positive-definite matrix.
+    /// Factors a symmetric positive-definite matrix under its
+    /// nested-dissection ordering.
     ///
     /// Only the structure and values reachable through rows are used; the
     /// matrix is assumed numerically symmetric (stamped RC conductance
@@ -674,8 +669,8 @@ impl SparseCholesky {
     ///
     /// [`FactorError::NotPositiveDefinite`] if a pivot `≤ 0` is found,
     /// [`FactorError::NotSquare`] for rectangular input.
-    pub fn factor(a: &CsrMat, ordering: Ordering) -> Result<Self, FactorError> {
-        Self::factor_analyzed(a, ordering, PivotPolicy::Error).map(|(f, _, _)| f)
+    pub fn factor(a: &CsrMat) -> Result<Self, FactorError> {
+        Self::factor_analyzed(a, PivotPolicy::Error).map(|(f, _, _)| f)
     }
 
     /// Factors under an explicit [`PivotPolicy`], returning the factor
@@ -693,10 +688,9 @@ impl SparseCholesky {
     /// strict behavior).
     pub fn factor_diagnosed(
         a: &CsrMat,
-        ordering: Ordering,
         policy: PivotPolicy,
     ) -> Result<(Self, FactorDiagnostics), FactorError> {
-        Self::factor_analyzed(a, ordering, policy).map(|(f, diag, _)| (f, diag))
+        Self::factor_analyzed(a, policy).map(|(f, diag, _)| (f, diag))
     }
 
     /// Factors under an explicit [`PivotPolicy`] and also returns the
@@ -710,10 +704,9 @@ impl SparseCholesky {
     /// Same as [`SparseCholesky::factor_diagnosed`].
     pub fn factor_analyzed(
         a: &CsrMat,
-        ordering: Ordering,
         policy: PivotPolicy,
     ) -> Result<(Self, FactorDiagnostics, SymbolicCholesky), FactorError> {
-        Self::factor_analyzed_with_kernel(a, ordering, policy, CholKernel::Supernodal)
+        Self::factor_analyzed_with_kernel(a, policy, CholKernel::Supernodal)
     }
 
     /// [`SparseCholesky::factor_analyzed`] with an explicit numeric
@@ -725,11 +718,10 @@ impl SparseCholesky {
     /// Same as [`SparseCholesky::factor_analyzed`].
     pub fn factor_analyzed_with_kernel(
         a: &CsrMat,
-        ordering: Ordering,
         policy: PivotPolicy,
         kernel: CholKernel,
     ) -> Result<(Self, FactorDiagnostics, SymbolicCholesky), FactorError> {
-        let sym = SymbolicCholesky::analyze_with_kernel(a, ordering, kernel)?;
+        let sym = SymbolicCholesky::analyze_with_kernel(a, kernel)?;
         let (factor, diag) = sym.refactor(a, policy)?;
         Ok((factor, diag, sym))
     }
@@ -1221,16 +1213,27 @@ mod tests {
         norm_inf(&ax.iter().zip(b).map(|(p, q)| p - q).collect::<Vec<_>>())
     }
 
+    /// The identity and three seeded random relabelings `P` of `0..n`:
+    /// the tests factor `P A Pᵀ` under each, so the nested-dissection
+    /// ordering meets the same graph under several input numberings.
+    fn relabelings(n: usize) -> Vec<Vec<usize>> {
+        let mut rng = crate::XorShiftRng::seed_from_u64(0x5eed);
+        let mut out = vec![(0..n).collect()];
+        out.extend((0..3).map(|_| rng.permutation(n)));
+        out
+    }
+
     #[test]
-    fn solves_path_all_orderings() {
-        let a = spd_path(25);
+    fn solves_path_under_relabelings() {
+        let path = spd_path(25);
         let b: Vec<f64> = (0..25).map(|i| (i as f64).sin()).collect();
-        for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
-            let f = SparseCholesky::factor(&a, ord).unwrap();
+        for (r, p) in relabelings(25).iter().enumerate() {
+            let a = path.permute_sym(p);
+            let f = SparseCholesky::factor(&a).unwrap();
             let x = f.solve(&b);
             assert!(
                 residual(&a, &x, &b) < 1e-10,
-                "residual too large for {ord:?}"
+                "residual too large under relabeling {r}"
             );
         }
     }
@@ -1239,7 +1242,7 @@ mod tests {
     fn solves_grid() {
         let a = spd_grid(8, 7);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let f = SparseCholesky::factor(&a, Ordering::Rcm).unwrap();
+        let f = SparseCholesky::factor(&a).unwrap();
         let x = f.solve(&b);
         assert!(residual(&a, &x, &b) < 1e-9);
     }
@@ -1249,7 +1252,7 @@ mod tests {
         // F F^T = A  ⇒  A^{-1} b = F^{-T} (F^{-1} b)
         let a = spd_grid(5, 5);
         let b: Vec<f64> = (0..25).map(|i| (i % 3) as f64 - 1.0).collect();
-        let f = SparseCholesky::factor(&a, Ordering::Rcm).unwrap();
+        let f = SparseCholesky::factor(&a).unwrap();
         let via_parts = f.ftsolve(&f.fsolve(&b));
         let direct = f.solve(&b);
         for (u, v) in via_parts.iter().zip(&direct) {
@@ -1262,7 +1265,7 @@ mod tests {
         // Verify F F^T = A by applying to basis vectors: A e_i should equal
         // F (F^T e_i). We check by solving instead: x = solve(a e_i) == e_i.
         let a = spd_path(10);
-        let f = SparseCholesky::factor(&a, Ordering::MinDegree).unwrap();
+        let f = SparseCholesky::factor(&a).unwrap();
         for i in 0..10 {
             let mut e = vec![0.0; 10];
             e[i] = 1.0;
@@ -1279,7 +1282,7 @@ mod tests {
         let mut t = TripletMat::new(2, 2);
         t.push(0, 0, 1.0);
         t.push(1, 1, -1.0);
-        let err = SparseCholesky::factor(&t.to_csr(), Ordering::Natural).unwrap_err();
+        let err = SparseCholesky::factor(&t.to_csr()).unwrap_err();
         match err {
             FactorError::NotPositiveDefinite { pivot, .. } => assert!(pivot <= 0.0),
             other => panic!("unexpected error {other:?}"),
@@ -1294,7 +1297,7 @@ mod tests {
         t.push(0, 0, 2.0);
         // node 1 has no connection at all -> pivot 0
         let a = t.to_csr();
-        let e = SparseCholesky::factor(&a, Ordering::Natural).unwrap_err();
+        let e = SparseCholesky::factor(&a).unwrap_err();
         // The failed index names the offending row of the *original*
         // (unpermuted) matrix so callers can attribute it to a node.
         assert_eq!(e.failed_index(), Some(1));
@@ -1309,7 +1312,6 @@ mod tests {
         let a = t.to_csr();
         let (f, diag) = SparseCholesky::factor_diagnosed(
             &a,
-            Ordering::Natural,
             PivotPolicy::Perturb {
                 rel_threshold: 1e-12,
             },
@@ -1344,19 +1346,20 @@ mod tests {
                 t.push(i, i, 0.5);
             }
         }
-        // node 5 floats entirely.
-        let a = t.to_csr();
-        for ord in ALL_ORDERINGS {
+        // node 5 floats entirely; relabeled, it is row `inv[5]`.
+        let line = t.to_csr();
+        for (r, p) in relabelings(n).iter().enumerate() {
+            let a = line.permute_sym(p);
+            let floating = crate::invert_permutation(p)[5];
             let (_, diag) = SparseCholesky::factor_diagnosed(
                 &a,
-                ord,
                 PivotPolicy::Perturb {
                     rel_threshold: 1e-10,
                 },
             )
             .unwrap();
-            assert_eq!(diag.perturbed.len(), 1, "{ord:?}");
-            assert_eq!(diag.perturbed[0].index, 5, "{ord:?}");
+            assert_eq!(diag.perturbed.len(), 1, "relabeling {r}");
+            assert_eq!(diag.perturbed[0].index, floating, "relabeling {r}");
         }
     }
 
@@ -1365,14 +1368,13 @@ mod tests {
         let a = spd_grid(6, 5);
         let (f, diag) = SparseCholesky::factor_diagnosed(
             &a,
-            Ordering::Rcm,
             PivotPolicy::Perturb {
                 rel_threshold: 1e-12,
             },
         )
         .unwrap();
         assert!(diag.perturbed.is_empty());
-        let strict = SparseCholesky::factor(&a, Ordering::Rcm).unwrap();
+        let strict = SparseCholesky::factor(&a).unwrap();
         let b: Vec<f64> = (0..a.nrows()).map(|i| (i as f64).cos()).collect();
         assert_eq!(f.solve(&b), strict.solve(&b));
     }
@@ -1394,24 +1396,17 @@ mod tests {
         t.to_csr()
     }
 
-    const ALL_ORDERINGS: [Ordering; 4] = [
-        Ordering::Natural,
-        Ordering::Rcm,
-        Ordering::MinDegree,
-        Ordering::NestedDissection,
-    ];
-
     #[test]
-    fn solve_block_matches_column_solves_all_orderings() {
+    fn solve_block_matches_column_solves_under_relabelings() {
         // The blocked kernel must agree with column-by-column scalar
-        // solves on random SPD systems, for every ordering and for widths
-        // below, at, and above the lane count.
+        // solves on random SPD systems, under every relabeling and for
+        // widths below, at, and above the lane count.
         let mut rng = crate::XorShiftRng::seed_from_u64(0xb10c);
-        for ord in ALL_ORDERINGS {
+        for r in 0..4 {
             for &k in &[1usize, 3, LANES, LANES + 5] {
                 let n = 20 + rng.gen_index(15);
-                let a = spd_random(n, &mut rng);
-                let f = SparseCholesky::factor(&a, ord).unwrap();
+                let a = spd_random(n, &mut rng).permute_sym(&relabelings(n)[r]);
+                let f = SparseCholesky::factor(&a).unwrap();
                 let b: Vec<f64> = (0..n * k).map(|_| rng.gen_range_f64(-2.0, 2.0)).collect();
                 let blocked = f.solve_block(&b, k);
                 for c in 0..k {
@@ -1420,7 +1415,7 @@ mod tests {
                         assert_eq!(
                             blocked[c * n + i],
                             col[i],
-                            "solve_block mismatch {ord:?} k={k} col={c} row={i}"
+                            "solve_block mismatch relabeling {r} k={k} col={c} row={i}"
                         );
                     }
                 }
@@ -1429,13 +1424,13 @@ mod tests {
     }
 
     #[test]
-    fn fsolve_block_matches_column_solves_all_orderings() {
+    fn fsolve_block_matches_column_solves_under_relabelings() {
         let mut rng = crate::XorShiftRng::seed_from_u64(0xf50e);
-        for ord in ALL_ORDERINGS {
+        for (r, p) in relabelings(25).iter().enumerate() {
             let n = 25;
             let k = LANES + 2;
-            let a = spd_random(n, &mut rng);
-            let f = SparseCholesky::factor(&a, ord).unwrap();
+            let a = spd_random(n, &mut rng).permute_sym(p);
+            let f = SparseCholesky::factor(&a).unwrap();
             let b: Vec<f64> = (0..n * k).map(|_| rng.gen_range_f64(-2.0, 2.0)).collect();
             let blocked = f.fsolve_block(&b, k);
             for c in 0..k {
@@ -1444,7 +1439,7 @@ mod tests {
                     assert_eq!(
                         blocked[c * n + i],
                         col[i],
-                        "fsolve_block mismatch {ord:?} col={c} row={i}"
+                        "fsolve_block mismatch relabeling {r} col={c} row={i}"
                     );
                 }
             }
@@ -1452,13 +1447,13 @@ mod tests {
     }
 
     #[test]
-    fn ftsolve_block_matches_column_solves_all_orderings() {
+    fn ftsolve_block_matches_column_solves_under_relabelings() {
         let mut rng = crate::XorShiftRng::seed_from_u64(0xf751);
-        for ord in ALL_ORDERINGS {
+        for (r, p) in relabelings(25).iter().enumerate() {
             let n = 25;
             let k = LANES + 2;
-            let a = spd_random(n, &mut rng);
-            let f = SparseCholesky::factor(&a, ord).unwrap();
+            let a = spd_random(n, &mut rng).permute_sym(p);
+            let f = SparseCholesky::factor(&a).unwrap();
             let b: Vec<f64> = (0..n * k).map(|_| rng.gen_range_f64(-2.0, 2.0)).collect();
             let blocked = f.ftsolve_block(&b, k);
             for c in 0..k {
@@ -1467,7 +1462,7 @@ mod tests {
                     assert_eq!(
                         blocked[c * n + i],
                         col[i],
-                        "ftsolve_block mismatch {ord:?} col={c} row={i}"
+                        "ftsolve_block mismatch relabeling {r} col={c} row={i}"
                     );
                 }
             }
@@ -1479,7 +1474,7 @@ mod tests {
         let mut rng = crate::XorShiftRng::seed_from_u64(0x1470);
         let n = 30;
         let a = spd_random(n, &mut rng);
-        let f = SparseCholesky::factor(&a, Ordering::Rcm).unwrap();
+        let f = SparseCholesky::factor(&a).unwrap();
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
         let mut out = vec![0.0; n];
         let mut work = Vec::new();
@@ -1502,7 +1497,7 @@ mod tests {
         let mut rng = crate::XorShiftRng::seed_from_u64(0x9999);
         let n = 18;
         let a = spd_random(n, &mut rng);
-        let f = SparseCholesky::factor(&a, Ordering::MinDegree).unwrap();
+        let f = SparseCholesky::factor(&a).unwrap();
         let mut out = vec![0.0; n * 4];
         let mut work = Vec::new();
         for _ in 0..3 {
@@ -1518,7 +1513,7 @@ mod tests {
     #[test]
     fn log_det_matches_dense() {
         let a = spd_path(6);
-        let f = SparseCholesky::factor(&a, Ordering::Rcm).unwrap();
+        let f = SparseCholesky::factor(&a).unwrap();
         // determinant via dense LU on the same matrix
         let dense = a.to_dense();
         let lu = crate::lu::DenseLu::factor(&dense).unwrap();
@@ -1526,18 +1521,22 @@ mod tests {
     }
 
     #[test]
-    fn ordering_changes_fill_but_not_solution() {
+    fn relabeling_changes_fill_but_not_solution() {
         let a = spd_grid(10, 10);
         let b = vec![1.0; 100];
-        let f1 = SparseCholesky::factor(&a, Ordering::Natural).unwrap();
-        let f2 = SparseCholesky::factor(&a, Ordering::MinDegree).unwrap();
+        let f1 = SparseCholesky::factor(&a).unwrap();
         let x1 = f1.solve(&b);
-        let x2 = f2.solve(&b);
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-8);
+        for p in &relabelings(100)[1..] {
+            // Solve P A Pᵀ (P x) = P b and map the answer back.
+            let f2 = SparseCholesky::factor(&a.permute_sym(p)).unwrap();
+            let pb: Vec<f64> = p.iter().map(|&i| b[i]).collect();
+            let y = f2.solve(&pb);
+            for (k, &i) in p.iter().enumerate() {
+                assert!((x1[i] - y[k]).abs() < 1e-8);
+            }
+            // A scrambled numbering should not drastically worsen fill.
+            assert!(f2.l_nnz() <= 2 * f1.l_nnz());
         }
-        // Min-degree should not be drastically worse than natural on a grid.
-        assert!(f2.l_nnz() <= 2 * f1.l_nnz());
     }
 
     /// Same-pattern matrix with different values (the session-cache case).
@@ -1553,11 +1552,11 @@ mod tests {
 
     #[test]
     fn refactor_is_bitwise_identical_to_fresh() {
-        let a = spd_grid(9, 8);
-        let b = scale_values(&a, 1.75);
-        for ord in ALL_ORDERINGS {
-            let (f0, diag0, sym) =
-                SparseCholesky::factor_analyzed(&a, ord, PivotPolicy::Error).unwrap();
+        let grid = spd_grid(9, 8);
+        for p in relabelings(grid.nrows()) {
+            let a = grid.permute_sym(&p);
+            let b = scale_values(&a, 1.75);
+            let (f0, diag0, sym) = SparseCholesky::factor_analyzed(&a, PivotPolicy::Error).unwrap();
             assert!(sym.matches(&a) && sym.matches(&b));
             assert_eq!(sym.n(), a.nrows());
             assert_eq!(sym.l_nnz(), f0.l_nnz());
@@ -1570,9 +1569,9 @@ mod tests {
             assert_eq!(f0.pivots(), f1.pivots());
             assert_eq!(f0.permutation(), f1.permutation());
 
-            // Refactor on new values matches a fresh factorization with the
-            // same ordering bit-for-bit, both allocating and in place.
-            let (fresh, _) = SparseCholesky::factor_diagnosed(&b, ord, PivotPolicy::Error).unwrap();
+            // Refactor on new values matches a fresh factorization
+            // bit-for-bit, both allocating and in place.
+            let (fresh, _) = SparseCholesky::factor_diagnosed(&b, PivotPolicy::Error).unwrap();
             let (f2, _) = sym.refactor(&b, PivotPolicy::Error).unwrap();
             assert_eq!(fresh.factor_values(), f2.factor_values());
             assert_eq!(fresh.pivots(), f2.pivots());
@@ -1589,9 +1588,7 @@ mod tests {
     fn refactor_rejects_different_structure() {
         let a = spd_grid(6, 6);
         let other = spd_path(36);
-        let (_, _, sym) =
-            SparseCholesky::factor_analyzed(&a, Ordering::NestedDissection, PivotPolicy::Error)
-                .unwrap();
+        let (_, _, sym) = SparseCholesky::factor_analyzed(&a, PivotPolicy::Error).unwrap();
         assert!(!sym.matches(&other));
         assert_eq!(
             sym.refactor(&other, PivotPolicy::Error).unwrap_err(),
@@ -1612,8 +1609,7 @@ mod tests {
         let policy = PivotPolicy::Perturb {
             rel_threshold: 1e-12,
         };
-        let (fresh, diag_fresh, sym) =
-            SparseCholesky::factor_analyzed(&a, Ordering::Natural, policy).unwrap();
+        let (fresh, diag_fresh, sym) = SparseCholesky::factor_analyzed(&a, policy).unwrap();
         assert!(!diag_fresh.perturbed.is_empty());
         let (replay, diag_replay) = sym.refactor(&a, policy).unwrap();
         assert_eq!(diag_fresh, diag_replay);
@@ -1628,8 +1624,7 @@ mod tests {
         let a = t.to_csr();
         // Under the strict policy a NaN is reported as non-finite, not as
         // an ordinary indefinite pivot.
-        let err = SparseCholesky::factor_diagnosed(&a, Ordering::Natural, PivotPolicy::Error)
-            .unwrap_err();
+        let err = SparseCholesky::factor_diagnosed(&a, PivotPolicy::Error).unwrap_err();
         assert!(
             matches!(err, FactorError::NonFinitePivot { index: 0, .. }),
             "unexpected error: {err:?}"
@@ -1638,7 +1633,6 @@ mod tests {
         // input, not a quasi-singular but physical network.
         let err = SparseCholesky::factor_diagnosed(
             &a,
-            Ordering::Natural,
             PivotPolicy::Perturb {
                 rel_threshold: 1e-12,
             },

@@ -10,7 +10,7 @@
 //!   and symmetric sparse operations (products, partition extraction,
 //!   symmetric permutation);
 //! - [`SparseCholesky`]: supernodal (blocked) LDLᵀ with elimination tree
-//!   and fill-reducing [`Ordering`], exposing the Cholesky-factor solves
+//!   and nested-dissection ordering, exposing the Cholesky-factor solves
 //!   `F⁻¹`/`F⁻ᵀ` used by the paper's first congruence transform (a
 //!   scalar up-looking kernel, selected by [`CholKernel`], is the test
 //!   oracle);
@@ -28,14 +28,14 @@
 //! ## Example
 //!
 //! ```
-//! use pact_sparse::{TripletMat, SparseCholesky, Ordering};
+//! use pact_sparse::{TripletMat, SparseCholesky};
 //!
 //! // Stamp a 3-resistor network's conductance matrix and solve.
 //! let mut g = TripletMat::new(2, 2);
 //! g.stamp_conductance(Some(0), Some(1), 1e-3); // 1 kΩ between nodes 0,1
 //! g.stamp_conductance(Some(0), None, 1e-3);    // 1 kΩ node 0 to ground
 //! g.stamp_conductance(Some(1), None, 1e-3);    // 1 kΩ node 1 to ground
-//! let chol = SparseCholesky::factor(&g.to_csr(), Ordering::Rcm)?;
+//! let chol = SparseCholesky::factor(&g.to_csr())?;
 //! let v = chol.solve(&[1e-3, 0.0]); // inject 1 mA into node 0
 //! assert!(v[0] > v[1]);
 //! # Ok::<(), pact_sparse::FactorError>(())
@@ -76,12 +76,9 @@ pub use dense::{axpy, dot, ldl_update_trapezoid, norm2, norm_inf, scale, DMat};
 pub use eigen::{sym_eig, EigenError, SymEig};
 pub use lu::{invert, DenseLu, SingularMatrixError};
 pub use ordering::{
-    amd, etree_postorder, invert_permutation, nested_dissection_partition, profile, NdPartition,
-    Ordering,
+    amd, etree_postorder, invert_permutation, nested_dissection_partition, NdPartition,
 };
 pub use par::{split_ranges, ParCtx};
 pub use pencil::CscPencil;
 pub use rng::XorShiftRng;
-pub use splu::{
-    CscMat, LuCache, RefactorError, SparseLu, SparseLuError, SymbolicLu, DEFAULT_PIVOT_THRESHOLD,
-};
+pub use splu::{CscMat, LuCache, RefactorError, SparseLu, SparseLuError, SymbolicLu};

@@ -2,62 +2,26 @@
 //!
 //! The paper factors the internal conductance matrix `D` of 3-D mesh
 //! networks; ordering quality determines the dominant memory term
-//! (19.5 of 25.8 MB in Table 4). Nested dissection (the default) and
-//! reverse Cuthill–McKee serve the mesh Cholesky. [`amd`], an
-//! approximate-minimum-degree ordering of `A + Aᵀ`, is the one
-//! minimum-degree routine: it is [`Ordering::MinDegree`] for the
-//! Cholesky and the column pre-order every [`crate::SparseLu`] applies
-//! before factoring, so circuit MNA matrices factor with near-minimal
-//! fill whatever order the deck names its nodes in.
+//! (19.5 of 25.8 MB in Table 4). Every [`crate::SparseCholesky`] orders
+//! by nested dissection. [`amd`], an approximate-minimum-degree ordering
+//! of `A + Aᵀ`, is the column pre-order every [`crate::SparseLu`]
+//! applies before factoring, so circuit MNA matrices factor with
+//! near-minimal fill whatever order the deck names its nodes in.
 
 use std::collections::BTreeSet;
 
 use crate::csr::CsrMat;
 
-/// Ordering strategy for [`crate::SparseCholesky`] (the sparse LU always
-/// pre-orders with [`amd`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Ordering {
-    /// Keep the input order.
-    Natural,
-    /// Reverse Cuthill–McKee: bandwidth-reducing, robust on meshes.
-    Rcm,
-    /// Approximate minimum degree ([`amd`]), the same ordering the
-    /// sparse LU pre-orders its columns with.
-    MinDegree,
-    /// Nested dissection with BFS level-set separators: asymptotically the
-    /// best fill for 2-D/3-D mesh graphs (`O(n log n)` vs RCM's banded
-    /// `O(n^{5/3})` on a 3-D grid). The default — substrate meshes are
-    /// exactly its sweet spot.
-    #[default]
-    NestedDissection,
-}
-
-impl Ordering {
-    /// Computes the permutation for a symmetric matrix pattern.
-    ///
-    /// The result `perm` is used as `P A Pᵀ` with
-    /// [`CsrMat::permute_sym`]: row `i` of the permuted matrix is row
-    /// `perm[i]` of the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square.
-    pub fn permutation(self, a: &CsrMat) -> Vec<usize> {
-        assert_eq!(a.nrows(), a.ncols(), "ordering needs a square matrix");
-        match self {
-            Ordering::Natural => (0..a.nrows()).collect(),
-            Ordering::Rcm => rcm(a),
-            Ordering::MinDegree => amd(a.nrows(), a.indptr(), a.indices()),
-            Ordering::NestedDissection => nested_dissection(a),
-        }
-    }
-}
-
 /// Nested dissection: recursively split the graph with a BFS level-set
 /// separator, order the two halves first and the separator last. Small
-/// subgraphs fall back to minimum degree.
-fn nested_dissection(a: &CsrMat) -> Vec<usize> {
+/// subgraphs fall back to minimum degree. Asymptotically the best fill
+/// for 2-D/3-D mesh graphs (`O(n log n)` vs a banded ordering's
+/// `O(n^{5/3})` on a 3-D grid); substrate meshes are exactly its sweet
+/// spot.
+///
+/// The result `perm` is used as `P A Pᵀ` with [`CsrMat::permute_sym`]:
+/// row `i` of the permuted matrix is row `perm[i]` of the original.
+pub(crate) fn nested_dissection(a: &CsrMat) -> Vec<usize> {
     let n = a.nrows();
     let mut order = Vec::with_capacity(n);
     let all: Vec<usize> = (0..n).collect();
@@ -608,52 +572,14 @@ fn is_permutation(perm: &[usize]) -> bool {
     true
 }
 
-/// Reverse Cuthill–McKee ordering of the adjacency graph of `a`.
-///
-/// Handles disconnected graphs by restarting BFS from the minimum-degree
-/// unvisited node of each component.
-fn rcm(a: &CsrMat) -> Vec<usize> {
-    let n = a.nrows();
-    let degree: Vec<usize> = (0..n)
-        .map(|i| a.row_iter(i).filter(|&(j, _)| j != i).count())
-        .collect();
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-    let mut neighbors: Vec<usize> = Vec::new();
-
-    // Pick an unvisited node of minimum degree as the next seed for each
-    // component (pseudo-peripheral heuristic: min degree works well on
-    // meshes).
-    while let Some(seed) = (0..n).filter(|&i| !visited[i]).min_by_key(|&i| degree[i]) {
-        visited[seed] = true;
-        queue.push_back(seed);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            neighbors.clear();
-            neighbors.extend(a.row_iter(u).map(|(j, _)| j).filter(|&j| !visited[j]));
-            neighbors.sort_unstable_by_key(|&j| degree[j]);
-            for &j in &neighbors {
-                if !visited[j] {
-                    visited[j] = true;
-                    queue.push_back(j);
-                }
-            }
-        }
-    }
-    order.reverse();
-    order
-}
-
 /// Approximate minimum degree (AMD) ordering of the symmetric pattern
 /// `A + Aᵀ` of a square matrix given in compressed form (`indptr`,
 /// `indices`: CSC or CSR — the union pattern is the same). Diagonal
 /// entries are ignored; duplicates are allowed.
 ///
 /// Returns `perm` with `perm[k]` = the `k`-th variable to eliminate, the
-/// contract of [`Ordering::permutation`]. This is the fill-reducing
-/// column pre-order of the sparse LU and the [`Ordering::MinDegree`]
-/// ordering of the Cholesky.
+/// contract of [`CsrMat::permute_sym`]. This is the fill-reducing column
+/// pre-order of the sparse LU.
 ///
 /// The algorithm is Amestoy–Davis–Duff AMD on a quotient graph:
 ///
@@ -1185,22 +1111,6 @@ pub fn etree_postorder(parent: &[usize]) -> Vec<usize> {
     post
 }
 
-/// Profile (sum of row bandwidths) of a symmetric pattern under a
-/// permutation; a cheap proxy for Cholesky fill under envelope methods.
-pub fn profile(a: &CsrMat, perm: &[usize]) -> usize {
-    let inv = invert_permutation(perm);
-    let mut total = 0usize;
-    for i in 0..a.nrows() {
-        let pi = inv[i];
-        let mut lo = pi;
-        for (j, _) in a.row_iter(i) {
-            lo = lo.min(inv[j]);
-        }
-        total += pi - lo;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1220,17 +1130,23 @@ mod tests {
         t.to_csr()
     }
 
+    /// [`amd`] of a square matrix's pattern.
+    fn amd_of(a: &CsrMat) -> Vec<usize> {
+        amd(a.nrows(), a.indptr(), a.indices())
+    }
+
+    type Order = fn(&CsrMat) -> Vec<usize>;
+
+    /// The two orderings, by name: the Cholesky's and the LU's.
+    const ORDERINGS: [(&str, Order); 2] =
+        [("nested_dissection", nested_dissection), ("amd", amd_of)];
+
     #[test]
     fn permutations_are_valid() {
         let a = scrambled_chain(20);
-        for ord in [
-            Ordering::Natural,
-            Ordering::Rcm,
-            Ordering::MinDegree,
-            Ordering::NestedDissection,
-        ] {
-            let p = ord.permutation(&a);
-            assert!(is_permutation(&p), "{ord:?} produced invalid permutation");
+        for (name, ord) in ORDERINGS {
+            let p = ord(&a);
+            assert!(is_permutation(&p), "{name} produced invalid permutation");
         }
     }
 
@@ -1259,19 +1175,22 @@ mod tests {
     }
 
     #[test]
-    fn nested_dissection_beats_rcm_fill_on_3d_grid() {
+    fn nested_dissection_fill_on_3d_grid_beats_natural_and_nears_amd() {
+        // The natural order of a grid is banded (bandwidth nx·ny), the
+        // envelope fill nested dissection exists to beat. On this small
+        // grid AMD still wins by ~17 % (nd 15,983, amd 13,669, natural
+        // 51,509 entries); ND must stay within 1.5× of it.
         let a = grid3d(10, 10, 6);
-        let fill = |ord: Ordering| {
-            crate::cholesky::SparseCholesky::factor(&a, ord)
-                .expect("factor")
-                .l_nnz()
-        };
-        let rcm = fill(Ordering::Rcm);
-        let nd = fill(Ordering::NestedDissection);
+        let adj = adjacency(&a);
+        let fill = |p: &[usize]| symbolic_fill(a.nrows(), &adj, p);
+        let natural = fill(&(0..a.nrows()).collect::<Vec<_>>());
+        let amd = fill(&amd_of(&a));
+        let nd = fill(&nested_dissection(&a));
         assert!(
-            nd < rcm,
-            "nested dissection should reduce fill on a 3-D grid: nd={nd} rcm={rcm}"
+            nd < natural,
+            "nested dissection should reduce fill on a 3-D grid: nd={nd} natural={natural}"
         );
+        assert!(2 * nd < 3 * amd, "nd {nd} vs amd {amd}");
     }
 
     #[test]
@@ -1287,28 +1206,15 @@ mod tests {
             t.push(i, i, 1.0);
         }
         let a = t.to_csr();
-        let p = Ordering::NestedDissection.permutation(&a);
+        let p = nested_dissection(&a);
         assert!(is_permutation(&p));
-    }
-
-    #[test]
-    fn rcm_reduces_profile_on_chain() {
-        let a = scrambled_chain(40);
-        let natural = profile(&a, &Ordering::Natural.permutation(&a));
-        let rcm = profile(&a, &Ordering::Rcm.permutation(&a));
-        assert!(
-            rcm < natural,
-            "RCM should reduce profile: rcm={rcm} natural={natural}"
-        );
-        // A chain perfectly ordered has profile n-1.
-        assert_eq!(rcm, 39);
     }
 
     #[test]
     fn min_degree_orders_chain_perfectly() {
         // On a chain min-degree eliminates endpoints first: no fill at all.
         let a = scrambled_chain(15);
-        let p = Ordering::MinDegree.permutation(&a);
+        let p = amd_of(&a);
         assert!(is_permutation(&p));
         let no_fill = (a.nnz() + a.nrows()) / 2;
         assert_eq!(symbolic_fill(15, &adjacency(&a), &p), no_fill);
@@ -1384,22 +1290,19 @@ mod tests {
 
     #[test]
     fn amd_fill_is_near_minimum_degree_quality() {
-        // On 2-D and 3-D grids AMD must beat natural order and RCM by a
-        // wide margin, and cost no more fill than nested dissection's
-        // ballpark.
+        // On 2-D and 3-D grids AMD must beat natural order by a wide
+        // margin, and cost no more fill than nested dissection's ballpark.
         for a in [grid3d(20, 20, 1), grid3d(8, 8, 8)] {
             let n = a.nrows();
             let adj = adjacency(&a);
             let fill = |p: &[usize]| symbolic_fill(n, &adj, p);
-            let amd_fill = fill(&Ordering::MinDegree.permutation(&a));
-            let natural = fill(&Ordering::Natural.permutation(&a));
-            let rcm = fill(&Ordering::Rcm.permutation(&a));
-            let nd = fill(&Ordering::NestedDissection.permutation(&a));
+            let amd_fill = fill(&amd_of(&a));
+            let natural = fill(&(0..n).collect::<Vec<_>>());
+            let nd = fill(&nested_dissection(&a));
             assert!(
                 2 * amd_fill < natural,
                 "amd {amd_fill} vs natural {natural}"
             );
-            assert!(amd_fill < rcm, "amd {amd_fill} vs rcm {rcm}");
             assert!(amd_fill < 2 * nd, "amd {amd_fill} vs nd {nd}");
         }
     }
@@ -1414,7 +1317,7 @@ mod tests {
             t.stamp_conductance(Some(0), Some(i), 1.0);
         }
         let a = t.to_csr();
-        let p = Ordering::MinDegree.permutation(&a);
+        let p = amd_of(&a);
         assert_eq!(p[n - 1], 0, "hub must be eliminated last");
         assert_eq!(symbolic_fill(n, &adjacency(&a), &p), 2 * n - 1);
     }
@@ -1432,7 +1335,7 @@ mod tests {
             }
         }
         let a = t.to_csr();
-        let p = Ordering::MinDegree.permutation(&a);
+        let p = amd_of(&a);
         assert!(is_permutation(&p));
         assert_eq!(symbolic_fill(60, &adjacency(&a), &p), (a.nnz() + 60) / 2);
     }
@@ -1449,15 +1352,10 @@ mod tests {
     #[test]
     fn empty_matrix_permutations_are_valid() {
         let a = TripletMat::new(0, 0).to_csr();
-        for ord in [
-            Ordering::Natural,
-            Ordering::Rcm,
-            Ordering::MinDegree,
-            Ordering::NestedDissection,
-        ] {
-            let p = ord.permutation(&a);
-            assert!(p.is_empty(), "{ord:?} must return an empty permutation");
-            assert!(is_permutation(&p), "{ord:?} invalid on the empty matrix");
+        for (name, ord) in ORDERINGS {
+            let p = ord(&a);
+            assert!(p.is_empty(), "{name} must return an empty permutation");
+            assert!(is_permutation(&p), "{name} invalid on the empty matrix");
         }
     }
 
@@ -1466,25 +1364,15 @@ mod tests {
         let mut t = TripletMat::new(1, 1);
         t.push(0, 0, 2.0);
         let a = t.to_csr();
-        for ord in [
-            Ordering::Natural,
-            Ordering::Rcm,
-            Ordering::MinDegree,
-            Ordering::NestedDissection,
-        ] {
-            let p = ord.permutation(&a);
-            assert_eq!(p, vec![0], "{ord:?} wrong on a single-node graph");
+        for (name, ord) in ORDERINGS {
+            let p = ord(&a);
+            assert_eq!(p, vec![0], "{name} wrong on a single-node graph");
         }
         // A 1x1 matrix with no stored entries (isolated vertex) too.
         let empty_single = TripletMat::new(1, 1).to_csr();
-        for ord in [
-            Ordering::Natural,
-            Ordering::Rcm,
-            Ordering::MinDegree,
-            Ordering::NestedDissection,
-        ] {
-            let p = ord.permutation(&empty_single);
-            assert_eq!(p, vec![0], "{ord:?} wrong on an isolated vertex");
+        for (name, ord) in ORDERINGS {
+            let p = ord(&empty_single);
+            assert_eq!(p, vec![0], "{name} wrong on an isolated vertex");
         }
     }
 
@@ -1685,7 +1573,7 @@ mod tests {
             ("disconnected", 0x8348_6621_c650_f8e5, 0x6b5a_1480_0c16_d87c),
         ];
         let got = fingerprint_graphs().map(|(name, a)| {
-            let perm = Ordering::NestedDissection.permutation(&a);
+            let perm = nested_dissection(&a);
             assert!(is_permutation(&perm), "{name}: not a permutation");
             let part = nested_dissection_partition(&a, 2000, 16);
             partition_invariants(&a, &part);
@@ -1707,8 +1595,10 @@ mod tests {
             t.push(i, i, 1.0);
         }
         let a = t.to_csr();
-        let p = Ordering::Rcm.permutation(&a);
-        assert!(is_permutation(&p));
-        assert_eq!(p.len(), 4);
+        for (name, ord) in ORDERINGS {
+            let p = ord(&a);
+            assert!(is_permutation(&p), "{name}");
+            assert_eq!(p.len(), 4, "{name}");
+        }
     }
 }

@@ -73,6 +73,15 @@ impl XorShiftRng {
         assert!(n > 0, "gen_index on empty range");
         (((self.next_u64() as u128) * (n as u128)) >> 64) as usize
     }
+
+    /// A uniform random permutation of `0..n` (Fisher–Yates).
+    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, self.gen_index(i + 1));
+        }
+        p
+    }
 }
 
 #[cfg(test)]

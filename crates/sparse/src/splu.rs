@@ -247,15 +247,15 @@ impl<S: Scalar> CscMat<S> {
     }
 }
 
-/// Default threshold of the diagonal-preference partial pivot: a
-/// column's diagonal is kept as pivot when its modulus is at least this
-/// fraction of the column maximum. `1e-3` is SPICE's `PIVREL` and KLU's
-/// default. A larger value lets one rejected diagonal (say a gate node
+/// Threshold of the diagonal-preference partial pivot, the one every
+/// factorization uses: a column's diagonal is kept as pivot when its
+/// modulus is at least this fraction of the column maximum. `1e-3` is
+/// SPICE's `PIVREL` and KLU's default. A larger value lets one rejected diagonal (say a gate node
 /// held only by `gmin` next to a transistor's `gm`) start a cascade:
 /// its pivot row is the diagonal of a later column in the pre-order,
 /// which then must pivot off-diagonal too, and so on down an inverter
 /// chain, each stolen diagonal adding fill.
-pub const DEFAULT_PIVOT_THRESHOLD: f64 = 1e-3;
+const PIVOT_THRESHOLD: f64 = 1e-3;
 
 /// The fill-reducing column pre-order of a square matrix.
 fn column_order<S: Scalar>(a: &CscMat<S>) -> Vec<usize> {
@@ -286,21 +286,10 @@ pub struct SparseLu<S> {
 }
 
 impl<S: Scalar> SparseLu<S> {
-    /// Factors a square sparse matrix with the default diagonal-preference
-    /// threshold ([`DEFAULT_PIVOT_THRESHOLD`]), appropriate for MNA
-    /// matrices.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseLuError`] if the matrix is singular.
-    pub fn factor(a: &CscMat<S>) -> Result<Self, SparseLuError> {
-        Self::factor_with_threshold(a, DEFAULT_PIVOT_THRESHOLD)
-    }
-
-    /// Factors with an explicit pivot threshold in `(0, 1]`: the diagonal
-    /// entry is accepted as pivot when its magnitude is at least
-    /// `threshold` times the column maximum. `1.0` forces strict partial
-    /// pivoting.
+    /// Factors a square sparse matrix with the diagonal-preference
+    /// partial pivot: the diagonal entry is accepted as pivot when its
+    /// magnitude is at least `1e-3` times the column maximum, which suits
+    /// MNA matrices.
     ///
     /// # Errors
     ///
@@ -309,16 +298,12 @@ impl<S: Scalar> SparseLu<S> {
     /// # Panics
     ///
     /// Panics if `a` is not square.
-    pub fn factor_with_threshold(a: &CscMat<S>, threshold: f64) -> Result<Self, SparseLuError> {
-        Self::factor_in_order(a, threshold, column_order(a))
+    pub fn factor(a: &CscMat<S>) -> Result<Self, SparseLuError> {
+        Self::factor_in_order(a, column_order(a))
     }
 
     /// Factors `P A Q` for the given column pre-order `q`.
-    fn factor_in_order(
-        a: &CscMat<S>,
-        threshold: f64,
-        q: Vec<usize>,
-    ) -> Result<Self, SparseLuError> {
+    fn factor_in_order(a: &CscMat<S>, q: Vec<usize>) -> Result<Self, SparseLuError> {
         assert_eq!(a.n_rows, a.n_cols, "sparse LU needs a square matrix");
         let n = a.n_rows;
         debug_assert_eq!(q.len(), n, "column order length");
@@ -436,7 +421,9 @@ impl<S: Scalar> SparseLu<S> {
             }
             // Prefer the diagonal when acceptable (sparsity preservation:
             // the pre-order was chosen for the symmetric pattern).
-            if pinv[col] == usize::MAX && x[col].modulus_sq() >= threshold * threshold * best_sq {
+            if pinv[col] == usize::MAX
+                && x[col].modulus_sq() >= PIVOT_THRESHOLD * PIVOT_THRESHOLD * best_sq
+            {
                 best = col;
             }
             let pivot = x[best];
@@ -628,36 +615,21 @@ impl<S: Scalar> SparseLu<S> {
 
     /// Factors and also captures the symbolic analysis (pattern, pivot
     /// sequence, update order) for later numeric-only refactorization
-    /// with [`SymbolicLu::refactor`]. Default pivot threshold
-    /// ([`DEFAULT_PIVOT_THRESHOLD`]).
+    /// with [`SymbolicLu::refactor`].
     ///
     /// # Errors
     ///
     /// [`SparseLuError`] if the matrix is singular.
     pub fn factor_analyzed(a: &CscMat<S>) -> Result<(Self, SymbolicLu), SparseLuError> {
-        Self::factor_analyzed_with_threshold(a, DEFAULT_PIVOT_THRESHOLD)
+        Self::analyzed_in_order(a, column_order(a))
     }
 
-    /// [`SparseLu::factor_analyzed`] with an explicit pivot threshold.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseLuError`] if the matrix is singular.
-    pub fn factor_analyzed_with_threshold(
-        a: &CscMat<S>,
-        threshold: f64,
-    ) -> Result<(Self, SymbolicLu), SparseLuError> {
-        Self::analyzed_in_order(a, threshold, column_order(a))
-    }
-
-    /// [`SparseLu::factor_analyzed_with_threshold`] for a given column
-    /// pre-order.
+    /// [`SparseLu::factor_analyzed`] for a given column pre-order.
     fn analyzed_in_order(
         a: &CscMat<S>,
-        threshold: f64,
         q: Vec<usize>,
     ) -> Result<(Self, SymbolicLu), SparseLuError> {
-        let mut lu = Self::factor_in_order(a, threshold, q)?;
+        let mut lu = Self::factor_in_order(a, q)?;
         lu.analysis = NEXT_ANALYSIS.fetch_add(1, atomic::Ordering::Relaxed);
         let sym = SymbolicLu {
             id: lu.analysis,
@@ -671,7 +643,6 @@ impl<S: Scalar> SparseLu<S> {
             pinv: lu.pinv.clone(),
             qinv: invert_permutation(&lu.q),
             q: lu.q.clone(),
-            threshold,
         };
         Ok((lu, sym))
     }
@@ -773,7 +744,6 @@ pub struct SymbolicLu {
     q: Vec<usize>,
     /// Inverse of `q` (slot → pivot position).
     qinv: Vec<usize>,
-    threshold: f64,
 }
 
 impl SymbolicLu {
@@ -785,11 +755,6 @@ impl SymbolicLu {
     /// Total `L` + `U` pattern entries (fill-in measure).
     pub fn factor_nnz(&self) -> usize {
         self.li.len() + self.ui.len()
-    }
-
-    /// The pivot threshold the analysis was captured with.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// The fill-reducing column pre-order, see
@@ -923,7 +888,7 @@ impl SymbolicLu {
             if !all_finite || best_sq == 0.0 || !best_sq.is_finite() {
                 return Err(RefactorError::Singular { column: col });
             }
-            if pivot_sq < self.threshold * self.threshold * best_sq {
+            if pivot_sq < PIVOT_THRESHOLD * PIVOT_THRESHOLD * best_sq {
                 return Err(RefactorError::PivotRejected { column: col });
             }
         }
@@ -945,7 +910,6 @@ impl SymbolicLu {
 #[derive(Clone, Debug)]
 pub struct LuCache {
     sym: Option<SymbolicLu>,
-    threshold: f64,
     orderings: usize,
 }
 
@@ -956,17 +920,10 @@ impl Default for LuCache {
 }
 
 impl LuCache {
-    /// An empty cache with the default pivot threshold
-    /// ([`DEFAULT_PIVOT_THRESHOLD`]).
+    /// An empty cache.
     pub fn new() -> Self {
-        LuCache::with_threshold(DEFAULT_PIVOT_THRESHOLD)
-    }
-
-    /// An empty cache with an explicit pivot threshold in `(0, 1]`.
-    pub fn with_threshold(threshold: f64) -> Self {
         LuCache {
             sym: None,
-            threshold,
             orderings: 0,
         }
     }
@@ -1043,7 +1000,7 @@ impl LuCache {
             self.orderings += 1;
             column_order(a)
         });
-        let (fresh, sym) = SparseLu::analyzed_in_order(a, self.threshold, q)?;
+        let (fresh, sym) = SparseLu::analyzed_in_order(a, q)?;
         self.sym = Some(sym);
         *lu = Some(fresh);
         Ok(false)
@@ -1081,12 +1038,22 @@ mod tests {
         assert!(residual_inf(&a, &x, &b) < 1e-12);
     }
 
+    /// Pivot positions `k` whose pivot row is not the diagonal of the
+    /// column eliminated there.
+    fn off_diagonal_pivots<S: Scalar>(lu: &SparseLu<S>) -> usize {
+        let q = lu.column_permutation();
+        (0..q.len())
+            .filter(|&k| lu.row_permutation()[q[k]] != k)
+            .count()
+    }
+
     #[test]
     fn requires_pivoting() {
         // Zero diagonal entry forces an off-diagonal pivot.
         let trip = vec![(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1e-30)];
         let a = CscMat::from_triplets(2, 2, &trip);
-        let lu = SparseLu::factor_with_threshold(&a, 1.0).unwrap();
+        let lu = SparseLu::factor(&a).unwrap();
+        assert_eq!(off_diagonal_pivots(&lu), 2, "both pivots off the diagonal");
         let x = lu.solve(&[5.0, 7.0]);
         assert!(residual_inf(&a, &x, &[5.0, 7.0]) < 1e-9);
     }
@@ -1159,7 +1126,8 @@ mod tests {
         // A = permutation matrix: solve must invert the permutation.
         let trip = vec![(2, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)];
         let a = CscMat::from_triplets(3, 3, &trip);
-        let lu = SparseLu::factor_with_threshold(&a, 1.0).unwrap();
+        let lu = SparseLu::factor(&a).unwrap();
+        assert_eq!(off_diagonal_pivots(&lu), 3, "every pivot off the diagonal");
         let x = lu.solve(&[10.0, 20.0, 30.0]);
         // A x = b with A e0 = e2 etc: x = [b1, b2, b0]? verify by residual
         assert!(residual_inf(&a, &x, &[10.0, 20.0, 30.0]) < 1e-15);

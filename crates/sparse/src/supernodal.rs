@@ -715,7 +715,6 @@ mod tests {
     use super::*;
     use crate::cholesky::{PivotPolicy, SparseCholesky, SymbolicCholesky};
     use crate::coo::TripletMat;
-    use crate::ordering::Ordering;
 
     fn spd_random(n: usize, rng: &mut crate::XorShiftRng) -> CsrMat {
         let mut t = TripletMat::new(n, n);
@@ -762,12 +761,9 @@ mod tests {
             } else {
                 spd_random(40 + 13 * trial, &mut rng)
             };
-            let sym = SymbolicCholesky::analyze_with_kernel(
-                &a,
-                Ordering::NestedDissection,
-                crate::cholesky::CholKernel::Supernodal,
-            )
-            .unwrap();
+            let sym =
+                SymbolicCholesky::analyze_with_kernel(&a, crate::cholesky::CholKernel::Supernodal)
+                    .unwrap();
             let ranges = sym.supernode_col_ranges();
             assert!(!ranges.is_empty());
             let lnz = sym.column_counts();
@@ -817,7 +813,6 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| ((i * 3 + trial) as f64).sin()).collect();
             let fs = SparseCholesky::factor_analyzed_with_kernel(
                 &a,
-                Ordering::NestedDissection,
                 PivotPolicy::Error,
                 crate::cholesky::CholKernel::Scalar,
             )
@@ -825,7 +820,6 @@ mod tests {
             .0;
             let fp = SparseCholesky::factor_analyzed_with_kernel(
                 &a,
-                Ordering::NestedDissection,
                 PivotPolicy::Error,
                 crate::cholesky::CholKernel::Supernodal,
             )

@@ -42,7 +42,6 @@
 use std::process::ExitCode;
 
 use pact::{CutoffSpec, PactError, ReductionSession, VerificationReport};
-use pact_netlist::RcNetwork;
 use pact_serve::{
     option_for_flag, prepare_deck, reduce_prepared, render_reduced, resolve_options, DeckOptions,
     Given, OptionError, PreparedDeck, ReducedDeck,
@@ -320,17 +319,17 @@ fn verify(
     cutoff: &CutoffSpec,
     ctx: pact_sparse::ParCtx,
 ) -> Result<Option<VerificationReport>, String> {
-    let components;
-    let networks: Vec<&RcNetwork> = match red {
-        ReducedDeck::Whole(_) => vec![&prep.network],
-        ReducedDeck::Components { .. } => {
-            components = prep.network.connected_components();
-            components.iter().filter(|c| c.num_ports > 0).collect()
-        }
-    };
+    let net = &prep.network;
+    let comps = net.components();
+    // One network per reduction, in the order `reduce_network_components`
+    // reduces them: the components with ports (a `Whole` deck is one,
+    // whose stamp is the network's own).
+    let stamped = (0..comps.len())
+        .filter(|&k| comps.num_ports(k) > 0)
+        .map(|k| comps.stamp(net, k));
     let mut worst: Option<VerificationReport> = None;
-    for (net, r) in networks.into_iter().zip(red.reductions()) {
-        let parts = pact::Partitions::split(&net.stamp());
+    for (stamped, r) in stamped.zip(red.reductions()) {
+        let parts = pact::Partitions::split(&stamped);
         let report = pact::verify_reduction_with(&parts, &r.model, cutoff, 25, ctx)?;
         worst = Some(match worst {
             None => report,

@@ -15,7 +15,7 @@ use pact_gen::{
     inverter_pair_deck, power_grid_deck, substrate_mesh, LineSpec, MeshSpec, PowerGridSpec,
 };
 use pact_netlist::{extract_rc, RcNetwork};
-use pact_sparse::{sym_eig, Ordering, ParCtx};
+use pact_sparse::{sym_eig, ParCtx};
 
 /// Relative pole agreement required between Lanczos and the oracles.
 const POLE_REL_TOL: f64 = 1e-8;
@@ -202,7 +202,7 @@ fn reduce_batch_reuses_analysis_and_stays_bitwise_stable() {
 /// The first transform of `net`, which both oracles start from.
 fn transform(net: &RcNetwork) -> (Partitions, Transform1) {
     let parts = Partitions::split(&net.stamp());
-    let t1 = Transform1::compute(&parts, Ordering::NestedDissection).unwrap();
+    let t1 = Transform1::compute(&parts).unwrap();
     (parts, t1)
 }
 

@@ -7,7 +7,6 @@
 use pact::{CutoffSpec, Partitions, ReduceOptions};
 use pact_baselines::{admittance_moments, block_krylov_reduce, pade_fit};
 use pact_gen::{substrate_mesh, MeshSpec};
-use pact_sparse::Ordering;
 
 fn mesh(m: usize) -> (pact_netlist::RcNetwork, Partitions, Vec<String>) {
     let net = substrate_mesh(&MeshSpec {
@@ -27,7 +26,7 @@ fn pact_and_krylov_agree_at_low_frequency() {
     let (net, parts, ports) = mesh(8);
     let opts = ReduceOptions::new(CutoffSpec::new(2e9, 0.05).unwrap());
     let pact_red = pact::reduce_network(&net, &opts).unwrap();
-    let kry = block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).unwrap();
+    let kry = block_krylov_reduce(&parts, &ports, 2).unwrap();
     let full = pact::YEvaluator::new(&parts);
     for &f in &[1e7, 1e8, 5e8] {
         let exact = full.y_at(f).unwrap();
@@ -52,7 +51,7 @@ fn both_congruence_methods_are_passive() {
     let (net, parts, ports) = mesh(6);
     let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
     let pact_red = pact::reduce_network(&net, &opts).unwrap();
-    let kry = block_krylov_reduce(&parts, &ports, 2, Ordering::Rcm).unwrap();
+    let kry = block_krylov_reduce(&parts, &ports, 2).unwrap();
     assert!(pact_red.model.is_passive(1e-7));
     assert!(kry.model.is_passive(1e-7));
 }
@@ -64,8 +63,8 @@ fn pade_basis_memory_couples_to_ports_pact_does_not() {
     let opts = ReduceOptions::new(CutoffSpec::new(1e9, 0.05).unwrap());
     let pact_a = pact::reduce_network(&net_a, &opts).unwrap();
     let pact_b = pact::reduce_network(&net_b, &opts).unwrap();
-    let kry_a = block_krylov_reduce(&parts_a, &ports_a, 2, Ordering::Rcm).unwrap();
-    let kry_b = block_krylov_reduce(&parts_b, &ports_b, 2, Ordering::Rcm).unwrap();
+    let kry_a = block_krylov_reduce(&parts_a, &ports_a, 2).unwrap();
+    let kry_b = block_krylov_reduce(&parts_b, &ports_b, 2).unwrap();
     // Krylov basis grows ~linearly with m…
     assert!(kry_b.basis_vectors >= 4 * kry_a.basis_vectors);
     // …while PACT's retained pole count tracks the spectrum, not m.
@@ -81,7 +80,7 @@ fn pade_basis_memory_couples_to_ports_pact_does_not() {
 fn awe_matches_low_order_then_degrades() {
     // The ill-conditioning story of Section 1 on the mesh workload.
     let (_, parts, _) = mesh(4);
-    let moments = admittance_moments(&parts, 14, Ordering::Rcm).unwrap();
+    let moments = admittance_moments(&parts, 14).unwrap();
     let series: Vec<f64> = moments.iter().map(|m| m[(0, 0)]).collect();
     let low = pade_fit(&series, 2).unwrap();
     assert!(low.hankel_condition.is_finite());

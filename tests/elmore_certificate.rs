@@ -21,9 +21,6 @@ use pact_gen::{
 use pact_netlist::{extract_rc, Branch, Netlist, RcNetwork, Stamped};
 use pact_sparse::{sym_eig, ParCtx, PivotPolicy, SparseCholesky, TripletMat, XorShiftRng};
 
-/// The ordering every reduction factors `D` with.
-const ORDERING: pact_sparse::Ordering = pact_sparse::Ordering::NestedDissection;
-
 /// The connected components with ports and internal nodes of a deck's
 /// sanitized RC network: the blocks a reduction runs the pole analysis on.
 fn deck_blocks(name: &str, deck: &Netlist, ports: &[&str]) -> Vec<(String, RcNetwork)> {
@@ -32,8 +29,9 @@ fn deck_blocks(name: &str, deck: &Netlist, ports: &[&str]) -> Vec<(String, RcNet
 }
 
 fn network_blocks(name: &str, net: &RcNetwork) -> Vec<(String, RcNetwork)> {
-    net.connected_components()
-        .into_iter()
+    let comps = net.components();
+    (0..comps.len())
+        .map(|k| comps.network(net, k))
         .filter(|c| c.num_ports > 0 && c.num_internal() > 0)
         .enumerate()
         .map(|(k, c)| (format!("{name}/component{k}"), c))
@@ -161,8 +159,7 @@ fn the_bound_is_above_every_pole_and_certified_blocks_have_none() {
             n <= 400,
             "{name}: {n} nodes is too large for the dense oracle"
         );
-        let (chol, diag) =
-            SparseCholesky::factor_diagnosed(&parts.d, ORDERING, PivotPolicy::Error).unwrap();
+        let (chol, diag) = SparseCholesky::factor_diagnosed(&parts.d, PivotPolicy::Error).unwrap();
         let t1 = Transform1::with_factor(&parts, chol, &ctx);
         let tau = elmore_bound(&t1.chol, &diag, &parts)
             .unwrap_or_else(|| panic!("{name}: a resistor network's D is a Z-matrix"));
@@ -256,8 +253,7 @@ fn the_bound_declines_without_its_premises() {
     // A positive off-diagonal in D: still positive definite, no bound.
     for (d01, bounded) in [(-1e-3, true), (1e-3, false)] {
         let parts = Partitions::split(&two_node_block(d01));
-        let (chol, diag) =
-            SparseCholesky::factor_diagnosed(&parts.d, ORDERING, PivotPolicy::Error).unwrap();
+        let (chol, diag) = SparseCholesky::factor_diagnosed(&parts.d, PivotPolicy::Error).unwrap();
         assert_eq!(
             elmore_bound(&chol, &diag, &parts).is_some(),
             bounded,
@@ -296,7 +292,7 @@ fn the_bound_declines_without_its_premises() {
     let relief = PivotPolicy::Perturb {
         rel_threshold: 1e-12,
     };
-    let (chol, diag) = SparseCholesky::factor_diagnosed(&parts.d, ORDERING, relief).unwrap();
+    let (chol, diag) = SparseCholesky::factor_diagnosed(&parts.d, relief).unwrap();
     assert_eq!(
         diag.perturbed.len(),
         1,

@@ -188,13 +188,13 @@ fn verify_prints_one_verdict_for_a_two_component_deck() {
     let prep = prepare_deck(&deck, &opts).expect("prepare");
     let mut session = ReductionSession::new(opts.reduce_options().expect("options"));
     let red = reduce_prepared(&prep, &mut session, &opts).expect("reduce");
-    let components = prep.network.connected_components();
+    let components = prep.network.components();
     assert_eq!((components.len(), red.reductions().len()), (2, 2));
     let spec = session.options().cutoff;
-    let reports: Vec<_> = components
-        .iter()
+    let reports: Vec<_> = (0..components.len())
         .zip(red.reductions())
-        .map(|(net, r)| {
+        .map(|(k, r)| {
+            let net = components.network(&prep.network, k);
             let parts = pact::Partitions::split(&net.stamp());
             pact::verify_reduction(&parts, &r.model, &spec, 25).expect("verify")
         })

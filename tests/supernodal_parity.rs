@@ -13,10 +13,10 @@ use pact::{CutoffSpec, Partitions, Transform1};
 use pact_gen::{
     inverter_pair_deck, power_grid_deck, substrate_mesh, LineSpec, MeshSpec, PowerGridSpec,
 };
-use pact_lanczos::{eigs_above, LanczosConfig};
+use pact_lanczos::eigs_above;
 use pact_netlist::{extract_rc, RcNetwork};
 use pact_sparse::{
-    sym_eig, CholKernel, DMat, Ordering, ParCtx, PivotPolicy, SparseCholesky, SymbolicCholesky,
+    sym_eig, CholKernel, DMat, ParCtx, PivotPolicy, SparseCholesky, SymbolicCholesky,
 };
 
 /// Required agreement between the kernels, relative to the scale of
@@ -78,13 +78,8 @@ fn split(net: &RcNetwork) -> Partitions {
 }
 
 fn factor(parts: &Partitions, kernel: CholKernel) -> (SparseCholesky, SymbolicCholesky) {
-    let (chol, _, sym) = SparseCholesky::factor_analyzed_with_kernel(
-        &parts.d,
-        Ordering::NestedDissection,
-        PivotPolicy::Error,
-        kernel,
-    )
-    .unwrap();
+    let (chol, _, sym) =
+        SparseCholesky::factor_analyzed_with_kernel(&parts.d, PivotPolicy::Error, kernel).unwrap();
     (chol, sym)
 }
 
@@ -98,11 +93,7 @@ fn transform(
 ) -> (Transform1, Vec<f64>) {
     let ctx = ParCtx::new(Some(threads));
     let t1 = Transform1::with_factor(parts, chol, &ctx);
-    let cfg = LanczosConfig {
-        threads: Some(threads),
-        ..LanczosConfig::default()
-    };
-    let poles = eigs_above(&t1.e_prime_operator_ctx(parts, ctx), lambda_c, &cfg).unwrap();
+    let (poles, _) = eigs_above(&t1.e_prime_operator_ctx(parts, ctx), lambda_c, &ctx).unwrap();
     (t1, poles.into_iter().map(|p| p.value).collect())
 }
 
